@@ -171,10 +171,6 @@ def _cols_to_matrix(cols, nrows):
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
-def _mat_vec(m, v):
-    return [sum(r[j] * v[j] for j in range(len(v)) if v[j]) for r in m]
-
-
 def letter_matrix(alg_src, alg_dst, letter_map, d, guard=DEFAULT_GUARD):
     """Matrix on quotient coordinates induced by a bijective letter renaming.
 
@@ -380,7 +376,7 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, override=False,
     for f in arr.flats:
         ll = by_flat[f.index]
         for (atom, deg), vec in sorted(ll.corrections.items()):
-            img = _mat_vec(ch.embed(f.index, deg), list(vec))
+            img = exactla.mat_vec(ch.embed(f.index, deg), list(vec))
             key = (atom, deg)
             cur = glob.get(key)
             glob[key] = img if cur is None else [a + b for a, b in zip(cur, img)]
@@ -418,7 +414,7 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, override=False,
         for g in arr.flats:
             res = ch.restrict(f.index, n)
             for h in g.members:
-                got = loc.quotient(n).reduce(_mat_vec(res, full[(h, g.index)]))
+                got = loc.quotient(n).reduce(exactla.mat_vec(res, full[(h, g.index)]))
                 want = local_cols[h] if g.index == f.index else [0] * loc.dim(n)
                 if list(got) != list(want):
                     raise RuntimeError(
@@ -447,7 +443,7 @@ def localize_global_lift(arr, glift, charts=None, guard=DEFAULT_GUARD,
                 vec = glift.corrections.get((h, deg))
                 if vec is None:
                     continue
-                v = loc.quotient(deg).reduce(_mat_vec(ch.restrict(f.index, deg), list(vec)))
+                v = loc.quotient(deg).reduce(exactla.mat_vec(ch.restrict(f.index, deg), list(vec)))
                 if any(v):
                     corr[(h, deg)] = tuple(v)
         out.append(LocalLift(flat=f, n=n, corrections=corr))
@@ -709,7 +705,7 @@ def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n, guard):
     corr = {}
     for (atom_b, deg), vec in sorted(llift_b.corrections.items()):
         q = letter_matrix(loc_b, loc_a, back, deg, guard=guard)
-        v = loc_a.quotient(deg).reduce(_mat_vec(q, list(vec)))
+        v = loc_a.quotient(deg).reduce(exactla.mat_vec(q, list(vec)))
         if any(v):
             corr[(back_atom[atom_b], deg)] = tuple(v)
     return LocalLift(flat=fa, n=n, corrections=corr)
@@ -871,7 +867,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     delta_a_full = delta_matrix(arr_a, glift_a, charts=ch_a)
     delta_b_full = delta_matrix(arr_b, glift_b, charts=ch_b)
     delta_a = _cols_to_matrix(
-        [ch_b.alg.quotient(n).reduce(_mat_vec(g_n, delta_a_full[p]))
+        [ch_b.alg.quotient(n).reduce(exactla.mat_vec(g_n, delta_a_full[p]))
          for p in pairs_a], ch_b.alg.dim(n))
     delta_b = _cols_to_matrix([delta_b_full[p] for p in pairs_b],
                               ch_b.alg.dim(n))

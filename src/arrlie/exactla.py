@@ -2,12 +2,15 @@
 
 Everything here works with arbitrary-precision Python ints.  Rank
 computations use sparse gcd-reduced elimination (no fractions, no
-floats); Smith normal form is dense with full transform tracking so
-callers can build quotient-lattice coordinates from it.
+floats).  Quotient lattices eliminate sparsely on +-1 pivots, which is
+exact and unimodular, and hand only the residual rows without a unit
+entry to the dense Smith normal form; the dense form, with full transform
+tracking, also backs kernel_int, image_basis and solve_int.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd
 
@@ -429,26 +432,111 @@ def right_inverse_int(a):
     return transpose(cols)
 
 
+def _unit_pivot_elimination(rows):
+    """Eliminate on +-1 pivots: unimodular row operations, exact over Z.
+
+    rows: nonzero {col: int} rows (copied, not modified).  Pivots come off a
+    lazy heap keyed on (live rows in the column, row length, column, row
+    id): sparse columns first, short rows next, deterministic ties.  Returns
+    (pivots, residual): pivots lists (col, sign, row) in elimination order,
+    where row has `sign` at col and no column pivoted before it; residual
+    holds the nonzero rows left with no unit entry, all off the pivot
+    columns.  Pivot rows plus residual rows span the input lattice.
+    """
+    live = {rid: dict(row) for rid, row in enumerate(rows)}
+    col_rows = {}
+    for rid, row in live.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(rid)
+    # Entries go stale as rows change; a popped entry whose key moved is
+    # pushed back with its current key, and every entry that turns into a
+    # unit is pushed when it does.
+    heap = [(len(col_rows[c]), len(row), c, rid) for rid, row in live.items()
+            for c, v in row.items() if v == 1 or v == -1]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        key = heapq.heappop(heap)
+        _n, _len, col, rid = key
+        prow = live.get(rid)
+        if prow is None or prow.get(col) not in (1, -1):
+            continue
+        current = (len(col_rows[col]), len(prow), col, rid)
+        if current != key:
+            heapq.heappush(heap, current)
+            continue
+        del live[rid]
+        for c in prow:
+            s = col_rows[c]
+            s.discard(rid)
+            if not s:
+                del col_rows[c]
+        sign = prow[col]
+        pivots.append((col, sign, prow))
+        for oid in sorted(col_rows.pop(col, ())):
+            row = live[oid]
+            f = row[col] * sign
+            units = []
+            for c, v in prow.items():
+                old = row.get(c, 0)
+                x = old - f * v
+                if x:
+                    if not old:
+                        col_rows.setdefault(c, set()).add(oid)
+                    row[c] = x
+                    if (x == 1 or x == -1) and old != 1 and old != -1:
+                        units.append(c)
+                elif old:
+                    del row[c]
+                    if c != col:
+                        s = col_rows[c]
+                        s.discard(oid)
+                        if not s:
+                            del col_rows[c]
+            if row:
+                for c in units:
+                    heapq.heappush(heap, (len(col_rows[c]), len(row), c, oid))
+            else:
+                del live[oid]
+    return pivots, [live[rid] for rid in sorted(live)]
+
+
 class QuotientLattice:
     """Z^w modulo the sublattice spanned by the given generator vectors.
 
-    Coordinates on the quotient are (free part, torsion part); the free
-    part has `rank` entries, the torsion part one entry per divisor > 1.
+    Generators are sparse {col: int} rows or dense lists.  They are first
+    eliminated on +-1 pivots; only the residual rows, which have no unit
+    entry, go through a dense Smith normal form on the columns they touch.
+    Coordinates are a normal form: `project` reduces by the pivot rows in
+    elimination order, reads the surviving columns the residual does not
+    touch, then applies the residual transform to the rest.  The free part
+    has `rank` entries, the torsion part one entry per divisor > 1.
     """
 
     def __init__(self, w, gens):
         self.w = w
-        gens = [list(g) for g in gens]
-        if gens:
-            mat = [[g[i] for g in gens] for i in range(w)]
-            divisors, u, uinv, _v, _vinv = smith_normal_form(mat)
-        else:
-            divisors, u, uinv = [], identity(w), identity(w)
-        self._u = u
-        self._uinv = uinv
+        rows = [{c: v for c, v in (g.items() if isinstance(g, dict) else enumerate(g))
+                 if v} for g in gens]
+        pivots, residual = _unit_pivot_elimination([r for r in rows if r])
+        self._pivots = pivots
+        res_cols = sorted({c for row in residual for c in row})
+        taken = {c for c, _s, _row in pivots}.union(res_cols)
+        self._res_cols = res_cols
+        self._free_cols = [c for c in range(w) if c not in taken]
+        divisors = []
+        if residual:
+            mat = [[row.get(c, 0) for row in residual] for c in res_cols]
+            divisors, self._u, self._uinv, _v, _vinv = smith_normal_form(mat, check=False)
+        if rows and w:
+            # the whole input, not just the residual block, is cross-checked
+            idx = (w * 31 + len(rows) * 7) % (len(_CHECK_PRIMES) - 1)
+            for p in (_CHECK_PRIMES[idx], _CHECK_PRIMES[idx + 1]):
+                expect = len(pivots) + sum(1 for d in divisors if d % p)
+                if rank_sparse(rows, p=p) != expect:
+                    raise ArithmeticError("quotient lattice failed modular cross-check")
         self._r = len(divisors)
-        self.rank = w - self._r
-        self._tors_rows = [(i, divisors[i]) for i in range(self._r) if divisors[i] > 1]
+        self.rank = len(self._free_cols) + len(res_cols) - self._r
+        self._tors_rows = [(i, d) for i, d in enumerate(divisors) if d > 1]
         self.torsion = tuple(d for _, d in self._tors_rows)
 
     @property
@@ -457,35 +545,44 @@ class QuotientLattice:
         return self.rank + len(self.torsion)
 
     def project(self, x):
-        """Quotient coordinates of an ambient vector."""
-        u = self._u
-        y = [sum(u[i][j] * x[j] for j in range(self.w) if x[j]) for i in range(self.w)]
-        free = [y[i] for i in range(self._r, self.w)]
-        tors = [y[i] % d for i, d in self._tors_rows]
-        return free + tors
+        """Quotient coordinates of an ambient vector (dense list or sparse dict)."""
+        if isinstance(x, dict):
+            y = [0] * self.w
+            for c, v in x.items():
+                y[c] = v
+        else:
+            y = list(x)
+        for col, sign, row in self._pivots:
+            f = y[col]
+            if f:
+                f *= sign
+                for c, v in row.items():
+                    y[c] -= f * v
+        free = [y[c] for c in self._free_cols]
+        if not self._res_cols:
+            return free
+        z = mat_vec(self._u, [y[c] for c in self._res_cols])
+        return free + z[self._r:] + [z[i] % d for i, d in self._tors_rows]
 
     def lift(self, coords):
         """An ambient representative of the class with the given coordinates."""
         x = [0] * self.w
-        uinv = self._uinv
-        for j, c in enumerate(coords[: self.rank]):
-            if c:
-                col = self._r + j
-                for i in range(self.w):
-                    if uinv[i][col]:
-                        x[i] += c * uinv[i][col]
-        for j, c in enumerate(coords[self.rank:]):
-            if c:
-                col = self._tors_rows[j][0]
-                for i in range(self.w):
-                    if uinv[i][col]:
-                        x[i] += c * uinv[i][col]
+        for c, v in zip(self._free_cols, coords):
+            x[c] = v
+        if self._res_cols:
+            cols = (list(range(self._r, len(self._res_cols)))
+                    + [i for i, _ in self._tors_rows])
+            uinv = self._uinv
+            for k, v in zip(cols, coords[len(self._free_cols):]):
+                if v:
+                    for i, c in enumerate(self._res_cols):
+                        x[c] += v * uinv[i][k]
         return x
 
     def reduce(self, coords):
         """Normalize torsion coordinates into their canonical range."""
         free = list(coords[: self.rank])
-        tors = [c % d for c, (_, d) in zip(coords[self.rank:], self._tors_rows)]
+        tors = [c % d for c, d in zip(coords[self.rank:], self.torsion)]
         return free + tors
 
     def add(self, a, b):

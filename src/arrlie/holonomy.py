@@ -4,8 +4,10 @@ The algebra is the free Lie algebra on the atoms modulo the ideal
 generated by the degree-2 elements [x_H, sum of x_K over K in Y] for
 every rank-2 flat Y and every atom H in Y.  The degree-n piece of the
 ideal is spanned by left-normed ad-chains ad(x_{j_1})...ad(x_{j_{n-2}})
-applied to the relations; degree-n data of the quotient comes from a
-Smith normal form over Z and from sparse elimination over Q and F_p.
+applied to the relations.  Over Z the quotient comes from sparse
+elimination on +-1 pivots, which is unimodular, followed by a dense Smith
+normal form of the residual rows that have no unit entry; over Q and F_p
+it comes from sparse elimination alone.
 
 Also here: commutator-relator presentations with their degree-2 Magnus
 coefficients, the degree-2 part of the Orlik-Solomon relation ideal, and
@@ -280,7 +282,8 @@ def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD, override=False
     """Degree-n piece of the holonomy Lie algebra as a GradedAbelian.
 
     Over Q and F_p the torsion list is empty and rank is the vector-space
-    dimension; over Z the divisor chain comes from Smith normal form.
+    dimension; over Z the divisor chain comes from a QuotientLattice
+    (unit-pivot elimination, then Smith normal form of the residual).
     """
     relset = as_relation_set(source)
     k = relset.alphabet
@@ -292,8 +295,7 @@ def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD, override=False
     rows = ideal_rows(relset, n, guard=guard, override=override)
     p = rings.char(ring)
     if ring == rings.Z:
-        dense = [[row.get(c, 0) for row in rows] for c in range(w)]
-        q = QuotientLattice(w, [list(col) for col in zip(*dense)] if rows else [])
+        q = QuotientLattice(w, rows)
         return GradedAbelian(rank=q.rank, torsion=q.torsion)
     return GradedAbelian(rank=w - exactla.rank_sparse(rows, p=p))
 
@@ -301,8 +303,9 @@ def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD, override=False
 class HolonomyAlgebra:
     """Quotient coordinates for the graded pieces, with lift and bracket.
 
-    Degrees are materialized lazily; degree d costs a Smith normal form
-    of the degree-d ideal piece.
+    Degrees are materialized lazily; degree d costs a unit-pivot
+    elimination of the degree-d ideal rows plus a Smith normal form of the
+    residual rows without a unit entry (usually none).
     """
 
     def __init__(self, source, max_degree, guard=DEFAULT_GUARD, override=False):
@@ -322,14 +325,7 @@ class HolonomyAlgebra:
         q = self._quotients.get(d)
         if q is None:
             rows = ideal_rows(self.relset, d, guard=self.guard, override=self.override)
-            w = witt_rank(self.alphabet, d)
-            gens = []
-            for row in rows:
-                v = [0] * w
-                for c, val in row.items():
-                    v[c] = val
-                gens.append(v)
-            q = QuotientLattice(w, gens)
+            q = QuotientLattice(witt_rank(self.alphabet, d), rows)
             self._quotients[d] = q
         return q
 
@@ -357,13 +353,7 @@ class HolonomyAlgebra:
             if isinstance(vec, dict):
                 return [vec.get(i, 0) for i in range(self.alphabet)]
             return list(vec)
-        q = self.quotient(d)
-        if isinstance(vec, dict):
-            dense = [0] * q.w
-            for c, v in vec.items():
-                dense[c] = v
-            vec = dense
-        return q.project(vec)
+        return self.quotient(d).project(vec)
 
     def lift(self, d, coords):
         """A Lyndon-basis representative of the class with the given coordinates."""

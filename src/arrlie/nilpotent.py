@@ -53,14 +53,7 @@ class Class2Group:
         self.names = self.relset.atom_names
         self.pairs = pair_list(k)
         self.pidx = pair_index(k)
-        w = len(self.pairs)
-        gens = []
-        for el in self.relset.elements:
-            v = [0] * w
-            for c, val in el.items():
-                v[c] = val
-            gens.append(v)
-        self.gr2 = QuotientLattice(w, gens)
+        self.gr2 = QuotientLattice(len(self.pairs), self.relset.elements)
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
 
     # -- basic elements ----------------------------------------------------

@@ -152,6 +152,33 @@ def test_quotient_lattice_with_torsion():
     assert q.project([0, 1, 0]) != q.zero()
 
 
+def test_quotient_lattice_residual_block_matches_dense_smith_form():
+    # Unit-free generator sets leave everything to the residual Smith form;
+    # mixed sets eliminate some rows on +-1 pivots first.
+    rng = random.Random(12)
+    saw_full_residual = saw_mixed = 0
+    for trial in range(40):
+        w, n = rng.randint(1, 6), rng.randint(1, 6)
+        entries = (0, 2, -2, 3, -3, 4, 6) if trial % 2 else (0, 0, 1, -1, 2, -3, 4)
+        gens = [[rng.choice(entries) for _ in range(w)] for _ in range(n)]
+        q = exactla.QuotientLattice(w, gens)
+        divisors, *_ = exactla.smith_normal_form([[g[i] for g in gens] for i in range(w)])
+        assert q.rank == w - len(divisors)
+        assert q.torsion == tuple(d for d in divisors if d > 1)
+        saw_full_residual += bool(q._res_cols) and not q._pivots
+        saw_mixed += bool(q._res_cols) and bool(q._pivots)
+        for g in gens:
+            assert q.project(g) == q.zero()
+        for _ in range(3):
+            x = [rng.randint(-5, 5) for _ in range(w)]
+            y = [rng.randint(-5, 5) for _ in range(w)]
+            s = [a + b for a, b in zip(x, y)]
+            assert q.project(s) == q.add(q.project(x), q.project(y))
+            c = [rng.randint(-7, 7) for _ in range(q.dim)]
+            assert q.project(q.lift(c)) == q.reduce(c)
+    assert saw_full_residual and saw_mixed
+
+
 def test_quotient_lattice_rank_over():
     q = exactla.QuotientLattice(2, [[0, 2]])
     rows = [[1, 0], [0, 1]]

@@ -104,7 +104,7 @@ def test_generic_is_abelian_and_near_pencil_localizes():
 
 def test_field_ranks_agree_when_torsion_free():
     arr = braid(4)
-    for d in (2, 3):
+    for d in (2, 3, 4):
         rz = holonomy_graded(arr, d, rings.Z)
         assert rz.torsion == ()
         assert holonomy_graded(arr, d, rings.Q).rank == rz.rank
@@ -117,8 +117,14 @@ def test_presentation_with_doubled_commutator_has_two_torsion():
     assert (g2.rank, g2.torsion) == (0, (2,))
     g3 = holonomy_graded(pres, 3)
     assert (g3.rank, g3.torsion) == (0, (2, 2))
+    g4 = holonomy_graded(pres, 4)
+    assert (g4.rank, g4.torsion) == (0, (2, 2, 2))
     assert holonomy_graded(pres, 2, rings.Q).rank == 0
-    assert holonomy_graded(pres, 2, rings.fp(2)).rank == 1
+    # universal coefficients: dim_Fp h_n = rank_Z h_n + #{d : p | d}
+    for d, gz in ((2, g2), (3, g3), (4, g4)):
+        for p in (2, 3):
+            expect = gz.rank + sum(1 for t in gz.torsion if t % p == 0)
+            assert holonomy_graded(pres, d, rings.fp(p)).rank == expect, (d, p)
 
 
 def test_graded_abelian_validation():
