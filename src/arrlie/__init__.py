@@ -16,9 +16,9 @@ from .arrangement import Arrangement, ArrangementError, BettiData, Flat2, \
 from .freelie import DEFAULT_GUARD, LieElement, LyndonBasis, SizeGuardError, \
     bracket, lie_generator, lie_zero, lyndon_basis, lyndon_words, witt_rank
 from .holonomy import GradedAbelian, HolonomyAlgebra, Presentation, \
-    RelationSet, empty_relation_set, falk_invariant, holonomy_graded, \
-    holonomy_map_from_presentation, i2_basis, make_presentation, \
-    presentation_from_json, relation_set
+    RelationSet, empty_relation_set, falk_invariant, holonomy_degrees, \
+    holonomy_graded, holonomy_map_from_presentation, i2_basis, \
+    make_presentation, presentation_from_json, relation_set
 from .nilpotent import Class2Element, Class2Group, GradedLie, SplittingData, \
     ce_h2, class2_mul, h2_rank_check, k_invariant_matrix, relation_words, \
     splitting_from_hom, truncated_lie

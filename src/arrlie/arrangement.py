@@ -298,10 +298,19 @@ def arrangement_from_json(obj):
     atoms = obj["atoms"]
     normals = obj.get("normals")
     pencils = obj.get("pencils")
+    if not isinstance(atoms, list):
+        raise ArrangementError("'atoms' must be a list of names, got %r" % (atoms,))
     if normals is None and pencils is None:
         raise ArrangementError("arrangement JSON needs 'normals' or 'pencils'")
+    for key, value in (("normals", normals), ("pencils", pencils)):
+        if value is not None and not (isinstance(value, list)
+                                      and all(isinstance(v, list) for v in value)):
+            raise ArrangementError("'%s' must be a list of lists, got %r" % (key, value))
     if normals is not None:
         normals = [[rat_from_json(x) for x in v] for v in normals]
+    for pen in pencils or ():
+        if any(isinstance(i, bool) or not isinstance(i, int) for i in pen):
+            raise ArrangementError("pencil %r: atom indices must be integers" % (pen,))
     return Arrangement(atoms, normals=normals, pencils=pencils)
 
 

@@ -3,7 +3,8 @@
 Subcommands operate on arrangement or presentation JSON files and print a
 single JSON document to stdout (sorted keys, compact separators), so runs
 are byte-for-byte reproducible.  Timing goes to stderr.  Exit codes: 0 for
-success, 1 when a computed verdict is negative, 2 for bad inputs.
+success, 1 when a computed verdict is negative, 2 for bad inputs, 3 for an
+internal error (an exception no input check anticipated).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import decomp, rings
 from .arrangement import ArrangementError, arrangement_from_json, \
     arrangement_to_json, betti, catalog_arrangement, mobius_l2
 from .freelie import DEFAULT_GUARD, SizeGuardError, witt_rank
-from .holonomy import falk_invariant, holonomy_graded, presentation_from_json
+from .holonomy import falk_invariant, holonomy_degrees, presentation_from_json
 from .nilpotent import Class2Group, h2_rank_check, k_invariant_matrix
 
 _SAFE = 2 ** 53
@@ -148,6 +149,13 @@ def _cmd_betti(args, digests):
 def _cmd_witt(args, digests):
     if args.alphabet < 1 or args.max_degree < 1:
         raise InputError("--alphabet and --max-degree must be positive")
+    # max_degree entries of up to max_degree * log2(alphabet) bits each;
+    # witt_rank(k, n) also scans n divisor candidates
+    cost = args.max_degree ** 2 * args.alphabet.bit_length()
+    if cost > args.guard:
+        raise SizeGuardError("witt table to degree %d costs %d > guard %d; "
+                             "raise --guard to proceed"
+                             % (args.max_degree, cost, args.guard))
     return [witt_rank(args.alphabet, n)
             for n in range(1, args.max_degree + 1)], 0
 
@@ -155,12 +163,10 @@ def _cmd_witt(args, digests):
 def _cmd_holonomy(args, digests):
     src = _load_source(args.file, digests)
     ring = _ring(args.ring)
-    payload = {}
-    for d in range(1, args.max_degree + 1):
-        g = holonomy_graded(src, d, ring, guard=args.guard,
-                            override=args.override)
-        payload[str(d)] = {"rank": g.rank, "torsion": list(g.torsion)}
-    return payload, 0
+    degrees = holonomy_degrees(src, args.max_degree, ring, guard=args.guard,
+                               override=args.override)
+    return {str(d): {"rank": g.rank, "torsion": list(g.torsion)}
+            for d, g in enumerate(degrees, 1)}, 0
 
 
 def _cmd_falk(args, digests):
@@ -383,6 +389,10 @@ def main(argv=None):
     except ValueError as e:
         sys.stderr.write("arrlie: error: %s\n" % e)
         return 2
+    except Exception as e:  # keep exit 1 for verdicts and stderr to one line
+        sys.stderr.write("arrlie: internal error: %s: %s\n"
+                         % (type(e).__name__, " ".join(str(e).split())))
+        return 3
     finally:
         sys.stderr.write("arrlie: %s in %.3fs\n"
                          % (getattr(args, "command", "?"),

@@ -30,9 +30,18 @@ def rank_sparse(rows, p=None):
 
 
 def rank_sparse_pivots(rows, p=None):
-    """(rank, sorted pivot columns) of the row span over Q or F_p."""
+    """(rank, basis) of the row span over Q (p=None) or F_p.
+
+    basis lists the input indices of the pivot rows, in elimination order.
+    Those input rows are a basis of the span: each reduced pivot row is a
+    nonzero multiple of its input row plus earlier pivot rows.  The pivot
+    column is the one with the fewest live rows (ties: lowest column),
+    taken from a lazy heap.  A step changes counts only in the columns of
+    the pivot row, which are pushed again afterwards; a popped entry whose
+    count is out of date is dropped.
+    """
     live = {}
-    for r in rows:
+    for rid, r in enumerate(rows):
         if p is None:
             d = {c: v for c, v in r.items() if v != 0}
         else:
@@ -42,28 +51,30 @@ def rank_sparse_pivots(rows, p=None):
                 if v:
                     d[c] = v
         if d:
-            live[len(live)] = d
+            live[rid] = d
     col_rows = {}
     for rid, row in live.items():
         for c in row:
             col_rows.setdefault(c, set()).add(rid)
-    rank = 0
-    pivots = []
+    heap = [(len(s), c) for c, s in col_rows.items()]
+    heapq.heapify(heap)
+    basis = []
     while live:
-        # pivot column with fewest live rows keeps fill-in low
-        col = min(col_rows, key=lambda c: (len(col_rows[c]), c))
-        pivots.append(col)
-        rids = col_rows[col]
+        n, col = heapq.heappop(heap)
+        rids = col_rows.get(col)
+        if rids is None or len(rids) != n:
+            continue
+        # pivot row: shortest, then smallest entry, then first
         prid = min(rids, key=lambda rid: (len(live[rid]), abs(live[rid][col]), rid))
+        basis.append(prid)
         prow = live.pop(prid)
         for c in prow:
             s = col_rows[c]
             s.discard(prid)
             if not s:
                 del col_rows[c]
-        rank += 1
         pv = prow[col]
-        for rid in sorted(col_rows.get(col, ())):
+        for rid in sorted(col_rows.pop(col, ())):
             row = live[rid]
             jv = row[col]
             if p is None:
@@ -95,12 +106,11 @@ def rank_sparse_pivots(rows, p=None):
                     elif c in new:
                         del new[c]
             for c in row:
-                if c not in new:
-                    s = col_rows.get(c)
-                    if s is not None:
-                        s.discard(rid)
-                        if not s:
-                            del col_rows[c]
+                if c not in new and c != col:
+                    s = col_rows[c]
+                    s.discard(rid)
+                    if not s:
+                        del col_rows[c]
             for c in new:
                 if c not in row:
                     col_rows.setdefault(c, set()).add(rid)
@@ -108,13 +118,11 @@ def rank_sparse_pivots(rows, p=None):
                 live[rid] = new
             else:
                 del live[rid]
-                for c in row:
-                    s = col_rows.get(c)
-                    if s is not None:
-                        s.discard(rid)
-                        if not s:
-                            del col_rows[c]
-    return rank, sorted(pivots)
+        for c in prow:
+            s = col_rows.get(c)
+            if s is not None:
+                heapq.heappush(heap, (len(s), c))
+    return len(basis), basis
 
 
 def dense_to_rows(mat):
@@ -511,6 +519,9 @@ class QuotientLattice:
     elimination order, reads the surviving columns the residual does not
     touch, then applies the residual transform to the rest.  The free part
     has `rank` entries, the torsion part one entry per divisor > 1.
+
+    `spanning_rows` holds the pivot rows, then the residual rows: sparse
+    rows that span the same sublattice as the generators, usually fewer.
     """
 
     def __init__(self, w, gens):
@@ -519,6 +530,7 @@ class QuotientLattice:
                  if v} for g in gens]
         pivots, residual = _unit_pivot_elimination([r for r in rows if r])
         self._pivots = pivots
+        self.spanning_rows = [row for _c, _s, row in pivots] + residual
         res_cols = sorted({c for row in residual for c in row})
         taken = {c for c, _s, _row in pivots}.union(res_cols)
         self._res_cols = res_cols

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 
 from . import rings
 
 DEFAULT_GUARD = 10 ** 7
 
-_lock = threading.Lock()
 _basis_cache = {}
 _expand_cache = {}
 _pair_bracket_cache = {}
@@ -111,8 +109,7 @@ def lyndon_basis(k, n, guard=DEFAULT_GUARD):
     """Memoized (and optionally disk-cached) Lyndon basis in degree n."""
     check_guard(k, n, guard)
     key = (k, n)
-    with _lock:
-        b = _basis_cache.get(key)
+    b = _basis_cache.get(key)
     if b is not None:
         return b
     words = None
@@ -139,8 +136,7 @@ def lyndon_basis(k, n, guard=DEFAULT_GUARD):
     trees = tuple(_bracketing(w, memo) for w in words)
     b = LyndonBasis(alphabet=k, degree=n, words=tuple(words), trees=trees,
                     index={w: i for i, w in enumerate(words)})
-    with _lock:
-        _basis_cache[key] = b
+    _basis_cache[key] = b
     return b
 
 
@@ -180,8 +176,7 @@ def expand_tree(tree):
     """
     if isinstance(tree, int):
         return {(tree,): 1}
-    with _lock:
-        e = _expand_cache.get(tree)
+    e = _expand_cache.get(tree)
     if e is not None:
         return e
     a = expand_tree(tree[0])
@@ -194,8 +189,7 @@ def expand_tree(tree):
             w = wb + wa
             out[w] = out.get(w, 0) - ca * cb
     out = {w: c for w, c in out.items() if c}
-    with _lock:
-        _expand_cache[tree] = out
+    _expand_cache[tree] = out
     return out
 
 
@@ -227,8 +221,7 @@ def tensor_to_lyndon(poly, k, n, guard=DEFAULT_GUARD):
 def basis_pair_bracket(k, da, db, ia, ib, guard=DEFAULT_GUARD):
     """[basis(da)[ia], basis(db)[ib]] in degree da+db basis coordinates, over Z."""
     key = (k, da, db, ia, ib)
-    with _lock:
-        r = _pair_bracket_cache.get(key)
+    r = _pair_bracket_cache.get(key)
     if r is not None:
         return r
     ea = expand_tree(lyndon_basis(k, da, guard).trees[ia])
@@ -241,8 +234,7 @@ def basis_pair_bracket(k, da, db, ia, ib, guard=DEFAULT_GUARD):
             w = wb + wa
             p[w] = p.get(w, 0) - ca * cb
     r = tensor_to_lyndon(p, k, da + db, guard)
-    with _lock:
-        _pair_bracket_cache[key] = r
+    _pair_bracket_cache[key] = r
     return r
 
 

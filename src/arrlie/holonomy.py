@@ -2,12 +2,14 @@
 
 The algebra is the free Lie algebra on the atoms modulo the ideal
 generated by the degree-2 elements [x_H, sum of x_K over K in Y] for
-every rank-2 flat Y and every atom H in Y.  The degree-n piece of the
-ideal is spanned by left-normed ad-chains ad(x_{j_1})...ad(x_{j_{n-2}})
-applied to the relations.  Over Z the quotient comes from sparse
-elimination on +-1 pivots, which is unimodular, followed by a dense Smith
-normal form of the residual rows that have no unit entry; over Q and F_p
-it comes from sparse elimination alone.
+every rank-2 flat Y and every atom H in Y.  Since I_n = [V, I_{n-1}],
+degrees are built upward once each: degree n is spanned by the brackets
+[x_j, b] of every generator with a generating set b of degree n-1, and
+that set is the basis rows of the degree below over Q and F_p, or the
+rows spanning its ideal lattice over Z.  Over Z the quotient comes from
+sparse elimination on +-1 pivots, which is unimodular, followed by a
+dense Smith normal form of the residual rows that have no unit entry;
+over Q and F_p it comes from sparse elimination alone.
 
 Also here: commutator-relator presentations with their degree-2 Magnus
 coefficients, the degree-2 part of the Orlik-Solomon relation ideal, and
@@ -23,7 +25,6 @@ from .arrangement import Arrangement, ArrangementError
 from .exactla import QuotientLattice
 from .freelie import (DEFAULT_GUARD, LieElement, SizeGuardError, bracket,
                       check_guard, lie_generator, lyndon_basis, witt_rank)
-from .parallel import pmap
 
 # refusal thresholds per degree; kwarg `override=True` lifts them
 DEGREE_ALPHABET_LIMITS = {2: 64, 3: 15, 4: 8}
@@ -255,57 +256,80 @@ def as_relation_set(source):
     raise TypeError("expected an Arrangement, RelationSet, or Presentation")
 
 
-def ideal_rows(relset, n, guard=DEFAULT_GUARD, override=False):
-    """Spanning vectors of the degree-n piece of the relation ideal.
+def ideal_rows(relset, n, below=None, guard=DEFAULT_GUARD, override=False):
+    """Spanning rows of the degree-n piece I_n of the relation ideal.
 
-    Left-normed ad-chains on the degree-2 relations; returned as sparse
-    dicts over the degree-n Lyndon basis.
+    I_2 is spanned by the relations.  For n > 2, `below` is a generating
+    set of I_{n-1} (sparse rows over the degree n-1 Lyndon basis) and the
+    rows are [x_j, b] for every generator x_j and every b in `below`,
+    because I_n = [V, I_{n-1}].  Rows are sparse dicts over the degree-n
+    Lyndon basis.
     """
     k = relset.alphabet
     holonomy_guard(k, n, override=override, guard=guard)
     if n < 2:
         raise ValueError("the relation ideal starts in degree 2")
-    level = [LieElement(k, 2, dict(e)) for e in relset.elements]
-    deg = 2
-    while deg < n:
-        gens = [lie_generator(k, j) for j in range(k)]
+    if n == 2:
+        return [dict(e) for e in relset.elements]
+    if below is None:
+        raise ValueError("degree %d needs a generating set of degree %d" % (n, n - 1))
+    gens = [lie_generator(k, j) for j in range(k)]
+    return [bracket(g, LieElement(k, n - 1, b), guard).coeffs
+            for b in below for g in gens]
 
-        def _ads(el):
-            return [bracket(g, el, guard) for g in gens]
 
-        level = [x for sub in pmap(_ads, level) for x in sub]
-        deg += 1
-    return [dict(el.coeffs) for el in level]
+def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
+    """Degrees 1..top of the holonomy Lie algebra, as a list of GradedAbelian.
+
+    Each degree of the ideal is generated once, from a generating set of
+    the degree below: the basis rows that rank_sparse_pivots picks over Q
+    and F_p, the spanning rows of the QuotientLattice over Z (unit-pivot
+    elimination, then Smith normal form of the residual, which gives the
+    divisor chain).
+    """
+    relset = as_relation_set(source)
+    k = relset.alphabet
+    if top < 1:
+        return []
+    if top > 1:
+        holonomy_guard(k, top, override=override, guard=guard)
+    p = rings.char(ring)
+    out = [GradedAbelian(rank=k)]
+    below = None
+    for n in range(2, top + 1):
+        w = witt_rank(k, n)
+        rows = ideal_rows(relset, n, below, guard=guard, override=override)
+        if ring == rings.Z:
+            q = QuotientLattice(w, rows)
+            out.append(GradedAbelian(rank=q.rank, torsion=q.torsion))
+            below = q.spanning_rows
+        else:
+            rank, basis = exactla.rank_sparse_pivots(rows, p=p)
+            out.append(GradedAbelian(rank=w - rank))
+            below = [rows[i] for i in basis]
+    return out
 
 
 def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
     """Degree-n piece of the holonomy Lie algebra as a GradedAbelian.
 
     Over Q and F_p the torsion list is empty and rank is the vector-space
-    dimension; over Z the divisor chain comes from a QuotientLattice
-    (unit-pivot elimination, then Smith normal form of the residual).
+    dimension; over Z the divisor chain comes from a QuotientLattice.
+    Degrees 2..n-1 are built on the way (see holonomy_degrees).
     """
-    relset = as_relation_set(source)
-    k = relset.alphabet
     if n < 1:
         raise ValueError("degree must be positive")
-    if n == 1:
-        return GradedAbelian(rank=k)
-    w = witt_rank(k, n)
-    rows = ideal_rows(relset, n, guard=guard, override=override)
-    p = rings.char(ring)
-    if ring == rings.Z:
-        q = QuotientLattice(w, rows)
-        return GradedAbelian(rank=q.rank, torsion=q.torsion)
-    return GradedAbelian(rank=w - exactla.rank_sparse(rows, p=p))
+    return holonomy_degrees(source, n, ring, guard=guard, override=override)[-1]
 
 
 class HolonomyAlgebra:
     """Quotient coordinates for the graded pieces, with lift and bracket.
 
-    Degrees are materialized lazily; degree d costs a unit-pivot
-    elimination of the degree-d ideal rows plus a Smith normal form of the
-    residual rows without a unit entry (usually none).
+    Degrees are materialized lazily and each one once: degree d brackets
+    the spanning rows of the degree d-1 quotient with the generators, then
+    runs a unit-pivot elimination plus a Smith normal form of the residual
+    rows without a unit entry (usually none).  Coordinates are those of
+    that QuotientLattice, so they depend on the generating set used.
     """
 
     def __init__(self, source, max_degree, guard=DEFAULT_GUARD, override=False):
@@ -324,7 +348,9 @@ class HolonomyAlgebra:
             raise ValueError("degree %d outside 2..%d" % (d, self.max_degree))
         q = self._quotients.get(d)
         if q is None:
-            rows = ideal_rows(self.relset, d, guard=self.guard, override=self.override)
+            below = self.quotient(d - 1).spanning_rows if d > 2 else None
+            rows = ideal_rows(self.relset, d, below, guard=self.guard,
+                              override=self.override)
             q = QuotientLattice(witt_rank(self.alphabet, d), rows)
             self._quotients[d] = q
         return q

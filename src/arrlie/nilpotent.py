@@ -26,7 +26,6 @@ from .exactla import QuotientLattice
 from .freelie import DEFAULT_GUARD
 from .holonomy import (GradedAbelian, HolonomyAlgebra, as_relation_set,
                        holonomy_graded, i2_basis, pair_index, pair_list)
-from .parallel import pmap
 
 
 @dataclass(frozen=True)
@@ -406,9 +405,8 @@ class GradedLie:
         for a, b, c in itertools.combinations(members, 3):
             if a[0] + b[0] + c[0] <= self.top:
                 triples.append((a, b, c))
-        for ok in pmap(_jacobi, triples):
-            if not ok:
-                raise ValueError("structure constants violate the Jacobi identity")
+        if not all(_jacobi(t) for t in triples):
+            raise ValueError("structure constants violate the Jacobi identity")
 
 
 def truncated_lie(source, top, guard=DEFAULT_GUARD, override=False, validate=True):
@@ -495,7 +493,7 @@ def ce_differentials(L):
         return {q: v for q, v in out.items() if v}
 
     triples = list(itertools.combinations(range(n), 3))
-    d3cols = list(pmap(_d3, triples))
+    d3cols = [_d3(t) for t in triples]
     return basis, pairs, d2cols, d3cols
 
 

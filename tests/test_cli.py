@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from arrlie import cli
 from arrlie.arrangement import arrangement_to_json, braid, near_pencil, pencil
 from arrlie.cli import main
 
@@ -244,6 +245,37 @@ def test_missing_and_broken_files(files, capsys, tmp_path):
                                "pencils": [[0, 1, 2], [0, 1]]}))
     code, _, err = run(capsys, ["betti", str(dup)])
     assert code == 2 and "two pencils" in err
+
+
+@pytest.mark.parametrize("obj", [
+    {"atoms": 5, "pencils": []},
+    {"atoms": ["a", "b", "c"], "pencils": 3},
+    {"atoms": ["a", "b", "c"], "pencils": [[0, 1.5, 2]]},
+])
+def test_malformed_arrangement_exits_2_on_one_line(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["betti", str(path)])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if not TIMING.match(line)]
+    assert len(errors) == 1 and errors[0].startswith("arrlie: error:")
+
+
+def test_unexpected_exception_exits_3_on_one_line(files, capsys, monkeypatch):
+    def boom(arr):
+        raise ZeroDivisionError("boom\nsecond line")
+    monkeypatch.setattr(cli, "betti", boom)
+    code, out, err = run(capsys, ["betti", files["pencil3"]])
+    assert code == 3 and out == ""
+    errors = [line for line in err.splitlines() if not TIMING.match(line)]
+    assert errors == ["arrlie: internal error: ZeroDivisionError: boom second line"]
+
+
+def test_witt_is_size_guarded(capsys):
+    code, out, err = run(capsys, ["witt", "--alphabet", "3",
+                                  "--max-degree", "100000"])
+    assert code == 2 and out == "" and "guard" in err
 
 
 def test_guard_violation_maps_to_exit_2(files, capsys):

@@ -123,6 +123,50 @@ def test_ranks_agree_between_backends():
         assert r2 <= rd
 
 
+def gauss_rank(rows, n_cols, p=None):
+    """Rank by dense Gaussian elimination over Fractions or F_p."""
+    if p is None:
+        mat = [[Fraction(r.get(c, 0)) for c in range(n_cols)] for r in rows]
+    else:
+        mat = [[r.get(c, 0) % p for c in range(n_cols)] for r in rows]
+    rank = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        inv = 1 / top[c] if p is None else pow(top[c], -1, p)
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] * inv
+            if f:
+                mat[i] = [x - f * y for x, y in zip(mat[i], top)]
+                if p is not None:
+                    mat[i] = [x % p for x in mat[i]]
+        rank += 1
+    return rank
+
+
+def test_sparse_rank_and_basis_match_dense_elimination():
+    # sets large and sparse enough that fill-in moves column counts up
+    # and down between pivot steps, with and without dependent rows
+    rng = random.Random(31)
+    deficient = 0
+    for _ in range(16):
+        n_rows, n_cols = rng.randint(30, 60), rng.randint(20, 70)
+        rows = []
+        for _ in range(n_rows):
+            cols = rng.sample(range(n_cols), rng.randint(2, 4))
+            rows.append({c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in cols})
+        for p in (None, 2, 3):
+            rank, basis = exactla.rank_sparse_pivots(rows, p=p)
+            assert rank == gauss_rank(rows, n_cols, p), p
+            assert len(basis) == len(set(basis)) == rank
+            assert gauss_rank([rows[i] for i in basis], n_cols, p) == rank
+            deficient += rank < min(n_rows, n_cols)
+    assert deficient >= 8
+
+
 def test_image_basis_spans_the_column_lattice():
     cols = [[2, 0, 4], [0, 0, 0], [1, 1, 2]]
     bas = exactla.image_basis(cols, 3)

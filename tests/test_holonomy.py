@@ -111,6 +111,20 @@ def test_field_ranks_agree_when_torsion_free():
         assert holonomy_graded(arr, d, rings.fp(2)).rank == rz.rank
 
 
+def test_fiber_type_ranks_at_the_top_of_the_ladder():
+    # Falk-Randell: braid(n) has exponents 1..n-1, phi_k = sum witt(e, k)
+    assert holonomy_graded(braid(5), 4, rings.Z, override=True) == GradedAbelian(81)
+    assert holonomy_graded(braid(4), 5, rings.Q, override=True).rank == 54
+
+
+def test_holonomy_algebra_agrees_with_holonomy_graded():
+    for source in (near_pencil(5), make_presentation(2, ["xxyXXY"])):
+        alg = HolonomyAlgebra(source, 4)
+        for d in (2, 3, 4):
+            g = holonomy_graded(source, d, rings.Z)
+            assert (alg.rank(d), alg.torsion(d)) == (g.rank, g.torsion), d
+
+
 def test_presentation_with_doubled_commutator_has_two_torsion():
     pres = make_presentation(2, ["xxyXXY"])
     g2 = holonomy_graded(pres, 2)
