@@ -20,7 +20,7 @@ from .holonomy import GradedAbelian, HolonomyAlgebra, Presentation, \
     holonomy_graded, holonomy_map_from_presentation, i2_basis, \
     make_presentation, presentation_from_json, relation_set
 from .nilpotent import Class2Element, Class2Group, GradedLie, SplittingData, \
-    ce_h2, class2_mul, h2_rank_check, k_invariant_matrix, relation_words, \
+    ce_h2, h2_rank_check, k_invariant_matrix, relation_words, \
     splitting_from_hom, truncated_lie
 from .decomp import DiagramInstance, GlobalLift, LatticeIso, LocalLift, \
     assemble_global_lift, check_diagram, diagram_instance, is_decomposable, \

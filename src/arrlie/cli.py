@@ -271,8 +271,6 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, ring=False, degree=None, maxdeg=None):
-        sp.add_argument("--json", action="store_true", default=False,
-                        help="JSON output (the default)")
         sp.add_argument("--table", action="store_true",
                         help="aligned text output instead of JSON")
         sp.add_argument("--report", action="store_true",

@@ -711,11 +711,6 @@ def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n, guard):
     return LocalLift(flat=fa, n=n, corrections=corr)
 
 
-def _stack_restriction(ch, n):
-    rows, dims = restriction_stack(ch.arr, n, charts=ch)
-    return rows, dims
-
-
 def _sigma_from_locals(ch, n, ring, local_lams=None):
     """Assemble the splitting H2(N) -> gr_n from per-flat splittings.
 
@@ -724,7 +719,7 @@ def _sigma_from_locals(ch, n, ring, local_lams=None):
     decomposability certificate in degree n), and the assembled map is
     [I | -rho^{-1} Lambda] in split coordinates.
     """
-    rho, dims = _stack_restriction(ch, n)
+    rho, dims = restriction_stack(ch.arr, n, charts=ch)
     g = ch.alg.dim(n)
     if len(rho) != g:
         raise ValueError(
@@ -754,19 +749,14 @@ def _sigma_from_locals(ch, n, ring, local_lams=None):
             for i in range(dloc):
                 for j, p in enumerate(local_pairs):
                     stacked[offsets[fi] + i][pairs.index(p)] += lam[i][j]
+        # rho is invertible over the ring, so over Z its inverse is integral
         p = rings.char(ring)
-        if ring == rings.Z:
-            sol = exactla.solve_int(rho, exactla.transpose(stacked))
-            if sol is None:
-                raise ValueError("local splittings do not descend to an "
-                                 "integral global splitting")
-            lam_global = exactla.transpose(sol)
-        else:
-            inv = exactla.inverse_field(
-                exactla.mat_mod(rho, p) if p else rho, p)
-            lam_global = exactla.mat_mul(inv, stacked)
-            if p:
-                lam_global = exactla.mat_mod(lam_global, p)
+        inv = exactla.inverse_field(exactla.mat_mod(rho, p) if p else rho, p)
+        lam_global = exactla.mat_mul(inv, stacked)
+        if p:
+            lam_global = exactla.mat_mod(lam_global, p)
+        elif ring == rings.Z:
+            lam_global = [[int(v) for v in row] for row in lam_global]
     else:
         lam_global = [[0] * b2 for _ in range(g)]
     sigma = [[1 if i == j else 0 for j in range(g)] +

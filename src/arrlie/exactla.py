@@ -1,11 +1,13 @@
 """Exact linear algebra over Z, Q and F_p.
 
-Everything here works with arbitrary-precision Python ints.  Rank
-computations use sparse gcd-reduced elimination (no fractions, no
-floats).  Quotient lattices eliminate sparsely on +-1 pivots, which is
-exact and unimodular, and hand only the residual rows without a unit
-entry to the dense Smith normal form; the dense form, with full transform
-tracking, also backs kernel_int, image_basis and solve_int.
+Everything here works with arbitrary-precision Python ints.  Ranks come
+from sparse elimination: gcd-reduced over Q (no fractions, no floats),
+modular over F_p.  Quotients of Z^w by a sublattice (QuotientLattice)
+eliminate sparsely on +-1 pivots, which is exact and unimodular, and hand
+only the residual rows without a unit entry to the dense Smith normal
+form.  The dense form tracks all four transforms; besides that residual
+block it backs only kernel_int (the k-invariant of a presentation) and
+solve_int.
 """
 
 from __future__ import annotations
@@ -355,19 +357,6 @@ def kernel_int(mat):
     divisors, _u, _uinv, v, _vinv = smith_normal_form(mat)
     r = len(divisors)
     return [[v[i][j] for i in range(n)] for j in range(r, n)]
-
-
-def image_basis(cols, n):
-    """Basis (as column vectors of length n) of the integer column span of cols."""
-    cols = [list(c) for c in cols if any(c)]
-    if not cols:
-        return []
-    mat = [[c[i] for c in cols] for i in range(n)]
-    divisors, _u, uinv, _v, _vinv = smith_normal_form(mat)
-    out = []
-    for idx, d in enumerate(divisors):
-        out.append([d * uinv[i][idx] for i in range(n)])
-    return out
 
 
 def inverse_field(mat, p=None):

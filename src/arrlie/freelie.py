@@ -15,8 +15,6 @@ the orientation consistent with prod_n (1-t^n)^{rank_n} = 1 - k*t.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 from . import rings
@@ -101,37 +99,14 @@ class LyndonBasis:
         return len(self.words)
 
 
-def _cache_dir():
-    return os.environ.get("ARRLIE_CACHE") or None
-
-
 def lyndon_basis(k, n, guard=DEFAULT_GUARD):
-    """Memoized (and optionally disk-cached) Lyndon basis in degree n."""
+    """Memoized Lyndon basis in degree n."""
     check_guard(k, n, guard)
     key = (k, n)
     b = _basis_cache.get(key)
     if b is not None:
         return b
-    words = None
-    cdir = _cache_dir()
-    path = os.path.join(cdir, "lyndon_%d_%d.json" % (k, n)) if cdir else None
-    if path and os.path.exists(path):
-        try:
-            with open(path) as f:
-                words = [tuple(w) for w in json.load(f)]
-        except (ValueError, OSError):
-            words = None
-    if words is None:
-        words = lyndon_words(k, n)
-        if path:
-            try:
-                os.makedirs(cdir, exist_ok=True)
-                tmp = path + ".tmp.%d" % os.getpid()
-                with open(tmp, "w") as f:
-                    json.dump([list(w) for w in words], f)
-                os.replace(tmp, path)
-            except OSError:
-                pass
+    words = lyndon_words(k, n)
     memo = {}
     trees = tuple(_bracketing(w, memo) for w in words)
     b = LyndonBasis(alphabet=k, degree=n, words=tuple(words), trees=trees,

@@ -146,7 +146,8 @@ class Presentation:
 
 
 def make_presentation(generators, relators, names=None):
-    generators = int(generators)
+    if not isinstance(generators, int) or isinstance(generators, bool):
+        raise ValueError("the number of generators must be an integer")
     if generators < 1:
         raise ValueError("need at least one generator")
     if names is None:
@@ -177,7 +178,14 @@ def make_presentation(generators, relators, names=None):
 def presentation_from_json(obj):
     if not isinstance(obj, dict) or "generators" not in obj or "relators" not in obj:
         raise ValueError("presentation JSON needs 'generators' and 'relators'")
-    return make_presentation(obj["generators"], obj["relators"], obj.get("names"))
+    names = obj.get("names")
+    fields = [("relators", obj["relators"])]
+    if names is not None:
+        fields.append(("names", names))
+    for key, val in fields:
+        if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
+            raise ValueError("presentation '%s' must be a list of strings" % key)
+    return make_presentation(obj["generators"], obj["relators"], names)
 
 
 def magnus_degree2(pres, relator):
@@ -202,25 +210,26 @@ def magnus_degree2(pres, relator):
     return d1, {key: c for key, c in d2.items() if c}
 
 
+def _magnus_column(pres, relator, pidx):
+    """Degree-2 Magnus class of one relator over the pair basis (i < j)."""
+    d1, d2 = magnus_degree2(pres, relator)
+    assert not any(d1), "exponent sums checked at construction"
+    col = {}
+    for (i, j), c in d2.items():
+        if i == j:
+            raise ValueError("relator %r: degree-2 part is not a Lie element" % relator)
+        if (j, i) in d2 and d2[(j, i)] != -c and i < j:
+            raise ValueError("relator %r: degree-2 part is not a Lie element" % relator)
+        if i < j:
+            col[pidx[(i, j)]] = c
+    return col
+
+
 def holonomy_map_from_presentation(pres):
     """Columns over the pair basis (i < j): the degree-2 Magnus class per relator."""
-    k = pres.generators
-    pidx = pair_index(k)
-    cols = []
-    for rel in pres.relators:
-        d1, d2 = magnus_degree2(pres, rel)
-        assert not any(d1), "exponent sums checked at construction"
-        col = {}
-        for (i, j), c in d2.items():
-            if i == j:
-                raise ValueError("relator %r: degree-2 part is not a Lie element" % rel)
-            if (j, i) in d2 and d2[(j, i)] != -c and i < j:
-                raise ValueError("relator %r: degree-2 part is not a Lie element" % rel)
-            if i < j:
-                col[pidx[(i, j)]] = c
-        cols.append(col)
-    rows = len(pair_list(k))
-    mat = [[0] * len(cols) for _ in range(rows)]
+    pidx = pair_index(pres.generators)
+    cols = [_magnus_column(pres, rel, pidx) for rel in pres.relators]
+    mat = [[0] * len(cols) for _ in range(len(pidx))]
     for t, col in enumerate(cols):
         for r, c in col.items():
             mat[r][t] = c
@@ -228,19 +237,10 @@ def holonomy_map_from_presentation(pres):
 
 
 def relation_set_from_presentation(pres):
-    mat_cols = []
-    for rel in pres.relators:
-        _d1, d2 = magnus_degree2(pres, rel)
-        pidx = pair_index(pres.generators)
-        col = {}
-        for (i, j), c in d2.items():
-            if i < j:
-                col[pidx[(i, j)]] = c
-        mat_cols.append(col)
-    return RelationSet(alphabet=pres.generators,
-                       elements=tuple(mat_cols),
-                       labels=tuple(None for _ in mat_cols),
-                       atom_names=pres.names)
+    pidx = pair_index(pres.generators)
+    cols = tuple(_magnus_column(pres, rel, pidx) for rel in pres.relators)
+    return RelationSet(alphabet=pres.generators, elements=cols,
+                       labels=(None,) * len(cols), atom_names=pres.names)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,14 @@ indices moved left, so the commutator [x_i, x_j] for i > j is the class
 of e_i wedge e_j.
 
 H2 of a truncated graded Lie ring is computed from the exterior complex
-Lambda^3 L -> Lambda^2 L -> L with d(a^b) = -[a,b].  Graded pieces may
-carry torsion; the complex is then treated with presentation matrices
-throughout, so the answer is exact over Z.
+Lambda^3 L -> Lambda^2 L -> L with d(a^b) = -[a,b].  Over Q and F_p it is
+a difference of sparse ranks on the coordinates that survive the field.
+Over Z, graded pieces may carry torsion: with D the torsion columns d_i e_i
+of L, the cycles are the saturated kernel K of [d2 | D], read on its
+pair block.  Each boundary (the Lambda^2 relations gcd(d_s, d_t) e_s^e_t
+and the columns of d3) is lifted into K, and H2 is one QuotientLattice
+of the lifts; its torsion is that of H2 and its rank exceeds rank H2 by
+rank [d2 | D].
 """
 
 from __future__ import annotations
@@ -159,10 +164,6 @@ class Class2Group:
         for idx, e in word:
             out = self.multiply(out, self.power(self.generator(idx), e))
         return out
-
-
-def class2_mul(g, h, grp):
-    return grp.multiply(g, h)
 
 
 def relation_words(arr):
@@ -510,12 +511,12 @@ def _field_truncation(L, p):
 def ce_h2(L, ring=rings.Z):
     """H2 of the exterior complex of a truncated graded Lie ring.
 
-    Over Z returns rank and elementary divisors; over Q or F_p, the
-    dimension of H2 of L tensored with the field.
+    Over Z returns rank and elementary divisors, read from one quotient
+    lattice (see the module docstring); over Q or F_p, the dimension of
+    H2 of L tensored with the field.
     """
     p = rings.char(ring)
-    basis, pairs, d2cols, d3cols = ce_differentials(L)
-    n = len(basis)
+    _basis, pairs, d2cols, d3cols = ce_differentials(L)
     if ring != rings.Z:
         _b, _o, keep = _field_truncation(L, p)
         kept = set(keep)
@@ -537,48 +538,33 @@ def ce_h2(L, ring=rings.Z):
                       - exactla.rank_sparse(d3rows, p=p)
         return GradedAbelian(rank=rank)
 
-    _b2, _o2, divs = _flat_basis(L)
+    divs = _flat_basis(L)[2]
     np_ = len(pairs)
-    if np_ == 0:
-        return GradedAbelian(rank=0)
-    r1 = [i for i, dv in enumerate(divs) if dv > 0]
-    block = [[0] * (np_ + len(r1)) for _ in range(n)]
-    for q, col in enumerate(d2cols):
-        for c, v in col.items():
-            block[c][q] = v
-    for t, i in enumerate(r1):
-        block[i][np_ + t] = divs[i]
-    kern = exactla.kernel_int(block)
-    gens = [vec[:np_] for vec in kern]
-    if r1:
-        bas = exactla.image_basis(gens, np_)
-    else:
-        bas = gens
-    qdim = len(bas)
-    if qdim == 0:
-        return GradedAbelian(rank=0)
-    sub = []
-    for q, (s, t) in enumerate(pairs):
-        g = gcd(divs[s], divs[t])
-        if divs[s] == 0 and divs[t] == 0:
-            continue
-        col = [0] * np_
-        col[q] = g
-        sub.append(col)
-    for col in d3cols:
-        dense = [0] * np_
-        for q, v in col.items():
-            dense[q] = v
-        sub.append(dense)
-    if not sub:
-        return GradedAbelian(rank=qdim)
-    bmat = [[bas[c][r] for c in range(qdim)] for r in range(np_)]
-    x = exactla.solve_int(bmat, sub)
-    assert x is not None, "boundaries escaped the cycle lattice"
-    xmat = [[x[c][r] for c in range(len(x))] for r in range(qdim)]
-    divisors, _u, _ui, _v, _vi = exactla.smith_normal_form(xmat)
-    torsion = tuple(d for d in divisors if d > 1)
-    return GradedAbelian(rank=qdim - len(divisors), torsion=torsion)
+    # the column of D for each torsion coordinate, after the pair columns
+    tcol = {}
+    for i, dv in enumerate(divs):
+        if dv:
+            tcol[i] = np_ + len(tcol)
+    boundaries = [{q: gcd(divs[s], divs[t])} for q, (s, t) in enumerate(pairs)
+                  if divs[s] or divs[t]]
+    boundaries += [col for col in d3cols if col]
+    lifted = []
+    for b in boundaries:
+        image = {}
+        for q, v in b.items():
+            for c, w in d2cols[q].items():
+                image[c] = image.get(c, 0) + v * w
+        row = dict(b)
+        for c, v in image.items():
+            if not v:
+                continue
+            if c not in tcol or v % divs[c]:
+                raise ArithmeticError("boundaries escaped the cycle lattice")
+            row[tcol[c]] = -v // divs[c]
+        lifted.append(row)
+    quot = QuotientLattice(np_ + len(tcol), lifted)
+    d2rank = exactla.rank_sparse(d2cols + [{i: divs[i]} for i in tcol])
+    return GradedAbelian(rank=quot.rank - d2rank, torsion=quot.torsion)
 
 
 def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD, override=False):

@@ -247,19 +247,34 @@ def test_missing_and_broken_files(files, capsys, tmp_path):
     assert code == 2 and "two pencils" in err
 
 
+def assert_exits_2_on_one_line(tmp_path, capsys, command, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if not TIMING.match(line)]
+    assert len(errors) == 1 and errors[0].startswith("arrlie: error:")
+
+
 @pytest.mark.parametrize("obj", [
     {"atoms": 5, "pencils": []},
     {"atoms": ["a", "b", "c"], "pencils": 3},
     {"atoms": ["a", "b", "c"], "pencils": [[0, 1.5, 2]]},
 ])
 def test_malformed_arrangement_exits_2_on_one_line(tmp_path, capsys, obj):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(obj))
-    code, out, err = run(capsys, ["betti", str(path)])
-    assert code == 2 and out == ""
-    assert "Traceback" not in err
-    errors = [line for line in err.splitlines() if not TIMING.match(line)]
-    assert len(errors) == 1 and errors[0].startswith("arrlie: error:")
+    assert_exits_2_on_one_line(tmp_path, capsys, "betti", obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"generators": 2, "relators": 3},
+    {"generators": 2, "relators": [5]},
+    {"generators": 2.5, "relators": ["xyXY"]},
+    {"generators": True, "relators": ["xyXY"]},
+    {"generators": 2, "relators": ["xyXY"], "names": "xy"},
+])
+def test_malformed_presentation_exits_2_on_one_line(tmp_path, capsys, obj):
+    assert_exits_2_on_one_line(tmp_path, capsys, "holonomy", obj)
 
 
 def test_unexpected_exception_exits_3_on_one_line(files, capsys, monkeypatch):

@@ -167,14 +167,6 @@ def test_sparse_rank_and_basis_match_dense_elimination():
     assert deficient >= 8
 
 
-def test_image_basis_spans_the_column_lattice():
-    cols = [[2, 0, 4], [0, 0, 0], [1, 1, 2]]
-    bas = exactla.image_basis(cols, 3)
-    assert len(bas) == 2
-    mat = [[b[i] for b in bas] for i in range(3)]
-    assert exactla.solve_int(mat, [c for c in cols if any(c)]) is not None
-
-
 def test_empty_matrix_conventions():
     assert exactla.mat_mul([], []) == []
     assert exactla.mat_mul([[], []], []) == [[], []]

@@ -1,7 +1,6 @@
 """Free Lie algebra layer: Lyndon bases, Witt ranks, bracket arithmetic."""
 
 import itertools
-import json
 import random
 
 import pytest
@@ -95,15 +94,6 @@ def test_basis_is_indexed_and_memoized():
     assert b1 is b2
     assert len(b1) == witt_rank(2, 4) == 3
     assert [b1.index[w] for w in b1.words] == list(range(len(b1)))
-
-
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("ARRLIE_CACHE", str(tmp_path))
-    words = lyndon_basis(7, 3).words
-    path = tmp_path / "lyndon_7_3.json"
-    if path.exists():
-        assert [tuple(w) for w in json.loads(path.read_text())] == list(words)
-    assert len(words) == witt_rank(7, 3)
 
 
 def test_size_guard():

@@ -10,7 +10,6 @@ from arrlie import (
     GradedLie,
     braid,
     ce_h2,
-    class2_mul,
     h2_rank_check,
     k_invariant_matrix,
     make_presentation,
@@ -49,7 +48,6 @@ def test_group_axioms_on_pencil3():
     g = grp.generator(0)
     assert grp.power(g, 3).exps == (3, 0, 0)
     assert grp.power(g, -2) == grp.multiply(grp.inverse(g), grp.inverse(g))
-    assert class2_mul(g, g, grp) == grp.multiply(g, g)
 
 
 def test_commutator_of_generators_is_the_cocycle():
@@ -228,6 +226,43 @@ def test_ce_h2_field_ranks_see_torsion():
     assert ce_h2(tor, rings.fp(3)).rank == 1
 
 
+@pytest.mark.parametrize("rank, torsion, h2", [
+    (0, (2, 4, 8), GradedAbelian(0, (2, 2, 4))),
+    (1, (3, 9), GradedAbelian(0, (3, 3, 9))),
+    (2, (3,), GradedAbelian(1, (3, 3))),
+])
+def test_ce_h2_of_an_abelian_group_is_its_exterior_square(rank, torsion, h2):
+    # no brackets: H2 = Lambda^2 L, with Z/gcd(d_s, d_t) on every pair
+    assert ce_h2(GradedLie([GradedAbelian(rank, torsion)], {})) == h2
+
+
+@pytest.mark.parametrize("relator, h2", [
+    ("xxyXXY", GradedAbelian(1, (2, 2, 2))),
+    ("xxxyXXXY", GradedAbelian(1, (3, 3, 3))),
+])
+def test_ce_h2_lifts_boundaries_through_torsion_coordinates(relator, h2):
+    # d2 of these boundaries is a nonzero multiple of a torsion divisor;
+    # the values are those of the former dense kernel/solve/SNF chain
+    L = truncated_lie(make_presentation(2, [relator]), 3)
+    assert ce_h2(L) == h2
+    assert ce_h2(L, rings.Q).rank == h2.rank
+
+
+def test_ce_h2_refuses_boundaries_off_the_cycle_lattice():
+    # degree 1 = <a, b, c>, degree 2 = <x, y, z> = <[a,b], [a,c], [b,c]>,
+    # degree 3 = <w> with [x, c] = [z, a] = w and [y, b] = 0: the Jacobi
+    # sum of a, b, c is 2w, so d2 . d3 is nonzero on a free coordinate
+    t11 = [[(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+           [(-1, 0, 0), (0, 0, 0), (0, 0, 1)],
+           [(0, -1, 0), (0, 0, -1), (0, 0, 0)]]
+    t12 = [[(0,), (0,), (-1,)], [(0,), (0,), (0,)], [(-1,), (0,), (0,)]]
+    t21 = [[(0,), (0,), (1,)], [(0,), (0,), (0,)], [(1,), (0,), (0,)]]
+    L = GradedLie([GradedAbelian(3), GradedAbelian(3), GradedAbelian(1)],
+                  {(1, 1): t11, (1, 2): t12, (2, 1): t21}, validate=False)
+    with pytest.raises(ArithmeticError, match="escaped the cycle lattice"):
+        ce_h2(L)
+
+
 def test_ce_h2_of_arrangement_truncations():
     assert ce_h2(truncated_lie(pencil(3), 2), rings.Q).rank == 4
     assert ce_h2(truncated_lie(braid(4), 2), rings.Q).rank == 21
@@ -249,6 +284,14 @@ def test_h2_rank_check_degree3():
 def test_h2_rank_check_over_z_reports_torsion():
     rep = h2_rank_check(pencil(3), 3, rings.Z)
     assert rep["pass"] and rep["ce_h2_torsion"] == [] and rep["h_n_torsion"] == []
+
+
+def test_h2_rank_check_degree4_over_z_on_a_decomposable_arrangement():
+    # Papadima-Suciu: h_4 of near_pencil(5) is its local F_3, witt(3, 4) = 18
+    rep = h2_rank_check(near_pencil(5), 4, rings.Z)
+    assert rep["pass"] and rep["decomposable"]
+    assert (rep["ce_h2_rank"], rep["h_n_rank"], rep["b2"]) == (25, 18, 7)
+    assert rep["ce_h2_torsion"] == [] and rep["h_n_torsion"] == []
 
 
 def test_h2_rank_check_degree4_needs_decomposability():
