@@ -115,8 +115,8 @@ def _ring(text):
         raise InputError(str(e)) from None
 
 
-def _parse_iso(text):
-    """Inline JSON, or a path to a JSON file, giving the atom map."""
+def _parse_json_arg(flag, text):
+    """Inline JSON, or a path to a JSON file, given as the value of flag."""
     try:
         return json.loads(text)
     except ValueError:
@@ -124,8 +124,60 @@ def _parse_iso(text):
     if os.path.exists(text):
         obj, _ = _read_json(text)
         return obj
-    raise InputError("--iso %r is neither inline JSON nor a readable file"
-                     % text)
+    raise InputError("%s %r is neither inline JSON nor a readable file"
+                     % (flag, text))
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _iso_from_json(obj):
+    """--iso: an object or a list whose images are atom names or indices."""
+    if isinstance(obj, dict):
+        items = [("[%s]" % json.dumps(k), v) for k, v in obj.items()]
+    elif isinstance(obj, list):
+        items = [("[%d]" % i, v) for i, v in enumerate(obj)]
+    else:
+        raise InputError("--iso: expected an object or a list of atom "
+                         "images, got %s" % json.dumps(obj))
+    for path, v in items:
+        if not (isinstance(v, str) or _is_int(v)):
+            raise InputError("--iso%s: an atom image must be a name or an "
+                             "integer index, got %s" % (path, json.dumps(v)))
+    return obj
+
+
+def _corrections_from_json(obj, n_flats):
+    """--corrections {flat: {"atom.degree": [int, ...]}} as local_lift input."""
+    if not isinstance(obj, dict):
+        raise InputError("--corrections: expected an object keyed by flat "
+                         "index, got %s" % json.dumps(obj))
+    out = {}
+    for fi, table in obj.items():
+        path = "--corrections[%s]" % json.dumps(fi)
+        if not (fi.isdecimal() and int(fi) < n_flats):
+            raise InputError("%s: not a flat index of B, which has %d "
+                             "flats" % (path, n_flats))
+        if not isinstance(table, dict):
+            raise InputError('%s: expected an object keyed by "atom.degree", '
+                             "got %s" % (path, json.dumps(table)))
+        corr = {}
+        for key, vec in table.items():
+            kpath = "%s[%s]" % (path, json.dumps(key))
+            atom, _, deg = key.rpartition(".")
+            if not atom or not deg.isdecimal():
+                raise InputError('%s: a key must read "atom.degree"' % kpath)
+            if not isinstance(vec, list):
+                raise InputError("%s: expected a list of coordinates, got %s"
+                                 % (kpath, json.dumps(vec)))
+            for i, v in enumerate(vec):
+                if not _is_int(v):
+                    raise InputError("%s[%d]: a coordinate must be an integer,"
+                                     " got %s" % (kpath, i, json.dumps(v)))
+            corr[(atom, int(deg))] = tuple(vec)
+        out[int(fi)] = corr
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +259,14 @@ def _cmd_decomp(args, digests):
 
 def _cmd_lcs(args, digests):
     arr = _load_arrangement(args.file, digests)
+    # max_degree coefficients sum mu^m of up to m * log2(mu) bits each,
+    # each inverted over the m candidate divisors
+    mu = max((f.mu for f in arr.flats), default=1)
+    cost = max(args.max_degree, 0) ** 2 * mu.bit_length()
+    if cost > args.guard:
+        raise SizeGuardError("lcs to degree %d costs %d > guard %d; "
+                             "raise --guard to proceed"
+                             % (args.max_degree, cost, args.guard))
     return decomp.lcs_ranks_decomposable(arr, args.max_degree,
                                          guard=args.guard,
                                          override=args.override), 0
@@ -215,17 +275,12 @@ def _cmd_lcs(args, digests):
 def _cmd_verify_iso(args, digests):
     arr_a = _load_arrangement(args.file_a, digests)
     arr_b = _load_arrangement(args.file_b, digests)
-    iso = _parse_iso(args.iso)
+    iso = _iso_from_json(_parse_json_arg("--iso", args.iso))
     corrections = None
     if args.corrections:
-        obj = _parse_iso(args.corrections)
-        corrections = {}
-        for fi, table in obj.items():
-            corr = {}
-            for key, vec in table.items():
-                atom, deg = key.rsplit(".", 1)
-                corr[(atom, int(deg))] = tuple(int(v) for v in vec)
-            corrections[int(fi)] = corr
+        corrections = _corrections_from_json(
+            _parse_json_arg("--corrections", args.corrections),
+            len(arr_b.flats))
     rep = decomp.verify_decomposable_iso(
         arr_a, arr_b, iso, n=args.degree, ring=_ring(args.ring),
         corrections=corrections, perturb=args.perturb,

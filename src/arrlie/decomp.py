@@ -503,12 +503,14 @@ class DiagramInstance:
 
     g2: H2(X_a) -> H2(X_b) on relator bases; la_star, lb_star: induced maps
     of the two lifts into the split H2 of the common nilpotent quotient;
-    sigma: splitting H2(N) -> degree-n piece.
+    sigma_a, sigma_b: the splittings H2(N) -> degree-n piece applied after
+    the A leg and after the B leg.
     """
     g2: tuple
     la_star: tuple
     lb_star: tuple
-    sigma: tuple
+    sigma_a: tuple
+    sigma_b: tuple
     ring: tuple = rings.Z
 
 
@@ -516,17 +518,12 @@ def _freeze(mat):
     return tuple(tuple(r) for r in mat)
 
 
-def diagram_instance(g2, la_star, lb_star, sigma, ring=rings.Z):
+def diagram_instance(g2, la_star, lb_star, sigma, ring=rings.Z, sigma_a=None):
+    """DiagramInstance with splitting sigma on the B leg, and on the A leg
+    too unless sigma_a is given."""
     return DiagramInstance(_freeze(g2), _freeze(la_star), _freeze(lb_star),
+                           _freeze(sigma if sigma_a is None else sigma_a),
                            _freeze(sigma), ring)
-
-
-def _is_zero_mat(mat, p):
-    for row in mat:
-        for v in row:
-            if (v % p if p else v) != 0:
-                return False
-    return True
 
 
 def _first_bad_column(a, b, p):
@@ -558,8 +555,8 @@ def _invertible(mat, ring):
 def check_diagram(d):
     """Check the two commutation identities of a DiagramInstance.
 
-    Identity 1: lb_star composed with g2 equals la_star.  Identity 2: sigma
-    after la_star equals sigma after lb_star after g2.  Both are exact
+    Identity 1: lb_star composed with g2 equals la_star.  Identity 2: sigma_a
+    after la_star equals sigma_b after lb_star after g2.  Both are exact
     matrix identities over the instance ring; the report carries the first
     violated identity and a witness column.
     """
@@ -568,7 +565,8 @@ def check_diagram(d):
     g2 = [list(r) for r in d.g2]
     la = [list(r) for r in d.la_star]
     lb = [list(r) for r in d.lb_star]
-    sg = [list(r) for r in d.sigma]
+    sa = [list(r) for r in d.sigma_a]
+    sb = [list(r) for r in d.sigma_b]
     ca = len(la[0]) if la else (len(g2[0]) if g2 else 0)
     cb = len(g2)
     h2n = len(la)
@@ -582,8 +580,11 @@ def check_diagram(d):
                          "has %d rows" % (len(lb[0]) if lb else 0, cb))
     if any(len(r) != ca for r in g2):
         raise ValueError("shape mismatch: g2 must be %dx%d" % (cb, ca))
-    if sg and any(len(r) != h2n for r in sg):
+    if any(len(r) != h2n for r in sa + sb):
         raise ValueError("shape mismatch: sigma must have %d columns" % h2n)
+    if len(sa) != len(sb):
+        raise ValueError("shape mismatch: sigma_a has %d rows, sigma_b %d"
+                         % (len(sa), len(sb)))
     if not _invertible(g2, d.ring):
         raise ValueError("g2 is not invertible over %s" % rings.name(d.ring))
     p = rings.char(d.ring)
@@ -599,8 +600,8 @@ def check_diagram(d):
                          "rhs": [r[bad] for r in la]}})
         rep["identity2"] = None
         return rep
-    lhs2 = exactla.mat_mul(sg, la)
-    rhs2 = exactla.mat_mul(exactla.mat_mul(sg, lb), g2)
+    lhs2 = exactla.mat_mul(sa, la)
+    rhs2 = exactla.mat_mul(exactla.mat_mul(sb, lb), g2)
     bad = _first_bad_column(lhs2, rhs2, p) if lhs2 else None
     if bad is not None:
         rep.update(
@@ -866,8 +867,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     lb = delta_b + exactla.identity(len(pairs_b))
 
     sigma, rho = _sigma_from_locals(ch_b, n, ring, local_lams=sigma_lams)
-    inst = diagram_instance(g2, la, lb, sigma, ring)
-
+    sigma_a = None
     if perturb and perturb["kind"] == "sigma":
         g = ch_b.alg.dim(n)
         b2 = len(pairs_b)
@@ -880,20 +880,8 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
                    for i in range(g)]
         sigma_a = [row[:g] + [row[g + j] - lam[i][j] for j in range(b2)]
                    for i, row in enumerate(sigma)]
-        p = rings.char(ring)
-        check = check_diagram(inst)
-        lhs2 = exactla.mat_mul(sigma_a, la)
-        rhs2 = exactla.mat_mul(exactla.mat_mul(sigma, lb), g2)
-        bad = _first_bad_column(lhs2, rhs2, p) if lhs2 else None
-        if bad is not None:
-            check = dict(check)
-            check.update(
-                {"pass": False, "failed": 2, "identity2": False,
-                 "witness": {"identity": 2, "column": bad,
-                             "lhs": [r[bad] for r in lhs2],
-                             "rhs": [r[bad] for r in rhs2]}})
-    else:
-        check = check_diagram(inst)
+    check = check_diagram(diagram_instance(g2, la, lb, sigma, ring,
+                                           sigma_a=sigma_a))
 
     report = {
         "pass": bool(check["pass"]),

@@ -2,12 +2,12 @@
 
 Everything here works with arbitrary-precision Python ints.  Ranks come
 from sparse elimination: gcd-reduced over Q (no fractions, no floats),
-modular over F_p.  Quotients of Z^w by a sublattice (QuotientLattice)
-eliminate sparsely on +-1 pivots, which is exact and unimodular, and hand
-only the residual rows without a unit entry to the dense Smith normal
-form.  The dense form tracks all four transforms; besides that residual
-block it backs only kernel_int (the k-invariant of a presentation) and
-solve_int.
+modular over F_p.  Over Z the one lattice primitive is QuotientLattice,
+Z^w modulo a sublattice: it eliminates sparsely on +-1 pivots, which is
+exact and unimodular, and hands only the residual rows without a unit
+entry to the dense Smith normal form, which keeps just its left
+transforms.  Saturated integer kernels (kernel_int) are read off a
+QuotientLattice too.
 """
 
 from __future__ import annotations
@@ -224,14 +224,6 @@ def _swap_rows(d, u, uinv, i, k):
         row[i], row[k] = row[k], row[i]
 
 
-def _swap_cols(d, v, vinv, i, k):
-    for row in d:
-        row[i], row[k] = row[k], row[i]
-    for row in v:
-        row[i], row[k] = row[k], row[i]
-    vinv[i], vinv[k] = vinv[k], vinv[i]
-
-
 def _addmul_row(d, u, uinv, k, i, c):
     # row_k += c * row_i
     dk, di = d[k], d[i]
@@ -247,33 +239,19 @@ def _addmul_row(d, u, uinv, k, i, c):
             row[i] -= c * row[k]
 
 
-def _addmul_col(d, v, vinv, k, i, c):
-    # col_k += c * col_i
-    for row in d:
-        if row[i]:
-            row[k] += c * row[i]
-    for row in v:
-        if row[i]:
-            row[k] += c * row[i]
-    vk, vi = vinv[k], vinv[i]
-    for j in range(len(vk)):
-        if vk[j]:
-            vi[j] -= vk[j] * c
-    # note: row_i of vinv -= c * row_k, written entrywise above
+def smith_normal_form(mat):
+    """Smith normal form with its left transforms.
 
-
-def smith_normal_form(mat, check=True):
-    """Smith normal form with transforms.
-
-    Returns (divisors, U, Uinv, V, Vinv) where U*mat*V is diagonal with
-    the positive divisor chain `divisors` in the upper-left corner.
-    Pivots are chosen by smallest absolute value to keep entries small.
+    Returns (divisors, U, Uinv): U*mat*V is diagonal with the positive
+    divisor chain `divisors` in the upper-left corner, for some unimodular
+    V that is not kept.  So the first len(divisors) rows of U*mat span the
+    row lattice and the rest are zero.  Pivots are chosen by smallest
+    absolute value to keep entries small.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     d = [list(map(int, row)) for row in mat]
     u, uinv = identity(m), identity(m)
-    v, vinv = identity(n), identity(n)
     t = 0
     while t < m and t < n:
         # locate smallest nonzero entry in the trailing block
@@ -292,8 +270,10 @@ def smith_normal_form(mat, check=True):
         _, bi, bj = best
         if bi != t:
             _swap_rows(d, u, uinv, t, bi)
+        # column operations act on d alone: V is not kept
         if bj != t:
-            _swap_cols(d, v, vinv, t, bj)
+            for row in d:
+                row[t], row[bj] = row[bj], row[t]
         dirty = True
         while dirty:
             dirty = False
@@ -308,10 +288,12 @@ def smith_normal_form(mat, check=True):
             for j in range(t + 1, n):
                 if d[t][j]:
                     q = d[t][j] // d[t][t]
-                    if q:
-                        _addmul_col(d, v, vinv, j, t, -q)
+                    for row in d:
+                        if row[t]:
+                            row[j] -= q * row[t]
                     if d[t][j]:
-                        _swap_cols(d, v, vinv, t, j)
+                        for row in d:
+                            row[t], row[j] = row[j], row[t]
                         dirty = True
         # enforce the divisibility chain
         piv = d[t][t]
@@ -335,28 +317,19 @@ def smith_normal_form(mat, check=True):
             for row in uinv:
                 row[t] = -row[t]
         t += 1
-    divisors = [d[i][i] for i in range(t) if d[i][i] != 0]
-    if check and m and n:
-        idx = (m * 31 + n * 7) % (len(_CHECK_PRIMES) - 1)
-        for p in (_CHECK_PRIMES[idx], _CHECK_PRIMES[idx + 1]):
-            rp = rank_sparse(dense_to_rows(mat), p=p)
-            expect = sum(1 for dv in divisors if dv % p)
-            if rp != expect:
-                raise ArithmeticError("smith normal form failed modular cross-check")
-    return divisors, u, uinv, v, vinv
+    return [d[i][i] for i in range(t) if d[i][i] != 0], u, uinv
 
 
 def kernel_int(mat):
-    """Basis (list of column vectors) of the saturated integer kernel of mat."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    divisors, _u, _uinv, v, _vinv = smith_normal_form(mat)
-    r = len(divisors)
-    return [[v[i][j] for i in range(n)] for j in range(r, n)]
+    """Basis (list of vectors) of the saturated integer kernel of mat.
+
+    The kernel is Hom(Z^n / rows of mat, Z): the free coordinates of the
+    QuotientLattice by the rows, read as linear forms on Z^n.
+    """
+    n = len(mat[0]) if mat else 0
+    q = QuotientLattice(n, mat)
+    cols = [q.project({c: 1}) for c in range(n)]
+    return [[col[i] for col in cols] for i in range(q.rank)]
 
 
 def inverse_field(mat, p=None):
@@ -389,44 +362,6 @@ def inverse_field(mat, p=None):
                 else:
                     a[i] = [(x - f * y) % p for x, y in zip(a[i], a[col])]
     return [row[n:] for row in a]
-
-
-def solve_int(a, b_cols):
-    """Solve a @ X = B over Z.  b_cols is a list of column vectors.
-
-    Returns the columns of X, or None if some column has no integer solution.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    divisors, u, _uinv, v, _vinv = smith_normal_form(a)
-    r = len(divisors)
-    out = []
-    for b in b_cols:
-        c = mat_vec(u, b)
-        y = [0] * n
-        ok = True
-        for i in range(m):
-            if i < r:
-                if c[i] % divisors[i]:
-                    ok = False
-                    break
-                y[i] = c[i] // divisors[i]
-            elif c[i] != 0:
-                ok = False
-                break
-        if not ok:
-            return None
-        out.append(mat_vec(v, y))
-    return out
-
-
-def right_inverse_int(a):
-    """Integer right inverse of a (a @ X = I), or None."""
-    m = len(a)
-    cols = solve_int(a, [[1 if i == j else 0 for i in range(m)] for j in range(m)])
-    if cols is None:
-        return None
-    return transpose(cols)
 
 
 def _unit_pivot_elimination(rows):
@@ -527,7 +462,7 @@ class QuotientLattice:
         divisors = []
         if residual:
             mat = [[row.get(c, 0) for row in residual] for c in res_cols]
-            divisors, self._u, self._uinv, _v, _vinv = smith_normal_form(mat, check=False)
+            divisors, self._u, self._uinv = smith_normal_form(mat)
         if rows and w:
             # the whole input, not just the residual block, is cross-checked
             idx = (w * 31 + len(rows) * 7) % (len(_CHECK_PRIMES) - 1)

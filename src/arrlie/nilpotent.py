@@ -191,7 +191,8 @@ def k_invariant_matrix(source):
 
     Rows are indexed by the chosen basis of gr2 (for arrangements, the dual
     basis of the degree-2 relation ideal of the Orlik-Solomon algebra;
-    otherwise a saturated kernel basis of the relation matrix), columns by
+    otherwise the free coordinates of the QuotientLattice of the wedge
+    pairs by the relations, as in HolonomyAlgebra.quotient(2)), columns by
     the ordered pairs of generators.  chi_2 composed with a suitable
     integer inclusion is the identity, and its kernel is the relation span.
     """
@@ -214,7 +215,7 @@ def k_invariant_matrix(source):
         mat.append(row)
     if not mat:
         return exactla.identity(w)
-    return [list(v) for v in exactla.kernel_int(mat)]
+    return exactla.kernel_int(mat)
 
 
 # ---------------------------------------------------------------------------

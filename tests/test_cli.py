@@ -247,14 +247,20 @@ def test_missing_and_broken_files(files, capsys, tmp_path):
     assert code == 2 and "two pencils" in err
 
 
-def assert_exits_2_on_one_line(tmp_path, capsys, command, obj):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(obj))
-    code, out, err = run(capsys, [command, str(path)])
+def assert_exits_2_on_one_line(capsys, argv):
+    """Run argv; it must exit 2 with one error line, returned."""
+    code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if not TIMING.match(line)]
     assert len(errors) == 1 and errors[0].startswith("arrlie: error:")
+    return errors[0]
+
+
+def bad_file(tmp_path, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
 
 
 @pytest.mark.parametrize("obj", [
@@ -263,7 +269,7 @@ def assert_exits_2_on_one_line(tmp_path, capsys, command, obj):
     {"atoms": ["a", "b", "c"], "pencils": [[0, 1.5, 2]]},
 ])
 def test_malformed_arrangement_exits_2_on_one_line(tmp_path, capsys, obj):
-    assert_exits_2_on_one_line(tmp_path, capsys, "betti", obj)
+    assert_exits_2_on_one_line(capsys, ["betti", bad_file(tmp_path, obj)])
 
 
 @pytest.mark.parametrize("obj", [
@@ -274,7 +280,31 @@ def test_malformed_arrangement_exits_2_on_one_line(tmp_path, capsys, obj):
     {"generators": 2, "relators": ["xyXY"], "names": "xy"},
 ])
 def test_malformed_presentation_exits_2_on_one_line(tmp_path, capsys, obj):
-    assert_exits_2_on_one_line(tmp_path, capsys, "holonomy", obj)
+    assert_exits_2_on_one_line(capsys, ["holonomy", bad_file(tmp_path, obj)])
+
+
+@pytest.mark.parametrize("flag,value,path", [
+    ("--iso", "[0,1.5,2]", "--iso[1]:"),
+    ("--iso", "[true,0,2]", "--iso[0]:"),
+    ("--iso", "5", "--iso:"),
+    ("--iso", '{"H1":[1]}', '--iso["H1"]:'),
+    ("--corrections", '{"0":{"H1.2":[1.5],"H2.2":[-1.5]}}',
+     '--corrections["0"]["H1.2"][0]:'),
+    ("--corrections", "[1]", "--corrections:"),
+    ("--corrections", '{"0":[1]}', '--corrections["0"]:'),
+    ("--corrections", '{"0":{"H1.2":5}}', '--corrections["0"]["H1.2"]:'),
+    ("--corrections", '{"0":{"H12":[1]}}', '--corrections["0"]["H12"]:'),
+    ("--corrections", '{"3":{"H1.2":[1]}}', '--corrections["3"]:'),
+])
+def test_malformed_iso_and_corrections_exit_2_naming_the_path(files, capsys,
+                                                              flag, value,
+                                                              path):
+    iso = value if flag == "--iso" else ISO3
+    argv = ["verify-iso", files["pencil3"], files["pencil3"], "--iso", iso]
+    if flag != "--iso":
+        argv += [flag, value]
+    line = assert_exits_2_on_one_line(capsys, argv)
+    assert line.startswith("arrlie: error: " + path)
 
 
 def test_unexpected_exception_exits_3_on_one_line(files, capsys, monkeypatch):
@@ -291,6 +321,19 @@ def test_witt_is_size_guarded(capsys):
     code, out, err = run(capsys, ["witt", "--alphabet", "3",
                                   "--max-degree", "100000"])
     assert code == 2 and out == "" and "guard" in err
+
+
+def test_lcs_is_size_guarded(files, capsys):
+    # refused before any work: 10^6 squared times bit_length(mu = 2)
+    code, out, err = run(capsys, ["lcs", files["pencil3"],
+                                  "--max-degree", "1000000"])
+    assert code == 2 and out == "" and "guard" in err
+    code, out, _ = run(capsys, ["lcs", files["pencil3"], "--max-degree", "8",
+                                "--guard", "128"])
+    assert code == 0 and json.loads(out)[:5] == [3, 1, 2, 3, 6]
+    code, out, err = run(capsys, ["lcs", files["pencil3"], "--max-degree", "8",
+                                  "--guard", "127"])
+    assert code == 2 and "costs 128 > guard 127" in err
 
 
 def test_guard_violation_maps_to_exit_2(files, capsys):

@@ -302,6 +302,21 @@ def test_identity_one_implies_identity_two_with_a_single_sigma():
         assert rep["pass"] and rep["identity1"] and rep["identity2"]
 
 
+def test_check_diagram_applies_each_legs_own_sigma():
+    g2, la, lb = [[1]], [[1], [2]], [[1], [2]]
+    inst = diagram_instance(g2, la, lb, sigma=[[1, 0]], sigma_a=[[1, 1]])
+    assert (inst.sigma_a, inst.sigma_b) == (((1, 1),), ((1, 0),))
+    rep = check_diagram(inst)
+    assert rep["failed"] == 2 and rep["identity1"] and not rep["identity2"]
+    assert rep["witness"] == {"identity": 2, "column": 0,
+                              "lhs": [3], "rhs": [1]}
+    assert check_diagram(diagram_instance(g2, la, lb, [[1, 0]],
+                                          sigma_a=[[1, 0]]))["pass"]
+    with pytest.raises(ValueError, match="sigma_a has 2 rows, sigma_b 1"):
+        check_diagram(diagram_instance(g2, la, lb, [[1, 0]],
+                                       sigma_a=[[1, 0], [0, 1]]))
+
+
 def test_check_diagram_ring_sensitivity_of_g2():
     base = dict(la_star=[[4], [2]], lb_star=[[2], [1]], sigma=[[1, 0]])
     for ring in (rings.Z, rings.fp(2)):
