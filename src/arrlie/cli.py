@@ -213,6 +213,8 @@ def _cmd_witt(args, digests):
 
 
 def _cmd_holonomy(args, digests):
+    if args.max_degree < 0:
+        raise InputError("--max-degree must be non-negative")
     src = _load_source(args.file, digests)
     ring = _ring(args.ring)
     degrees = holonomy_degrees(src, args.max_degree, ring, guard=args.guard,

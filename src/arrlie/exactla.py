@@ -1,12 +1,15 @@
 """Exact linear algebra over Z, Q and F_p.
 
-Everything here works with arbitrary-precision Python ints.  Ranks come
-from sparse elimination: gcd-reduced over Q (no fractions, no floats),
-modular over F_p.  Over Z the one lattice primitive is QuotientLattice,
-Z^w modulo a sublattice: it eliminates sparsely on +-1 pivots, which is
-exact and unimodular, and hands only the residual rows without a unit
-entry to the dense Smith normal form, which keeps just its left
-transforms.  Saturated integer kernels (kernel_int) are read off a
+Everything here works with arbitrary-precision Python ints.  One sparse
+elimination loop serves all three rings; only the pivot rule and the row
+update depend on the ring.  Over Q rows are gcd-reduced (no fractions,
+no floats) and over F_p reduced mod p; rank_sparse reads the rank off it.
+Over Z the one lattice primitive is QuotientLattice, Z^w modulo a
+sublattice: the same loop pivots only on +-1 entries, which is exact and
+unimodular, and hands the residual rows without a unit entry to the
+dense Smith normal form, which keeps just its left transforms.  The
+modular rank cross-check of a QuotientLattice runs the same loop mod two
+large primes.  Saturated integer kernels (kernel_int) are read off a
 QuotientLattice too.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 # Deterministic pool of large primes for the modular rank cross-check.
@@ -28,7 +32,7 @@ def rank_sparse(rows, p=None):
 
     rows: iterable of {col: int} sparse rows.  Input rows are not modified.
     """
-    return rank_sparse_pivots(rows, p=p)[0]
+    return len(_eliminate(rows, "Q" if p is None else p)[0])
 
 
 def rank_sparse_pivots(rows, p=None):
@@ -36,20 +40,45 @@ def rank_sparse_pivots(rows, p=None):
 
     basis lists the input indices of the pivot rows, in elimination order.
     Those input rows are a basis of the span: each reduced pivot row is a
-    nonzero multiple of its input row plus earlier pivot rows.  The pivot
-    column is the one with the fewest live rows (ties: lowest column),
-    taken from a lazy heap.  A step changes counts only in the columns of
-    the pivot row, which are pushed again afterwards; a popped entry whose
-    count is out of date is dropped.
+    nonzero multiple of its input row plus earlier pivot rows.
     """
+    pivots, _ = _eliminate(rows, "Q" if p is None else p)
+    return len(pivots), [rid for _c, rid, _row in pivots]
+
+
+def _eliminate(rows, ring):
+    """Sparse elimination over ring "Q", "Z" or a prime p.
+
+    rows: iterable of {col: int} rows (copied, not modified).  Returns
+    (pivots, residual): pivots lists (col, input id, reduced row) in
+    elimination order, where the row is nonzero at col and zero at every
+    column pivoted before it; residual holds the rows left nonzero, in
+    input order.  The pivot column is the one with the fewest live rows
+    (ties: lowest column), taken from a lazy heap; the pivot row is the
+    shortest eligible row in it, then the one with the smallest entry
+    there, then the first.  Over a field every entry is eligible and the
+    residual is empty.  Over Z only +-1 entries are: the row operations
+    stay unimodular, pivot rows plus residual span the input lattice, and
+    a column without a unit entry is skipped until a later pivot row
+    touches it.  Only the columns of a pivot row change (in count or in
+    entries), so only those are pushed again; a popped entry whose count
+    is out of date is dropped.  The ring's row update is picked once and
+    applied to all the rows of a pivot column in one call.
+    """
+    if ring == "Q":
+        update = _update_q
+    elif ring == "Z":
+        update = _update_z
+    else:
+        update = partial(_update_mod, ring)
     live = {}
     for rid, r in enumerate(rows):
-        if p is None:
+        if ring in ("Q", "Z"):
             d = {c: v for c, v in r.items() if v != 0}
         else:
             d = {}
             for c, v in r.items():
-                v %= p
+                v %= ring
                 if v:
                     d[c] = v
         if d:
@@ -60,80 +89,111 @@ def rank_sparse_pivots(rows, p=None):
             col_rows.setdefault(c, set()).add(rid)
     heap = [(len(s), c) for c, s in col_rows.items()]
     heapq.heapify(heap)
-    basis = []
-    while live:
+    pivots = []
+    while live and heap:
         n, col = heapq.heappop(heap)
         rids = col_rows.get(col)
         if rids is None or len(rids) != n:
             continue
-        # pivot row: shortest, then smallest entry, then first
+        if ring == "Z":
+            rids = [rid for rid in rids if live[rid][col] in (1, -1)]
+            if not rids:
+                continue
         prid = min(rids, key=lambda rid: (len(live[rid]), abs(live[rid][col]), rid))
-        basis.append(prid)
         prow = live.pop(prid)
+        pivots.append((col, prid, prow))
         for c in prow:
             s = col_rows[c]
             s.discard(prid)
             if not s:
                 del col_rows[c]
-        pv = prow[col]
-        for rid in sorted(col_rows.pop(col, ())):
-            row = live[rid]
-            jv = row[col]
-            if p is None:
-                g = gcd(pv, jv)
-                m1, m2 = pv // g, jv // g
-                new = {}
-                for c, v in row.items():
-                    new[c] = v * m1
-                for c, v in prow.items():
-                    w = new.get(c, 0) - v * m2
-                    if w:
-                        new[c] = w
-                    elif c in new:
-                        del new[c]
-                g2 = 0
-                for v in new.values():
-                    g2 = gcd(g2, v)
-                    if g2 == 1:
-                        break
-                if g2 > 1:
-                    new = {c: v // g2 for c, v in new.items()}
-            else:
-                f = (jv * pow(pv, -1, p)) % p
-                new = dict(row)
-                for c, v in prow.items():
-                    w = (new.get(c, 0) - v * f) % p
-                    if w:
-                        new[c] = w
-                    elif c in new:
-                        del new[c]
-            for c in row:
-                if c not in new and c != col:
-                    s = col_rows[c]
-                    s.discard(rid)
-                    if not s:
-                        del col_rows[c]
-            for c in new:
-                if c not in row:
-                    col_rows.setdefault(c, set()).add(rid)
-            if new:
-                live[rid] = new
-            else:
-                del live[rid]
+        rids = sorted(col_rows.pop(col, ()))
+        if rids:
+            olds = [live[rid] for rid in rids]
+            for rid, row, new in zip(rids, olds, update(prow, col, olds)):
+                # entries change only in the columns of the pivot row
+                for c in prow:
+                    if c == col:
+                        continue
+                    if c in new:
+                        if c not in row:
+                            col_rows.setdefault(c, set()).add(rid)
+                    elif c in row:
+                        s = col_rows[c]
+                        s.discard(rid)
+                        if not s:
+                            del col_rows[c]
+                if new:
+                    live[rid] = new
+                else:
+                    del live[rid]
         for c in prow:
             s = col_rows.get(c)
             if s is not None:
                 heapq.heappush(heap, (len(s), c))
-    return len(basis), basis
+    return pivots, list(live.values())
 
 
-def dense_to_rows(mat):
-    """Dense list-of-lists -> sparse row dicts (zero rows kept as empty)."""
-    return [{j: v for j, v in enumerate(row) if v != 0} for row in mat]
+def _update_q(prow, col, olds):
+    """Rows minus multiples of prow clearing col: gcd-scaled, content divided."""
+    pv = prow[col]
+    out = []
+    for row in olds:
+        jv = row[col]
+        g = gcd(pv, jv)
+        m1, m2 = pv // g, jv // g
+        new = {}
+        for c, v in row.items():
+            new[c] = v * m1
+        for c, v in prow.items():
+            w = new.get(c, 0) - v * m2
+            if w:
+                new[c] = w
+            elif c in new:
+                del new[c]
+        g2 = 0
+        for v in new.values():
+            g2 = gcd(g2, v)
+            if g2 == 1:
+                break
+        if g2 > 1:
+            new = {c: v // g2 for c, v in new.items()}
+        out.append(new)
+    return out
 
 
-def rank_dense(mat, p=None):
-    return rank_sparse(dense_to_rows(mat), p=p)
+def _update_mod(p, prow, col, olds):
+    """Rows minus multiples of prow clearing col, mod p."""
+    inv = pow(prow[col], -1, p)
+    out = []
+    for row in olds:
+        f = (row[col] * inv) % p
+        new = dict(row)
+        for c, v in prow.items():
+            w = (new.get(c, 0) - v * f) % p
+            if w:
+                new[c] = w
+            elif c in new:
+                del new[c]
+        out.append(new)
+    return out
+
+
+def _update_z(prow, col, olds):
+    """Rows minus row[col] * sign * prow, for a +-1 pivot: unimodular."""
+    sign = prow[col]
+    out = []
+    for row in olds:
+        f = row[col] * sign
+        new = dict(row)
+        for c, v in prow.items():
+            w = new.get(c, 0) - f * v
+            if w:
+                new[c] = w
+            elif c in new:
+                del new[c]
+        out.append(new)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +201,6 @@ def rank_dense(mat, p=None):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(m, n):
-    return [[0] * n for _ in range(m)]
-
-
-def transpose(mat):
-    if not mat:
-        return []
-    return [list(col) for col in zip(*mat)]
 
 
 def mat_mul(a, b):
@@ -364,81 +414,13 @@ def inverse_field(mat, p=None):
     return [row[n:] for row in a]
 
 
-def _unit_pivot_elimination(rows):
-    """Eliminate on +-1 pivots: unimodular row operations, exact over Z.
-
-    rows: nonzero {col: int} rows (copied, not modified).  Pivots come off a
-    lazy heap keyed on (live rows in the column, row length, column, row
-    id): sparse columns first, short rows next, deterministic ties.  Returns
-    (pivots, residual): pivots lists (col, sign, row) in elimination order,
-    where row has `sign` at col and no column pivoted before it; residual
-    holds the nonzero rows left with no unit entry, all off the pivot
-    columns.  Pivot rows plus residual rows span the input lattice.
-    """
-    live = {rid: dict(row) for rid, row in enumerate(rows)}
-    col_rows = {}
-    for rid, row in live.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(rid)
-    # Entries go stale as rows change; a popped entry whose key moved is
-    # pushed back with its current key, and every entry that turns into a
-    # unit is pushed when it does.
-    heap = [(len(col_rows[c]), len(row), c, rid) for rid, row in live.items()
-            for c, v in row.items() if v == 1 or v == -1]
-    heapq.heapify(heap)
-    pivots = []
-    while heap:
-        key = heapq.heappop(heap)
-        _n, _len, col, rid = key
-        prow = live.get(rid)
-        if prow is None or prow.get(col) not in (1, -1):
-            continue
-        current = (len(col_rows[col]), len(prow), col, rid)
-        if current != key:
-            heapq.heappush(heap, current)
-            continue
-        del live[rid]
-        for c in prow:
-            s = col_rows[c]
-            s.discard(rid)
-            if not s:
-                del col_rows[c]
-        sign = prow[col]
-        pivots.append((col, sign, prow))
-        for oid in sorted(col_rows.pop(col, ())):
-            row = live[oid]
-            f = row[col] * sign
-            units = []
-            for c, v in prow.items():
-                old = row.get(c, 0)
-                x = old - f * v
-                if x:
-                    if not old:
-                        col_rows.setdefault(c, set()).add(oid)
-                    row[c] = x
-                    if (x == 1 or x == -1) and old != 1 and old != -1:
-                        units.append(c)
-                elif old:
-                    del row[c]
-                    if c != col:
-                        s = col_rows[c]
-                        s.discard(oid)
-                        if not s:
-                            del col_rows[c]
-            if row:
-                for c in units:
-                    heapq.heappush(heap, (len(col_rows[c]), len(row), c, oid))
-            else:
-                del live[oid]
-    return pivots, [live[rid] for rid in sorted(live)]
-
-
 class QuotientLattice:
     """Z^w modulo the sublattice spanned by the given generator vectors.
 
     Generators are sparse {col: int} rows or dense lists.  They are first
-    eliminated on +-1 pivots; only the residual rows, which have no unit
-    entry, go through a dense Smith normal form on the columns they touch.
+    eliminated by the sparse loop that rank_sparse runs, restricted to +-1
+    pivots; only the residual rows, which have no unit entry, go through a
+    dense Smith normal form on the columns they touch.
     Coordinates are a normal form: `project` reduces by the pivot rows in
     elimination order, reads the surviving columns the residual does not
     touch, then applies the residual transform to the rest.  The free part
@@ -452,11 +434,11 @@ class QuotientLattice:
         self.w = w
         rows = [{c: v for c, v in (g.items() if isinstance(g, dict) else enumerate(g))
                  if v} for g in gens]
-        pivots, residual = _unit_pivot_elimination([r for r in rows if r])
-        self._pivots = pivots
-        self.spanning_rows = [row for _c, _s, row in pivots] + residual
+        pivots, residual = _eliminate(rows, "Z")
+        self._pivots = [(col, row) for col, _rid, row in pivots]
+        self.spanning_rows = [row for _c, row in self._pivots] + residual
         res_cols = sorted({c for row in residual for c in row})
-        taken = {c for c, _s, _row in pivots}.union(res_cols)
+        taken = {c for c, _row in self._pivots}.union(res_cols)
         self._res_cols = res_cols
         self._free_cols = [c for c in range(w) if c not in taken]
         divisors = []
@@ -488,10 +470,10 @@ class QuotientLattice:
                 y[c] = v
         else:
             y = list(x)
-        for col, sign, row in self._pivots:
+        for col, row in self._pivots:
             f = y[col]
             if f:
-                f *= sign
+                f *= row[col]
                 for c, v in row.items():
                     y[c] -= f * v
         free = [y[c] for c in self._free_cols]
@@ -529,15 +511,3 @@ class QuotientLattice:
 
     def zero(self):
         return [0] * self.dim
-
-    def rank_over(self, rows, p=None):
-        """Rank of the span of the given ambient rows in the quotient, over Q or F_p.
-
-        Torsion is invisible over a field of characteristic not dividing it;
-        this just projects to free coordinates and row-reduces.
-        """
-        proj = []
-        for x in rows:
-            c = self.project(x)
-            proj.append({j: v for j, v in enumerate(c[: self.rank]) if v})
-        return rank_sparse(proj, p=p)

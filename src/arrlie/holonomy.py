@@ -6,10 +6,11 @@ every rank-2 flat Y and every atom H in Y.  Since I_n = [V, I_{n-1}],
 degrees are built upward once each: degree n is spanned by the brackets
 [x_j, b] of every generator with a generating set b of degree n-1, and
 that set is the basis rows of the degree below over Q and F_p, or the
-rows spanning its ideal lattice over Z.  Over Z the quotient comes from
-sparse elimination on +-1 pivots, which is unimodular, followed by a
-dense Smith normal form of the residual rows that have no unit entry;
-over Q and F_p it comes from sparse elimination alone.
+rows spanning its ideal lattice over Z.  All three rings use the one
+sparse elimination loop of exactla: over Q and F_p it gives the rank
+alone, over Z it pivots only on +-1 entries, which is unimodular, and a
+dense Smith normal form of the residual rows that have no unit entry
+gives the divisor chain.
 
 Also here: commutator-relator presentations with their degree-2 Magnus
 coefficients, the degree-2 part of the Orlik-Solomon relation ideal, and
@@ -283,9 +284,9 @@ def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=Fa
 
     Each degree of the ideal is generated once, from a generating set of
     the degree below: the basis rows that rank_sparse_pivots picks over Q
-    and F_p, the spanning rows of the QuotientLattice over Z (unit-pivot
-    elimination, then Smith normal form of the residual, which gives the
-    divisor chain).
+    and F_p, the spanning rows of the QuotientLattice over Z.  Both come
+    out of the same sparse elimination; over Z it keeps to +-1 pivots and
+    the Smith normal form of the residual gives the divisor chain.
     """
     relset = as_relation_set(source)
     k = relset.alphabet
@@ -327,9 +328,10 @@ class HolonomyAlgebra:
 
     Degrees are materialized lazily and each one once: degree d brackets
     the spanning rows of the degree d-1 quotient with the generators, then
-    runs a unit-pivot elimination plus a Smith normal form of the residual
+    eliminates on +-1 pivots and runs a Smith normal form of the residual
     rows without a unit entry (usually none).  Coordinates are those of
-    that QuotientLattice, so they depend on the generating set used.
+    that QuotientLattice, so they depend on the generating set used and
+    on the pivot order.
     """
 
     def __init__(self, source, max_degree, guard=DEFAULT_GUARD, override=False):

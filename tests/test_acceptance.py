@@ -219,7 +219,7 @@ def test_c07_class2_quotients_catalog_wide():
             w = arr.n_atoms * (arr.n_atoms - 1) // 2
             if kinv:
                 # the columns generate Z^r: kinv has an integer right inverse
-                cols = exactla.transpose(kinv)
+                cols = [list(c) for c in zip(*kinv)]
                 assert exactla.QuotientLattice(len(kinv), cols).dim == 0, name
                 assert len(exactla.kernel_int(kinv)) == b2, name
             else:

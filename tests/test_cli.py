@@ -98,6 +98,12 @@ def test_holonomy_presentation_with_torsion(files, capsys):
     code, out, _ = run(capsys, ["holonomy", files["pres"], "--max-degree", "2",
                                 "--ring", "fp:2"])
     assert json.loads(out)["2"] == {"rank": 1, "torsion": []}
+    code, out, _ = run(capsys, ["holonomy", files["pres"], "--max-degree", "0"])
+    assert code == 0 and out == "{}\n"
+    for extra in ([], ["--table"]):
+        line = assert_exits_2_on_one_line(
+            capsys, ["holonomy", files["pres"], "--max-degree", "-1"] + extra)
+        assert "non-negative" in line
 
 
 def test_kinv_and_nq2(files, capsys):

@@ -24,6 +24,7 @@ from arrlie import exactla, rings
 from arrlie.freelie import SizeGuardError, lyndon_basis
 from arrlie.holonomy import (
     embed_word_map,
+    holonomy_degrees,
     holonomy_guard,
     holonomy_map_from_presentation,
     i2_basis,
@@ -115,6 +116,8 @@ def test_fiber_type_ranks_at_the_top_of_the_ladder():
     # Falk-Randell: braid(n) has exponents 1..n-1, phi_k = sum witt(e, k)
     assert holonomy_graded(braid(5), 4, rings.Z, override=True) == GradedAbelian(81)
     assert holonomy_graded(braid(4), 5, rings.Q, override=True).rank == 54
+    # near_pencil(7) has exponents 1, 5, 1, so phi_5 = witt(5, 5)
+    assert holonomy_graded(near_pencil(7), 5, rings.Z, override=True) == GradedAbelian(624)
 
 
 def test_holonomy_algebra_agrees_with_holonomy_graded():
@@ -134,11 +137,41 @@ def test_presentation_with_doubled_commutator_has_two_torsion():
     g4 = holonomy_graded(pres, 4)
     assert (g4.rank, g4.torsion) == (0, (2, 2, 2))
     assert holonomy_graded(pres, 2, rings.Q).rank == 0
-    # universal coefficients: dim_Fp h_n = rank_Z h_n + #{d : p | d}
-    for d, gz in ((2, g2), (3, g3), (4, g4)):
+
+
+def commutator_presentations(seed, count):
+    """Seeded presentations on 2 or 3 generators: products of [g^m, h^n]."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.choice((2, 3))
+        rels = []
+        for _ in range(rng.randint(1, 3)):
+            rel = ""
+            for _ in range(rng.randint(1, 2)):
+                a, b = rng.sample("xyz"[:k], 2)
+                m, n = rng.randint(1, 3), rng.randint(1, 3)
+                rel += a * m + b * n + a.upper() * m + b.upper() * n
+            rels.append(rel)
+        out.append(make_presentation(k, rels))
+    return out
+
+
+def test_universal_coefficients_between_z_and_fp():
+    # dim_Fp h_n = rank_Z h_n + #{d : p | d}: the integer and modular
+    # eliminations are checked against each other, not against a table
+    sources = [make_presentation(2, ["xxyXXY"]), make_presentation(2, ["xxxyXXXY"])]
+    sources += commutator_presentations(2, 10)
+    divisible = 0
+    for pres in sources:
+        over_z = holonomy_degrees(pres, 4, rings.Z)
         for p in (2, 3):
-            expect = gz.rank + sum(1 for t in gz.torsion if t % p == 0)
-            assert holonomy_graded(pres, d, rings.fp(p)).rank == expect, (d, p)
+            over_p = holonomy_degrees(pres, 4, rings.fp(p))
+            for d, (gz, gp) in enumerate(zip(over_z, over_p), 1):
+                expect = gz.rank + sum(1 for t in gz.torsion if t % p == 0)
+                assert gp.rank == expect, (pres, d, p)
+                divisible += expect > gz.rank
+    assert divisible >= 10
 
 
 def test_graded_abelian_validation():
