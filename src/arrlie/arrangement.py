@@ -11,9 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-from . import exactla
 
 
 class ArrangementError(ValueError):
@@ -34,24 +31,26 @@ class BettiData:
     b2: int
 
 
-def _int_rows(vectors):
-    """Clear denominators: rational vectors -> integer sparse rows."""
-    rows = []
-    for v in vectors:
-        den = lcm(*(f.denominator for f in v)) if v else 1
-        rows.append({j: int(f * den) for j, f in enumerate(v) if f})
-    return rows
-
-
-def _span_rank(vectors):
-    return exactla.rank_sparse(_int_rows(vectors))
+def _span_key(u, v):
+    """Reduced row echelon form of span(u, v), or None if u, v are proportional."""
+    p = min(next((c for c, x in enumerate(w) if x), len(w)) for w in (u, v))
+    r1, r2 = (u, v) if u[p] else (v, u)
+    r1 = [x / r1[p] for x in r1]
+    r2 = [y - r2[p] * x for x, y in zip(r1, r2)]
+    q = next((c for c, x in enumerate(r2) if x), None)
+    if q is None:
+        return None
+    r2 = [x / r2[q] for x in r2]
+    return tuple(x - r1[q] * y for x, y in zip(r1, r2)), tuple(r2)
 
 
 def pencils_from_normals(atoms, normals):
     """Rank-2 coincidence classes of the normals, as sorted index tuples.
 
-    Raises ArrangementError on zero, proportional, or ragged normals,
-    naming the offending atoms.
+    Two pairs of normals lie in one pencil when they span the same plane,
+    so pairs are grouped by the echelon form of their span.  Raises
+    ArrangementError on zero, proportional, or ragged normals, naming the
+    offending atoms.
     """
     m = len(normals)
     if m != len(atoms):
@@ -62,20 +61,16 @@ def pencils_from_normals(atoms, normals):
     for i, v in enumerate(normals):
         if all(x == 0 for x in v):
             raise ArrangementError("normal of atom %r is zero" % (atoms[i],))
+    normals = [[Fraction(x) for x in v] for v in normals]
+    planes = {}
     for i in range(m):
         for j in range(i + 1, m):
-            if _span_rank([normals[i], normals[j]]) < 2:
+            key = _span_key(normals[i], normals[j])
+            if key is None:
                 raise ArrangementError(
                     "normals of atoms %r and %r are proportional" % (atoms[i], atoms[j]))
-    flats = set()
-    for i in range(m):
-        for j in range(i + 1, m):
-            members = [i, j]
-            for l in range(m):
-                if l != i and l != j and _span_rank([normals[i], normals[j], normals[l]]) == 2:
-                    members.append(l)
-            flats.add(tuple(sorted(members)))
-    out = sorted(flats)
+            planes.setdefault(key, set()).update((i, j))
+    out = sorted(tuple(sorted(members)) for members in planes.values())
     _check_pair_cover(atoms, out)
     return out
 

@@ -375,8 +375,8 @@ def _build_parser():
     sp = sub.add_parser("nq2", help="evaluate a word in the class-2 quotient")
     sp.add_argument("file")
     sp.add_argument("--word", required=True,
-                    help="dotted word like H1.H2.H1^-1.H2^-1, or letters "
-                         "with uppercase inverses")
+                    help="dotted word like H1.H2.H1^-1.H2^-1, or, when every "
+                         "name is one lowercase letter, letters like xyXY")
     common(sp)
     sp.set_defaults(func=_cmd_nq2)
 

@@ -15,7 +15,10 @@ terms in degrees 2..n-1.  Local lifts live on a single pencil, a global
 candidate is assembled by summing embedded local corrections, and the
 degree n component of each relator bracket is the obstruction matrix that
 feeds the H2-level commuting diagram.  All matrices are exact, over Z, Q,
-or F_p.
+or F_p.  Every induced map between holonomy algebras is one renaming of
+generators, built by letter_matrix: embedding a pencil (x_i -> x_members[i]),
+restricting to a flat (x_H -> 0 outside it), and a lattice isomorphism
+(x_H -> x_g(H)).
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from . import exactla, rings
 from .arrangement import Arrangement, localize
 from .freelie import DEFAULT_GUARD, _moebius, expand_tree, lyndon_basis, \
     tensor_to_lyndon, witt_rank
-from .holonomy import HolonomyAlgebra, embed_word_map, holonomy_graded, \
-    restrict_word_map
+from .holonomy import HolonomyAlgebra, holonomy_graded
 
 # ---------------------------------------------------------------------------
 # decomposability and the decomposable LCS formula
@@ -108,57 +110,25 @@ class Charts:
         self.local_alg = [HolonomyAlgebra(a, max_degree=n, guard=guard,
                                           override=override)
                           for a in self.local_arr]
-        self._emb = {}
-        self._res = {}
+        self._maps = {}
 
     def embed(self, fi, d):
-        """Matrix of h_d(A_Y) -> h_d(A) on quotient coordinates."""
-        key = (fi, d)
-        m = self._emb.get(key)
-        if m is None:
-            members = self.arr.flats[fi].members
-            loc = self.local_alg[fi]
-            if d == 1:
-                m = [[1 if members[j] == i else 0 for j in range(loc.alphabet)]
-                     for i in range(self.alg.alphabet)]
-            else:
-                wmap = embed_word_map(self.alg.alphabet, members, d)
-                cols = []
-                for j in range(loc.dim(d)):
-                    vec = loc.lift(d, _unit(loc.dim(d), j))
-                    img = {}
-                    for c, v in enumerate(vec):
-                        if v:
-                            img[wmap[c]] = img.get(wmap[c], 0) + v
-                    cols.append(self.alg.project(d, img))
-                m = _cols_to_matrix(cols, self.alg.dim(d))
-            self._emb[key] = m
-        return m
+        """Matrix of h_d(A_Y) -> h_d(A): local letter i goes to members[i]."""
+        key = ("embed", fi, d)
+        if key not in self._maps:
+            self._maps[key] = letter_matrix(self.local_alg[fi], self.alg,
+                                            self.arr.flats[fi].members, d, self.guard)
+        return self._maps[key]
 
     def restrict(self, fi, d):
         """Matrix of h_d(A) -> h_d(A_Y): delete letters outside the flat."""
-        key = (fi, d)
-        m = self._res.get(key)
-        if m is None:
-            members = self.arr.flats[fi].members
-            loc = self.local_alg[fi]
-            if d == 1:
-                pos = {a: i for i, a in enumerate(members)}
-                m = [[1 if pos.get(j) == i else 0 for j in range(self.alg.alphabet)]
-                     for i in range(loc.alphabet)]
-            else:
-                wmap = restrict_word_map(self.alg.alphabet, members, d)
-                cols = []
-                for j in range(self.alg.dim(d)):
-                    vec = self.alg.lift(d, _unit(self.alg.dim(d), j))
-                    img = {}
-                    for c, v in enumerate(vec):
-                        if v and c in wmap:
-                            img[wmap[c]] = img.get(wmap[c], 0) + v
-                    cols.append(loc.project(d, img))
-                m = _cols_to_matrix(cols, loc.dim(d))
-            self._res[key] = m
-        return m
+        key = ("restrict", fi, d)
+        if key not in self._maps:
+            pos = {a: i for i, a in enumerate(self.arr.flats[fi].members)}
+            letters = [pos.get(a) for a in range(self.alg.alphabet)]
+            self._maps[key] = letter_matrix(self.alg, self.local_alg[fi],
+                                            letters, d, self.guard)
+        return self._maps[key]
 
 
 def _unit(n, j):
@@ -171,36 +141,39 @@ def _cols_to_matrix(cols, nrows):
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
-def letter_matrix(alg_src, alg_dst, letter_map, d, guard=DEFAULT_GUARD):
-    """Matrix on quotient coordinates induced by a bijective letter renaming.
+def letter_matrix(src, dst, letters, d, guard=DEFAULT_GUARD):
+    """Matrix on quotient coordinates of the Lie map renaming generators.
 
-    letter_map[i] is the destination letter for source letter i.  The
-    renaming is not assumed order preserving, so each basis element is
-    rewritten through its bracketing tree.
+    letters[i] is the destination letter of x_i, or None when x_i goes to
+    0.  Named letters must be distinct letters of dst.  Lyndon words that
+    use a deleted letter map to 0; every other basis element is renamed
+    through its bracketing tree and rewritten into the destination basis,
+    since a renaming need not preserve the letter order.
     """
-    k = alg_src.alphabet
-    if alg_dst.alphabet != k or sorted(letter_map) != list(range(k)):
-        raise ValueError("letter map is not a bijection between the alphabets")
-    if d == 1:
-        return [[1 if letter_map[j] == i else 0 for j in range(k)] for i in range(k)]
-    basis = lyndon_basis(k, d, guard)
+    named = [a for a in letters if a is not None]
+    if (len(letters) != src.alphabet or len(set(named)) != len(named)
+            or any(not 0 <= a < dst.alphabet for a in named)):
+        raise ValueError("letter map must send the %d source letters to "
+                         "distinct letters below %d, or to None"
+                         % (src.alphabet, dst.alphabet))
+    basis = lyndon_basis(src.alphabet, d, guard)
     cols = []
-    for j in range(alg_src.dim(d)):
-        vec = alg_src.lift(d, _unit(alg_src.dim(d), j))
+    for j in range(src.dim(d)):
+        vec = src.lift(d, _unit(src.dim(d), j))
         poly = {}
         for c, v in enumerate(vec):
-            if not v:
+            if not v or any(letters[a] is None for a in basis.words[c]):
                 continue
-            for w, cf in expand_tree(_rename_tree(basis.trees[c], letter_map)).items():
+            for w, cf in expand_tree(_rename_tree(basis.trees[c], letters)).items():
                 poly[w] = poly.get(w, 0) + v * cf
-        cols.append(alg_dst.project(d, tensor_to_lyndon(poly, k, d, guard)))
-    return _cols_to_matrix(cols, alg_dst.dim(d))
+        cols.append(dst.project(d, tensor_to_lyndon(poly, dst.alphabet, d, guard)))
+    return _cols_to_matrix(cols, dst.dim(d))
 
 
-def _rename_tree(tree, letter_map):
+def _rename_tree(tree, letters):
     if isinstance(tree, int):
-        return letter_map[tree]
-    return (_rename_tree(tree[0], letter_map), _rename_tree(tree[1], letter_map))
+        return letters[tree]
+    return (_rename_tree(tree[0], letters), _rename_tree(tree[1], letters))
 
 
 def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD, override=False):
@@ -316,7 +289,7 @@ def _relator_component(alg, tab, h, members, m):
         if u is None:
             continue
         j = m - i
-        c = [0] * (alg.alphabet if j == 1 else alg.dim(j))
+        c = [0] * alg.dim(j)
         for kk in members:
             w = tab[kk].get(j)
             if w:
@@ -325,7 +298,7 @@ def _relator_component(alg, tab, h, members, m):
             continue
         b = alg.bracket_coords(i, u, j, c)
         total = [a + b2 for a, b2 in zip(total, b)]
-    return alg.quotient(m).reduce(total) if m >= 2 else total
+    return alg.quotient(m).reduce(total)
 
 
 def _local_delta_cols(loc, llift, n):
@@ -695,20 +668,16 @@ def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n, guard):
     """Pull a B-side local lift back to the matching A-flat by renaming."""
     fa = ch_a.arr.flats[fi_a]
     fb = ch_b.arr.flats[iso.flat_map[fi_a]]
-    pos_b = {a: i for i, a in enumerate(fb.members)}
-    fwd = [pos_b[iso.atom_map[h]] for h in fa.members]
-    back = [0] * len(fwd)
-    for i, j in enumerate(fwd):
-        back[j] = i
+    pos_a = {iso.atom_map[h]: i for i, h in enumerate(fa.members)}
+    back = [pos_a[b] for b in fb.members]
     loc_a = ch_a.local_alg[fi_a]
-    loc_b = ch_b.local_alg[iso.flat_map[fi_a]]
-    back_atom = {iso.atom_map[h]: h for h in fa.members}
+    loc_b = ch_b.local_alg[fb.index]
     corr = {}
     for (atom_b, deg), vec in sorted(llift_b.corrections.items()):
         q = letter_matrix(loc_b, loc_a, back, deg, guard=guard)
         v = loc_a.quotient(deg).reduce(exactla.mat_vec(q, list(vec)))
         if any(v):
-            corr[(back_atom[atom_b], deg)] = tuple(v)
+            corr[(fa.members[pos_a[atom_b]], deg)] = tuple(v)
     return LocalLift(flat=fa, n=n, corrections=corr)
 
 

@@ -31,13 +31,20 @@ class SizeGuardError(ValueError):
 
 
 def check_guard(alphabet, degree, guard=DEFAULT_GUARD):
+    """Refuse when max(alphabet, 2) ** degree exceeds the guard.
+
+    A one-letter alphabet counts as two, so the guard also bounds the
+    degree there; the bit-length test refuses huge degrees before any
+    power is computed.
+    """
     if alphabet < 1 or degree < 1:
         raise ValueError("alphabet and degree must be positive")
-    if alphabet ** degree > guard:
+    base = max(alphabet, 2)
+    if degree > guard.bit_length() or base ** degree > guard:
         raise SizeGuardError(
             "alphabet %d at degree %d exceeds the guard (%d^%d > %d); "
             "raise the guard explicitly to proceed"
-            % (alphabet, degree, alphabet, degree, guard))
+            % (alphabet, degree, base, degree, guard))
 
 
 def lyndon_words(k, n):

@@ -25,7 +25,7 @@ from . import exactla, rings
 from .arrangement import Arrangement, ArrangementError
 from .exactla import QuotientLattice
 from .freelie import (DEFAULT_GUARD, LieElement, SizeGuardError, bracket,
-                      check_guard, lie_generator, lyndon_basis, witt_rank)
+                      check_guard, lie_generator, witt_rank)
 
 # refusal thresholds per degree; kwarg `override=True` lifts them
 DEGREE_ALPHABET_LIMITS = {2: 64, 3: 15, 4: 8}
@@ -123,27 +123,38 @@ def empty_relation_set(k, names=None):
 # ---------------------------------------------------------------------------
 # presentations and the Magnus expansion to degree 2
 
+def single_letter_names(names):
+    """True when every name is one lowercase letter, so that words can be
+    spelled as letters with capitals for inverses."""
+    return all(len(n) == 1 and n.isalpha() and n == n.lower() for n in names)
+
+
+def letter_word(names, text):
+    """(generator index, +-1) pairs of a letter word such as "xyXY"."""
+    lookup = {nm: i for i, nm in enumerate(names)}
+    seq = []
+    for ch in text:
+        idx = lookup.get(ch.lower())
+        if idx is None:
+            raise ValueError("unknown generator %r in word %r" % (ch, text))
+        seq.append((idx, -1 if ch.isupper() else 1))
+    return seq
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Finite presentation with commutator relators (zero exponent sums).
 
-    Relators are single-letter strings: lowercase is a generator,
-    uppercase its inverse.  Default generator names are taken from
-    'xyzabc...' in order; pass names to override.
+    Relators are letter words: lowercase is a generator, uppercase its
+    inverse.  Default generator names are taken from 'xyzabc...' in
+    order; pass names to override.
     """
     generators: int
     relators: tuple
     names: tuple
 
     def letter_sequence(self, relator):
-        seq = []
-        lookup = {nm: i for i, nm in enumerate(self.names)}
-        for ch in relator:
-            idx = lookup.get(ch.lower())
-            if idx is None:
-                raise ValueError("relator %r uses unknown generator %r" % (relator, ch))
-            seq.append((idx, -1 if ch.isupper() else 1))
-        return seq
+        return letter_word(self.names, relator)
 
 
 def make_presentation(generators, relators, names=None):
@@ -160,7 +171,7 @@ def make_presentation(generators, relators, names=None):
         names = tuple(str(n) for n in names)
         if len(names) != generators or len(set(names)) != generators:
             raise ValueError("need %d distinct generator names" % generators)
-        if any(len(n) != 1 or not n.isalpha() or n != n.lower() for n in names):
+        if not single_letter_names(names):
             raise ValueError("generator names must be single lowercase letters")
     p = Presentation(generators=generators, relators=tuple(relators), names=names)
     for rel in p.relators:
@@ -342,14 +353,17 @@ class HolonomyAlgebra:
         self.override = override
         for d in range(2, max_degree + 1):
             holonomy_guard(self.alphabet, d, override=override, guard=guard)
-        self._quotients = {}
+        self._quotients = {1: QuotientLattice(self.alphabet, [])}
 
     def quotient(self, d):
-        """QuotientLattice of Lie_d by the ideal, for 2 <= d <= max_degree."""
-        if not 2 <= d <= self.max_degree:
-            raise ValueError("degree %d outside 2..%d" % (d, self.max_degree))
+        """QuotientLattice of Lie_d by the ideal, for 1 <= d <= max_degree.
+
+        Degree 1 has no relations, so its coordinates are the letters.
+        """
         q = self._quotients.get(d)
         if q is None:
+            if not 2 <= d <= self.max_degree:
+                raise ValueError("degree %d outside 1..%d" % (d, self.max_degree))
             below = self.quotient(d - 1).spanning_rows if d > 2 else None
             rows = ideal_rows(self.relset, d, below, guard=self.guard,
                               override=self.override)
@@ -358,18 +372,12 @@ class HolonomyAlgebra:
         return q
 
     def rank(self, d):
-        if d == 1:
-            return self.alphabet
         return self.quotient(d).rank
 
     def torsion(self, d):
-        if d == 1:
-            return ()
         return self.quotient(d).torsion
 
     def dim(self, d):
-        if d == 1:
-            return self.alphabet
         return self.quotient(d).dim
 
     def project(self, d, vec):
@@ -377,16 +385,10 @@ class HolonomyAlgebra:
 
         vec may be a sparse dict or a dense list.
         """
-        if d == 1:
-            if isinstance(vec, dict):
-                return [vec.get(i, 0) for i in range(self.alphabet)]
-            return list(vec)
         return self.quotient(d).project(vec)
 
     def lift(self, d, coords):
         """A Lyndon-basis representative of the class with the given coordinates."""
-        if d == 1:
-            return list(coords)
         return self.quotient(d).lift(coords)
 
     def bracket_coords(self, d1, c1, d2, c2):
@@ -399,33 +401,6 @@ class HolonomyAlgebra:
         b = LieElement(self.alphabet, d2,
                        {i: v for i, v in enumerate(self.lift(d2, c2)) if v})
         return self.project(d, bracket(a, b, self.guard).coeffs)
-
-
-# ---------------------------------------------------------------------------
-# word renaming between an arrangement and its localizations
-
-def restrict_word_map(k_src, members, d):
-    """Index map degree-d basis(k_src) -> basis(len(members)) for words inside members.
-
-    members must be sorted; returns {src index: dst index} and drops words
-    using letters outside members.  Order-preserving renaming keeps both
-    the Lyndon property and the standard factorization.
-    """
-    pos = {a: i for i, a in enumerate(members)}
-    src = lyndon_basis(k_src, d)
-    dst = lyndon_basis(len(members), d)
-    out = {}
-    for i, w in enumerate(src.words):
-        if all(c in pos for c in w):
-            out[i] = dst.index[tuple(pos[c] for c in w)]
-    return out
-
-
-def embed_word_map(k_dst, members, d):
-    """Index map degree-d basis(len(members)) -> basis(k_dst), letters -> members."""
-    src = lyndon_basis(len(members), d)
-    dst = lyndon_basis(k_dst, d)
-    return {i: dst.index[tuple(members[c] for c in w)] for i, w in enumerate(src.words)}
 
 
 # ---------------------------------------------------------------------------

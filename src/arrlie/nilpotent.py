@@ -30,7 +30,8 @@ from .arrangement import Arrangement
 from .exactla import QuotientLattice
 from .freelie import DEFAULT_GUARD
 from .holonomy import (GradedAbelian, HolonomyAlgebra, as_relation_set,
-                       holonomy_graded, i2_basis, pair_index, pair_list)
+                       holonomy_graded, i2_basis, letter_word, pair_index,
+                       pair_list, single_letter_names)
 
 
 @dataclass(frozen=True)
@@ -134,17 +135,10 @@ class Class2Group:
     # -- words ---------------------------------------------------------------
     def parse_word(self, text):
         """Word syntax: either dotted tokens "H1.H2^-1" or, when every
-        generator name is a single letter, a plain letter string with
-        uppercase meaning inverse ("xyXY")."""
-        single = all(len(nm) == 1 for nm in self.names)
-        if single and "." not in text and "^" not in text:
-            seq = []
-            for ch in text:
-                idx = self._name_index.get(ch.lower())
-                if idx is None:
-                    raise ValueError("unknown generator %r in word %r" % (ch, text))
-                seq.append((idx, -1 if ch.isupper() else 1))
-            return seq
+        generator name is a single lowercase letter, a plain letter string
+        with uppercase meaning inverse ("xyXY")."""
+        if single_letter_names(self.names) and "." not in text and "^" not in text:
+            return letter_word(self.names, text)
         seq = []
         for token in text.split("."):
             m = re.fullmatch(r"([^\^\s]+)(?:\^(-?\d+))?", token.strip())
@@ -416,9 +410,8 @@ def truncated_lie(source, top, guard=DEFAULT_GUARD, override=False, validate=Tru
     if top < 1:
         raise ValueError("truncation top degree must be at least 1")
     alg = HolonomyAlgebra(source, max_degree=top, guard=guard, override=override)
-    degrees = [GradedAbelian(rank=alg.alphabet)]
-    for d in range(2, top + 1):
-        degrees.append(GradedAbelian(rank=alg.rank(d), torsion=alg.torsion(d)))
+    degrees = [GradedAbelian(rank=alg.rank(d), torsion=alg.torsion(d))
+               for d in range(1, top + 1)]
     dims = [None] + [degrees[d - 1].rank + len(degrees[d - 1].torsion)
                      for d in range(1, top + 1)]
     brackets = {}

@@ -121,22 +121,30 @@ def test_mobius_is_pencil_size_minus_one():
 # pencils from normals
 
 def test_pencils_from_normals_matches_brute_force():
-    rng = random.Random(20260816)
-    done = 0
-    while done < 12:
-        m = rng.randint(3, 6)
-        normals = []
-        for _ in range(m):
-            v = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
-            normals.append(tuple(v))
-        if any(not any(v) for v in normals):
-            continue
-        if any(frac_rank([normals[i], normals[j]]) < 2
-               for i in range(m) for j in range(i + 1, m)):
-            continue
+    # oracle: l joins the pencil of (i, j) iff rank(n_i, n_j, n_l) == 2,
+    # and the first proportional pair in (i, j) order is the one named
+    cases = [braid(n).normals for n in (3, 4, 5, 6)]
+    rng = random.Random(7)
+    for _ in range(200):
+        dim = rng.choice((2, 3, 4))
+        size, normals = rng.randint(2, 7), []
+        while len(normals) < size:
+            v = tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+                      for _ in range(dim))
+            if any(v):
+                normals.append(v)
+        cases.append(normals)
+    for normals in cases:
+        m = len(normals)
         atoms = ["H%d" % (i + 1) for i in range(m)]
-        assert pencils_from_normals(atoms, normals) == brute_pencils(normals)
-        done += 1
+        bad = next(((i, j) for i in range(m) for j in range(i + 1, m)
+                    if frac_rank([normals[i], normals[j]]) < 2), None)
+        if bad is None:
+            assert pencils_from_normals(atoms, normals) == brute_pencils(normals)
+        else:
+            msg = "atoms 'H%d' and 'H%d' are proportional" % (bad[0] + 1, bad[1] + 1)
+            with pytest.raises(ArrangementError, match=msg):
+                pencils_from_normals(atoms, normals)
 
 
 def test_pencils_from_normals_error_paths():

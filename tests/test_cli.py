@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -123,6 +124,13 @@ def test_kinv_and_nq2(files, capsys):
     assert code == 0 and json.loads(out)["identity"] is True
     code, _, err = run(capsys, ["nq2", files["pencil3"], "--word", "H1.H9"])
     assert code == 2 and "bad --word" in err
+    for atoms, word, exps in ((["X", "Y", "Z"], "X", [1, 0, 0]),
+                              (["a", "A", "b"], "A", [0, 1, 0])):
+        path = os.path.join(files["dir"], "letters.json")
+        with open(path, "w") as f:
+            json.dump({"atoms": atoms, "pencils": [[0, 1, 2]]}, f)
+        code, out, _ = run(capsys, ["nq2", path, "--word", word])
+        assert code == 0 and json.loads(out)["exps"] == exps
 
 
 def test_decomp_verdict_exit_codes(files, capsys):
@@ -346,6 +354,15 @@ def test_guard_violation_maps_to_exit_2(files, capsys):
     code, _, err = run(capsys, ["holonomy", files["braid4"],
                                 "--max-degree", "3", "--guard", "10"])
     assert code == 2 and "guard" in err.lower()
+    # a huge degree is refused at once, also over a one-letter alphabet
+    one = os.path.join(files["dir"], "one.json")
+    with open(one, "w") as f:
+        json.dump({"generators": 1, "relators": []}, f)
+    for path in (files["braid4"], one):
+        t0 = time.perf_counter()
+        line = assert_exits_2_on_one_line(
+            capsys, ["holonomy", path, "--max-degree", "1000000000"])
+        assert time.perf_counter() - t0 < 1.0 and "exceeds the guard" in line
 
 
 def test_bad_ring_is_an_input_error(files, capsys):

@@ -3,11 +3,14 @@
 import pytest
 
 from arrlie import (
+    GradedAbelian,
+    HolonomyAlgebra,
     assemble_global_lift,
     braid,
     check_diagram,
     diagram_instance,
     generic,
+    holonomy_graded,
     is_decomposable,
     lattice_iso,
     lcs_ranks_decomposable,
@@ -75,6 +78,11 @@ def test_lcs_ranks_near_pencil5_and_witt_cross_check():
     assert got == [5, 3, 8, 18, 48]
     for m in range(2, 6):
         assert got[m - 1] == sum(witt_rank(f.mu, m) for f in arr.flats)
+    # Papadima-Suciu in degree 4: the holonomy rank over Z is the product
+    # formula value, with no torsion
+    for arr, want in ((near_pencil(5), 18), (pencil(4), 18), (generic(5), 0)):
+        assert lcs_ranks_decomposable(arr, 4)[3] == want
+        assert holonomy_graded(arr, 4, rings.Z) == GradedAbelian(rank=want)
 
 
 def test_lcs_ranks_refuse_braid4():
@@ -191,21 +199,26 @@ def test_lift_h2_matrix_blocks():
 # charts: embeddings and restrictions between local and global algebras
 
 def test_restrict_after_embed_is_the_identity():
-    ch = Charts(near_pencil(4), 4)
-    for d in (2, 3):
-        emb = ch.embed(0, d)
-        res = ch.restrict(0, d)
-        prod = exactla.mat_mul(res, emb)
-        assert prod == exactla.identity(len(prod))
+    for arr in (braid(4), near_pencil(5)):
+        ch = Charts(arr, 4)
+        for f in arr.flats:
+            for d in (1, 2, 3, 4):
+                prod = exactla.mat_mul(ch.restrict(f.index, d), ch.embed(f.index, d))
+                assert prod == exactla.identity(ch.local_alg[f.index].dim(d))
 
 
 def test_foreign_embeddings_restrict_to_zero():
-    # flats 0 and 1 of braid(4) share exactly one atom
-    ch = Charts(braid(4), 4)
-    for d in (2, 3):
-        emb = ch.embed(0, d)
-        res = ch.restrict(1, d)
-        assert exactla.is_zero(exactla.mat_mul(res, emb))
+    # two flats share at most one atom, and no Lyndon word of degree >= 2
+    # uses a single letter
+    for arr in (braid(4), near_pencil(5)):
+        ch = Charts(arr, 4)
+        for f in arr.flats:
+            for g in arr.flats:
+                if g.index != f.index:
+                    for d in (2, 3, 4):
+                        prod = exactla.mat_mul(ch.restrict(g.index, d),
+                                               ch.embed(f.index, d))
+                        assert exactla.is_zero(prod)
 
 
 def test_restriction_stack_dimensions():
@@ -227,8 +240,12 @@ def test_letter_matrix_permutation_order_three():
         m = letter_matrix(ch.alg, ch.alg, perm, d)
         cube = exactla.mat_mul(m, exactla.mat_mul(m, m))
         assert cube == exactla.identity(len(m))
-    with pytest.raises(ValueError):
-        letter_matrix(ch.alg, ch.alg, [0, 0, 1], 2)
+    for bad in ([0, 0, 1], [0, None, 0], [0, 1, 3], [0, 1, -1], [0, 1]):
+        with pytest.raises(ValueError, match="letter map"):
+            letter_matrix(ch.alg, ch.alg, bad, 2)
+    # a deleted letter is allowed: x_2 -> 0 drops the third coordinate
+    sub = HolonomyAlgebra(generic(2), max_degree=2)
+    assert letter_matrix(ch.alg, sub, [0, 1, None], 1) == [[1, 0, 0], [0, 1, 0]]
 
 
 def test_iso_h2_matrix_is_invertible():

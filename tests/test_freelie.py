@@ -19,6 +19,7 @@ from arrlie import (
 from arrlie import rings
 from arrlie.freelie import (
     basis_pair_bracket,
+    check_guard,
     expand_tree,
     is_lyndon,
     standard_factorization,
@@ -101,6 +102,16 @@ def test_size_guard():
         lyndon_basis(4, 20)
     assert issubclass(SizeGuardError, ValueError)
     assert DEFAULT_GUARD >= 10 ** 6
+    # one letter counts as two, so its degree is bounded too
+    check_guard(1, 23)
+    with pytest.raises(SizeGuardError, match=r"2\^24 > 10000000"):
+        check_guard(1, 24)
+    # a degree past the guard's bit length is refused without a power
+    with pytest.raises(SizeGuardError):
+        check_guard(6, 10 ** 12)
+    check_guard(2, 7, guard=128)
+    with pytest.raises(SizeGuardError):
+        check_guard(2, 8, guard=128)
 
 
 # ---------------------------------------------------------------------------

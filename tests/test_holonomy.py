@@ -21,16 +21,14 @@ from arrlie import (
     witt_rank,
 )
 from arrlie import exactla, rings
-from arrlie.freelie import SizeGuardError, lyndon_basis
+from arrlie.freelie import SizeGuardError
 from arrlie.holonomy import (
-    embed_word_map,
     holonomy_degrees,
     holonomy_guard,
     holonomy_map_from_presentation,
     i2_basis,
     magnus_degree2,
     pair_index,
-    restrict_word_map,
 )
 from arrlie.nilpotent import k_invariant_matrix
 
@@ -269,30 +267,6 @@ def test_falk_invariant_spots():
 def test_falk_equals_degree3_rank_over_q():
     for arr in (braid(4), pencil(5), near_pencil(4)):
         assert falk_invariant(arr) == holonomy_graded(arr, 3, rings.Q).rank
-
-
-# ---------------------------------------------------------------------------
-# word maps between local and global bases
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_restrict_after_embed_is_identity(d):
-    members = (0, 2, 4)
-    emb = embed_word_map(6, members, d)
-    res = restrict_word_map(6, members, d)
-    for i, gi in emb.items():
-        assert res[gi] == i
-    # restriction only keeps words supported inside members
-    src = lyndon_basis(6, d)
-    for i in res:
-        assert all(c in members for c in src.words[i])
-
-
-def test_restricted_images_cover_the_local_basis():
-    members = (1, 3, 5)
-    for d in (2, 3):
-        res = restrict_word_map(6, members, d)
-        local = lyndon_basis(len(members), d)
-        assert sorted(res.values()) == list(range(len(local)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from arrlie import (
+    Arrangement,
     Class2Group,
     GradedAbelian,
     GradedLie,
@@ -92,6 +93,13 @@ def test_word_parsing_modes():
     assert pgrp.is_identity(el)            # the relator is killed in gr2
     with pytest.raises(ValueError, match="unknown generator"):
         pgrp.evaluate("xq")
+    # letters only when every name is one lowercase letter: uppercase
+    # names are dotted tokens, and "A" next to "a" is not its inverse
+    grp = Class2Group(Arrangement(["X", "Y", "Z"], pencils=[(0, 1, 2)]))
+    assert grp.evaluate("X").exps == (1, 0, 0)
+    assert grp.evaluate("X.Y^-1").exps == (1, -1, 0)
+    grp = Class2Group(Arrangement(["a", "A", "b"], pencils=[(0, 1, 2)]))
+    assert grp.evaluate("A").exps == grp.evaluate("A^1").exps == (0, 1, 0)
 
 
 def test_evaluate_accepts_prepared_words():
