@@ -21,7 +21,8 @@ from arrlie import (
     witt_rank,
 )
 from arrlie import exactla, rings
-from arrlie.freelie import SizeGuardError
+from arrlie.decomp import letter_matrix
+from arrlie.freelie import SizeGuardError, lyndon_basis
 from arrlie.holonomy import (
     holonomy_degrees,
     holonomy_guard,
@@ -267,6 +268,45 @@ def test_falk_invariant_spots():
 def test_falk_equals_degree3_rank_over_q():
     for arr in (braid(4), pencil(5), near_pencil(4)):
         assert falk_invariant(arr) == holonomy_graded(arr, 3, rings.Q).rank
+
+
+# ---------------------------------------------------------------------------
+# letter matrices between a free Lie algebra and a sub-alphabet
+
+def _free_pair(members, n=6, max_degree=3):
+    big = HolonomyAlgebra(empty_relation_set(n), max_degree=max_degree)
+    small = HolonomyAlgebra(empty_relation_set(len(members)), max_degree=max_degree)
+    pos = {a: i for i, a in enumerate(members)}
+    return big, small, [pos.get(a) for a in range(n)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_restrict_after_embed_is_identity(d):
+    members = (0, 2, 4)
+    big, small, letters = _free_pair(members)
+    emb = letter_matrix(small, big, list(members), d)
+    res = letter_matrix(big, small, letters, d)
+    assert exactla.mat_mul(res, emb) == exactla.identity(small.dim(d))
+    # restriction only keeps words supported inside members
+    words = lyndon_basis(6, d).words
+    for j in range(big.dim(d)):
+        if any(row[j] for row in res):
+            assert all(c in members for c in words[j])
+
+
+def test_restricted_images_cover_the_local_basis():
+    members = (1, 3, 5)
+    big, small, letters = _free_pair(members)
+    for d in (2, 3):
+        res = letter_matrix(big, small, letters, d)
+        hit = []
+        for j in range(big.dim(d)):
+            col = [row[j] for row in res]
+            if any(col):
+                # an order-preserving renaming sends a Lyndon word to one
+                assert sorted(col) == [0] * (len(col) - 1) + [1]
+                hit.append(col.index(1))
+        assert sorted(hit) == list(range(small.dim(d)))
 
 
 # ---------------------------------------------------------------------------
