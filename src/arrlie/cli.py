@@ -420,7 +420,8 @@ def _build_parser():
     sp = sub.add_parser("catalog", help="emit a catalog arrangement as JSON")
     sp.add_argument("family", help="braid, pencil, generic, or near_pencil")
     sp.add_argument("param", type=int)
-    sp.add_argument("--out", help="write to this file instead of stdout")
+    sp.add_argument("--out", metavar="FILE",
+                    help="also write the printed JSON to FILE")
     common(sp)
     sp.set_defaults(func=_cmd_catalog)
 
@@ -448,10 +449,7 @@ def main(argv=None):
         sys.stderr.write("arrlie: internal error: %s: %s\n"
                          % (type(e).__name__, " ".join(str(e).split())))
         return 3
-    finally:
-        sys.stderr.write("arrlie: %s in %.3fs\n"
-                         % (getattr(args, "command", "?"),
-                            time.time() - t0))
+    sys.stderr.write("arrlie: %s in %.3fs\n" % (args.command, time.time() - t0))
     if args.report:
         payload = {"command": argv, "inputs": digests, "report": payload}
     if args.table:

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from . import exactla, rings
 from .arrangement import Arrangement, localize
-from .freelie import DEFAULT_GUARD, _moebius, expand_tree, lyndon_basis, \
-    tensor_to_lyndon, witt_rank
+from .freelie import DEFAULT_GUARD, _moebius, expand_tree, lyndon_basis, witt_rank
 from .holonomy import HolonomyAlgebra, holonomy_graded
 
 # ---------------------------------------------------------------------------
@@ -147,8 +146,10 @@ def letter_matrix(src, dst, letters, d, guard=DEFAULT_GUARD):
     letters[i] is the destination letter of x_i, or None when x_i goes to
     0.  Named letters must be distinct letters of dst.  Lyndon words that
     use a deleted letter map to 0; every other basis element is renamed
-    through its bracketing tree and rewritten into the destination basis,
-    since a renaming need not preserve the letter order.
+    through its bracketing tree, and the renamed polynomial is projected
+    through its coefficients at the destination's Lyndon words, the
+    coordinates its quotients are kept in (a renaming need not preserve
+    the letter order, so other words occur too).
     """
     named = [a for a in letters if a is not None]
     if (len(letters) != src.alphabet or len(set(named)) != len(named)
@@ -157,6 +158,7 @@ def letter_matrix(src, dst, letters, d, guard=DEFAULT_GUARD):
                          "distinct letters below %d, or to None"
                          % (src.alphabet, dst.alphabet))
     basis = lyndon_basis(src.alphabet, d, guard)
+    index = lyndon_basis(dst.alphabet, d, guard).index
     cols = []
     for j in range(src.dim(d)):
         vec = src.lift(d, _unit(src.dim(d), j))
@@ -166,7 +168,8 @@ def letter_matrix(src, dst, letters, d, guard=DEFAULT_GUARD):
                 continue
             for w, cf in expand_tree(_rename_tree(basis.trees[c], letters)).items():
                 poly[w] = poly.get(w, 0) + v * cf
-        cols.append(dst.project(d, tensor_to_lyndon(poly, dst.alphabet, d, guard)))
+        x = {i: c for w, c in poly.items() if (i := index.get(w)) is not None}
+        cols.append(dst.quotient(d).project(x))
     return _cols_to_matrix(cols, dst.dim(d))
 
 

@@ -52,18 +52,18 @@ def _eliminate(rows, ring):
     rows: iterable of {col: int} rows (copied, not modified).  Returns
     (pivots, residual): pivots lists (col, input id, reduced row) in
     elimination order, where the row is nonzero at col and zero at every
-    column pivoted before it; residual holds the rows left nonzero, in
-    input order.  The pivot column is the one with the fewest live rows
-    (ties: lowest column), taken from a lazy heap; the pivot row is the
-    shortest eligible row in it, then the one with the smallest entry
-    there, then the first.  Over a field every entry is eligible and the
-    residual is empty.  Over Z only +-1 entries are: the row operations
-    stay unimodular, pivot rows plus residual span the input lattice, and
-    a column without a unit entry is skipped until a later pivot row
-    touches it.  Only the columns of a pivot row change (in count or in
-    entries), so only those are pushed again; a popped entry whose count
-    is out of date is dropped.  The ring's row update is picked once and
-    applied to all the rows of a pivot column in one call.
+    column pivoted before it; residual lists (input id, reduced row) for
+    the rows left nonzero, in input order.  The pivot column is the one
+    with the fewest live rows (ties: lowest column), taken from a lazy
+    heap; the pivot row is the shortest eligible row in it, then the one
+    with the smallest entry there, then the first.  Over a field every
+    entry is eligible and the residual is empty.  Over Z only +-1 entries
+    are: the row operations stay unimodular, pivot rows plus residual span
+    the input lattice, and a column without a unit entry is skipped until
+    a later pivot row touches it.  Only the columns of a pivot row change
+    (in count or in entries), so only those are pushed again; a popped
+    entry whose count is out of date is dropped.  The ring's row update is
+    picked once and applied to all the rows of a pivot column in one call.
     """
     if ring == "Q":
         update = _update_q
@@ -131,7 +131,7 @@ def _eliminate(rows, ring):
             s = col_rows.get(c)
             if s is not None:
                 heapq.heappush(heap, (len(s), c))
-    return pivots, list(live.values())
+    return pivots, list(live.items())
 
 
 def _update_q(prow, col, olds):
@@ -426,8 +426,10 @@ class QuotientLattice:
     touch, then applies the residual transform to the rest.  The free part
     has `rank` entries, the torsion part one entry per divisor > 1.
 
-    `spanning_rows` holds the pivot rows, then the residual rows: sparse
-    rows that span the same sublattice as the generators, usually fewer.
+    `spanning_ids` lists the input indices of the pivot rows, then of the
+    residual rows.  The generators at those indices span the same
+    sublattice as all of them: each reduced row is its input row plus
+    multiples of pivot rows reduced before it.
     """
 
     def __init__(self, w, gens):
@@ -436,7 +438,9 @@ class QuotientLattice:
                  if v} for g in gens]
         pivots, residual = _eliminate(rows, "Z")
         self._pivots = [(col, row) for col, _rid, row in pivots]
-        self.spanning_rows = [row for _c, row in self._pivots] + residual
+        self.spanning_ids = ([rid for _c, rid, _row in pivots]
+                             + [rid for rid, _row in residual])
+        residual = [row for _rid, row in residual]
         res_cols = sorted({c for row in residual for c in row})
         taken = {c for c, _row in self._pivots}.union(res_cols)
         self._res_cols = res_cols

@@ -9,6 +9,11 @@ associative algebra and reducing triangularly: the expansion of a
 bracketed Lyndon word w is w plus lex-greater words, so repeatedly
 stripping the least surviving word terminates and is exact over Z.
 
+Since the rewriting is triangular, a Lie element is also determined by
+its coefficients at the Lyndon words alone: reading them off is a
+unitriangular change of coordinates (lyndon_columns), unimodular over Z,
+and word_coords / lie_coords convert between the two.
+
 Degree-n ranks follow the Witt formula (1/n) * sum_{d|n} mu(d) k^(n/d),
 the orientation consistent with prod_n (1-t^n)^{rank_n} = 1 - k*t.
 """
@@ -24,6 +29,7 @@ DEFAULT_GUARD = 10 ** 7
 _basis_cache = {}
 _expand_cache = {}
 _pair_bracket_cache = {}
+_columns_cache = {}
 
 
 class SizeGuardError(ValueError):
@@ -173,6 +179,54 @@ def expand_tree(tree):
     out = {w: c for w, c in out.items() if c}
     _expand_cache[tree] = out
     return out
+
+
+def lyndon_columns(k, n, guard=DEFAULT_GUARD):
+    """Coefficients at the degree-n Lyndon words of each basis element.
+
+    Column i is expand_tree of the i-th bracketing restricted to Lyndon
+    words, as {word index: coeff}: 1 at i and otherwise only at later
+    indices, since the expansion of a bracketed Lyndon word is the word
+    plus lex-greater words (Chen-Fox-Lyndon).  Memoized.
+    """
+    key = (k, n)
+    cols = _columns_cache.get(key)
+    if cols is None:
+        basis = lyndon_basis(k, n, guard)
+        cols = tuple({i: c for w, c in expand_tree(t).items()
+                      if (i := basis.index.get(w)) is not None}
+                     for t in basis.trees)
+        _columns_cache[key] = cols
+    return cols
+
+
+def word_coords(k, n, vec, guard=DEFAULT_GUARD):
+    """Lyndon-word coefficients (dense) of a degree-n element given over the basis.
+
+    vec may be a sparse dict or a dense list.
+    """
+    cols = lyndon_columns(k, n, guard)
+    out = [0] * len(cols)
+    for i, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+        if v:
+            for j, c in cols[i].items():
+                out[j] += v * c
+    return out
+
+
+def lie_coords(k, n, x, guard=DEFAULT_GUARD):
+    """Basis coordinates of the degree-n Lie element with Lyndon-word coefficients x.
+
+    One pass of back substitution down the unitriangular column table.
+    """
+    a = list(x)
+    for i, col in enumerate(lyndon_columns(k, n, guard)):
+        v = a[i]
+        if v:
+            for j, c in col.items():
+                a[j] -= v * c
+            a[i] = v
+    return a
 
 
 def tensor_to_lyndon(poly, k, n, guard=DEFAULT_GUARD):

@@ -2,15 +2,18 @@
 
 The algebra is the free Lie algebra on the atoms modulo the ideal
 generated by the degree-2 elements [x_H, sum of x_K over K in Y] for
-every rank-2 flat Y and every atom H in Y.  Since I_n = [V, I_{n-1}],
-degrees are built upward once each: degree n is spanned by the brackets
-[x_j, b] of every generator with a generating set b of degree n-1, and
-that set is the basis rows of the degree below over Q and F_p, or the
-rows spanning its ideal lattice over Z.  All three rings use the one
-sparse elimination loop of exactla: over Q and F_p it gives the rank
-alone, over Z it pivots only on +-1 entries, which is unimodular, and a
-dense Smith normal form of the residual rows that have no unit entry
-gives the divisor chain.
+every rank-2 flat Y and every atom H in Y.  The ideal is built in the
+tensor algebra, as word rows: I_2 from the relations (ij - ji per
+bracket), and since I_n = [V, I_{n-1}], degree n from x_j b - b x_j for
+every letter j and every kept generator b of degree n-1.  A Lie element
+is determined by its coefficients at the Lyndon words, through a
+unitriangular and so unimodular change of coordinates from the Lyndon
+basis, so each degree is eliminated on those coefficients alone.  All
+three rings use the one sparse elimination loop of exactla: over Q and
+F_p it gives the rank, over Z it pivots only on +-1 entries and a dense
+Smith normal form of the residual rows without a unit entry gives the
+divisor chain.  The generators kept for the next degree are those at
+the pivot rows (and over Z the residual rows too).
 
 Also here: commutator-relator presentations with their degree-2 Magnus
 coefficients, the degree-2 part of the Orlik-Solomon relation ideal, and
@@ -19,13 +22,15 @@ the nullity of multiplication E^1 x I^2 -> E^3 (the Falk invariant).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import exactla, rings
 from .arrangement import Arrangement, ArrangementError
 from .exactla import QuotientLattice
 from .freelie import (DEFAULT_GUARD, LieElement, SizeGuardError, bracket,
-                      check_guard, lie_generator, witt_rank)
+                      check_guard, lie_coords, lyndon_basis, witt_rank,
+                      word_coords)
 
 # refusal thresholds per degree; kwarg `override=True` lifts them
 DEGREE_ALPHABET_LIMITS = {2: 64, 3: 15, 4: 8}
@@ -268,36 +273,91 @@ def as_relation_set(source):
     raise TypeError("expected an Arrangement, RelationSet, or Presentation")
 
 
-def ideal_rows(relset, n, below=None, guard=DEFAULT_GUARD, override=False):
-    """Spanning rows of the degree-n piece I_n of the relation ideal.
+def _commutator(j, poly):
+    """x_j p - p x_j = [x_j, p] of a tensor polynomial {word: coeff}."""
+    out = {}
+    for w, c in poly.items():
+        v = (j,) + w
+        out[v] = out.get(v, 0) + c
+        v = w + (j,)
+        out[v] = out.get(v, 0) - c
+    return {w: c for w, c in out.items() if c}
 
-    I_2 is spanned by the relations.  For n > 2, `below` is a generating
-    set of I_{n-1} (sparse rows over the degree n-1 Lyndon basis) and the
-    rows are [x_j, b] for every generator x_j and every b in `below`,
-    because I_n = [V, I_{n-1}].  Rows are sparse dicts over the degree-n
-    Lyndon basis.
+
+def ideal_words(relset, n, below=None, ids=None):
+    """Generators of the degree-n piece I_n of the relation ideal, as words.
+
+    Each is a tensor polynomial {word: coeff}.  I_2 is spanned by the
+    relations, a relation sum c [x_i, x_j] being sum c (ij - ji).  For
+    n > 2, `below` holds tensor polynomials generating I_{n-1} and the
+    generators are x_j b - b x_j for every b in `below` and every letter
+    j, b-major, because I_n = [V, I_{n-1}].  `ids` picks generators by
+    position; by default all are built.
+    """
+    k = relset.alphabet
+    if n == 2:
+        pairs = pair_list(k)
+        elements = relset.elements if ids is None else [relset.elements[i] for i in ids]
+        return [{w: s * c for t, c in e.items()
+                 for w, s in ((pairs[t], 1), (pairs[t][::-1], -1))}
+                for e in elements]
+    if below is None:
+        raise ValueError("degree %d needs a generating set of degree %d" % (n, n - 1))
+    if ids is None:
+        ids = range(len(below) * k)
+    return [_commutator(r % k, below[r // k]) for r in ids]
+
+
+def ideal_rows(relset, n, below=None, guard=DEFAULT_GUARD, override=False):
+    """Rows of the generators of I_n (ideal_words) at the degree-n Lyndon words.
+
+    A Lie element is determined by its coefficients at the Lyndon words,
+    through a unitriangular change of coordinates from the Lyndon basis
+    (freelie.lyndon_columns), so these rows span I_n in coordinates that
+    give the same rank and torsion.  Rows are sparse dicts over the
+    indices of lyndon_basis(k, n); `below` is as in ideal_words.
     """
     k = relset.alphabet
     holonomy_guard(k, n, override=override, guard=guard)
     if n < 2:
         raise ValueError("the relation ideal starts in degree 2")
-    if n == 2:
-        return [dict(e) for e in relset.elements]
-    if below is None:
-        raise ValueError("degree %d needs a generating set of degree %d" % (n, n - 1))
-    gens = [lie_generator(k, j) for j in range(k)]
-    return [bracket(g, LieElement(k, n - 1, b), guard).coeffs
-            for b in below for g in gens]
+    index = lyndon_basis(k, n, guard).index
+    return [{i: c for w, c in poly.items() if (i := index.get(w)) is not None}
+            for poly in ideal_words(relset, n, below)]
+
+
+def _ideal_pieces(relset, ring, guard, override):
+    """Eliminate I_2, I_3, ... in turn, yielding one result per degree.
+
+    Over Z the result is the QuotientLattice of the Lyndon-word
+    coefficients by I_n, over Q and F_p a GradedAbelian holding the rank
+    of the quotient.  Degree n+1 is generated from the words of the
+    generators the elimination keeps: the pivot rows over a field, the
+    pivot and residual rows over Z.  Those span I_n, since each reduced
+    row is its input row plus multiples of earlier pivot rows.
+    """
+    k = relset.alphabet
+    below = None
+    for n in itertools.count(2):
+        rows = ideal_rows(relset, n, below, guard=guard, override=override)
+        if ring == rings.Z:
+            q = QuotientLattice(witt_rank(k, n), rows)
+            ids = q.spanning_ids
+        else:
+            rank, ids = exactla.rank_sparse_pivots(rows, p=rings.char(ring))
+            q = GradedAbelian(rank=witt_rank(k, n) - rank)
+        yield q
+        below = ideal_words(relset, n, below, ids)
 
 
 def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
     """Degrees 1..top of the holonomy Lie algebra, as a list of GradedAbelian.
 
     Each degree of the ideal is generated once, from a generating set of
-    the degree below: the basis rows that rank_sparse_pivots picks over Q
-    and F_p, the spanning rows of the QuotientLattice over Z.  Both come
-    out of the same sparse elimination; over Z it keeps to +-1 pivots and
-    the Smith normal form of the residual gives the divisor chain.
+    the degree below, and eliminated on its Lyndon-word coefficients by
+    the one sparse loop of exactla: rank_sparse_pivots over Q and F_p, a
+    QuotientLattice over Z, which keeps to +-1 pivots and reads the
+    divisor chain off the Smith normal form of the residual.
     """
     relset = as_relation_set(source)
     k = relset.alphabet
@@ -305,21 +365,10 @@ def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=Fa
         return []
     if top > 1:
         holonomy_guard(k, top, override=override, guard=guard)
-    p = rings.char(ring)
-    out = [GradedAbelian(rank=k)]
-    below = None
-    for n in range(2, top + 1):
-        w = witt_rank(k, n)
-        rows = ideal_rows(relset, n, below, guard=guard, override=override)
-        if ring == rings.Z:
-            q = QuotientLattice(w, rows)
-            out.append(GradedAbelian(rank=q.rank, torsion=q.torsion))
-            below = q.spanning_rows
-        else:
-            rank, basis = exactla.rank_sparse_pivots(rows, p=p)
-            out.append(GradedAbelian(rank=w - rank))
-            below = [rows[i] for i in basis]
-    return out
+    pieces = _ideal_pieces(relset, ring, guard, override)
+    return [GradedAbelian(rank=k)] + [
+        GradedAbelian(rank=q.rank, torsion=q.torsion)
+        for q in itertools.islice(pieces, top - 1)]
 
 
 def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
@@ -337,12 +386,14 @@ def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD, override=False
 class HolonomyAlgebra:
     """Quotient coordinates for the graded pieces, with lift and bracket.
 
-    Degrees are materialized lazily and each one once: degree d brackets
-    the spanning rows of the degree d-1 quotient with the generators, then
-    eliminates on +-1 pivots and runs a Smith normal form of the residual
-    rows without a unit entry (usually none).  Coordinates are those of
-    that QuotientLattice, so they depend on the generating set used and
-    on the pivot order.
+    Degrees are materialized lazily, in order and each once, by the same
+    generator as holonomy_degrees over Z: the lattice of degree d is the
+    Lyndon-word coefficients of Lie_d modulo the rows of I_d, eliminated
+    on +-1 pivots, with a Smith normal form of any residual rows without
+    a unit entry.  Coordinates are those of that QuotientLattice, so they
+    depend on the generating set used and on the pivot order.  Only
+    project and lift see the Lyndon basis: they convert through the
+    unitriangular table of freelie.lyndon_columns.
     """
 
     def __init__(self, source, max_degree, guard=DEFAULT_GUARD, override=False):
@@ -350,26 +401,22 @@ class HolonomyAlgebra:
         self.alphabet = self.relset.alphabet
         self.max_degree = max_degree
         self.guard = guard
-        self.override = override
         for d in range(2, max_degree + 1):
             holonomy_guard(self.alphabet, d, override=override, guard=guard)
-        self._quotients = {1: QuotientLattice(self.alphabet, [])}
+        # degree 1 has no relations, so its coordinates are the letters
+        self._quotients = [QuotientLattice(self.alphabet, [])]
+        self._pieces = _ideal_pieces(self.relset, rings.Z, guard, override)
 
     def quotient(self, d):
-        """QuotientLattice of Lie_d by the ideal, for 1 <= d <= max_degree.
+        """QuotientLattice of the degree-d Lyndon-word coefficients by I_d.
 
-        Degree 1 has no relations, so its coordinates are the letters.
+        1 <= d <= max_degree.
         """
-        q = self._quotients.get(d)
-        if q is None:
-            if not 2 <= d <= self.max_degree:
-                raise ValueError("degree %d outside 1..%d" % (d, self.max_degree))
-            below = self.quotient(d - 1).spanning_rows if d > 2 else None
-            rows = ideal_rows(self.relset, d, below, guard=self.guard,
-                              override=self.override)
-            q = QuotientLattice(witt_rank(self.alphabet, d), rows)
-            self._quotients[d] = q
-        return q
+        if not 1 <= d <= self.max_degree:
+            raise ValueError("degree %d outside 1..%d" % (d, self.max_degree))
+        while len(self._quotients) < d:
+            self._quotients.append(next(self._pieces))
+        return self._quotients[d - 1]
 
     def rank(self, d):
         return self.quotient(d).rank
@@ -385,11 +432,11 @@ class HolonomyAlgebra:
 
         vec may be a sparse dict or a dense list.
         """
-        return self.quotient(d).project(vec)
+        return self.quotient(d).project(word_coords(self.alphabet, d, vec, self.guard))
 
     def lift(self, d, coords):
         """A Lyndon-basis representative of the class with the given coordinates."""
-        return self.quotient(d).lift(coords)
+        return lie_coords(self.alphabet, d, self.quotient(d).lift(coords), self.guard)
 
     def bracket_coords(self, d1, c1, d2, c2):
         """Bracket of quotient classes, in degree d1+d2 coordinates (None past truncation)."""

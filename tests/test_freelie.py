@@ -16,15 +16,20 @@ from arrlie import (
     lyndon_words,
     witt_rank,
 )
-from arrlie import rings
+from arrlie import HolonomyAlgebra, braid, near_pencil, rings
+from arrlie.exactla import QuotientLattice
 from arrlie.freelie import (
     basis_pair_bracket,
     check_guard,
     expand_tree,
     is_lyndon,
+    lie_coords,
+    lyndon_columns,
     standard_factorization,
     tensor_to_lyndon,
+    word_coords,
 )
+from arrlie.holonomy import ideal_words
 
 
 def brute_lyndon(k, n):
@@ -148,6 +153,58 @@ def test_non_lie_tensors_are_rejected():
     with pytest.raises(ValueError, match="not a Lie element"):
         tensor_to_lyndon({(0, 1): 1}, 2, 2)  # x0x1 alone, missing -x1x0
     assert tensor_to_lyndon({(0, 1): 1, (1, 0): -1}, 2, 2) == {0: 1}
+
+
+# ---------------------------------------------------------------------------
+# coefficients at the Lyndon words
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3, 4) for n in range(1, 7)])
+def test_lyndon_columns_are_unitriangular(k, n):
+    cols = lyndon_columns(k, n)
+    assert len(cols) == witt_rank(k, n)
+    for i, col in enumerate(cols):
+        assert col[i] == 1
+        assert all(j > i for j in col if j != i)
+
+
+def test_word_coords_read_the_tensor_expansion():
+    rng = random.Random(5)
+    for k, n in [(2, 5), (3, 4), (4, 3)]:
+        words = lyndon_basis(k, n).words
+        for _ in range(5):
+            vec = [rng.randint(-3, 3) for _ in words]
+            poly = lyndon_to_tensor(k, n, dict(enumerate(vec)))
+            x = [poly.get(w, 0) for w in words]
+            assert word_coords(k, n, vec) == x
+            assert word_coords(k, n, dict(enumerate(vec))) == x
+            assert lie_coords(k, n, x) == vec
+
+
+def _unit(n, j):
+    return [int(i == j) for i in range(n)]
+
+
+@pytest.mark.parametrize("arr", [braid(4), near_pencil(5)], ids=["braid4", "np5"])
+def test_holonomy_coordinates_go_through_the_table(arr):
+    alg = HolonomyAlgebra(arr, 4)
+    relset, k = alg.relset, alg.alphabet
+    below = None
+    for d in range(1, 5):
+        q = alg.quotient(d)
+        for j in range(alg.dim(d)):
+            e = _unit(alg.dim(d), j)
+            assert alg.project(d, alg.lift(d, e)) == q.reduce(e)
+        if d == 1:
+            continue
+        # the generators kept for degree d+1 lie in the ideal and span it
+        kept = ideal_words(relset, d, below, q.spanning_ids)
+        lyndon = lyndon_basis(k, d).words
+        rows = [[poly.get(w, 0) for w in lyndon] for poly in kept]
+        for x in rows:
+            assert alg.project(d, lie_coords(k, d, x)) == q.zero()
+        sub = QuotientLattice(len(lyndon), rows)
+        assert (sub.rank, sub.torsion) == (q.rank, q.torsion)
+        below = kept
 
 
 # ---------------------------------------------------------------------------

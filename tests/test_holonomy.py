@@ -22,8 +22,10 @@ from arrlie import (
 )
 from arrlie import exactla, rings
 from arrlie.decomp import letter_matrix
-from arrlie.freelie import SizeGuardError, lyndon_basis
+from arrlie.freelie import (LieElement, SizeGuardError, bracket, lie_generator,
+                            lyndon_basis)
 from arrlie.holonomy import (
+    as_relation_set,
     holonomy_degrees,
     holonomy_guard,
     holonomy_map_from_presentation,
@@ -171,6 +173,58 @@ def test_universal_coefficients_between_z_and_fp():
                 assert gp.rank == expect, (pres, d, p)
                 divisible += expect > gz.rank
     assert divisible >= 10
+
+
+def bracket_path_degrees(source, top, ring):
+    """Reference: (rank, torsion) per degree from Lyndon-basis ideal rows.
+
+    Degree n > 2 brackets every generator with the rows the elimination of
+    degree n-1 leaves (reduced pivot and residual rows over Z, the input
+    rows at the pivots over a field), through freelie.bracket.
+    """
+    relset = as_relation_set(source)
+    k = relset.alphabet
+    out = [(k, ())]
+    rows = [dict(e) for e in relset.elements]
+    for n in range(2, top + 1):
+        if n > 2:
+            rows = [bracket(lie_generator(k, j), LieElement(k, n - 1, b)).coeffs
+                    for b in below for j in range(k)]
+        w = witt_rank(k, n)
+        if ring == rings.Z:
+            q = exactla.QuotientLattice(w, rows)
+            out.append((q.rank, q.torsion))
+            pivots, residual = exactla._eliminate(rows, "Z")
+            below = [row for _c, _rid, row in pivots] + [row for _rid, row in residual]
+        else:
+            rank, basis = exactla.rank_sparse_pivots(rows, p=rings.char(ring))
+            out.append((w - rank, ()))
+            below = [rows[i] for i in basis]
+    return out
+
+
+ORACLE_RINGS = (rings.Z, rings.Q, rings.fp(2), rings.fp(3))
+
+
+@pytest.mark.parametrize("name,arr", standard_catalog(),
+                         ids=[name for name, _ in standard_catalog()])
+def test_word_rows_match_the_bracket_path_on_the_catalog(name, arr):
+    for ring in ORACLE_RINGS:
+        got = holonomy_degrees(arr, 4, ring, override=True)
+        assert [(g.rank, g.torsion) for g in got] == \
+            bracket_path_degrees(arr, 4, ring), (name, ring)
+
+
+def test_word_rows_match_the_bracket_path_on_presentations():
+    sources = [make_presentation(2, ["xxyXXY"]), make_presentation(2, ["xxxyXXXY"])]
+    sources += commutator_presentations(2, 10)
+    with_torsion = 0
+    for pres in sources:
+        for ring in ORACLE_RINGS:
+            got = [(g.rank, g.torsion) for g in holonomy_degrees(pres, 4, ring)]
+            assert got == bracket_path_degrees(pres, 4, ring), (pres, ring)
+            with_torsion += any(t for _r, t in got)
+    assert with_torsion >= 5
 
 
 def test_graded_abelian_validation():
