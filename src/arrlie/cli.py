@@ -31,6 +31,13 @@ class InputError(ValueError):
     """Bad file, flag, or JSON payload; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become input errors: one stderr line and exit 2."""
+
+    def error(self, message):
+        raise InputError("%s (see %s -h)" % (" ".join(message.split()), self.prog))
+
+
 def _jsonable(x):
     """Make a payload JSON-safe: big ints and rationals become strings."""
     if isinstance(x, bool) or x is None:
@@ -306,6 +313,17 @@ def _cmd_verify_iso(args, digests):
 
 
 def _cmd_catalog(args, digests):
+    # every atom pair is checked against the pencil cover and, for braid,
+    # spanned by its two normals in exact rationals, coordinate by
+    # coordinate; 16 units per pair and coordinate put the default guard
+    # at runs of about ten seconds
+    n = max(args.param, 0)
+    atoms, dim = (n * (n - 1) // 2, n) if args.family == "braid" else (n, 0)
+    cost = 16 * (atoms * (atoms - 1) // 2) * (dim + 1)
+    if cost > args.guard:
+        raise SizeGuardError("catalog %s %d costs %d > guard %d; raise "
+                             "--guard to proceed"
+                             % (args.family, args.param, cost, args.guard))
     try:
         arr = catalog_arrangement(args.family, args.param)
     except ArrangementError as e:
@@ -321,7 +339,7 @@ def _cmd_catalog(args, digests):
 # argument parsing and dispatch
 
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="arrlie",
         description="Exact nilpotent and Lie-algebraic invariants of "
                     "hyperplane-arrangement groups.")
@@ -431,10 +449,10 @@ def _build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
     digests = []
     t0 = time.time()
     try:
+        args = parser.parse_args(argv)
         payload, code = args.func(args, digests)
     except InputError as e:
         sys.stderr.write("arrlie: error: %s\n" % e)

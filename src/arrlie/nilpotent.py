@@ -5,7 +5,9 @@ form (v, w): v is the vector of exponent sums, w lives in
 gr2 = Lie_2 / relation span with torsion coordinates reduced.  The
 multiplication cocycle follows Hall collection with larger generator
 indices moved left, so the commutator [x_i, x_j] for i > j is the class
-of e_i wedge e_j.
+of e_i wedge e_j.  A word is collected letter by letter into v and a
+tail in the ambient pair coordinates of Lie_2, and the tail is projected
+to gr2 once, at the end of the word.
 
 H2 of a truncated graded Lie ring is computed from the exterior complex
 Lambda^3 L -> Lambda^2 L -> L with d(a^b) = -[a,b].  Over Q and F_p it is
@@ -47,7 +49,8 @@ class Class2Group:
     Central extension of the free abelian group on the generators by
     gr2 = Lie_2 / relation span.  The structure cocycle sends (e_i, e_j)
     with i > j to the class of e_i wedge e_j, which in the ordered pair
-    basis is minus the pair (j, i).
+    basis is minus the pair (j, i).  Words, products and inverses are
+    collected in those ambient pair coordinates and projected to gr2 once.
     """
 
     def __init__(self, source):
@@ -57,7 +60,9 @@ class Class2Group:
         self.k = k
         self.names = self.relset.atom_names
         self.pairs = pair_list(k)
-        self.pidx = pair_index(k)
+        pidx = pair_index(k)
+        # the pair (i, j), i < j, sits at position self._row[i] + j
+        self._row = [pidx.get((i, i + 1), 0) - i - 1 for i in range(k)]
         self.gr2 = QuotientLattice(len(self.pairs), self.relset.elements)
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
 
@@ -66,50 +71,55 @@ class Class2Group:
         return Class2Element((0,) * self.k, tuple(self.gr2.zero()))
 
     def generator(self, i):
-        if not 0 <= i < self.k:
-            raise ValueError("generator index %d out of range" % i)
-        v = [0] * self.k
-        v[i] = 1
-        return Class2Element(tuple(v), tuple(self.gr2.zero()))
+        return self.evaluate([(i, 1)])
 
     def cocycle(self, i, j):
         """gr2 class of e_i wedge e_j for i > j (zero otherwise)."""
-        raw = [0] * len(self.pairs)
-        if i > j:
-            raw[self.pidx[(j, i)]] = -1
-        return tuple(self.gr2.project(raw))
+        return self.evaluate([(i, 1), (j, 1)]).tail
 
     def _check(self, g):
         if len(g.exps) != self.k or len(g.tail) != self.gr2.dim:
             raise ValueError("dimension mismatch: element does not belong "
                              "to this class-2 group")
 
-    def _beta(self, v, vp):
+    def _collect(self, v, word):
+        """Multiply exponent vector v on the right by word, in place.
+
+        Returns the gr2 tail that the collection adds.  Collecting x_idx^e
+        past x_i^v[i] for every i > idx adds e * v[i] times the cocycle
+        (i, idx), which is minus the pair (idx, i).  The sum is kept in
+        ambient pair coordinates and projected once; projecting is
+        Z-linear, so this gives the same canonical torsion residues as
+        reducing after every letter.
+        """
+        k, row = self.k, self._row
         raw = [0] * len(self.pairs)
-        for i in range(self.k):
-            if not v[i]:
-                continue
-            vi = v[i]
-            for j in range(i):
-                if vp[j]:
-                    raw[self.pidx[(j, i)]] -= vi * vp[j]
+        for idx, e in word:
+            if not 0 <= idx < k:
+                raise ValueError("generator index %d out of range" % idx)
+            off = row[idx]
+            for i in range(idx + 1, k):
+                if v[i]:
+                    raw[off + i] -= e * v[i]
+            v[idx] += e
         return self.gr2.project(raw)
 
     # -- group operations ---------------------------------------------------
     def multiply(self, g, h):
         self._check(g)
         self._check(h)
-        v = tuple(a + b for a, b in zip(g.exps, h.exps))
-        tail = self.gr2.add(list(g.tail), self.gr2.add(list(h.tail),
-                                                       self._beta(g.exps, h.exps)))
-        return Class2Element(v, tuple(tail))
+        v = list(g.exps)
+        c = self._collect(v, [(j, e) for j, e in enumerate(h.exps) if e])
+        tail = self.gr2.reduce([a + b + x for a, b, x in zip(g.tail, h.tail, c)])
+        return Class2Element(tuple(v), tuple(tail))
 
     def inverse(self, g):
+        # g times the word of -exps is (0, tail + c), so the inverse is
+        # (-exps, -(tail + c))
         self._check(g)
-        v = tuple(-a for a in g.exps)
-        tail = self.gr2.add(self.gr2.scale(-1, list(g.tail)),
-                            self._beta(g.exps, g.exps))
-        return Class2Element(v, tuple(tail))
+        c = self._collect(list(g.exps), [(j, -e) for j, e in enumerate(g.exps) if e])
+        tail = self.gr2.reduce([-(a + x) for a, x in zip(g.tail, c)])
+        return Class2Element(tuple(-a for a in g.exps), tuple(tail))
 
     def power(self, g, e):
         if e < 0:
@@ -152,12 +162,14 @@ class Class2Group:
         return seq
 
     def evaluate(self, word):
+        """Normal form of a word: a string for parse_word, or a sequence of
+        (generator index, exponent) pairs.  The whole word is collected in
+        pair coordinates and projected to gr2 once."""
         if isinstance(word, str):
             word = self.parse_word(word)
-        out = self.identity()
-        for idx, e in word:
-            out = self.multiply(out, self.power(self.generator(idx), e))
-        return out
+        v = [0] * self.k
+        tail = self._collect(v, word)
+        return Class2Element(tuple(v), tuple(tail))
 
 
 def relation_words(arr):

@@ -349,6 +349,39 @@ def test_lcs_is_size_guarded(files, capsys):
     assert code == 2 and "costs 128 > guard 127" in err
 
 
+def test_catalog_is_size_guarded(capsys):
+    # refused before any pencil is built
+    for argv in (["catalog", "braid", "30"], ["catalog", "generic", "100000"]):
+        t0 = time.perf_counter()
+        line = assert_exits_2_on_one_line(capsys, argv)
+        assert time.perf_counter() - t0 < 1.0 and "guard" in line
+    # every size the tests and the benchmark build passes the default guard
+    for family, top in (("braid", 7), ("pencil", 8), ("generic", 8),
+                        ("near_pencil", 8)):
+        code, out, _ = run(capsys, ["catalog", family, str(top)])
+        assert code == 0 and json.loads(out)["atoms"]
+    # braid(5): 16 units for each of 45 atom pairs and 5 coordinates plus one
+    line = assert_exits_2_on_one_line(capsys, ["catalog", "braid", "5",
+                                               "--guard", "4319"])
+    assert "costs 4320 > guard 4319" in line
+    code, out, _ = run(capsys, ["catalog", "braid", "5", "--guard", "4320"])
+    assert code == 0 and len(json.loads(out)["atoms"]) == 10
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["holonomy"],
+    ["holonomy", "{pencil3}", "--max-degree", "abc"],
+    ["betti", "{pencil3}", "--bogus"],
+    ["frobnicate", "{pencil3}"],
+], ids=["no-command", "missing-file", "bad-int", "unknown-flag",
+        "unknown-command"])
+def test_usage_errors_exit_2_on_one_line(files, capsys, argv):
+    line = assert_exits_2_on_one_line(
+        capsys, [a.format(**files) for a in argv])
+    assert "-h)" in line
+
+
 def test_guard_violation_maps_to_exit_2(files, capsys):
     code, _, err = run(capsys, ["holonomy", files["braid4"],
                                 "--max-degree", "3", "--guard", "10"])

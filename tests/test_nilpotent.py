@@ -6,11 +6,13 @@ import pytest
 
 from arrlie import (
     Arrangement,
+    Class2Element,
     Class2Group,
     GradedAbelian,
     GradedLie,
     braid,
     ce_h2,
+    generic,
     h2_rank_check,
     k_invariant_matrix,
     make_presentation,
@@ -21,7 +23,8 @@ from arrlie import (
     truncated_lie,
 )
 from arrlie import exactla, rings
-from arrlie.holonomy import HolonomyAlgebra
+from arrlie.holonomy import HolonomyAlgebra, pair_index
+from test_holonomy import commutator_presentations
 
 
 def rand_el(rng, grp):
@@ -106,6 +109,66 @@ def test_evaluate_accepts_prepared_words():
     grp = Class2Group(pencil(3))
     word = [(0, 1), (1, 1), (0, -1), (1, -1)]
     assert grp.evaluate(word) == grp.evaluate("H1.H2.H1^-1.H2^-1")
+
+
+def old_multiply(grp, g, h):
+    """The product as it was computed before words were collected in pair
+    coordinates: project the cocycle of each product, then add in gr2."""
+    pidx = pair_index(grp.k)
+    raw = [0] * len(grp.pairs)
+    for i, a in enumerate(g.exps):
+        for j in range(i):
+            raw[pidx[(j, i)]] -= a * h.exps[j]
+    tail = grp.gr2.add(list(g.tail),
+                       grp.gr2.add(list(h.tail), grp.gr2.project(raw)))
+    return Class2Element(tuple(a + b for a, b in zip(g.exps, h.exps)),
+                         tuple(tail))
+
+
+def old_fold(grp, word):
+    """The letter-by-letter evaluation: one power and one product per letter."""
+    out = grp.identity()
+    for idx, e in word:
+        out = old_multiply(grp, out, grp.power(grp.generator(idx), e))
+    return out
+
+
+FOLD_SOURCES = ([("braid4", braid(4)), ("near_pencil5", near_pencil(5)),
+                 ("pencil4", pencil(4)), ("generic5", generic(5)),
+                 ("xxyXXY", make_presentation(2, ["xxyXXY"])),
+                 ("xxxyXXXY", make_presentation(2, ["xxxyXXXY"]))]
+                + [("pres%d" % i, pres) for i, pres
+                   in enumerate(commutator_presentations(2, 10))])
+
+
+def test_fold_sources_carry_torsion():
+    tors = [name for name, src in FOLD_SOURCES if Class2Group(src).gr2.torsion]
+    assert len(tors) >= 5 and {"xxyXXY", "xxxyXXXY"} <= set(tors)
+
+
+@pytest.mark.parametrize("name,src", FOLD_SOURCES,
+                         ids=[name for name, _ in FOLD_SOURCES])
+def test_evaluate_matches_the_letter_by_letter_fold(name, src):
+    grp = Class2Group(src)
+    rng = random.Random(name)
+    words = [[(rng.randrange(grp.k), rng.randint(-3, 3))
+              for _ in range(rng.randint(0, 12))] for _ in range(40)]
+    big = 10 ** 30
+    words.append([(0, big), (grp.k - 1, 1), (0, -3), (1, big), (0, 1)])
+    elements = []
+    for word in words:
+        el = grp.evaluate(word)
+        assert el == old_fold(grp, word), word
+        assert el.exps == tuple(sum(e for i, e in word if i == j)
+                                for j in range(grp.k))
+        elements.append(el)
+    # products and inverses collect with the same cocycle
+    for g, h in zip(elements, elements[1:]):
+        assert grp.multiply(g, h) == old_multiply(grp, g, h)
+        assert grp.is_identity(old_multiply(grp, g, grp.inverse(g)))
+    for bad in (grp.k, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            grp.evaluate([(0, 1), (bad, 1)])
 
 
 # ---------------------------------------------------------------------------
