@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -21,7 +22,8 @@ from . import decomp, rings
 from .arrangement import ArrangementError, arrangement_from_json, \
     arrangement_to_json, betti, catalog_arrangement, mobius_l2
 from .freelie import DEFAULT_GUARD, SizeGuardError, witt_rank
-from .holonomy import falk_invariant, holonomy_degrees, presentation_from_json
+from .holonomy import (Presentation, falk_invariant, holonomy_degrees,
+                       presentation_from_json)
 from .nilpotent import Class2Group, h2_rank_check, k_invariant_matrix
 
 _SAFE = 2 ** 53
@@ -94,19 +96,46 @@ def _read_json(path):
     return obj, hashlib.sha256(raw).hexdigest()
 
 
-def _load_arrangement(path, digests):
+def _check_cost(what, cost, guard):
+    """Refuse, before any work, a run that costs more than --guard."""
+    if cost > guard:
+        raise SizeGuardError("%s costs %d > guard %d; raise --guard to proceed"
+                             % (what, cost, guard))
+
+
+def _pencil_cost(atoms, dim):
+    # every atom pair is checked against the pencil cover and, with normals
+    # of dimension dim, spanned by its two normals in exact rationals,
+    # coordinate by coordinate; 16 units per pair and coordinate put the
+    # default guard at runs of about ten seconds
+    return 16 * (atoms * (atoms - 1) // 2) * (dim + 1)
+
+
+def _read_input(path, digests, guard):
+    """JSON of an input file, with its digest recorded.  An arrangement is
+    refused here, before its pencils are derived, when they cost too much."""
     obj, digest = _read_json(path)
     digests.append({"path": path, "sha256": digest})
+    if isinstance(obj, dict) and isinstance(obj.get("atoms"), list):
+        atoms, normals = len(obj["atoms"]), obj.get("normals")
+        dim = (max((len(v) for v in normals if isinstance(v, list)), default=0)
+               if isinstance(normals, list) else 0)
+        _check_cost("%s (%d atoms, dimension %d)" % (path, atoms, dim),
+                    _pencil_cost(atoms, dim), guard)
+    return obj
+
+
+def _load_arrangement(path, digests, guard):
+    obj = _read_input(path, digests, guard)
     try:
         return arrangement_from_json(obj)
     except ArrangementError as e:
         raise InputError("%s: %s" % (path, e)) from None
 
 
-def _load_source(path, digests):
+def _load_source(path, digests, guard):
     """Arrangement or presentation, keyed on the JSON shape."""
-    obj, digest = _read_json(path)
-    digests.append({"path": path, "sha256": digest})
+    obj = _read_input(path, digests, guard)
     try:
         if isinstance(obj, dict) and "generators" in obj:
             return presentation_from_json(obj)
@@ -191,7 +220,7 @@ def _corrections_from_json(obj, n_flats):
 # subcommand handlers: each returns (payload, exit_code)
 
 def _cmd_lattice(args, digests):
-    arr = _load_arrangement(args.file, digests)
+    arr = _load_arrangement(args.file, digests, args.guard)
     b = betti(arr)
     payload = {"atoms": list(arr.atoms),
                "pencils": [list(p) for p in arr.pencils],
@@ -200,7 +229,7 @@ def _cmd_lattice(args, digests):
 
 
 def _cmd_betti(args, digests):
-    arr = _load_arrangement(args.file, digests)
+    arr = _load_arrangement(args.file, digests, args.guard)
     b = betti(arr)
     return {"b1": b.b1, "b2": b.b2}, 0
 
@@ -210,11 +239,8 @@ def _cmd_witt(args, digests):
         raise InputError("--alphabet and --max-degree must be positive")
     # max_degree entries of up to max_degree * log2(alphabet) bits each;
     # witt_rank(k, n) also scans n divisor candidates
-    cost = args.max_degree ** 2 * args.alphabet.bit_length()
-    if cost > args.guard:
-        raise SizeGuardError("witt table to degree %d costs %d > guard %d; "
-                             "raise --guard to proceed"
-                             % (args.max_degree, cost, args.guard))
+    _check_cost("witt table to degree %d" % args.max_degree,
+                args.max_degree ** 2 * args.alphabet.bit_length(), args.guard)
     return [witt_rank(args.alphabet, n)
             for n in range(1, args.max_degree + 1)], 0
 
@@ -222,7 +248,7 @@ def _cmd_witt(args, digests):
 def _cmd_holonomy(args, digests):
     if args.max_degree < 0:
         raise InputError("--max-degree must be non-negative")
-    src = _load_source(args.file, digests)
+    src = _load_source(args.file, digests, args.guard)
     ring = _ring(args.ring)
     degrees = holonomy_degrees(src, args.max_degree, ring, guard=args.guard,
                                override=args.override)
@@ -230,13 +256,27 @@ def _cmd_holonomy(args, digests):
             for d, g in enumerate(degrees, 1)}, 0
 
 
+def _check_i2_cost(args, src):
+    # kinv prints, and falk eliminates, one row per column of the degree-2
+    # Orlik-Solomon ideal (per relator for a presentation), each as wide
+    # as the atom pairs: the cost grows as atoms^4 on a big pencil
+    if isinstance(src, Presentation):
+        k, rows = src.generators, len(src.relators)
+    else:
+        k = src.n_atoms
+        rows = sum(math.comb(len(f.members) - 1, 2) for f in src.flats)
+    _check_cost("%s %s" % (args.command, args.file),
+                rows * (k * (k - 1) // 2), args.guard)
+
+
 def _cmd_falk(args, digests):
-    arr = _load_arrangement(args.file, digests)
+    arr = _load_arrangement(args.file, digests, args.guard)
+    _check_i2_cost(args, arr)
     return falk_invariant(arr), 0
 
 
 def _cmd_nq2(args, digests):
-    src = _load_source(args.file, digests)
+    src = _load_source(args.file, digests, args.guard)
     grp = Class2Group(src)
     try:
         el = grp.evaluate(args.word)
@@ -248,42 +288,40 @@ def _cmd_nq2(args, digests):
 
 
 def _cmd_kinv(args, digests):
-    src = _load_source(args.file, digests)
+    src = _load_source(args.file, digests, args.guard)
+    _check_i2_cost(args, src)
     return k_invariant_matrix(src), 0
 
 
 def _cmd_h2check(args, digests):
-    src = _load_source(args.file, digests)
+    src = _load_source(args.file, digests, args.guard)
     rep = h2_rank_check(src, n=args.degree, ring=_ring(args.ring),
                         guard=args.guard, override=args.override)
     return rep, 0 if rep["pass"] else 1
 
 
 def _cmd_decomp(args, digests):
-    arr = _load_arrangement(args.file, digests)
+    arr = _load_arrangement(args.file, digests, args.guard)
     rep = decomp.is_decomposable(arr, guard=args.guard,
                                  override=args.override)
     return rep, 0 if rep["decomposable"] else 1
 
 
 def _cmd_lcs(args, digests):
-    arr = _load_arrangement(args.file, digests)
+    arr = _load_arrangement(args.file, digests, args.guard)
     # max_degree coefficients sum mu^m of up to m * log2(mu) bits each,
     # each inverted over the m candidate divisors
     mu = max((f.mu for f in arr.flats), default=1)
-    cost = max(args.max_degree, 0) ** 2 * mu.bit_length()
-    if cost > args.guard:
-        raise SizeGuardError("lcs to degree %d costs %d > guard %d; "
-                             "raise --guard to proceed"
-                             % (args.max_degree, cost, args.guard))
+    _check_cost("lcs to degree %d" % args.max_degree,
+                max(args.max_degree, 0) ** 2 * mu.bit_length(), args.guard)
     return decomp.lcs_ranks_decomposable(arr, args.max_degree,
                                          guard=args.guard,
                                          override=args.override), 0
 
 
 def _cmd_verify_iso(args, digests):
-    arr_a = _load_arrangement(args.file_a, digests)
-    arr_b = _load_arrangement(args.file_b, digests)
+    arr_a = _load_arrangement(args.file_a, digests, args.guard)
+    arr_b = _load_arrangement(args.file_b, digests, args.guard)
     iso = _iso_from_json(_parse_json_arg("--iso", args.iso))
     corrections = None
     if args.corrections:
@@ -313,17 +351,11 @@ def _cmd_verify_iso(args, digests):
 
 
 def _cmd_catalog(args, digests):
-    # every atom pair is checked against the pencil cover and, for braid,
-    # spanned by its two normals in exact rationals, coordinate by
-    # coordinate; 16 units per pair and coordinate put the default guard
-    # at runs of about ten seconds
+    # only braid has normals, of dimension n
     n = max(args.param, 0)
     atoms, dim = (n * (n - 1) // 2, n) if args.family == "braid" else (n, 0)
-    cost = 16 * (atoms * (atoms - 1) // 2) * (dim + 1)
-    if cost > args.guard:
-        raise SizeGuardError("catalog %s %d costs %d > guard %d; raise "
-                             "--guard to proceed"
-                             % (args.family, args.param, cost, args.guard))
+    _check_cost("catalog %s %d" % (args.family, args.param),
+                _pencil_cost(atoms, dim), args.guard)
     try:
         arr = catalog_arrangement(args.family, args.param)
     except ArrangementError as e:
@@ -454,13 +486,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         payload, code = args.func(args, digests)
-    except InputError as e:
-        sys.stderr.write("arrlie: error: %s\n" % e)
-        return 2
-    except (ArrangementError, SizeGuardError) as e:
-        sys.stderr.write("arrlie: error: %s\n" % e)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # InputError, ArrangementError, SizeGuardError
         sys.stderr.write("arrlie: error: %s\n" % e)
         return 2
     except Exception as e:  # keep exit 1 for verdicts and stderr to one line

@@ -18,7 +18,8 @@ feeds the H2-level commuting diagram.  All matrices are exact, over Z, Q,
 or F_p.  Every induced map between holonomy algebras is one renaming of
 generators, built by letter_matrix: embedding a pencil (x_i -> x_members[i]),
 restricting to a flat (x_H -> 0 outside it), and a lattice isomorphism
-(x_H -> x_g(H)).
+(x_H -> x_g(H)).  Renamings and relator components work on tensor
+polynomials, from HolonomyAlgebra.element and back through its coords.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from . import exactla, rings
 from .arrangement import Arrangement, localize
-from .freelie import DEFAULT_GUARD, _moebius, expand_tree, lyndon_basis, witt_rank
+from .freelie import DEFAULT_GUARD, _moebius, commutator, witt_rank
 from .holonomy import HolonomyAlgebra, holonomy_graded
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,6 @@ class Charts:
     def __init__(self, arr, n, guard=DEFAULT_GUARD, override=False):
         self.arr = arr
         self.n = n
-        self.guard = guard
         self.alg = HolonomyAlgebra(arr, max_degree=n, guard=guard, override=override)
         self.local_arr = [localize(arr, f.index) for f in arr.flats]
         self.local_alg = [HolonomyAlgebra(a, max_degree=n, guard=guard,
@@ -116,7 +116,7 @@ class Charts:
         key = ("embed", fi, d)
         if key not in self._maps:
             self._maps[key] = letter_matrix(self.local_alg[fi], self.alg,
-                                            self.arr.flats[fi].members, d, self.guard)
+                                            self.arr.flats[fi].members, d)
         return self._maps[key]
 
     def restrict(self, fi, d):
@@ -126,30 +126,24 @@ class Charts:
             pos = {a: i for i, a in enumerate(self.arr.flats[fi].members)}
             letters = [pos.get(a) for a in range(self.alg.alphabet)]
             self._maps[key] = letter_matrix(self.alg, self.local_alg[fi],
-                                            letters, d, self.guard)
+                                            letters, d)
         return self._maps[key]
-
-
-def _unit(n, j):
-    v = [0] * n
-    v[j] = 1
-    return v
 
 
 def _cols_to_matrix(cols, nrows):
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
-def letter_matrix(src, dst, letters, d, guard=DEFAULT_GUARD):
+def letter_matrix(src, dst, letters, d):
     """Matrix on quotient coordinates of the Lie map renaming generators.
 
     letters[i] is the destination letter of x_i, or None when x_i goes to
-    0.  Named letters must be distinct letters of dst.  Lyndon words that
-    use a deleted letter map to 0; every other basis element is renamed
-    through its bracketing tree, and the renamed polynomial is projected
-    through its coefficients at the destination's Lyndon words, the
-    coordinates its quotients are kept in (a renaming need not preserve
-    the letter order, so other words occur too).
+    0.  Named letters must be distinct letters of dst.  Column j renames
+    the words of src.element(d, e_j), drops the words that use a deleted
+    letter, and reads the result with dst.coords.  A renaming is a map of
+    tensor algebras, so it commutes with the bracketings, and every word
+    of an expanded bracketing has the same letters, so a bracketing that
+    uses a deleted letter goes to 0 as a whole.
     """
     named = [a for a in letters if a is not None]
     if (len(letters) != src.alphabet or len(set(named)) != len(named)
@@ -157,26 +151,13 @@ def letter_matrix(src, dst, letters, d, guard=DEFAULT_GUARD):
         raise ValueError("letter map must send the %d source letters to "
                          "distinct letters below %d, or to None"
                          % (src.alphabet, dst.alphabet))
-    basis = lyndon_basis(src.alphabet, d, guard)
-    index = lyndon_basis(dst.alphabet, d, guard).index
     cols = []
-    for j in range(src.dim(d)):
-        vec = src.lift(d, _unit(src.dim(d), j))
-        poly = {}
-        for c, v in enumerate(vec):
-            if not v or any(letters[a] is None for a in basis.words[c]):
-                continue
-            for w, cf in expand_tree(_rename_tree(basis.trees[c], letters)).items():
-                poly[w] = poly.get(w, 0) + v * cf
-        x = {i: c for w, c in poly.items() if (i := index.get(w)) is not None}
-        cols.append(dst.quotient(d).project(x))
+    for e in exactla.identity(src.dim(d)):
+        # named letters are distinct, so renamed words stay distinct
+        poly = {v: c for w, c in src.element(d, e).items()
+                if None not in (v := tuple(letters[a] for a in w))}
+        cols.append(dst.coords(d, poly))
     return _cols_to_matrix(cols, dst.dim(d))
-
-
-def _rename_tree(tree, letters):
-    if isinstance(tree, int):
-        return letters[tree]
-    return (_rename_tree(tree[0], letters), _rename_tree(tree[1], letters))
 
 
 def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD, override=False):
@@ -272,36 +253,33 @@ def zero_local_lifts(arr, n):
 
 
 def _phi_table(alg, corrections, n):
-    """phi(x_a) by degree: {degree: coords}, degree 1 being the unit vector."""
+    """phi(x_a) by degree: {degree: tensor polynomial}, degree 1 being x_a."""
     tab = []
     for a in range(alg.alphabet):
-        row = {1: _unit(alg.alphabet, a)}
+        row = {1: {(a,): 1}}
         for i in range(2, n):
             v = corrections.get((a, i))
             if v and any(v):
-                row[i] = list(v)
+                row[i] = alg.element(i, v)
         tab.append(row)
     return tab
 
 
 def _relator_component(alg, tab, h, members, m):
-    """Degree-m coordinates of [phi(x_h), phi(z_Y)] for the flat Y."""
-    total = [0] * alg.dim(m)
+    """Degree-m coordinates of [phi(x_h), phi(z_Y)] for the flat Y: one
+    commutator per degree pair (i, m-i), and one coords call."""
+    total = {}
     for i in range(1, m):
         u = tab[h].get(i)
         if u is None:
             continue
-        j = m - i
-        c = [0] * alg.dim(j)
+        z = {}
         for kk in members:
-            w = tab[kk].get(j)
-            if w:
-                c = [a + b for a, b in zip(c, w)]
-        if not any(c):
-            continue
-        b = alg.bracket_coords(i, u, j, c)
-        total = [a + b2 for a, b2 in zip(total, b)]
-    return alg.quotient(m).reduce(total)
+            for w, c in tab[kk].get(m - i, {}).items():
+                z[w] = z.get(w, 0) + c
+        for w, c in commutator(u, z).items():
+            total[w] = total.get(w, 0) + c
+    return alg.coords(m, total)
 
 
 def _local_delta_cols(loc, llift, n):
@@ -667,7 +645,7 @@ def iso_h2_matrix(arr_a, arr_b, iso):
     return _cols_to_matrix(cols, rows)
 
 
-def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n, guard):
+def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n):
     """Pull a B-side local lift back to the matching A-flat by renaming."""
     fa = ch_a.arr.flats[fi_a]
     fb = ch_b.arr.flats[iso.flat_map[fi_a]]
@@ -677,7 +655,7 @@ def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n, guard):
     loc_b = ch_b.local_alg[fb.index]
     corr = {}
     for (atom_b, deg), vec in sorted(llift_b.corrections.items()):
-        q = letter_matrix(loc_b, loc_a, back, deg, guard=guard)
+        q = letter_matrix(loc_b, loc_a, back, deg)
         v = loc_a.quotient(deg).reduce(exactla.mat_vec(q, list(vec)))
         if any(v):
             corr[(fa.members[pos_a[atom_b]], deg)] = tuple(v)
@@ -737,18 +715,6 @@ def _sigma_from_locals(ch, n, ring, local_lams=None):
     return sigma, rho
 
 
-def _norm_perturb(perturb):
-    if perturb is None:
-        return None
-    if isinstance(perturb, str):
-        perturb = {"kind": perturb}
-    else:
-        perturb = dict(perturb)
-    if perturb.get("kind") not in ("sigma", "lift"):
-        raise ValueError("perturb kind must be 'sigma' or 'lift'")
-    return perturb
-
-
 def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
                             corrections=None, sigma_lams=None, perturb=None,
                             guard=DEFAULT_GUARD, override=False):
@@ -761,10 +727,12 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     splitting sigma.  Runs check_diagram on the result and returns the
     verdict together with every constructed matrix for audit.
 
-    perturb is a negative-control hook: kind 'sigma' adds a nonzero lambda
-    to the splitting on the A leg only, kind 'lift' adds a valid top-degree
-    correction to one transported A-side local lift.  Either change must
-    make the certificate fail; a passing perturbed run would be a bug.
+    perturb is a negative-control hook, None, 'sigma' or 'lift': 'sigma'
+    adds lambda = e_00 to the splitting on the A leg only, 'lift' adds the
+    first unit vector of degree n-1 to the first atom of the first A-side
+    local lift that has such a degree.  Either change must make the
+    certificate fail; a passing perturbed run would be a bug.  The report
+    echoes it as {"kind": perturb}.
     """
     if not isinstance(iso, LatticeIso):
         iso = lattice_iso(arr_a, arr_b, iso)
@@ -778,7 +746,8 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
                 % (side, rep["r_global"], rep["r_local"], rep["torsion"]))
     if n < 3:
         raise ValueError("the comparison starts at degree 3")
-    perturb = _norm_perturb(perturb)
+    if perturb not in (None, "sigma", "lift"):
+        raise ValueError("perturb kind must be 'sigma' or 'lift'")
 
     ch_a = Charts(arr_a, n, guard=guard, override=override)
     ch_b = Charts(arr_b, n, guard=guard, override=override)
@@ -800,58 +769,46 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
                                % want.flat.index)
 
     locals_a = [_transport_local(ch_a, ch_b, iso, f.index,
-                                 locals_b[iso.flat_map[f.index]], n, guard)
+                                 locals_b[iso.flat_map[f.index]], n)
                 for f in arr_a.flats]
-    if perturb and perturb["kind"] == "lift":
-        fi = perturb.get("flat")
+    if perturb == "lift":
+        fi = next((f.index for f in arr_a.flats
+                   if ch_a.local_alg[f.index].dim(n - 1) > 0), None)
         if fi is None:
-            fi = next((f.index for f in arr_a.flats
-                       if ch_a.local_alg[f.index].dim(n - 1) > 0), None)
-            if fi is None:
-                raise ValueError("cannot perturb a lift: every local algebra "
-                                 "vanishes in degree %d" % (n - 1))
+            raise ValueError("cannot perturb a lift: every local algebra "
+                             "vanishes in degree %d" % (n - 1))
         loc = ch_a.local_alg[fi]
-        deg = int(perturb.get("degree", n - 1))
-        vec = list(perturb.get("vector", _unit(loc.dim(deg), 0)))
-        atom = perturb.get("atom", arr_a.flats[fi].members[0])
-        if isinstance(atom, str):
-            atom = arr_a.atom_index(atom)
+        key = (arr_a.flats[fi].members[0], n - 1)
         corr = dict(locals_a[fi].corrections)
-        old = list(corr.get((atom, deg), [0] * loc.dim(deg)))
-        corr[(atom, deg)] = tuple(a + b for a, b in zip(old, vec))
+        vec = list(corr.get(key, [0] * loc.dim(n - 1)))
+        vec[0] += 1
+        corr[key] = tuple(vec)
         locals_a[fi] = local_lift(arr_a, fi, corr, n, guard=guard,
                                   override=override, alg=loc)
     glift_a = assemble_global_lift(locals_a, arr_a, n, guard=guard,
                                    override=override, charts=ch_a)
 
-    g_n = letter_matrix(ch_a.alg, ch_b.alg, list(iso.atom_map), n, guard=guard)
+    g_n = letter_matrix(ch_a.alg, ch_b.alg, list(iso.atom_map), n)
     pairs_a = relator_basis(arr_a)
     pairs_b = relator_basis(arr_b)
+    g = ch_b.alg.dim(n)
     delta_a_full = delta_matrix(arr_a, glift_a, charts=ch_a)
-    delta_b_full = delta_matrix(arr_b, glift_b, charts=ch_b)
     delta_a = _cols_to_matrix(
         [ch_b.alg.quotient(n).reduce(exactla.mat_vec(g_n, delta_a_full[p]))
-         for p in pairs_a], ch_b.alg.dim(n))
-    delta_b = _cols_to_matrix([delta_b_full[p] for p in pairs_b],
-                              ch_b.alg.dim(n))
+         for p in pairs_a], g)
     g2 = iso_h2_matrix(arr_a, arr_b, iso)
     la = delta_a + g2
-    lb = delta_b + exactla.identity(len(pairs_b))
+    lb = lift_h2_matrix(arr_b, glift_b, charts=ch_b)
+    delta_b = lb[:g]
 
     sigma, rho = _sigma_from_locals(ch_b, n, ring, local_lams=sigma_lams)
     sigma_a = None
-    if perturb and perturb["kind"] == "sigma":
-        g = ch_b.alg.dim(n)
-        b2 = len(pairs_b)
-        if g == 0 or b2 == 0:
+    if perturb == "sigma":
+        if g == 0 or not pairs_b:
             raise ValueError("cannot perturb sigma: the degree-%d piece or "
                              "H2 of the complement is zero" % n)
-        lam = perturb.get("lam")
-        if lam is None:
-            lam = [[1 if (i, j) == (0, 0) else 0 for j in range(b2)]
-                   for i in range(g)]
-        sigma_a = [row[:g] + [row[g + j] - lam[i][j] for j in range(b2)]
-                   for i, row in enumerate(sigma)]
+        sigma_a = [list(row) for row in sigma]
+        sigma_a[0][g] -= 1
     check = check_diagram(diagram_instance(g2, la, lb, sigma, ring,
                                            sigma_a=sigma_a))
 
@@ -860,7 +817,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
         "ring": rings.name(ring),
         "degree": n,
         "check": check,
-        "perturb": perturb,
+        "perturb": {"kind": perturb} if perturb else None,
         "candidates": "transported" if corrections else "zero",
         "decomposable": {"a": rep_a, "b": rep_b},
         "iso": {"atoms": {arr_a.atoms[i]: arr_b.atoms[j]
@@ -868,7 +825,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
                 "flats": list(iso.flat_map)},
         "basis": {"relators_a": [[arr_a.atoms[h], fi] for h, fi in pairs_a],
                   "relators_b": [[arr_b.atoms[h], fi] for h, fi in pairs_b],
-                  "grn_dim": ch_b.alg.dim(n),
+                  "grn_dim": g,
                   "grn_torsion": list(ch_b.alg.torsion(n))},
         "matrices": {"g2": g2, "la_star": la, "lb_star": lb, "sigma": sigma,
                      "rho": rho, "g_n": g_n, "delta_a": delta_a,

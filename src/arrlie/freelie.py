@@ -9,10 +9,12 @@ associative algebra and reducing triangularly: the expansion of a
 bracketed Lyndon word w is w plus lex-greater words, so repeatedly
 stripping the least surviving word terminates and is exact over Z.
 
-Since the rewriting is triangular, a Lie element is also determined by
-its coefficients at the Lyndon words alone: reading them off is a
-unitriangular change of coordinates (lyndon_columns), unimodular over Z,
-and word_coords / lie_coords convert between the two.
+Tensor polynomials are {word: coeff} dicts, and commutator(p, q) = pq - qp
+is their one product.  Since the rewriting is triangular, a Lie element
+is also determined by its coefficients at the Lyndon words alone: reading
+them off (at_lyndon_words) is a unitriangular change of coordinates
+(lyndon_columns), unimodular over Z, and word_coords / lie_coords convert
+between the two.
 
 Degree-n ranks follow the Witt formula (1/n) * sum_{d|n} mu(d) k^(n/d),
 the orientation consistent with prod_n (1-t^n)^{rank_n} = 1 - k*t.
@@ -167,18 +169,29 @@ def expand_tree(tree):
     e = _expand_cache.get(tree)
     if e is not None:
         return e
-    a = expand_tree(tree[0])
-    b = expand_tree(tree[1])
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            out[w] = out.get(w, 0) + ca * cb
-            w = wb + wa
-            out[w] = out.get(w, 0) - ca * cb
-    out = {w: c for w, c in out.items() if c}
+    out = commutator(expand_tree(tree[0]), expand_tree(tree[1]))
     _expand_cache[tree] = out
     return out
+
+
+def commutator(p, q):
+    """pq - qp of tensor polynomials {word: coeff}, without zero terms."""
+    out = {}
+    for wa, ca in p.items():
+        for wb, cb in q.items():
+            c = ca * cb
+            w = wa + wb
+            out[w] = out.get(w, 0) + c
+            w = wb + wa
+            out[w] = out.get(w, 0) - c
+    return {w: c for w, c in out.items() if c}
+
+
+def at_lyndon_words(poly, index):
+    """Coefficients of a tensor polynomial at the words of index, as
+    {position: coeff}; index maps Lyndon words to positions, as
+    LyndonBasis.index does."""
+    return {i: c for w, c in poly.items() if (i := index.get(w)) is not None}
 
 
 def lyndon_columns(k, n, guard=DEFAULT_GUARD):
@@ -193,8 +206,7 @@ def lyndon_columns(k, n, guard=DEFAULT_GUARD):
     cols = _columns_cache.get(key)
     if cols is None:
         basis = lyndon_basis(k, n, guard)
-        cols = tuple({i: c for w, c in expand_tree(t).items()
-                      if (i := basis.index.get(w)) is not None}
+        cols = tuple(at_lyndon_words(expand_tree(t), basis.index)
                      for t in basis.trees)
         _columns_cache[key] = cols
     return cols
@@ -260,16 +272,9 @@ def basis_pair_bracket(k, da, db, ia, ib, guard=DEFAULT_GUARD):
     r = _pair_bracket_cache.get(key)
     if r is not None:
         return r
-    ea = expand_tree(lyndon_basis(k, da, guard).trees[ia])
-    eb = expand_tree(lyndon_basis(k, db, guard).trees[ib])
-    p = {}
-    for wa, ca in ea.items():
-        for wb, cb in eb.items():
-            w = wa + wb
-            p[w] = p.get(w, 0) + ca * cb
-            w = wb + wa
-            p[w] = p.get(w, 0) - ca * cb
-    r = tensor_to_lyndon(p, k, da + db, guard)
+    r = tensor_to_lyndon(commutator(expand_tree(lyndon_basis(k, da, guard).trees[ia]),
+                                    expand_tree(lyndon_basis(k, db, guard).trees[ib])),
+                         k, da + db, guard)
     _pair_bracket_cache[key] = r
     return r
 

@@ -15,6 +15,10 @@ Smith normal form of the residual rows without a unit entry gives the
 divisor chain.  The generators kept for the next degree are those at
 the pivot rows (and over Z the residual rows too).
 
+Only HolonomyAlgebra knows that its quotients are kept in Lyndon-word
+coordinates; elsewhere a class is a tensor polynomial {word: coeff}, and
+brackets, renamings and relator components are freelie.commutator sums.
+
 Also here: commutator-relator presentations with their degree-2 Magnus
 coefficients, the degree-2 part of the Orlik-Solomon relation ideal, and
 the nullity of multiplication E^1 x I^2 -> E^3 (the Falk invariant).
@@ -28,9 +32,9 @@ from dataclasses import dataclass
 from . import exactla, rings
 from .arrangement import Arrangement, ArrangementError
 from .exactla import QuotientLattice
-from .freelie import (DEFAULT_GUARD, LieElement, SizeGuardError, bracket,
-                      check_guard, lie_coords, lyndon_basis, witt_rank,
-                      word_coords)
+from .freelie import (DEFAULT_GUARD, SizeGuardError, at_lyndon_words,
+                      check_guard, commutator, expand_tree, lie_coords,
+                      lyndon_basis, witt_rank, word_coords)
 
 # refusal thresholds per degree; kwarg `override=True` lifts them
 DEGREE_ALPHABET_LIMITS = {2: 64, 3: 15, 4: 8}
@@ -273,17 +277,6 @@ def as_relation_set(source):
     raise TypeError("expected an Arrangement, RelationSet, or Presentation")
 
 
-def _commutator(j, poly):
-    """x_j p - p x_j = [x_j, p] of a tensor polynomial {word: coeff}."""
-    out = {}
-    for w, c in poly.items():
-        v = (j,) + w
-        out[v] = out.get(v, 0) + c
-        v = w + (j,)
-        out[v] = out.get(v, 0) - c
-    return {w: c for w, c in out.items() if c}
-
-
 def ideal_words(relset, n, below=None, ids=None):
     """Generators of the degree-n piece I_n of the relation ideal, as words.
 
@@ -305,7 +298,7 @@ def ideal_words(relset, n, below=None, ids=None):
         raise ValueError("degree %d needs a generating set of degree %d" % (n, n - 1))
     if ids is None:
         ids = range(len(below) * k)
-    return [_commutator(r % k, below[r // k]) for r in ids]
+    return [commutator({(r % k,): 1}, below[r // k]) for r in ids]
 
 
 def ideal_rows(relset, n, below=None, guard=DEFAULT_GUARD, override=False):
@@ -322,8 +315,7 @@ def ideal_rows(relset, n, below=None, guard=DEFAULT_GUARD, override=False):
     if n < 2:
         raise ValueError("the relation ideal starts in degree 2")
     index = lyndon_basis(k, n, guard).index
-    return [{i: c for w, c in poly.items() if (i := index.get(w)) is not None}
-            for poly in ideal_words(relset, n, below)]
+    return [at_lyndon_words(poly, index) for poly in ideal_words(relset, n, below)]
 
 
 def _ideal_pieces(relset, ring, guard, override):
@@ -384,16 +376,18 @@ def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD, override=False
 
 
 class HolonomyAlgebra:
-    """Quotient coordinates for the graded pieces, with lift and bracket.
+    """Quotient coordinates for the graded pieces, and tensor polynomials.
 
     Degrees are materialized lazily, in order and each once, by the same
     generator as holonomy_degrees over Z: the lattice of degree d is the
     Lyndon-word coefficients of Lie_d modulo the rows of I_d, eliminated
     on +-1 pivots, with a Smith normal form of any residual rows without
     a unit entry.  Coordinates are those of that QuotientLattice, so they
-    depend on the generating set used and on the pivot order.  Only
-    project and lift see the Lyndon basis: they convert through the
-    unitriangular table of freelie.lyndon_columns.
+    depend on the generating set used and on the pivot order.  A class is
+    worked with as a tensor polynomial, through two conversions: element
+    lifts and expands the Lyndon bracketings, coords reads the Lyndon-word
+    coefficients and projects.  project and lift convert from and to the
+    Lyndon basis, through the table of freelie.lyndon_columns.
     """
 
     def __init__(self, source, max_degree, guard=DEFAULT_GUARD, override=False):
@@ -438,16 +432,29 @@ class HolonomyAlgebra:
         """A Lyndon-basis representative of the class with the given coordinates."""
         return lie_coords(self.alphabet, d, self.quotient(d).lift(coords), self.guard)
 
+    def element(self, d, coords):
+        """Tensor polynomial {word: coeff} of the lift of a class: its
+        Lyndon-basis bracketings, expanded."""
+        trees = lyndon_basis(self.alphabet, d, self.guard).trees
+        poly = {}
+        for t, v in zip(trees, self.lift(d, coords)):
+            if v:
+                for w, c in expand_tree(t).items():
+                    poly[w] = poly.get(w, 0) + v * c
+        return {w: c for w, c in poly.items() if c}
+
+    def coords(self, d, poly):
+        """Quotient coordinates of a degree-d Lie element given as a tensor
+        polynomial: its coefficients at the Lyndon words, projected."""
+        index = lyndon_basis(self.alphabet, d, self.guard).index
+        return self.quotient(d).project(at_lyndon_words(poly, index))
+
     def bracket_coords(self, d1, c1, d2, c2):
         """Bracket of quotient classes, in degree d1+d2 coordinates (None past truncation)."""
         d = d1 + d2
         if d > self.max_degree:
             return None
-        a = LieElement(self.alphabet, d1,
-                       {i: v for i, v in enumerate(self.lift(d1, c1)) if v})
-        b = LieElement(self.alphabet, d2,
-                       {i: v for i, v in enumerate(self.lift(d2, c2)) if v})
-        return self.project(d, bracket(a, b, self.guard).coeffs)
+        return self.coords(d, commutator(self.element(d1, c1), self.element(d2, c2)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from math import gcd
 from . import exactla, rings
 from .arrangement import Arrangement
 from .exactla import QuotientLattice
-from .freelie import DEFAULT_GUARD
+from .freelie import DEFAULT_GUARD, commutator
 from .holonomy import (GradedAbelian, HolonomyAlgebra, as_relation_set,
                        holonomy_graded, i2_basis, letter_word, pair_index,
                        pair_list, single_letter_names)
@@ -418,28 +418,22 @@ class GradedLie:
 
 
 def truncated_lie(source, top, guard=DEFAULT_GUARD, override=False, validate=True):
-    """The quotient of the holonomy Lie algebra by degrees above top."""
+    """The quotient of the holonomy Lie algebra by degrees above top.
+
+    Its structure constants are HolonomyAlgebra.coords of the commutators
+    of the basis classes' elements.
+    """
     if top < 1:
         raise ValueError("truncation top degree must be at least 1")
     alg = HolonomyAlgebra(source, max_degree=top, guard=guard, override=override)
     degrees = [GradedAbelian(rank=alg.rank(d), torsion=alg.torsion(d))
                for d in range(1, top + 1)]
-    dims = [None] + [degrees[d - 1].rank + len(degrees[d - 1].torsion)
-                     for d in range(1, top + 1)]
-    brackets = {}
-    for d1 in range(1, top + 1):
-        for d2 in range(1, top - d1 + 1):
-            table = []
-            for i in range(dims[d1]):
-                ei = [0] * dims[d1]
-                ei[i] = 1
-                row = []
-                for j in range(dims[d2]):
-                    ej = [0] * dims[d2]
-                    ej[j] = 1
-                    row.append(tuple(alg.bracket_coords(d1, ei, d2, ej)))
-                table.append(tuple(row))
-            brackets[(d1, d2)] = tuple(table)
+    # the basis classes below the top, each once as a tensor polynomial
+    basis = {d: [alg.element(d, e) for e in exactla.identity(alg.dim(d))]
+             for d in range(1, top)}
+    brackets = {(d1, d2): tuple(tuple(tuple(alg.coords(d1 + d2, commutator(a, b)))
+                                      for b in basis[d2]) for a in basis[d1])
+                for d1 in range(1, top) for d2 in range(1, top - d1 + 1)}
     return GradedLie(degrees, brackets, validate=validate)
 
 

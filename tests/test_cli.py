@@ -368,6 +368,57 @@ def test_catalog_is_size_guarded(capsys):
     assert code == 0 and len(json.loads(out)["atoms"]) == 10
 
 
+def normals_file(tmp_path, n):
+    """The braid arrangement's normals e_i - e_j, written out by hand."""
+    atoms, normals = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            atoms.append("H%d_%d" % (i + 1, j + 1))
+            normals.append([(c == i) - (c == j) for c in range(n)])
+    path = tmp_path / ("normals%d.json" % n)
+    path.write_text(json.dumps({"atoms": atoms, "normals": normals}))
+    return str(path)
+
+
+def test_arrangement_files_are_size_guarded(tmp_path, capsys):
+    # 253 atoms in dimension 23, refused before any pencil is derived
+    big = normals_file(tmp_path, 23)
+    for argv in (["betti", big], ["holonomy", big], ["kinv", big]):
+        t0 = time.perf_counter()
+        line = assert_exits_2_on_one_line(capsys, argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert "(253 atoms, dimension 23) costs 12241152 > guard" in line
+    # the catalog cost: braid(5) has 45 atom pairs in dimension 5
+    small = normals_file(tmp_path, 5)
+    line = assert_exits_2_on_one_line(capsys, ["betti", small,
+                                               "--guard", "4319"])
+    assert "costs 4320 > guard 4319" in line
+    code, out, _ = run(capsys, ["betti", small, "--guard", "4320"])
+    assert code == 0 and json.loads(out)["b1"] == 10
+
+
+def test_kinv_and_falk_are_size_guarded(files, tmp_path, capsys):
+    big = tmp_path / "pencil200.json"
+    big.write_text(json.dumps(arrangement_to_json(pencil(200))))
+    for command in ("kinv", "falk"):
+        t0 = time.perf_counter()
+        line = assert_exits_2_on_one_line(capsys, [command, str(big)])
+        assert time.perf_counter() - t0 < 1.0 and "guard" in line
+    # pencil(8): C(7, 2) = 21 ideal columns times 28 atom pairs
+    small = tmp_path / "pencil8.json"
+    small.write_text(json.dumps(arrangement_to_json(pencil(8))))
+    for command in ("kinv", "falk"):
+        line = assert_exits_2_on_one_line(capsys, [command, str(small),
+                                                   "--guard", "587"])
+        assert "costs 588 > guard 587" in line
+        code, _, _ = run(capsys, [command, str(small), "--guard", "588"])
+        assert code == 0
+    # a presentation: one relator times one generator pair
+    line = assert_exits_2_on_one_line(capsys, ["kinv", files["pres"],
+                                               "--guard", "0"])
+    assert "costs 1 > guard 0" in line
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["holonomy"],

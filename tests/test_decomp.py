@@ -1,5 +1,7 @@
 """Decomposability, correction-form lifts, obstructions, and the iso verifier."""
 
+import random
+
 import pytest
 
 from arrlie import (
@@ -24,8 +26,11 @@ from arrlie import (
     zero_local_lifts,
 )
 from arrlie import exactla, rings
+from arrlie.arrangement import Arrangement
 from arrlie.decomp import (
     Charts,
+    _phi_table,
+    _relator_component,
     delta_matrix,
     iso_h2_matrix,
     letter_matrix,
@@ -33,6 +38,9 @@ from arrlie.decomp import (
     relator_basis,
     restriction_stack,
 )
+from arrlie.freelie import LieElement, bracket, expand_tree, lyndon_basis
+from arrlie.holonomy import make_presentation
+from test_holonomy import commutator_presentations
 
 
 # ---------------------------------------------------------------------------
@@ -448,3 +456,118 @@ def test_verify_rejects_indecomposable_input():
         verify_decomposable_iso(braid(4), braid(4), list(range(6)), n=4)
     with pytest.raises(ValueError, match="starts at degree 3"):
         verify_decomposable_iso(pencil(3), pencil(3), CYCLE3, n=2)
+
+
+def test_verify_perturb_is_a_kind_name():
+    for bad in ({"kind": "sigma"}, "flat"):
+        with pytest.raises(ValueError, match="perturb kind"):
+            verify_decomposable_iso(pencil(3), pencil(3), CYCLE3, n=3,
+                                    perturb=bad)
+
+
+# ---------------------------------------------------------------------------
+# the tensor-polynomial path against the Lyndon-basis path it replaced
+
+def old_bracket_coords(alg, d1, c1, d2, c2):
+    """Bracket through LieElement and freelie.bracket's rewriting."""
+    a, b = (LieElement(alg.alphabet, d, {i: v for i, v in
+                                         enumerate(alg.lift(d, c)) if v})
+            for d, c in ((d1, c1), (d2, c2)))
+    return alg.project(d1 + d2, bracket(a, b).coeffs)
+
+
+def old_letter_matrix(src, dst, letters, d):
+    """Renaming through the bracketing tree of each Lyndon basis element."""
+    def rename(t):
+        return letters[t] if isinstance(t, int) else (rename(t[0]), rename(t[1]))
+    basis = lyndon_basis(src.alphabet, d)
+    index = lyndon_basis(dst.alphabet, d).index
+    cols = []
+    for e in exactla.identity(src.dim(d)):
+        poly = {}
+        for c, v in enumerate(src.lift(d, e)):
+            if v and None not in [letters[a] for a in basis.words[c]]:
+                for w, cf in expand_tree(rename(basis.trees[c])).items():
+                    poly[w] = poly.get(w, 0) + v * cf
+        cols.append(dst.quotient(d).project(
+            {i: c for w, c in poly.items() if (i := index.get(w)) is not None}))
+    return [[col[i] for col in cols] for i in range(dst.dim(d))]
+
+
+def old_relator_component(alg, corrections, h, members, m):
+    """Coordinate brackets per degree pair, summed and reduced."""
+    def phi(a, i):
+        return exactla.identity(alg.alphabet)[a] if i == 1 else corrections.get((a, i))
+    total = [0] * alg.dim(m)
+    for i in range(1, m):
+        u = phi(h, i)
+        if u is None:
+            continue
+        c = [0] * alg.dim(m - i)
+        for kk in members:
+            c = [x + y for x, y in zip(c, phi(kk, m - i) or [0] * len(c))]
+        if any(c):
+            b = old_bracket_coords(alg, i, u, m - i, c)
+            total = [x + y for x, y in zip(total, b)]
+    return alg.quotient(m).reduce(total)
+
+
+def equivalence_sources():
+    out = [("xxyXXY", make_presentation(2, ["xxyXXY"])),
+           ("xxxyXXXY", make_presentation(2, ["xxxyXXXY"]))]
+    out += [("cp%d" % i, p)
+            for i, p in enumerate(commutator_presentations(2, 10))]
+    return out + [("near_pencil(5)", near_pencil(5)), ("pencil(4)", pencil(4)),
+                  ("braid(4)", braid(4))]
+
+
+@pytest.mark.parametrize("name,source", equivalence_sources(),
+                         ids=[name for name, _ in equivalence_sources()])
+def test_tensor_path_matches_the_lyndon_basis_path(name, source):
+    top = 4
+    alg = HolonomyAlgebra(source, max_degree=top, override=True)
+    rng = random.Random(name)
+    k = alg.alphabet
+    for d1 in range(1, top):
+        for d2 in range(1, top - d1 + 1):
+            units = [(u, v) for u in exactla.identity(alg.dim(d1))
+                     for v in exactla.identity(alg.dim(d2))]
+            for u, v in units + [([rng.randint(-3, 3) for _ in range(alg.dim(d1))],
+                                  [rng.randint(-3, 3) for _ in range(alg.dim(d2))])]:
+                assert (alg.bracket_coords(d1, u, d2, v)
+                        == old_bracket_coords(alg, d1, u, d2, v))
+    for d in range(1, top + 1):
+        c = [rng.randint(-3, 3) for _ in range(alg.dim(d))]
+        assert alg.coords(d, alg.element(d, c)) == alg.quotient(d).reduce(c)
+    # renamings: a permutation, then the same with one or two letters deleted
+    perm = rng.sample(range(k), k)
+    maps = [(alg, perm)] + [(alg, [None if a in gone else b for a, b in
+                                   enumerate(perm)])
+                            for gone in ({0}, {k - 1, 1})]
+    if isinstance(source, Arrangement):
+        ch = Charts(source, top, override=True)
+        maps += [(ch.local_alg[f.index], [f.members.index(a) if a in f.members
+                                          else None for a in range(k)])
+                 for f in source.flats if len(f.members) > 2]
+    for dst, letters in maps:
+        for d in range(1, top + 1):
+            assert (letter_matrix(alg, dst, letters, d)
+                    == old_letter_matrix(alg, dst, letters, d))
+    # relator components of corrections summing to zero below top - 1
+    flats = ([f.members for f in source.flats] if isinstance(source, Arrangement)
+             else [tuple(range(k))])
+    for members in flats:
+        corr = {}
+        for deg in range(2, top):
+            total = [0] * alg.dim(deg)
+            for h in members:
+                vec = [rng.randint(-2, 2) for _ in range(alg.dim(deg))]
+                if deg < top - 1 and h == members[-1]:
+                    vec = [-t for t in total]
+                total = [a + b for a, b in zip(total, vec)]
+                corr[(h, deg)] = tuple(vec)
+        tab = _phi_table(alg, corr, top)
+        for m in range(3, top + 1):
+            for h in members:
+                assert (list(_relator_component(alg, tab, h, members, m))
+                        == list(old_relator_component(alg, corr, h, members, m)))
