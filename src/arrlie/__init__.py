@@ -13,15 +13,14 @@ from .arrangement import Arrangement, ArrangementError, BettiData, Flat2, \
     arrangement_from_json, arrangement_to_json, betti, braid, \
     catalog_arrangement, generic, load_arrangement, localize, mobius_l2, \
     near_pencil, pencil, pencils_from_normals, standard_catalog
-from .freelie import DEFAULT_GUARD, LieElement, LyndonBasis, SizeGuardError, \
-    bracket, lie_generator, lie_zero, lyndon_basis, lyndon_words, witt_rank
+from .freelie import DEFAULT_GUARD, LyndonBasis, SizeGuardError, \
+    lyndon_basis, lyndon_words, witt_rank
 from .holonomy import GradedAbelian, HolonomyAlgebra, Presentation, \
     RelationSet, empty_relation_set, falk_invariant, holonomy_degrees, \
     holonomy_graded, holonomy_map_from_presentation, i2_basis, \
     make_presentation, presentation_from_json, relation_set
-from .nilpotent import Class2Element, Class2Group, GradedLie, SplittingData, \
-    ce_h2, h2_rank_check, k_invariant_matrix, relation_words, \
-    splitting_from_hom, truncated_lie
+from .nilpotent import Class2Element, Class2Group, GradedLie, ce_h2, \
+    h2_rank_check, k_invariant_matrix, relation_words, truncated_lie
 from .decomp import DiagramInstance, GlobalLift, LatticeIso, LocalLift, \
     assemble_global_lift, check_diagram, diagram_instance, is_decomposable, \
     lattice_iso, lcs_ranks_decomposable, local_lift, localize_global_lift, \

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -486,6 +487,14 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         payload, code = args.func(args, digests)
+        if args.report:
+            payload = {"command": argv, "inputs": digests, "report": payload}
+        if args.table:
+            buf = io.StringIO()
+            _print_table(_jsonable(payload), buf)
+            text = buf.getvalue()
+        else:
+            text = _dumps(payload)
     except ValueError as e:  # InputError, ArrangementError, SizeGuardError
         sys.stderr.write("arrlie: error: %s\n" % e)
         return 2
@@ -493,13 +502,9 @@ def main(argv=None):
         sys.stderr.write("arrlie: internal error: %s: %s\n"
                          % (type(e).__name__, " ".join(str(e).split())))
         return 3
+    # the timing covers the whole command, serialization included
     sys.stderr.write("arrlie: %s in %.3fs\n" % (args.command, time.time() - t0))
-    if args.report:
-        payload = {"command": argv, "inputs": digests, "report": payload}
-    if args.table:
-        _print_table(_jsonable(payload), sys.stdout)
-    else:
-        sys.stdout.write(_dumps(payload))
+    sys.stdout.write(text)
     return code
 
 

@@ -382,9 +382,9 @@ def localize_global_lift(arr, glift, charts=None, guard=DEFAULT_GUARD,
                          override=False):
     """Per-flat local lifts recovered by restricting a global lift.
 
-    Restriction deletes every Lyndon word that uses a letter outside the
-    flat, so corrections embedded from other flats disappear and assembling
-    then localizing returns the original local data.
+    Restriction deletes every word that uses a letter outside the flat, so
+    corrections embedded from other flats disappear and assembling then
+    localizing returns the original local data.
     """
     n = glift.n
     ch = charts or Charts(arr, n, guard=guard, override=override)

@@ -425,11 +425,6 @@ class QuotientLattice:
     elimination order, reads the surviving columns the residual does not
     touch, then applies the residual transform to the rest.  The free part
     has `rank` entries, the torsion part one entry per divisor > 1.
-
-    `spanning_ids` lists the input indices of the pivot rows, then of the
-    residual rows.  The generators at those indices span the same
-    sublattice as all of them: each reduced row is its input row plus
-    multiples of pivot rows reduced before it.
     """
 
     def __init__(self, w, gens):
@@ -438,8 +433,7 @@ class QuotientLattice:
                  if v} for g in gens]
         pivots, residual = _eliminate(rows, "Z")
         self._pivots = [(col, row) for col, _rid, row in pivots]
-        self.spanning_ids = ([rid for _c, rid, _row in pivots]
-                             + [rid for rid, _row in residual])
+        self._pivot_order = {col: i for i, (col, _row) in enumerate(self._pivots)}
         residual = [row for _rid, row in residual]
         res_cols = sorted({c for row in residual for c in row})
         taken = {c for c, _row in self._pivots}.union(res_cols)
@@ -467,24 +461,53 @@ class QuotientLattice:
         return self.rank + len(self.torsion)
 
     def project(self, x):
-        """Quotient coordinates of an ambient vector (dense list or sparse dict)."""
+        """Quotient coordinates of an ambient vector (dense list or sparse dict).
+
+        A sparse dict is reduced sparsely: the pivot columns it touches are
+        taken from a heap in elimination order, which is safe because a
+        pivot row is zero at every column pivoted before it.
+        """
         if isinstance(x, dict):
-            y = [0] * self.w
-            for c, v in x.items():
-                y[c] = v
+            y = self._reduce_sparse(x)
+            free = [y.get(c, 0) for c in self._free_cols]
+            res = [y.get(c, 0) for c in self._res_cols]
         else:
             y = list(x)
-        for col, row in self._pivots:
-            f = y[col]
-            if f:
-                f *= row[col]
-                for c, v in row.items():
-                    y[c] -= f * v
-        free = [y[c] for c in self._free_cols]
+            for col, row in self._pivots:
+                f = y[col]
+                if f:
+                    f *= row[col]
+                    for c, v in row.items():
+                        y[c] -= f * v
+            free = [y[c] for c in self._free_cols]
+            res = [y[c] for c in self._res_cols]
         if not self._res_cols:
             return free
-        z = mat_vec(self._u, [y[c] for c in self._res_cols])
+        z = mat_vec(self._u, res)
         return free + z[self._r:] + [z[i] % d for i, d in self._tors_rows]
+
+    def _reduce_sparse(self, x):
+        y = {c: v for c, v in x.items() if v}
+        order = self._pivot_order
+        heap = [order[c] for c in y if c in order]
+        heapq.heapify(heap)
+        while heap:
+            col, row = self._pivots[heapq.heappop(heap)]
+            f = y.pop(col, 0)
+            if not f:
+                continue  # a column pushed again after it cleared
+            f *= row[col]
+            for c, v in row.items():
+                if c == col:
+                    continue
+                w = y.get(c, 0) - f * v
+                if w:
+                    if c not in y and c in order:
+                        heapq.heappush(heap, order[c])
+                    y[c] = w
+                else:
+                    y.pop(c, None)
+        return y
 
     def lift(self, coords):
         """An ambient representative of the class with the given coordinates."""

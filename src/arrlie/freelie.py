@@ -3,18 +3,14 @@
 Degree-n basis: Lyndon words of length n over letters 0..k-1, in lex
 order, each word carrying its standard bracketing (split at the
 lexicographically least proper suffix, which is the longest proper
-Lyndon suffix).  Brackets of basis elements are rewritten into the
-basis by expanding both factors as iterated commutators in the free
-associative algebra and reducing triangularly: the expansion of a
-bracketed Lyndon word w is w plus lex-greater words, so repeatedly
-stripping the least surviving word terminates and is exact over Z.
+Lyndon suffix).
 
 Tensor polynomials are {word: coeff} dicts, and commutator(p, q) = pq - qp
-is their one product.  Since the rewriting is triangular, a Lie element
-is also determined by its coefficients at the Lyndon words alone: reading
-them off (at_lyndon_words) is a unitriangular change of coordinates
-(lyndon_columns), unimodular over Z, and word_coords / lie_coords convert
-between the two.
+is their one product.  The expansion of a bracketed Lyndon word w is w
+plus lex-greater words (Chen-Fox-Lyndon), so a Lie element is determined
+by its coefficients at the Lyndon words alone: reading them off
+(at_lyndon_words) is a unitriangular change of coordinates
+(lyndon_columns), unimodular over Z, and lie_coords inverts it.
 
 Degree-n ranks follow the Witt formula (1/n) * sum_{d|n} mu(d) k^(n/d),
 the orientation consistent with prod_n (1-t^n)^{rank_n} = 1 - k*t.
@@ -24,13 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import rings
-
 DEFAULT_GUARD = 10 ** 7
 
 _basis_cache = {}
 _expand_cache = {}
-_pair_bracket_cache = {}
 _columns_cache = {}
 
 
@@ -212,20 +205,6 @@ def lyndon_columns(k, n, guard=DEFAULT_GUARD):
     return cols
 
 
-def word_coords(k, n, vec, guard=DEFAULT_GUARD):
-    """Lyndon-word coefficients (dense) of a degree-n element given over the basis.
-
-    vec may be a sparse dict or a dense list.
-    """
-    cols = lyndon_columns(k, n, guard)
-    out = [0] * len(cols)
-    for i, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
-        if v:
-            for j, c in cols[i].items():
-                out[j] += v * c
-    return out
-
-
 def lie_coords(k, n, x, guard=DEFAULT_GUARD):
     """Basis coordinates of the degree-n Lie element with Lyndon-word coefficients x.
 
@@ -239,124 +218,3 @@ def lie_coords(k, n, x, guard=DEFAULT_GUARD):
                 a[j] -= v * c
             a[i] = v
     return a
-
-
-def tensor_to_lyndon(poly, k, n, guard=DEFAULT_GUARD):
-    """Rewrite a degree-n Lie element given in the tensor algebra into basis coords.
-
-    Raises ValueError if the polynomial is not a Z-combination of Lyndon
-    bracketings (i.e. not a Lie element).
-    """
-    basis = lyndon_basis(k, n, guard)
-    p = {w: c for w, c in poly.items() if c}
-    out = {}
-    while p:
-        w = min(p)
-        i = basis.index.get(w)
-        if i is None:
-            raise ValueError("not a Lie element: leading word %r is not Lyndon" % (w,))
-        c = p[w]
-        for w2, c2 in expand_tree(basis.trees[i]).items():
-            v = p.get(w2, 0) - c * c2
-            if v:
-                p[w2] = v
-            else:
-                p.pop(w2, None)
-        out[i] = out.get(i, 0) + c
-    return {i: c for i, c in out.items() if c}
-
-
-def basis_pair_bracket(k, da, db, ia, ib, guard=DEFAULT_GUARD):
-    """[basis(da)[ia], basis(db)[ib]] in degree da+db basis coordinates, over Z."""
-    key = (k, da, db, ia, ib)
-    r = _pair_bracket_cache.get(key)
-    if r is not None:
-        return r
-    r = tensor_to_lyndon(commutator(expand_tree(lyndon_basis(k, da, guard).trees[ia]),
-                                    expand_tree(lyndon_basis(k, db, guard).trees[ib])),
-                         k, da + db, guard)
-    _pair_bracket_cache[key] = r
-    return r
-
-
-@dataclass(frozen=True)
-class LieElement:
-    """Homogeneous free-Lie element: sparse coords over the degree-n Lyndon basis."""
-    alphabet: int
-    degree: int
-    coeffs: dict
-    ring: tuple = rings.Z
-
-    def __post_init__(self):
-        clean = {}
-        for i, c in self.coeffs.items():
-            c = rings.coeff(self.ring, c)
-            if c:
-                clean[int(i)] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        self._compat(other)
-        c = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            c[i] = c.get(i, 0) + v
-        return LieElement(self.alphabet, self.degree, c, self.ring)
-
-    def __sub__(self, other):
-        self._compat(other)
-        c = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            c[i] = c.get(i, 0) - v
-        return LieElement(self.alphabet, self.degree, c, self.ring)
-
-    def scale(self, s):
-        return LieElement(self.alphabet, self.degree,
-                          {i: s * v for i, v in self.coeffs.items()}, self.ring)
-
-    def _compat(self, other):
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch: %d vs %d" % (self.alphabet, other.alphabet))
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch: %s vs %s" % (rings.name(self.ring), rings.name(other.ring)))
-
-    def vector(self):
-        """Dense coordinate list over the degree-n Lyndon basis."""
-        n = len(lyndon_basis(self.alphabet, self.degree))
-        v = [0] * n
-        for i, c in self.coeffs.items():
-            v[i] = c
-        return v
-
-
-def lie_zero(k, n, ring=rings.Z):
-    return LieElement(k, n, {}, ring)
-
-
-def lie_generator(k, i, ring=rings.Z):
-    if not 0 <= i < k:
-        raise ValueError("generator index %d out of range for alphabet %d" % (i, k))
-    return LieElement(k, 1, {i: 1}, ring)
-
-
-def bracket(a, b, guard=DEFAULT_GUARD):
-    """Lie bracket [a, b] of homogeneous elements, rewritten into the basis."""
-    a._compat(b)
-    n = a.degree + b.degree
-    check_guard(a.alphabet, n, guard)
-    out = {}
-    for ia, ca in sorted(a.coeffs.items()):
-        for ib, cb in sorted(b.coeffs.items()):
-            if a.degree == b.degree and ia == ib:
-                continue
-            if a.degree == b.degree and ib < ia:
-                base = basis_pair_bracket(a.alphabet, b.degree, a.degree, ib, ia, guard)
-                s = -ca * cb
-            else:
-                base = basis_pair_bracket(a.alphabet, a.degree, b.degree, ia, ib, guard)
-                s = ca * cb
-            for i, c in base.items():
-                out[i] = out.get(i, 0) + s * c
-    return LieElement(a.alphabet, n, out, a.ring)

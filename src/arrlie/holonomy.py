@@ -2,22 +2,14 @@
 
 The algebra is the free Lie algebra on the atoms modulo the ideal
 generated by the degree-2 elements [x_H, sum of x_K over K in Y] for
-every rank-2 flat Y and every atom H in Y.  The ideal is built in the
-tensor algebra, as word rows: I_2 from the relations (ij - ji per
-bracket), and since I_n = [V, I_{n-1}], degree n from x_j b - b x_j for
-every letter j and every kept generator b of degree n-1.  A Lie element
-is determined by its coefficients at the Lyndon words, through a
-unitriangular and so unimodular change of coordinates from the Lyndon
-basis, so each degree is eliminated on those coefficients alone.  All
-three rings use the one sparse elimination loop of exactla: over Q and
-F_p it gives the rank, over Z it pivots only on +-1 entries and a dense
-Smith normal form of the residual rows without a unit entry gives the
-divisor chain.  The generators kept for the next degree are those at
-the pivot rows (and over Z the residual rows too).
-
-Only HolonomyAlgebra knows that its quotients are kept in Lyndon-word
-coordinates; elsewhere a class is a tensor polynomial {word: coeff}, and
-brackets, renamings and relator components are freelie.commutator sums.
+every rank-2 flat Y and every atom H in Y.  It is computed as a tower
+(HolonomyAlgebra): h_2 is Lambda^2 V modulo the relations, and each
+h_n is the cokernel of Lambda^3 -> Lambda^2 of the degrees below n, so
+the cost follows the quotient and not the free Lie algebra.  Each degree
+is one integer QuotientLattice; Q and F_p read their dimensions off it
+by universal coefficients.  A class is a coordinate vector there, or a
+tensor polynomial {word: coeff} through HolonomyAlgebra.element and
+coords, and brackets of classes come from the tower's own tables.
 
 Also here: commutator-relator presentations with their degree-2 Magnus
 coefficients, the degree-2 part of the Orlik-Solomon relation ideal, and
@@ -26,15 +18,14 @@ the nullity of multiplication E^1 x I^2 -> E^3 (the Falk invariant).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from . import exactla, rings
-from .arrangement import Arrangement, ArrangementError
+from .arrangement import Arrangement
 from .exactla import QuotientLattice
-from .freelie import (DEFAULT_GUARD, SizeGuardError, at_lyndon_words,
-                      check_guard, commutator, expand_tree, lie_coords,
-                      lyndon_basis, witt_rank, word_coords)
+from .freelie import (DEFAULT_GUARD, SizeGuardError, check_guard, commutator,
+                      lie_coords, lyndon_basis)
 
 # refusal thresholds per degree; kwarg `override=True` lifts them
 DEGREE_ALPHABET_LIMITS = {2: 64, 3: 15, 4: 8}
@@ -277,90 +268,27 @@ def as_relation_set(source):
     raise TypeError("expected an Arrangement, RelationSet, or Presentation")
 
 
-def ideal_words(relset, n, below=None, ids=None):
-    """Generators of the degree-n piece I_n of the relation ideal, as words.
-
-    Each is a tensor polynomial {word: coeff}.  I_2 is spanned by the
-    relations, a relation sum c [x_i, x_j] being sum c (ij - ji).  For
-    n > 2, `below` holds tensor polynomials generating I_{n-1} and the
-    generators are x_j b - b x_j for every b in `below` and every letter
-    j, b-major, because I_n = [V, I_{n-1}].  `ids` picks generators by
-    position; by default all are built.
-    """
-    k = relset.alphabet
-    if n == 2:
-        pairs = pair_list(k)
-        elements = relset.elements if ids is None else [relset.elements[i] for i in ids]
-        return [{w: s * c for t, c in e.items()
-                 for w, s in ((pairs[t], 1), (pairs[t][::-1], -1))}
-                for e in elements]
-    if below is None:
-        raise ValueError("degree %d needs a generating set of degree %d" % (n, n - 1))
-    if ids is None:
-        ids = range(len(below) * k)
-    return [commutator({(r % k,): 1}, below[r // k]) for r in ids]
-
-
-def ideal_rows(relset, n, below=None, guard=DEFAULT_GUARD, override=False):
-    """Rows of the generators of I_n (ideal_words) at the degree-n Lyndon words.
-
-    A Lie element is determined by its coefficients at the Lyndon words,
-    through a unitriangular change of coordinates from the Lyndon basis
-    (freelie.lyndon_columns), so these rows span I_n in coordinates that
-    give the same rank and torsion.  Rows are sparse dicts over the
-    indices of lyndon_basis(k, n); `below` is as in ideal_words.
-    """
-    k = relset.alphabet
-    holonomy_guard(k, n, override=override, guard=guard)
-    if n < 2:
-        raise ValueError("the relation ideal starts in degree 2")
-    index = lyndon_basis(k, n, guard).index
-    return [at_lyndon_words(poly, index) for poly in ideal_words(relset, n, below)]
-
-
-def _ideal_pieces(relset, ring, guard, override):
-    """Eliminate I_2, I_3, ... in turn, yielding one result per degree.
-
-    Over Z the result is the QuotientLattice of the Lyndon-word
-    coefficients by I_n, over Q and F_p a GradedAbelian holding the rank
-    of the quotient.  Degree n+1 is generated from the words of the
-    generators the elimination keeps: the pivot rows over a field, the
-    pivot and residual rows over Z.  Those span I_n, since each reduced
-    row is its input row plus multiples of earlier pivot rows.
-    """
-    k = relset.alphabet
-    below = None
-    for n in itertools.count(2):
-        rows = ideal_rows(relset, n, below, guard=guard, override=override)
-        if ring == rings.Z:
-            q = QuotientLattice(witt_rank(k, n), rows)
-            ids = q.spanning_ids
-        else:
-            rank, ids = exactla.rank_sparse_pivots(rows, p=rings.char(ring))
-            q = GradedAbelian(rank=witt_rank(k, n) - rank)
-        yield q
-        below = ideal_words(relset, n, below, ids)
-
-
 def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
     """Degrees 1..top of the holonomy Lie algebra, as a list of GradedAbelian.
 
-    Each degree of the ideal is generated once, from a generating set of
-    the degree below, and eliminated on its Lyndon-word coefficients by
-    the one sparse loop of exactla: rank_sparse_pivots over Q and F_p, a
-    QuotientLattice over Z, which keeps to +-1 pivots and reads the
-    divisor chain off the Smith normal form of the residual.
+    Every ring reads the integer tower of HolonomyAlgebra: over Z a degree
+    is its lattice's rank and divisor chain, over Q its rank, and over F_p,
+    by universal coefficients, its rank plus the number of divisors that p
+    divides.  No bracket of degree top is computed.
     """
-    relset = as_relation_set(source)
-    k = relset.alphabet
     if top < 1:
         return []
-    if top > 1:
-        holonomy_guard(k, top, override=override, guard=guard)
-    pieces = _ideal_pieces(relset, ring, guard, override)
-    return [GradedAbelian(rank=k)] + [
-        GradedAbelian(rank=q.rank, torsion=q.torsion)
-        for q in itertools.islice(pieces, top - 1)]
+    alg = HolonomyAlgebra(source, top, guard=guard, override=override)
+    p = rings.char(ring)
+    out = []
+    for d in range(1, top + 1):
+        q = alg.quotient(d)
+        if ring == rings.Z:
+            out.append(GradedAbelian(rank=q.rank, torsion=q.torsion))
+        else:
+            out.append(GradedAbelian(
+                rank=q.rank + sum(1 for t in q.torsion if p and t % p == 0)))
+    return out
 
 
 def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
@@ -376,18 +304,34 @@ def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD, override=False
 
 
 class HolonomyAlgebra:
-    """Quotient coordinates for the graded pieces, and tensor polynomials.
+    """The holonomy Lie algebra over Z, degree by degree up to max_degree.
 
-    Degrees are materialized lazily, in order and each once, by the same
-    generator as holonomy_degrees over Z: the lattice of degree d is the
-    Lyndon-word coefficients of Lie_d modulo the rows of I_d, eliminated
-    on +-1 pivots, with a Smith normal form of any residual rows without
-    a unit entry.  Coordinates are those of that QuotientLattice, so they
-    depend on the generating set used and on the pivot order.  A class is
-    worked with as a tensor polynomial, through two conversions: element
-    lifts and expands the Lyndon bracketings, coords reads the Lyndon-word
-    coefficients and projects.  project and lift convert from and to the
-    Lyndon basis, through the table of freelie.lyndon_columns.
+    A basis class is a pair (degree, index into that degree's quotient
+    coordinates, free then torsion); classes compare as tuples.  Degree 1
+    is free on the letters.  The columns of degree n >= 2 are the pairs
+    s < t of classes whose degrees sum to n, standing for s ^ t, and h_n is
+    the QuotientLattice of those columns by
+      - the relations, in degree 2, whose columns are the letter pairs;
+      - gcd(d_s, d_t) s ^ t for every pair with a torsion class, d being
+        its divisor (0 for a free class);
+      - [s,t] ^ u + [t,u] ^ s + [u,s] ^ t for every triple s < t < u with
+        degree sum n, the brackets read off the degrees below n.
+    So h_n = coker(Lambda^3(h_{<n})_n -> Lambda^2(h_{<n})_n).  The cokernel
+    C, with [a, b] the class of a ^ b, makes h_{<n} + C a graded Lie ring
+    generated in degree 1 that satisfies the relations, so h_n maps onto
+    C; the bracket maps C onto h_n, and the two maps compose to the
+    identity on brackets of generators.  This is the nilpotent quotient
+    algorithm for graded Lie rings (Havas, Newman and Vaughan-Lee, J. Symb.
+    Comput. 9, 1990; Schneider, DMTCS 1, 1997), its consistency checks
+    read off the Chevalley-Eilenberg complex.
+
+    The bracket [s, t] of degree n is the projection of the column s ^ t.
+    Each is computed on first use and kept, so no bracket landing in a
+    degree exists until a caller needs one.  A class is also worked with
+    as a tensor polynomial {word: coeff}: element lifts it to pair
+    coordinates and expands the commutators of its pairs, and coords
+    reads a Lie polynomial back through its Lyndon-basis coefficients,
+    each Lyndon bracketing evaluated with the brackets of the tower.
     """
 
     def __init__(self, source, max_degree, guard=DEFAULT_GUARD, override=False):
@@ -395,21 +339,23 @@ class HolonomyAlgebra:
         self.alphabet = self.relset.alphabet
         self.max_degree = max_degree
         self.guard = guard
-        for d in range(2, max_degree + 1):
-            holonomy_guard(self.alphabet, d, override=override, guard=guard)
+        if max_degree > 1:
+            # the guard only tightens with the degree
+            holonomy_guard(self.alphabet, max_degree, override=override, guard=guard)
         # degree 1 has no relations, so its coordinates are the letters
         self._quotients = [QuotientLattice(self.alphabet, [])]
-        self._pieces = _ideal_pieces(self.relset, rings.Z, guard, override)
+        self._pairs = [[]]     # per degree: the columns, as pairs (s, t)
+        self._columns = [{}]   # per degree: pair -> column
+        self._products = {}    # (s, t) with s < t -> sparse coords of [s, t]
+        self._elements = {}    # basis class -> tensor polynomial
+        self._trees = {}       # Lyndon bracketing -> (degree, sparse coords)
 
     def quotient(self, d):
-        """QuotientLattice of the degree-d Lyndon-word coefficients by I_d.
-
-        1 <= d <= max_degree.
-        """
+        """QuotientLattice of degree d over its pair columns.  1 <= d <= max_degree."""
         if not 1 <= d <= self.max_degree:
             raise ValueError("degree %d outside 1..%d" % (d, self.max_degree))
         while len(self._quotients) < d:
-            self._quotients.append(next(self._pieces))
+            self._grow()
         return self._quotients[d - 1]
 
     def rank(self, d):
@@ -421,40 +367,161 @@ class HolonomyAlgebra:
     def dim(self, d):
         return self.quotient(d).dim
 
-    def project(self, d, vec):
-        """Quotient coordinates of a degree-d element given over the Lyndon basis.
+    def _grow(self):
+        """Add the lattice of the next degree, built from the degrees below."""
+        n = len(self._quotients) + 1
+        dims = [0] + [q.dim for q in self._quotients]
+        cols = {}
+        for a in range(1, n // 2 + 1):
+            for i in range(dims[a]):
+                for j in range(i + 1 if 2 * a == n else 0, dims[n - a]):
+                    cols[(a, i), (n - a, j)] = len(cols)
+        rows = list(self.relset.elements) if n == 2 else []
+        for (s, t), col in cols.items():
+            g = gcd(self._divisor(s), self._divisor(t))
+            if g:
+                rows.append({col: g})
+        for s, t, u in _triples(n, dims):
+            row = {}
+            _wedge_into(row, cols, s[0] + t[0], self._product(s, t), u, 1)
+            _wedge_into(row, cols, t[0] + u[0], self._product(t, u), s, 1)
+            _wedge_into(row, cols, s[0] + u[0], self._product(s, u), t, -1)
+            rows.append(row)
+        self._pairs.append(list(cols))
+        self._columns.append(cols)
+        self._quotients.append(QuotientLattice(len(cols), rows))
 
-        vec may be a sparse dict or a dense list.
-        """
-        return self.quotient(d).project(word_coords(self.alphabet, d, vec, self.guard))
+    def _divisor(self, s):
+        q = self._quotients[s[0] - 1]
+        return 0 if s[1] < q.rank else q.torsion[s[1] - q.rank]
 
-    def lift(self, d, coords):
-        """A Lyndon-basis representative of the class with the given coordinates."""
-        return lie_coords(self.alphabet, d, self.quotient(d).lift(coords), self.guard)
+    def _product(self, s, t):
+        """Sparse coordinates of [s, t] for basis classes s < t."""
+        vec = self._products.get((s, t))
+        if vec is None:
+            d = s[0] + t[0]
+            y = self.quotient(d).project({self._columns[d - 1][s, t]: 1})
+            vec = self._products[s, t] = {r: v for r, v in enumerate(y) if v}
+        return vec
 
-    def element(self, d, coords):
-        """Tensor polynomial {word: coeff} of the lift of a class: its
-        Lyndon-basis bracketings, expanded."""
-        trees = lyndon_basis(self.alphabet, d, self.guard).trees
-        poly = {}
-        for t, v in zip(trees, self.lift(d, coords)):
-            if v:
-                for w, c in expand_tree(t).items():
-                    poly[w] = poly.get(w, 0) + v * c
-        return {w: c for w, c in poly.items() if c}
-
-    def coords(self, d, poly):
-        """Quotient coordinates of a degree-d Lie element given as a tensor
-        polynomial: its coefficients at the Lyndon words, projected."""
-        index = lyndon_basis(self.alphabet, d, self.guard).index
-        return self.quotient(d).project(at_lyndon_words(poly, index))
+    def _bracket(self, d1, u, d2, v):
+        """Sparse reduced coordinates of [u, v], for sparse u in degree d1
+        and v in degree d2."""
+        acc = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                s, t, c = (d1, i), (d2, j), a * b
+                if s == t:
+                    continue
+                if s > t:
+                    s, t, c = t, s, -c
+                for r, x in self._product(s, t).items():
+                    acc[r] = acc.get(r, 0) + c * x
+        q = self.quotient(d1 + d2)
+        out = {}
+        for r, x in acc.items():
+            if r >= q.rank:
+                x %= q.torsion[r - q.rank]
+            if x:
+                out[r] = x
+        return out
 
     def bracket_coords(self, d1, c1, d2, c2):
         """Bracket of quotient classes, in degree d1+d2 coordinates (None past truncation)."""
         d = d1 + d2
         if d > self.max_degree:
             return None
-        return self.coords(d, commutator(self.element(d1, c1), self.element(d2, c2)))
+        vec = self._bracket(d1, {i: v for i, v in enumerate(c1) if v},
+                           d2, {i: v for i, v in enumerate(c2) if v})
+        return [vec.get(r, 0) for r in range(self.dim(d))]
+
+    def element(self, d, coords):
+        """Tensor polynomial {word: coeff} of a lift of the class: the sum
+        over basis classes of its coordinates times their polynomials."""
+        poly = {}
+        for j, v in enumerate(coords):
+            if v:
+                for w, c in self._element((d, j)).items():
+                    poly[w] = poly.get(w, 0) + v * c
+        return {w: c for w, c in poly.items() if c}
+
+    def _element(self, s):
+        """Polynomial of a basis class: its lift to pair coordinates, each
+        pair (a, b) expanded as the commutator of their polynomials."""
+        poly = self._elements.get(s)
+        if poly is None:
+            d, j = s
+            if d == 1:
+                poly = {(j,): 1}
+            else:
+                unit = [0] * self.dim(d)
+                unit[j] = 1
+                acc = {}
+                for col, lam in enumerate(self.quotient(d).lift(unit)):
+                    if lam:
+                        a, b = self._pairs[d - 1][col]
+                        for w, c in commutator(self._element(a),
+                                               self._element(b)).items():
+                            acc[w] = acc.get(w, 0) + lam * c
+                poly = {w: c for w, c in acc.items() if c}
+            self._elements[s] = poly
+        return poly
+
+    def coords(self, d, poly):
+        """Quotient coordinates of a degree-d Lie element given as a tensor
+        polynomial: its Lyndon-basis coefficients (lie_coords of its
+        coefficients at the Lyndon words) times the coordinates of each
+        Lyndon bracketing, reduced."""
+        basis = lyndon_basis(self.alphabet, d, self.guard)
+        x = [0] * len(basis)
+        for w, c in poly.items():
+            i = basis.index.get(w)
+            if i is not None:
+                x[i] = c
+        acc = {}
+        for tree, v in zip(basis.trees, lie_coords(self.alphabet, d, x, self.guard)):
+            if v:
+                for r, c in self._tree(tree)[1].items():
+                    acc[r] = acc.get(r, 0) + v * c
+        return self.quotient(d).reduce([acc.get(r, 0) for r in range(self.dim(d))])
+
+    def _tree(self, tree):
+        """(degree, sparse coordinates) of a bracketing tree of letters."""
+        got = self._trees.get(tree)
+        if got is None:
+            if isinstance(tree, int):
+                got = (1, {tree: 1})
+            else:
+                (d1, u), (d2, v) = self._tree(tree[0]), self._tree(tree[1])
+                got = (d1 + d2, self._bracket(d1, u, d2, v))
+            self._trees[tree] = got
+        return got
+
+
+def _triples(n, dims):
+    """Triples s < t < u of basis classes with degree sum n; dims[a] is the
+    dimension of degree a."""
+    for a in range(1, n // 3 + 1):
+        for b in range(a, (n - a) // 2 + 1):
+            c = n - a - b
+            for i in range(dims[a]):
+                for j in range(i + 1 if b == a else 0, dims[b]):
+                    for l in range(j + 1 if c == b else 0, dims[c]):
+                        yield (a, i), (b, j), (c, l)
+
+
+def _wedge_into(row, cols, d, vec, u, sign):
+    """Add sign * x ^ u to row, for x of degree d with sparse coordinates
+    vec; cols maps ordered pairs of classes to columns."""
+    for r, c in vec.items():
+        x = (d, r)
+        if x < u:
+            col = cols[x, u]
+        elif x > u:
+            col, c = cols[u, x], -c
+        else:
+            continue
+        row[col] = row.get(col, 0) + sign * c
 
 
 # ---------------------------------------------------------------------------

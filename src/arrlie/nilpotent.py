@@ -1,4 +1,4 @@
-"""Second nilpotent quotient, k-invariant, splittings, and CE homology.
+"""Second nilpotent quotient, k-invariant, and CE homology.
 
 The class-2 quotient of a commutator-relators group is handled in normal
 form (v, w): v is the vector of exponent sums, w lives in
@@ -30,7 +30,7 @@ from math import gcd
 from . import exactla, rings
 from .arrangement import Arrangement
 from .exactla import QuotientLattice
-from .freelie import DEFAULT_GUARD, commutator
+from .freelie import DEFAULT_GUARD
 from .holonomy import (GradedAbelian, HolonomyAlgebra, as_relation_set,
                        holonomy_graded, i2_basis, letter_word, pair_index,
                        pair_list, single_letter_names)
@@ -225,77 +225,6 @@ def k_invariant_matrix(source):
 
 
 # ---------------------------------------------------------------------------
-# splittings of H2(N) = gr_n + H2(X)
-
-@dataclass(frozen=True)
-class SplittingData:
-    """Splitting pair for coordinates (gr_n block, H2(X) block).
-
-    sigma = [I | -lam] retracts onto gr_n; section h = [[lam],[I]] embeds
-    H2(X); ker sigma = im h.
-    """
-    lam: tuple
-    sigma: tuple
-    section: tuple
-
-    @property
-    def gr_dim(self):
-        return len(self.sigma)
-
-    @property
-    def h2x_dim(self):
-        return len(self.section[0]) if self.section else 0
-
-
-def splitting_from_hom(lam, gr_dim=None, h2x_dim=None):
-    """Splitting of 0 -> gr_n -> gr_n + H2(X) -> H2(X) -> 0 from a hom lam.
-
-    lam maps H2(X) coordinates to gr_n coordinates (a gr_dim x h2x_dim
-    matrix).  Verifies sigma . i = id, pi . h = id and ker sigma = im h.
-    """
-    lam = [list(row) for row in lam]
-    a = len(lam) if gr_dim is None else gr_dim
-    if len(lam) not in (0, a):
-        raise ValueError("dimension mismatch: lam has %d rows, expected %d"
-                         % (len(lam), a))
-    if lam:
-        widths = {len(row) for row in lam}
-        if len(widths) != 1:
-            raise ValueError("dimension mismatch: ragged lam")
-        c = widths.pop()
-        if h2x_dim is not None and c != h2x_dim:
-            raise ValueError("dimension mismatch: lam has %d columns, expected %d"
-                             % (c, h2x_dim))
-    else:
-        if h2x_dim is None:
-            raise ValueError("empty lam needs explicit h2x_dim")
-        c = h2x_dim
-        lam = [[0] * c for _ in range(a)]
-    sigma = [[int(i == j) for j in range(a)] + [-x for x in lam[i]]
-             for i in range(a)]
-    section = [list(lam[i]) for i in range(a)] + \
-              [[int(i == j) for j in range(c)] for i in range(c)]
-    inc = [[int(i == j) for j in range(a)] for i in range(a)] + \
-          [[0] * a for _ in range(c)]
-    proj = [[0] * a + [int(i == j) for j in range(c)] for i in range(c)]
-    if not exactla.is_zero(exactla.mat_sub(exactla.mat_mul(sigma, inc),
-                                           exactla.identity(a))):
-        raise AssertionError("splitting identity sigma.i = id failed")
-    if not exactla.is_zero(exactla.mat_sub(exactla.mat_mul(proj, section),
-                                           exactla.identity(c))):
-        raise AssertionError("splitting identity pi.h = id failed")
-    if not exactla.is_zero(exactla.mat_mul(sigma, section)):
-        raise AssertionError("splitting identity sigma.h = 0 failed")
-    # ker sigma = im h: [i | h] is block upper triangular with unit diagonal
-    square = [inc[i] + section[i] for i in range(a + c)]
-    if abs(exactla.det_int(square)) != 1:
-        raise AssertionError("splitting does not span: [i | h] not unimodular")
-    return SplittingData(lam=tuple(tuple(r) for r in lam),
-                         sigma=tuple(tuple(r) for r in sigma),
-                         section=tuple(tuple(r) for r in section))
-
-
-# ---------------------------------------------------------------------------
 # truncated graded Lie rings and their CE homology
 
 class GradedLie:
@@ -420,19 +349,17 @@ class GradedLie:
 def truncated_lie(source, top, guard=DEFAULT_GUARD, override=False, validate=True):
     """The quotient of the holonomy Lie algebra by degrees above top.
 
-    Its structure constants are HolonomyAlgebra.coords of the commutators
-    of the basis classes' elements.
+    Its structure constants are the brackets of the HolonomyAlgebra tower,
+    read off its tables.
     """
     if top < 1:
         raise ValueError("truncation top degree must be at least 1")
     alg = HolonomyAlgebra(source, max_degree=top, guard=guard, override=override)
     degrees = [GradedAbelian(rank=alg.rank(d), torsion=alg.torsion(d))
                for d in range(1, top + 1)]
-    # the basis classes below the top, each once as a tensor polynomial
-    basis = {d: [alg.element(d, e) for e in exactla.identity(alg.dim(d))]
-             for d in range(1, top)}
-    brackets = {(d1, d2): tuple(tuple(tuple(alg.coords(d1 + d2, commutator(a, b)))
-                                      for b in basis[d2]) for a in basis[d1])
+    units = {d: exactla.identity(alg.dim(d)) for d in range(1, top)}
+    brackets = {(d1, d2): [[alg.bracket_coords(d1, u, d2, v) for v in units[d2]]
+                           for u in units[d1]]
                 for d1 in range(1, top) for d2 in range(1, top - d1 + 1)}
     return GradedLie(degrees, brackets, validate=validate)
 
@@ -574,6 +501,12 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD, override=False
     to be decomposable when n > 3; n = 3 holds unconditionally.  The
     group-to-Lie bridge is exact when gr2 is torsion-free and labeled
     heuristic otherwise.
+
+    Since HolonomyAlgebra takes h_n as the cokernel of Lambda^3 -> Lambda^2
+    on the truncation, which is the weight-n part of that same H2, the
+    comparison holds by construction on a correct tower: it checks the
+    CE complex against the tower, not the tower against an independent
+    computation (the tests compare it with the word rows of the ideal).
     """
     if n < 3:
         raise ValueError("the H2 comparison starts at degree 3")

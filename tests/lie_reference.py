@@ -1,0 +1,237 @@
+"""Reference implementations the library no longer uses, kept as test oracles.
+
+* Free Lie algebra arithmetic on the Lyndon basis: LieElement and bracket,
+  rewriting tensor commutators triangularly (tensor_to_lyndon), and
+  word_coords, the Lyndon-basis to Lyndon-word change of coordinates.
+* The word-row oracle for the holonomy Lie algebra: the relation ideal
+  cut out of the free Lie algebra degree by degree.  I_2 is spanned by
+  the relations (ij - ji per bracket) and, since I_n = [V, I_{n-1}],
+  degree n by x_j b - b x_j for every letter j and every kept generator b
+  of degree n-1.  Each degree is eliminated on the coefficients at the
+  Lyndon words, a unimodular change of coordinates from the Lyndon basis.
+  It shares no code with the tower of HolonomyAlgebra beyond exactla.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+from arrlie import exactla, rings
+from arrlie.exactla import QuotientLattice
+from arrlie.freelie import (DEFAULT_GUARD, at_lyndon_words, check_guard,
+                            commutator, expand_tree, lyndon_basis,
+                            lyndon_columns, witt_rank)
+from arrlie.holonomy import as_relation_set, holonomy_guard, pair_list
+
+_pair_bracket_cache = {}
+
+
+# ---------------------------------------------------------------------------
+# free Lie algebra arithmetic on the Lyndon basis
+
+def tensor_to_lyndon(poly, k, n, guard=DEFAULT_GUARD):
+    """Rewrite a degree-n Lie element given in the tensor algebra into basis coords.
+
+    Raises ValueError if the polynomial is not a Z-combination of Lyndon
+    bracketings (i.e. not a Lie element).
+    """
+    basis = lyndon_basis(k, n, guard)
+    p = {w: c for w, c in poly.items() if c}
+    out = {}
+    while p:
+        w = min(p)
+        i = basis.index.get(w)
+        if i is None:
+            raise ValueError("not a Lie element: leading word %r is not Lyndon" % (w,))
+        c = p[w]
+        for w2, c2 in expand_tree(basis.trees[i]).items():
+            v = p.get(w2, 0) - c * c2
+            if v:
+                p[w2] = v
+            else:
+                p.pop(w2, None)
+        out[i] = out.get(i, 0) + c
+    return {i: c for i, c in out.items() if c}
+
+
+def word_coords(k, n, vec, guard=DEFAULT_GUARD):
+    """Lyndon-word coefficients (dense) of a degree-n element given over the basis.
+
+    vec may be a sparse dict or a dense list.
+    """
+    cols = lyndon_columns(k, n, guard)
+    out = [0] * len(cols)
+    for i, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+        if v:
+            for j, c in cols[i].items():
+                out[j] += v * c
+    return out
+
+
+def basis_pair_bracket(k, da, db, ia, ib, guard=DEFAULT_GUARD):
+    """[basis(da)[ia], basis(db)[ib]] in degree da+db basis coordinates, over Z."""
+    key = (k, da, db, ia, ib)
+    r = _pair_bracket_cache.get(key)
+    if r is not None:
+        return r
+    r = tensor_to_lyndon(commutator(expand_tree(lyndon_basis(k, da, guard).trees[ia]),
+                                    expand_tree(lyndon_basis(k, db, guard).trees[ib])),
+                         k, da + db, guard)
+    _pair_bracket_cache[key] = r
+    return r
+
+
+@dataclass(frozen=True)
+class LieElement:
+    """Homogeneous free-Lie element: sparse coords over the degree-n Lyndon basis."""
+    alphabet: int
+    degree: int
+    coeffs: dict
+    ring: tuple = rings.Z
+
+    def __post_init__(self):
+        clean = {}
+        for i, c in self.coeffs.items():
+            c = rings.coeff(self.ring, c)
+            if c:
+                clean[int(i)] = c
+        object.__setattr__(self, "coeffs", clean)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        self._compat(other)
+        c = dict(self.coeffs)
+        for i, v in other.coeffs.items():
+            c[i] = c.get(i, 0) + v
+        return LieElement(self.alphabet, self.degree, c, self.ring)
+
+    def __sub__(self, other):
+        self._compat(other)
+        c = dict(self.coeffs)
+        for i, v in other.coeffs.items():
+            c[i] = c.get(i, 0) - v
+        return LieElement(self.alphabet, self.degree, c, self.ring)
+
+    def scale(self, s):
+        return LieElement(self.alphabet, self.degree,
+                          {i: s * v for i, v in self.coeffs.items()}, self.ring)
+
+    def _compat(self, other):
+        if self.alphabet != other.alphabet:
+            raise ValueError("alphabet mismatch: %d vs %d" % (self.alphabet, other.alphabet))
+        if self.ring != other.ring:
+            raise ValueError("ring mismatch: %s vs %s" % (rings.name(self.ring), rings.name(other.ring)))
+
+    def vector(self):
+        """Dense coordinate list over the degree-n Lyndon basis."""
+        n = len(lyndon_basis(self.alphabet, self.degree))
+        v = [0] * n
+        for i, c in self.coeffs.items():
+            v[i] = c
+        return v
+
+
+def lie_zero(k, n, ring=rings.Z):
+    return LieElement(k, n, {}, ring)
+
+
+def lie_generator(k, i, ring=rings.Z):
+    if not 0 <= i < k:
+        raise ValueError("generator index %d out of range for alphabet %d" % (i, k))
+    return LieElement(k, 1, {i: 1}, ring)
+
+
+def bracket(a, b, guard=DEFAULT_GUARD):
+    """Lie bracket [a, b] of homogeneous elements, rewritten into the basis."""
+    a._compat(b)
+    n = a.degree + b.degree
+    check_guard(a.alphabet, n, guard)
+    out = {}
+    for ia, ca in sorted(a.coeffs.items()):
+        for ib, cb in sorted(b.coeffs.items()):
+            if a.degree == b.degree and ia == ib:
+                continue
+            if a.degree == b.degree and ib < ia:
+                base = basis_pair_bracket(a.alphabet, b.degree, a.degree, ib, ia, guard)
+                s = -ca * cb
+            else:
+                base = basis_pair_bracket(a.alphabet, a.degree, b.degree, ia, ib, guard)
+                s = ca * cb
+            for i, c in base.items():
+                out[i] = out.get(i, 0) + s * c
+    return LieElement(a.alphabet, n, out, a.ring)
+
+
+# ---------------------------------------------------------------------------
+# the word-row oracle
+
+def ideal_words(relset, n, below=None, ids=None):
+    """Generators of the degree-n piece I_n of the relation ideal, as words.
+
+    Each is a tensor polynomial {word: coeff}.  I_2 is spanned by the
+    relations, a relation sum c [x_i, x_j] being sum c (ij - ji).  For
+    n > 2, `below` holds tensor polynomials generating I_{n-1} and the
+    generators are x_j b - b x_j for every b in `below` and every letter
+    j, b-major.  `ids` picks generators by position; by default all are
+    built.
+    """
+    k = relset.alphabet
+    if n == 2:
+        pairs = pair_list(k)
+        elements = relset.elements if ids is None else [relset.elements[i] for i in ids]
+        return [{w: s * c for t, c in e.items()
+                 for w, s in ((pairs[t], 1), (pairs[t][::-1], -1))}
+                for e in elements]
+    if below is None:
+        raise ValueError("degree %d needs a generating set of degree %d" % (n, n - 1))
+    if ids is None:
+        ids = range(len(below) * k)
+    return [commutator({(r % k,): 1}, below[r // k]) for r in ids]
+
+
+def ideal_rows(relset, n, below=None, guard=DEFAULT_GUARD, override=False):
+    """Rows of the generators of I_n (ideal_words) at the degree-n Lyndon
+    words, as sparse dicts over the indices of lyndon_basis(k, n)."""
+    k = relset.alphabet
+    holonomy_guard(k, n, override=override, guard=guard)
+    index = lyndon_basis(k, n, guard).index
+    return [at_lyndon_words(poly, index) for poly in ideal_words(relset, n, below)]
+
+
+def word_row_pieces(source, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
+    """Eliminate I_2, I_3, ... in turn, yielding (piece, kept words) per degree.
+
+    Over Z the piece is the QuotientLattice of the Lyndon-word
+    coefficients by I_n, over Q and F_p the rank of the quotient.  The
+    kept words generate I_n: the pivot rows over a field, the pivot and
+    residual rows over Z.
+    """
+    relset = as_relation_set(source)
+    k = relset.alphabet
+    below = None
+    for n in itertools.count(2):
+        rows = ideal_rows(relset, n, below, guard=guard, override=override)
+        if ring == rings.Z:
+            q = QuotientLattice(witt_rank(k, n), rows)
+            # the input rows at the pivot and residual rows span I_n: each
+            # reduced row is its input row plus multiples of earlier pivots
+            pivots, residual = exactla._eliminate(rows, "Z")
+            ids = [rid for _c, rid, _row in pivots] + [rid for rid, _row in residual]
+        else:
+            rank, ids = exactla.rank_sparse_pivots(rows, p=rings.char(ring))
+            q = witt_rank(k, n) - rank
+        below = ideal_words(relset, n, below, ids)
+        yield q, below
+
+
+def word_row_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
+    """(rank, torsion) of degrees 1..top from the word rows of the ideal."""
+    k = as_relation_set(source).alphabet
+    out = [(k, ())]
+    for q, _words in itertools.islice(word_row_pieces(source, ring, guard, override),
+                                      top - 1):
+        out.append((q.rank, q.torsion) if ring == rings.Z else (q, ()))
+    return out

@@ -17,10 +17,8 @@ from contextlib import contextmanager
 
 from arrlie import (
     Class2Group,
-    LieElement,
     arrangement_to_json,
     betti,
-    bracket,
     braid,
     falk_invariant,
     generic,
@@ -42,6 +40,7 @@ from arrlie import (
 )
 from arrlie import exactla, rings
 from arrlie.freelie import expand_tree
+from lie_reference import LieElement, bracket
 
 
 @contextmanager

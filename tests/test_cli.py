@@ -49,6 +49,22 @@ def test_betti_bytes(files, capsys):
     assert len(lines) == 1 and TIMING.match(lines[0])
 
 
+def test_timing_line_covers_serialization(files, capsys, monkeypatch):
+    # the payload is serialized before the timing line is written, so a
+    # slow serialization (kinv of a big pencil) shows in the reported time
+    dumps = cli._dumps
+
+    def slow_dumps(payload):
+        time.sleep(0.3)
+        return dumps(payload)
+
+    monkeypatch.setattr(cli, "_dumps", slow_dumps)
+    code, out, err = run(capsys, ["kinv", files["pencil3"]])
+    assert code == 0 and json.loads(out) == [[1, -1, 1]]
+    seconds = float(re.match(r"arrlie: kinv in (\d+\.\d+)s", err).group(1))
+    assert seconds >= 0.3
+
+
 def test_lattice(files, capsys):
     code, out, _ = run(capsys, ["lattice", files["braid4"]])
     assert code == 0

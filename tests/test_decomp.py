@@ -38,8 +38,9 @@ from arrlie.decomp import (
     relator_basis,
     restriction_stack,
 )
-from arrlie.freelie import LieElement, bracket, expand_tree, lyndon_basis
+from arrlie.freelie import expand_tree, lyndon_basis
 from arrlie.holonomy import make_presentation
+from lie_reference import LieElement, bracket, tensor_to_lyndon
 from test_holonomy import commutator_presentations
 
 
@@ -466,31 +467,42 @@ def test_verify_perturb_is_a_kind_name():
 
 
 # ---------------------------------------------------------------------------
-# the tensor-polynomial path against the Lyndon-basis path it replaced
+# the tensor-polynomial path against the Lyndon-basis path it replaced:
+# classes are taken to the Lyndon basis by rewriting their polynomials
+# (tensor_to_lyndon), bracketed or renamed there, and expanded back
+
+def lyndon_lift(alg, d, c):
+    """Lyndon-basis coordinates of the polynomial of a class."""
+    return tensor_to_lyndon(alg.element(d, c), alg.alphabet, d)
+
+
+def expand_lyndon(k, d, coeffs, rename=lambda t: t):
+    poly = {}
+    trees = lyndon_basis(k, d).trees
+    for i, v in coeffs.items():
+        for w, c in expand_tree(rename(trees[i])).items():
+            poly[w] = poly.get(w, 0) + v * c
+    return poly
+
 
 def old_bracket_coords(alg, d1, c1, d2, c2):
     """Bracket through LieElement and freelie.bracket's rewriting."""
-    a, b = (LieElement(alg.alphabet, d, {i: v for i, v in
-                                         enumerate(alg.lift(d, c)) if v})
+    a, b = (LieElement(alg.alphabet, d, lyndon_lift(alg, d, c))
             for d, c in ((d1, c1), (d2, c2)))
-    return alg.project(d1 + d2, bracket(a, b).coeffs)
+    d = d1 + d2
+    return alg.coords(d, expand_lyndon(alg.alphabet, d, bracket(a, b).coeffs))
 
 
 def old_letter_matrix(src, dst, letters, d):
     """Renaming through the bracketing tree of each Lyndon basis element."""
     def rename(t):
         return letters[t] if isinstance(t, int) else (rename(t[0]), rename(t[1]))
-    basis = lyndon_basis(src.alphabet, d)
-    index = lyndon_basis(dst.alphabet, d).index
+    words = lyndon_basis(src.alphabet, d).words
     cols = []
     for e in exactla.identity(src.dim(d)):
-        poly = {}
-        for c, v in enumerate(src.lift(d, e)):
-            if v and None not in [letters[a] for a in basis.words[c]]:
-                for w, cf in expand_tree(rename(basis.trees[c])).items():
-                    poly[w] = poly.get(w, 0) + v * cf
-        cols.append(dst.quotient(d).project(
-            {i: c for w, c in poly.items() if (i := index.get(w)) is not None}))
+        kept = {i: v for i, v in lyndon_lift(src, d, e).items()
+                if None not in [letters[a] for a in words[i]]}
+        cols.append(dst.coords(d, expand_lyndon(src.alphabet, d, kept, rename)))
     return [[col[i] for col in cols] for i in range(dst.dim(d))]
 
 

@@ -22,8 +22,7 @@ from arrlie import (
 )
 from arrlie import exactla, rings
 from arrlie.decomp import letter_matrix
-from arrlie.freelie import (LieElement, SizeGuardError, bracket, lie_generator,
-                            lyndon_basis)
+from arrlie.freelie import SizeGuardError
 from arrlie.holonomy import (
     as_relation_set,
     holonomy_degrees,
@@ -34,6 +33,8 @@ from arrlie.holonomy import (
     pair_index,
 )
 from arrlie.nilpotent import k_invariant_matrix
+from lie_reference import (LieElement, bracket, ideal_words, lie_generator,
+                           word_row_degrees, word_row_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +106,16 @@ def test_generic_is_abelian_and_near_pencil_localizes():
 
 
 def test_field_ranks_agree_when_torsion_free():
+    # the tower over Z against the word rows over Q and F_2, which share
+    # no code with it
     arr = braid(4)
-    for d in (2, 3, 4):
-        rz = holonomy_graded(arr, d, rings.Z)
-        assert rz.torsion == ()
-        assert holonomy_graded(arr, d, rings.Q).rank == rz.rank
-        assert holonomy_graded(arr, d, rings.fp(2)).rank == rz.rank
+    over_z = holonomy_degrees(arr, 4, rings.Z)
+    for ring in (rings.Q, rings.fp(2)):
+        oracle = word_row_degrees(arr, 4, ring)
+        for d, (rz, (rank, _t)) in enumerate(zip(over_z, oracle), 1):
+            assert rz.torsion == ()
+            assert rank == rz.rank, (d, ring)
+            assert holonomy_graded(arr, d, ring).rank == rz.rank
 
 
 def test_fiber_type_ranks_at_the_top_of_the_ladder():
@@ -119,6 +124,11 @@ def test_fiber_type_ranks_at_the_top_of_the_ladder():
     assert holonomy_graded(braid(4), 5, rings.Q, override=True).rank == 54
     # near_pencil(7) has exponents 1, 5, 1, so phi_5 = witt(5, 5)
     assert holonomy_graded(near_pencil(7), 5, rings.Z, override=True) == GradedAbelian(624)
+    # degrees 5 and 6, which the tower reaches cheaply
+    assert holonomy_graded(braid(5), 5, rings.Z, override=True) == GradedAbelian(258)
+    assert holonomy_graded(braid(4), 6, rings.Z, override=True) == GradedAbelian(125)
+    # near_pencil(6) has exponents 1, 4, 1, so phi_6 = witt(4, 6)
+    assert holonomy_graded(near_pencil(6), 6, rings.Z, override=True) == GradedAbelian(670)
 
 
 def test_holonomy_algebra_agrees_with_holonomy_graded():
@@ -158,21 +168,32 @@ def commutator_presentations(seed, count):
     return out
 
 
+UC_SOURCES = [
+    # (presentation, top degree); the third stalls the Smith form of the
+    # word rows over Z, so it is compared over F_p only
+    (make_presentation(2, ["xxyXXY"]), 5),
+    (make_presentation(2, ["xxxyXXXY"]), 5),
+    (make_presentation(3, ["yyyxxxYYYXXX", "xyyyXYYYzzxxZZXX"]), 5),
+] + [(pres, 4) for pres in commutator_presentations(2, 10)]
+
+
 def test_universal_coefficients_between_z_and_fp():
-    # dim_Fp h_n = rank_Z h_n + #{d : p | d}: the integer and modular
-    # eliminations are checked against each other, not against a table
-    sources = [make_presentation(2, ["xxyXXY"]), make_presentation(2, ["xxxyXXXY"])]
-    sources += commutator_presentations(2, 10)
+    # dim_Fp h_n = rank_Z h_n + #{d : p | d}: the tower over Z against the
+    # word rows over F_p, not against a table, nor against itself
     divisible = 0
-    for pres in sources:
-        over_z = holonomy_degrees(pres, 4, rings.Z)
-        for p in (2, 3):
-            over_p = holonomy_degrees(pres, 4, rings.fp(p))
-            for d, (gz, gp) in enumerate(zip(over_z, over_p), 1):
+    for pres, top in UC_SOURCES:
+        over_z = holonomy_degrees(pres, top, rings.Z)
+        for p in (2, 3, 5):
+            oracle = word_row_degrees(pres, top, rings.fp(p))
+            for d, (gz, (dim, _t)) in enumerate(zip(over_z, oracle), 1):
                 expect = gz.rank + sum(1 for t in gz.torsion if t % p == 0)
-                assert gp.rank == expect, (pres, d, p)
+                assert dim == expect, (pres, d, p)
                 divisible += expect > gz.rank
     assert divisible >= 10
+    # the universal coefficients above fix how many divisors 2, 3 and 5
+    # divide; each divisor of the presentation that stalled is 36
+    stalled = holonomy_degrees(UC_SOURCES[2][0], 5, rings.Z)
+    assert [set(g.torsion) for g in stalled[1:]] == [{36}] * 4
 
 
 def bracket_path_degrees(source, top, ring):
@@ -209,22 +230,42 @@ ORACLE_RINGS = (rings.Z, rings.Q, rings.fp(2), rings.fp(3))
 @pytest.mark.parametrize("name,arr", standard_catalog(),
                          ids=[name for name, _ in standard_catalog()])
 def test_word_rows_match_the_bracket_path_on_the_catalog(name, arr):
+    # the two free-Lie oracles agree, and the tower agrees with them
     for ring in ORACLE_RINGS:
+        want = bracket_path_degrees(arr, 4, ring)
+        assert word_row_degrees(arr, 4, ring, override=True) == want, (name, ring)
         got = holonomy_degrees(arr, 4, ring, override=True)
-        assert [(g.rank, g.torsion) for g in got] == \
-            bracket_path_degrees(arr, 4, ring), (name, ring)
+        assert [(g.rank, g.torsion) for g in got] == want, (name, ring)
+
+
+def presentation_sources():
+    sources = [make_presentation(2, ["xxyXXY"]), make_presentation(2, ["xxxyXXXY"])]
+    return sources + commutator_presentations(2, 10)
 
 
 def test_word_rows_match_the_bracket_path_on_presentations():
-    sources = [make_presentation(2, ["xxyXXY"]), make_presentation(2, ["xxxyXXXY"])]
-    sources += commutator_presentations(2, 10)
     with_torsion = 0
-    for pres in sources:
+    for pres in presentation_sources():
         for ring in ORACLE_RINGS:
+            want = bracket_path_degrees(pres, 4, ring)
+            assert word_row_degrees(pres, 4, ring) == want, (pres, ring)
             got = [(g.rank, g.torsion) for g in holonomy_degrees(pres, 4, ring)]
-            assert got == bracket_path_degrees(pres, 4, ring), (pres, ring)
+            assert got == want, (pres, ring)
             with_torsion += any(t for _r, t in got)
     assert with_torsion >= 5
+
+
+def test_ideal_generators_have_zero_coordinates():
+    # every generator of I_n that the word-row oracle builds, from the
+    # generators it keeps for I_{n-1}, is a Lie polynomial the tower
+    # sends to zero
+    for pres, top in UC_SOURCES:
+        alg = HolonomyAlgebra(pres, top)
+        below = None
+        for n, (_dim, kept) in zip(range(2, top + 1), word_row_pieces(pres, rings.Q)):
+            for poly in ideal_words(alg.relset, n, below):
+                assert alg.coords(n, poly) == alg.quotient(n).zero(), (pres, n)
+            below = kept
 
 
 def test_graded_abelian_validation():
@@ -341,11 +382,10 @@ def test_restrict_after_embed_is_identity(d):
     emb = letter_matrix(small, big, list(members), d)
     res = letter_matrix(big, small, letters, d)
     assert exactla.mat_mul(res, emb) == exactla.identity(small.dim(d))
-    # restriction only keeps words supported inside members
-    words = lyndon_basis(6, d).words
-    for j in range(big.dim(d)):
+    # restriction only keeps basis classes whose words use the members alone
+    for j, e in enumerate(exactla.identity(big.dim(d))):
         if any(row[j] for row in res):
-            assert all(c in members for c in words[j])
+            assert all(c in members for w in big.element(d, e) for c in w)
 
 
 def test_restricted_images_cover_the_local_basis():
@@ -375,7 +415,7 @@ def test_holonomy_algebra_quotients_and_brackets():
     for d in (2, 3):
         quot = alg.quotient(d)
         coords = [rng.randint(-5, 5) for _ in range(alg.dim(d))]
-        assert alg.project(d, alg.lift(d, coords)) == quot.reduce(coords)
+        assert alg.coords(d, alg.element(d, coords)) == quot.reduce(coords)
     e1 = [1, 0, 0, 0, 0, 0]
     e2 = [0, 1, 0, 0, 0, 0]
     c12 = alg.bracket_coords(1, e1, 1, e2)

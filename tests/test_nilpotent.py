@@ -1,11 +1,13 @@
 """Class-2 quotients, k-invariants, splittings, and CE homology of truncations."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from arrlie import (
     Arrangement,
+    betti,
     Class2Element,
     Class2Group,
     GradedAbelian,
@@ -14,16 +16,18 @@ from arrlie import (
     ce_h2,
     generic,
     h2_rank_check,
+    is_decomposable,
     k_invariant_matrix,
     make_presentation,
     near_pencil,
     pencil,
     relation_words,
-    splitting_from_hom,
+    standard_catalog,
     truncated_lie,
 )
 from arrlie import exactla, rings
-from arrlie.holonomy import HolonomyAlgebra, pair_index
+from arrlie.holonomy import HolonomyAlgebra, pair_index, pair_list
+from lie_reference import word_row_degrees
 from test_holonomy import commutator_presentations
 
 
@@ -185,7 +189,7 @@ def test_k_invariant_shapes_and_retraction():
 
 
 def test_k_invariant_kernel_is_the_relation_span():
-    from arrlie import betti, relation_set
+    from arrlie import relation_set
     arr = braid(4)
     kinv = k_invariant_matrix(arr)
     kern = exactla.kernel_int(kinv)
@@ -207,7 +211,7 @@ def test_k_invariant_for_presentations():
 
 def test_k_invariant_of_a_presentation_reads_the_degree_two_quotient():
     # rows are the free coordinates of gr2 = Lie_2 / relations, the basis
-    # HolonomyAlgebra uses, evaluated on each wedge pair e_c
+    # HolonomyAlgebra uses, of the bracket [x_i, x_j] of each wedge pair
     rng = random.Random(23)
     letters = "xyzXYZ"
     saw_torsion = 0
@@ -222,8 +226,9 @@ def test_k_invariant_of_a_presentation_reads_the_degree_two_quotient():
         pres = make_presentation(k, relators)
         kinv = k_invariant_matrix(pres)
         alg = HolonomyAlgebra(pres, 2)
-        w = k * (k - 1) // 2
-        cols = [alg.project(2, {c: 1})[:alg.rank(2)] for c in range(w)]
+        units = exactla.identity(k)
+        cols = [alg.bracket_coords(1, units[i], 1, units[j])[:alg.rank(2)]
+                for i, j in pair_list(k)]
         assert kinv == [[col[i] for col in cols] for i in range(alg.rank(2))]
         assert len(kinv) == alg.rank(2)
         saw_torsion += bool(alg.torsion(2))
@@ -231,7 +236,75 @@ def test_k_invariant_of_a_presentation_reads_the_degree_two_quotient():
 
 
 # ---------------------------------------------------------------------------
-# splittings
+# splittings of H2(N) = gr_n + H2(X), a reference the verifier does not use
+
+@dataclass(frozen=True)
+class SplittingData:
+    """Splitting pair for coordinates (gr_n block, H2(X) block).
+
+    sigma = [I | -lam] retracts onto gr_n; section h = [[lam],[I]] embeds
+    H2(X); ker sigma = im h.
+    """
+    lam: tuple
+    sigma: tuple
+    section: tuple
+
+    @property
+    def gr_dim(self):
+        return len(self.sigma)
+
+    @property
+    def h2x_dim(self):
+        return len(self.section[0]) if self.section else 0
+
+
+def splitting_from_hom(lam, gr_dim=None, h2x_dim=None):
+    """Splitting of 0 -> gr_n -> gr_n + H2(X) -> H2(X) -> 0 from a hom lam.
+
+    lam maps H2(X) coordinates to gr_n coordinates (a gr_dim x h2x_dim
+    matrix).  Verifies sigma . i = id, pi . h = id and ker sigma = im h.
+    """
+    lam = [list(row) for row in lam]
+    a = len(lam) if gr_dim is None else gr_dim
+    if len(lam) not in (0, a):
+        raise ValueError("dimension mismatch: lam has %d rows, expected %d"
+                         % (len(lam), a))
+    if lam:
+        widths = {len(row) for row in lam}
+        if len(widths) != 1:
+            raise ValueError("dimension mismatch: ragged lam")
+        c = widths.pop()
+        if h2x_dim is not None and c != h2x_dim:
+            raise ValueError("dimension mismatch: lam has %d columns, expected %d"
+                             % (c, h2x_dim))
+    else:
+        if h2x_dim is None:
+            raise ValueError("empty lam needs explicit h2x_dim")
+        c = h2x_dim
+        lam = [[0] * c for _ in range(a)]
+    sigma = [[int(i == j) for j in range(a)] + [-x for x in lam[i]]
+             for i in range(a)]
+    section = [list(lam[i]) for i in range(a)] + \
+              [[int(i == j) for j in range(c)] for i in range(c)]
+    inc = [[int(i == j) for j in range(a)] for i in range(a)] + \
+          [[0] * a for _ in range(c)]
+    proj = [[0] * a + [int(i == j) for j in range(c)] for i in range(c)]
+    if not exactla.is_zero(exactla.mat_sub(exactla.mat_mul(sigma, inc),
+                                           exactla.identity(a))):
+        raise AssertionError("splitting identity sigma.i = id failed")
+    if not exactla.is_zero(exactla.mat_sub(exactla.mat_mul(proj, section),
+                                           exactla.identity(c))):
+        raise AssertionError("splitting identity pi.h = id failed")
+    if not exactla.is_zero(exactla.mat_mul(sigma, section)):
+        raise AssertionError("splitting identity sigma.h = 0 failed")
+    # ker sigma = im h: [i | h] is block upper triangular with unit diagonal
+    square = [inc[i] + section[i] for i in range(a + c)]
+    if abs(exactla.det_int(square)) != 1:
+        raise AssertionError("splitting does not span: [i | h] not unimodular")
+    return SplittingData(lam=tuple(tuple(r) for r in lam),
+                         sigma=tuple(tuple(r) for r in sigma),
+                         section=tuple(tuple(r) for r in section))
+
 
 def test_splitting_from_hom():
     s = splitting_from_hom([[1, 2]])
@@ -399,3 +472,21 @@ def test_h2_rank_check_degree4_needs_decomposability():
         h2_rank_check(pencil(3), 2)
     with pytest.raises(ValueError, match="only available for arrangements"):
         h2_rank_check(make_presentation(2, ["xyXY"]), 4)
+
+
+def test_ce_h2_of_truncations_against_the_word_rows():
+    # h2check holds by construction, since the tower takes h_n from the
+    # same complex; here the CE complex of the truncation meets the word
+    # rows of the ideal instead, which share no code with the tower
+    checked = 0
+    for name, arr in standard_catalog():
+        if not is_decomposable(arr)["decomposable"]:
+            continue
+        b2 = betti(arr).b2
+        oracle = word_row_degrees(arr, 4, rings.Z, override=True)
+        for n in (3, 4):
+            ce = ce_h2(truncated_lie(arr, n - 1, override=True))
+            rank, torsion = oracle[n - 1]
+            assert (ce.rank, ce.torsion) == (rank + b2, torsion), (name, n)
+            checked += 1
+    assert checked == 30  # the 15 decomposable catalog arrangements
