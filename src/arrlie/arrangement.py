@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ArrangementError(ValueError):
@@ -32,16 +33,37 @@ class BettiData:
 
 
 def _span_key(u, v):
-    """Reduced row echelon form of span(u, v), or None if u, v are proportional."""
+    """Echelon form of span(u, v) for integer u, v, or None if proportional.
+
+    Fraction-free: each row of the reduced row echelon form, scaled to a
+    primitive integer row with a positive pivot, so the key is the same
+    for every pair of vectors that spans the plane.
+    """
     p = min(next((c for c, x in enumerate(w) if x), len(w)) for w in (u, v))
     r1, r2 = (u, v) if u[p] else (v, u)
-    r1 = [x / r1[p] for x in r1]
-    r2 = [y - r2[p] * x for x, y in zip(r1, r2)]
-    q = next((c for c, x in enumerate(r2) if x), None)
-    if q is None:
+    r2 = _primitive([r1[p] * y - r2[p] * x for x, y in zip(r1, r2)])
+    if r2 is None:
         return None
-    r2 = [x / r2[q] for x in r2]
-    return tuple(x - r1[q] * y for x, y in zip(r1, r2)), tuple(r2)
+    q = next(c for c, x in enumerate(r2) if x)
+    return _primitive([r2[q] * x - r1[q] * y for x, y in zip(r1, r2)]), r2
+
+
+def _primitive(row):
+    """row divided by the gcd of its entries, signed so its first nonzero
+    entry is positive; None for the zero row."""
+    g = gcd(*row)
+    if not g:
+        return None
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
+def _integer_row(v):
+    """The rational vector v times the lcm of its denominators."""
+    v = [Fraction(x) for x in v]
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v]
 
 
 def pencils_from_normals(atoms, normals):
@@ -61,7 +83,7 @@ def pencils_from_normals(atoms, normals):
     for i, v in enumerate(normals):
         if all(x == 0 for x in v):
             raise ArrangementError("normal of atom %r is zero" % (atoms[i],))
-    normals = [[Fraction(x) for x in v] for v in normals]
+    normals = [_integer_row(v) for v in normals]
     planes = {}
     for i in range(m):
         for j in range(i + 1, m):

@@ -54,6 +54,10 @@ def _jsonable(x):
     if isinstance(x, str):
         return x
     if isinstance(x, (list, tuple)):
+        # a list of small plain ints, such as a dense matrix row, is already
+        # safe: check it in C rather than one call per entry
+        if set(map(type, x)) <= {int} and (not x or -_SAFE < min(x) and max(x) < _SAFE):
+            return x
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
@@ -106,9 +110,10 @@ def _check_cost(what, cost, guard):
 
 def _pencil_cost(atoms, dim):
     # every atom pair is checked against the pencil cover and, with normals
-    # of dimension dim, spanned by its two normals in exact rationals,
-    # coordinate by coordinate; 16 units per pair and coordinate put the
-    # default guard at runs of about ten seconds
+    # of dimension dim, spanned by its two normals by fraction-free integer
+    # elimination, coordinate by coordinate; 16 units per pair and
+    # coordinate put the default guard at runs of about ten seconds of
+    # cover checks, and well under that where normals dominate
     return 16 * (atoms * (atoms - 1) // 2) * (dim + 1)
 
 

@@ -1,16 +1,18 @@
-"""Exact linear algebra over Z, Q and F_p.
+"""Exact linear algebra over Z, Q, Z/m and F_p.
 
 Everything here works with arbitrary-precision Python ints.  One sparse
-elimination loop serves all three rings; only the pivot rule and the row
-update depend on the ring.  Over Q rows are gcd-reduced (no fractions,
-no floats) and over F_p reduced mod p; rank_sparse reads the rank off it.
-Over Z the one lattice primitive is QuotientLattice, Z^w modulo a
-sublattice: the same loop pivots only on +-1 entries, which is exact and
-unimodular, and hands the residual rows without a unit entry to the
-dense Smith normal form, which keeps just its left transforms.  The
-modular rank cross-check of a QuotientLattice runs the same loop mod two
-large primes.  Saturated integer kernels (kernel_int) are read off a
-QuotientLattice too.
+elimination loop serves every ring, and it pivots only on units of the
+ring: +-1 over Z, entries prime to m over Z/m, every nonzero entry over
+F_p and over Q.  Only the row update depends on the ring.  Over Q rows
+are gcd-reduced (no fractions, no floats) and over Z/m reduced mod m;
+rank_sparse reads the rank over Q or F_p off it.  Over Z the one lattice
+primitive is QuotientLattice, Z^w modulo a sublattice: unit pivots keep
+the loop exact and unimodular, and the residual rows without a unit entry
+go to the dense Smith normal form, which keeps just its left transforms.
+The rank cross-check of a QuotientLattice runs the same loop once over
+Z/(p1*p2) = F_p1 x F_p2 (CRT) for two large primes, and ranks the rows
+left without a unit entry mod each prime (_ranks_mod).  Saturated integer
+kernels (kernel_int) are read off a QuotientLattice too.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, prod
 
 # Deterministic pool of large primes for the modular rank cross-check.
 _CHECK_PRIMES = (
@@ -46,8 +48,24 @@ def rank_sparse_pivots(rows, p=None):
     return len(pivots), [rid for _c, rid, _row in pivots]
 
 
+def _ranks_mod(rows, primes):
+    """Ranks of the row span over F_p for each of the distinct primes, from
+    one elimination over Z/m, m the product of the primes.
+
+    By the CRT Z/m is the product of the fields F_p, so a pivot that is a
+    unit mod m is nonzero mod every p, and each row operation reduces to
+    one over each F_p.  The pivot rows stay independent mod p and the
+    residual rows are zero on their columns, so the rank over F_p is the
+    number of pivots plus the rank of the residual mod p.
+    """
+    pivots, residual = _eliminate(rows, prod(primes))
+    residual = [row for _rid, row in residual]
+    return [len(pivots) + (rank_sparse(residual, p) if residual else 0)
+            for p in primes]
+
+
 def _eliminate(rows, ring):
-    """Sparse elimination over ring "Q", "Z" or a prime p.
+    """Sparse elimination over ring "Q", "Z" or Z/m for an int m > 1.
 
     rows: iterable of {col: int} rows (copied, not modified).  Returns
     (pivots, residual): pivots lists (col, input id, reduced row) in
@@ -56,21 +74,24 @@ def _eliminate(rows, ring):
     the rows left nonzero, in input order.  The pivot column is the one
     with the fewest live rows (ties: lowest column), taken from a lazy
     heap; the pivot row is the shortest eligible row in it, then the one
-    with the smallest entry there, then the first.  Over a field every
-    entry is eligible and the residual is empty.  Over Z only +-1 entries
-    are: the row operations stay unimodular, pivot rows plus residual span
-    the input lattice, and a column without a unit entry is skipped until
-    a later pivot row touches it.  Only the columns of a pivot row change
-    (in count or in entries), so only those are pushed again; a popped
-    entry whose count is out of date is dropped.  The ring's row update is
-    picked once and applied to all the rows of a pivot column in one call.
+    with the smallest entry there, then the first.  Only units of the ring
+    are eligible: v with gcd(v, m) = 1 over Z/m, and over Z = Z/0 that is
+    +-1.  Over Q and over a prime field every nonzero entry is a unit and
+    the residual is empty.  So every row operation is invertible: over Z
+    it is unimodular, and pivot rows plus residual span the input lattice.
+    A column without a unit entry is skipped until a later pivot row
+    touches it, so no residual row has a unit entry.  Only the columns of
+    a pivot row change (in count or in entries), so only those are pushed
+    again; a popped entry whose count is out of date is dropped.  The
+    ring's row update is picked once and applied to all the rows of a
+    pivot column in one call.
     """
     if ring == "Q":
-        update = _update_q
+        update, m = _update_q, None
     elif ring == "Z":
-        update = _update_z
+        update, m = _update_z, 0
     else:
-        update = partial(_update_mod, ring)
+        update, m = partial(_update_mod, ring), ring
     live = {}
     for rid, r in enumerate(rows):
         if ring in ("Q", "Z"):
@@ -95,8 +116,8 @@ def _eliminate(rows, ring):
         rids = col_rows.get(col)
         if rids is None or len(rids) != n:
             continue
-        if ring == "Z":
-            rids = [rid for rid in rids if live[rid][col] in (1, -1)]
+        if m is not None:
+            rids = [rid for rid in rids if gcd(live[rid][col], m) == 1]
             if not rids:
                 continue
         prid = min(rids, key=lambda rid: (len(live[rid]), abs(live[rid][col]), rid))
@@ -163,7 +184,7 @@ def _update_q(prow, col, olds):
 
 
 def _update_mod(p, prow, col, olds):
-    """Rows minus multiples of prow clearing col, mod p."""
+    """Rows minus multiples of prow clearing col, mod p; prow[col] is a unit."""
     inv = pow(prow[col], -1, p)
     out = []
     for row in olds:
@@ -418,9 +439,13 @@ class QuotientLattice:
     """Z^w modulo the sublattice spanned by the given generator vectors.
 
     Generators are sparse {col: int} rows or dense lists.  They are first
-    eliminated by the sparse loop that rank_sparse runs, restricted to +-1
-    pivots; only the residual rows, which have no unit entry, go through a
-    dense Smith normal form on the columns they touch.
+    eliminated by the sparse loop, which pivots only on units of Z (+-1);
+    only the residual rows, which have no unit entry, go through a dense
+    Smith normal form on the columns they touch.  The whole input is
+    cross-checked by its ranks over two large primes: over F_p the rank
+    must be the number of pivots plus the divisors prime to p.  Both ranks
+    come from one elimination over Z/(p1*p2) = F_p1 x F_p2 on its units,
+    plus the residual rows ranked mod each prime (_ranks_mod).
     Coordinates are a normal form: `project` reduces by the pivot rows in
     elimination order, reads the surviving columns the residual does not
     touch, then applies the residual transform to the rest.  The free part
@@ -446,9 +471,10 @@ class QuotientLattice:
         if rows and w:
             # the whole input, not just the residual block, is cross-checked
             idx = (w * 31 + len(rows) * 7) % (len(_CHECK_PRIMES) - 1)
-            for p in (_CHECK_PRIMES[idx], _CHECK_PRIMES[idx + 1]):
+            primes = _CHECK_PRIMES[idx:idx + 2]
+            for p, rank in zip(primes, _ranks_mod(rows, primes)):
                 expect = len(pivots) + sum(1 for d in divisors if d % p)
-                if rank_sparse(rows, p=p) != expect:
+                if rank != expect:
                     raise ArithmeticError("quotient lattice failed modular cross-check")
         self._r = len(divisors)
         self.rank = len(self._free_cols) + len(res_cols) - self._r

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,67 @@ def test_pencils_from_normals_matches_brute_force():
             msg = "atoms 'H%d' and 'H%d' are proportional" % (bad[0] + 1, bad[1] + 1)
             with pytest.raises(ArrangementError, match=msg):
                 pencils_from_normals(atoms, normals)
+
+
+def fraction_rref(u, v):
+    """Reduced row echelon form of the rows u, v over Fraction, zero rows dropped."""
+    rows = [[Fraction(x) for x in u], [Fraction(x) for x in v]]
+    out = []
+    for col in range(len(rows[0])):
+        piv = next((r for r in rows if r[col]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        piv = [x / piv[col] for x in piv]
+        rows = [[a - r[col] * b for a, b in zip(r, piv)] for r in rows]
+        out = [[a - r[col] * b for a, b in zip(r, piv)] for r in out] + [piv]
+    return tuple(tuple(r) for r in out)
+
+
+def fraction_rref_pencils(atoms, normals):
+    """Pencils as the pairs grouped by the rational RREF of their span."""
+    m, planes = len(normals), {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            key = fraction_rref(normals[i], normals[j])
+            if len(key) < 2:
+                raise ArrangementError(
+                    "normals of atoms %r and %r are proportional" % (atoms[i], atoms[j]))
+            planes.setdefault(key, set()).update((i, j))
+    return sorted(tuple(sorted(members)) for members in planes.values())
+
+
+def test_pencils_from_normals_match_the_fraction_rref_grouping():
+    # normals are rational combinations of a few base vectors, so many of
+    # them share planes; negative, non-primitive and non-integral entries
+    # and whole-vector rescalings all occur
+    rng = random.Random(23)
+    seen_big_pencil = seen_proportional = 0
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+
+    for _ in range(300):
+        dim = rng.randint(2, 6)
+        base = [[rational() for _ in range(dim)] for _ in range(rng.randint(2, 4))]
+        size, normals = rng.randint(2, 8), []
+        while len(normals) < size:
+            a, b = rng.sample(base, 2)
+            s, t, scale = rational(), rational(), rng.choice((-4, -1, 2, Fraction(-6, 4)))
+            v = tuple(scale * (s * x + t * y) for x, y in zip(a, b))
+            if any(v):
+                normals.append(v)
+        atoms = ["H%d" % (i + 1) for i in range(len(normals))]
+        try:
+            want = fraction_rref_pencils(atoms, normals)
+        except ArrangementError as e:
+            seen_proportional += 1
+            with pytest.raises(ArrangementError, match=re.escape(str(e))):
+                pencils_from_normals(atoms, normals)
+            continue
+        assert pencils_from_normals(atoms, normals) == want
+        seen_big_pencil += any(len(p) > 2 for p in want)
+    assert seen_big_pencil >= 30 and seen_proportional >= 30
 
 
 def test_pencils_from_normals_error_paths():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -63,6 +64,26 @@ def test_timing_line_covers_serialization(files, capsys, monkeypatch):
     assert code == 0 and json.loads(out) == [[1, -1, 1]]
     seconds = float(re.match(r"arrlie: kinv in (\d+\.\d+)s", err).group(1))
     assert seconds >= 0.3
+
+
+def test_dumps_bytes_on_mixed_payloads():
+    # lists of small ints skip the per-entry walk; bools, big ints,
+    # rationals and nested containers must come out as before
+    payload = {
+        "small": [[0, 1, -2], [3, -4, 5], []],
+        "big": [2 ** 53 - 1, 2 ** 53, -(2 ** 53), -(2 ** 53) + 1, 3 ** 40],
+        "bools": [True, False, 1, 0],
+        "rationals": [Fraction(4, 2), Fraction(-1, 3), Fraction(2 ** 60, 3), 7],
+        "nested": ([1, [2, [3, True]], (4, 5)], {"x": [None, "s", 2 ** 70]}),
+        7: (1, 2),
+    }
+    assert cli._dumps(payload) == (
+        '{"7":[1,2],"big":[9007199254740991,"9007199254740992",'
+        '"-9007199254740992",-9007199254740991,"12157665459056928801"],'
+        '"bools":[true,false,1,0],"nested":[[1,[2,[3,true]],[4,5]],'
+        '{"x":[null,"s","1180591620717411303424"]}],'
+        '"rationals":[2,"-1/3","1152921504606846976/3",7],'
+        '"small":[[0,1,-2],[3,-4,5],[]]}\n')
 
 
 def test_lattice(files, capsys):

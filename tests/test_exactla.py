@@ -208,3 +208,53 @@ def test_quotient_lattice_residual_block_matches_dense_smith_form():
             assert q.project(q.lift(c)) == q.reduce(c)
     assert saw_full_residual and saw_mixed
 
+
+
+def test_one_modular_pass_gives_both_check_ranks():
+    # entries that are multiples of p1, of p2 or of p1*p2 are units mod
+    # neither one prime nor the product, so rows made of them survive the
+    # unit pivots and the residual is ranked mod each prime on its own
+    p1, p2 = exactla._CHECK_PRIMES[:2]
+    rng = random.Random(41)
+    saw_residual = saw_rank_split = 0
+    for _ in range(60):
+        n_rows, n_cols = rng.randint(5, 30), rng.randint(4, 25)
+        rows = []
+        for _ in range(n_rows):
+            cols = rng.sample(range(n_cols), rng.randint(1, min(4, n_cols)))
+            if rng.random() < 0.5:
+                entries = (-3, -2, -1, 1, 2, 3, p1, -p2)
+            else:
+                entries = (p1, 2 * p1, -p2, 3 * p2, p1 * p2, -5 * p1 * p2)
+            rows.append({c: rng.choice(entries) for c in cols})
+        r1, r2 = exactla._ranks_mod(rows, (p1, p2))
+        assert r1 == exactla.rank_sparse(rows, p1) == gauss_rank(rows, n_cols, p1)
+        assert r2 == exactla.rank_sparse(rows, p2) == gauss_rank(rows, n_cols, p2)
+        saw_residual += bool(exactla._eliminate(rows, p1 * p2)[1])
+        saw_rank_split += r1 != r2
+    assert saw_residual >= 20 and saw_rank_split >= 10
+
+
+@pytest.mark.parametrize("w, gens, rank, torsion", [
+    (4, [[1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 0]], 1, ()),
+    (3, [[1, 1, 0], [1, 0, 1], [0, 1, 1]], 0, (2,)),
+])
+def test_modular_cross_check_catches_a_corrupted_integer_pass(monkeypatch, w, gens,
+                                                              rank, torsion):
+    q = exactla.QuotientLattice(w, gens)
+    assert (q.rank, q.torsion) == (rank, torsion)
+    update_z = exactla._update_z
+    dropped = []
+
+    def lossy_update_z(prow, col, olds):
+        # the first updated row is lost, so the Z pass sees one generator less
+        out = update_z(prow, col, olds)
+        if not dropped:
+            dropped.append(out[0])
+            out[0] = {}
+        return out
+
+    monkeypatch.setattr(exactla, "_update_z", lossy_update_z)
+    with pytest.raises(ArithmeticError, match="modular cross-check"):
+        exactla.QuotientLattice(w, gens)
+    assert dropped
