@@ -18,8 +18,10 @@ feeds the H2-level commuting diagram.  All matrices are exact, over Z, Q,
 or F_p.  Every induced map between holonomy algebras is one renaming of
 generators, built by letter_matrix: embedding a pencil (x_i -> x_members[i]),
 restricting to a flat (x_H -> 0 outside it), and a lattice isomorphism
-(x_H -> x_g(H)).  Renamings and relator components work on tensor
-polynomials, from HolonomyAlgebra.element and back through its coords.
+(x_H -> x_g(H)).  Renamings and relator components stay in quotient
+coordinates: a class is a sum of brackets of classes of lower degree
+(HolonomyAlgebra.pairs and the lift of its coordinates), and both sides
+are bracketed with the tower's own tables (HolonomyAlgebra.bracket).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 
 from . import exactla, rings
 from .arrangement import Arrangement, localize
-from .freelie import DEFAULT_GUARD, _moebius, commutator, witt_rank
-from .holonomy import HolonomyAlgebra, holonomy_graded
+from .freelie import DEFAULT_GUARD, _moebius, witt_rank
+from .holonomy import HolonomyAlgebra, holonomy_graded, relation_set
 
 # ---------------------------------------------------------------------------
 # decomposability and the decomposable LCS formula
@@ -99,16 +101,27 @@ def lcs_ranks_decomposable(arr, max_degree, guard=DEFAULT_GUARD, override=False)
 
 class Charts:
     """Global truncated algebra plus per-flat local algebras and the
-    embed / restrict coordinate matrices between them, built on demand."""
+    embed / restrict coordinate matrices between them, built on demand.
+
+    The local arrangement of a flat is one pencil on its members, so flats
+    with the same relation set (the same multiplicity) share one local
+    algebra."""
 
     def __init__(self, arr, n, guard=DEFAULT_GUARD, override=False):
         self.arr = arr
         self.n = n
         self.alg = HolonomyAlgebra(arr, max_degree=n, guard=guard, override=override)
         self.local_arr = [localize(arr, f.index) for f in arr.flats]
-        self.local_alg = [HolonomyAlgebra(a, max_degree=n, guard=guard,
-                                          override=override)
-                          for a in self.local_arr]
+        shared = {}
+        self.local_alg = []
+        for a in self.local_arr:
+            rels = relation_set(a)
+            key = (rels.alphabet, tuple(tuple(sorted(e.items()))
+                                        for e in rels.elements))
+            if key not in shared:
+                shared[key] = HolonomyAlgebra(rels, max_degree=n, guard=guard,
+                                              override=override)
+            self.local_alg.append(shared[key])
         self._maps = {}
 
     def embed(self, fi, d):
@@ -138,12 +151,12 @@ def letter_matrix(src, dst, letters, d):
     """Matrix on quotient coordinates of the Lie map renaming generators.
 
     letters[i] is the destination letter of x_i, or None when x_i goes to
-    0.  Named letters must be distinct letters of dst.  Column j renames
-    the words of src.element(d, e_j), drops the words that use a deleted
-    letter, and reads the result with dst.coords.  A renaming is a map of
-    tensor algebras, so it commutes with the bracketings, and every word
-    of an expanded bracketing has the same letters, so a bracketing that
-    uses a deleted letter goes to 0 as a whole.
+    0.  Named letters must be distinct letters of dst.  A renaming is a map
+    of Lie rings, so the letters fix it: a basis class of degree e >= 2 is
+    the sum of lam [s, t] over the pair columns (s, t) of src, lam being
+    the lift of its unit vector, and its image is the sum of
+    lam [phi(s), phi(t)], bracketed in dst and reduced.  The images of the
+    classes below d are computed once per call.
     """
     named = [a for a in letters if a is not None]
     if (len(letters) != src.alphabet or len(set(named)) != len(named)
@@ -151,13 +164,30 @@ def letter_matrix(src, dst, letters, d):
         raise ValueError("letter map must send the %d source letters to "
                          "distinct letters below %d, or to None"
                          % (src.alphabet, dst.alphabet))
-    cols = []
-    for e in exactla.identity(src.dim(d)):
-        # named letters are distinct, so renamed words stay distinct
-        poly = {v: c for w, c in src.element(d, e).items()
-                if None not in (v := tuple(letters[a] for a in w))}
-        cols.append(dst.coords(d, poly))
-    return _cols_to_matrix(cols, dst.dim(d))
+    images = {}   # basis class of src -> sparse coordinates of its image
+
+    def image(s):
+        vec = images.get(s)
+        if vec is None:
+            e, j = s
+            if e == 1:
+                vec = {} if letters[j] is None else {letters[j]: 1}
+            else:
+                unit = [0] * src.dim(e)
+                unit[j] = 1
+                acc = [0] * dst.dim(e)
+                for (a, b), lam in zip(src.pairs(e), src.quotient(e).lift(unit)):
+                    if lam:
+                        u, v = image(a), image(b)
+                        if u and v:
+                            for r, c in dst.bracket(a[0], u, b[0], v).items():
+                                acc[r] += lam * c
+                vec = {r: c for r, c in enumerate(dst.quotient(e).reduce(acc)) if c}
+            images[s] = vec
+        return vec
+
+    cols = [image((d, j)) for j in range(src.dim(d))]
+    return [[col.get(i, 0) for col in cols] for i in range(dst.dim(d))]
 
 
 def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD, override=False):
@@ -253,33 +283,36 @@ def zero_local_lifts(arr, n):
 
 
 def _phi_table(alg, corrections, n):
-    """phi(x_a) by degree: {degree: tensor polynomial}, degree 1 being x_a."""
+    """phi(x_a) by degree: {degree: sparse coordinates}, degree 1 being x_a."""
     tab = []
     for a in range(alg.alphabet):
-        row = {1: {(a,): 1}}
+        row = {1: {a: 1}}
         for i in range(2, n):
-            v = corrections.get((a, i))
-            if v and any(v):
-                row[i] = alg.element(i, v)
+            vec = {r: c for r, c in enumerate(corrections.get((a, i), ())) if c}
+            if vec:
+                row[i] = vec
         tab.append(row)
     return tab
 
 
 def _relator_component(alg, tab, h, members, m):
     """Degree-m coordinates of [phi(x_h), phi(z_Y)] for the flat Y: one
-    commutator per degree pair (i, m-i), and one coords call."""
-    total = {}
+    bracket per degree pair (i, m-i) with both terms nonzero, and one
+    reduction."""
+    total = [0] * alg.dim(m)
     for i in range(1, m):
         u = tab[h].get(i)
         if u is None:
             continue
         z = {}
         for kk in members:
-            for w, c in tab[kk].get(m - i, {}).items():
-                z[w] = z.get(w, 0) + c
-        for w, c in commutator(u, z).items():
-            total[w] = total.get(w, 0) + c
-    return alg.coords(m, total)
+            for r, c in tab[kk].get(m - i, {}).items():
+                z[r] = z.get(r, 0) + c
+        z = {r: c for r, c in z.items() if c}
+        if z:
+            for r, c in alg.bracket(i, u, m - i, z).items():
+                total[r] += c
+    return alg.quotient(m).reduce(total)
 
 
 def _local_delta_cols(loc, llift, n):

@@ -6,11 +6,7 @@ lexicographically least proper suffix, which is the longest proper
 Lyndon suffix).
 
 Tensor polynomials are {word: coeff} dicts, and commutator(p, q) = pq - qp
-is their one product.  The expansion of a bracketed Lyndon word w is w
-plus lex-greater words (Chen-Fox-Lyndon), so a Lie element is determined
-by its coefficients at the Lyndon words alone: reading them off
-(at_lyndon_words) is a unitriangular change of coordinates
-(lyndon_columns), unimodular over Z, and lie_coords inverts it.
+is their one product.
 
 Degree-n ranks follow the Witt formula (1/n) * sum_{d|n} mu(d) k^(n/d),
 the orientation consistent with prod_n (1-t^n)^{rank_n} = 1 - k*t.
@@ -23,8 +19,6 @@ from dataclasses import dataclass, field
 DEFAULT_GUARD = 10 ** 7
 
 _basis_cache = {}
-_expand_cache = {}
-_columns_cache = {}
 
 
 class SizeGuardError(ValueError):
@@ -152,21 +146,6 @@ def witt_rank(k, n):
     return total // n
 
 
-def expand_tree(tree):
-    """Iterated-commutator expansion of a bracketing tree in the tensor algebra.
-
-    Returns {word: int coefficient}.  Trees are letters or (left, right) pairs.
-    """
-    if isinstance(tree, int):
-        return {(tree,): 1}
-    e = _expand_cache.get(tree)
-    if e is not None:
-        return e
-    out = commutator(expand_tree(tree[0]), expand_tree(tree[1]))
-    _expand_cache[tree] = out
-    return out
-
-
 def commutator(p, q):
     """pq - qp of tensor polynomials {word: coeff}, without zero terms."""
     out = {}
@@ -178,43 +157,3 @@ def commutator(p, q):
             w = wb + wa
             out[w] = out.get(w, 0) - c
     return {w: c for w, c in out.items() if c}
-
-
-def at_lyndon_words(poly, index):
-    """Coefficients of a tensor polynomial at the words of index, as
-    {position: coeff}; index maps Lyndon words to positions, as
-    LyndonBasis.index does."""
-    return {i: c for w, c in poly.items() if (i := index.get(w)) is not None}
-
-
-def lyndon_columns(k, n, guard=DEFAULT_GUARD):
-    """Coefficients at the degree-n Lyndon words of each basis element.
-
-    Column i is expand_tree of the i-th bracketing restricted to Lyndon
-    words, as {word index: coeff}: 1 at i and otherwise only at later
-    indices, since the expansion of a bracketed Lyndon word is the word
-    plus lex-greater words (Chen-Fox-Lyndon).  Memoized.
-    """
-    key = (k, n)
-    cols = _columns_cache.get(key)
-    if cols is None:
-        basis = lyndon_basis(k, n, guard)
-        cols = tuple(at_lyndon_words(expand_tree(t), basis.index)
-                     for t in basis.trees)
-        _columns_cache[key] = cols
-    return cols
-
-
-def lie_coords(k, n, x, guard=DEFAULT_GUARD):
-    """Basis coordinates of the degree-n Lie element with Lyndon-word coefficients x.
-
-    One pass of back substitution down the unitriangular column table.
-    """
-    a = list(x)
-    for i, col in enumerate(lyndon_columns(k, n, guard)):
-        v = a[i]
-        if v:
-            for j, c in col.items():
-                a[j] -= v * c
-            a[i] = v
-    return a

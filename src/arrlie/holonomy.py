@@ -7,9 +7,8 @@ every rank-2 flat Y and every atom H in Y.  It is computed as a tower
 h_n is the cokernel of Lambda^3 -> Lambda^2 of the degrees below n, so
 the cost follows the quotient and not the free Lie algebra.  Each degree
 is one integer QuotientLattice; Q and F_p read their dimensions off it
-by universal coefficients.  A class is a coordinate vector there, or a
-tensor polynomial {word: coeff} through HolonomyAlgebra.element and
-coords, and brackets of classes come from the tower's own tables.
+by universal coefficients.  A class is a coordinate vector there, and
+brackets of classes come from the tower's own tables.
 
 Also here: commutator-relator presentations with their degree-2 Magnus
 coefficients, the degree-2 part of the Orlik-Solomon relation ideal, and
@@ -24,8 +23,7 @@ from math import gcd
 from . import exactla, rings
 from .arrangement import Arrangement
 from .exactla import QuotientLattice
-from .freelie import (DEFAULT_GUARD, SizeGuardError, check_guard, commutator,
-                      lie_coords, lyndon_basis)
+from .freelie import DEFAULT_GUARD, SizeGuardError, check_guard
 
 # refusal thresholds per degree; kwarg `override=True` lifts them
 DEGREE_ALPHABET_LIMITS = {2: 64, 3: 15, 4: 8}
@@ -327,18 +325,18 @@ class HolonomyAlgebra:
 
     The bracket [s, t] of degree n is the projection of the column s ^ t.
     Each is computed on first use and kept, so no bracket landing in a
-    degree exists until a caller needs one.  A class is also worked with
-    as a tensor polynomial {word: coeff}: element lifts it to pair
-    coordinates and expands the commutators of its pairs, and coords
-    reads a Lie polynomial back through its Lyndon-basis coefficients,
-    each Lyndon bracketing evaluated with the brackets of the tower.
+    degree exists until a caller needs one.  Classes are coordinate
+    vectors, and bracket takes two sparse ones to the reduced coordinates
+    of their bracket.  Read backwards, the lift of a class of degree n
+    over the columns pairs(n) writes it as a sum of brackets [s, t] of
+    classes below n, so a Lie map out of the algebra is determined, degree
+    by degree, by the images of the letters (decomp.letter_matrix).
     """
 
     def __init__(self, source, max_degree, guard=DEFAULT_GUARD, override=False):
         self.relset = as_relation_set(source)
         self.alphabet = self.relset.alphabet
         self.max_degree = max_degree
-        self.guard = guard
         if max_degree > 1:
             # the guard only tightens with the degree
             holonomy_guard(self.alphabet, max_degree, override=override, guard=guard)
@@ -347,8 +345,6 @@ class HolonomyAlgebra:
         self._pairs = [[]]     # per degree: the columns, as pairs (s, t)
         self._columns = [{}]   # per degree: pair -> column
         self._products = {}    # (s, t) with s < t -> sparse coords of [s, t]
-        self._elements = {}    # basis class -> tensor polynomial
-        self._trees = {}       # Lyndon bracketing -> (degree, sparse coords)
 
     def quotient(self, d):
         """QuotientLattice of degree d over its pair columns.  1 <= d <= max_degree."""
@@ -357,6 +353,12 @@ class HolonomyAlgebra:
         while len(self._quotients) < d:
             self._grow()
         return self._quotients[d - 1]
+
+    def pairs(self, d):
+        """The columns of degree d >= 2 as pairs (s, t) of basis classes, in
+        column order: the column s ^ t projects to [s, t]."""
+        self.quotient(d)
+        return self._pairs[d - 1]
 
     def rank(self, d):
         return self.quotient(d).rank
@@ -404,7 +406,7 @@ class HolonomyAlgebra:
             vec = self._products[s, t] = {r: v for r, v in enumerate(y) if v}
         return vec
 
-    def _bracket(self, d1, u, d2, v):
+    def bracket(self, d1, u, d2, v):
         """Sparse reduced coordinates of [u, v], for sparse u in degree d1
         and v in degree d2."""
         acc = {}
@@ -431,71 +433,9 @@ class HolonomyAlgebra:
         d = d1 + d2
         if d > self.max_degree:
             return None
-        vec = self._bracket(d1, {i: v for i, v in enumerate(c1) if v},
+        vec = self.bracket(d1, {i: v for i, v in enumerate(c1) if v},
                            d2, {i: v for i, v in enumerate(c2) if v})
         return [vec.get(r, 0) for r in range(self.dim(d))]
-
-    def element(self, d, coords):
-        """Tensor polynomial {word: coeff} of a lift of the class: the sum
-        over basis classes of its coordinates times their polynomials."""
-        poly = {}
-        for j, v in enumerate(coords):
-            if v:
-                for w, c in self._element((d, j)).items():
-                    poly[w] = poly.get(w, 0) + v * c
-        return {w: c for w, c in poly.items() if c}
-
-    def _element(self, s):
-        """Polynomial of a basis class: its lift to pair coordinates, each
-        pair (a, b) expanded as the commutator of their polynomials."""
-        poly = self._elements.get(s)
-        if poly is None:
-            d, j = s
-            if d == 1:
-                poly = {(j,): 1}
-            else:
-                unit = [0] * self.dim(d)
-                unit[j] = 1
-                acc = {}
-                for col, lam in enumerate(self.quotient(d).lift(unit)):
-                    if lam:
-                        a, b = self._pairs[d - 1][col]
-                        for w, c in commutator(self._element(a),
-                                               self._element(b)).items():
-                            acc[w] = acc.get(w, 0) + lam * c
-                poly = {w: c for w, c in acc.items() if c}
-            self._elements[s] = poly
-        return poly
-
-    def coords(self, d, poly):
-        """Quotient coordinates of a degree-d Lie element given as a tensor
-        polynomial: its Lyndon-basis coefficients (lie_coords of its
-        coefficients at the Lyndon words) times the coordinates of each
-        Lyndon bracketing, reduced."""
-        basis = lyndon_basis(self.alphabet, d, self.guard)
-        x = [0] * len(basis)
-        for w, c in poly.items():
-            i = basis.index.get(w)
-            if i is not None:
-                x[i] = c
-        acc = {}
-        for tree, v in zip(basis.trees, lie_coords(self.alphabet, d, x, self.guard)):
-            if v:
-                for r, c in self._tree(tree)[1].items():
-                    acc[r] = acc.get(r, 0) + v * c
-        return self.quotient(d).reduce([acc.get(r, 0) for r in range(self.dim(d))])
-
-    def _tree(self, tree):
-        """(degree, sparse coordinates) of a bracketing tree of letters."""
-        got = self._trees.get(tree)
-        if got is None:
-            if isinstance(tree, int):
-                got = (1, {tree: 1})
-            else:
-                (d1, u), (d2, v) = self._tree(tree[0]), self._tree(tree[1])
-                got = (d1 + d2, self._bracket(d1, u, d2, v))
-            self._trees[tree] = got
-        return got
 
 
 def _triples(n, dims):

@@ -35,6 +35,9 @@ from .holonomy import (GradedAbelian, HolonomyAlgebra, as_relation_set,
                        holonomy_graded, i2_basis, letter_word, pair_index,
                        pair_list, single_letter_names)
 
+# one dotted word token: a generator name with an optional integer exponent
+_WORD_TOKEN = re.compile(r"([^\^\s]+)(?:\^(-?\d+))?")
+
 
 @dataclass(frozen=True)
 class Class2Element:
@@ -151,7 +154,7 @@ class Class2Group:
             return letter_word(self.names, text)
         seq = []
         for token in text.split("."):
-            m = re.fullmatch(r"([^\^\s]+)(?:\^(-?\d+))?", token.strip())
+            m = _WORD_TOKEN.fullmatch(token.strip())
             if not m:
                 raise ValueError("bad word token %r" % token)
             idx = self._name_index.get(m.group(1))

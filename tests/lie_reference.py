@@ -3,6 +3,15 @@
 * Free Lie algebra arithmetic on the Lyndon basis: LieElement and bracket,
   rewriting tensor commutators triangularly (tensor_to_lyndon), and
   word_coords, the Lyndon-basis to Lyndon-word change of coordinates.
+* Lie elements as tensor polynomials read at the Lyndon words.  The
+  expansion of a bracketed Lyndon word w is w plus lex-greater words
+  (Chen-Fox-Lyndon), so a Lie element is determined by its coefficients
+  at the Lyndon words alone: reading them off (at_lyndon_words) is a
+  unitriangular change of coordinates (lyndon_columns), unimodular over
+  Z, and lie_coords inverts it.
+* The tensor-polynomial path through a HolonomyAlgebra: element expands
+  a class into a tensor polynomial, coords reads a Lie polynomial back
+  into quotient coordinates through its Lyndon-basis coefficients.
 * The word-row oracle for the holonomy Lie algebra: the relation ideal
   cut out of the free Lie algebra degree by degree.  I_2 is spanned by
   the relations (ij - ji per bracket) and, since I_n = [V, I_{n-1}],
@@ -15,16 +24,149 @@
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from arrlie import exactla, rings
 from arrlie.exactla import QuotientLattice
-from arrlie.freelie import (DEFAULT_GUARD, at_lyndon_words, check_guard,
-                            commutator, expand_tree, lyndon_basis,
-                            lyndon_columns, witt_rank)
+from arrlie.freelie import (DEFAULT_GUARD, check_guard, commutator,
+                            lyndon_basis, witt_rank)
 from arrlie.holonomy import as_relation_set, holonomy_guard, pair_list
 
 _pair_bracket_cache = {}
+_expand_cache = {}
+_columns_cache = {}
+# per HolonomyAlgebra: basis class -> polynomial, bracketing -> coordinates
+_element_cache = weakref.WeakKeyDictionary()
+_tree_cache = weakref.WeakKeyDictionary()
+
+
+# ---------------------------------------------------------------------------
+# Lie elements as tensor polynomials, read at the Lyndon words
+
+def expand_tree(tree):
+    """Iterated-commutator expansion of a bracketing tree in the tensor algebra.
+
+    Returns {word: int coefficient}.  Trees are letters or (left, right) pairs.
+    """
+    if isinstance(tree, int):
+        return {(tree,): 1}
+    e = _expand_cache.get(tree)
+    if e is not None:
+        return e
+    out = commutator(expand_tree(tree[0]), expand_tree(tree[1]))
+    _expand_cache[tree] = out
+    return out
+
+
+def at_lyndon_words(poly, index):
+    """Coefficients of a tensor polynomial at the words of index, as
+    {position: coeff}; index maps Lyndon words to positions, as
+    LyndonBasis.index does."""
+    return {i: c for w, c in poly.items() if (i := index.get(w)) is not None}
+
+
+def lyndon_columns(k, n, guard=DEFAULT_GUARD):
+    """Coefficients at the degree-n Lyndon words of each basis element.
+
+    Column i is expand_tree of the i-th bracketing restricted to Lyndon
+    words, as {word index: coeff}: 1 at i and otherwise only at later
+    indices, since the expansion of a bracketed Lyndon word is the word
+    plus lex-greater words (Chen-Fox-Lyndon).  Memoized.
+    """
+    key = (k, n)
+    cols = _columns_cache.get(key)
+    if cols is None:
+        basis = lyndon_basis(k, n, guard)
+        cols = tuple(at_lyndon_words(expand_tree(t), basis.index)
+                     for t in basis.trees)
+        _columns_cache[key] = cols
+    return cols
+
+
+def lie_coords(k, n, x, guard=DEFAULT_GUARD):
+    """Basis coordinates of the degree-n Lie element with Lyndon-word coefficients x.
+
+    One pass of back substitution down the unitriangular column table.
+    """
+    a = list(x)
+    for i, col in enumerate(lyndon_columns(k, n, guard)):
+        v = a[i]
+        if v:
+            for j, c in col.items():
+                a[j] -= v * c
+            a[i] = v
+    return a
+
+
+# ---------------------------------------------------------------------------
+# the tensor-polynomial path through a HolonomyAlgebra
+
+def element(alg, d, coords):
+    """Tensor polynomial {word: coeff} of a lift of a degree-d class: the
+    sum over basis classes of its coordinates times their polynomials."""
+    poly = {}
+    for j, v in enumerate(coords):
+        if v:
+            for w, c in _class_element(alg, (d, j)).items():
+                poly[w] = poly.get(w, 0) + v * c
+    return {w: c for w, c in poly.items() if c}
+
+
+def _class_element(alg, s):
+    """Polynomial of a basis class: its lift to pair coordinates, each
+    pair (a, b) expanded as the commutator of their polynomials."""
+    memo = _element_cache.setdefault(alg, {})
+    poly = memo.get(s)
+    if poly is None:
+        d, j = s
+        if d == 1:
+            poly = {(j,): 1}
+        else:
+            unit = [0] * alg.dim(d)
+            unit[j] = 1
+            acc = {}
+            for (a, b), lam in zip(alg.pairs(d), alg.quotient(d).lift(unit)):
+                if lam:
+                    for w, c in commutator(_class_element(alg, a),
+                                           _class_element(alg, b)).items():
+                        acc[w] = acc.get(w, 0) + lam * c
+            poly = {w: c for w, c in acc.items() if c}
+        memo[s] = poly
+    return poly
+
+
+def coords(alg, d, poly):
+    """Quotient coordinates of a degree-d Lie element given as a tensor
+    polynomial: its Lyndon-basis coefficients (lie_coords of its
+    coefficients at the Lyndon words) times the coordinates of each
+    Lyndon bracketing, reduced."""
+    basis = lyndon_basis(alg.alphabet, d)
+    x = [0] * len(basis)
+    for w, c in poly.items():
+        i = basis.index.get(w)
+        if i is not None:
+            x[i] = c
+    acc = {}
+    for tree, v in zip(basis.trees, lie_coords(alg.alphabet, d, x)):
+        if v:
+            for r, c in _tree_coords(alg, tree)[1].items():
+                acc[r] = acc.get(r, 0) + v * c
+    return alg.quotient(d).reduce([acc.get(r, 0) for r in range(alg.dim(d))])
+
+
+def _tree_coords(alg, tree):
+    """(degree, sparse coordinates) of a bracketing tree of letters."""
+    memo = _tree_cache.setdefault(alg, {})
+    got = memo.get(tree)
+    if got is None:
+        if isinstance(tree, int):
+            got = (1, {tree: 1})
+        else:
+            (d1, u), (d2, v) = _tree_coords(alg, tree[0]), _tree_coords(alg, tree[1])
+            got = (d1 + d2, alg.bracket(d1, u, d2, v))
+        memo[tree] = got
+    return got
 
 
 # ---------------------------------------------------------------------------

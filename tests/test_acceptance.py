@@ -39,8 +39,7 @@ from arrlie import (
     witt_rank,
 )
 from arrlie import exactla, rings
-from arrlie.freelie import expand_tree
-from lie_reference import LieElement, bracket
+from lie_reference import LieElement, bracket, expand_tree
 
 
 @contextmanager

@@ -282,6 +282,134 @@ def test_verify_iso_bad_mapping(files, capsys):
 
 
 # ---------------------------------------------------------------------------
+# frozen verify-iso bytes: near_pencil(5) against itself under the 4-cycle
+# H1 -> H2 -> H3 -> H4 -> H1 of its big pencil, per degree, ring and
+# negative control.  Each row pins the exit code, the sha256 of stdout and
+# the sha256 of the bundle's report.json (every matrix of the comparison).
+
+NP5_CYCLE = '{"H1":"H2","H2":"H3","H3":"H4","H4":"H1","H5":"H5"}'
+
+VERIFY_ISO_BYTES = [
+    (3, 'z', None, 0,
+     '88b8bb425edf34f38335bda138d44b186cd44d915f9f6eb36086cb392442feda',
+     '5b045017e0637ed95c0932104e50439b35410f53d6fa6bd416aa96bb4f501613'),
+    (3, 'z', 'lift', 1,
+     'a793ed464d9443b726499bad7a64f68bd23fdf93c3b90a31454cdd398af2603d',
+     '5e18a6d684c104d45d59bfb5cd3b9f7642554c4fb880960316708a4a0aa2d9fd'),
+    (3, 'z', 'sigma', 1,
+     'e677f77a2da4b4e5a5b814d88ac9517546109ca5b44d18e8ea5a0a49bade5bb0',
+     'fa6ea54c4691fef10da3433bd3692c3905e5b9e3faf433f8166e34dce80eff90'),
+    (3, 'q', None, 0,
+     '63ee353efc80bad6fa9c05e2708dfc43f4d185a4cc1ab8f50efcdee9c6ad567e',
+     '5be97ab68e06bf6e80637f47b8fe02260048d30fce055c82ee389758d908453a'),
+    (3, 'q', 'lift', 1,
+     '1e3314f138b5d030cfd9edb65a89dd2041e9b700c190f9d7b2fb83d7c6fb84c4',
+     '6df230b6bf731e8039492392377d058a839eec482bb534ec0354f4b374089fef'),
+    (3, 'q', 'sigma', 1,
+     'e80828bc0b06a62920d918ffe3bd94a7b08471fec739b8d493b32cb6e8cafbe8',
+     '1bb3ea72a84f5571b4237eaac62d26a80f6d285ed5772d12b8ae72407586240a'),
+    (3, 'fp:3', None, 0,
+     '7cd619aaae14ab5519b312f25119ba2d5cbf35db8c85f3689d7fc62a08440515',
+     'd8020970feb8b9c1c52eaf4054adfb279caca7f912841c846359899d7e90ecea'),
+    (3, 'fp:3', 'lift', 1,
+     '055b750c524247c2198cc4ade8ef10688a03f30ede11c58187887e26b97be3c5',
+     '9c94367fc12bcca2518ce418e0e42d9d531bfe3e9883e0e5e1531a5cc178875b'),
+    (3, 'fp:3', 'sigma', 1,
+     '92247cfb58a776284b891e5cac6b8aa5703436be525ea29b85601448826d8f72',
+     'cfb0e5f8d8c33398453f1e76c788efade8f79fe967106c9c3d2cd362fb8d4a4c'),
+    (4, 'z', None, 0,
+     '475fdfb0879fc3dc9ee4aee9bcf84132ffa9ced08496ee09d52ea037ea68cdb2',
+     '432cd66f935152c38e9433a6a24ccceb3c511c5aec245d51233d8fc9ac1869b1'),
+    (4, 'z', 'lift', 1,
+     'a16b502aeb957b0462a87d66522c3bd6b88a28bb7514a1ef3462f82a7eb4b807',
+     'f4a6c658aac274425e0280df4585d08575de914ffac3744301fe8df344b12dae'),
+    (4, 'z', 'sigma', 1,
+     '553e49b8a216eb1936b2373ffcbe0c44bc6c1badbda55f6a44af8b54d01f8bb9',
+     '744332967fa2b3a2441c311f726b0cb81995a4bb107d97646293d9ef6393766c'),
+    (4, 'q', None, 0,
+     'd1a73befd4ca22f8724ed54a4fe8e941d8a04ebb93ece28b617ff1325651a6a3',
+     'da7ec9dd601d22a945eaec5a05de38db7e81fa091720515b05b3560f58791b2c'),
+    (4, 'q', 'lift', 1,
+     'fd00fa4b994f16afd9f4219d173323ae0ad8bbc26da50f857a512e9878f8d9ac',
+     '808e2266f32ed1cb1b1a81fd3fbe8c167e7d4e584159fe602c0c826ded962757'),
+    (4, 'q', 'sigma', 1,
+     '69c6c2df2bd9604be1600c583c5b633474af5fa2c6a435104e799cf71748239e',
+     'ac099aab75e5ca77ac205b07e3595a07a1db4df1addb045a49972244a36a19b1'),
+    (4, 'fp:3', None, 0,
+     '22fda5d25fb020d5667b5cccb747955825c57d820899dd353260cd426fe89a91',
+     'd3f29e20dac083c12fb20b35a43dd857cc91205325e71cf71dab276f9725d55b'),
+    (4, 'fp:3', 'lift', 1,
+     '3d04c7ce2049b227e7621a9b51ea797b7dbb2020ad17ddcdeed1bede99dcf51c',
+     '8a2a298a49cac9cf470396d5dc769846bbc1b56910f4a197f5ba02edbc838a68'),
+    (4, 'fp:3', 'sigma', 1,
+     '05481be6be2c46de4df21026d579a599e4649455025def72a0f42ad57d5e81ff',
+     'ca672cbb6f8993d1d9451dc28554f6b35ca9735d00b24e8f5bb21968159f081b'),
+    (5, 'z', None, 0,
+     '762b3bf05497f3995eb62e7c21028f32601910e1e5ca73f55a521823ada53497',
+     '1d6fbbde4a537f8d6d9d268fb8ff3806c9df5367dbd3b87382b4fd72fc59ea77'),
+    (5, 'z', 'lift', 1,
+     'fe202483c39ce4b90d6b4aa7ba445ab44202f8f18e4d5f74ec2d956a5a4b6608',
+     '58ee2cb08ebfbd42c118f223e0671075e1e4f29d86e08a3996aff6883333c2db'),
+    (5, 'z', 'sigma', 1,
+     '7fc3e6f256ee7ead8b989c10c7c72f0236e526f0e7c192b869c63e29a1eb0a1f',
+     '9fd021b4bb8ddf61aafd136b77efaed5985182ba6fa90baa9f758d95d39367bd'),
+    (5, 'q', None, 0,
+     '7b8f1f79c680f17ba94ace255b9f84fe98b49214ab86397991c4c9e127250828',
+     'a09f54d0360fff5d43d29346e670c5782bb46d2c6a74536edb5519563f6a8737'),
+    (5, 'q', 'lift', 1,
+     '702bb4cbac61cb1c4c61f5d8c21f17a6baf8f3623e88f7660977719cb6aa2cd6',
+     '0b5fc75307c1ed571392cf8e349995430297ee7939eeb025522fc11702578b39'),
+    (5, 'q', 'sigma', 1,
+     '2f6a901c59f52ed14f63b14567bb2c1667ec8276bb65d455e1a0847674f9ccec',
+     '7eec5dfccb042ab4e3ac1fa081428b7ad4d4e263780675e1b2ad412484aa2f91'),
+    (5, 'fp:3', None, 0,
+     'f4657a0bcf5790ee4b676b8b0c2aebb3410c11313a7ad20caec9434a8b24ba59',
+     '383909a7843de93d493f8e3a81e97252f9038721cf310a93c50024ef185726ca'),
+    (5, 'fp:3', 'lift', 1,
+     'e3e819ec4a930f50760161dc0880483444f5409c05ac98802769f148d5ef049b',
+     '1bd40cfc2ab7d4bfed7ecd967dc8c378f3be2837b88a6c0ce8d4d2618f9e1d92'),
+    (5, 'fp:3', 'sigma', 1,
+     '834a44ea6d94be20e80694127493443ea2edb4b1167aa980154b246064076e9a',
+     '54ddf8ec078b275534f43b9cd2c0e6867729b97c070d6f58229ff8b28a072b55'),
+]
+
+# nonzero corrections on the big pencil at degree 5: degrees 2 and 3 sum
+# to zero over the pencil, degree 4 is free
+NP5_CORRECTIONS = (
+    '{"0":{"H1.2":[1,0,-2],"H2.2":[-1,0,2],"H1.3":[0,1,0,0,0,0,0,3],'
+    '"H3.3":[0,-1,0,0,0,0,0,-3],'
+    '"H4.4":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,-1]}}')
+NP5_CORRECTIONS_BYTES = (0,
+                         '9998549d80d2efea1b2b1372ed09fb61e95bc9d238112a3e8929b7e913ae7388',
+                         'c6eb3c959888cf7e6b478e31d21f0f431bbbea26a63ab36e426ec8b46281a6df')
+
+
+def _verify_iso_digests(capsys, tmp_path, extra):
+    path = tmp_path / "np5.json"
+    if not path.exists():
+        path.write_text(json.dumps(arrangement_to_json(near_pencil(5))))
+    outdir = tmp_path / ("out%d" % len(list(tmp_path.iterdir())))
+    code, out, _ = run(capsys, ["verify-iso", str(path), str(path), "--iso",
+                                NP5_CYCLE, "--out", str(outdir)] + extra)
+    report = (outdir / "report.json").read_bytes()
+    return (code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(report).hexdigest())
+
+
+def test_verify_iso_bytes_are_frozen(capsys, tmp_path):
+    for degree, ring, perturb, code, out, report in VERIFY_ISO_BYTES:
+        extra = ["--degree", str(degree), "--ring", ring]
+        if perturb:
+            extra += ["--perturb", perturb]
+        if degree == 5:
+            extra.append("--override")
+        got = _verify_iso_digests(capsys, tmp_path, extra)
+        assert got == (code, out, report), extra
+    extra = ["--degree", "5", "--override", "--corrections", NP5_CORRECTIONS]
+    assert _verify_iso_digests(capsys, tmp_path, extra) == NP5_CORRECTIONS_BYTES
+
+
+# ---------------------------------------------------------------------------
 # input errors
 
 def test_missing_and_broken_files(files, capsys, tmp_path):

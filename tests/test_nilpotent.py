@@ -109,6 +109,44 @@ def test_word_parsing_modes():
     assert grp.evaluate("A").exps == grp.evaluate("A^1").exps == (0, 1, 0)
 
 
+# dotted word tokens: accepted words with their sequences, refused words
+# with their messages; the table is frozen from the per-call pattern the
+# compiled one replaced.  \d is Unicode-aware, so an Arabic-Indic digit is
+# an exponent.
+WORD_TOKENS = [
+    ("H1", [(0, 1)]),
+    ("H1^-2", [(0, -2)]),
+    (" H1 ", [(0, 1)]),
+    ("H1^\u0663", [(0, 3)]),
+    ("H1^0", [(0, 0)]),
+    ("H3^12", [(2, 12)]),
+    ("H1.H2^-1. H3 ", [(0, 1), (1, -1), (2, 1)]),
+    ("H1^", "bad word token 'H1^'"),
+    ("H1^+2", "bad word token 'H1^+2'"),
+    ("H1 ^2", "bad word token 'H1 ^2'"),
+    ("H1^ 2", "bad word token 'H1^ 2'"),
+    ("H1^-", "bad word token 'H1^-'"),
+    ("H1^2^3", "bad word token 'H1^2^3'"),
+    ("^2", "bad word token '^2'"),
+    ("H1..H2", "bad word token ''"),
+    ("", "bad word token ''"),
+    ("H9", "unknown generator 'H9' in word 'H9'"),
+    ("h1", "unknown generator 'h1' in word 'h1'"),
+    ("H1.H9^2", "unknown generator 'H9' in word 'H1.H9^2'"),
+]
+
+
+@pytest.mark.parametrize("text,want", WORD_TOKENS)
+def test_word_token_table(text, want):
+    grp = Class2Group(pencil(3))
+    if isinstance(want, list):
+        assert grp.parse_word(text) == want
+    else:
+        with pytest.raises(ValueError) as err:
+            grp.parse_word(text)
+        assert str(err.value) == want
+
+
 def test_evaluate_accepts_prepared_words():
     grp = Class2Group(pencil(3))
     word = [(0, 1), (1, 1), (0, -1), (1, -1)]
