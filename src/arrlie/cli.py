@@ -10,6 +10,7 @@ internal error (an exception no input check anticipated).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -376,7 +377,10 @@ def _cmd_catalog(args, digests):
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+@functools.cache
 def _build_parser():
+    """The parser, built on the first call and then kept for the process:
+    parse_args does not change it, and a build costs milliseconds."""
     p = _Parser(
         prog="arrlie",
         description="Exact nilpotent and Lie-algebraic invariants of "
@@ -485,6 +489,9 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; returns the exit code.  Calls in one process
+    share the parser and the holonomy towers (holonomy.HolonomyAlgebra),
+    so a repeated query reuses the degrees already built."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     digests = []

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from . import exactla, rings
 from .arrangement import Arrangement, localize
 from .freelie import DEFAULT_GUARD, _moebius, witt_rank
-from .holonomy import HolonomyAlgebra, holonomy_graded, relation_set
+from .holonomy import HolonomyAlgebra, holonomy_graded
 
 # ---------------------------------------------------------------------------
 # decomposability and the decomposable LCS formula
@@ -104,24 +104,17 @@ class Charts:
     embed / restrict coordinate matrices between them, built on demand.
 
     The local arrangement of a flat is one pencil on its members, so flats
-    with the same relation set (the same multiplicity) share one local
-    algebra."""
+    with the same multiplicity have the same relation set, and their
+    local algebras are views on one tower (HolonomyAlgebra)."""
 
     def __init__(self, arr, n, guard=DEFAULT_GUARD, override=False):
         self.arr = arr
         self.n = n
         self.alg = HolonomyAlgebra(arr, max_degree=n, guard=guard, override=override)
         self.local_arr = [localize(arr, f.index) for f in arr.flats]
-        shared = {}
-        self.local_alg = []
-        for a in self.local_arr:
-            rels = relation_set(a)
-            key = (rels.alphabet, tuple(tuple(sorted(e.items()))
-                                        for e in rels.elements))
-            if key not in shared:
-                shared[key] = HolonomyAlgebra(rels, max_degree=n, guard=guard,
-                                              override=override)
-            self.local_alg.append(shared[key])
+        self.local_alg = [HolonomyAlgebra(a, max_degree=n, guard=guard,
+                                          override=override)
+                          for a in self.local_arr]
         self._maps = {}
 
     def embed(self, fi, d):
@@ -523,6 +516,9 @@ def _first_bad_column(a, b, p):
 
 
 def _invertible(mat, ring):
+    """Whether a square matrix is invertible over the ring, by the sparse
+    elimination: over Z its rows must span Z^n (exactla.is_unimodular),
+    over Q and F_p they must have rank n."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         return False
@@ -531,12 +527,10 @@ def _invertible(mat, ring):
     p = rings.char(ring)
     if any(not isinstance(v, int) for r in mat for v in r):
         return exactla.inverse_field([list(r) for r in mat], p) is not None
-    d = exactla.det_int([list(r) for r in mat])
+    rows = [{j: v for j, v in enumerate(r) if v} for r in mat]
     if ring == rings.Z:
-        return d in (1, -1)
-    if p:
-        return d % p != 0
-    return d != 0
+        return exactla.is_unimodular(rows, n)
+    return exactla.rank_sparse(rows, p) == n
 
 
 def check_diagram(d):

@@ -260,31 +260,6 @@ def is_zero(mat):
     return all(v == 0 for row in mat for v in row)
 
 
-def det_int(mat):
-    """Determinant of a square integer matrix, Bareiss fraction-free."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -401,6 +376,28 @@ def kernel_int(mat):
     q = QuotientLattice(n, mat)
     cols = [q.project({c: 1}) for c in range(n)]
     return [[col[i] for col in cols] for i in range(q.rank)]
+
+
+def is_unimodular(rows, n):
+    """Whether n sparse integer rows span Z^n: a square matrix of
+    determinant +-1.
+
+    The sparse loop pivots on the +-1 entries by unimodular steps, and the
+    residual rows are zero at every pivot column, so the matrix is
+    unimodular exactly when the residual is, as a square matrix on the
+    other columns.  That block has no unit entry; it is decided by its
+    inverse over Q being integral, with no Smith form, whose entries can
+    grow without bound on dense blocks.
+    """
+    pivots, residual = _eliminate(rows, "Z")
+    if len(pivots) + len(residual) != n:
+        return False
+    if not residual:
+        return True
+    taken = {c for c, _rid, _row in pivots}
+    cols = [c for c in range(n) if c not in taken]
+    inv = inverse_field([[row.get(c, 0) for c in cols] for _rid, row in residual])
+    return inv is not None and all(v.denominator == 1 for r in inv for v in r)
 
 
 def inverse_field(mat, p=None):

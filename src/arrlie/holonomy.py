@@ -8,7 +8,10 @@ h_n is the cokernel of Lambda^3 -> Lambda^2 of the degrees below n, so
 the cost follows the quotient and not the free Lie algebra.  Each degree
 is one integer QuotientLattice; Q and F_p read their dimensions off it
 by universal coefficients.  A class is a coordinate vector there, and
-brackets of classes come from the tower's own tables.
+brackets of classes come from the tower's own tables.  The process keeps
+the towers of the last few relation sets (TOWER_MEMO_SIZE), so every
+HolonomyAlgebra, ring and caller on one relation set reads and extends
+one tower instead of building its degrees again.
 
 Also here: commutator-relator presentations with their degree-2 Magnus
 coefficients, the degree-2 part of the Orlik-Solomon relation ideal, and
@@ -18,6 +21,7 @@ the nullity of multiplication E^1 x I^2 -> E^3 (the Falk invariant).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from . import exactla, rings
@@ -272,7 +276,9 @@ def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=Fa
     Every ring reads the integer tower of HolonomyAlgebra: over Z a degree
     is its lattice's rank and divisor chain, over Q its rank, and over F_p,
     by universal coefficients, its rank plus the number of divisors that p
-    divides.  No bracket of degree top is computed.
+    divides.  No bracket of degree top is computed.  The tower is the
+    process's one tower of the relation set, so a second call, over any
+    ring, builds only the degrees the earlier ones did not reach.
     """
     if top < 1:
         return []
@@ -331,6 +337,14 @@ class HolonomyAlgebra:
     over the columns pairs(n) writes it as a sum of brackets [s, t] of
     classes below n, so a Lie map out of the algebra is determined, degree
     by degree, by the images of the letters (decomp.letter_matrix).
+
+    An instance is a view on the tower of its relation set, which is
+    shared by every view on the same alphabet and relations in the
+    process (see _tower): each view keeps its own max_degree and runs the
+    size guard for it before it touches the tower, and the tower grows
+    only when some view asks for a degree it does not hold yet.  The
+    tower is a deterministic function of the relation set, so sharing it
+    changes no answer and no coordinate.
     """
 
     def __init__(self, source, max_degree, guard=DEFAULT_GUARD, override=False):
@@ -340,25 +354,20 @@ class HolonomyAlgebra:
         if max_degree > 1:
             # the guard only tightens with the degree
             holonomy_guard(self.alphabet, max_degree, override=override, guard=guard)
-        # degree 1 has no relations, so its coordinates are the letters
-        self._quotients = [QuotientLattice(self.alphabet, [])]
-        self._pairs = [[]]     # per degree: the columns, as pairs (s, t)
-        self._columns = [{}]   # per degree: pair -> column
-        self._products = {}    # (s, t) with s < t -> sparse coords of [s, t]
+        self._tower = _tower(self.alphabet, tuple(
+            tuple(sorted(e.items())) for e in self.relset.elements))
 
     def quotient(self, d):
         """QuotientLattice of degree d over its pair columns.  1 <= d <= max_degree."""
         if not 1 <= d <= self.max_degree:
             raise ValueError("degree %d outside 1..%d" % (d, self.max_degree))
-        while len(self._quotients) < d:
-            self._grow()
-        return self._quotients[d - 1]
+        return self._tower.level(d)[0]
 
     def pairs(self, d):
-        """The columns of degree d >= 2 as pairs (s, t) of basis classes, in
-        column order: the column s ^ t projects to [s, t]."""
+        """The columns of degree d >= 2 as a tuple of pairs (s, t) of basis
+        classes, in column order: the column s ^ t projects to [s, t]."""
         self.quotient(d)
-        return self._pairs[d - 1]
+        return self._tower.level(d)[1]
 
     def rank(self, d):
         return self.quotient(d).rank
@@ -369,46 +378,11 @@ class HolonomyAlgebra:
     def dim(self, d):
         return self.quotient(d).dim
 
-    def _grow(self):
-        """Add the lattice of the next degree, built from the degrees below."""
-        n = len(self._quotients) + 1
-        dims = [0] + [q.dim for q in self._quotients]
-        cols = {}
-        for a in range(1, n // 2 + 1):
-            for i in range(dims[a]):
-                for j in range(i + 1 if 2 * a == n else 0, dims[n - a]):
-                    cols[(a, i), (n - a, j)] = len(cols)
-        rows = list(self.relset.elements) if n == 2 else []
-        for (s, t), col in cols.items():
-            g = gcd(self._divisor(s), self._divisor(t))
-            if g:
-                rows.append({col: g})
-        for s, t, u in _triples(n, dims):
-            row = {}
-            _wedge_into(row, cols, s[0] + t[0], self._product(s, t), u, 1)
-            _wedge_into(row, cols, t[0] + u[0], self._product(t, u), s, 1)
-            _wedge_into(row, cols, s[0] + u[0], self._product(s, u), t, -1)
-            rows.append(row)
-        self._pairs.append(list(cols))
-        self._columns.append(cols)
-        self._quotients.append(QuotientLattice(len(cols), rows))
-
-    def _divisor(self, s):
-        q = self._quotients[s[0] - 1]
-        return 0 if s[1] < q.rank else q.torsion[s[1] - q.rank]
-
-    def _product(self, s, t):
-        """Sparse coordinates of [s, t] for basis classes s < t."""
-        vec = self._products.get((s, t))
-        if vec is None:
-            d = s[0] + t[0]
-            y = self.quotient(d).project({self._columns[d - 1][s, t]: 1})
-            vec = self._products[s, t] = {r: v for r, v in enumerate(y) if v}
-        return vec
-
     def bracket(self, d1, u, d2, v):
         """Sparse reduced coordinates of [u, v], for sparse u in degree d1
         and v in degree d2."""
+        q = self.quotient(d1 + d2)
+        product = self._tower.product
         acc = {}
         for i, a in u.items():
             for j, b in v.items():
@@ -417,9 +391,8 @@ class HolonomyAlgebra:
                     continue
                 if s > t:
                     s, t, c = t, s, -c
-                for r, x in self._product(s, t).items():
+                for r, x in product(s, t).items():
                     acc[r] = acc.get(r, 0) + c * x
-        q = self.quotient(d1 + d2)
         out = {}
         for r, x in acc.items():
             if r >= q.rank:
@@ -436,6 +409,80 @@ class HolonomyAlgebra:
         vec = self.bracket(d1, {i: v for i, v in enumerate(c1) if v},
                            d2, {i: v for i, v in enumerate(c2) if v})
         return [vec.get(r, 0) for r in range(self.dim(d))]
+
+
+# The towers of the last few relation sets used in the process.  Eight
+# cover one verify-iso (two global towers and one local tower per
+# distinct pencil multiplicity) next to an h2check.  Like the rest of the
+# library, the memo and the towers in it are not thread-safe.
+TOWER_MEMO_SIZE = 8
+
+
+@lru_cache(maxsize=TOWER_MEMO_SIZE)
+def _tower(alphabet, relations):
+    """The tower of one relation set: relations are the degree-2 relations
+    as tuples of sorted (pair position, coefficient) items, in order."""
+    return _Tower(alphabet, relations)
+
+
+class _Tower:
+    """Per-degree state of the holonomy tower of one relation set, grown on
+    demand: for each degree its QuotientLattice, its pair columns and the
+    column index of each pair, plus the memo of basis brackets.  No size
+    guard runs here; HolonomyAlgebra runs it before asking for a degree."""
+
+    def __init__(self, alphabet, relations):
+        self._relations = relations
+        # degree 1 has no relations, so its coordinates are the letters
+        self._levels = [(QuotientLattice(alphabet, []), (), {})]
+        self._products = {}    # (s, t) with s < t -> sparse coords of [s, t]
+
+    def level(self, d):
+        """(lattice, pair columns, pair -> column) of degree d >= 1."""
+        while len(self._levels) < d:
+            self._grow()
+        return self._levels[d - 1]
+
+    def _grow(self):
+        """Add the next degree, built from the degrees below.  Its tables
+        are added in one step once its lattice exists, so a failure on the
+        way (the modular cross-check, an interrupt) leaves the tower as it
+        was, and the next request builds the degree again."""
+        n = len(self._levels) + 1
+        dims = [0] + [q.dim for q, _pairs, _cols in self._levels]
+        cols = {}
+        for a in range(1, n // 2 + 1):
+            for i in range(dims[a]):
+                for j in range(i + 1 if 2 * a == n else 0, dims[n - a]):
+                    cols[(a, i), (n - a, j)] = len(cols)
+        rows = [dict(e) for e in self._relations] if n == 2 else []
+        for (s, t), col in cols.items():
+            g = gcd(self._divisor(s), self._divisor(t))
+            if g:
+                rows.append({col: g})
+        for s, t, u in _triples(n, dims):
+            row = {}
+            _wedge_into(row, cols, s[0] + t[0], self.product(s, t), u, 1)
+            _wedge_into(row, cols, t[0] + u[0], self.product(t, u), s, 1)
+            _wedge_into(row, cols, s[0] + u[0], self.product(s, u), t, -1)
+            rows.append(row)
+        q = QuotientLattice(len(cols), rows)
+        self._levels.append((q, tuple(cols), cols))
+
+    def _divisor(self, s):
+        q = self._levels[s[0] - 1][0]
+        return 0 if s[1] < q.rank else q.torsion[s[1] - q.rank]
+
+    def product(self, s, t):
+        """Sparse coordinates of [s, t] for basis classes s < t.  The dict
+        is the memo's own: callers read it and never change it."""
+        vec = self._products.get((s, t))
+        if vec is None:
+            d = s[0] + t[0]
+            q, _pairs, cols = self.level(d)
+            y = q.project({cols[s, t]: 1})
+            vec = self._products[s, t] = {r: v for r, v in enumerate(y) if v}
+        return vec
 
 
 def _triples(n, dims):

@@ -520,7 +520,8 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD, override=False
             raise ValueError("degree > 3 comparison is only available for "
                              "arrangements (it needs localization data)")
         from . import decomp
-        decomp_report = decomp.is_decomposable(source)
+        decomp_report = decomp.is_decomposable(source, guard=guard,
+                                                override=override)
         if not decomp_report["decomposable"]:
             raise ValueError(
                 "H2 comparison at degree %d requires a decomposable "

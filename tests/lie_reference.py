@@ -19,6 +19,8 @@
   of degree n-1.  Each degree is eliminated on the coefficients at the
   Lyndon words, a unimodular change of coordinates from the Lyndon basis.
   It shares no code with the tower of HolonomyAlgebra beyond exactla.
+* det_int, the Bareiss determinant of a dense integer matrix, the oracle
+  for the sparse invertibility test of the verifier and for unimodularity.
 """
 
 from __future__ import annotations
@@ -377,3 +379,31 @@ def word_row_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=Fa
                                       top - 1):
         out.append((q.rank, q.torsion) if ring == rings.Z else (q, ()))
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense determinants
+
+def det_int(mat):
+    """Determinant of a square integer matrix, Bareiss fraction-free."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

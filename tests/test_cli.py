@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from arrlie import cli
-from arrlie.arrangement import arrangement_to_json, braid, near_pencil, pencil
+from arrlie.arrangement import arrangement_to_json, braid, generic, near_pencil, \
+    pencil
 from arrlie.cli import main
 
 TIMING = re.compile(r"^arrlie: [a-z-]+ in \d+\.\d{3}s$")
@@ -193,6 +194,23 @@ def test_h2check(files, capsys):
     assert json.loads(out) == {"b2": 2, "bridge": "exact", "ce_h2_rank": 4,
                                "degree": 3, "expected": 4, "h_n_rank": 2,
                                "pass": True, "ring": "q"}
+
+
+def test_h2check_override_reaches_its_decomposability_step(capsys, tmp_path):
+    # 16 atoms are past the degree-3 alphabet limit: --override lifts it
+    # for every step of the degree-4 check, the decomposability test too
+    path = tmp_path / "generic16.json"
+    path.write_text(json.dumps(arrangement_to_json(generic(16))))
+    code, out, _ = run(capsys, ["h2check", str(path), "--degree", "4",
+                                "--override"])
+    assert code == 0
+    assert json.loads(out) == {"b2": 120, "bridge": "exact", "ce_h2_rank": 120,
+                               "ce_h2_torsion": [], "decomposable": True,
+                               "degree": 4, "expected": 120, "h_n_rank": 0,
+                               "h_n_torsion": [], "pass": True, "ring": "z"}
+    line = assert_exits_2_on_one_line(capsys, ["h2check", str(path),
+                                               "--degree", "4"])
+    assert "refuses alphabets beyond 15 letters" in line
 
 
 def test_catalog_stdout_and_file(files, capsys, tmp_path):
@@ -407,6 +425,105 @@ def test_verify_iso_bytes_are_frozen(capsys, tmp_path):
         assert got == (code, out, report), extra
     extra = ["--degree", "5", "--override", "--corrections", NP5_CORRECTIONS]
     assert _verify_iso_digests(capsys, tmp_path, extra) == NP5_CORRECTIONS_BYTES
+
+
+# One command set run twice in one process, in two orders: the later runs
+# read the parser and every holonomy tower the earlier ones built.  Each
+# entry is (exit code, stdout sha256[, sha256 of the --out bundle's
+# matrices.json, report.json and verdict.json]), computed with fresh
+# state per command before towers were shared.
+REUSE_BYTES = {
+    'holonomy z':
+        (0, 'd1cdcac2ca5b7be64750e2fe7f9c664d521ef37196bbc06d8f853f570332a7ae'),
+    'holonomy q':
+        (0, 'd1cdcac2ca5b7be64750e2fe7f9c664d521ef37196bbc06d8f853f570332a7ae'),
+    'holonomy fp:3':
+        (0, 'd1cdcac2ca5b7be64750e2fe7f9c664d521ef37196bbc06d8f853f570332a7ae'),
+    'holonomy pres z':
+        (0, 'c691066dda2e6532c67bcfdc4b228fc836a09d65647bcbbc4c3fd3bed597144f'),
+    'holonomy pres q':
+        (0, '794e4db0ec54a54ac35b36a345e0c26cf23cd4d509968390ac4f8ab205ffde55'),
+    'holonomy pres fp:3':
+        (0, '143f762408aa0e929c1309254138640ce6a93eca3f474c090425dcf88f72b880'),
+    'holonomy braid4':
+        (0, 'a7ed0271f22e613ac5d96ae4ea64563bfab20e821f2d131a16afc02648dcbbaa'),
+    'h2check 3':
+        (0, 'b7c719ef77b52d2b4d93ccae3e688e3828c9f5a921ad99941153d91ad93f29d8'),
+    'h2check 4':
+        (0, 'abf94b71f7c8e94b2f42efb7e33ab6ef7701ae5775d8ac5c0694d29556edde7e'),
+    'verify-iso':
+        (0, '475fdfb0879fc3dc9ee4aee9bcf84132ffa9ced08496ee09d52ea037ea68cdb2'),
+    'verify-iso lift':
+        (1, 'a16b502aeb957b0462a87d66522c3bd6b88a28bb7514a1ef3462f82a7eb4b807'),
+    'verify-iso out':
+        (0, '475fdfb0879fc3dc9ee4aee9bcf84132ffa9ced08496ee09d52ea037ea68cdb2',
+         'df13c3459cab7ba741d105322df4e7efdf994074a2817d4d9cb5d87f5387d639',
+         '432cd66f935152c38e9433a6a24ccceb3c511c5aec245d51233d8fc9ac1869b1',
+         'a11ca4370ada7aced38c2f3ebcd136708ce9daf0e30a49017734727fe7a4d157'),
+    'kinv':
+        (0, 'a5594460da825f8f4a1ad4b66babee907f365e0d0ec6dfda8eea2db9934ebc96'),
+    'nq2':
+        (0, '72fb33d4956a430a9ea2b8ad0bb7df845c6c3387356727c0df909f46a3f97523'),
+    'lattice':
+        (0, '1b0d97ee4f9922dbd8582f373532c0950eec567c695316b74fb1a8ad42434aaa'),
+    'usage error':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    '-h':
+        (0, '03942fb304c3788f3c0d3c07c45bfccb68a1ab54a6459cedce0ea87b41e52539'),
+}
+
+
+def _reuse_commands(tmp_path):
+    paths = {}
+    for name, obj in (("np5", arrangement_to_json(near_pencil(5))),
+                      ("braid4", arrangement_to_json(braid(4))),
+                      ("pres", {"generators": 2, "relators": ["xxxyXXXY"]})):
+        paths[name] = str(tmp_path / ("%s.json" % name))
+        with open(paths[name], "w") as f:
+            json.dump(obj, f)
+    np5, pres = paths["np5"], paths["pres"]
+    v = ["verify-iso", np5, np5, "--iso", NP5_CYCLE, "--degree", "4"]
+    cmds = [("holonomy %s%s" % (name, ring),
+             ["holonomy", path, "--max-degree", "4", "--ring", ring])
+            for name, path in (("", np5), ("pres ", pres))
+            for ring in ("z", "q", "fp:3")]
+    cmds += [
+        ("holonomy braid4", ["holonomy", paths["braid4"], "--max-degree", "4",
+                             "--ring", "q"]),
+        ("h2check 3", ["h2check", np5, "--degree", "3", "--ring", "z"]),
+        ("h2check 4", ["h2check", np5, "--degree", "4", "--ring", "z"]),
+        ("verify-iso", v),
+        ("verify-iso lift", v + ["--perturb", "lift"]),
+        ("verify-iso out", v + ["--out", str(tmp_path / "out")]),
+        ("kinv", ["kinv", np5]),
+        ("nq2", ["nq2", np5, "--word", "H1.H2.H1^-1.H2^-1"]),
+        ("lattice", ["lattice", np5]),
+        ("usage error", ["holonomy", np5, "--max-degree", "four"]),
+        ("-h", ["-h"]),
+    ]
+    return cmds
+
+
+def test_reuse_within_one_process_keeps_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # the width -h wraps its usage to
+    cmds = _reuse_commands(tmp_path)
+    assert sorted(name for name, _ in cmds) == sorted(REUSE_BYTES)
+    for order in (cmds, cmds[::-1]):
+        for name, argv in order:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            cap = capsys.readouterr()
+            got = (code, hashlib.sha256(cap.out.encode()).hexdigest())
+            if "--out" in argv:
+                got += tuple(hashlib.sha256((tmp_path / "out" / f).read_bytes())
+                             .hexdigest() for f in ("matrices.json", "report.json",
+                                                    "verdict.json"))
+            assert got == REUSE_BYTES[name], name
+            if code == 2:
+                lines = cap.err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("arrlie: error:")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Decomposability, correction-form lifts, obstructions, and the iso verifier."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,7 @@ from arrlie import exactla, rings
 from arrlie.arrangement import Arrangement, localize
 from arrlie.decomp import (
     Charts,
+    _invertible,
     _phi_table,
     _relator_component,
     delta_matrix,
@@ -40,8 +42,8 @@ from arrlie.decomp import (
 )
 from arrlie.freelie import lyndon_basis
 from arrlie.holonomy import make_presentation
-from lie_reference import (LieElement, bracket, coords, element, expand_tree,
-                           tensor_to_lyndon)
+from lie_reference import (LieElement, bracket, coords, det_int, element,
+                           expand_tree, tensor_to_lyndon, word_row_degrees)
 from test_holonomy import commutator_presentations
 
 
@@ -233,15 +235,14 @@ def test_foreign_embeddings_restrict_to_zero():
 
 def test_charts_share_one_local_algebra_per_pencil():
     # a local arrangement is one pencil on its members, so flats of the
-    # same multiplicity share an algebra, with the ranks of a fresh one
+    # same multiplicity share a tower, with the ranks of the word rows
     for arr, distinct in ((near_pencil(5), 2), (braid(4), 2), (pencil(4), 1)):
         ch = Charts(arr, 4)
-        assert len({id(a) for a in ch.local_alg}) == distinct
+        assert len({id(a._tower) for a in ch.local_alg}) == distinct
         for f, loc in zip(arr.flats, ch.local_alg):
-            fresh = HolonomyAlgebra(localize(arr, f.index), max_degree=4)
             assert loc.alphabet == len(f.members)
             assert ([(loc.rank(d), loc.torsion(d)) for d in range(1, 5)]
-                    == [(fresh.rank(d), fresh.torsion(d)) for d in range(1, 5)])
+                    == word_row_degrees(localize(arr, f.index), 4))
 
 
 def test_restriction_stack_dimensions():
@@ -275,7 +276,7 @@ def test_iso_h2_matrix_is_invertible():
     arr = pencil(3)
     iso = lattice_iso(arr, arr, {"H1": "H2", "H2": "H3", "H3": "H1"})
     g2 = iso_h2_matrix(arr, arr, iso)
-    assert len(g2) == 2 and abs(exactla.det_int(g2)) == 1
+    assert len(g2) == 2 and abs(det_int(g2)) == 1
     cube = exactla.mat_mul(g2, exactla.mat_mul(g2, g2))
     assert cube == exactla.identity(2)
 
@@ -366,6 +367,52 @@ def test_check_diagram_ring_sensitivity_of_g2():
     for ring in (rings.Q, rings.fp(3)):
         rep = check_diagram(diagram_instance(g2=[[2]], ring=ring, **base))
         assert rep["pass"] and rep["ring"] == rings.name(ring)
+
+
+def _unimodular(rng, n):
+    """A seeded product of elementary row operations, a row swap and a sign."""
+    m = exactla.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-3, 3)
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        m[i], m[j] = m[j], m[i]
+    m[0] = [-a for a in m[0]]
+    return m
+
+
+def test_sparse_invertibility_matches_the_determinant():
+    # square integer matrices whose determinant is +-1, +-2, +-3, +-6 or 0,
+    # against det_int: a unit over Z, nonzero over Q, prime to p over F_p
+    rng = random.Random(14)
+    ring_list = (rings.Z, rings.Q, rings.fp(2), rings.fp(3), rings.fp(5))
+    seen = {ring: set() for ring in ring_list}
+    for trial in range(120):
+        n = rng.randint(1, 7)
+        scale = exactla.identity(n)
+        kind = trial % 5
+        scale[0][0] = (1, 2, 3, 6, 0)[kind]
+        m = exactla.mat_mul(exactla.mat_mul(_unimodular(rng, n), scale),
+                            _unimodular(rng, n))
+        if kind == 4 and n > 1 and trial % 2:
+            # singular by a row that is a combination of two others
+            i, j, k = (rng.sample(range(n), 3) if n > 2 else (0, 1, 1))
+            m[i] = [2 * a - b for a, b in zip(m[j], m[k])]
+        det = det_int(m)
+        for ring in ring_list:
+            p = rings.char(ring)
+            want = (det in (1, -1) if ring == rings.Z
+                    else det % p != 0 if p else det != 0)
+            assert _invertible(m, ring) == want, (m, ring)
+            seen[ring].add(want)
+    assert all(v == {True, False} for v in seen.values())
+    # entries that are not ints go through inverse_field
+    assert _invertible([[Fraction(1, 2), 0], [0, 1]], rings.Q)
+    assert not _invertible([[Fraction(1, 2), 1], [1, 2]], rings.Q)
+    assert not _invertible([[1, 2]], rings.Z) and _invertible([], rings.Z)
 
 
 def test_check_diagram_mod_p_identities():

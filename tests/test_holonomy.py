@@ -20,7 +20,7 @@ from arrlie import (
     standard_catalog,
     witt_rank,
 )
-from arrlie import exactla, rings
+from arrlie import exactla, holonomy, rings
 from arrlie.decomp import letter_matrix
 from arrlie.freelie import SizeGuardError
 from arrlie.holonomy import (
@@ -429,3 +429,115 @@ def test_holonomy_guard_and_override():
         holonomy_guard(30, 8)
     holonomy_guard(30, 8, override=True, guard=10 ** 30)
     holonomy_guard(3, 4)
+
+
+# ---------------------------------------------------------------------------
+# one tower per relation set per process
+
+def _tower_state(alg, top):
+    """Everything a view reads off its tower to degree top: ranks, torsion,
+    pair columns, and the coordinates of every bracket of basis classes."""
+    state = [(alg.rank(d), alg.torsion(d), alg.pairs(d) if d > 1 else ())
+             for d in range(1, top + 1)]
+    for d1 in range(1, top):
+        for d2 in range(d1, top - d1 + 1):
+            for i in range(alg.dim(d1)):
+                for j in range(alg.dim(d2)):
+                    state.append(alg.bracket(d1, {i: 1}, d2, {j: 1}))
+    return state
+
+
+def test_views_of_one_relation_set_share_one_tower():
+    arr = braid(4)
+    alg = HolonomyAlgebra(arr, max_degree=3)
+    rels = relation_set(arr)
+    # the same relations with their items in another order, under other names
+    shuffled = type(rels)(alphabet=rels.alphabet,
+                          elements=tuple(dict(reversed(e.items()))
+                                         for e in rels.elements),
+                          labels=rels.labels, atom_names=tuple("abcdef"))
+    for other in (HolonomyAlgebra(arr, max_degree=4),
+                  HolonomyAlgebra(rels, max_degree=2),
+                  HolonomyAlgebra(shuffled, max_degree=3)):
+        assert other._tower is alg._tower
+    assert HolonomyAlgebra(near_pencil(5), 3)._tower is not alg._tower
+    assert _tower_state(alg, 3) == _tower_state(HolonomyAlgebra(shuffled, 3), 3)
+
+
+def test_a_view_keeps_its_degree_and_guard_on_a_grown_tower():
+    arr = braid(5)     # 10 letters: past the alphabet limit of degree 4
+    low = HolonomyAlgebra(arr, max_degree=3)
+    high = HolonomyAlgebra(arr, max_degree=5, override=True)
+    assert high._tower is low._tower
+    assert [high.rank(d) for d in range(1, 6)] == [10, 10, 30, 81, 258]
+    with pytest.raises(ValueError, match="degree 4 outside 1..3"):
+        low.quotient(4)
+    with pytest.raises(ValueError, match="degree 4 outside 1..3"):
+        low.bracket(2, {0: 1}, 2, {1: 1})
+    e0, e1 = [1] + [0] * 9, [0, 1] + [0] * 8
+    assert low.bracket_coords(2, e0, 2, e1) is None
+    with pytest.raises(SizeGuardError, match="degree 4 refuses"):
+        HolonomyAlgebra(arr, max_degree=4)
+    with pytest.raises(SizeGuardError, match="degree 4 refuses"):
+        holonomy_degrees(arr, 4, rings.Q)
+
+
+def test_the_tower_memo_is_bounded_and_rebuilds_identically():
+    info = holonomy._tower.cache_info
+    assert info().maxsize == holonomy.TOWER_MEMO_SIZE
+    alg = HolonomyAlgebra(braid(4), max_degree=4)
+    before = _tower_state(alg, 4)
+    # as many newer relation sets as the memo holds evict braid(4)
+    for k in range(2, 2 + holonomy.TOWER_MEMO_SIZE):
+        HolonomyAlgebra(generic(k), max_degree=3).rank(3)
+        assert info().currsize <= holonomy.TOWER_MEMO_SIZE
+    again = HolonomyAlgebra(braid(4), max_degree=4)
+    assert again._tower is not alg._tower
+    assert _tower_state(again, 4) == before
+
+
+def test_pairs_and_brackets_cannot_change_the_tower():
+    alg = HolonomyAlgebra(near_pencil(5), max_degree=3)
+    pairs = alg.pairs(3)
+    assert isinstance(pairs, tuple)
+    with pytest.raises(TypeError):
+        pairs[0] = ((1, 0), (2, 0))
+    vec = alg.bracket(1, {0: 1}, 1, {1: 1})
+    want = dict(vec)
+    assert vec
+    vec.clear()
+    vec[99] = 1
+    assert alg.bracket(1, {0: 1}, 1, {1: 1}) == want
+    assert alg.pairs(3) == pairs
+
+
+def test_a_failed_degree_leaves_the_tower_as_it_was(monkeypatch):
+    # the fault goes into a tower built for this test, and the memo is
+    # cleared again so no later test reads a tower built under it
+    holonomy._tower.cache_clear()
+    try:
+        alg = HolonomyAlgebra(braid(4), max_degree=4)
+        assert alg.rank(2) == 4
+        real, calls = holonomy.QuotientLattice, []
+
+        def fails_once(w, gens):
+            calls.append(w)
+            if len(calls) == 1:
+                raise ArithmeticError("quotient lattice failed modular cross-check")
+            return real(w, gens)
+
+        monkeypatch.setattr(holonomy, "QuotientLattice", fails_once)
+        with pytest.raises(ArithmeticError, match="cross-check"):
+            alg.rank(3)
+        view = HolonomyAlgebra(braid(4), max_degree=4)
+        assert view._tower is alg._tower
+        assert [view.rank(d) for d in range(1, 5)] == [6, 4, 10, 21]
+        assert len(calls) == 3
+        monkeypatch.undo()
+        got = _tower_state(alg, 4)
+        holonomy._tower.cache_clear()
+        fresh = HolonomyAlgebra(braid(4), max_degree=4)
+        assert fresh._tower is not alg._tower
+        assert got == _tower_state(fresh, 4)
+    finally:
+        holonomy._tower.cache_clear()

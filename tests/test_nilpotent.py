@@ -27,7 +27,7 @@ from arrlie import (
 )
 from arrlie import exactla, rings
 from arrlie.holonomy import HolonomyAlgebra, pair_index, pair_list
-from lie_reference import word_row_degrees
+from lie_reference import det_int, word_row_degrees
 from test_holonomy import commutator_presentations
 
 
@@ -337,7 +337,7 @@ def splitting_from_hom(lam, gr_dim=None, h2x_dim=None):
         raise AssertionError("splitting identity sigma.h = 0 failed")
     # ker sigma = im h: [i | h] is block upper triangular with unit diagonal
     square = [inc[i] + section[i] for i in range(a + c)]
-    if abs(exactla.det_int(square)) != 1:
+    if abs(det_int(square)) != 1:
         raise AssertionError("splitting does not span: [i | h] not unimodular")
     return SplittingData(lam=tuple(tuple(r) for r in lam),
                          sigma=tuple(tuple(r) for r in sigma),
