@@ -320,7 +320,8 @@ class HolonomyAlgebra:
         its divisor (0 for a free class);
       - [s,t] ^ u + [t,u] ^ s + [u,s] ^ t for every triple s < t < u with
         degree sum n, the brackets read off the degrees below n.
-    So h_n = coker(Lambda^3(h_{<n})_n -> Lambda^2(h_{<n})_n).  The cokernel
+    So h_n = coker(Lambda^3(h_{<n})_n -> Lambda^2(h_{<n})_n), the block of
+    weight n of the exterior complex (wedge_block).  The cokernel
     C, with [a, b] the class of a ^ b, makes h_{<n} + C a graded Lie ring
     generated in degree 1 that satisfies the relations, so h_n maps onto
     C; the bracket maps C onto h_n, and the two maps compose to the
@@ -450,23 +451,10 @@ class _Tower:
         was, and the next request builds the degree again."""
         n = len(self._levels) + 1
         dims = [0] + [q.dim for q, _pairs, _cols in self._levels]
-        cols = {}
-        for a in range(1, n // 2 + 1):
-            for i in range(dims[a]):
-                for j in range(i + 1 if 2 * a == n else 0, dims[n - a]):
-                    cols[(a, i), (n - a, j)] = len(cols)
+        cols, torsion_rows, triple_rows = wedge_block(
+            n, dims, self._divisor, self.product)
         rows = [dict(e) for e in self._relations] if n == 2 else []
-        for (s, t), col in cols.items():
-            g = gcd(self._divisor(s), self._divisor(t))
-            if g:
-                rows.append({col: g})
-        for s, t, u in _triples(n, dims):
-            row = {}
-            _wedge_into(row, cols, s[0] + t[0], self.product(s, t), u, 1)
-            _wedge_into(row, cols, t[0] + u[0], self.product(t, u), s, 1)
-            _wedge_into(row, cols, s[0] + u[0], self.product(s, u), t, -1)
-            rows.append(row)
-        q = QuotientLattice(len(cols), rows)
+        q = QuotientLattice(len(cols), rows + torsion_rows + triple_rows)
         self._levels.append((q, tuple(cols), cols))
 
     def _divisor(self, s):
@@ -483,6 +471,42 @@ class _Tower:
             y = q.project({cols[s, t]: 1})
             vec = self._products[s, t] = {r: v for r, v in enumerate(y) if v}
         return vec
+
+
+def wedge_block(w, dims, divisor, product):
+    """The weight-w block of the exterior complex of a graded Lie ring.
+
+    A basis class is a pair (degree, index); classes compare as tuples.
+    dims[a] is the dimension of degree a, for every a < w, divisor(s) the
+    divisor of class s (0 if free), and product(s, t) the sparse
+    coordinates of [s, t], s < t, in degree s[0] + t[0].  Returns
+    (cols, torsion_rows, triple_rows), rows sparse over the columns:
+    cols maps each pair s < t of weight w, standing for s ^ t, to its
+    column, in lex order; torsion_rows holds gcd(d_s, d_t) s ^ t for each
+    pair with a torsion class, in column order; triple_rows holds
+    [s,t] ^ u + [t,u] ^ s + [u,s] ^ t for each triple s < t < u of weight
+    w, in lex order, empty rows included.  d2(s ^ t) = -[s, t] takes a
+    triple row to minus its Jacobi sum.  The tower reads h_w off this
+    block, and nilpotent.ce_h2 sums the blocks of a truncation.
+    """
+    cols = {}
+    for a in range(1, w // 2 + 1):
+        for i in range(dims[a]):
+            for j in range(i + 1 if 2 * a == w else 0, dims[w - a]):
+                cols[(a, i), (w - a, j)] = len(cols)
+    torsion_rows = []
+    for (s, t), col in cols.items():
+        g = gcd(divisor(s), divisor(t))
+        if g:
+            torsion_rows.append({col: g})
+    triple_rows = []
+    for s, t, u in _triples(w, dims):
+        row = {}
+        _wedge_into(row, cols, s[0] + t[0], product(s, t), u, 1)
+        _wedge_into(row, cols, t[0] + u[0], product(t, u), s, 1)
+        _wedge_into(row, cols, s[0] + u[0], product(s, u), t, -1)
+        triple_rows.append(row)
+    return cols, torsion_rows, triple_rows
 
 
 def _triples(n, dims):

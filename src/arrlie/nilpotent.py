@@ -10,33 +10,44 @@ tail in the ambient pair coordinates of Lie_2, and the tail is projected
 to gr2 once, at the end of the word.
 
 H2 of a truncated graded Lie ring is computed from the exterior complex
-Lambda^3 L -> Lambda^2 L -> L with d(a^b) = -[a,b].  Over Q and F_p it is
-a difference of sparse ranks on the coordinates that survive the field.
-Over Z, graded pieces may carry torsion: with D the torsion columns d_i e_i
-of L, the cycles are the saturated kernel K of [d2 | D], read on its
-pair block.  Each boundary (the Lambda^2 relations gcd(d_s, d_t) e_s^e_t
-and the columns of d3) is lifted into K, and H2 is one QuotientLattice
-of the lifts; its torsion is that of H2 and its rank exceeds rank H2 by
-rank [d2 | D].
+Lambda^3 L -> Lambda^2 L -> L with d(a^b) = -[a,b].  The complex is graded
+by weight, each weight w one block of holonomy.wedge_block (the block the
+holonomy tower reads h_w off), and Lambda^2 L vanishes past weight 2 * top.
+Over Q and F_p, H2 is a sum of differences of sparse ranks on the
+coordinates that survive the field.  Over Z, graded pieces may carry
+torsion: with D the torsion columns d_i e_i of L_w, the cycles of weight w
+are the saturated kernel K of [d2 | D], read on its pair block.  Each
+boundary (the Lambda^2 relations gcd(d_s, d_t) e_s^e_t and the rows of
+d3) is lifted into K, and H2_w is one QuotientLattice of the lifts; its
+torsion is that of H2_w and its rank exceeds rank H2_w by rank [d2 | D].
+GradedLie checks the Jacobi identity as d2 . d3 = 0 on the same blocks.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import comb, prod
 
 from . import exactla, rings
 from .arrangement import Arrangement
 from .exactla import QuotientLattice
-from .freelie import DEFAULT_GUARD
+from .freelie import DEFAULT_GUARD, SizeGuardError
 from .holonomy import (GradedAbelian, HolonomyAlgebra, as_relation_set,
                        holonomy_graded, i2_basis, letter_word, pair_index,
-                       pair_list, single_letter_names)
+                       pair_list, single_letter_names, wedge_block)
 
 # one dotted word token: a generator name with an optional integer exponent
 _WORD_TOKEN = re.compile(r"([^\^\s]+)(?:\^(-?\d+))?")
+
+# Guard units per triple of basis classes in the exterior complex of the
+# truncation: its Lambda^3 rows set the time and memory of the H2
+# comparison.  Measured at 13-20 us per triple over Q and F_p and 15-34 us
+# over Z (near_pencil(8..12) at degree 4, 12 k to 229 k triples, Python
+# 3.11 on a 2-CPU x86-64 machine), so 32 units put the default guard at
+# runs of about ten seconds over Z.
+_H2_TRIPLE_COST = 32
 
 
 @dataclass(frozen=True)
@@ -238,7 +249,8 @@ class GradedLie:
     maps (d1, d2) with d1 + d2 <= top to the structure-constant table
     table[i][j] = coordinates of [e_i, e_j] in degree d1 + d2.  Brackets
     landing past the truncation are zero.  Antisymmetry and the Jacobi
-    identity are checked at construction.
+    identity are checked at construction, the latter as d2 . d3 = 0 modulo
+    the divisors on the weight blocks 3..top of the exterior complex.
     """
 
     def __init__(self, degrees, brackets, validate=True):
@@ -325,28 +337,15 @@ class GradedLie:
                     if d1 == d2 and i == j and not self.is_zero(d1 + d2, table[i][i]):
                         raise ValueError("nonzero bracket [e, e] in degree %d" % d1)
 
-        def _jacobi(args):
-            (da, i), (db, j), (dc, kk) = args
-            d = da + db + dc
-            acc = [0] * self.dim(d)
-            for (dx, x), (dy, y), (dz, z) in (((da, i), (db, j), (dc, kk)),
-                                              ((db, j), (dc, kk), (da, i)),
-                                              ((dc, kk), (da, i), (db, j))):
-                inner = self.basis_bracket(dx, x, dy, y)
-                ez = [0] * self.dim(dz)
-                ez[z] = 1
-                term = self.bracket_vec(dx + dy, inner, dz, ez)
-                acc = [p + q for p, q in zip(acc, term)]
-            return self.is_zero(d, acc)
-
-        triples = []
-        members = [(d, i) for d in range(1, self.top + 1)
-                   for i in range(self.dim(d))]
-        for a, b, c in itertools.combinations(members, 3):
-            if a[0] + b[0] + c[0] <= self.top:
-                triples.append((a, b, c))
-        if not all(_jacobi(t) for t in triples):
-            raise ValueError("structure constants violate the Jacobi identity")
+        for w, _cols, d2, _torsion_rows, triple_rows in _blocks(
+                self, range(3, self.top + 1)):
+            divs = self.divisors(w)
+            for row in triple_rows:
+                # d2 . d3 is minus the Jacobi sum of the triple
+                if any(v % divs[c] if divs[c] else v
+                       for c, v in _image(row, d2).items()):
+                    raise ValueError("structure constants violate the "
+                                     "Jacobi identity")
 
 
 def truncated_lie(source, top, guard=DEFAULT_GUARD, override=False, validate=True):
@@ -367,134 +366,97 @@ def truncated_lie(source, top, guard=DEFAULT_GUARD, override=False, validate=Tru
     return GradedLie(degrees, brackets, validate=validate)
 
 
-def _flat_basis(L):
-    basis = [(d, i) for d in range(1, L.top + 1) for i in range(L.dim(d))]
-    offsets = {}
-    pos = 0
-    for d in range(1, L.top + 1):
-        offsets[d] = pos
-        pos += L.dim(d)
-    divs = []
-    for d in range(1, L.top + 1):
-        divs.extend(L.divisors(d))
-    return basis, offsets, divs
+def _blocks(L, weights):
+    """(w, cols, d2, torsion_rows, triple_rows) of the exterior complex of
+    L in each weight w: the block of holonomy.wedge_block, with d2[col] the
+    sparse coordinates of d2(s ^ t) = -[s, t] in degree w (empty past the
+    top)."""
+    dims = [0] + [L.dim(d) for d in range(1, L.top + 1)] + [0] * L.top
+    divs = [None] + [L.divisors(d) for d in range(1, L.top + 1)]
+    memo = {}
 
-
-def ce_differentials(L):
-    """Sparse columns of d2: wedge^2 -> L and d3: wedge^3 -> wedge^2.
-
-    Returns (basis, pairs, d2cols, d3cols); columns are dicts over the flat
-    basis of L (for d2) or over the pair positions (for d3).  d2 . d3 = 0
-    exactly whenever the graded pieces are torsion-free.
-    """
-    basis, offsets, _divs = _flat_basis(L)
-    n = len(basis)
-    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
-    ppos = {pr: q for q, pr in enumerate(pairs)}
-
-    def _bracket_flat(s, t):
-        ds, i = basis[s]
-        dt, j = basis[t]
-        vec = L.basis_bracket(ds, i, dt, j)
+    def product(s, t):
+        vec = memo.get((s, t))
         if vec is None:
-            return {}
-        off = offsets[ds + dt]
-        return {off + c: val for c, val in enumerate(vec) if val}
+            table = L.basis_bracket(s[0], s[1], t[0], t[1]) or ()
+            vec = memo[s, t] = {r: v for r, v in enumerate(table) if v}
+        return vec
 
-    d2cols = []
-    for s, t in pairs:
-        b = _bracket_flat(s, t)
-        d2cols.append({c: -val for c, val in b.items()})
-
-    def _wedge_into(out, entries, t, sign):
-        for r, val in entries.items():
-            if r == t:
-                continue
-            if r < t:
-                out[ppos[(r, t)]] = out.get(ppos[(r, t)], 0) + sign * val
-            else:
-                out[ppos[(t, r)]] = out.get(ppos[(t, r)], 0) - sign * val
-
-    def _d3(triple):
-        s, t, u = triple
-        out = {}
-        _wedge_into(out, _bracket_flat(s, t), u, -1)
-        _wedge_into(out, _bracket_flat(s, u), t, +1)
-        _wedge_into(out, _bracket_flat(t, u), s, -1)
-        return {q: v for q, v in out.items() if v}
-
-    triples = list(itertools.combinations(range(n), 3))
-    d3cols = [_d3(t) for t in triples]
-    return basis, pairs, d2cols, d3cols
+    for w in weights:
+        cols, torsion_rows, triple_rows = wedge_block(
+            w, dims, lambda s: divs[s[0]][s[1]], product)
+        d2 = [{r: -v for r, v in product(s, t).items()} for s, t in cols]
+        yield w, cols, d2, torsion_rows, triple_rows
 
 
-def _field_truncation(L, p):
-    """Surviving flat coordinates of L over Q (p=None) or F_p."""
-    basis, offsets, divs = _flat_basis(L)
-    keep = []
-    for idx, dv in enumerate(divs):
-        if dv == 0 or (p is not None and dv % p == 0):
-            keep.append(idx)
-    return basis, offsets, keep
+def _image(row, d2):
+    """d2 of a sparse chain over the pair columns: its nonzero coordinates."""
+    out = {}
+    for q, v in row.items():
+        for c, x in d2[q].items():
+            out[c] = out.get(c, 0) + v * x
+    return {c: v for c, v in out.items() if v}
 
 
 def ce_h2(L, ring=rings.Z):
-    """H2 of the exterior complex of a truncated graded Lie ring.
+    """H2 of the exterior complex of a truncated graded Lie ring, the sum
+    of its weights 2..2 * top (see the module docstring).
 
-    Over Z returns rank and elementary divisors, read from one quotient
-    lattice (see the module docstring); over Q or F_p, the dimension of
-    H2 of L tensored with the field.
+    Over Z returns rank and elementary divisors, over Q or F_p the
+    dimension of H2 of L tensored with the field.
     """
     p = rings.char(ring)
-    _basis, pairs, d2cols, d3cols = ce_differentials(L)
+    weights = range(2, 2 * L.top + 1)
+    divs = [[]] + [L.divisors(d) for d in range(1, L.top + 1)] + [[]] * L.top
     if ring != rings.Z:
-        _b, _o, keep = _field_truncation(L, p)
-        kept = set(keep)
-        kpos = {c: i for i, c in enumerate(keep)}
-        live_pairs = [q for q, (s, t) in enumerate(pairs)
-                      if s in kept and t in kept]
-        lp = {q: i for i, q in enumerate(live_pairs)}
-        d2rows = []
-        for q in live_pairs:
-            col = {kpos[c]: v for c, v in d2cols[q].items() if c in kept}
-            d2rows.append(col)
-        d3rows = []
-        for col in d3cols:
-            filt = {lp[q]: v for q, v in col.items() if q in lp}
-            if filt:
-                d3rows.append(filt)
-        dim_l2 = len(live_pairs)
-        rank = dim_l2 - exactla.rank_sparse(d2rows, p=p) \
-                      - exactla.rank_sparse(d3rows, p=p)
+        live = [{i for i, dv in enumerate(ds)
+                 if dv == 0 or (p is not None and dv % p == 0)} for ds in divs]
+        rank = 0
+        for w, cols, d2, _torsion_rows, triple_rows in _blocks(L, weights):
+            pos = {}
+            for (s, t), q in cols.items():
+                if s[1] in live[s[0]] and t[1] in live[t[0]]:
+                    pos[q] = len(pos)
+            d2rows = [{c: v for c, v in d2[q].items() if c in live[w]}
+                      for q in pos]
+            d3rows = [{pos[q]: v for q, v in row.items() if q in pos}
+                      for row in triple_rows]
+            rank += len(pos) - exactla.rank_sparse(d2rows, p=p) \
+                - exactla.rank_sparse(d3rows, p=p)
         return GradedAbelian(rank=rank)
 
-    divs = _flat_basis(L)[2]
-    np_ = len(pairs)
-    # the column of D for each torsion coordinate, after the pair columns
-    tcol = {}
-    for i, dv in enumerate(divs):
-        if dv:
-            tcol[i] = np_ + len(tcol)
-    boundaries = [{q: gcd(divs[s], divs[t])} for q, (s, t) in enumerate(pairs)
-                  if divs[s] or divs[t]]
-    boundaries += [col for col in d3cols if col]
-    lifted = []
-    for b in boundaries:
-        image = {}
-        for q, v in b.items():
-            for c, w in d2cols[q].items():
-                image[c] = image.get(c, 0) + v * w
-        row = dict(b)
-        for c, v in image.items():
-            if not v:
-                continue
-            if c not in tcol or v % divs[c]:
-                raise ArithmeticError("boundaries escaped the cycle lattice")
-            row[tcol[c]] = -v // divs[c]
-        lifted.append(row)
-    quot = QuotientLattice(np_ + len(tcol), lifted)
-    d2rank = exactla.rank_sparse(d2cols + [{i: divs[i]} for i in tcol])
-    return GradedAbelian(rank=quot.rank - d2rank, torsion=quot.torsion)
+    rank, torsion = 0, []
+    for w, cols, d2, torsion_rows, triple_rows in _blocks(L, weights):
+        # the column of D for each torsion coordinate, after the pair columns
+        tcol = {}
+        for c, dv in enumerate(divs[w]):
+            if dv:
+                tcol[c] = len(cols) + len(tcol)
+        lifted = []
+        for b in torsion_rows + triple_rows:
+            row = dict(b)
+            for c, v in _image(b, d2).items():
+                if c not in tcol or v % divs[w][c]:
+                    raise ArithmeticError("boundaries escaped the cycle lattice")
+                row[tcol[c]] = -v // divs[w][c]
+            lifted.append(row)
+        quot = QuotientLattice(len(cols) + len(tcol), lifted)
+        rank += quot.rank - exactla.rank_sparse(
+            d2 + [{c: divs[w][c]} for c in tcol])
+        torsion += quot.torsion
+    # H2 is the direct sum of its weights, whose divisor chain is the Smith
+    # form of the diagonal of theirs
+    chain = QuotientLattice(len(torsion), [{i: d} for i, d in enumerate(torsion)])
+    return GradedAbelian(rank=rank, torsion=chain.torsion)
+
+
+def _triple_count(dims):
+    """Triples s < t < u of basis classes of weight <= 2 * top, for a
+    truncation whose degree a <= top has dimension dims[a - 1]."""
+    top = len(dims)
+    return sum(prod(comb(dims[x - 1], m) for x, m in Counter((a, b, c)).items())
+               for a in range(1, top + 1) for b in range(a, top + 1)
+               for c in range(b, min(top, 2 * top - a - b) + 1))
 
 
 def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD, override=False):
@@ -506,10 +468,12 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD, override=False
     heuristic otherwise.
 
     Since HolonomyAlgebra takes h_n as the cokernel of Lambda^3 -> Lambda^2
-    on the truncation, which is the weight-n part of that same H2, the
-    comparison holds by construction on a correct tower: it checks the
-    CE complex against the tower, not the tower against an independent
-    computation (the tests compare it with the word rows of the ideal).
+    on the truncation, which is the weight-n part of that same H2 and the
+    same wedge_block, the comparison holds by construction on a correct
+    tower: it checks the CE complex against the tower, not the tower
+    against an independent computation (the tests compare it with the word
+    rows of the ideal).  Raises SizeGuardError, before any Lambda^3 row of
+    H2 exists, when its triples of weight <= 2(n-1) cost more than guard.
     """
     if n < 3:
         raise ValueError("the H2 comparison starts at degree 3")
@@ -527,6 +491,13 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD, override=False
                 "H2 comparison at degree %d requires a decomposable "
                 "arrangement: r_global=%d, r_local=%d" %
                 (n, decomp_report["r_global"], decomp_report["r_local"]))
+    alg = HolonomyAlgebra(source, n - 1, guard=guard, override=override)
+    triples = _triple_count([alg.dim(d) for d in range(1, n)])
+    if _H2_TRIPLE_COST * triples > guard:
+        raise SizeGuardError(
+            "H2 of the degree-%d truncation has %d triples, which cost %d > "
+            "guard %d; raise the guard to proceed"
+            % (n - 1, triples, _H2_TRIPLE_COST * triples, guard))
     L = truncated_lie(source, n - 1, guard=guard, override=override)
     ce = ce_h2(L, ring)
     hn = holonomy_graded(source, n, ring, guard=guard, override=override)

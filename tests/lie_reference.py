@@ -19,6 +19,11 @@
   of degree n-1.  Each degree is eliminated on the coefficients at the
   Lyndon words, a unimodular change of coordinates from the Lyndon basis.
   It shares no code with the tower of HolonomyAlgebra beyond exactla.
+* The exterior complex of a truncated graded Lie ring over its flat
+  basis: every pair and every triple of basis classes, whatever their
+  weight (ce_differentials, flat_ce_h2), and the Jacobi identity checked
+  on dense vectors triple by triple (check_jacobi).  The library builds
+  the same complex weight by weight (holonomy.wedge_block).
 * det_int, the Bareiss determinant of a dense integer matrix, the oracle
   for the sparse invertibility test of the verifier and for unimodularity.
 """
@@ -28,12 +33,14 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
+from math import gcd
 
 from arrlie import exactla, rings
 from arrlie.exactla import QuotientLattice
 from arrlie.freelie import (DEFAULT_GUARD, check_guard, commutator,
                             lyndon_basis, witt_rank)
-from arrlie.holonomy import as_relation_set, holonomy_guard, pair_list
+from arrlie.holonomy import (GradedAbelian, as_relation_set, holonomy_guard,
+                             pair_list)
 
 _pair_bracket_cache = {}
 _expand_cache = {}
@@ -379,6 +386,166 @@ def word_row_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=Fa
                                       top - 1):
         out.append((q.rank, q.torsion) if ring == rings.Z else (q, ()))
     return out
+
+# ---------------------------------------------------------------------------
+# the exterior complex over the flat basis of a truncation
+
+def check_jacobi(L):
+    """Raise ValueError unless every triple of basis classes of L with
+    degree sum <= top satisfies the Jacobi identity, on dense vectors."""
+
+    def _jacobi(args):
+        (da, i), (db, j), (dc, kk) = args
+        d = da + db + dc
+        acc = [0] * L.dim(d)
+        for (dx, x), (dy, y), (dz, z) in (((da, i), (db, j), (dc, kk)),
+                                          ((db, j), (dc, kk), (da, i)),
+                                          ((dc, kk), (da, i), (db, j))):
+            inner = L.basis_bracket(dx, x, dy, y)
+            ez = [0] * L.dim(dz)
+            ez[z] = 1
+            term = L.bracket_vec(dx + dy, inner, dz, ez)
+            acc = [p + q for p, q in zip(acc, term)]
+        return L.is_zero(d, acc)
+
+    triples = []
+    members = [(d, i) for d in range(1, L.top + 1)
+               for i in range(L.dim(d))]
+    for a, b, c in itertools.combinations(members, 3):
+        if a[0] + b[0] + c[0] <= L.top:
+            triples.append((a, b, c))
+    if not all(_jacobi(t) for t in triples):
+        raise ValueError("structure constants violate the Jacobi identity")
+
+
+def _flat_basis(L):
+    basis = [(d, i) for d in range(1, L.top + 1) for i in range(L.dim(d))]
+    offsets = {}
+    pos = 0
+    for d in range(1, L.top + 1):
+        offsets[d] = pos
+        pos += L.dim(d)
+    divs = []
+    for d in range(1, L.top + 1):
+        divs.extend(L.divisors(d))
+    return basis, offsets, divs
+
+
+def ce_differentials(L):
+    """Sparse columns of d2: wedge^2 -> L and d3: wedge^3 -> wedge^2.
+
+    Returns (basis, pairs, d2cols, d3cols); columns are dicts over the flat
+    basis of L (for d2) or over the pair positions (for d3).  d2 . d3 = 0
+    exactly whenever the graded pieces are torsion-free.
+    """
+    basis, offsets, _divs = _flat_basis(L)
+    n = len(basis)
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    ppos = {pr: q for q, pr in enumerate(pairs)}
+
+    def _bracket_flat(s, t):
+        ds, i = basis[s]
+        dt, j = basis[t]
+        vec = L.basis_bracket(ds, i, dt, j)
+        if vec is None:
+            return {}
+        off = offsets[ds + dt]
+        return {off + c: val for c, val in enumerate(vec) if val}
+
+    d2cols = []
+    for s, t in pairs:
+        b = _bracket_flat(s, t)
+        d2cols.append({c: -val for c, val in b.items()})
+
+    def _wedge_into(out, entries, t, sign):
+        for r, val in entries.items():
+            if r == t:
+                continue
+            if r < t:
+                out[ppos[(r, t)]] = out.get(ppos[(r, t)], 0) + sign * val
+            else:
+                out[ppos[(t, r)]] = out.get(ppos[(t, r)], 0) - sign * val
+
+    def _d3(triple):
+        s, t, u = triple
+        out = {}
+        _wedge_into(out, _bracket_flat(s, t), u, -1)
+        _wedge_into(out, _bracket_flat(s, u), t, +1)
+        _wedge_into(out, _bracket_flat(t, u), s, -1)
+        return {q: v for q, v in out.items() if v}
+
+    triples = list(itertools.combinations(range(n), 3))
+    d3cols = [_d3(t) for t in triples]
+    return basis, pairs, d2cols, d3cols
+
+
+def _field_truncation(L, p):
+    """Surviving flat coordinates of L over Q (p=None) or F_p."""
+    basis, offsets, divs = _flat_basis(L)
+    keep = []
+    for idx, dv in enumerate(divs):
+        if dv == 0 or (p is not None and dv % p == 0):
+            keep.append(idx)
+    return basis, offsets, keep
+
+
+def flat_ce_h2(L, ring=rings.Z):
+    """H2 of the exterior complex of a truncated graded Lie ring.
+
+    Over Z returns rank and elementary divisors, read from one quotient
+    lattice of the boundaries lifted into the cycles, as nilpotent.ce_h2
+    does; over Q or F_p, the dimension of H2 of L tensored with the field.
+    """
+    p = rings.char(ring)
+    _basis, pairs, d2cols, d3cols = ce_differentials(L)
+    if ring != rings.Z:
+        _b, _o, keep = _field_truncation(L, p)
+        kept = set(keep)
+        kpos = {c: i for i, c in enumerate(keep)}
+        live_pairs = [q for q, (s, t) in enumerate(pairs)
+                      if s in kept and t in kept]
+        lp = {q: i for i, q in enumerate(live_pairs)}
+        d2rows = []
+        for q in live_pairs:
+            col = {kpos[c]: v for c, v in d2cols[q].items() if c in kept}
+            d2rows.append(col)
+        d3rows = []
+        for col in d3cols:
+            filt = {lp[q]: v for q, v in col.items() if q in lp}
+            if filt:
+                d3rows.append(filt)
+        dim_l2 = len(live_pairs)
+        rank = dim_l2 - exactla.rank_sparse(d2rows, p=p) \
+                      - exactla.rank_sparse(d3rows, p=p)
+        return GradedAbelian(rank=rank)
+
+    divs = _flat_basis(L)[2]
+    np_ = len(pairs)
+    # the column of D for each torsion coordinate, after the pair columns
+    tcol = {}
+    for i, dv in enumerate(divs):
+        if dv:
+            tcol[i] = np_ + len(tcol)
+    boundaries = [{q: gcd(divs[s], divs[t])} for q, (s, t) in enumerate(pairs)
+                  if divs[s] or divs[t]]
+    boundaries += [col for col in d3cols if col]
+    lifted = []
+    for b in boundaries:
+        image = {}
+        for q, v in b.items():
+            for c, w in d2cols[q].items():
+                image[c] = image.get(c, 0) + v * w
+        row = dict(b)
+        for c, v in image.items():
+            if not v:
+                continue
+            if c not in tcol or v % divs[c]:
+                raise ArithmeticError("boundaries escaped the cycle lattice")
+            row[tcol[c]] = -v // divs[c]
+        lifted.append(row)
+    quot = QuotientLattice(np_ + len(tcol), lifted)
+    d2rank = exactla.rank_sparse(d2cols + [{i: divs[i]} for i in tcol])
+    return GradedAbelian(rank=quot.rank - d2rank, torsion=quot.torsion)
 
 
 # ---------------------------------------------------------------------------

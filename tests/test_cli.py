@@ -213,6 +213,27 @@ def test_h2check_override_reaches_its_decomposability_step(capsys, tmp_path):
     assert "refuses alphabets beyond 15 letters" in line
 
 
+def test_h2check_is_size_guarded(capsys, tmp_path):
+    # near_pencil(16) at degree 4: the degree-3 truncation has dimensions
+    # 16, 91 and 910 and 1632645 triples of weight <= 6, refused before
+    # any of them is built
+    path = tmp_path / "near_pencil16.json"
+    path.write_text(json.dumps(arrangement_to_json(near_pencil(16))))
+    t0 = time.perf_counter()
+    line = assert_exits_2_on_one_line(capsys, ["h2check", str(path),
+                                               "--degree", "4", "--override"])
+    assert time.perf_counter() - t0 < 3.0
+    assert "1632645 triples, which cost 52244640 > guard 10000000" in line
+    # near_pencil(5) at degree 4: 256 triples, 32 units each
+    path = tmp_path / "near_pencil5.json"
+    path.write_text(json.dumps(arrangement_to_json(near_pencil(5))))
+    argv = ["h2check", str(path), "--degree", "4"]
+    line = assert_exits_2_on_one_line(capsys, argv + ["--guard", "8191"])
+    assert "256 triples, which cost 8192 > guard 8191" in line
+    code, out, _ = run(capsys, argv + ["--guard", "8192"])
+    assert code == 0 and json.loads(out)["pass"]
+
+
 def test_catalog_stdout_and_file(files, capsys, tmp_path):
     code, out, _ = run(capsys, ["catalog", "pencil", "3"])
     assert code == 0
@@ -632,21 +653,24 @@ def test_lcs_is_size_guarded(files, capsys):
 
 
 def test_catalog_is_size_guarded(capsys):
-    # refused before any pencil is built
-    for argv in (["catalog", "braid", "30"], ["catalog", "generic", "100000"]):
+    # refused before any pencil is built: braid(36) has 198135 atom pairs in
+    # dimension 36, generic(1119) 625521 pairs and no normals
+    for argv in (["catalog", "braid", "36"], ["catalog", "generic", "1119"],
+                 ["catalog", "generic", "100000"]):
         t0 = time.perf_counter()
         line = assert_exits_2_on_one_line(capsys, argv)
         assert time.perf_counter() - t0 < 1.0 and "guard" in line
-    # every size the tests and the benchmark build passes the default guard
+    # every size the tests and the benchmark build passes the default guard,
+    # and so does braid(23), whose normals cost one unit per coordinate
     for family, top in (("braid", 7), ("pencil", 8), ("generic", 8),
-                        ("near_pencil", 8)):
+                        ("near_pencil", 8), ("braid", 23)):
         code, out, _ = run(capsys, ["catalog", family, str(top)])
         assert code == 0 and json.loads(out)["atoms"]
-    # braid(5): 16 units for each of 45 atom pairs and 5 coordinates plus one
+    # braid(5): 45 atom pairs, 16 units each plus one for each of 5 coordinates
     line = assert_exits_2_on_one_line(capsys, ["catalog", "braid", "5",
-                                               "--guard", "4319"])
-    assert "costs 4320 > guard 4319" in line
-    code, out, _ = run(capsys, ["catalog", "braid", "5", "--guard", "4320"])
+                                               "--guard", "944"])
+    assert "costs 945 > guard 944" in line
+    code, out, _ = run(capsys, ["catalog", "braid", "5", "--guard", "945"])
     assert code == 0 and len(json.loads(out)["atoms"]) == 10
 
 
@@ -663,19 +687,19 @@ def normals_file(tmp_path, n):
 
 
 def test_arrangement_files_are_size_guarded(tmp_path, capsys):
-    # 253 atoms in dimension 23, refused before any pencil is derived
-    big = normals_file(tmp_path, 23)
+    # 630 atoms in dimension 36, refused before any pencil is derived
+    big = normals_file(tmp_path, 36)
     for argv in (["betti", big], ["holonomy", big], ["kinv", big]):
         t0 = time.perf_counter()
         line = assert_exits_2_on_one_line(capsys, argv)
         assert time.perf_counter() - t0 < 1.0
-        assert "(253 atoms, dimension 23) costs 12241152 > guard" in line
+        assert "(630 atoms, dimension 36) costs 10303020 > guard" in line
     # the catalog cost: braid(5) has 45 atom pairs in dimension 5
     small = normals_file(tmp_path, 5)
     line = assert_exits_2_on_one_line(capsys, ["betti", small,
-                                               "--guard", "4319"])
-    assert "costs 4320 > guard 4319" in line
-    code, out, _ = run(capsys, ["betti", small, "--guard", "4320"])
+                                               "--guard", "944"])
+    assert "costs 945 > guard 944" in line
+    code, out, _ = run(capsys, ["betti", small, "--guard", "945"])
     assert code == 0 and json.loads(out)["b1"] == 10
 
 

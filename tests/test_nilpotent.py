@@ -26,8 +26,8 @@ from arrlie import (
     truncated_lie,
 )
 from arrlie import exactla, rings
-from arrlie.holonomy import HolonomyAlgebra, pair_index, pair_list
-from lie_reference import det_int, word_row_degrees
+from arrlie.holonomy import HolonomyAlgebra, as_relation_set, pair_index, pair_list
+from lie_reference import check_jacobi, det_int, flat_ce_h2, word_row_degrees
 from test_holonomy import commutator_presentations
 
 
@@ -528,3 +528,105 @@ def test_ce_h2_of_truncations_against_the_word_rows():
             assert (ce.rank, ce.torsion) == (rank + b2, torsion), (name, n)
             checked += 1
     assert checked == 30  # the 15 decomposable catalog arrangements
+    # torsion presentations at every top m: rank H2 is the rank of the
+    # relation span plus rank h_{m+1}, and its torsion that of h_{m+1}
+    cases = [(pres, m) for seed in (0, 1, 2)
+             for pres in commutator_presentations(seed, 10) for m in (2, 3)]
+    cases += [(make_presentation(2, [rel]), 3) for rel in ("xxyXXY", "xxxyXXXY")]
+    with_torsion = 0
+    for pres, m in cases:
+        span = exactla.rank_sparse(list(as_relation_set(pres).elements))
+        rank, torsion = word_row_degrees(pres, m + 1)[m]
+        ce = ce_h2(truncated_lie(pres, m))
+        assert (ce.rank, ce.torsion) == (rank + span, torsion), (pres.relators, m)
+        checked += 1
+        with_torsion += bool(torsion)
+    assert checked == 92 and with_torsion >= 30
+
+
+# ---------------------------------------------------------------------------
+# the weighted complex against the flat one
+
+CE_RINGS = (rings.Z, rings.Q, rings.fp(2), rings.fp(3))
+
+
+def hand_built_rings():
+    """The graded rings written out by hand in the tests above, and an
+    abelian one whose H2 is Z/2 in weight 2 plus Z/3 in weight 4."""
+    heis = {(1, 1): [[(0,), (1,)], [(-1,), (0,)]]}
+    t11 = [[(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+           [(-1, 0, 0), (0, 0, 0), (0, 0, 1)],
+           [(0, -1, 0), (0, 0, -1), (0, 0, 0)]]
+    t12 = [[(0,), (0,), (-1,)], [(0,), (0,), (0,)], [(-1,), (0,), (0,)]]
+    t21 = [[(0,), (0,), (1,)], [(0,), (0,), (0,)], [(1,), (0,), (0,)]]
+    jac = {(1, 1): [[(0,), (1,), (0,)], [(-1,), (0,), (0,)], [(0,), (0,), (0,)]],
+           (1, 2): [[(0,)], [(0,)], [(1,)]],
+           (2, 1): [[(0,), (0,), (-1,)]]}
+    out = [GradedLie([GradedAbelian(2)], {}),
+           GradedLie([GradedAbelian(2), GradedAbelian(1)], heis),
+           GradedLie([GradedAbelian(2), GradedAbelian(0, (2,))], heis),
+           GradedLie([GradedAbelian(3), GradedAbelian(3), GradedAbelian(1)],
+                     {(1, 1): t11, (1, 2): t12, (2, 1): t21}, validate=False),
+           GradedLie([GradedAbelian(3), GradedAbelian(1), GradedAbelian(1)],
+                     jac, validate=False)]
+    out += [GradedLie([GradedAbelian(r, t)], {})
+            for r, t in ((0, (2, 4, 8)), (1, (3, 9)), (2, (3,)))]
+    zero = [[(0, 0), (0, 0)], [(0, 0), (0, 0)]]
+    out.append(GradedLie([GradedAbelian(0, (2, 2)), GradedAbelian(0, (3, 3))],
+                         {(1, 1): zero}))
+    return out
+
+
+def random_ring(rng):
+    """Top-3 ring with seeded antisymmetric tables and torsion, the Jacobi
+    identity left to chance."""
+    degrees = [GradedAbelian(3),
+               GradedAbelian(rng.randint(0, 2), rng.choice([(), (2,), (2, 4)])),
+               GradedAbelian(rng.randint(0, 2), rng.choice([(), (3,), (2, 6)]))]
+    dims = [g.rank + len(g.torsion) for g in degrees]
+
+    def vec(d):
+        return tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(dims[d - 1]))
+
+    t11 = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        t11[i][i] = (0,) * dims[1]
+        for j in range(i + 1, 3):
+            t11[i][j] = vec(2)
+            t11[j][i] = tuple(-v for v in t11[i][j])
+    t12 = [[vec(3) for _ in range(dims[1])] for _ in range(3)]
+    t21 = [[tuple(-v for v in t12[i][j]) for i in range(3)]
+           for j in range(dims[1])]
+    return GradedLie(degrees, {(1, 1): t11, (1, 2): t12, (2, 1): t21},
+                     validate=False)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+def test_ce_h2_and_the_jacobi_check_match_the_flat_complex():
+    # the library builds the exterior complex weight by weight; the
+    # reference lists every pair and triple of the flat basis and checks
+    # Jacobi on dense vectors, so the two share no enumeration
+    rng = random.Random(15)
+    sources = [arr for _name, arr in standard_catalog()]
+    sources += [make_presentation(2, [rel]) for rel in ("xxyXXY", "xxxyXXXY")]
+    sources += commutator_presentations(2, 10)
+    rings_ = [truncated_lie(src, 3) for src in sources] + hand_built_rings()
+    rings_ += [random_ring(rng) for _ in range(40)]
+    broken = 0
+    for L in rings_:
+        jacobi = _outcome(check_jacobi, L)
+        assert jacobi in (None, ValueError)
+        assert (_outcome(GradedLie, L.degrees, L.brackets) is ValueError) \
+            == (jacobi is ValueError)
+        for ring in CE_RINGS:
+            assert _outcome(ce_h2, L, ring) == _outcome(flat_ce_h2, L, ring)
+        if jacobi is ValueError:
+            broken += 1
+            assert _outcome(ce_h2, L) is ArithmeticError
+    assert broken >= 10 and len(rings_) - broken >= 40
