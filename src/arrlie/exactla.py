@@ -3,12 +3,15 @@
 Everything here works with arbitrary-precision Python ints.  One sparse
 elimination loop serves every ring, and it pivots only on units of the
 ring: +-1 over Z, entries prime to m over Z/m, every nonzero entry over
-F_p and over Q.  Only the row update depends on the ring.  Over Q rows
-are gcd-reduced (no fractions, no floats) and over Z/m reduced mod m;
-rank_sparse reads the rank over Q or F_p off it.  Over Z the one lattice
-primitive is QuotientLattice, Z^w modulo a sublattice: unit pivots keep
-the loop exact and unimodular, and the residual rows without a unit entry
-go to the dense Smith normal form, which keeps just its left transforms.
+F_p and over Q.  Only the row update depends on the ring, and it updates
+each row in place, keeping the rows of each column in the same pass.
+Over Q rows are gcd-reduced (no fractions, no floats), and over Z/m
+entries are symmetric residues in (-m/2, m/2], so +-1 stays +-1.  No row
+ever stores a zero entry.  rank_sparse reads the rank over Q or F_p off
+the loop.  Over Z the one lattice primitive is QuotientLattice, Z^w
+modulo a sublattice: unit pivots keep the loop exact and unimodular, and
+the residual rows without a unit entry go to the dense Smith normal form,
+which keeps just its left transforms.
 The rank cross-check of a QuotientLattice runs the same loop once over
 Z/(p1*p2) = F_p1 x F_p2 (CRT) for two large primes, and ranks the rows
 left without a unit entry mod each prime (_ranks_mod).  Saturated integer
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import partial
 from math import gcd, prod
 
 # Deterministic pool of large primes for the modular rank cross-check.
@@ -35,17 +37,6 @@ def rank_sparse(rows, p=None):
     rows: iterable of {col: int} sparse rows.  Input rows are not modified.
     """
     return len(_eliminate(rows, "Q" if p is None else p)[0])
-
-
-def rank_sparse_pivots(rows, p=None):
-    """(rank, basis) of the row span over Q (p=None) or F_p.
-
-    basis lists the input indices of the pivot rows, in elimination order.
-    Those input rows are a basis of the span: each reduced pivot row is a
-    nonzero multiple of its input row plus earlier pivot rows.
-    """
-    pivots, _ = _eliminate(rows, "Q" if p is None else p)
-    return len(pivots), [rid for _c, rid, _row in pivots]
 
 
 def _ranks_mod(rows, primes):
@@ -71,37 +62,40 @@ def _eliminate(rows, ring):
     (pivots, residual): pivots lists (col, input id, reduced row) in
     elimination order, where the row is nonzero at col and zero at every
     column pivoted before it; residual lists (input id, reduced row) for
-    the rows left nonzero, in input order.  The pivot column is the one
-    with the fewest live rows (ties: lowest column), taken from a lazy
-    heap; the pivot row is the shortest eligible row in it, then the one
-    with the smallest entry there, then the first.  Only units of the ring
-    are eligible: v with gcd(v, m) = 1 over Z/m, and over Z = Z/0 that is
+    the rows left nonzero, in input order.  No row holds a zero entry, and
+    over Z/m every entry is a symmetric residue in (-m/2, m/2], so +-1
+    stays +-1 and products stay small.  The pivot column is the one with
+    the fewest live rows (ties: lowest column), taken from a lazy heap; the
+    pivot row is the shortest eligible row in it, then the one with the
+    smallest entry there, then the first.  Only units of the ring are
+    eligible: v with gcd(v, m) = 1 over Z/m, and over Z = Z/0 that is
     +-1.  Over Q and over a prime field every nonzero entry is a unit and
     the residual is empty.  So every row operation is invertible: over Z
     it is unimodular, and pivot rows plus residual span the input lattice.
     A column without a unit entry is skipped until a later pivot row
-    touches it, so no residual row has a unit entry.  Only the columns of
-    a pivot row change (in count or in entries), so only those are pushed
-    again; a popped entry whose count is out of date is dropped.  The
-    ring's row update is picked once and applied to all the rows of a
-    pivot column in one call.
+    touches it, so no residual row has a unit entry.  The ring's update
+    (_update_q, _update_z or _update_mod) clears the pivot column from the
+    other rows in place, and in the same pass moves each row in or out of
+    the live-row set of every column where it gains or loses an entry.
+    Only the columns of a pivot row change, so only those are pushed
+    again; a popped entry whose count is out of date is dropped.
     """
     if ring == "Q":
         update, m = _update_q, None
     elif ring == "Z":
         update, m = _update_z, 0
     else:
-        update, m = partial(_update_mod, ring), ring
+        update, m = _update_mod, ring
     live = {}
     for rid, r in enumerate(rows):
-        if ring in ("Q", "Z"):
-            d = {c: v for c, v in r.items() if v != 0}
-        else:
+        if m:
             d = {}
             for c, v in r.items():
-                v %= ring
+                v %= m
                 if v:
-                    d[c] = v
+                    d[c] = v - m if v > m // 2 else v
+        else:
+            d = {c: v for c, v in r.items() if v != 0}
         if d:
             live[rid] = d
     col_rows = {}
@@ -117,104 +111,102 @@ def _eliminate(rows, ring):
         if rids is None or len(rids) != n:
             continue
         if m is not None:
-            rids = [rid for rid in rids if gcd(live[rid][col], m) == 1]
+            rids = [rid for rid in rids
+                    if (v := live[rid][col]) in (1, -1) or gcd(v, m) == 1]
             if not rids:
                 continue
         prid = min(rids, key=lambda rid: (len(live[rid]), abs(live[rid][col]), rid))
-        prow = live.pop(prid)
+        # a compact copy: in-place updates leave a row's table oversized
+        prow = dict(live.pop(prid))
         pivots.append((col, prid, prow))
+        # a column's set may run empty until the update is done
         for c in prow:
-            s = col_rows[c]
-            s.discard(prid)
-            if not s:
-                del col_rows[c]
-        rids = sorted(col_rows.pop(col, ()))
-        if rids:
-            olds = [live[rid] for rid in rids]
-            for rid, row, new in zip(rids, olds, update(prow, col, olds)):
-                # entries change only in the columns of the pivot row
-                for c in prow:
-                    if c == col:
-                        continue
-                    if c in new:
-                        if c not in row:
-                            col_rows.setdefault(c, set()).add(rid)
-                    elif c in row:
-                        s = col_rows[c]
-                        s.discard(rid)
-                        if not s:
-                            del col_rows[c]
-                if new:
-                    live[rid] = new
-                else:
+            col_rows[c].discard(prid)
+        batch = [(rid, live[rid]) for rid in sorted(col_rows.pop(col))]
+        if batch:
+            update(prow, col, batch, col_rows, m)
+            for rid, row in batch:
+                if not row:
                     del live[rid]
         for c in prow:
             s = col_rows.get(c)
-            if s is not None:
+            if s:
                 heapq.heappush(heap, (len(s), c))
+            elif s is not None:
+                del col_rows[c]
     return pivots, list(live.items())
 
 
-def _update_q(prow, col, olds):
-    """Rows minus multiples of prow clearing col: gcd-scaled, content divided."""
+def _update_z(prow, col, rows, col_rows, m):
+    """Each (rid, row) minus row[col] / prow[col] times prow, in place, with
+    col_rows kept in step; prow[col] divides every row[col], as a +-1
+    pivot over Z does, so the step is unimodular."""
     pv = prow[col]
-    out = []
-    for row in olds:
-        jv = row[col]
-        g = gcd(pv, jv)
-        m1, m2 = pv // g, jv // g
-        new = {}
-        for c, v in row.items():
-            new[c] = v * m1
-        for c, v in prow.items():
-            w = new.get(c, 0) - v * m2
-            if w:
-                new[c] = w
-            elif c in new:
-                del new[c]
-        g2 = 0
-        for v in new.values():
-            g2 = gcd(g2, v)
-            if g2 == 1:
+    pitems = [(c, v, col_rows[c]) for c, v in prow.items() if c != col]
+    for rid, row in rows:
+        f = row.pop(col) // pv
+        for c, v, s in pitems:
+            x = row.get(c)
+            if x is None:
+                row[c] = -f * v
+                s.add(rid)
+            else:
+                x -= f * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+                    s.discard(rid)
+
+
+def _update_q(prow, col, rows, col_rows, m):
+    """_update_z on rows scaled so that prow[col] divides row[col], then
+    each row divided by its content: no fractions."""
+    pv = prow[col]
+    for _rid, row in rows:
+        m1 = pv // gcd(pv, row[col])
+        if m1 != 1:
+            for c in row:
+                row[c] *= m1
+    _update_z(prow, col, rows, col_rows, m)
+    for _rid, row in rows:
+        g = 0
+        for v in row.values():
+            g = gcd(g, v)
+            if g == 1:
                 break
-        if g2 > 1:
-            new = {c: v // g2 for c, v in new.items()}
-        out.append(new)
-    return out
+        if g > 1:
+            for c in row:
+                row[c] //= g
 
 
-def _update_mod(p, prow, col, olds):
-    """Rows minus multiples of prow clearing col, mod p; prow[col] is a unit."""
-    inv = pow(prow[col], -1, p)
-    out = []
-    for row in olds:
-        f = (row[col] * inv) % p
-        new = dict(row)
-        for c, v in prow.items():
-            w = (new.get(c, 0) - v * f) % p
-            if w:
-                new[c] = w
-            elif c in new:
-                del new[c]
-        out.append(new)
-    return out
-
-
-def _update_z(prow, col, olds):
-    """Rows minus row[col] * sign * prow, for a +-1 pivot: unimodular."""
-    sign = prow[col]
-    out = []
-    for row in olds:
-        f = row[col] * sign
-        new = dict(row)
-        for c, v in prow.items():
-            w = new.get(c, 0) - f * v
-            if w:
-                new[c] = w
-            elif c in new:
-                del new[c]
-        out.append(new)
-    return out
+def _update_mod(prow, col, rows, col_rows, m):
+    """Each (rid, row) minus multiples of prow clearing col, mod m, in
+    place, with col_rows kept in step; prow[col] is a unit.  Entries are
+    kept in (-m/2, m/2].  A product f * v can vanish mod a composite m
+    with f, v nonzero, so a fill-in is stored only if nonzero."""
+    pv = prow[col]
+    inv = pv if pv in (1, -1) else pow(pv, -1, m)
+    half = m // 2
+    pitems = [(c, v, col_rows[c]) for c, v in prow.items() if c != col]
+    for rid, row in rows:
+        f = row.pop(col) * inv % m
+        if f > half:
+            f -= m
+        for c, v, s in pitems:
+            x = row.get(c)
+            if x is None:
+                x = -f * v % m
+                if x:
+                    row[c] = x - m if x > half else x
+                    s.add(rid)
+            else:
+                x = (x - f * v) % m
+                if x:
+                    row[c] = x - m if x > half else x
+                else:
+                    del row[c]
+                    s.discard(rid)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +443,9 @@ class QuotientLattice:
 
     def __init__(self, w, gens):
         self.w = w
-        rows = [{c: v for c, v in (g.items() if isinstance(g, dict) else enumerate(g))
-                 if v} for g in gens]
+        # the sparse loop copies its input and drops zeros, so dicts go as they are
+        rows = [g if isinstance(g, dict) else {c: v for c, v in enumerate(g) if v}
+                for g in gens]
         pivots, residual = _eliminate(rows, "Z")
         self._pivots = [(col, row) for col, _rid, row in pivots]
         self._pivot_order = {col: i for i, (col, _row) in enumerate(self._pivots)}

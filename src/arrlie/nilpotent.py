@@ -417,12 +417,16 @@ def ce_h2(L, ring=rings.Z):
             for (s, t), q in cols.items():
                 if s[1] in live[s[0]] and t[1] in live[t[0]]:
                     pos[q] = len(pos)
-            d2rows = [{c: v for c, v in d2[q].items() if c in live[w]}
-                      for q in pos]
-            d3rows = [{pos[q]: v for q, v in row.items() if q in pos}
-                      for row in triple_rows]
-            rank += len(pos) - exactla.rank_sparse(d2rows, p=p) \
-                - exactla.rank_sparse(d3rows, p=p)
+            # rows are copied filtered only where a coordinate is dropped
+            if len(live[w]) < len(divs[w]):
+                d2 = [{c: v for c, v in d2[q].items() if c in live[w]} for q in pos]
+            elif len(pos) < len(cols):
+                d2 = [d2[q] for q in pos]
+            if len(pos) < len(cols):
+                triple_rows = [{pos[q]: v for q, v in row.items() if q in pos}
+                               for row in triple_rows]
+            rank += len(pos) - exactla.rank_sparse(d2, p=p) \
+                - exactla.rank_sparse(triple_rows, p=p)
         return GradedAbelian(rank=rank)
 
     rank, torsion = 0, []

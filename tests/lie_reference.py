@@ -24,15 +24,22 @@
   weight (ce_differentials, flat_ce_h2), and the Jacobi identity checked
   on dense vectors triple by triple (check_jacobi).  The library builds
   the same complex weight by weight (holonomy.wedge_block).
+* The sparse elimination kernel as it was when every row update copied
+  the row and a second loop diffed the old and new rows to keep the
+  column counts (copying_eliminate): the oracle for exactla._eliminate,
+  which updates rows in place.  rank_sparse_pivots reads a basis of the
+  row span over a field off exactla._eliminate.
 * det_int, the Bareiss determinant of a dense integer matrix, the oracle
   for the sparse invertibility test of the verifier and for unimodularity.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from arrlie import exactla, rings
@@ -372,7 +379,7 @@ def word_row_pieces(source, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
             pivots, residual = exactla._eliminate(rows, "Z")
             ids = [rid for _c, rid, _row in pivots] + [rid for rid, _row in residual]
         else:
-            rank, ids = exactla.rank_sparse_pivots(rows, p=rings.char(ring))
+            rank, ids = rank_sparse_pivots(rows, p=rings.char(ring))
             q = witt_rank(k, n) - rank
         below = ideal_words(relset, n, below, ids)
         yield q, below
@@ -546,6 +553,175 @@ def flat_ce_h2(L, ring=rings.Z):
     quot = QuotientLattice(np_ + len(tcol), lifted)
     d2rank = exactla.rank_sparse(d2cols + [{i: divs[i]} for i in tcol])
     return GradedAbelian(rank=quot.rank - d2rank, torsion=quot.torsion)
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination
+
+def rank_sparse_pivots(rows, p=None):
+    """(rank, basis) of the row span over Q (p=None) or F_p.
+
+    basis lists the input indices of the pivot rows, in elimination order.
+    Those input rows are a basis of the span: each reduced pivot row is a
+    nonzero multiple of its input row plus earlier pivot rows.
+    """
+    pivots, _ = exactla._eliminate(rows, "Q" if p is None else p)
+    return len(pivots), [rid for _c, rid, _row in pivots]
+
+
+def copying_eliminate(rows, ring):
+    """exactla._eliminate as it was before rows were updated in place: the
+    oracle for the in-place kernel.  Sparse elimination over ring "Q", "Z"
+    or Z/m for an int m > 1.
+
+    rows: iterable of {col: int} rows (copied, not modified).  Returns
+    (pivots, residual): pivots lists (col, input id, reduced row) in
+    elimination order, where the row is nonzero at col and zero at every
+    column pivoted before it; residual lists (input id, reduced row) for
+    the rows left nonzero, in input order.  The pivot column is the one
+    with the fewest live rows (ties: lowest column), taken from a lazy
+    heap; the pivot row is the shortest eligible row in it, then the one
+    with the smallest entry there, then the first.  Only units of the ring
+    are eligible: v with gcd(v, m) = 1 over Z/m, and over Z = Z/0 that is
+    +-1.  Over Q and over a prime field every nonzero entry is a unit and
+    the residual is empty.  So every row operation is invertible: over Z
+    it is unimodular, and pivot rows plus residual span the input lattice.
+    A column without a unit entry is skipped until a later pivot row
+    touches it, so no residual row has a unit entry.  Only the columns of
+    a pivot row change (in count or in entries), so only those are pushed
+    again; a popped entry whose count is out of date is dropped.  The
+    ring's row update is picked once and applied to all the rows of a
+    pivot column in one call.
+    """
+    if ring == "Q":
+        update, m = _update_q, None
+    elif ring == "Z":
+        update, m = _update_z, 0
+    else:
+        update, m = partial(_update_mod, ring), ring
+    live = {}
+    for rid, r in enumerate(rows):
+        if ring in ("Q", "Z"):
+            d = {c: v for c, v in r.items() if v != 0}
+        else:
+            d = {}
+            for c, v in r.items():
+                v %= ring
+                if v:
+                    d[c] = v
+        if d:
+            live[rid] = d
+    col_rows = {}
+    for rid, row in live.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(rid)
+    heap = [(len(s), c) for c, s in col_rows.items()]
+    heapq.heapify(heap)
+    pivots = []
+    while live and heap:
+        n, col = heapq.heappop(heap)
+        rids = col_rows.get(col)
+        if rids is None or len(rids) != n:
+            continue
+        if m is not None:
+            rids = [rid for rid in rids if gcd(live[rid][col], m) == 1]
+            if not rids:
+                continue
+        prid = min(rids, key=lambda rid: (len(live[rid]), abs(live[rid][col]), rid))
+        prow = live.pop(prid)
+        pivots.append((col, prid, prow))
+        for c in prow:
+            s = col_rows[c]
+            s.discard(prid)
+            if not s:
+                del col_rows[c]
+        rids = sorted(col_rows.pop(col, ()))
+        if rids:
+            olds = [live[rid] for rid in rids]
+            for rid, row, new in zip(rids, olds, update(prow, col, olds)):
+                # entries change only in the columns of the pivot row
+                for c in prow:
+                    if c == col:
+                        continue
+                    if c in new:
+                        if c not in row:
+                            col_rows.setdefault(c, set()).add(rid)
+                    elif c in row:
+                        s = col_rows[c]
+                        s.discard(rid)
+                        if not s:
+                            del col_rows[c]
+                if new:
+                    live[rid] = new
+                else:
+                    del live[rid]
+        for c in prow:
+            s = col_rows.get(c)
+            if s is not None:
+                heapq.heappush(heap, (len(s), c))
+    return pivots, list(live.items())
+
+
+def _update_q(prow, col, olds):
+    """Rows minus multiples of prow clearing col: gcd-scaled, content divided."""
+    pv = prow[col]
+    out = []
+    for row in olds:
+        jv = row[col]
+        g = gcd(pv, jv)
+        m1, m2 = pv // g, jv // g
+        new = {}
+        for c, v in row.items():
+            new[c] = v * m1
+        for c, v in prow.items():
+            w = new.get(c, 0) - v * m2
+            if w:
+                new[c] = w
+            elif c in new:
+                del new[c]
+        g2 = 0
+        for v in new.values():
+            g2 = gcd(g2, v)
+            if g2 == 1:
+                break
+        if g2 > 1:
+            new = {c: v // g2 for c, v in new.items()}
+        out.append(new)
+    return out
+
+
+def _update_mod(p, prow, col, olds):
+    """Rows minus multiples of prow clearing col, mod p; prow[col] is a unit."""
+    inv = pow(prow[col], -1, p)
+    out = []
+    for row in olds:
+        f = (row[col] * inv) % p
+        new = dict(row)
+        for c, v in prow.items():
+            w = (new.get(c, 0) - v * f) % p
+            if w:
+                new[c] = w
+            elif c in new:
+                del new[c]
+        out.append(new)
+    return out
+
+
+def _update_z(prow, col, olds):
+    """Rows minus row[col] * sign * prow, for a +-1 pivot: unimodular."""
+    sign = prow[col]
+    out = []
+    for row in olds:
+        f = row[col] * sign
+        new = dict(row)
+        for c, v in prow.items():
+            w = new.get(c, 0) - f * v
+            if w:
+                new[c] = w
+            elif c in new:
+                del new[c]
+        out.append(new)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from arrlie import exactla
-from lie_reference import det_int
+from arrlie import exactla, holonomy
+from arrlie.arrangement import braid
+from lie_reference import copying_eliminate, det_int, rank_sparse_pivots
 
 
 def rand_mat(rng, m, n, lo=-5, hi=5):
@@ -155,7 +156,7 @@ def test_sparse_rank_and_basis_match_dense_elimination():
             cols = rng.sample(range(n_cols), rng.randint(2, 4))
             rows.append({c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in cols})
         for p in (None, 2, 3):
-            rank, basis = exactla.rank_sparse_pivots(rows, p=p)
+            rank, basis = rank_sparse_pivots(rows, p=p)
             assert rank == gauss_rank(rows, n_cols, p), p
             assert len(basis) == len(set(basis)) == rank
             assert gauss_rank([rows[i] for i in basis], n_cols, p) == rank
@@ -211,13 +212,11 @@ def test_quotient_lattice_residual_block_matches_dense_smith_form():
 
 
 
-def test_one_modular_pass_gives_both_check_ranks():
-    # entries that are multiples of p1, of p2 or of p1*p2 are units mod
-    # neither one prime nor the product, so rows made of them survive the
-    # unit pivots and the residual is ranked mod each prime on its own
+def composite_modulus_trials():
+    """60 seeded (rows, n_cols) whose entries are small, or multiples of
+    p1, of p2 or of p1*p2 for the first two check primes."""
     p1, p2 = exactla._CHECK_PRIMES[:2]
     rng = random.Random(41)
-    saw_residual = saw_rank_split = 0
     for _ in range(60):
         n_rows, n_cols = rng.randint(5, 30), rng.randint(4, 25)
         rows = []
@@ -228,12 +227,99 @@ def test_one_modular_pass_gives_both_check_ranks():
             else:
                 entries = (p1, 2 * p1, -p2, 3 * p2, p1 * p2, -5 * p1 * p2)
             rows.append({c: rng.choice(entries) for c in cols})
+        yield rows, n_cols
+
+
+def test_one_modular_pass_gives_both_check_ranks():
+    # entries that are multiples of p1, of p2 or of p1*p2 are units mod
+    # neither one prime nor the product, so rows made of them survive the
+    # unit pivots and the residual is ranked mod each prime on its own
+    p1, p2 = exactla._CHECK_PRIMES[:2]
+    saw_residual = saw_rank_split = 0
+    for rows, n_cols in composite_modulus_trials():
         r1, r2 = exactla._ranks_mod(rows, (p1, p2))
         assert r1 == exactla.rank_sparse(rows, p1) == gauss_rank(rows, n_cols, p1)
         assert r2 == exactla.rank_sparse(rows, p2) == gauss_rank(rows, n_cols, p2)
         saw_residual += bool(exactla._eliminate(rows, p1 * p2)[1])
         saw_rank_split += r1 != r2
     assert saw_residual >= 20 and saw_rank_split >= 10
+
+
+def seeded_sparse_rows():
+    """Seeded sparse integer rows, mostly +-1 so that the Z pass pivots,
+    with dependent rows, larger entries and explicit zeros."""
+    rng = random.Random(53)
+    for trial in range(40):
+        n_rows, n_cols = rng.randint(5, 60), rng.randint(3, 40)
+        entries = (0, 1, -1, 1, -1, 2, -3) if trial % 3 else (1, -1, 2, -2, 3, 6)
+        rows = []
+        for _ in range(n_rows):
+            cols = rng.sample(range(n_cols), rng.randint(1, min(5, n_cols)))
+            rows.append({c: rng.choice(entries) for c in cols})
+        rows += [{c: 2 * v for c, v in row.items()} for row in rows[:trial % 4]]
+        yield rows
+
+
+def tower_blocks(monkeypatch, arr, top):
+    """The generator rows of the holonomy tower's lattices in degrees
+    2..top, recorded from a tower built afresh."""
+    alg = holonomy.HolonomyAlgebra(arr, top, override=True)
+    blocks = []
+    lattice = holonomy.QuotientLattice
+
+    def recording(w, gens):
+        blocks.append([dict(g) for g in gens])
+        return lattice(w, gens)
+
+    monkeypatch.setattr(holonomy, "QuotientLattice", recording)
+    relations = tuple(tuple(sorted(e.items())) for e in alg.relset.elements)
+    holonomy._Tower(alg.alphabet, relations).level(top)
+    return blocks[1:]
+
+
+def assert_reduced(pivots, residual, m=None):
+    # no stored zero; over Z/m every entry a symmetric residue
+    for row in [row for _c, _rid, row in pivots] + [row for _rid, row in residual]:
+        for v in row.values():
+            assert v != 0
+            if m:
+                assert -m < 2 * v <= m
+
+
+def test_in_place_kernel_matches_the_copying_kernel(monkeypatch):
+    # Over Z the pivots (column, input row, reduced row with its item
+    # order) and the residual are those of the copying kernel; over a
+    # field the ranks, and over Z/(p1*p2) the ranks mod p1 and p2
+    primes = exactla._CHECK_PRIMES[:2]
+    inputs = list(seeded_sparse_rows())
+    inputs += [rows for rows, _n in composite_modulus_trials()]
+    for arr in (braid(4), braid(5)):
+        inputs += tower_blocks(monkeypatch, arr, 5)
+    saw_residual = 0
+    for rows in inputs:
+        before = [list(row.items()) for row in rows]
+        pivots, residual = exactla._eliminate(rows, "Z")
+        want_pivots, want_residual = copying_eliminate(rows, "Z")
+        assert ([(c, rid, list(row.items())) for c, rid, row in pivots]
+                == [(c, rid, list(row.items())) for c, rid, row in want_pivots])
+        assert ([(rid, list(row.items())) for rid, row in residual]
+                == [(rid, list(row.items())) for rid, row in want_residual])
+        assert_reduced(pivots, residual)
+        saw_residual += bool(residual)
+        for ring in ("Q", 2, 3, 32003):
+            pivots, residual = exactla._eliminate(rows, ring)
+            assert len(pivots) == len(copying_eliminate(rows, ring)[0])
+            assert not residual
+            assert_reduced(pivots, residual, None if ring == "Q" else ring)
+        m = math.prod(primes)
+        pivots, residual = exactla._eliminate(rows, m)
+        assert_reduced(pivots, residual, m)
+        want_pivots, want_residual = copying_eliminate(rows, m)
+        want = [len(want_pivots) + len(copying_eliminate(
+            [row for _rid, row in want_residual], p)[0]) for p in primes]
+        assert exactla._ranks_mod(rows, primes) == want
+        assert [list(row.items()) for row in rows] == before
+    assert len(inputs) == 40 + 60 + 8 and saw_residual >= 20
 
 
 @pytest.mark.parametrize("w, gens, rank, torsion", [
@@ -247,13 +333,15 @@ def test_modular_cross_check_catches_a_corrupted_integer_pass(monkeypatch, w, ge
     update_z = exactla._update_z
     dropped = []
 
-    def lossy_update_z(prow, col, olds):
+    def lossy_update_z(prow, col, rows, col_rows, m):
         # the first updated row is lost, so the Z pass sees one generator less
-        out = update_z(prow, col, olds)
+        update_z(prow, col, rows, col_rows, m)
         if not dropped:
-            dropped.append(out[0])
-            out[0] = {}
-        return out
+            rid, row = rows[0]
+            dropped.append(dict(row))
+            for c in row:
+                col_rows[c].discard(rid)
+            row.clear()
 
     monkeypatch.setattr(exactla, "_update_z", lossy_update_z)
     with pytest.raises(ArithmeticError, match="modular cross-check"):

@@ -34,7 +34,8 @@ from arrlie.holonomy import (
 )
 from arrlie.nilpotent import k_invariant_matrix
 from lie_reference import (LieElement, bracket, coords, element, ideal_words,
-                           lie_generator, word_row_degrees, word_row_pieces)
+                           lie_generator, rank_sparse_pivots, word_row_degrees,
+                           word_row_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,7 @@ def bracket_path_degrees(source, top, ring):
             pivots, residual = exactla._eliminate(rows, "Z")
             below = [row for _c, _rid, row in pivots] + [row for _rid, row in residual]
         else:
-            rank, basis = exactla.rank_sparse_pivots(rows, p=rings.char(ring))
+            rank, basis = rank_sparse_pivots(rows, p=rings.char(ring))
             out.append((w - rank, ()))
             below = [rows[i] for i in basis]
     return out
