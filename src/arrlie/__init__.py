@@ -13,8 +13,7 @@ from .arrangement import Arrangement, ArrangementError, BettiData, Flat2, \
     arrangement_from_json, arrangement_to_json, betti, braid, \
     catalog_arrangement, generic, load_arrangement, localize, mobius_l2, \
     near_pencil, pencil, pencils_from_normals, standard_catalog
-from .freelie import DEFAULT_GUARD, LyndonBasis, SizeGuardError, \
-    lyndon_basis, lyndon_words, witt_rank
+from .freelie import DEFAULT_GUARD, SizeGuardError, witt_rank
 from .holonomy import GradedAbelian, HolonomyAlgebra, Presentation, \
     RelationSet, empty_relation_set, falk_invariant, holonomy_degrees, \
     holonomy_graded, holonomy_map_from_presentation, i2_basis, \

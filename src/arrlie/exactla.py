@@ -240,16 +240,8 @@ def mat_vec(a, x):
     return [sum(ai[j] * x[j] for j in range(len(x)) if x[j]) for ai in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mod(a, p):
     return [[v % p for v in row] for row in a]
-
-
-def is_zero(mat):
-    return all(v == 0 for row in mat for v in row)
 
 
 # ---------------------------------------------------------------------------

@@ -402,15 +402,6 @@ class HolonomyAlgebra:
                 out[r] = x
         return out
 
-    def bracket_coords(self, d1, c1, d2, c2):
-        """Bracket of quotient classes, in degree d1+d2 coordinates (None past truncation)."""
-        d = d1 + d2
-        if d > self.max_degree:
-            return None
-        vec = self.bracket(d1, {i: v for i, v in enumerate(c1) if v},
-                           d2, {i: v for i, v in enumerate(c2) if v})
-        return [vec.get(r, 0) for r in range(self.dim(d))]
-
 
 # The towers of the last few relation sets used in the process.  Eight
 # cover one verify-iso (two global towers and one local tower per

@@ -9,7 +9,10 @@ of e_i wedge e_j.  A word is collected letter by letter into v and a
 tail in the ambient pair coordinates of Lie_2, and the tail is projected
 to gr2 once, at the end of the word.
 
-H2 of a truncated graded Lie ring is computed from the exterior complex
+A truncated graded Lie ring (GradedLie) is its graded pieces and the
+sparse products [s, t] of its basis classes s < t, the form in which the
+holonomy tower holds its brackets; truncated_lie hands them over as they
+are.  Its H2 is computed from the exterior complex
 Lambda^3 L -> Lambda^2 L -> L with d(a^b) = -[a,b].  The complex is graded
 by weight, each weight w one block of holonomy.wedge_block (the block the
 holonomy tower reads h_w off), and Lambda^2 L vanishes past weight 2 * top.
@@ -244,45 +247,47 @@ def k_invariant_matrix(source):
 class GradedLie:
     """Graded Lie ring over Z supported in degrees 1..top.
 
-    degrees is a list of GradedAbelian (free rank plus divisor chain);
-    coordinates in each degree are ordered free-then-torsion.  brackets
-    maps (d1, d2) with d1 + d2 <= top to the structure-constant table
-    table[i][j] = coordinates of [e_i, e_j] in degree d1 + d2.  Brackets
-    landing past the truncation are zero.  Antisymmetry and the Jacobi
-    identity are checked at construction, the latter as d2 . d3 = 0 modulo
-    the divisors on the weight blocks 3..top of the exterior complex.
+    degrees is a list of GradedAbelian (free rank plus divisor chain).  A
+    basis class is a pair (degree, index into that degree's coordinates,
+    free then torsion); classes compare as tuples.  products maps each pair
+    s < t of classes with s[0] + t[0] <= top to the sparse coordinates
+    {index: value} of [s, t] in degree s[0] + t[0]; a missing pair, and
+    every bracket past the truncation, is 0.  So antisymmetry and
+    [e, e] = 0 hold by construction.  Each key and coordinate is checked
+    once, each value reduced by its divisor with its zeros dropped, and
+    the Jacobi identity is checked as d2 . d3 = 0 modulo the divisors on
+    the weight blocks 3..top of the exterior complex.
     """
 
-    def __init__(self, degrees, brackets, validate=True):
+    def __init__(self, degrees, products, validate=True):
         self.degrees = tuple(degrees)
         self.top = len(self.degrees)
         for ga in self.degrees:
             if not isinstance(ga, GradedAbelian):
                 raise TypeError("degrees must be GradedAbelian instances")
-        tables = {}
-        for d1 in range(1, self.top + 1):
-            for d2 in range(1, self.top + 1):
-                if d1 + d2 > self.top:
-                    continue
-                if (d1, d2) not in brackets:
-                    raise ValueError("missing bracket table for degrees (%d, %d)"
-                                     % (d1, d2))
-                table = brackets[(d1, d2)]
-                if len(table) != self.dim(d1):
-                    raise ValueError("bracket table (%d, %d) has wrong height"
-                                     % (d1, d2))
-                rows = []
-                for row in table:
-                    if len(row) != self.dim(d2):
-                        raise ValueError("bracket table (%d, %d) has wrong width"
-                                         % (d1, d2))
-                    for vec in row:
-                        if len(vec) != self.dim(d1 + d2):
-                            raise ValueError("bracket value in table (%d, %d) "
-                                             "lands in the wrong degree" % (d1, d2))
-                    rows.append(tuple(tuple(v) for v in row))
-                tables[(d1, d2)] = tuple(rows)
-        self.brackets = tables
+        divs = [None] + [self.divisors(d) for d in range(1, self.top + 1)]
+        self.products = {}
+        for (s, t), vec in products.items():
+            for x in (s, t):
+                if not (1 <= x[0] <= self.top and 0 <= x[1] < len(divs[x[0]])):
+                    raise ValueError("product key %r: %r is not a basis class"
+                                     % ((s, t), x))
+            if not s < t:
+                raise ValueError("product key %r is not ordered s < t" % ((s, t),))
+            d = s[0] + t[0]
+            if d > self.top:
+                raise ValueError("product key %r lands past the top degree %d"
+                                 % ((s, t), self.top))
+            out = {}
+            for r, v in vec.items():
+                if not 0 <= r < len(divs[d]):
+                    raise ValueError("product %r has coordinate %r outside "
+                                     "degree %d" % ((s, t), r, d))
+                v = v % divs[d][r] if divs[d][r] else v
+                if v:
+                    out[r] = v
+            if out:
+                self.products[s, t] = out
         if validate:
             self._validate()
 
@@ -294,49 +299,7 @@ class GradedLie:
         ga = self.degrees[d - 1]
         return [0] * ga.rank + list(ga.torsion)
 
-    def reduce(self, d, vec):
-        divs = self.divisors(d)
-        return [v if dv == 0 else v % dv for v, dv in zip(vec, divs)]
-
-    def is_zero(self, d, vec):
-        return not any(self.reduce(d, vec))
-
-    def basis_bracket(self, d1, i, d2, j):
-        """[e_i, e_j] in degree d1+d2 coordinates, or None past the truncation."""
-        if d1 + d2 > self.top:
-            return None
-        return self.brackets[(d1, d2)][i][j]
-
-    def bracket_vec(self, d1, u, d2, v):
-        if d1 + d2 > self.top:
-            return None
-        out = [0] * self.dim(d1 + d2)
-        table = self.brackets[(d1, d2)]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = table[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                vec = row[j]
-                for t, val in enumerate(vec):
-                    if val:
-                        out[t] += a * b * val
-        return self.reduce(d1 + d2, out)
-
     def _validate(self):
-        for (d1, d2), table in self.brackets.items():
-            other = self.brackets[(d2, d1)]
-            for i in range(self.dim(d1)):
-                for j in range(self.dim(d2)):
-                    s = [x + y for x, y in zip(table[i][j], other[j][i])]
-                    if not self.is_zero(d1 + d2, s):
-                        raise ValueError("bracket tables are not antisymmetric "
-                                         "at degrees (%d, %d)" % (d1, d2))
-                    if d1 == d2 and i == j and not self.is_zero(d1 + d2, table[i][i]):
-                        raise ValueError("nonzero bracket [e, e] in degree %d" % d1)
-
         for w, _cols, d2, _torsion_rows, triple_rows in _blocks(
                 self, range(3, self.top + 1)):
             divs = self.divisors(w)
@@ -351,19 +314,17 @@ class GradedLie:
 def truncated_lie(source, top, guard=DEFAULT_GUARD, override=False, validate=True):
     """The quotient of the holonomy Lie algebra by degrees above top.
 
-    Its structure constants are the brackets of the HolonomyAlgebra tower,
-    read off its tables.
+    Its products are the brackets [s, t] of the pair columns s < t of the
+    HolonomyAlgebra tower in degrees 2..top, as the tower holds them.
     """
     if top < 1:
         raise ValueError("truncation top degree must be at least 1")
     alg = HolonomyAlgebra(source, max_degree=top, guard=guard, override=override)
     degrees = [GradedAbelian(rank=alg.rank(d), torsion=alg.torsion(d))
                for d in range(1, top + 1)]
-    units = {d: exactla.identity(alg.dim(d)) for d in range(1, top)}
-    brackets = {(d1, d2): [[alg.bracket_coords(d1, u, d2, v) for v in units[d2]]
-                           for u in units[d1]]
-                for d1 in range(1, top) for d2 in range(1, top - d1 + 1)}
-    return GradedLie(degrees, brackets, validate=validate)
+    products = {(s, t): alg.bracket(s[0], {s[1]: 1}, t[0], {t[1]: 1})
+                for w in range(2, top + 1) for s, t in alg.pairs(w)}
+    return GradedLie(degrees, products, validate=validate)
 
 
 def _blocks(L, weights):
@@ -373,14 +334,10 @@ def _blocks(L, weights):
     top)."""
     dims = [0] + [L.dim(d) for d in range(1, L.top + 1)] + [0] * L.top
     divs = [None] + [L.divisors(d) for d in range(1, L.top + 1)]
-    memo = {}
+    products, zero = L.products, {}
 
     def product(s, t):
-        vec = memo.get((s, t))
-        if vec is None:
-            table = L.basis_bracket(s[0], s[1], t[0], t[1]) or ()
-            vec = memo[s, t] = {r: v for r, v in enumerate(table) if v}
-        return vec
+        return products.get((s, t), zero)
 
     for w in weights:
         cols, torsion_rows, triple_rows = wedge_block(
@@ -477,7 +434,8 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD, override=False
     tower: it checks the CE complex against the tower, not the tower
     against an independent computation (the tests compare it with the word
     rows of the ideal).  Raises SizeGuardError, before any Lambda^3 row of
-    H2 exists, when its triples of weight <= 2(n-1) cost more than guard.
+    H2 exists, when its triples of weight <= 2(n-1) cost more than guard,
+    and then when the holonomy guard refuses degree n.
     """
     if n < 3:
         raise ValueError("the H2 comparison starts at degree 3")
@@ -502,6 +460,8 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD, override=False
             "H2 of the degree-%d truncation has %d triples, which cost %d > "
             "guard %d; raise the guard to proceed"
             % (n - 1, triples, _H2_TRIPLE_COST * triples, guard))
+    # the degree-n holonomy guard, before any of H2 is computed
+    HolonomyAlgebra(source, n, guard=guard, override=override)
     L = truncated_lie(source, n - 1, guard=guard, override=override)
     ce = ce_h2(L, ring)
     hn = holonomy_graded(source, n, ring, guard=guard, override=override)

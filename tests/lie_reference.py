@@ -1,5 +1,10 @@
 """Reference implementations the library no longer uses, kept as test oracles.
 
+* The Lyndon basis of the free Lie algebra: Lyndon words of length n over
+  letters 0..k-1 in lex order (Duval), each carrying its standard
+  bracketing (split at the lexicographically least proper suffix, the
+  longest proper Lyndon suffix), memoized per (k, n) as a LyndonBasis;
+  and commutator(p, q) = pq - qp of tensor polynomials {word: coeff}.
 * Free Lie algebra arithmetic on the Lyndon basis: LieElement and bracket,
   rewriting tensor commutators triangularly (tensor_to_lyndon), and
   word_coords, the Lyndon-basis to Lyndon-word change of coordinates.
@@ -19,18 +24,25 @@
   of degree n-1.  Each degree is eliminated on the coefficients at the
   Lyndon words, a unimodular change of coordinates from the Lyndon basis.
   It shares no code with the tower of HolonomyAlgebra beyond exactla.
+* bracket_coords, the bracket of a HolonomyAlgebra on dense coordinate
+  vectors.
+* Dense structure-constant tables of a graded Lie ring
+  (graded_lie_from_tables): their shapes, antisymmetry and [e, e] = 0
+  checked entry by entry, then handed to GradedLie as its products s < t.
 * The exterior complex of a truncated graded Lie ring over its flat
   basis: every pair and every triple of basis classes, whatever their
   weight (ce_differentials, flat_ce_h2), and the Jacobi identity checked
-  on dense vectors triple by triple (check_jacobi).  The library builds
-  the same complex weight by weight (holonomy.wedge_block).
+  on dense vectors triple by triple (check_jacobi), each densifying the
+  products of the ring itself.  The library builds the same complex
+  weight by weight (holonomy.wedge_block).
 * The sparse elimination kernel as it was when every row update copied
   the row and a second loop diffed the old and new rows to keep the
   column counts (copying_eliminate): the oracle for exactla._eliminate,
   which updates rows in place.  rank_sparse_pivots reads a basis of the
   row span over a field off exactla._eliminate.
 * det_int, the Bareiss determinant of a dense integer matrix, the oracle
-  for the sparse invertibility test of the verifier and for unimodularity.
+  for the sparse invertibility test of the verifier and for unimodularity,
+  and the dense matrix helpers mat_sub and is_zero.
 """
 
 from __future__ import annotations
@@ -38,23 +50,116 @@ from __future__ import annotations
 import heapq
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from math import gcd
 
 from arrlie import exactla, rings
 from arrlie.exactla import QuotientLattice
-from arrlie.freelie import (DEFAULT_GUARD, check_guard, commutator,
-                            lyndon_basis, witt_rank)
+from arrlie.freelie import DEFAULT_GUARD, check_guard, witt_rank
 from arrlie.holonomy import (GradedAbelian, as_relation_set, holonomy_guard,
                              pair_list)
+from arrlie.nilpotent import GradedLie
 
+_basis_cache = {}
 _pair_bracket_cache = {}
 _expand_cache = {}
 _columns_cache = {}
 # per HolonomyAlgebra: basis class -> polynomial, bracketing -> coordinates
 _element_cache = weakref.WeakKeyDictionary()
 _tree_cache = weakref.WeakKeyDictionary()
+
+
+# ---------------------------------------------------------------------------
+# the Lyndon basis of the free Lie algebra
+
+def lyndon_words(k, n):
+    """All Lyndon words of length exactly n over 0..k-1, in lex order (Duval)."""
+    if k < 1 or n < 1:
+        return []
+    out = []
+    w = [0]
+    while True:
+        if len(w) == n:
+            out.append(tuple(w))
+        # periodic extension to length n, then increment the last slot
+        w = [w[i % len(w)] for i in range(n)]
+        while w and w[-1] == k - 1:
+            w.pop()
+        if not w:
+            return out
+        w[-1] += 1
+
+
+def is_lyndon(w):
+    """A nonempty word is Lyndon iff it is strictly smaller than every proper suffix."""
+    if not w:
+        return False
+    return all(tuple(w) < tuple(w[i:]) for i in range(1, len(w)))
+
+
+def standard_factorization(w):
+    """Split a Lyndon word of length >= 2 at its lex-least proper suffix."""
+    assert len(w) >= 2
+    best = 1
+    for i in range(2, len(w)):
+        if w[i:] < w[best:]:
+            best = i
+    return w[:best], w[best:]
+
+
+def _bracketing(w, memo):
+    t = memo.get(w)
+    if t is None:
+        if len(w) == 1:
+            t = w[0]
+        else:
+            u, v = standard_factorization(w)
+            t = (_bracketing(u, memo), _bracketing(v, memo))
+        memo[w] = t
+    return t
+
+
+@dataclass(frozen=True)
+class LyndonBasis:
+    alphabet: int
+    degree: int
+    words: tuple
+    trees: tuple
+    index: dict = field(repr=False)
+
+    def __len__(self):
+        return len(self.words)
+
+
+def lyndon_basis(k, n, guard=DEFAULT_GUARD):
+    """Memoized Lyndon basis in degree n."""
+    check_guard(k, n, guard)
+    key = (k, n)
+    b = _basis_cache.get(key)
+    if b is not None:
+        return b
+    words = lyndon_words(k, n)
+    memo = {}
+    trees = tuple(_bracketing(w, memo) for w in words)
+    b = LyndonBasis(alphabet=k, degree=n, words=tuple(words), trees=trees,
+                    index={w: i for i, w in enumerate(words)})
+    _basis_cache[key] = b
+    return b
+
+
+def commutator(p, q):
+    """pq - qp of tensor polynomials {word: coeff}, without zero terms."""
+    out = {}
+    for wa, ca in p.items():
+        for wb, cb in q.items():
+            c = ca * cb
+            w = wa + wb
+            out[w] = out.get(w, 0) + c
+            w = wb + wa
+            out[w] = out.get(w, 0) - c
+    return {w: c for w, c in out.items() if c}
+
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +288,17 @@ def _tree_coords(alg, tree):
             got = (d1 + d2, alg.bracket(d1, u, d2, v))
         memo[tree] = got
     return got
+
+
+def bracket_coords(alg, d1, c1, d2, c2):
+    """Bracket of dense quotient classes of a HolonomyAlgebra, in dense
+    degree d1 + d2 coordinates (None past its max_degree)."""
+    d = d1 + d2
+    if d > alg.max_degree:
+        return None
+    vec = alg.bracket(d1, {i: v for i, v in enumerate(c1) if v},
+                      d2, {i: v for i, v in enumerate(c2) if v})
+    return [vec.get(r, 0) for r in range(alg.dim(d))]
 
 
 # ---------------------------------------------------------------------------
@@ -397,23 +513,98 @@ def word_row_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=Fa
 # ---------------------------------------------------------------------------
 # the exterior complex over the flat basis of a truncation
 
+def graded_lie_from_tables(degrees, tables, validate=True):
+    """GradedLie from dense structure-constant tables.
+
+    tables maps (d1, d2) with d1 + d2 <= top to the table whose entry
+    [i][j] is the coordinate vector of [e_i, e_j] in degree d1 + d2.  The
+    shapes, antisymmetry and [e, e] = 0 are checked entry by entry modulo
+    the divisors, and the entries i < j (in class order) become the
+    products of the GradedLie.
+    """
+    top = len(degrees)
+    divs = [None] + [[0] * g.rank + list(g.torsion) for g in degrees]
+
+    def is_zero_mod(d, vec):
+        return not any(v % dv if dv else v for v, dv in zip(vec, divs[d]))
+
+    pairs = [(d1, d2) for d1 in range(1, top + 1)
+             for d2 in range(1, top + 1 - d1)]
+    for d1, d2 in pairs:
+        if (d1, d2) not in tables:
+            raise ValueError("missing bracket table for degrees (%d, %d)"
+                             % (d1, d2))
+        table = tables[(d1, d2)]
+        if len(table) != len(divs[d1]):
+            raise ValueError("bracket table (%d, %d) has wrong height"
+                             % (d1, d2))
+        for row in table:
+            if len(row) != len(divs[d2]):
+                raise ValueError("bracket table (%d, %d) has wrong width"
+                                 % (d1, d2))
+            if any(len(vec) != len(divs[d1 + d2]) for vec in row):
+                raise ValueError("bracket value in table (%d, %d) "
+                                 "lands in the wrong degree" % (d1, d2))
+    products = {}
+    for d1, d2 in pairs:
+        table, other = tables[(d1, d2)], tables[(d2, d1)]
+        for i, row in enumerate(table):
+            for j, vec in enumerate(row):
+                sym = [x + y for x, y in zip(vec, other[j][i])]
+                if not is_zero_mod(d1 + d2, sym):
+                    raise ValueError("bracket tables are not antisymmetric "
+                                     "at degrees (%d, %d)" % (d1, d2))
+                if d1 == d2 and i == j and not is_zero_mod(d1 + d2, vec):
+                    raise ValueError("nonzero bracket [e, e] in degree %d" % d1)
+                if (d1, i) < (d2, j):
+                    products[(d1, i), (d2, j)] = {r: v for r, v in enumerate(vec)
+                                                  if v}
+    return GradedLie(degrees, products, validate=validate)
+
+
+def dense_bracket(L, s, t):
+    """Dense coordinates of [s, t] for basis classes s, t of L, read off
+    its products with [t, s] = -[s, t] and [s, s] = 0; None past the top."""
+    d = s[0] + t[0]
+    if d > L.top:
+        return None
+    out = [0] * L.dim(d)
+    if s != t:
+        sign = 1 if s < t else -1
+        for r, v in L.products.get((min(s, t), max(s, t)), {}).items():
+            out[r] = sign * v
+    return out
+
+
+def bracket_vec(L, d1, u, d2, v):
+    """[u, v] for dense u in degree d1 and v in degree d2 of L, reduced by
+    the divisors; None past the top."""
+    if d1 + d2 > L.top:
+        return None
+    out = [0] * L.dim(d1 + d2)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b:
+                vec = dense_bracket(L, (d1, i), (d2, j))
+                out = [x + a * b * y for x, y in zip(out, vec)]
+    divs = L.divisors(d1 + d2)
+    return [x % dv if dv else x for x, dv in zip(out, divs)]
+
+
 def check_jacobi(L):
     """Raise ValueError unless every triple of basis classes of L with
     degree sum <= top satisfies the Jacobi identity, on dense vectors."""
 
     def _jacobi(args):
-        (da, i), (db, j), (dc, kk) = args
-        d = da + db + dc
+        a, b, c = args
+        d = a[0] + b[0] + c[0]
         acc = [0] * L.dim(d)
-        for (dx, x), (dy, y), (dz, z) in (((da, i), (db, j), (dc, kk)),
-                                          ((db, j), (dc, kk), (da, i)),
-                                          ((dc, kk), (da, i), (db, j))):
-            inner = L.basis_bracket(dx, x, dy, y)
-            ez = [0] * L.dim(dz)
-            ez[z] = 1
-            term = L.bracket_vec(dx + dy, inner, dz, ez)
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            ez = [0] * L.dim(z[0])
+            ez[z[1]] = 1
+            term = bracket_vec(L, x[0] + y[0], dense_bracket(L, x, y), z[0], ez)
             acc = [p + q for p, q in zip(acc, term)]
-        return L.is_zero(d, acc)
+        return not any(v % dv if dv else v for v, dv in zip(acc, L.divisors(d)))
 
     triples = []
     members = [(d, i) for d in range(1, L.top + 1)
@@ -451,12 +642,10 @@ def ce_differentials(L):
     ppos = {pr: q for q, pr in enumerate(pairs)}
 
     def _bracket_flat(s, t):
-        ds, i = basis[s]
-        dt, j = basis[t]
-        vec = L.basis_bracket(ds, i, dt, j)
+        vec = dense_bracket(L, basis[s], basis[t])
         if vec is None:
             return {}
-        off = offsets[ds + dt]
+        off = offsets[basis[s][0] + basis[t][0]]
         return {off + c: val for c, val in enumerate(vec) if val}
 
     d2cols = []
@@ -750,3 +939,11 @@ def det_int(mat):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def is_zero(mat):
+    return all(v == 0 for row in mat for v in row)

@@ -28,8 +28,6 @@ from arrlie import (
     is_decomposable,
     k_invariant_matrix,
     lcs_ranks_decomposable,
-    lyndon_basis,
-    lyndon_words,
     make_presentation,
     near_pencil,
     pencil,
@@ -39,7 +37,8 @@ from arrlie import (
     witt_rank,
 )
 from arrlie import exactla, rings
-from lie_reference import LieElement, bracket, expand_tree
+from lie_reference import (LieElement, bracket, expand_tree, lyndon_basis,
+                           lyndon_words)
 
 
 @contextmanager

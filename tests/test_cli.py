@@ -234,6 +234,24 @@ def test_h2check_is_size_guarded(capsys, tmp_path):
     assert code == 0 and json.loads(out)["pass"]
 
 
+def test_h2check_refuses_degree_n_before_it_computes(capsys, tmp_path,
+                                                    monkeypatch):
+    # near_pencil(7) at degree 5: the degree-5 holonomy guard refuses 7
+    # letters, and it runs before the truncation or its H2 is built
+    from arrlie import nilpotent
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the degree-5 guard ran")
+
+    monkeypatch.setattr(nilpotent, "truncated_lie", never)
+    monkeypatch.setattr(nilpotent, "ce_h2", never)
+    path = tmp_path / "near_pencil7.json"
+    path.write_text(json.dumps(arrangement_to_json(near_pencil(7))))
+    line = assert_exits_2_on_one_line(capsys, ["h2check", str(path), "--degree",
+                                               "5", "--ring", "q"])
+    assert "holonomy degree 5 refuses alphabets beyond 4 letters" in line
+
+
 def test_catalog_stdout_and_file(files, capsys, tmp_path):
     code, out, _ = run(capsys, ["catalog", "pencil", "3"])
     assert code == 0

@@ -8,16 +8,10 @@ import pytest
 from arrlie import (
     DEFAULT_GUARD,
     SizeGuardError,
-    lyndon_basis,
-    lyndon_words,
     witt_rank,
 )
 from arrlie import HolonomyAlgebra, braid, near_pencil, rings
-from arrlie.freelie import (
-    check_guard,
-    is_lyndon,
-    standard_factorization,
-)
+from arrlie.freelie import check_guard
 from lie_reference import (
     LieElement,
     basis_pair_bracket,
@@ -25,10 +19,14 @@ from lie_reference import (
     coords,
     element,
     expand_tree,
+    is_lyndon,
     lie_coords,
+    lyndon_basis,
     lyndon_columns,
+    lyndon_words,
     lie_generator,
     lie_zero,
+    standard_factorization,
     tensor_to_lyndon,
     word_coords,
     word_row_pieces,

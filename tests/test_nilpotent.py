@@ -27,7 +27,9 @@ from arrlie import (
 )
 from arrlie import exactla, rings
 from arrlie.holonomy import HolonomyAlgebra, as_relation_set, pair_index, pair_list
-from lie_reference import check_jacobi, det_int, flat_ce_h2, word_row_degrees
+from lie_reference import (bracket_coords, bracket_vec, check_jacobi, det_int,
+                           flat_ce_h2, graded_lie_from_tables, is_zero, mat_sub,
+                           word_row_degrees)
 from test_holonomy import commutator_presentations
 
 
@@ -265,7 +267,7 @@ def test_k_invariant_of_a_presentation_reads_the_degree_two_quotient():
         kinv = k_invariant_matrix(pres)
         alg = HolonomyAlgebra(pres, 2)
         units = exactla.identity(k)
-        cols = [alg.bracket_coords(1, units[i], 1, units[j])[:alg.rank(2)]
+        cols = [bracket_coords(alg, 1, units[i], 1, units[j])[:alg.rank(2)]
                 for i, j in pair_list(k)]
         assert kinv == [[col[i] for col in cols] for i in range(alg.rank(2))]
         assert len(kinv) == alg.rank(2)
@@ -327,13 +329,11 @@ def splitting_from_hom(lam, gr_dim=None, h2x_dim=None):
     inc = [[int(i == j) for j in range(a)] for i in range(a)] + \
           [[0] * a for _ in range(c)]
     proj = [[0] * a + [int(i == j) for j in range(c)] for i in range(c)]
-    if not exactla.is_zero(exactla.mat_sub(exactla.mat_mul(sigma, inc),
-                                           exactla.identity(a))):
+    if not is_zero(mat_sub(exactla.mat_mul(sigma, inc), exactla.identity(a))):
         raise AssertionError("splitting identity sigma.i = id failed")
-    if not exactla.is_zero(exactla.mat_sub(exactla.mat_mul(proj, section),
-                                           exactla.identity(c))):
+    if not is_zero(mat_sub(exactla.mat_mul(proj, section), exactla.identity(c))):
         raise AssertionError("splitting identity pi.h = id failed")
-    if not exactla.is_zero(exactla.mat_mul(sigma, section)):
+    if not is_zero(exactla.mat_mul(sigma, section)):
         raise AssertionError("splitting identity sigma.h = 0 failed")
     # ker sigma = im h: [i | h] is block upper triangular with unit diagonal
     square = [inc[i] + section[i] for i in range(a + c)]
@@ -376,8 +376,8 @@ def test_truncated_lie_matches_the_holonomy_algebra():
     for _ in range(5):
         u = [rng.randint(-2, 2) for _ in range(6)]
         v = [rng.randint(-2, 2) for _ in range(6)]
-        assert L.bracket_vec(1, u, 1, v) == alg.bracket_coords(1, u, 1, v)
-    assert L.basis_bracket(2, 0, 2, 0) is None  # degree 4 is past the top
+        assert bracket_vec(L, 1, u, 1, v) == bracket_coords(alg, 1, u, 1, v)
+    assert bracket_vec(L, 2, [1, 0, 0, 0], 2, [1, 0, 0, 0]) is None  # past the top
 
 
 def test_truncated_lie_keeps_torsion():
@@ -385,29 +385,81 @@ def test_truncated_lie_keeps_torsion():
     assert [(g.rank, g.torsion) for g in L.degrees] == \
         [(2, ()), (0, (2,)), (0, (2, 2))]
     assert L.dim(2) == 1 and L.divisors(2) == [2]
-    z = L.bracket_vec(1, [1, 0], 1, [0, 1])
+    z = bracket_vec(L, 1, [1, 0], 1, [0, 1])
     assert z == [1]
-    assert L.is_zero(2, [a + b for a, b in zip(z, z)])  # 2z = 0
+    assert bracket_vec(L, 1, [2, 0], 1, [0, 1]) == [0]  # 2z = 0
+
+
+def test_truncated_lie_products_are_the_tower_brackets():
+    # every unit pair s < t within the top, densified and read back with
+    # its zeros dropped and reduced by the divisors of its degree
+    cases = [(arr, 3) for _name, arr in standard_catalog()] + [(braid(4), 4)]
+    cases += [(pres, 3) for pres in commutator_presentations(0, 10)]
+    cases += [(make_presentation(2, ["xxyXXY"]), 3)]
+    with_torsion = 0
+    for src, top in cases:
+        L = truncated_lie(src, top, override=True)
+        alg = HolonomyAlgebra(src, top, override=True)
+        units = {d: exactla.identity(alg.dim(d)) for d in range(1, top)}
+        expected = {}
+        for d1 in range(1, top):
+            for d2 in range(d1, top - d1 + 1):
+                divs = L.divisors(d1 + d2)
+                for i in range(alg.dim(d1)):
+                    for j in range(i + 1 if d1 == d2 else 0, alg.dim(d2)):
+                        vec = bracket_coords(alg, d1, units[d1][i], d2, units[d2][j])
+                        vec = {r: v % dv if dv else v
+                               for r, (v, dv) in enumerate(zip(vec, divs))}
+                        vec = {r: v for r, v in vec.items() if v}
+                        if vec:
+                            expected[(d1, i), (d2, j)] = vec
+        assert L.products == expected
+        with_torsion += any(g.torsion for g in L.degrees)
+    assert len(cases) == 29 and with_torsion >= 2
 
 
 def test_graded_lie_validation():
+    # dense hand-built tables: their shapes and antisymmetry are the
+    # converter's to check
     with pytest.raises(ValueError, match="missing bracket table"):
-        GradedLie([GradedAbelian(1), GradedAbelian(1)], {})
+        graded_lie_from_tables([GradedAbelian(1), GradedAbelian(1)], {})
     with pytest.raises(ValueError, match="wrong height"):
-        GradedLie([GradedAbelian(2), GradedAbelian(1)],
-                  {(1, 1): [[(0,), (0,)]]})
+        graded_lie_from_tables([GradedAbelian(2), GradedAbelian(1)],
+                               {(1, 1): [[(0,), (0,)]]})
+    with pytest.raises(ValueError, match="wrong width"):
+        graded_lie_from_tables([GradedAbelian(2), GradedAbelian(1)],
+                               {(1, 1): [[(0,)], [(0,)]]})
     with pytest.raises(ValueError, match="wrong degree"):
-        GradedLie([GradedAbelian(2), GradedAbelian(1)],
-                  {(1, 1): [[(0,), (1, 1)], [(0,), (0,)]]})
+        graded_lie_from_tables([GradedAbelian(2), GradedAbelian(1)],
+                               {(1, 1): [[(0,), (1, 1)], [(0,), (0,)]]})
     with pytest.raises(ValueError, match="not antisymmetric"):
-        GradedLie([GradedAbelian(2), GradedAbelian(1)],
-                  {(1, 1): [[(0,), (1,)], [(1,), (0,)]]})
+        graded_lie_from_tables([GradedAbelian(2), GradedAbelian(1)],
+                               {(1, 1): [[(0,), (1,)], [(1,), (0,)]]})
+    # antisymmetric modulo 2, yet [e, e] is the order-2 class
+    with pytest.raises(ValueError, match=r"nonzero bracket \[e, e\]"):
+        graded_lie_from_tables([GradedAbelian(1), GradedAbelian(0, (2,))],
+                               {(1, 1): [[(1,)]]})
+    # the library's own intake: products s < t within the top
+    degrees = [GradedAbelian(2), GradedAbelian(1)]
+    for key, vec, msg in ((((1, 1), (1, 0)), {0: 1}, "not ordered s < t"),
+                          (((1, 0), (1, 0)), {0: 1}, "not ordered s < t"),
+                          (((1, 0), (2, 0)), {}, "past the top degree 2"),
+                          (((1, 0), (1, 2)), {0: 1}, "not a basis class"),
+                          (((0, 0), (1, 1)), {0: 1}, "not a basis class"),
+                          (((1, 0), (1, 1)), {1: 1}, "outside degree 2")):
+        with pytest.raises(ValueError, match=msg):
+            GradedLie(degrees, {key: vec})
     with pytest.raises(ValueError, match="Jacobi"):
-        GradedLie(
-            [GradedAbelian(3), GradedAbelian(1), GradedAbelian(1)],
-            {(1, 1): [[(0,), (1,), (0,)], [(-1,), (0,), (0,)], [(0,), (0,), (0,)]],
-             (1, 2): [[(0,)], [(0,)], [(1,)]],
-             (2, 1): [[(0,), (0,), (-1,)]]})
+        GradedLie([GradedAbelian(3), GradedAbelian(1), GradedAbelian(1)],
+                  {((1, 0), (1, 1)): {0: 1}, ((1, 2), (2, 0)): {0: 1}})
+
+
+def test_graded_lie_reduces_its_products():
+    L = GradedLie([GradedAbelian(3), GradedAbelian(1, (2,))],
+                  {((1, 0), (1, 1)): {0: -3, 1: 5},
+                   ((1, 0), (1, 2)): {0: 0, 1: 4},
+                   ((1, 1), (1, 2)): {}})
+    assert L.products == {((1, 0), (1, 1)): {0: -3, 1: 1}}
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +468,16 @@ def test_graded_lie_validation():
 def test_ce_h2_classical_values():
     abelian = GradedLie([GradedAbelian(2)], {})
     assert ce_h2(abelian) == GradedAbelian(rank=1)
-    heis = GradedLie([GradedAbelian(2), GradedAbelian(1)],
-                     {(1, 1): [[(0,), (1,)], [(-1,), (0,)]]})
+    heis = graded_lie_from_tables([GradedAbelian(2), GradedAbelian(1)],
+                                  {(1, 1): [[(0,), (1,)], [(-1,), (0,)]]})
     for ring in (rings.Z, rings.Q, rings.fp(2)):
         assert ce_h2(heis, ring).rank == 2
 
 
 def test_ce_h2_field_ranks_see_torsion():
     # Z^2 with a central order-2 bracket: abelian over Q, Heisenberg over F_2
-    tor = GradedLie([GradedAbelian(2), GradedAbelian(0, (2,))],
-                    {(1, 1): [[(0,), (1,)], [(-1,), (0,)]]})
+    tor = graded_lie_from_tables([GradedAbelian(2), GradedAbelian(0, (2,))],
+                                 {(1, 1): [[(0,), (1,)], [(-1,), (0,)]]})
     assert ce_h2(tor) == GradedAbelian(rank=1, torsion=(2, 2))
     assert ce_h2(tor, rings.Q).rank == 1
     assert ce_h2(tor, rings.fp(2)).rank == 2
@@ -463,8 +515,9 @@ def test_ce_h2_refuses_boundaries_off_the_cycle_lattice():
            [(0, -1, 0), (0, 0, -1), (0, 0, 0)]]
     t12 = [[(0,), (0,), (-1,)], [(0,), (0,), (0,)], [(-1,), (0,), (0,)]]
     t21 = [[(0,), (0,), (1,)], [(0,), (0,), (0,)], [(1,), (0,), (0,)]]
-    L = GradedLie([GradedAbelian(3), GradedAbelian(3), GradedAbelian(1)],
-                  {(1, 1): t11, (1, 2): t12, (2, 1): t21}, validate=False)
+    L = graded_lie_from_tables(
+        [GradedAbelian(3), GradedAbelian(3), GradedAbelian(1)],
+        {(1, 1): t11, (1, 2): t12, (2, 1): t21}, validate=False)
     with pytest.raises(ArithmeticError, match="escaped the cycle lattice"):
         ce_h2(L)
 
@@ -562,18 +615,19 @@ def hand_built_rings():
     jac = {(1, 1): [[(0,), (1,), (0,)], [(-1,), (0,), (0,)], [(0,), (0,), (0,)]],
            (1, 2): [[(0,)], [(0,)], [(1,)]],
            (2, 1): [[(0,), (0,), (-1,)]]}
+    from_tables = graded_lie_from_tables
     out = [GradedLie([GradedAbelian(2)], {}),
-           GradedLie([GradedAbelian(2), GradedAbelian(1)], heis),
-           GradedLie([GradedAbelian(2), GradedAbelian(0, (2,))], heis),
-           GradedLie([GradedAbelian(3), GradedAbelian(3), GradedAbelian(1)],
-                     {(1, 1): t11, (1, 2): t12, (2, 1): t21}, validate=False),
-           GradedLie([GradedAbelian(3), GradedAbelian(1), GradedAbelian(1)],
-                     jac, validate=False)]
+           from_tables([GradedAbelian(2), GradedAbelian(1)], heis),
+           from_tables([GradedAbelian(2), GradedAbelian(0, (2,))], heis),
+           from_tables([GradedAbelian(3), GradedAbelian(3), GradedAbelian(1)],
+                       {(1, 1): t11, (1, 2): t12, (2, 1): t21}, validate=False),
+           from_tables([GradedAbelian(3), GradedAbelian(1), GradedAbelian(1)],
+                       jac, validate=False)]
     out += [GradedLie([GradedAbelian(r, t)], {})
             for r, t in ((0, (2, 4, 8)), (1, (3, 9)), (2, (3,)))]
     zero = [[(0, 0), (0, 0)], [(0, 0), (0, 0)]]
-    out.append(GradedLie([GradedAbelian(0, (2, 2)), GradedAbelian(0, (3, 3))],
-                         {(1, 1): zero}))
+    out.append(from_tables([GradedAbelian(0, (2, 2)), GradedAbelian(0, (3, 3))],
+                           {(1, 1): zero}))
     return out
 
 
@@ -597,8 +651,8 @@ def random_ring(rng):
     t12 = [[vec(3) for _ in range(dims[1])] for _ in range(3)]
     t21 = [[tuple(-v for v in t12[i][j]) for i in range(3)]
            for j in range(dims[1])]
-    return GradedLie(degrees, {(1, 1): t11, (1, 2): t12, (2, 1): t21},
-                     validate=False)
+    return graded_lie_from_tables(
+        degrees, {(1, 1): t11, (1, 2): t12, (2, 1): t21}, validate=False)
 
 
 def _outcome(f, *args):
@@ -622,7 +676,7 @@ def test_ce_h2_and_the_jacobi_check_match_the_flat_complex():
     for L in rings_:
         jacobi = _outcome(check_jacobi, L)
         assert jacobi in (None, ValueError)
-        assert (_outcome(GradedLie, L.degrees, L.brackets) is ValueError) \
+        assert (_outcome(GradedLie, L.degrees, L.products) is ValueError) \
             == (jacobi is ValueError)
         for ring in CE_RINGS:
             assert _outcome(ce_h2, L, ring) == _outcome(flat_ce_h2, L, ring)
@@ -630,3 +684,4 @@ def test_ce_h2_and_the_jacobi_check_match_the_flat_complex():
             broken += 1
             assert _outcome(ce_h2, L) is ArithmeticError
     assert broken >= 10 and len(rings_) - broken >= 40
+    assert (len(rings_), broken) == (78, 24)
