@@ -258,8 +258,7 @@ def _cmd_holonomy(args, digests):
         raise InputError("--max-degree must be non-negative")
     src = _load_source(args.file, digests, args.guard)
     ring = _ring(args.ring)
-    degrees = holonomy_degrees(src, args.max_degree, ring, guard=args.guard,
-                               override=args.override)
+    degrees = holonomy_degrees(src, args.max_degree, ring, guard=args.guard)
     return {str(d): {"rank": g.rank, "torsion": list(g.torsion)}
             for d, g in enumerate(degrees, 1)}, 0
 
@@ -304,14 +303,13 @@ def _cmd_kinv(args, digests):
 def _cmd_h2check(args, digests):
     src = _load_source(args.file, digests, args.guard)
     rep = h2_rank_check(src, n=args.degree, ring=_ring(args.ring),
-                        guard=args.guard, override=args.override)
+                        guard=args.guard)
     return rep, 0 if rep["pass"] else 1
 
 
 def _cmd_decomp(args, digests):
     arr = _load_arrangement(args.file, digests, args.guard)
-    rep = decomp.is_decomposable(arr, guard=args.guard,
-                                 override=args.override)
+    rep = decomp.is_decomposable(arr, guard=args.guard)
     return rep, 0 if rep["decomposable"] else 1
 
 
@@ -323,8 +321,7 @@ def _cmd_lcs(args, digests):
     _check_cost("lcs to degree %d" % args.max_degree,
                 max(args.max_degree, 0) ** 2 * mu.bit_length(), args.guard)
     return decomp.lcs_ranks_decomposable(arr, args.max_degree,
-                                         guard=args.guard,
-                                         override=args.override), 0
+                                         guard=args.guard), 0
 
 
 def _cmd_verify_iso(args, digests):
@@ -339,7 +336,7 @@ def _cmd_verify_iso(args, digests):
     rep = decomp.verify_decomposable_iso(
         arr_a, arr_b, iso, n=args.degree, ring=_ring(args.ring),
         corrections=corrections, perturb=args.perturb,
-        guard=args.guard, override=args.override)
+        guard=args.guard)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         bundle = {
@@ -395,9 +392,10 @@ def _build_parser():
                         help="wrap the payload with command echo and "
                              "input digests")
         sp.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                        help="size guard for basis enumeration")
+                        help="refuse, before computing, any step whose "
+                             "cost exceeds this many units")
         sp.add_argument("--override", action="store_true",
-                        help="lift the per-degree alphabet limits")
+                        help="accepted for compatibility; has no effect")
         if ring:
             sp.add_argument("--ring", default="z",
                             help="coefficients: z, q, or fp:<p>")

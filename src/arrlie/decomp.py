@@ -36,7 +36,7 @@ from .holonomy import HolonomyAlgebra, holonomy_graded
 # ---------------------------------------------------------------------------
 # decomposability and the decomposable LCS formula
 
-def is_decomposable(arr, guard=DEFAULT_GUARD, override=False):
+def is_decomposable(arr, guard=DEFAULT_GUARD):
     """Decide decomposability from the degree 3 graded piece.
 
     Returns a report dict with r_global (rank of the degree 3 holonomy
@@ -48,7 +48,7 @@ def is_decomposable(arr, guard=DEFAULT_GUARD, override=False):
     """
     if not isinstance(arr, Arrangement):
         raise TypeError("is_decomposable expects an Arrangement")
-    g3 = holonomy_graded(arr, 3, rings.Z, guard=guard, override=override)
+    g3 = holonomy_graded(arr, 3, rings.Z, guard=guard)
     r_global = g3.rank
     r_local = sum(witt_rank(f.mu, 3) for f in arr.flats if f.mu >= 2)
     torsion = list(g3.torsion)
@@ -63,7 +63,7 @@ def is_decomposable(arr, guard=DEFAULT_GUARD, override=False):
     return rep
 
 
-def lcs_ranks_decomposable(arr, max_degree, guard=DEFAULT_GUARD, override=False):
+def lcs_ranks_decomposable(arr, max_degree, guard=DEFAULT_GUARD):
     """LCS ranks phi_1..phi_N of the arrangement group, decomposable case.
 
     Expands prod_n (1-t^n)^phi_n = (1-t)^(|A|-sum mu) prod_Y (1-mu(Y) t)
@@ -71,7 +71,7 @@ def lcs_ranks_decomposable(arr, max_degree, guard=DEFAULT_GUARD, override=False)
     coefficients satisfy sum_{d|m} d phi_d = c_m, inverted by Moebius.
     Only valid for decomposable arrangements; anything else is refused.
     """
-    rep = is_decomposable(arr, guard=guard, override=override)
+    rep = is_decomposable(arr, guard=guard)
     if not rep["decomposable"]:
         extra = "; " + rep["qualifier"] if "qualifier" in rep else ""
         raise ValueError(
@@ -107,13 +107,12 @@ class Charts:
     with the same multiplicity have the same relation set, and their
     local algebras are views on one tower (HolonomyAlgebra)."""
 
-    def __init__(self, arr, n, guard=DEFAULT_GUARD, override=False):
+    def __init__(self, arr, n, guard=DEFAULT_GUARD):
         self.arr = arr
         self.n = n
-        self.alg = HolonomyAlgebra(arr, max_degree=n, guard=guard, override=override)
+        self.alg = HolonomyAlgebra(arr, max_degree=n, guard=guard)
         self.local_arr = [localize(arr, f.index) for f in arr.flats]
-        self.local_alg = [HolonomyAlgebra(a, max_degree=n, guard=guard,
-                                          override=override)
+        self.local_alg = [HolonomyAlgebra(a, max_degree=n, guard=guard)
                           for a in self.local_arr]
         self._maps = {}
 
@@ -183,14 +182,14 @@ def letter_matrix(src, dst, letters, d):
     return [[col.get(i, 0) for col in cols] for i in range(dst.dim(d))]
 
 
-def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD, override=False):
+def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD):
     """Stacked restriction matrix h_d(A) -> direct sum of h_d(A_Y).
 
     Returns (matrix, local_dims) with one row block per flat, in flat
     order.  Full row rank over Q expresses surjectivity of localization;
     a square unimodular stack is the degree-d decomposability certificate.
     """
-    ch = charts or Charts(arr, d, guard=guard, override=override)
+    ch = charts or Charts(arr, d, guard=guard)
     rows = []
     dims = []
     for f in arr.flats:
@@ -218,8 +217,7 @@ class GlobalLift:
     corrections: dict
 
 
-def local_lift(arr, flat_index, corrections, n, guard=DEFAULT_GUARD,
-               override=False, alg=None):
+def local_lift(arr, flat_index, corrections, n, guard=DEFAULT_GUARD, alg=None):
     """Build and validate a LocalLift on the given rank-2 flat.
 
     corrections maps (atom, degree) to a coordinate vector in the degree-d
@@ -232,7 +230,7 @@ def local_lift(arr, flat_index, corrections, n, guard=DEFAULT_GUARD,
         raise ValueError("no flat with index %d" % flat_index)
     flat = arr.flats[flat_index]
     loc = alg if alg is not None else HolonomyAlgebra(
-        localize(arr, flat_index), max_degree=n, guard=guard, override=override)
+        localize(arr, flat_index), max_degree=n, guard=guard)
     pos = {a: i for i, a in enumerate(flat.members)}
     clean = {}
     for key, vec in corrections.items():
@@ -319,8 +317,7 @@ def _local_delta_cols(loc, llift, n):
             for a in llift.flat.members}
 
 
-def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, override=False,
-                         charts=None):
+def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
     """Assemble local lifts into a global lift candidate and vet it.
 
     The global correction of an atom in each degree is the sum over flats
@@ -331,7 +328,7 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, override=False,
     live past the truncation, are checked against the local ones through
     restriction (the localization square) before returning.
     """
-    ch = charts or Charts(arr, n, guard=guard, override=override)
+    ch = charts or Charts(arr, n, guard=guard)
     by_flat = {}
     for ll in locals_:
         if not isinstance(ll, LocalLift):
@@ -350,7 +347,7 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, override=False,
             raise ValueError("local lift on flat %d was built for degree %d, "
                              "not %d" % (f.index, ll.n, n))
         local_lift(arr, f.index, ll.corrections, n, guard=guard,
-                   override=override, alg=ch.local_alg[f.index])
+                   alg=ch.local_alg[f.index])
 
     glob = {}
     for f in arr.flats:
@@ -404,8 +401,7 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, override=False,
     return glift
 
 
-def localize_global_lift(arr, glift, charts=None, guard=DEFAULT_GUARD,
-                         override=False):
+def localize_global_lift(arr, glift, charts=None, guard=DEFAULT_GUARD):
     """Per-flat local lifts recovered by restricting a global lift.
 
     Restriction deletes every word that uses a letter outside the flat, so
@@ -413,7 +409,7 @@ def localize_global_lift(arr, glift, charts=None, guard=DEFAULT_GUARD,
     localizing returns the original local data.
     """
     n = glift.n
-    ch = charts or Charts(arr, n, guard=guard, override=override)
+    ch = charts or Charts(arr, n, guard=guard)
     out = []
     for f in arr.flats:
         loc = ch.local_alg[f.index]
@@ -430,14 +426,14 @@ def localize_global_lift(arr, glift, charts=None, guard=DEFAULT_GUARD,
     return out
 
 
-def delta_matrix(arr, glift, charts=None, guard=DEFAULT_GUARD, override=False):
+def delta_matrix(arr, glift, charts=None, guard=DEFAULT_GUARD):
     """Degree-n relator components of a global lift, one column per relator.
 
     Returns {(atom, flat index): coordinate vector in the degree-n piece}.
     These are the entries of the top block of the induced H2 matrix.
     """
     n = glift.n
-    ch = charts or Charts(arr, n, guard=guard, override=override)
+    ch = charts or Charts(arr, n, guard=guard)
     tab = _phi_table(ch.alg, glift.corrections, n)
     out = {}
     for f in arr.flats:
@@ -459,7 +455,7 @@ def relator_basis(arr):
     return out
 
 
-def lift_h2_matrix(arr, glift, charts=None, guard=DEFAULT_GUARD, override=False):
+def lift_h2_matrix(arr, glift, charts=None, guard=DEFAULT_GUARD):
     """Induced map on H2 of the lift, in split coordinates.
 
     H2 of the degree-n quotient group splits as the degree-n graded piece
@@ -467,7 +463,7 @@ def lift_h2_matrix(arr, glift, charts=None, guard=DEFAULT_GUARD, override=False)
     block and by the relator components on the first.  Rows: degree-n
     coordinates then relator basis; columns: relator basis.
     """
-    ch = charts or Charts(arr, glift.n, guard=guard, override=override)
+    ch = charts or Charts(arr, glift.n, guard=guard)
     full = delta_matrix(arr, glift, charts=ch)
     pairs = relator_basis(arr)
     top = _cols_to_matrix([full[p] for p in pairs], ch.alg.dim(glift.n))
@@ -744,7 +740,7 @@ def _sigma_from_locals(ch, n, ring, local_lams=None):
 
 def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
                             corrections=None, sigma_lams=None, perturb=None,
-                            guard=DEFAULT_GUARD, override=False):
+                            guard=DEFAULT_GUARD):
     """End-to-end diagram certificate for a lattice isomorphism at level n.
 
     Builds the degree-n nilpotent comparison on the B side: local lifts
@@ -763,8 +759,8 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     """
     if not isinstance(iso, LatticeIso):
         iso = lattice_iso(arr_a, arr_b, iso)
-    rep_a = is_decomposable(arr_a, guard=guard, override=override)
-    rep_b = is_decomposable(arr_b, guard=guard, override=override)
+    rep_a = is_decomposable(arr_a, guard=guard)
+    rep_b = is_decomposable(arr_b, guard=guard)
     for side, rep in (("A", rep_a), ("B", rep_b)):
         if not rep["decomposable"]:
             raise ValueError(
@@ -776,18 +772,16 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     if perturb not in (None, "sigma", "lift"):
         raise ValueError("perturb kind must be 'sigma' or 'lift'")
 
-    ch_a = Charts(arr_a, n, guard=guard, override=override)
-    ch_b = Charts(arr_b, n, guard=guard, override=override)
+    ch_a = Charts(arr_a, n, guard=guard)
+    ch_b = Charts(arr_b, n, guard=guard)
 
     locals_b = []
     given = corrections or {}
     for f in arr_b.flats:
         corr = given.get(f.index, {})
         locals_b.append(local_lift(arr_b, f.index, corr, n, guard=guard,
-                                   override=override,
                                    alg=ch_b.local_alg[f.index]))
-    glift_b = assemble_global_lift(locals_b, arr_b, n, guard=guard,
-                                   override=override, charts=ch_b)
+    glift_b = assemble_global_lift(locals_b, arr_b, n, guard=guard, charts=ch_b)
     recovered = localize_global_lift(arr_b, glift_b, charts=ch_b)
     for want, got in zip(locals_b, recovered):
         if want.corrections != got.corrections:
@@ -810,10 +804,8 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
         vec = list(corr.get(key, [0] * loc.dim(n - 1)))
         vec[0] += 1
         corr[key] = tuple(vec)
-        locals_a[fi] = local_lift(arr_a, fi, corr, n, guard=guard,
-                                  override=override, alg=loc)
-    glift_a = assemble_global_lift(locals_a, arr_a, n, guard=guard,
-                                   override=override, charts=ch_a)
+        locals_a[fi] = local_lift(arr_a, fi, corr, n, guard=guard, alg=loc)
+    glift_a = assemble_global_lift(locals_a, arr_a, n, guard=guard, charts=ch_a)
 
     g_n = letter_matrix(ch_a.alg, ch_b.alg, list(iso.atom_map), n)
     pairs_a = relator_basis(arr_a)

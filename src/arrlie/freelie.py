@@ -1,10 +1,11 @@
-"""Size guard and Witt ranks of the free Lie algebra.
+"""The size guard's error and default, and Witt ranks of the free Lie algebra.
 
-check_guard refuses a degree-n computation over k letters once
-max(k, 2) ** n exceeds the guard, raising SizeGuardError.  Degree-n ranks
-of the free Lie algebra on k letters follow the Witt formula
-(1/n) * sum_{d|n} mu(d) k^(n/d), the orientation consistent with
-prod_n (1-t^n)^{rank_n} = 1 - k*t.
+Every size-driven step refuses, before it computes, a run whose cost
+exceeds its guard (DEFAULT_GUARD units unless given), raising
+SizeGuardError; each step counts its own cost (the holonomy tower in
+holonomy.tower_cost).  Degree-n ranks of the free Lie algebra on k letters
+follow the Witt formula (1/n) * sum_{d|n} mu(d) k^(n/d), the orientation
+consistent with prod_n (1-t^n)^{rank_n} = 1 - k*t.
 """
 
 from __future__ import annotations
@@ -14,23 +15,6 @@ DEFAULT_GUARD = 10 ** 7
 
 class SizeGuardError(ValueError):
     """Raised when a requested computation exceeds the size guard."""
-
-
-def check_guard(alphabet, degree, guard=DEFAULT_GUARD):
-    """Refuse when max(alphabet, 2) ** degree exceeds the guard.
-
-    A one-letter alphabet counts as two, so the guard also bounds the
-    degree there; the bit-length test refuses huge degrees before any
-    power is computed.
-    """
-    if alphabet < 1 or degree < 1:
-        raise ValueError("alphabet and degree must be positive")
-    base = max(alphabet, 2)
-    if degree > guard.bit_length() or base ** degree > guard:
-        raise SizeGuardError(
-            "alphabet %d at degree %d exceeds the guard (%d^%d > %d); "
-            "raise the guard explicitly to proceed"
-            % (alphabet, degree, base, degree, guard))
 
 
 def _moebius(n):

@@ -5,7 +5,9 @@ generated by the degree-2 elements [x_H, sum of x_K over K in Y] for
 every rank-2 flat Y and every atom H in Y.  It is computed as a tower
 (HolonomyAlgebra): h_2 is Lambda^2 V modulo the relations, and each
 h_n is the cokernel of Lambda^3 -> Lambda^2 of the degrees below n, so
-the cost follows the quotient and not the free Lie algebra.  Each degree
+the cost follows the quotient and not the free Lie algebra, and so does
+the size guard, which counts the pair columns and triples of degree n
+from the dimensions below n (wedge_counts, tower_cost).  Each degree
 is one integer QuotientLattice; Q and F_p read their dimensions off it
 by universal coefficients.  A class is a coordinate vector there, and
 brackets of classes come from the tower's own tables.  The process keeps
@@ -20,31 +22,17 @@ the nullity of multiplication E^1 x I^2 -> E^3 (the Falk invariant).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd, prod
 
 from . import exactla, rings
 from .arrangement import Arrangement
 from .exactla import QuotientLattice
-from .freelie import DEFAULT_GUARD, SizeGuardError, check_guard
-
-# refusal thresholds per degree; kwarg `override=True` lifts them
-DEGREE_ALPHABET_LIMITS = {2: 64, 3: 15, 4: 8}
-_HIGH_DEGREE_LIMIT = 4
+from .freelie import DEFAULT_GUARD, SizeGuardError
 
 _GEN_LETTERS = "xyzabcdefghijklmnopqrstuvw"
-
-
-def holonomy_guard(k, n, override=False, guard=DEFAULT_GUARD):
-    check_guard(k, n, guard)
-    if override:
-        return
-    limit = DEGREE_ALPHABET_LIMITS.get(n, _HIGH_DEGREE_LIMIT)
-    if n >= 2 and k > limit:
-        raise SizeGuardError(
-            "holonomy degree %d refuses alphabets beyond %d letters (got %d); "
-            "pass override=True to proceed" % (n, limit, k))
 
 
 @dataclass(frozen=True)
@@ -149,7 +137,7 @@ class Presentation:
 
     Relators are letter words: lowercase is a generator, uppercase its
     inverse.  Default generator names are taken from 'xyzabc...' in
-    order; pass names to override.
+    order; pass names to choose others.
     """
     generators: int
     relators: tuple
@@ -270,7 +258,7 @@ def as_relation_set(source):
     raise TypeError("expected an Arrangement, RelationSet, or Presentation")
 
 
-def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
+def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD):
     """Degrees 1..top of the holonomy Lie algebra, as a list of GradedAbelian.
 
     Every ring reads the integer tower of HolonomyAlgebra: over Z a degree
@@ -282,7 +270,7 @@ def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=Fa
     """
     if top < 1:
         return []
-    alg = HolonomyAlgebra(source, top, guard=guard, override=override)
+    alg = HolonomyAlgebra(source, top, guard=guard)
     p = rings.char(ring)
     out = []
     for d in range(1, top + 1):
@@ -295,7 +283,7 @@ def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=Fa
     return out
 
 
-def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
+def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD):
     """Degree-n piece of the holonomy Lie algebra as a GradedAbelian.
 
     Over Q and F_p the torsion list is empty and rank is the vector-space
@@ -304,7 +292,7 @@ def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD, override=False
     """
     if n < 1:
         raise ValueError("degree must be positive")
-    return holonomy_degrees(source, n, ring, guard=guard, override=override)[-1]
+    return holonomy_degrees(source, n, ring, guard=guard)[-1]
 
 
 class HolonomyAlgebra:
@@ -341,22 +329,37 @@ class HolonomyAlgebra:
 
     An instance is a view on the tower of its relation set, which is
     shared by every view on the same alphabet and relations in the
-    process (see _tower): each view keeps its own max_degree and runs the
-    size guard for it before it touches the tower, and the tower grows
-    only when some view asks for a degree it does not hold yet.  The
-    tower is a deterministic function of the relation set, so sharing it
-    changes no answer and no coordinate.
+    process (see _tower): each view keeps its own max_degree, and the
+    tower grows only when some view asks for a degree it does not hold
+    yet.  The tower is a deterministic function of the relation set, so
+    sharing it changes no answer and no coordinate.
+
+    The constructor raises SizeGuardError for a max_degree past the bit
+    length of guard, and for the first degree d whose tower_cost, counted
+    off the degrees below d (wedge_counts, building d - 1), exceeds guard.
     """
 
-    def __init__(self, source, max_degree, guard=DEFAULT_GUARD, override=False):
+    def __init__(self, source, max_degree, guard=DEFAULT_GUARD):
         self.relset = as_relation_set(source)
         self.alphabet = self.relset.alphabet
         self.max_degree = max_degree
-        if max_degree > 1:
-            # the guard only tightens with the degree
-            holonomy_guard(self.alphabet, max_degree, override=override, guard=guard)
         self._tower = _tower(self.alphabet, tuple(
             tuple(sorted(e.items())) for e in self.relset.elements))
+        if max_degree > max(guard.bit_length(), 1):
+            raise SizeGuardError(
+                "holonomy degree %d exceeds the guard: degrees past %d, the "
+                "bit length of guard %d, are refused"
+                % (max_degree, guard.bit_length(), guard))
+        dims = [0]
+        for d in range(2, max_degree + 1):
+            dims.append(self._tower.level(d - 1)[0].dim)
+            pairs, triples = wedge_counts(d, dims)
+            cost = tower_cost(pairs, triples)
+            if cost > guard:
+                raise SizeGuardError(
+                    "holonomy degree %d has %d pair columns and %d triples, "
+                    "which cost %d > guard %d; raise the guard to proceed"
+                    % (d, pairs, triples, cost, guard))
 
     def quotient(self, d):
         """QuotientLattice of degree d over its pair columns.  1 <= d <= max_degree."""
@@ -498,6 +501,31 @@ def wedge_block(w, dims, divisor, product):
         _wedge_into(row, cols, s[0] + u[0], product(s, u), t, -1)
         triple_rows.append(row)
     return cols, torsion_rows, triple_rows
+
+
+def wedge_counts(w, dims):
+    """(pairs, triples) of weight w: the lengths of cols and triple_rows of
+    wedge_block(w, dims, ...), counted from dims alone."""
+    pairs = sum(comb(dims[a], 2) if 2 * a == w else dims[a] * dims[w - a]
+                for a in range(1, w // 2 + 1))
+    triples = sum(prod(comb(dims[x], m) for x, m in Counter((a, b, w - a - b)).items())
+                  for a in range(1, w // 3 + 1) for b in range(a, (w - a) // 2 + 1))
+    return pairs, triples
+
+
+# Guard units of a degree with these counts, known before any of its rows
+# exist: pair columns x triples / 8 for the elimination, and 4 per triple
+# for building the rows (2 us and 130 bytes each: generic(200) in degree 3,
+# with no columns, takes 2.7 s and 173 MB).  Top-degree times in a fresh
+# process, Python 3.11 on a 2-CPU x86-64 machine: admitted, braid(4) d8
+# 6.1 s, braid(5) d6 1.4 s, braid(6) d5 0.58 s (6.2 M units); refused,
+# braid(4) d9 (15 M) over 37 s and 1 GB, braid(5) d7 (41 M) 321 s,
+# braid(6) d6 (118 M) 12.2 s.  Counts cannot see fill-in, so some cheap
+# degrees are refused too: near_pencil(10) d5 (21 M) 0.60 s, braid(8) d4
+# (23 M) 0.32 s, near_pencil(16) d4 (25 M) 0.51 s, near_pencil(8) d6
+# (43 M) 1.2 s, near_pencil(11) d5 (67 M) 1.3 s, braid(7) d5 (86 M) 2.3 s.
+def tower_cost(pairs, triples):
+    return pairs * triples // 8 + 4 * triples
 
 
 def _triples(n, dims):

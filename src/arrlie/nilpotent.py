@@ -29,9 +29,7 @@ GradedLie checks the Jacobi identity as d2 . d3 = 0 on the same blocks.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
-from math import comb, prod
 
 from . import exactla, rings
 from .arrangement import Arrangement
@@ -39,7 +37,8 @@ from .exactla import QuotientLattice
 from .freelie import DEFAULT_GUARD, SizeGuardError
 from .holonomy import (GradedAbelian, HolonomyAlgebra, as_relation_set,
                        holonomy_graded, i2_basis, letter_word, pair_index,
-                       pair_list, single_letter_names, wedge_block)
+                       pair_list, single_letter_names, wedge_block,
+                       wedge_counts)
 
 # one dotted word token: a generator name with an optional integer exponent
 _WORD_TOKEN = re.compile(r"([^\^\s]+)(?:\^(-?\d+))?")
@@ -311,7 +310,7 @@ class GradedLie:
                                      "Jacobi identity")
 
 
-def truncated_lie(source, top, guard=DEFAULT_GUARD, override=False, validate=True):
+def truncated_lie(source, top, guard=DEFAULT_GUARD, validate=True):
     """The quotient of the holonomy Lie algebra by degrees above top.
 
     Its products are the brackets [s, t] of the pair columns s < t of the
@@ -319,7 +318,7 @@ def truncated_lie(source, top, guard=DEFAULT_GUARD, override=False, validate=Tru
     """
     if top < 1:
         raise ValueError("truncation top degree must be at least 1")
-    alg = HolonomyAlgebra(source, max_degree=top, guard=guard, override=override)
+    alg = HolonomyAlgebra(source, max_degree=top, guard=guard)
     degrees = [GradedAbelian(rank=alg.rank(d), torsion=alg.torsion(d))
                for d in range(1, top + 1)]
     products = {(s, t): alg.bracket(s[0], {s[1]: 1}, t[0], {t[1]: 1})
@@ -411,16 +410,7 @@ def ce_h2(L, ring=rings.Z):
     return GradedAbelian(rank=rank, torsion=chain.torsion)
 
 
-def _triple_count(dims):
-    """Triples s < t < u of basis classes of weight <= 2 * top, for a
-    truncation whose degree a <= top has dimension dims[a - 1]."""
-    top = len(dims)
-    return sum(prod(comb(dims[x - 1], m) for x, m in Counter((a, b, c)).items())
-               for a in range(1, top + 1) for b in range(a, top + 1)
-               for c in range(b, min(top, 2 * top - a - b) + 1))
-
-
-def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD, override=False):
+def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD):
     """Compare rank H2 of the degree-(n-1) truncation with rank h_n + b2.
 
     The split exact sequence behind the comparison needs the arrangement
@@ -434,8 +424,9 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD, override=False
     tower: it checks the CE complex against the tower, not the tower
     against an independent computation (the tests compare it with the word
     rows of the ideal).  Raises SizeGuardError, before any Lambda^3 row of
-    H2 exists, when its triples of weight <= 2(n-1) cost more than guard,
-    and then when the holonomy guard refuses degree n.
+    H2 exists, when its triples of weight <= 2(n-1) (holonomy.wedge_counts)
+    cost more than guard, and then when the tower's cost of degree n does
+    (HolonomyAlgebra).
     """
     if n < 3:
         raise ValueError("the H2 comparison starts at degree 3")
@@ -446,25 +437,25 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD, override=False
             raise ValueError("degree > 3 comparison is only available for "
                              "arrangements (it needs localization data)")
         from . import decomp
-        decomp_report = decomp.is_decomposable(source, guard=guard,
-                                                override=override)
+        decomp_report = decomp.is_decomposable(source, guard=guard)
         if not decomp_report["decomposable"]:
             raise ValueError(
                 "H2 comparison at degree %d requires a decomposable "
                 "arrangement: r_global=%d, r_local=%d" %
                 (n, decomp_report["r_global"], decomp_report["r_local"]))
-    alg = HolonomyAlgebra(source, n - 1, guard=guard, override=override)
-    triples = _triple_count([alg.dim(d) for d in range(1, n)])
+    alg = HolonomyAlgebra(source, n - 1, guard=guard)
+    dims = [0] + [alg.dim(d) for d in range(1, n)] + [0] * (n - 1)
+    triples = sum(wedge_counts(w, dims)[1] for w in range(2, 2 * n - 1))
     if _H2_TRIPLE_COST * triples > guard:
         raise SizeGuardError(
             "H2 of the degree-%d truncation has %d triples, which cost %d > "
             "guard %d; raise the guard to proceed"
             % (n - 1, triples, _H2_TRIPLE_COST * triples, guard))
     # the degree-n holonomy guard, before any of H2 is computed
-    HolonomyAlgebra(source, n, guard=guard, override=override)
-    L = truncated_lie(source, n - 1, guard=guard, override=override)
+    HolonomyAlgebra(source, n, guard=guard)
+    L = truncated_lie(source, n - 1, guard=guard)
     ce = ce_h2(L, ring)
-    hn = holonomy_graded(source, n, ring, guard=guard, override=override)
+    hn = holonomy_graded(source, n, ring, guard=guard)
     p = rings.char(ring)
     rows = [dict(el) for el in relset.elements]
     b2 = exactla.rank_sparse(rows, p=p)

@@ -1,5 +1,7 @@
 """Reference implementations the library no longer uses, kept as test oracles.
 
+* check_guard, the size guard of the free Lie algebra on k letters in
+  degree n, whose honest cost is k^n.
 * The Lyndon basis of the free Lie algebra: Lyndon words of length n over
   letters 0..k-1 in lex order (Duval), each carrying its standard
   bracketing (split at the lexicographically least proper suffix, the
@@ -56,9 +58,8 @@ from math import gcd
 
 from arrlie import exactla, rings
 from arrlie.exactla import QuotientLattice
-from arrlie.freelie import DEFAULT_GUARD, check_guard, witt_rank
-from arrlie.holonomy import (GradedAbelian, as_relation_set, holonomy_guard,
-                             pair_list)
+from arrlie.freelie import DEFAULT_GUARD, SizeGuardError, witt_rank
+from arrlie.holonomy import GradedAbelian, as_relation_set, pair_list
 from arrlie.nilpotent import GradedLie
 
 _basis_cache = {}
@@ -72,6 +73,23 @@ _tree_cache = weakref.WeakKeyDictionary()
 
 # ---------------------------------------------------------------------------
 # the Lyndon basis of the free Lie algebra
+
+def check_guard(alphabet, degree, guard=DEFAULT_GUARD):
+    """Refuse when max(alphabet, 2) ** degree exceeds the guard.
+
+    A one-letter alphabet counts as two, so the guard also bounds the
+    degree there; the bit-length test refuses huge degrees before any
+    power is computed.
+    """
+    if alphabet < 1 or degree < 1:
+        raise ValueError("alphabet and degree must be positive")
+    base = max(alphabet, 2)
+    if degree > guard.bit_length() or base ** degree > guard:
+        raise SizeGuardError(
+            "alphabet %d at degree %d exceeds the guard (%d^%d > %d); "
+            "raise the guard explicitly to proceed"
+            % (alphabet, degree, base, degree, guard))
+
 
 def lyndon_words(k, n):
     """All Lyndon words of length exactly n over 0..k-1, in lex order (Duval)."""
@@ -466,16 +484,14 @@ def ideal_words(relset, n, below=None, ids=None):
     return [commutator({(r % k,): 1}, below[r // k]) for r in ids]
 
 
-def ideal_rows(relset, n, below=None, guard=DEFAULT_GUARD, override=False):
+def ideal_rows(relset, n, below=None, guard=DEFAULT_GUARD):
     """Rows of the generators of I_n (ideal_words) at the degree-n Lyndon
     words, as sparse dicts over the indices of lyndon_basis(k, n)."""
-    k = relset.alphabet
-    holonomy_guard(k, n, override=override, guard=guard)
-    index = lyndon_basis(k, n, guard).index
+    index = lyndon_basis(relset.alphabet, n, guard).index
     return [at_lyndon_words(poly, index) for poly in ideal_words(relset, n, below)]
 
 
-def word_row_pieces(source, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
+def word_row_pieces(source, ring=rings.Z, guard=DEFAULT_GUARD):
     """Eliminate I_2, I_3, ... in turn, yielding (piece, kept words) per degree.
 
     Over Z the piece is the QuotientLattice of the Lyndon-word
@@ -487,7 +503,7 @@ def word_row_pieces(source, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
     k = relset.alphabet
     below = None
     for n in itertools.count(2):
-        rows = ideal_rows(relset, n, below, guard=guard, override=override)
+        rows = ideal_rows(relset, n, below, guard=guard)
         if ring == rings.Z:
             q = QuotientLattice(witt_rank(k, n), rows)
             # the input rows at the pivot and residual rows span I_n: each
@@ -501,12 +517,11 @@ def word_row_pieces(source, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
         yield q, below
 
 
-def word_row_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD, override=False):
+def word_row_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD):
     """(rank, torsion) of degrees 1..top from the word rows of the ideal."""
     k = as_relation_set(source).alphabet
     out = [(k, ())]
-    for q, _words in itertools.islice(word_row_pieces(source, ring, guard, override),
-                                      top - 1):
+    for q, _words in itertools.islice(word_row_pieces(source, ring, guard), top - 1):
         out.append((q.rank, q.torsion) if ring == rings.Z else (q, ()))
     return out
 

@@ -197,20 +197,26 @@ def test_h2check(files, capsys):
 
 
 def test_h2check_override_reaches_its_decomposability_step(capsys, tmp_path):
-    # 16 atoms are past the degree-3 alphabet limit: --override lifts it
-    # for every step of the degree-4 check, the decomposability test too
+    # generic(16) at degree 4 passes at the default guard, with or without
+    # --override, which has no effect; the guard runs at every step, the
+    # decomposability test too: its degree 3 has no pair columns and
+    # C(16, 3) = 560 triples, 2240 units
     path = tmp_path / "generic16.json"
     path.write_text(json.dumps(arrangement_to_json(generic(16))))
-    code, out, _ = run(capsys, ["h2check", str(path), "--degree", "4",
-                                "--override"])
-    assert code == 0
-    assert json.loads(out) == {"b2": 120, "bridge": "exact", "ce_h2_rank": 120,
-                               "ce_h2_torsion": [], "decomposable": True,
-                               "degree": 4, "expected": 120, "h_n_rank": 0,
-                               "h_n_torsion": [], "pass": True, "ring": "z"}
+    for extra in ([], ["--override"]):
+        code, out, _ = run(capsys, ["h2check", str(path), "--degree", "4"]
+                           + extra)
+        assert code == 0
+        assert json.loads(out) == {
+            "b2": 120, "bridge": "exact", "ce_h2_rank": 120,
+            "ce_h2_torsion": [], "decomposable": True, "degree": 4,
+            "expected": 120, "h_n_rank": 0, "h_n_torsion": [], "pass": True,
+            "ring": "z"}
     line = assert_exits_2_on_one_line(capsys, ["h2check", str(path),
-                                               "--degree", "4"])
-    assert "refuses alphabets beyond 15 letters" in line
+                                               "--degree", "4", "--guard",
+                                               "2239", "--override"])
+    assert ("holonomy degree 3 has 0 pair columns and 560 triples, which "
+            "cost 2240 > guard 2239") in line
 
 
 def test_h2check_is_size_guarded(capsys, tmp_path):
@@ -236,20 +242,24 @@ def test_h2check_is_size_guarded(capsys, tmp_path):
 
 def test_h2check_refuses_degree_n_before_it_computes(capsys, tmp_path,
                                                     monkeypatch):
-    # near_pencil(7) at degree 5: the degree-5 holonomy guard refuses 7
-    # letters, and it runs before the truncation or its H2 is built
+    # braid(9) at degree 3 under --guard 2000000: H2 of the degree-2
+    # truncation has 60060 triples, 1921920 units, but the tower's
+    # degree 3 costs more, and its guard runs before the truncation or its
+    # H2 is built
     from arrlie import nilpotent
 
     def never(*args, **kwargs):
-        raise AssertionError("computed before the degree-5 guard ran")
+        raise AssertionError("computed before the degree-3 guard ran")
 
     monkeypatch.setattr(nilpotent, "truncated_lie", never)
     monkeypatch.setattr(nilpotent, "ce_h2", never)
-    path = tmp_path / "near_pencil7.json"
-    path.write_text(json.dumps(arrangement_to_json(near_pencil(7))))
+    path = tmp_path / "braid9.json"
+    path.write_text(json.dumps(arrangement_to_json(braid(9))))
     line = assert_exits_2_on_one_line(capsys, ["h2check", str(path), "--degree",
-                                               "5", "--ring", "q"])
-    assert "holonomy degree 5 refuses alphabets beyond 4 letters" in line
+                                               "3", "--ring", "q", "--guard",
+                                               "2000000"])
+    assert ("holonomy degree 3 has 3024 pair columns and 7140 triples, which "
+            "cost 2727480 > guard 2000000") in line
 
 
 def test_catalog_stdout_and_file(files, capsys, tmp_path):
@@ -765,11 +775,65 @@ def test_guard_violation_maps_to_exit_2(files, capsys):
     one = os.path.join(files["dir"], "one.json")
     with open(one, "w") as f:
         json.dump({"generators": 1, "relators": []}, f)
-    for path in (files["braid4"], one):
+    # and over generic(8), whose h_n = 0 for n >= 3 costs nothing
+    vanishing = os.path.join(files["dir"], "generic8.json")
+    with open(vanishing, "w") as f:
+        json.dump(arrangement_to_json(generic(8)), f)
+    for path in (files["braid4"], one, vanishing):
         t0 = time.perf_counter()
         line = assert_exits_2_on_one_line(
             capsys, ["holonomy", path, "--max-degree", "1000000000"])
         assert time.perf_counter() - t0 < 1.0 and "exceeds the guard" in line
+
+
+def test_the_tower_guard_refuses_a_degree_before_building_it(capsys, tmp_path,
+                                                             monkeypatch):
+    # braid(5) in degree 7 (12960 pair columns and 25410 triples; 321 s
+    # and 694 MB when forced) is refused at the default guard, after
+    # degree 6 is built for its counts and before any row of degree 7
+    from arrlie import holonomy
+    real, weights = holonomy.wedge_block, []
+
+    def recording(w, *args):
+        weights.append(w)
+        return real(w, *args)
+
+    monkeypatch.setattr(holonomy, "wedge_block", recording)
+    holonomy._tower.cache_clear()
+    path = tmp_path / "braid5.json"
+    path.write_text(json.dumps(arrangement_to_json(braid(5))))
+    try:
+        line = assert_exits_2_on_one_line(
+            capsys, ["holonomy", str(path), "--max-degree", "7"])
+    finally:
+        holonomy._tower.cache_clear()
+    assert ("holonomy degree 7 has 12960 pair columns and 25410 triples, "
+            "which cost 41265840 > guard 10000000") in line
+    assert weights == [2, 3, 4, 5, 6]
+
+
+def test_override_changes_nothing(files, capsys, tmp_path):
+    # --override is still accepted, and has no effect on any command
+    np5 = str(tmp_path / "np5.json")
+    with open(np5, "w") as f:
+        json.dump(arrangement_to_json(near_pencil(5)), f)
+    iso = ["--iso", NP5_CYCLE]
+    cmds = [["holonomy", files["braid4"], "--max-degree", "5"],
+            ["holonomy", files["pres"], "--max-degree", "4", "--ring", "q"],
+            ["holonomy", files["braid4"], "--max-degree", "1000000000"],
+            ["h2check", np5, "--degree", "4"],
+            ["h2check", files["braid4"], "--ring", "fp:2"],
+            ["decomp", files["braid4"]],
+            ["decomp", np5],
+            ["lcs", np5, "--max-degree", "6"],
+            ["lcs", files["braid4"]],
+            ["verify-iso", np5, np5] + iso,
+            ["verify-iso", np5, np5, "--degree", "5"] + iso,
+            ["verify-iso", np5, np5, "--degree", "5", "--corrections",
+             NP5_CORRECTIONS] + iso]
+    for argv in cmds:
+        plain = run(capsys, argv)[:2]
+        assert run(capsys, argv + ["--override"])[:2] == plain, argv
 
 
 def test_bad_ring_is_an_input_error(files, capsys):

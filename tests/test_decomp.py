@@ -600,7 +600,7 @@ def equivalence_sources():
                          ids=[name for name, _ in equivalence_sources()])
 def test_tensor_path_matches_the_lyndon_basis_path(name, source):
     top = 5 if name in ("near_pencil(5)", "pencil(4)") else 4
-    alg = HolonomyAlgebra(source, max_degree=top, override=True)
+    alg = HolonomyAlgebra(source, max_degree=top)
     rng = random.Random(name)
     k = alg.alphabet
     for d1 in range(1, top):
@@ -620,7 +620,7 @@ def test_tensor_path_matches_the_lyndon_basis_path(name, source):
                                    enumerate(perm)])
                             for gone in ({0}, {k - 1, 1})]
     if isinstance(source, Arrangement):
-        ch = Charts(source, top, override=True)
+        ch = Charts(source, top)
         maps += [(ch.local_alg[f.index], [f.members.index(a) if a in f.members
                                           else None for a in range(k)])
                  for f in source.flats if len(f.members) > 2]

@@ -263,7 +263,7 @@ def seeded_sparse_rows():
 def tower_blocks(monkeypatch, arr, top):
     """The generator rows of the holonomy tower's lattices in degrees
     2..top, recorded from a tower built afresh."""
-    alg = holonomy.HolonomyAlgebra(arr, top, override=True)
+    alg = holonomy.HolonomyAlgebra(arr, top)
     blocks = []
     lattice = holonomy.QuotientLattice
 

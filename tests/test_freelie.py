@@ -11,11 +11,11 @@ from arrlie import (
     witt_rank,
 )
 from arrlie import HolonomyAlgebra, braid, near_pencil, rings
-from arrlie.freelie import check_guard
 from lie_reference import (
     LieElement,
     basis_pair_bracket,
     bracket,
+    check_guard,
     coords,
     element,
     expand_tree,

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from arrlie import (
+    DEFAULT_GUARD,
     GradedAbelian,
     HolonomyAlgebra,
     braid,
@@ -26,7 +27,6 @@ from arrlie.freelie import SizeGuardError
 from arrlie.holonomy import (
     as_relation_set,
     holonomy_degrees,
-    holonomy_guard,
     holonomy_map_from_presentation,
     i2_basis,
     magnus_degree2,
@@ -122,15 +122,15 @@ def test_field_ranks_agree_when_torsion_free():
 
 def test_fiber_type_ranks_at_the_top_of_the_ladder():
     # Falk-Randell: braid(n) has exponents 1..n-1, phi_k = sum witt(e, k)
-    assert holonomy_graded(braid(5), 4, rings.Z, override=True) == GradedAbelian(81)
-    assert holonomy_graded(braid(4), 5, rings.Q, override=True).rank == 54
+    assert holonomy_graded(braid(5), 4, rings.Z) == GradedAbelian(81)
+    assert holonomy_graded(braid(4), 5, rings.Q).rank == 54
     # near_pencil(7) has exponents 1, 5, 1, so phi_5 = witt(5, 5)
-    assert holonomy_graded(near_pencil(7), 5, rings.Z, override=True) == GradedAbelian(624)
+    assert holonomy_graded(near_pencil(7), 5, rings.Z) == GradedAbelian(624)
     # degrees 5 and 6, which the tower reaches cheaply
-    assert holonomy_graded(braid(5), 5, rings.Z, override=True) == GradedAbelian(258)
-    assert holonomy_graded(braid(4), 6, rings.Z, override=True) == GradedAbelian(125)
+    assert holonomy_graded(braid(5), 5, rings.Z) == GradedAbelian(258)
+    assert holonomy_graded(braid(4), 6, rings.Z) == GradedAbelian(125)
     # near_pencil(6) has exponents 1, 4, 1, so phi_6 = witt(4, 6)
-    assert holonomy_graded(near_pencil(6), 6, rings.Z, override=True) == GradedAbelian(670)
+    assert holonomy_graded(near_pencil(6), 6, rings.Z) == GradedAbelian(670)
 
 
 def test_holonomy_algebra_agrees_with_holonomy_graded():
@@ -235,8 +235,8 @@ def test_word_rows_match_the_bracket_path_on_the_catalog(name, arr):
     # the two free-Lie oracles agree, and the tower agrees with them
     for ring in ORACLE_RINGS:
         want = bracket_path_degrees(arr, 4, ring)
-        assert word_row_degrees(arr, 4, ring, override=True) == want, (name, ring)
-        got = holonomy_degrees(arr, 4, ring, override=True)
+        assert word_row_degrees(arr, 4, ring) == want, (name, ring)
+        got = holonomy_degrees(arr, 4, ring)
         assert [(g.rank, g.torsion) for g in got] == want, (name, ring)
 
 
@@ -427,10 +427,38 @@ def test_holonomy_algebra_quotients_and_brackets():
 
 
 def test_holonomy_guard_and_override():
-    with pytest.raises(SizeGuardError):
-        holonomy_guard(30, 8)
-    holonomy_guard(30, 8, override=True, guard=10 ** 30)
-    holonomy_guard(3, 4)
+    # the guard is the tower's cost of each degree, from its pair columns
+    # and triples: braid(4) in degree 4 has dimensions 6, 4, 10 below it,
+    # so 6 * 10 + C(4, 2) = 66 columns and C(6, 2) * 4 = 60 triples
+    assert holonomy.wedge_counts(4, [0, 6, 4, 10]) == (66, 60)
+    assert holonomy.tower_cost(66, 60) == 66 * 60 // 8 + 4 * 60 == 735
+    with pytest.raises(SizeGuardError, match="degree 4 has 66 pair columns "
+                       "and 60 triples, which cost 735 > guard 734"):
+        HolonomyAlgebra(braid(4), 4, guard=734)
+    assert HolonomyAlgebra(braid(4), 4, guard=735).rank(4) == 21
+    # the default guard sits between braid(6) in degree 5 (0.6 s) and
+    # braid(4) in degree 9 and braid(5) in degree 7 (minutes)
+    assert holonomy.tower_cost(4865, 10200) <= DEFAULT_GUARD
+    assert holonomy.tower_cost(8744, 13734) > DEFAULT_GUARD
+    assert holonomy.tower_cost(12960, 25410) > DEFAULT_GUARD
+    # no knob lifts it
+    with pytest.raises(TypeError):
+        HolonomyAlgebra(braid(4), 4, override=True)
+
+
+@pytest.mark.parametrize("name,arr", standard_catalog(),
+                         ids=[name for name, _ in standard_catalog()])
+def test_wedge_counts_match_the_blocks_they_count(name, arr):
+    # the guard's counts against the blocks themselves, in every weight of
+    # the tower to degree 5, and of its degree-3 truncation (w <= 6, the
+    # weights ce_h2 reads)
+    alg = HolonomyAlgebra(arr, max_degree=5)
+    dims = [0] + [alg.dim(d) for d in range(1, 6)]
+    for w, below in [(w, dims) for w in range(2, 6)] + \
+            [(w, dims[:4] + [0] * 3) for w in range(2, 7)]:
+        cols, _torsion_rows, triple_rows = holonomy.wedge_block(
+            w, below, lambda s: 0, lambda s, t: {})
+        assert holonomy.wedge_counts(w, below) == (len(cols), len(triple_rows)), w
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +495,9 @@ def test_views_of_one_relation_set_share_one_tower():
 
 
 def test_a_view_keeps_its_degree_and_guard_on_a_grown_tower():
-    arr = braid(5)     # 10 letters: past the alphabet limit of degree 4
+    arr = braid(5)
     low = HolonomyAlgebra(arr, max_degree=3)
-    high = HolonomyAlgebra(arr, max_degree=5, override=True)
+    high = HolonomyAlgebra(arr, max_degree=5)
     assert high._tower is low._tower
     assert [high.rank(d) for d in range(1, 6)] == [10, 10, 30, 81, 258]
     with pytest.raises(ValueError, match="degree 4 outside 1..3"):
@@ -478,10 +506,14 @@ def test_a_view_keeps_its_degree_and_guard_on_a_grown_tower():
         low.bracket(2, {0: 1}, 2, {1: 1})
     e0, e1 = [1] + [0] * 9, [0, 1] + [0] * 8
     assert bracket_coords(low, 2, e0, 2, e1) is None
-    with pytest.raises(SizeGuardError, match="degree 4 refuses"):
-        HolonomyAlgebra(arr, max_degree=4)
-    with pytest.raises(SizeGuardError, match="degree 4 refuses"):
-        holonomy_degrees(arr, 4, rings.Q)
+    # degree 4 (345 columns and 450 triples, 21206 units) is admitted at
+    # the default guard, and refused below its cost though the tower
+    # holds it
+    assert holonomy_degrees(arr, 4, rings.Q)[-1] == GradedAbelian(81)
+    with pytest.raises(SizeGuardError, match="degree 4 has 345 pair columns"):
+        HolonomyAlgebra(arr, max_degree=4, guard=21205)
+    with pytest.raises(SizeGuardError, match="cost 21206 > guard 21205"):
+        holonomy_degrees(arr, 4, rings.Q, guard=21205)
 
 
 def test_the_tower_memo_is_bounded_and_rebuilds_identically():
@@ -518,7 +550,7 @@ def test_a_failed_degree_leaves_the_tower_as_it_was(monkeypatch):
     # cleared again so no later test reads a tower built under it
     holonomy._tower.cache_clear()
     try:
-        alg = HolonomyAlgebra(braid(4), max_degree=4)
+        alg = HolonomyAlgebra(braid(4), max_degree=2)
         assert alg.rank(2) == 4
         real, calls = holonomy.QuotientLattice, []
 
@@ -529,14 +561,15 @@ def test_a_failed_degree_leaves_the_tower_as_it_was(monkeypatch):
             return real(w, gens)
 
         monkeypatch.setattr(holonomy, "QuotientLattice", fails_once)
+        # the guard of degree 4 counts off degree 3, so it builds degree 3
         with pytest.raises(ArithmeticError, match="cross-check"):
-            alg.rank(3)
+            HolonomyAlgebra(braid(4), max_degree=4)
         view = HolonomyAlgebra(braid(4), max_degree=4)
         assert view._tower is alg._tower
         assert [view.rank(d) for d in range(1, 5)] == [6, 4, 10, 21]
         assert len(calls) == 3
         monkeypatch.undo()
-        got = _tower_state(alg, 4)
+        got = _tower_state(view, 4)
         holonomy._tower.cache_clear()
         fresh = HolonomyAlgebra(braid(4), max_degree=4)
         assert fresh._tower is not alg._tower

@@ -398,8 +398,8 @@ def test_truncated_lie_products_are_the_tower_brackets():
     cases += [(make_presentation(2, ["xxyXXY"]), 3)]
     with_torsion = 0
     for src, top in cases:
-        L = truncated_lie(src, top, override=True)
-        alg = HolonomyAlgebra(src, top, override=True)
+        L = truncated_lie(src, top)
+        alg = HolonomyAlgebra(src, top)
         units = {d: exactla.identity(alg.dim(d)) for d in range(1, top)}
         expected = {}
         for d1 in range(1, top):
@@ -574,9 +574,9 @@ def test_ce_h2_of_truncations_against_the_word_rows():
         if not is_decomposable(arr)["decomposable"]:
             continue
         b2 = betti(arr).b2
-        oracle = word_row_degrees(arr, 4, rings.Z, override=True)
+        oracle = word_row_degrees(arr, 4, rings.Z)
         for n in (3, 4):
-            ce = ce_h2(truncated_lie(arr, n - 1, override=True))
+            ce = ce_h2(truncated_lie(arr, n - 1))
             rank, torsion = oracle[n - 1]
             assert (ce.rank, ce.torsion) == (rank + b2, torsion), (name, n)
             checked += 1
