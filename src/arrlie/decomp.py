@@ -145,10 +145,13 @@ def letter_matrix(src, dst, letters, d):
     letters[i] is the destination letter of x_i, or None when x_i goes to
     0.  Named letters must be distinct letters of dst.  A renaming is a map
     of Lie rings, so the letters fix it: a basis class of degree e >= 2 is
-    the sum of lam [s, t] over the pair columns (s, t) of src, lam being
-    the lift of its unit vector, and its image is the sum of
-    lam [phi(s), phi(t)], bracketed in dst and reduced.  The images of the
-    classes below d are computed once per call.
+    the sum of lam [s, t] over its definition (the lift of its unit vector
+    over the pair columns (s, t) of src), and its image is the sum of
+    lam [phi(s), phi(t)], bracketed in dst and reduced.  The images of
+    basis classes are kept on the tower of src, keyed by the relation set
+    of dst and the letters, so every call, view and degree of one renaming
+    in the process shares them; both views check d against their own
+    max_degree before the memo is read.
     """
     named = [a for a in letters if a is not None]
     if (len(letters) != src.alphabet or len(set(named)) != len(named)
@@ -156,7 +159,10 @@ def letter_matrix(src, dst, letters, d):
         raise ValueError("letter map must send the %d source letters to "
                          "distinct letters below %d, or to None"
                          % (src.alphabet, dst.alphabet))
-    images = {}   # basis class of src -> sparse coordinates of its image
+    n_src, n_dst = src.dim(d), dst.dim(d)
+    tower = src._tower
+    # keyed by dst's relation set, not its tower, so no evicted tower stays alive
+    images = tower.images.setdefault((dst._tower.key, tuple(letters)), {})
 
     def image(s):
         vec = images.get(s)
@@ -165,21 +171,18 @@ def letter_matrix(src, dst, letters, d):
             if e == 1:
                 vec = {} if letters[j] is None else {letters[j]: 1}
             else:
-                unit = [0] * src.dim(e)
-                unit[j] = 1
                 acc = [0] * dst.dim(e)
-                for (a, b), lam in zip(src.pairs(e), src.quotient(e).lift(unit)):
-                    if lam:
-                        u, v = image(a), image(b)
-                        if u and v:
-                            for r, c in dst.bracket(a[0], u, b[0], v).items():
-                                acc[r] += lam * c
+                for (a, b), lam in tower.definition(s):
+                    u, v = image(a), image(b)
+                    if u and v:
+                        for r, c in dst.bracket(a[0], u, b[0], v).items():
+                            acc[r] += lam * c
                 vec = {r: c for r, c in enumerate(dst.quotient(e).reduce(acc)) if c}
             images[s] = vec
         return vec
 
-    cols = [image((d, j)) for j in range(src.dim(d))]
-    return [[col.get(i, 0) for col in cols] for i in range(dst.dim(d))]
+    cols = [image((d, j)) for j in range(n_src)]
+    return [[col.get(i, 0) for col in cols] for i in range(n_dst)]
 
 
 def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD):

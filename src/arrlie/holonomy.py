@@ -423,14 +423,22 @@ def _tower(alphabet, relations):
 class _Tower:
     """Per-degree state of the holonomy tower of one relation set, grown on
     demand: for each degree its QuotientLattice, its pair columns and the
-    column index of each pair, plus the memo of basis brackets.  No size
-    guard runs here; HolonomyAlgebra runs it before asking for a degree."""
+    column index of each pair.  Beside them it keeps three memos, each
+    filled on first use and dropped with the tower: the basis brackets
+    (product), the basis definitions (definition), and the images of
+    basis classes under each renaming out of this tower, which
+    decomp.letter_matrix fills.  No size guard runs here; HolonomyAlgebra
+    runs it before asking for a degree."""
 
     def __init__(self, alphabet, relations):
+        self.key = (alphabet, relations)
         self._relations = relations
         # degree 1 has no relations, so its coordinates are the letters
         self._levels = [(QuotientLattice(alphabet, []), (), {})]
         self._products = {}    # (s, t) with s < t -> sparse coords of [s, t]
+        self._definitions = {}  # class of degree >= 2 -> its lift, see definition
+        # (key of the destination tower, letters) -> {class: sparse image}
+        self.images = {}
 
     def level(self, d):
         """(lattice, pair columns, pair -> column) of degree d >= 1."""
@@ -445,10 +453,14 @@ class _Tower:
         was, and the next request builds the degree again."""
         n = len(self._levels) + 1
         dims = [0] + [q.dim for q, _pairs, _cols in self._levels]
-        cols, torsion_rows, triple_rows = wedge_block(
-            n, dims, self._divisor, self.product)
-        rows = [dict(e) for e in self._relations] if n == 2 else []
-        q = QuotientLattice(len(cols), rows + torsion_rows + triple_rows)
+        cols, rows = {}, []
+        # with no pair columns every row is empty and h_n = 0, so none is built
+        if wedge_counts(n, dims)[0]:
+            cols, torsion_rows, triple_rows = wedge_block(
+                n, dims, self._divisor, self.product)
+            rows = [dict(e) for e in self._relations] if n == 2 else []
+            rows += torsion_rows + triple_rows
+        q = QuotientLattice(len(cols), rows)
         self._levels.append((q, tuple(cols), cols))
 
     def _divisor(self, s):
@@ -465,6 +477,19 @@ class _Tower:
             y = q.project({cols[s, t]: 1})
             vec = self._products[s, t] = {r: v for r, v in enumerate(y) if v}
         return vec
+
+    def definition(self, s):
+        """Basis class s = (e, j), e >= 2, as pairs ((a, b), lam != 0) with
+        s = sum of lam [a, b]: the lift of its unit vector over the pair
+        columns, the inverse of a bracket.  The tuple is the memo's own."""
+        lift = self._definitions.get(s)
+        if lift is None:
+            q, pairs, _cols = self.level(s[0])
+            unit = [0] * q.dim
+            unit[s[1]] = 1
+            lift = self._definitions[s] = tuple(
+                (p, lam) for p, lam in zip(pairs, q.lift(unit)) if lam)
+        return lift
 
 
 def wedge_block(w, dims, divisor, product):
@@ -515,8 +540,9 @@ def wedge_counts(w, dims):
 
 # Guard units of a degree with these counts, known before any of its rows
 # exist: pair columns x triples / 8 for the elimination, and 4 per triple
-# for building the rows (2 us and 130 bytes each: generic(200) in degree 3,
-# with no columns, takes 2.7 s and 173 MB).  Top-degree times in a fresh
+# for building the rows (2 us and 130 bytes each, measured on the 1.3 M
+# empty rows of generic(200) in degree 3, which has no columns and now
+# builds no rows: 2.7 s and 173 MB when it did).  Top-degree times in a fresh
 # process, Python 3.11 on a 2-CPU x86-64 machine: admitted, braid(4) d8
 # 6.1 s, braid(5) d6 1.4 s, braid(6) d5 0.58 s (6.2 M units); refused,
 # braid(4) d9 (15 M) over 37 s and 1 GB, braid(5) d7 (41 M) 321 s,

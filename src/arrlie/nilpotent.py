@@ -81,6 +81,8 @@ class Class2Group:
         self._row = [pidx.get((i, i + 1), 0) - i - 1 for i in range(k)]
         self.gr2 = QuotientLattice(len(self.pairs), self.relset.elements)
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
+        self._letter_words = single_letter_names(self.names)
+        self._tokens = {}   # dotted token as written -> (index, exponent)
 
     # -- basic elements ----------------------------------------------------
     def identity(self):
@@ -162,20 +164,26 @@ class Class2Group:
     def parse_word(self, text):
         """Word syntax: either dotted tokens "H1.H2^-1" or, when every
         generator name is a single lowercase letter, a plain letter string
-        with uppercase meaning inverse ("xyXY")."""
-        if single_letter_names(self.names) and "." not in text and "^" not in text:
+        with uppercase meaning inverse ("xyXY").
+
+        Each dotted token that parses is kept as written, padding
+        included, with its (index, exponent), so the group parses it once;
+        a token that fails is not kept, and raises on every use."""
+        if self._letter_words and "." not in text and "^" not in text:
             return letter_word(self.names, text)
-        seq = []
-        for token in text.split("."):
-            m = _WORD_TOKEN.fullmatch(token.strip())
-            if not m:
-                raise ValueError("bad word token %r" % token)
-            idx = self._name_index.get(m.group(1))
-            if idx is None:
-                raise ValueError("unknown generator %r in word %r"
-                                 % (m.group(1), text))
-            seq.append((idx, int(m.group(2)) if m.group(2) else 1))
-        return seq
+        tokens = self._tokens
+        return [tokens.get(token) or self._parse_token(token, text)
+                for token in text.split(".")]
+
+    def _parse_token(self, token, text):
+        m = _WORD_TOKEN.fullmatch(token.strip())
+        if not m:
+            raise ValueError("bad word token %r" % token)
+        idx = self._name_index.get(m.group(1))
+        if idx is None:
+            raise ValueError("unknown generator %r in word %r" % (m.group(1), text))
+        item = self._tokens[token] = (idx, int(m.group(2)) if m.group(2) else 1)
+        return item
 
     def evaluate(self, word):
         """Normal form of a word: a string for parse_word, or a sequence of

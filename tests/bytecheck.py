@@ -1,0 +1,162 @@
+"""Exit code and stdout sha256 of a fixed set of arrlie commands.
+
+    python3 tests/bytecheck.py [--fresh] > digests.txt
+
+Writes the 17 arrangements of the standard catalog and two presentations
+into a temporary directory, runs every command there and prints one line
+per command: the exit code, the sha256 of stdout and the command, with
+each input file named by its basename.  By default the
+commands run in order in this process through arrlie.cli.main, so later
+commands read the holonomy towers that earlier ones built; with --fresh
+each command runs in its own `python -m arrlie` process.  Run it on two
+source trees (it imports arrlie from the src/ beside this file) and diff
+the outputs to check that a change keeps every byte.  pytest does not
+collect this file: it is a script, not a test module.
+
+The set, 314 commands plus the nq2 words:
+  - h2check over z, q and fp:2 on the 17 catalog arrangements at degree 3
+    and the 15 decomposable ones at degree 4, with and without --override;
+  - holonomy over z, q and fp:3 on the 17 at --max-degree 3, and at 4
+    with --override;
+  - h2check (at its default degree 3) and holonomy --max-degree 4 on the
+    presentations xxyXXY and xxxyXXXY over z, q, fp:2 and fp:3;
+  - verify-iso near_pencil(5) under the 4-cycle of its big pencil at
+    degree 4, plain and --perturb lift, over z and q;
+  - nq2 on the 17 with seeded dotted words (some tokens padded with
+    spaces), on the presentations with seeded letter and dotted words,
+    and three refused words.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import shlex
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+sys.path.insert(0, os.path.abspath(SRC))
+
+from arrlie import arrangement_to_json, standard_catalog  # noqa: E402
+from arrlie.cli import main as arrlie_main  # noqa: E402
+
+PRESENTATIONS = {"xxyXXY": ["xxyXXY"], "xxxyXXXY": ["xxxyXXXY"]}
+NOT_DECOMPOSABLE = ("braid(4)", "braid(5)")
+NP5_CYCLE = '{"H1":"H2","H2":"H3","H3":"H4","H4":"H1","H5":"H5"}'
+
+
+def write_inputs(workdir):
+    """Write the input files; returns (catalog names and files, presentation files)."""
+    catalog = []
+    for name, arr in standard_catalog():
+        path = name.replace("(", "").replace(")", "") + ".json"
+        with open(os.path.join(workdir, path), "w") as f:
+            json.dump(arrangement_to_json(arr), f)
+        catalog.append((name, path, list(arr.atoms)))
+    pres = {}
+    for name, relators in PRESENTATIONS.items():
+        pres[name] = name + ".json"
+        with open(os.path.join(workdir, pres[name]), "w") as f:
+            json.dump({"generators": 2, "relators": relators}, f)
+    return catalog, pres
+
+
+def dotted_word(rng, names, pad):
+    tokens = []
+    for _ in range(rng.randint(1, 10)):
+        tok = rng.choice(names)
+        if rng.random() < 0.7:
+            tok += "^%d" % rng.choice((-3, -2, -1, 1, 2, 3))
+        if pad and rng.random() < 0.3:
+            tok = " " + tok + " "
+        tokens.append(tok)
+    return ".".join(tokens)
+
+
+def commands(catalog, pres):
+    """The command list, each an argv for arrlie.cli.main."""
+    cmds = []
+    for override in ([], ["--override"]):
+        for ring in ("z", "q", "fp:2"):
+            for name, path, _atoms in catalog:
+                cmds.append(["h2check", path, "--degree", "3", "--ring", ring]
+                            + override)
+            for name, path, _atoms in catalog:
+                if name not in NOT_DECOMPOSABLE:
+                    cmds.append(["h2check", path, "--degree", "4", "--ring", ring]
+                                + override)
+    for degree, override in (("3", []), ("4", ["--override"])):
+        for ring in ("z", "q", "fp:3"):
+            for _name, path, _atoms in catalog:
+                cmds.append(["holonomy", path, "--ring", ring, "--max-degree",
+                             degree] + override)
+    for path in pres.values():
+        for ring in ("z", "q", "fp:2", "fp:3"):
+            cmds.append(["h2check", path, "--ring", ring])
+            cmds.append(["holonomy", path, "--max-degree", "4", "--ring", ring])
+    np5 = dict((name, path) for name, path, _atoms in catalog)["near_pencil(5)"]
+    for ring in ("z", "q"):
+        for perturb in ([], ["--perturb", "lift"]):
+            cmds.append(["verify-iso", np5, np5, "--iso", NP5_CYCLE, "--degree",
+                         "4", "--ring", ring] + perturb)
+    rng = random.Random(2024)
+    for _name, path, atoms in catalog:
+        for pad in (False, False, True):
+            cmds.append(["nq2", path, "--word", dotted_word(rng, atoms, pad)])
+    for path in pres.values():
+        for _ in range(3):
+            word = "".join(rng.choice("xyXY") for _ in range(rng.randint(1, 12)))
+            cmds.append(["nq2", path, "--word", word])
+        for _ in range(2):
+            cmds.append(["nq2", path, "--word", dotted_word(rng, ["x", "y"], False)])
+    pencil3 = dict((name, path) for name, path, _atoms in catalog)["pencil(3)"]
+    for word in ("H1^", "H1.H9", ""):
+        cmds.append(["nq2", pencil3, "--word", word])
+    return cmds
+
+
+def run_here(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = arrlie_main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue().encode()
+
+
+def run_fresh(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    r = subprocess.run([sys.executable, "-m", "arrlie"] + argv, env=env,
+                       capture_output=True, timeout=600)
+    return r.returncode, r.stdout
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--fresh", action="store_true",
+                    help="run each command in its own process")
+    args = ap.parse_args()
+    run = run_fresh if args.fresh else run_here
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        catalog, pres = write_inputs(workdir)
+        os.chdir(workdir)
+        try:
+            for argv in commands(catalog, pres):
+                code, out = run(argv)
+                print(code, hashlib.sha256(out).hexdigest(), shlex.join(argv),
+                      flush=True)
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()

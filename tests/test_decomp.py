@@ -22,11 +22,12 @@ from arrlie import (
     near_pencil,
     pencil,
     relation_set,
+    standard_catalog,
     verify_decomposable_iso,
     witt_rank,
     zero_local_lifts,
 )
-from arrlie import exactla, rings
+from arrlie import decomp, exactla, holonomy, rings
 from arrlie.arrangement import Arrangement, localize
 from arrlie.decomp import (
     Charts,
@@ -270,6 +271,83 @@ def test_letter_matrix_permutation_order_three():
     # a deleted letter is allowed: x_2 -> 0 drops the third coordinate
     sub = HolonomyAlgebra(generic(2), max_degree=2)
     assert letter_matrix(ch.alg, sub, [0, 1, None], 1) == [[1, 0, 0], [0, 1, 0]]
+
+
+def _largest_flat_cycle(arr):
+    """An automorphism of arr: cycle the members of a largest flat."""
+    big = max(arr.flats, key=lambda f: f.mu).members
+    perm = list(range(arr.n_atoms))
+    for a, b in zip(big, big[1:] + big[:1]):
+        perm[a] = b
+    return perm
+
+
+def test_warm_renaming_images_match_a_cold_run(monkeypatch):
+    # every renaming the verifier makes on the decomposable catalog at
+    # n = 4 and 5; each run is repeated, so the repeat reads a warm memo
+    real, calls = decomp.letter_matrix, []
+
+    def recording(src, dst, letters, d):
+        mat = real(src, dst, letters, d)
+        calls.append((src, dst, tuple(letters), d, mat))
+        return mat
+
+    lifts = []
+    real_lift = exactla.QuotientLattice.lift
+    monkeypatch.setattr(decomp, "letter_matrix", recording)
+    holonomy._tower.cache_clear()
+    try:
+        for _name, arr in standard_catalog():
+            if not is_decomposable(arr)["decomposable"]:
+                continue
+            perm = _largest_flat_cycle(arr)
+            for n in (4, 5):
+                assert verify_decomposable_iso(arr, arr, perm, n=n)["pass"]
+            # the repeat lifts no class again: every definition is kept
+            monkeypatch.setattr(exactla.QuotientLattice, "lift",
+                                lambda q, c: lifts.append(c) or real_lift(q, c))
+            for n in (4, 5):
+                assert verify_decomposable_iso(arr, arr, perm, n=n)["pass"]
+            monkeypatch.setattr(exactla.QuotientLattice, "lift", real_lift)
+        assert not lifts
+        monkeypatch.undo()
+        cold = {}
+        for src, dst, letters, d, mat in calls:
+            images = src._tower.images[dst._tower.key, letters]
+            assert all((d, j) in images for j in range(src.dim(d)))
+            key = (src._tower.key, src.max_degree, dst._tower.key,
+                   dst.max_degree, letters, d)
+            if key not in cold:
+                holonomy._tower.cache_clear()
+                cold[key] = real(HolonomyAlgebra(src.relset, src.max_degree),
+                                 HolonomyAlgebra(dst.relset, dst.max_degree),
+                                 list(letters), d)
+            assert mat == cold[key]
+        assert len(calls) > 2 * len(cold) > 200
+    finally:
+        holonomy._tower.cache_clear()
+
+
+def test_a_renaming_memo_keeps_each_views_degree_bound():
+    arr = near_pencil(5)
+    fi = max(arr.flats, key=lambda f: f.mu).index
+    members = arr.flats[fi].members
+    pos = {a: i for i, a in enumerate(members)}
+    letters = [pos.get(a) for a in range(arr.n_atoms)]
+    glob5 = HolonomyAlgebra(arr, max_degree=5)
+    loc5 = HolonomyAlgebra(localize(arr, fi), max_degree=5)
+    full = [letter_matrix(glob5, loc5, letters, d) for d in (3, 4, 5)]
+    back = [letter_matrix(loc5, glob5, members, d) for d in (3, 4, 5)]
+    glob3 = HolonomyAlgebra(arr, max_degree=3)
+    loc3 = HolonomyAlgebra(localize(arr, fi), max_degree=3)
+    assert glob3._tower is glob5._tower and loc3._tower is loc5._tower
+    for src, dst, lets in ((glob3, loc5, letters), (glob5, loc3, letters),
+                           (loc3, glob5, members), (loc5, glob3, members)):
+        with pytest.raises(ValueError, match="degree 4 outside 1..3"):
+            letter_matrix(src, dst, lets, 4)
+    assert letter_matrix(glob3, loc3, letters, 3) == full[0]
+    assert letter_matrix(loc3, glob3, members, 3) == back[0]
+    assert [letter_matrix(glob5, loc5, letters, d) for d in (3, 4, 5)] == full
 
 
 def test_iso_h2_matrix_is_invertible():

@@ -576,3 +576,25 @@ def test_a_failed_degree_leaves_the_tower_as_it_was(monkeypatch):
         assert got == _tower_state(fresh, 4)
     finally:
         holonomy._tower.cache_clear()
+
+
+def test_an_empty_degree_builds_no_rows(monkeypatch):
+    # generic(100) has h_2 = 0, so degree 3 has no pair columns; its
+    # 161700 triple rows would all be empty, and none is built
+    real = holonomy.wedge_block
+
+    def no_weight_three(w, *args):
+        if w == 3:
+            raise AssertionError("wedge_block ran for an empty degree")
+        return real(w, *args)
+
+    monkeypatch.setattr(holonomy, "wedge_block", no_weight_three)
+    holonomy._tower.cache_clear()
+    try:
+        assert holonomy.wedge_counts(3, [0, 100, 0]) == (0, 161700)
+        assert holonomy_graded(generic(100), 3) == GradedAbelian(0)
+        alg = HolonomyAlgebra(generic(100), max_degree=4)
+        assert [alg.dim(d) for d in (1, 2, 3, 4)] == [100, 0, 0, 0]
+        assert alg.pairs(3) == alg.pairs(4) == ()
+    finally:
+        holonomy._tower.cache_clear()

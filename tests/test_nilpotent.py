@@ -149,6 +149,48 @@ def test_word_token_table(text, want):
         assert str(err.value) == want
 
 
+def _seeded_words(names, rng, count, pad):
+    """Dotted words over names; with pad, some tokens padded with spaces."""
+    words = []
+    for _ in range(count):
+        tokens = []
+        for _ in range(rng.randint(1, 8)):
+            tok = rng.choice(names)
+            if rng.random() < 0.6:
+                tok += "^%d" % rng.choice((-3, -2, -1, 0, 1, 2, 3, 12))
+            if pad:
+                tok = rng.choice(("", " ", "  ")) + tok + rng.choice(("", " "))
+            tokens.append(tok)
+        words.append(".".join(tokens))
+    return words
+
+
+def test_a_warm_token_memo_changes_no_word_and_no_error():
+    rng = random.Random(19)
+    for src in (pencil(3), braid(4), make_presentation(2, ["xxyXXY"])):
+        warm = Class2Group(src)
+        # a word with no "." or "^" over single-letter names is a letter word
+        letters = len(warm.names[0]) == 1
+        words = _seeded_words(list(warm.names), rng, 40, pad=not letters)
+        if letters:
+            words += ["xyXY", "xxY", "Yx", "x^2. y^-1 "]
+        for w in words:
+            warm.evaluate(w)
+        for w in words:
+            assert warm.evaluate(w) == Class2Group(src).evaluate(w), w
+            assert warm.parse_word(w) == Class2Group(src).parse_word(w), w
+        name = warm.names[0]
+        bad = [name + "^", name + "^x", "^2", name + "^--1", "Q7",
+               name + ".Q7^2", name + "." + name + "^", " " + name + "^+1",
+               "." if letters else ""]
+        for text in bad + bad:
+            with pytest.raises(ValueError) as fresh_err:
+                Class2Group(src).parse_word(text)
+            with pytest.raises(ValueError) as warm_err:
+                warm.evaluate(text)
+            assert str(warm_err.value) == str(fresh_err.value), text
+
+
 def test_evaluate_accepts_prepared_words():
     grp = Class2Group(pencil(3))
     word = [(0, 1), (1, 1), (0, -1), (1, -1)]
