@@ -14,7 +14,8 @@ holonomy algebra sends each degree 1 generator x_H to x_H plus correction
 terms in degrees 2..n-1.  Local lifts live on a single pencil, a global
 candidate is assembled by summing embedded local corrections, and the
 degree n component of each relator bracket is the obstruction matrix that
-feeds the H2-level commuting diagram.  All matrices are exact, over Z, Q,
+feeds the H2-level commuting diagram; relator_components computes them
+in every degree, globally and locally.  All matrices are exact, over Z, Q,
 or F_p.  Every induced map between holonomy algebras is one renaming of
 generators, built by letter_matrix: embedding a pencil (x_i -> x_members[i]),
 restricting to a flat (x_H -> 0 outside it), and a lattice isomorphism
@@ -215,9 +216,11 @@ class LocalLift:
 
 @dataclass(frozen=True)
 class GlobalLift:
-    """Assembled lift candidate: corrections (atom, degree) -> global coords."""
+    """Assembled lift candidate: corrections (atom, degree) -> global coords,
+    delta (atom, flat index) -> degree-n relator components (its H2 block)."""
     n: int
     corrections: dict
+    delta: dict
 
 
 def local_lift(arr, flat_index, corrections, n, guard=DEFAULT_GUARD, alg=None):
@@ -276,48 +279,36 @@ def zero_local_lifts(arr, n):
     return [LocalLift(flat=f, n=n, corrections={}) for f in arr.flats]
 
 
-def _phi_table(alg, corrections, n):
-    """phi(x_a) by degree: {degree: sparse coordinates}, degree 1 being x_a."""
-    tab = []
-    for a in range(alg.alphabet):
-        row = {1: {a: 1}}
-        for i in range(2, n):
-            vec = {r: c for r, c in enumerate(corrections.get((a, i), ())) if c}
-            if vec:
-                row[i] = vec
-        tab.append(row)
-    return tab
+def relator_components(alg, flats, corrections, m):
+    """Degree-m components of the relators under a lift in correction form.
 
+    The lift sends x_a to phi(x_a) = x_a plus corrections[(a, i)] in each
+    degree i >= 2, and the relator of atom h on flat Y is [x_h, z_Y], z_Y
+    the sum of x_k over the members k of Y.  Its degree-m component is the
+    sum over i of [phi(x_h)_i, phi(z_Y)_{m-i}], bracketed in alg and
+    reduced; phi(z_Y) is summed once per flat.  Returns {(h, flat index):
+    coordinates}, in flat and member order.
+    """
+    def phi(a, i):
+        if i == 1:
+            return {a: 1}
+        return {r: c for r, c in enumerate(corrections.get((a, i), ())) if c}
 
-def _relator_component(alg, tab, h, members, m):
-    """Degree-m coordinates of [phi(x_h), phi(z_Y)] for the flat Y: one
-    bracket per degree pair (i, m-i) with both terms nonzero, and one
-    reduction."""
-    total = [0] * alg.dim(m)
-    for i in range(1, m):
-        u = tab[h].get(i)
-        if u is None:
-            continue
-        z = {}
-        for kk in members:
-            for r, c in tab[kk].get(m - i, {}).items():
-                z[r] = z.get(r, 0) + c
-        z = {r: c for r, c in z.items() if c}
-        if z:
-            for r, c in alg.bracket(i, u, m - i, z).items():
-                total[r] += c
-    return alg.quotient(m).reduce(total)
-
-
-def _local_delta_cols(loc, llift, n):
-    """Degree-n relator components of a local lift, one column per atom."""
-    k = loc.alphabet
-    pos = {a: i for i, a in enumerate(llift.flat.members)}
-    corr = {(pos[a], d): v for (a, d), v in llift.corrections.items()}
-    tab = _phi_table(loc, corr, n)
-    members = list(range(k))
-    return {a: _relator_component(loc, tab, pos[a], members, n)
-            for a in llift.flat.members}
+    out = {}
+    for f in flats:
+        z = {1: dict.fromkeys(f.members, 1)}
+        for i in range(2, m):
+            vecs = [corrections[k, i] for k in f.members if (k, i) in corrections]
+            z[i] = {r: c for r, c in enumerate(map(sum, zip(*vecs))) if c}
+        for h in f.members:
+            total = [0] * alg.dim(m)
+            for i in range(1, m):
+                u, v = phi(h, i), z[m - i]
+                if u and v:
+                    for r, c in alg.bracket(i, u, m - i, v).items():
+                        total[r] += c
+            out[(h, f.index)] = alg.quotient(m).reduce(total)
+    return out
 
 
 def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
@@ -327,9 +318,9 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
     containing it of the embedded local correction.  For the result to be
     an endomorphism of the truncated algebra every relator bracket must
     vanish in degrees up to n-1; a nonzero component is reported with its
-    witness and no GlobalLift is produced.  The degree-n components, which
-    live past the truncation, are checked against the local ones through
-    restriction (the localization square) before returning.
+    witness and no GlobalLift is produced.  The degree-n components (delta),
+    which live past the truncation, are checked against the local ones
+    through restriction (the localization square) before returning.
     """
     ch = charts or Charts(arr, n, guard=guard)
     by_flat = {}
@@ -367,40 +358,39 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
         if any(vec):
             corrections[key] = tuple(vec)
 
-    tab = _phi_table(ch.alg, corrections, n)
     for m in range(3, n):
-        for f in arr.flats:
-            for h in f.members:
-                comp = _relator_component(ch.alg, tab, h, f.members, m)
-                if any(comp):
-                    raise ValueError(
-                        "corrections do not assemble to an endomorphism: the "
-                        "relator of atom %r on flat %d %r has a nonzero "
-                        "degree %d component %r"
-                        % (arr.atoms[h], f.index, f.members, m, list(comp)))
+        for (h, fi), comp in relator_components(ch.alg, arr.flats,
+                                                corrections, m).items():
+            if any(comp):
+                raise ValueError(
+                    "corrections do not assemble to an endomorphism: the "
+                    "relator of atom %r on flat %d %r has a nonzero "
+                    "degree %d component %r"
+                    % (arr.atoms[h], fi, arr.flats[fi].members, m, list(comp)))
 
-    glift = GlobalLift(n=n, corrections=corrections)
-    full = delta_matrix(arr, glift, charts=ch)
+    delta = relator_components(ch.alg, arr.flats, corrections, n)
+    glift = GlobalLift(n=n, corrections=corrections, delta=delta)
     for f in arr.flats:
-        total = [0] * ch.alg.dim(n)
-        for h in f.members:
-            total = [a + b for a, b in zip(total, full[(h, f.index)])]
+        total = [sum(col) for col in zip(*(delta[h, f.index] for h in f.members))]
         if any(ch.alg.quotient(n).reduce(total)):
             raise RuntimeError("degree-%d relator components of flat %d do "
                                "not sum to zero" % (n, f.index))
     for f in arr.flats:
         loc = ch.local_alg[f.index]
-        local_cols = _local_delta_cols(loc, by_flat[f.index], n)
+        corr = {(f.members.index(a), d): v
+                for (a, d), v in by_flat[f.index].corrections.items()}
+        local_cols = {f.members[i]: v for (i, _), v in relator_components(
+            loc, ch.local_arr[f.index].flats, corr, n).items()}
+        res = ch.restrict(f.index, n)
         for g in arr.flats:
-            res = ch.restrict(f.index, n)
             for h in g.members:
-                got = loc.quotient(n).reduce(exactla.mat_vec(res, full[(h, g.index)]))
+                got = loc.quotient(n).reduce(exactla.mat_vec(res, delta[(h, g.index)]))
                 want = local_cols[h] if g.index == f.index else [0] * loc.dim(n)
-                if list(got) != list(want):
+                if got != want:
                     raise RuntimeError(
                         "localization square fails at flat %d, relator "
                         "(%r, %d): restricted column %r, local column %r"
-                        % (f.index, arr.atoms[h], g.index, list(got), list(want)))
+                        % (f.index, arr.atoms[h], g.index, got, want))
     return glift
 
 
@@ -429,22 +419,6 @@ def localize_global_lift(arr, glift, charts=None, guard=DEFAULT_GUARD):
     return out
 
 
-def delta_matrix(arr, glift, charts=None, guard=DEFAULT_GUARD):
-    """Degree-n relator components of a global lift, one column per relator.
-
-    Returns {(atom, flat index): coordinate vector in the degree-n piece}.
-    These are the entries of the top block of the induced H2 matrix.
-    """
-    n = glift.n
-    ch = charts or Charts(arr, n, guard=guard)
-    tab = _phi_table(ch.alg, glift.corrections, n)
-    out = {}
-    for f in arr.flats:
-        for h in f.members:
-            out[(h, f.index)] = list(_relator_component(ch.alg, tab, h, f.members, n))
-    return out
-
-
 def relator_basis(arr):
     """Basis of H2 of the complement: per flat, drop the largest atom.
 
@@ -458,18 +432,17 @@ def relator_basis(arr):
     return out
 
 
-def lift_h2_matrix(arr, glift, charts=None, guard=DEFAULT_GUARD):
+def lift_h2_matrix(arr, glift, dim):
     """Induced map on H2 of the lift, in split coordinates.
 
-    H2 of the degree-n quotient group splits as the degree-n graded piece
-    plus H2 of the complement; the lift acts as the identity on the second
-    block and by the relator components on the first.  Rows: degree-n
-    coordinates then relator basis; columns: relator basis.
+    H2 of the degree-n quotient group splits as the degree-n graded piece,
+    of dimension dim, plus H2 of the complement; the lift acts as the
+    identity on the second block and by the relator components
+    (glift.delta) on the first.  Rows: degree-n coordinates then relator
+    basis; columns: relator basis.
     """
-    ch = charts or Charts(arr, glift.n, guard=guard)
-    full = delta_matrix(arr, glift, charts=ch)
     pairs = relator_basis(arr)
-    top = _cols_to_matrix([full[p] for p in pairs], ch.alg.dim(glift.n))
+    top = _cols_to_matrix([glift.delta[p] for p in pairs], dim)
     return top + exactla.identity(len(pairs))
 
 
@@ -814,13 +787,12 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     pairs_a = relator_basis(arr_a)
     pairs_b = relator_basis(arr_b)
     g = ch_b.alg.dim(n)
-    delta_a_full = delta_matrix(arr_a, glift_a, charts=ch_a)
     delta_a = _cols_to_matrix(
-        [ch_b.alg.quotient(n).reduce(exactla.mat_vec(g_n, delta_a_full[p]))
+        [ch_b.alg.quotient(n).reduce(exactla.mat_vec(g_n, glift_a.delta[p]))
          for p in pairs_a], g)
     g2 = iso_h2_matrix(arr_a, arr_b, iso)
     la = delta_a + g2
-    lb = lift_h2_matrix(arr_b, glift_b, charts=ch_b)
+    lb = lift_h2_matrix(arr_b, glift_b, g)
     delta_b = lb[:g]
 
     sigma, rho = _sigma_from_locals(ch_b, n, ring, local_lams=sigma_lams)

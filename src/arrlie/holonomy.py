@@ -541,17 +541,17 @@ def wedge_counts(w, dims):
 # Guard units of a degree with these counts, known before any of its rows
 # exist: pair columns x triples / 8 for the elimination, and 4 per triple
 # for building the rows (2 us and 130 bytes each, measured on the 1.3 M
-# empty rows of generic(200) in degree 3, which has no columns and now
-# builds no rows: 2.7 s and 173 MB when it did).  Top-degree times in a fresh
-# process, Python 3.11 on a 2-CPU x86-64 machine: admitted, braid(4) d8
-# 6.1 s, braid(5) d6 1.4 s, braid(6) d5 0.58 s (6.2 M units); refused,
+# empty rows of generic(200) in degree 3: 2.7 s and 173 MB); a degree with
+# no pair columns builds no rows (_Tower._grow), so it costs 0.  Top-degree
+# times in a fresh process, Python 3.11 on a 2-CPU x86-64 machine: admitted,
+# braid(4) d8 6.1 s, braid(5) d6 1.4 s, braid(6) d5 0.58 s (6.2 M units); refused,
 # braid(4) d9 (15 M) over 37 s and 1 GB, braid(5) d7 (41 M) 321 s,
 # braid(6) d6 (118 M) 12.2 s.  Counts cannot see fill-in, so some cheap
 # degrees are refused too: near_pencil(10) d5 (21 M) 0.60 s, braid(8) d4
 # (23 M) 0.32 s, near_pencil(16) d4 (25 M) 0.51 s, near_pencil(8) d6
 # (43 M) 1.2 s, near_pencil(11) d5 (67 M) 1.3 s, braid(7) d5 (86 M) 2.3 s.
 def tower_cost(pairs, triples):
-    return pairs * triples // 8 + 4 * triples
+    return pairs * triples // 8 + 4 * triples if pairs else 0
 
 
 def _triples(n, dims):

@@ -79,7 +79,7 @@ class Class2Group:
         pidx = pair_index(k)
         # the pair (i, j), i < j, sits at position self._row[i] + j
         self._row = [pidx.get((i, i + 1), 0) - i - 1 for i in range(k)]
-        self.gr2 = QuotientLattice(len(self.pairs), self.relset.elements)
+        self.gr2 = HolonomyAlgebra(self.relset, 2).quotient(2)  # over self.pairs
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
         self._letter_words = single_letter_names(self.names)
         self._tokens = {}   # dotted token as written -> (index, exponent)
@@ -318,11 +318,11 @@ class GradedLie:
                                      "Jacobi identity")
 
 
-def truncated_lie(source, top, guard=DEFAULT_GUARD, validate=True):
+def truncated_lie(source, top, guard=DEFAULT_GUARD):
     """The quotient of the holonomy Lie algebra by degrees above top.
 
     Its products are the brackets [s, t] of the pair columns s < t of the
-    HolonomyAlgebra tower in degrees 2..top, as the tower holds them.
+    HolonomyAlgebra tower in degrees 2..top, Jacobi-checked by GradedLie.
     """
     if top < 1:
         raise ValueError("truncation top degree must be at least 1")
@@ -331,7 +331,7 @@ def truncated_lie(source, top, guard=DEFAULT_GUARD, validate=True):
                for d in range(1, top + 1)]
     products = {(s, t): alg.bracket(s[0], {s[1]: 1}, t[0], {t[1]: 1})
                 for w in range(2, top + 1) for s, t in alg.pairs(w)}
-    return GradedLie(degrees, products, validate=validate)
+    return GradedLie(degrees, products)
 
 
 def _blocks(L, weights):

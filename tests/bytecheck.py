@@ -5,7 +5,9 @@
 Writes the 17 arrangements of the standard catalog and two presentations
 into a temporary directory, runs every command there and prints one line
 per command: the exit code, the sha256 of stdout and the command, with
-each input file named by its basename.  By default the
+each input file named by its basename, and after a command that writes
+an --out bundle, one indented line per bundle file with its sha256 and
+its path below the temporary directory.  By default the
 commands run in order in this process through arrlie.cli.main, so later
 commands read the holonomy towers that earlier ones built; with --fresh
 each command runs in its own `python -m arrlie` process.  Run it on two
@@ -13,7 +15,7 @@ source trees (it imports arrlie from the src/ beside this file) and diff
 the outputs to check that a change keeps every byte.  pytest does not
 collect this file: it is a script, not a test module.
 
-The set, 314 commands plus the nq2 words:
+The set, 341 commands plus the nq2 words:
   - h2check over z, q and fp:2 on the 17 catalog arrangements at degree 3
     and the 15 decomposable ones at degree 4, with and without --override;
   - holonomy over z, q and fp:3 on the 17 at --max-degree 3, and at 4
@@ -22,6 +24,11 @@ The set, 314 commands plus the nq2 words:
     presentations xxyXXY and xxxyXXXY over z, q, fp:2 and fp:3;
   - verify-iso near_pencil(5) under the 4-cycle of its big pencil at
     degree 4, plain and --perturb lift, over z and q;
+  - verify-iso with bundles (--out), plain, --perturb lift and --perturb
+    sigma over z, q and fp:2, on pencil(3) under a 3-cycle with
+    corrections on its pencil, on near_pencil(4) under [1, 2, 0, 3] with
+    corrections on its big pencil, both at degree 4, and on
+    near_pencil(5) under the 4-cycle at degree 5 (27 commands);
   - nq2 on the 17 with seeded dotted words (some tokens padded with
     spaces), on the presentations with seeded letter and dotted words,
     and three refused words.
@@ -50,6 +57,14 @@ from arrlie.cli import main as arrlie_main  # noqa: E402
 PRESENTATIONS = {"xxyXXY": ["xxyXXY"], "xxxyXXXY": ["xxxyXXXY"]}
 NOT_DECOMPOSABLE = ("braid(4)", "braid(5)")
 NP5_CYCLE = '{"H1":"H2","H2":"H3","H3":"H4","H4":"H1","H5":"H5"}'
+# (catalog name, --iso, --corrections or None, degree) of the bundle runs
+BUNDLES = [
+    ("pencil(3)", '{"H1":"H2","H2":"H3","H3":"H1"}',
+     '{"0":{"H1.2":[1],"H2.2":[-1],"H1.3":[1,0]}}', "4"),
+    ("near_pencil(4)", "[1,2,0,3]",
+     '{"0":{"H1.2":[1],"H3.2":[-1],"H2.3":[0,1]}}', "4"),
+    ("near_pencil(5)", NP5_CYCLE, None, "5"),
+]
 
 
 def write_inputs(workdir):
@@ -101,11 +116,20 @@ def commands(catalog, pres):
         for ring in ("z", "q", "fp:2", "fp:3"):
             cmds.append(["h2check", path, "--ring", ring])
             cmds.append(["holonomy", path, "--max-degree", "4", "--ring", ring])
-    np5 = dict((name, path) for name, path, _atoms in catalog)["near_pencil(5)"]
+    files = dict((name, path) for name, path, _atoms in catalog)
+    np5 = files["near_pencil(5)"]
     for ring in ("z", "q"):
         for perturb in ([], ["--perturb", "lift"]):
             cmds.append(["verify-iso", np5, np5, "--iso", NP5_CYCLE, "--degree",
                          "4", "--ring", ring] + perturb)
+    for name, iso, corrections, degree in BUNDLES:
+        extra = ["--corrections", corrections] if corrections else []
+        for ring in ("z", "q", "fp:2"):
+            for perturb in ([], ["--perturb", "lift"], ["--perturb", "sigma"]):
+                out = "bundle%d" % len(cmds)
+                cmds.append(["verify-iso", files[name], files[name], "--iso",
+                             iso, "--degree", degree, "--ring", ring]
+                            + extra + perturb + ["--out", out])
     rng = random.Random(2024)
     for _name, path, atoms in catalog:
         for pad in (False, False, True):
@@ -116,9 +140,8 @@ def commands(catalog, pres):
             cmds.append(["nq2", path, "--word", word])
         for _ in range(2):
             cmds.append(["nq2", path, "--word", dotted_word(rng, ["x", "y"], False)])
-    pencil3 = dict((name, path) for name, path, _atoms in catalog)["pencil(3)"]
     for word in ("H1^", "H1.H9", ""):
-        cmds.append(["nq2", pencil3, "--word", word])
+        cmds.append(["nq2", files["pencil(3)"], "--word", word])
     return cmds
 
 
@@ -154,6 +177,13 @@ def main():
                 code, out = run(argv)
                 print(code, hashlib.sha256(out).hexdigest(), shlex.join(argv),
                       flush=True)
+                if "--out" in argv:
+                    bundle = argv[argv.index("--out") + 1]
+                    for name in sorted(os.listdir(bundle)):
+                        path = os.path.join(bundle, name)
+                        with open(path, "rb") as f:
+                            print("   ", hashlib.sha256(f.read()).hexdigest(),
+                                  path, flush=True)
         finally:
             os.chdir(home)
 

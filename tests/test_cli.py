@@ -199,8 +199,10 @@ def test_h2check(files, capsys):
 def test_h2check_override_reaches_its_decomposability_step(capsys, tmp_path):
     # generic(16) at degree 4 passes at the default guard, with or without
     # --override, which has no effect; the guard runs at every step, the
-    # decomposability test too: its degree 3 has no pair columns and
-    # C(16, 3) = 560 triples, 2240 units
+    # decomposability test too.  On generic(16) that step is free, since
+    # its degree 3 has no pair columns and builds no rows, so a low guard
+    # stops the H2 triple count first (C(16, 3) = 560 triples, 32 units
+    # each); near_pencil(8) is refused at the decomposability step
     path = tmp_path / "generic16.json"
     path.write_text(json.dumps(arrangement_to_json(generic(16))))
     for extra in ([], ["--override"]):
@@ -215,8 +217,14 @@ def test_h2check_override_reaches_its_decomposability_step(capsys, tmp_path):
     line = assert_exits_2_on_one_line(capsys, ["h2check", str(path),
                                                "--degree", "4", "--guard",
                                                "2239", "--override"])
-    assert ("holonomy degree 3 has 0 pair columns and 560 triples, which "
-            "cost 2240 > guard 2239") in line
+    assert "560 triples, which cost 17920 > guard 2239" in line
+    path = tmp_path / "near_pencil8.json"
+    path.write_text(json.dumps(arrangement_to_json(near_pencil(8))))
+    line = assert_exits_2_on_one_line(capsys, ["h2check", str(path),
+                                               "--degree", "4", "--guard",
+                                               "1063"])
+    assert ("holonomy degree 3 has 120 pair columns and 56 triples, which "
+            "cost 1064 > guard 1063") in line
 
 
 def test_h2check_is_size_guarded(capsys, tmp_path):

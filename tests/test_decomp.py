@@ -28,17 +28,15 @@ from arrlie import (
     zero_local_lifts,
 )
 from arrlie import decomp, exactla, holonomy, rings
-from arrlie.arrangement import Arrangement, localize
+from arrlie.arrangement import Arrangement, Flat2, localize
 from arrlie.decomp import (
     Charts,
     _invertible,
-    _phi_table,
-    _relator_component,
-    delta_matrix,
     iso_h2_matrix,
     letter_matrix,
     lift_h2_matrix,
     relator_basis,
+    relator_components,
     restriction_stack,
 )
 from arrlie.holonomy import make_presentation
@@ -148,8 +146,7 @@ def test_zero_lifts_assemble_and_localize_back():
     glift = assemble_global_lift(zero_local_lifts(arr, 4), arr, 4)
     back = localize_global_lift(arr, glift)
     assert all(not l.corrections for l in back)
-    dm = delta_matrix(arr, glift)
-    assert all(not any(v) for v in dm.values())
+    assert all(not any(v) for v in glift.delta.values())
 
 
 def test_braid4_valid_locals_can_fail_to_assemble():
@@ -197,15 +194,14 @@ def test_lift_h2_matrix_blocks():
     lifts = zero_local_lifts(arr, 4)
     lifts[0] = local_lift(arr, 0, corr, 4)
     glift = assemble_global_lift(lifts, arr, 4)
-    mat = lift_h2_matrix(arr, glift)
     ch = Charts(arr, 4)
     top = ch.alg.dim(4)
+    mat = lift_h2_matrix(arr, glift, top)
     b2 = len(relator_basis(arr))
     assert len(mat) == top + b2
     assert [row for row in mat[top:]] == exactla.identity(b2)
-    dm = delta_matrix(arr, glift)
     for j, key in enumerate(relator_basis(arr)):
-        assert [mat[i][j] for i in range(top)] == list(dm[key])
+        assert [mat[i][j] for i in range(top)] == list(glift.delta[key])
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +703,10 @@ def test_tensor_path_matches_the_lyndon_basis_path(name, source):
             assert (letter_matrix(alg, dst, letters, d)
                     == old_letter_matrix(alg, dst, letters, d))
     # relator components of corrections summing to zero below top - 1
-    flats = ([f.members for f in source.flats] if isinstance(source, Arrangement)
-             else [tuple(range(k))])
-    for members in flats:
+    flats = (source.flats if isinstance(source, Arrangement)
+             else [Flat2(0, tuple(range(k)), k - 1)])
+    for flat in flats:
+        members = flat.members
         corr = {}
         for deg in range(2, top):
             total = [0] * alg.dim(deg)
@@ -719,8 +716,27 @@ def test_tensor_path_matches_the_lyndon_basis_path(name, source):
                     vec = [-t for t in total]
                 total = [a + b for a, b in zip(total, vec)]
                 corr[(h, deg)] = tuple(vec)
-        tab = _phi_table(alg, corr, top)
         for m in range(3, top + 1):
+            comps = relator_components(alg, [flat], corr, m)
+            assert list(comps) == [(h, flat.index) for h in members]
             for h in members:
-                assert (list(_relator_component(alg, tab, h, members, m))
+                assert (list(comps[(h, flat.index)])
                         == list(old_relator_component(alg, corr, h, members, m)))
+
+
+@pytest.mark.parametrize("arr,corr", [
+    (pencil(3), P3_CORR[0]),
+    (near_pencil(4), {(0, 2): (1,), (2, 2): (-1,), (1, 3): (0, 1)}),
+], ids=["pencil(3)", "near_pencil(4)"])
+def test_the_lift_keeps_its_top_relator_components(arr, corr):
+    # glift.delta against the Lyndon-basis oracle on every relator, for
+    # corrections on flat 0 that give nonzero degree-4 components
+    lifts = zero_local_lifts(arr, 4)
+    lifts[0] = local_lift(arr, 0, corr, 4)
+    glift = assemble_global_lift(lifts, arr, 4)
+    alg = HolonomyAlgebra(arr, max_degree=4)
+    want = {(h, f.index): list(old_relator_component(
+                alg, glift.corrections, h, f.members, 4))
+            for f in arr.flats for h in f.members}
+    assert glift.delta == want
+    assert any(any(v) for v in want.values())

@@ -598,3 +598,12 @@ def test_an_empty_degree_builds_no_rows(monkeypatch):
         assert alg.pairs(3) == alg.pairs(4) == ()
     finally:
         holonomy._tower.cache_clear()
+
+
+def test_an_empty_degree_costs_nothing_under_the_guard():
+    # degree 3 of generic(100) has no pair columns and builds no rows, so
+    # its 161700 triples cost 0 units, and a guard far below 4 per triple
+    # admits it
+    assert holonomy.tower_cost(0, 161700) == 0
+    alg = HolonomyAlgebra(generic(100), 3, guard=500_000)
+    assert alg.rank(3) == 0 and alg.torsion(3) == ()

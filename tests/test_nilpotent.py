@@ -30,7 +30,7 @@ from arrlie.holonomy import HolonomyAlgebra, as_relation_set, pair_index, pair_l
 from lie_reference import (bracket_coords, bracket_vec, check_jacobi, det_int,
                            flat_ce_h2, graded_lie_from_tables, is_zero, mat_sub,
                            word_row_degrees)
-from test_holonomy import commutator_presentations
+from test_holonomy import commutator_presentations, presentation_sources
 
 
 def rand_el(rng, grp):
@@ -255,6 +255,20 @@ def test_evaluate_matches_the_letter_by_letter_fold(name, src):
     for bad in (grp.k, -1):
         with pytest.raises(ValueError, match="out of range"):
             grp.evaluate([(0, 1), (bad, 1)])
+
+
+def test_gr2_is_the_degree_two_lattice_of_the_tower():
+    # gr2 is the tower's own degree-2 lattice, and it projects every pair
+    # as the lattice of the relations over the same pair columns does
+    sources = [src for _name, src in standard_catalog()] + presentation_sources()
+    for src in sources:
+        grp = Class2Group(src)
+        assert grp.gr2 is HolonomyAlgebra(src, 2).quotient(2)
+        assert HolonomyAlgebra(src, 2).pairs(2) == tuple(
+            ((1, i), (1, j)) for i, j in grp.pairs)
+        want = exactla.QuotientLattice(len(grp.pairs), grp.relset.elements)
+        for e in exactla.identity(len(grp.pairs)):
+            assert grp.gr2.project(e) == want.project(e)
 
 
 # ---------------------------------------------------------------------------
