@@ -9,8 +9,8 @@ and, if pencils were also supplied, the two must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 
@@ -18,34 +18,55 @@ class ArrangementError(ValueError):
     """Invalid arrangement data (bad atoms, normals, or pencil cover)."""
 
 
-@dataclass(frozen=True)
-class Flat2:
+class Record:
+    """Base of the frozen records: a record's fields are the parameters of
+    its __init__ (its __match_args__), which stores each with self._set.
+    Like frozen dataclasses, records compare equal only within one class,
+    hash and print by their fields, and refuse assignment and deletion;
+    unlike them, they cost no import of dataclasses and inspect, about
+    20 ms of every process."""
+
+    _set = object.__setattr__
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+
+    def _values(self):
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__match_args__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+class Flat2(Record):
     """A rank-2 flat: the pencil of atoms containing it, with its Mobius value."""
-    index: int
-    members: tuple
-    mu: int
+
+    def __init__(self, index, members, mu):
+        self._set("index", index)
+        self._set("members", members)
+        self._set("mu", mu)
 
 
-@dataclass(frozen=True)
-class BettiData:
-    b1: int
-    b2: int
-
-
-def _span_key(u, v):
-    """Echelon form of span(u, v) for integer u, v, or None if proportional.
-
-    Fraction-free: each row of the reduced row echelon form, scaled to a
-    primitive integer row with a positive pivot, so the key is the same
-    for every pair of vectors that spans the plane.
-    """
-    p = min(next((c for c, x in enumerate(w) if x), len(w)) for w in (u, v))
-    r1, r2 = (u, v) if u[p] else (v, u)
-    r2 = _primitive([r1[p] * y - r2[p] * x for x, y in zip(r1, r2)])
-    if r2 is None:
-        return None
-    q = next(c for c, x in enumerate(r2) if x)
-    return _primitive([r2[q] * x - r1[q] * y for x, y in zip(r1, r2)]), r2
+class BettiData(Record):
+    def __init__(self, b1, b2):
+        self._set("b1", b1)
+        self._set("b2", b2)
 
 
 def _primitive(row):
@@ -61,7 +82,7 @@ def _primitive(row):
 
 def _integer_row(v):
     """The rational vector v times the lcm of its denominators."""
-    v = [Fraction(x) for x in v]
+    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     d = lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v]
 
@@ -69,8 +90,10 @@ def _integer_row(v):
 def pencils_from_normals(atoms, normals):
     """Rank-2 coincidence classes of the normals, as sorted index tuples.
 
-    Two pairs of normals lie in one pencil when they span the same plane,
-    so pairs are grouped by the echelon form of their span.  Raises
+    Each normal is made a primitive integer row once.  Atom i groups the
+    later atoms j by the primitive form of n_i[p] * n_j - n_j[p] * n_i (p
+    the first nonzero coordinate of n_i), the image of n_j modulo n_i, and
+    skips pairs in a pencil found from an earlier atom.  Raises
     ArrangementError on zero, proportional, or ragged normals, naming the
     offending atoms.
     """
@@ -83,16 +106,26 @@ def pencils_from_normals(atoms, normals):
     for i, v in enumerate(normals):
         if all(x == 0 for x in v):
             raise ArrangementError("normal of atom %r is zero" % (atoms[i],))
-    normals = [_integer_row(v) for v in normals]
-    planes = {}
-    for i in range(m):
+    rows = [_primitive(_integer_row(v)) for v in normals]
+    if len(set(rows)) < m:
+        i, j = next((i, j) for i in range(m) for j in range(i + 1, m)
+                    if rows[i] == rows[j])
+        raise ArrangementError(
+            "normals of atoms %r and %r are proportional" % (atoms[i], atoms[j]))
+    out, covered = [], set()
+    for i, u in enumerate(rows):
+        p = next(c for c, x in enumerate(u) if x)
+        a = u[p]
+        planes = {}
         for j in range(i + 1, m):
-            key = _span_key(normals[i], normals[j])
-            if key is None:
-                raise ArrangementError(
-                    "normals of atoms %r and %r are proportional" % (atoms[i], atoms[j]))
-            planes.setdefault(key, set()).update((i, j))
-    out = sorted(tuple(sorted(members)) for members in planes.values())
+            if (i, j) not in covered:
+                b = rows[j][p]
+                key = _primitive([a * y - b * x for x, y in zip(u, rows[j])])
+                planes.setdefault(key, [i]).append(j)
+        for members in planes.values():
+            out.append(tuple(members))
+            covered.update(combinations(members[1:], 2))
+    out.sort()
     _check_pair_cover(atoms, out)
     return out
 
@@ -133,7 +166,8 @@ class Arrangement:
         if normals is None and pencils is None:
             raise ArrangementError("need normals or pencils")
         if normals is not None:
-            normals = tuple(tuple(Fraction(x) for x in v) for v in normals)
+            normals = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+                                  for x in v) for v in normals)
             derived = [tuple(p) for p in pencils_from_normals(atoms, normals)]
             if pencils is not None:
                 given = sorted(tuple(sorted(p)) for p in pencils)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -36,7 +37,20 @@ class InputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors become input errors: one stderr line and exit 2."""
+    """Usage errors become input errors: one stderr line and exit 2.
+
+    A subcommand's parser gets its arguments from add_arguments the first
+    time it parses, so a process pays only for the subcommands it runs."""
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            self._add_arguments(self)
+            self._add_arguments = None
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise InputError("%s (see %s -h)" % (" ".join(message.split()), self.prog))
@@ -111,11 +125,10 @@ def _check_cost(what, cost, guard):
 
 def _pencil_cost(atoms, dim):
     # every atom pair is checked against the pencil cover, 16 units, and,
-    # with normals of dimension dim, spanned by its two normals by
-    # fraction-free integer elimination, one unit per coordinate: that puts
-    # the default guard at runs of about ten seconds either way (generic
-    # 1118, cover only, and braid 35, 595 atoms in dimension 35, take
-    # 7.1 s and 7.6 s on a 2-CPU x86-64 machine)
+    # with normals of dimension dim, its plane is keyed by one primitive
+    # reduction, one unit per coordinate: at the default guard generic
+    # 1118, cover only, takes about 6 s and braid 35, 595 atoms in
+    # dimension 35, about 2.7 s on a 2-CPU x86-64 machine
     return (atoms * (atoms - 1) // 2) * (16 + dim)
 
 
@@ -375,17 +388,16 @@ def _cmd_catalog(args, digests):
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-@functools.cache
-def _build_parser():
-    """The parser, built on the first call and then kept for the process:
-    parse_args does not change it, and a build costs milliseconds."""
-    p = _Parser(
-        prog="arrlie",
-        description="Exact nilpotent and Lie-algebraic invariants of "
-                    "hyperplane-arrangement groups.")
-    sub = p.add_subparsers(dest="command", required=True)
+def _arg(*flags, **keywords):
+    """One argument of a subcommand, as add_argument would take it."""
+    return flags, keywords
 
-    def common(sp, ring=False, degree=None, maxdeg=None):
+
+def _arguments(*own, ring=False, degree=None, maxdeg=None):
+    """The adder of a subcommand's arguments: its own, then the common ones."""
+    def add(sp):
+        for flags, keywords in own:
+            sp.add_argument(*flags, **keywords)
         sp.add_argument("--table", action="store_true",
                         help="aligned text output instead of JSON")
         sp.add_argument("--report", action="store_true",
@@ -404,86 +416,68 @@ def _build_parser():
         if maxdeg is not None:
             sp.add_argument("--max-degree", type=int, default=maxdeg,
                             dest="max_degree")
+    return add
 
-    sp = sub.add_parser("lattice", help="atoms, pencils, Mobius and Betti data")
-    sp.add_argument("file")
-    common(sp)
-    sp.set_defaults(func=_cmd_lattice)
 
-    sp = sub.add_parser("betti", help="b1 and b2 of the complement")
-    sp.add_argument("file")
-    common(sp)
-    sp.set_defaults(func=_cmd_betti)
+_FILE = _arg("file")
 
-    sp = sub.add_parser("witt", help="free Lie algebra rank table")
-    sp.add_argument("--alphabet", type=int, required=True)
-    common(sp, maxdeg=5)
-    sp.set_defaults(func=_cmd_witt)
+# name: (help line, handler, adder of its arguments), in the order -h lists them
+_COMMANDS = {
+    "lattice": ("atoms, pencils, Mobius and Betti data", _cmd_lattice,
+                _arguments(_FILE)),
+    "betti": ("b1 and b2 of the complement", _cmd_betti, _arguments(_FILE)),
+    "witt": ("free Lie algebra rank table", _cmd_witt, _arguments(
+        _arg("--alphabet", type=int, required=True), maxdeg=5)),
+    "holonomy": ("graded pieces of the holonomy Lie algebra", _cmd_holonomy,
+                 _arguments(_FILE, ring=True, maxdeg=3)),
+    "falk": ("rank of the degree 3 piece over Q", _cmd_falk,
+             _arguments(_FILE)),
+    "nq2": ("evaluate a word in the class-2 quotient", _cmd_nq2, _arguments(
+        _FILE,
+        _arg("--word", required=True,
+             help="dotted word like H1.H2.H1^-1.H2^-1, or, when every "
+                  "name is one lowercase letter, letters like xyXY"))),
+    "kinv": ("k-invariant matrix of the class-2 extension", _cmd_kinv,
+             _arguments(_FILE)),
+    "h2check": ("H2 rank comparison for the degree-n quotient", _cmd_h2check,
+                _arguments(_FILE, ring=True, degree=3)),
+    "decomp": ("decomposability verdict", _cmd_decomp, _arguments(_FILE)),
+    "lcs": ("LCS ranks, decomposable product formula", _cmd_lcs,
+            _arguments(_FILE, maxdeg=5)),
+    "verify-iso": ("diagram certificate for a lattice isomorphism",
+                   _cmd_verify_iso, _arguments(
+        _arg("file_a"),
+        _arg("file_b"),
+        _arg("--iso", required=True,
+             help="atom map as inline JSON or a path to a JSON file"),
+        _arg("--corrections",
+             help="B-side local corrections, inline JSON or a path: "
+                  "{flat: {\"atom.degree\": [coords...]}}"),
+        _arg("--perturb", choices=["sigma", "lift"],
+             help="negative control: break one leg on purpose"),
+        _arg("--out", help="directory for the audit bundle"),
+        ring=True, degree=4)),
+    "catalog": ("emit a catalog arrangement as JSON", _cmd_catalog, _arguments(
+        _arg("family", help="braid, pencil, generic, or near_pencil"),
+        _arg("param", type=int),
+        _arg("--out", metavar="FILE",
+             help="also write the printed JSON to FILE"))),
+}
 
-    sp = sub.add_parser("holonomy", help="graded pieces of the holonomy "
-                                         "Lie algebra")
-    sp.add_argument("file")
-    common(sp, ring=True, maxdeg=3)
-    sp.set_defaults(func=_cmd_holonomy)
 
-    sp = sub.add_parser("falk", help="rank of the degree 3 piece over Q")
-    sp.add_argument("file")
-    common(sp)
-    sp.set_defaults(func=_cmd_falk)
-
-    sp = sub.add_parser("nq2", help="evaluate a word in the class-2 quotient")
-    sp.add_argument("file")
-    sp.add_argument("--word", required=True,
-                    help="dotted word like H1.H2.H1^-1.H2^-1, or, when every "
-                         "name is one lowercase letter, letters like xyXY")
-    common(sp)
-    sp.set_defaults(func=_cmd_nq2)
-
-    sp = sub.add_parser("kinv", help="k-invariant matrix of the class-2 "
-                                     "extension")
-    sp.add_argument("file")
-    common(sp)
-    sp.set_defaults(func=_cmd_kinv)
-
-    sp = sub.add_parser("h2check", help="H2 rank comparison for the degree-n "
-                                        "quotient")
-    sp.add_argument("file")
-    common(sp, ring=True, degree=3)
-    sp.set_defaults(func=_cmd_h2check)
-
-    sp = sub.add_parser("decomp", help="decomposability verdict")
-    sp.add_argument("file")
-    common(sp)
-    sp.set_defaults(func=_cmd_decomp)
-
-    sp = sub.add_parser("lcs", help="LCS ranks, decomposable product formula")
-    sp.add_argument("file")
-    common(sp, maxdeg=5)
-    sp.set_defaults(func=_cmd_lcs)
-
-    sp = sub.add_parser("verify-iso", help="diagram certificate for a "
-                                           "lattice isomorphism")
-    sp.add_argument("file_a")
-    sp.add_argument("file_b")
-    sp.add_argument("--iso", required=True,
-                    help="atom map as inline JSON or a path to a JSON file")
-    sp.add_argument("--corrections",
-                    help="B-side local corrections, inline JSON or a path: "
-                         "{flat: {\"atom.degree\": [coords...]}}")
-    sp.add_argument("--perturb", choices=["sigma", "lift"],
-                    help="negative control: break one leg on purpose")
-    sp.add_argument("--out", help="directory for the audit bundle")
-    common(sp, ring=True, degree=4)
-    sp.set_defaults(func=_cmd_verify_iso)
-
-    sp = sub.add_parser("catalog", help="emit a catalog arrangement as JSON")
-    sp.add_argument("family", help="braid, pencil, generic, or near_pencil")
-    sp.add_argument("param", type=int)
-    sp.add_argument("--out", metavar="FILE",
-                    help="also write the printed JSON to FILE")
-    common(sp)
-    sp.set_defaults(func=_cmd_catalog)
-
+@functools.cache
+def _build_parser():
+    """The parser, built on the first call and then kept for the process.
+    Each subcommand's arguments are added the first time it is parsed, and
+    parse_args changes the parser in no other way."""
+    p = _Parser(
+        prog="arrlie",
+        description="Exact nilpotent and Lie-algebraic invariants of "
+                    "hyperplane-arrangement groups.")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help, func, add_arguments) in _COMMANDS.items():
+        sub.add_parser(name, help=help, add_arguments=add_arguments) \
+            .set_defaults(func=func)
     return p
 
 
@@ -518,6 +512,11 @@ def main(argv=None):
     sys.stdout.write(text)
     return code
 
+
+# The modules and tables imported so far live as long as the process: move
+# them out of the collector's generations, so that no collection during a
+# command walks them again.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -27,10 +27,8 @@ are bracketed with the tower's own tables (HolonomyAlgebra.bracket).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import exactla, rings
-from .arrangement import Arrangement, localize
+from .arrangement import Arrangement, Record, localize
 from .freelie import DEFAULT_GUARD, _moebius, witt_rank
 from .holonomy import HolonomyAlgebra, holonomy_graded
 
@@ -206,21 +204,23 @@ def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD):
 # ---------------------------------------------------------------------------
 # lifts in correction form
 
-@dataclass(frozen=True)
-class LocalLift:
+class LocalLift(Record):
     """Lift data on one pencil: corrections (atom, degree) -> local coords."""
-    flat: object
-    n: int
-    corrections: dict
+
+    def __init__(self, flat, n, corrections):
+        self._set("flat", flat)
+        self._set("n", n)
+        self._set("corrections", corrections)
 
 
-@dataclass(frozen=True)
-class GlobalLift:
+class GlobalLift(Record):
     """Assembled lift candidate: corrections (atom, degree) -> global coords,
     delta (atom, flat index) -> degree-n relator components (its H2 block)."""
-    n: int
-    corrections: dict
-    delta: dict
+
+    def __init__(self, n, corrections, delta):
+        self._set("n", n)
+        self._set("corrections", corrections)
+        self._set("delta", delta)
 
 
 def local_lift(arr, flat_index, corrections, n, guard=DEFAULT_GUARD, alg=None):
@@ -449,21 +449,22 @@ def lift_h2_matrix(arr, glift, dim):
 # ---------------------------------------------------------------------------
 # diagram instances
 
-@dataclass(frozen=True)
-class DiagramInstance:
+class DiagramInstance(Record):
     """Matrix data of the H2 comparison triangle over a coefficient ring.
 
     g2: H2(X_a) -> H2(X_b) on relator bases; la_star, lb_star: induced maps
     of the two lifts into the split H2 of the common nilpotent quotient;
     sigma_a, sigma_b: the splittings H2(N) -> degree-n piece applied after
-    the A leg and after the B leg.
+    the A leg and after the B leg.  Each matrix is a tuple of row tuples.
     """
-    g2: tuple
-    la_star: tuple
-    lb_star: tuple
-    sigma_a: tuple
-    sigma_b: tuple
-    ring: tuple = rings.Z
+
+    def __init__(self, g2, la_star, lb_star, sigma_a, sigma_b, ring=rings.Z):
+        self._set("g2", g2)
+        self._set("la_star", la_star)
+        self._set("lb_star", lb_star)
+        self._set("sigma_a", sigma_a)
+        self._set("sigma_b", sigma_b)
+        self._set("ring", ring)
 
 
 def _freeze(mat):
@@ -568,11 +569,12 @@ def check_diagram(d):
 # ---------------------------------------------------------------------------
 # lattice isomorphisms and the end-to-end verifier
 
-@dataclass(frozen=True)
-class LatticeIso:
+class LatticeIso(Record):
     """Atom bijection A -> B inducing a bijection of rank-2 flats."""
-    atom_map: tuple
-    flat_map: tuple
+
+    def __init__(self, atom_map, flat_map):
+        self._set("atom_map", atom_map)
+        self._set("flat_map", flat_map)
 
 
 def lattice_iso(arr_a, arr_b, mapping):

@@ -23,35 +23,32 @@ the nullity of multiplication E^1 x I^2 -> E^3 (the Falk invariant).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, prod
 
 from . import exactla, rings
-from .arrangement import Arrangement
+from .arrangement import Arrangement, Record
 from .exactla import QuotientLattice
 from .freelie import DEFAULT_GUARD, SizeGuardError
 
 _GEN_LETTERS = "xyzabcdefghijklmnopqrstuvw"
 
 
-@dataclass(frozen=True)
-class GradedAbelian:
+class GradedAbelian(Record):
     """Finitely generated abelian group: free rank and divisor chain (> 1)."""
-    rank: int
-    torsion: tuple = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank, torsion=()):
+        if rank < 0:
             raise ValueError("negative rank")
-        tor = tuple(int(d) for d in self.torsion)
+        tor = tuple(int(d) for d in torsion)
         for d in tor:
             if d <= 1:
                 raise ValueError("torsion divisors must exceed 1")
         for a, b in zip(tor, tor[1:]):
             if b % a:
                 raise ValueError("torsion divisors must form a chain")
-        object.__setattr__(self, "torsion", tor)
+        self._set("rank", rank)
+        self._set("torsion", tor)
 
 
 def pair_list(k):
@@ -63,17 +60,19 @@ def pair_index(k):
     return {p: t for t, p in enumerate(pair_list(k))}
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(Record):
     """Degree-2 relations over the degree-2 basis of the free Lie algebra.
 
-    labels carries provenance: (flat index, atom index) for arrangement
-    relations, or None for relations coming from a presentation.
+    elements is a tuple of {pair position: coeff} dicts.  labels carries
+    provenance: (flat index, atom index) for arrangement relations, or
+    None for relations coming from a presentation.
     """
-    alphabet: int
-    elements: tuple   # of {pair position: coeff} dicts
-    labels: tuple
-    atom_names: tuple
+
+    def __init__(self, alphabet, elements, labels, atom_names):
+        self._set("alphabet", alphabet)
+        self._set("elements", elements)
+        self._set("labels", labels)
+        self._set("atom_names", atom_names)
 
     def __len__(self):
         return len(self.elements)
@@ -131,17 +130,18 @@ def letter_word(names, text):
     return seq
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Finite presentation with commutator relators (zero exponent sums).
 
     Relators are letter words: lowercase is a generator, uppercase its
     inverse.  Default generator names are taken from 'xyzabc...' in
     order; pass names to choose others.
     """
-    generators: int
-    relators: tuple
-    names: tuple
+
+    def __init__(self, generators, relators, names):
+        self._set("generators", generators)
+        self._set("relators", relators)
+        self._set("names", names)
 
     def letter_sequence(self, relator):
         return letter_word(self.names, relator)

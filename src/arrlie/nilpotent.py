@@ -29,10 +29,9 @@ GradedLie checks the Jacobi identity as d2 . d3 = 0 on the same blocks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import exactla, rings
-from .arrangement import Arrangement
+from .arrangement import Arrangement, Record
 from .exactla import QuotientLattice
 from .freelie import DEFAULT_GUARD, SizeGuardError
 from .holonomy import (GradedAbelian, HolonomyAlgebra, as_relation_set,
@@ -52,11 +51,12 @@ _WORD_TOKEN = re.compile(r"([^\^\s]+)(?:\^(-?\d+))?")
 _H2_TRIPLE_COST = 32
 
 
-@dataclass(frozen=True)
-class Class2Element:
+class Class2Element(Record):
     """Normal form (exponent vector, central tail) in a class-2 group."""
-    exps: tuple
-    tail: tuple
+
+    def __init__(self, exps, tail):
+        self._set("exps", exps)
+        self._set("tail", tail)
 
 
 class Class2Group:
@@ -77,8 +77,9 @@ class Class2Group:
         self.names = self.relset.atom_names
         self.pairs = pair_list(k)
         pidx = pair_index(k)
-        # the pair (i, j), i < j, sits at position self._row[i] + j
+        # the pair (i, j), i < j (j in self._above[i]), is at self._row[i] + j
         self._row = [pidx.get((i, i + 1), 0) - i - 1 for i in range(k)]
+        self._above = [range(i + 1, k) for i in range(k)]
         self.gr2 = HolonomyAlgebra(self.relset, 2).quotient(2)  # over self.pairs
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
         self._letter_words = single_letter_names(self.names)
@@ -103,22 +104,22 @@ class Class2Group:
     def _collect(self, v, word):
         """Multiply exponent vector v on the right by word, in place.
 
-        Returns the gr2 tail that the collection adds.  Collecting x_idx^e
-        past x_i^v[i] for every i > idx adds e * v[i] times the cocycle
-        (i, idx), which is minus the pair (idx, i).  The sum is kept in
-        ambient pair coordinates and projected once; projecting is
+        word is (generator index, exponent) pairs with every index in
+        range.  Returns the gr2 tail that the collection adds.  Collecting
+        x_idx^e past x_i^v[i] for every i > idx adds e * v[i] times the
+        cocycle (i, idx), which is minus the pair (idx, i).  The sum is kept
+        in ambient pair coordinates and projected once; projecting is
         Z-linear, so this gives the same canonical torsion residues as
         reducing after every letter.
         """
-        k, row = self.k, self._row
+        row, above = self._row, self._above
         raw = [0] * len(self.pairs)
         for idx, e in word:
-            if not 0 <= idx < k:
-                raise ValueError("generator index %d out of range" % idx)
             off = row[idx]
-            for i in range(idx + 1, k):
-                if v[i]:
-                    raw[off + i] -= e * v[i]
+            for i in above[idx]:
+                x = v[i]
+                if x:
+                    raw[off + i] -= e * x
             v[idx] += e
         return self.gr2.project(raw)
 
@@ -188,9 +189,15 @@ class Class2Group:
     def evaluate(self, word):
         """Normal form of a word: a string for parse_word, or a sequence of
         (generator index, exponent) pairs.  The whole word is collected in
-        pair coordinates and projected to gr2 once."""
+        pair coordinates and projected to gr2 once.  A sequence is range
+        checked once; parse_word builds only indices in range."""
         if isinstance(word, str):
             word = self.parse_word(word)
+        else:
+            word = list(word)
+            bad = next((idx for idx, _e in word if not 0 <= idx < self.k), None)
+            if bad is not None:
+                raise ValueError("generator index %d out of range" % bad)
         v = [0] * self.k
         tail = self._collect(v, word)
         return Class2Element(tuple(v), tuple(tail))

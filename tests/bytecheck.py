@@ -10,12 +10,13 @@ an --out bundle, one indented line per bundle file with its sha256 and
 its path below the temporary directory.  By default the
 commands run in order in this process through arrlie.cli.main, so later
 commands read the holonomy towers that earlier ones built; with --fresh
-each command runs in its own `python -m arrlie` process.  Run it on two
+each command runs in its own `python -m arrlie` process.  Help text is
+wrapped at COLUMNS=80 either way.  Run it on two
 source trees (it imports arrlie from the src/ beside this file) and diff
 the outputs to check that a change keeps every byte.  pytest does not
 collect this file: it is a script, not a test module.
 
-The set, 341 commands plus the nq2 words:
+The set, 353 commands plus the nq2 words:
   - h2check over z, q and fp:2 on the 17 catalog arrangements at degree 3
     and the 15 decomposable ones at degree 4, with and without --override;
   - holonomy over z, q and fp:3 on the 17 at --max-degree 3, and at 4
@@ -31,7 +32,8 @@ The set, 341 commands plus the nq2 words:
     near_pencil(5) under the 4-cycle at degree 5 (27 commands);
   - nq2 on the 17 with seeded dotted words (some tokens padded with
     spaces), on the presentations with seeded letter and dotted words,
-    and three refused words.
+    and three refused words;
+  - SUB -h for each of the 12 subcommands.
 """
 
 from __future__ import annotations
@@ -142,6 +144,9 @@ def commands(catalog, pres):
             cmds.append(["nq2", path, "--word", dotted_word(rng, ["x", "y"], False)])
     for word in ("H1^", "H1.H9", ""):
         cmds.append(["nq2", files["pencil(3)"], "--word", word])
+    for sub in ("lattice", "betti", "witt", "holonomy", "falk", "nq2", "kinv",
+                "h2check", "decomp", "lcs", "verify-iso", "catalog"):
+        cmds.append([sub, "-h"])
     return cmds
 
 
@@ -168,6 +173,7 @@ def main():
                     help="run each command in its own process")
     args = ap.parse_args()
     run = run_fresh if args.fresh else run_here
+    os.environ["COLUMNS"] = "80"   # the width -h wraps to, in both modes
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         catalog, pres = write_inputs(workdir)

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -207,6 +208,81 @@ def test_pencils_from_normals_match_the_fraction_rref_grouping():
         assert pencils_from_normals(atoms, normals) == want
         seen_big_pencil += any(len(p) > 2 for p in want)
     assert seen_big_pencil >= 30 and seen_proportional >= 30
+
+
+def span_key_pencils(atoms, normals):
+    """The pair-by-pair grouping that pencils_from_normals used to run:
+    every pair is keyed by the fraction-free echelon form of its span, two
+    primitive reductions each, and the first proportional pair is named."""
+    def primitive(row):
+        g = gcd(*row)
+        if not g:
+            return None
+        if next(x for x in row if x) < 0:
+            g = -g
+        return tuple(x // g for x in row)
+
+    def span_key(u, v):
+        p = min(next((c for c, x in enumerate(w) if x), len(w)) for w in (u, v))
+        r1, r2 = (u, v) if u[p] else (v, u)
+        r2 = primitive([r1[p] * y - r2[p] * x for x, y in zip(r1, r2)])
+        if r2 is None:
+            return None
+        q = next(c for c, x in enumerate(r2) if x)
+        return primitive([r2[q] * x - r1[q] * y for x, y in zip(r1, r2)]), r2
+
+    rows = []
+    for v in normals:
+        v = [Fraction(x) for x in v]
+        d = lcm(*(x.denominator for x in v))
+        rows.append([x.numerator * (d // x.denominator) for x in v])
+    planes = {}
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            key = span_key(rows[i], rows[j])
+            if key is None:
+                raise ArrangementError(
+                    "normals of atoms %r and %r are proportional" % (atoms[i], atoms[j]))
+            planes.setdefault(key, set()).update((i, j))
+    return sorted(tuple(sorted(members)) for members in planes.values())
+
+
+def test_pencils_from_normals_match_the_span_key_grouping():
+    # relabelled and rescaled braid normals, plus normals drawn from a few
+    # planes of a random space so that big pencils, a plane seen from
+    # several first atoms and proportional pairs all occur
+    rng = random.Random(31)
+    cases = []
+    for n in (3, 4, 5, 6, 7):
+        normals = [tuple(rng.choice((1, -1, 2, Fraction(-1, 3))) * x for x in v)
+                   for v in braid(n).normals]
+        rng.shuffle(normals)
+        cases.append(normals)
+    for _ in range(300):
+        dim = rng.randint(2, 7)
+        base = [[rng.randint(-3, 3) for _ in range(dim)]
+                for _ in range(rng.randint(2, 5))]
+        normals = []
+        while len(normals) < rng.randint(2, 10):
+            a, b = rng.sample(base, 2)
+            s, t = rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            v = tuple(s * x + t * y for x, y in zip(a, b))
+            if any(v):
+                normals.append(v)
+        cases.append(normals)
+    big = proportional = 0
+    for normals in cases:
+        atoms = ["H%d" % (i + 1) for i in range(len(normals))]
+        try:
+            want = span_key_pencils(atoms, normals)
+        except ArrangementError as e:
+            proportional += 1
+            with pytest.raises(ArrangementError, match=re.escape(str(e))):
+                pencils_from_normals(atoms, normals)
+            continue
+        assert pencils_from_normals(atoms, normals) == want
+        big += any(len(p) > 2 for p in want)
+    assert big >= 40 and proportional >= 40
 
 
 def test_pencils_from_normals_error_paths():

@@ -583,6 +583,130 @@ def test_reuse_within_one_process_keeps_bytes(capsys, tmp_path, monkeypatch):
                 assert len(lines) == 1 and lines[0].startswith("arrlie: error:")
 
 
+# One usage error per subcommand ("" is the top level); argparse refuses
+# each before any file is read.
+USAGE_ERRORS = {
+    "": ["nope"],
+    "lattice": ["lattice"],
+    "betti": ["betti", "f.json", "--nope"],
+    "witt": ["witt", "--alphabet", "two"],
+    "holonomy": ["holonomy", "f.json", "--max-degree"],
+    "falk": ["falk", "f.json", "g.json"],
+    "nq2": ["nq2", "f.json"],
+    "kinv": ["kinv", "f.json", "--guard", "1.5"],
+    "h2check": ["h2check", "f.json", "--degree", "x"],
+    "decomp": ["decomp"],
+    "lcs": ["lcs", "f.json", "--max-degree", "x"],
+    "verify-iso": ["verify-iso", "a.json", "b.json", "--perturb", "both"],
+    "catalog": ["catalog", "braid", "x"],
+}
+
+# (exit code, stdout sha256, stderr sha256) of `SUB -h` and of SUB's usage
+# error at COLUMNS=80, as the parser gave them when it added every
+# subcommand's arguments when it was built
+PARSER_TEXT_BYTES = {
+    ('', '-h'):
+        (0, '03942fb304c3788f3c0d3c07c45bfccb68a1ab54a6459cedce0ea87b41e52539',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('lattice', '-h'):
+        (0, '66798c986e2e839a984566c9bbf66f9339209196b4c084675c0543f45b3ea044',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('betti', '-h'):
+        (0, '82524f38ae633603154202fedd0eaa3c5b732070747a16702800501835c3e0d3',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('witt', '-h'):
+        (0, 'e94dc662ff2c634df92c3e58113f37628b3657f1d56675d336d7107032b02b0c',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('holonomy', '-h'):
+        (0, '2be6433cd48299b250a0e59f1e1e243f3a16035ffc90d6dfe5b3878a4b8014aa',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('falk', '-h'):
+        (0, '0f899e175cda939881b5dbe99eb084361a44482a01219176ca7edf3589ff0057',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('nq2', '-h'):
+        (0, 'c2a9ff29892e6d80ab80a06141defeeda2faa23535d040405233eb73c97235df',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('kinv', '-h'):
+        (0, '4d319afe652cedad0e4d93da0dbcdca37abc6c0ce1f1569ead719f4e8b38e46f',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('h2check', '-h'):
+        (0, '3b4827550d78e7095e070c99c376809ea5eabef61907f9b9305597bdf727c69a',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('decomp', '-h'):
+        (0, 'd2a9cd9d73d27897c86a6af7ef003d6411bf742b96ff9572bd01ba095a290462',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('lcs', '-h'):
+        (0, 'f02220f9c160a25fc937dcb07ce6df3727d0358199b547e022f2e5fc7f49e3b9',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('verify-iso', '-h'):
+        (0, 'd12972eba75979498da52ba8a6f4f3580f2671e5170bf4af74642c9e95f50c26',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('catalog', '-h'):
+        (0, 'c9a84899a5e06cdfe51ae9950976042e576248d9a9fd7f783c05cc11eabb4052',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'b778d103b9efaa5f268f25f7f7edaf07052d001a08198f9b13ae8b2588908ef5'),
+    ('lattice', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         '80dab77b5b5827855a80c6e7385ef459cb3f32db96d46871cc7d82034790cb58'),
+    ('betti', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         '4871d0a6a3d3d7eb2e1707431fb160b71711cf8a1f8c45d1f35f27bdb2d76665'),
+    ('witt', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         '1dfec7119367d325e08549c0a425b0d9a12b4b9ab8de5652005a9156015b807b'),
+    ('holonomy', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'd4ff4598fde9e53a3e37e74dbce9c4511d78d125b5666b8caabb3f4b116e4c74'),
+    ('falk', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'fdc63d886fce16010e4f4dcf00cfb3ce95c91b20dedf52fef23894521408a260'),
+    ('nq2', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'f6adc97d5998c58b7217b68a0ac7b61f7648d7f4e865038931fd77686e61600a'),
+    ('kinv', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         '994741b21a1fb9da4c8010deb4cf76e533b38e49c48c273ca853811f29cfcd40'),
+    ('h2check', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         '7456b9e9d5439300e4368d4456eae8b60121e2e9404a695d05169c29747e97e5'),
+    ('decomp', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'ea746c2b1a2bb791391272dadf532d6dc14be541033fdd92c0840c57cdaadf4e'),
+    ('lcs', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'f68ec5ce0ec7b1ba8f86afbc6e89abf7aa0e05c84df3339c15593471f03985b2'),
+    ('verify-iso', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         '72d095fa17a384c91131aaca661deb74fd81048ae35072785b7f7c47a62b802a'),
+    ('catalog', 'error'):
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         '4a080ff787dc9728064e31ef931e8d55c02efde2917b2ea9f3cfd87d13514b0c'),
+}
+
+
+def test_parser_text_is_frozen(capsys, monkeypatch):
+    # each order starts from a parser with no subcommand's arguments added,
+    # so every subcommand is first parsed once for -h and once for an error
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = [((name, "-h"), ([name] if name else []) + ["-h"])
+             for name in USAGE_ERRORS]
+    cases += [((name, "error"), argv) for name, argv in USAGE_ERRORS.items()]
+    assert sorted(key for key, _ in cases) == sorted(PARSER_TEXT_BYTES)
+    for order in (cases, cases[::-1]):
+        cli._build_parser.cache_clear()
+        for key, argv in order:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            cap = capsys.readouterr()
+            got = (code, hashlib.sha256(cap.out.encode()).hexdigest(),
+                   hashlib.sha256(cap.err.encode()).hexdigest())
+            assert got == PARSER_TEXT_BYTES[key], key
+
+
 # ---------------------------------------------------------------------------
 # input errors
 

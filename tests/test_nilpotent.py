@@ -257,6 +257,77 @@ def test_evaluate_matches_the_letter_by_letter_fold(name, src):
             grp.evaluate([(0, 1), (bad, 1)])
 
 
+def checked_collect(grp, v, word):
+    """Collection as it ran when every letter was range checked and every
+    generator above it visited; the error names the first bad index."""
+    pidx = pair_index(grp.k)
+    raw = [0] * len(grp.pairs)
+    for idx, e in word:
+        if not 0 <= idx < grp.k:
+            raise ValueError("generator index %d out of range" % idx)
+        for i in range(idx + 1, grp.k):
+            if v[i]:
+                raw[pidx[(idx, i)]] -= e * v[i]
+        v[idx] += e
+    return grp.gr2.project(raw)
+
+
+def checked_evaluate(grp, word):
+    if isinstance(word, str):
+        word = grp.parse_word(word)
+    v = [0] * grp.k
+    tail = checked_collect(grp, v, word)
+    return Class2Element(tuple(v), tuple(tail))
+
+
+def checked_multiply(grp, g, h):
+    v = list(g.exps)
+    c = checked_collect(grp, v, [(j, e) for j, e in enumerate(h.exps) if e])
+    tail = grp.gr2.reduce([a + b + x for a, b, x in zip(g.tail, h.tail, c)])
+    return Class2Element(tuple(v), tuple(tail))
+
+
+def checked_inverse(grp, g):
+    c = checked_collect(grp, list(g.exps), [(j, -e) for j, e in enumerate(g.exps) if e])
+    tail = grp.gr2.reduce([-(a + x) for a, x in zip(g.tail, c)])
+    return Class2Element(tuple(-a for a in g.exps), tuple(tail))
+
+
+def _outcome_text(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name,arr", standard_catalog(),
+                         ids=[name for name, _ in standard_catalog()])
+def test_collection_matches_the_letter_checked_walk(name, arr):
+    # 200 seeded words per group, as raw sequences (a few with an index out
+    # of range) and as dotted text; each product and inverse too
+    grp = Class2Group(arr)
+    rng = random.Random("collect " + name)
+    prev = grp.identity()
+    errors = 0
+    for _ in range(200):
+        word = [(rng.randrange(grp.k), rng.choice((-3, -2, -1, 1, 2, 3)))
+                for _ in range(rng.randint(0, 16))]
+        if word and rng.random() < 0.1:
+            word.insert(rng.randrange(len(word)), (rng.choice((-1, grp.k)), 1))
+            errors += 1
+        text = ".".join("%s^%d" % (grp.names[i], e) for i, e in word
+                        if 0 <= i < grp.k)
+        for w in (word, text):
+            got = _outcome_text(grp.evaluate, w)
+            assert got == _outcome_text(checked_evaluate, grp, w), w
+        if isinstance(got, str):
+            continue
+        assert grp.multiply(prev, got) == checked_multiply(grp, prev, got)
+        assert grp.inverse(got) == checked_inverse(grp, got)
+        prev = got
+    assert errors >= 10
+
+
 def test_gr2_is_the_degree_two_lattice_of_the_tower():
     # gr2 is the tower's own degree-2 lattice, and it projects every pair
     # as the lattice of the relations over the same pair columns does
