@@ -466,16 +466,21 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser():
-    """The parser, built on the first call and then kept for the process.
-    Each subcommand's arguments are added the first time it is parsed, and
-    parse_args changes the parser in no other way."""
+def _build_parser(command=None):
+    """The parser of the one subcommand named command, or of all of them
+    when command is None, built on the first call and then kept for the
+    process.  A subcommand's parser has prog "arrlie <name>" either way, and
+    the top-level errors a one-subcommand parser can raise (unrecognized
+    arguments) read the same.  Each subcommand's arguments are added the
+    first time it is parsed, and parse_args changes the parser in no other
+    way."""
     p = _Parser(
         prog="arrlie",
         description="Exact nilpotent and Lie-algebraic invariants of "
                     "hyperplane-arrangement groups.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help, func, add_arguments) in _COMMANDS.items():
+    for name in [command] if command else _COMMANDS:
+        help, func, add_arguments = _COMMANDS[name]
         sub.add_parser(name, help=help, add_arguments=add_arguments) \
             .set_defaults(func=func)
     return p
@@ -483,10 +488,12 @@ def _build_parser():
 
 def main(argv=None):
     """Run one subcommand; returns the exit code.  Calls in one process
-    share the parser and the holonomy towers (holonomy.HolonomyAlgebra),
+    share the parsers and the holonomy towers (holonomy.HolonomyAlgebra),
     so a repeated query reuses the degrees already built."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    # a process runs one subcommand: -h, no argument, an unknown name or a
+    # leading option need the full parser, for its help and choice errors
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     digests = []
     t0 = time.time()
     try:

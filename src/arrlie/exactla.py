@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, inf, prod
 
 # Deterministic pool of large primes for the modular rank cross-check.
 _CHECK_PRIMES = (
@@ -65,20 +65,29 @@ def _eliminate(rows, ring):
     the rows left nonzero, in input order.  No row holds a zero entry, and
     over Z/m every entry is a symmetric residue in (-m/2, m/2], so +-1
     stays +-1 and products stay small.  The pivot column is the one with
-    the fewest live rows (ties: lowest column), taken from a lazy heap; the
-    pivot row is the shortest eligible row in it, then the one with the
-    smallest entry there, then the first.  Only units of the ring are
-    eligible: v with gcd(v, m) = 1 over Z/m, and over Z = Z/0 that is
-    +-1.  Over Q and over a prime field every nonzero entry is a unit and
-    the residual is empty.  So every row operation is invertible: over Z
-    it is unimodular, and pivot rows plus residual span the input lattice.
-    A column without a unit entry is skipped until a later pivot row
-    touches it, so no residual row has a unit entry.  The ring's update
+    the fewest live rows (ties: lowest column); the pivot row is the
+    shortest eligible row in it, then the one with the smallest entry
+    there, then the first, found in one scan of the column.  Only units of
+    the ring are eligible: v with gcd(v, m) = 1 over Z/m, and over Z = Z/0
+    that is +-1.  Over Q and over a prime field every nonzero entry is a
+    unit and the residual is empty.  So every row operation is
+    invertible: over Z it is unimodular, and pivot rows plus residual span
+    the input lattice.
+
+    The columns wait in a heap of (live rows, column).  A queued column
+    has one entry at its live count, pushed when it is queued and again
+    only when a pivot row changes that count; queued maps each queued
+    column to that count, so an entry for any other count, or for a column
+    no longer queued, is stale and dropped when popped.  A popped column
+    without a unit entry leaves the queue and joins it again when a later
+    pivot row touches it, as only a pivot row's columns change, in count
+    or in entries; so no residual row has a unit entry.  The ring's update
     (_update_q, _update_z or _update_mod) clears the pivot column from the
     other rows in place, and in the same pass moves each row in or out of
     the live-row set of every column where it gains or loses an entry.
-    Only the columns of a pivot row change, so only those are pushed
-    again; a popped entry whose count is out of date is dropped.
+    Each row's update reads only that row and the pivot row, and the sets
+    it touches end the same whatever the order, so the rows of the pivot
+    column go to it in set order, unsorted.
     """
     if ring == "Q":
         update, m = _update_q, None
@@ -86,43 +95,63 @@ def _eliminate(rows, ring):
         update, m = _update_z, 0
     else:
         update, m = _update_mod, ring
-    live = {}
+    half = m // 2 if m else 0
+    live, col_rows = {}, {}
     for rid, r in enumerate(rows):
         if m:
             d = {}
             for c, v in r.items():
                 v %= m
                 if v:
-                    d[c] = v - m if v > m // 2 else v
+                    d[c] = v - m if v > half else v
         else:
             d = {c: v for c, v in r.items() if v != 0}
         if d:
             live[rid] = d
-    col_rows = {}
-    for rid, row in live.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(rid)
-    heap = [(len(s), c) for c, s in col_rows.items()]
+            for c in d:
+                s = col_rows.get(c)
+                if s is None:
+                    col_rows[c] = {rid}
+                else:
+                    s.add(rid)
+    queued = {c: len(s) for c, s in col_rows.items()}
+    heap = [(n, c) for c, n in queued.items()]
     heapq.heapify(heap)
     pivots = []
     while live and heap:
         n, col = heapq.heappop(heap)
-        rids = col_rows.get(col)
-        if rids is None or len(rids) != n:
+        if queued.get(col) != n:
             continue
-        if m is not None:
-            rids = [rid for rid in rids
-                    if (v := live[rid][col]) in (1, -1) or gcd(v, m) == 1]
-            if not rids:
+        del queued[col]
+        rids = col_rows[col]
+        if n == 1:
+            (prid,) = rids
+            v = live[prid][col]
+            if m is not None and v != 1 and v != -1 and gcd(v, m) != 1:
                 continue
-        prid = min(rids, key=lambda rid: (len(live[rid]), abs(live[rid][col]), rid))
+        else:
+            prid, plen, pabs = -1, inf, inf
+            for rid in rids:
+                row = live[rid]
+                k = len(row)
+                if k > plen:
+                    continue
+                v = row[col]
+                a = v if v > 0 else -v
+                if k == plen and (a > pabs or a == pabs and rid > prid):
+                    continue
+                if m is not None and a != 1 and gcd(v, m) != 1:
+                    continue
+                prid, plen, pabs = rid, k, a
+            if prid < 0:
+                continue
         # a compact copy: in-place updates leave a row's table oversized
         prow = dict(live.pop(prid))
         pivots.append((col, prid, prow))
         # a column's set may run empty until the update is done
         for c in prow:
             col_rows[c].discard(prid)
-        batch = [(rid, live[rid]) for rid in sorted(col_rows.pop(col))]
+        batch = [(rid, live[rid]) for rid in col_rows.pop(col)]
         if batch:
             update(prow, col, batch, col_rows, m)
             for rid, row in batch:
@@ -131,9 +160,13 @@ def _eliminate(rows, ring):
         for c in prow:
             s = col_rows.get(c)
             if s:
-                heapq.heappush(heap, (len(s), c))
+                k = len(s)
+                if queued.get(c) != k:
+                    queued[c] = k
+                    heapq.heappush(heap, (k, c))
             elif s is not None:
                 del col_rows[c]
+                queued.pop(c, None)
     return pivots, list(live.items())
 
 

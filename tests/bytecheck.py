@@ -7,8 +7,9 @@ into a temporary directory, runs every command there and prints one line
 per command: the exit code, the sha256 of stdout and the command, with
 each input file named by its basename, and after a command that writes
 an --out bundle, one indented line per bundle file with its sha256 and
-its path below the temporary directory.  By default the
-commands run in order in this process through arrlie.cli.main, so later
+its path below the temporary directory, and after a command that exits 2,
+one indented line with the sha256 of its stderr, the one error line.  By
+default the commands run in order in this process through arrlie.cli.main, so later
 commands read the holonomy towers that earlier ones built; with --fresh
 each command runs in its own `python -m arrlie` process.  Help text is
 wrapped at COLUMNS=80 either way.  Run it on two
@@ -16,7 +17,7 @@ source trees (it imports arrlie from the src/ beside this file) and diff
 the outputs to check that a change keeps every byte.  pytest does not
 collect this file: it is a script, not a test module.
 
-The set, 353 commands plus the nq2 words:
+The set, 357 commands plus the nq2 words:
   - h2check over z, q and fp:2 on the 17 catalog arrangements at degree 3
     and the 15 decomposable ones at degree 4, with and without --override;
   - holonomy over z, q and fp:3 on the 17 at --max-degree 3, and at 4
@@ -33,7 +34,9 @@ The set, 353 commands plus the nq2 words:
   - nq2 on the 17 with seeded dotted words (some tokens padded with
     spaces), on the presentations with seeded letter and dotted words,
     and three refused words;
-  - SUB -h for each of the 12 subcommands.
+  - SUB -h for each of the 12 subcommands;
+  - four usage errors that the leading word decides: no argument, an
+    unknown subcommand, a leading option and an extra argument.
 """
 
 from __future__ import annotations
@@ -147,6 +150,8 @@ def commands(catalog, pres):
     for sub in ("lattice", "betti", "witt", "holonomy", "falk", "nq2", "kinv",
                 "h2check", "decomp", "lcs", "verify-iso", "catalog"):
         cmds.append([sub, "-h"])
+    cmds += [[], ["bogus"], ["--ring", "z", "holonomy", files["pencil(3)"]],
+             ["holonomy", files["pencil(3)"], "extra"]]
     return cmds
 
 
@@ -157,14 +162,14 @@ def run_here(argv):
             code = arrlie_main(argv)
         except SystemExit as e:
             code = e.code
-    return code, out.getvalue().encode()
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
 def run_fresh(argv):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
     r = subprocess.run([sys.executable, "-m", "arrlie"] + argv, env=env,
                        capture_output=True, timeout=600)
-    return r.returncode, r.stdout
+    return r.returncode, r.stdout, r.stderr
 
 
 def main():
@@ -180,9 +185,11 @@ def main():
         os.chdir(workdir)
         try:
             for argv in commands(catalog, pres):
-                code, out = run(argv)
+                code, out, err = run(argv)
                 print(code, hashlib.sha256(out).hexdigest(), shlex.join(argv),
                       flush=True)
+                if code == 2:
+                    print("    stderr", hashlib.sha256(err).hexdigest(), flush=True)
                 if "--out" in argv:
                     bundle = argv[argv.index("--out") + 1]
                     for name in sorted(os.listdir(bundle)):

@@ -773,16 +773,18 @@ def rank_sparse_pivots(rows, p=None):
     return len(pivots), [rid for _c, rid, _row in pivots]
 
 
-def copying_eliminate(rows, ring):
+def copying_eliminate(rows, ring, skipped=None):
     """exactla._eliminate as it was before rows were updated in place: the
     oracle for the in-place kernel.  Sparse elimination over ring "Q", "Z"
-    or Z/m for an int m > 1.
+    or Z/m for an int m > 1.  When skipped is a list, each column popped
+    without a unit entry is appended to it.
 
     rows: iterable of {col: int} rows (copied, not modified).  Returns
     (pivots, residual): pivots lists (col, input id, reduced row) in
     elimination order, where the row is nonzero at col and zero at every
     column pivoted before it; residual lists (input id, reduced row) for
-    the rows left nonzero, in input order.  The pivot column is the one
+    the rows left nonzero, in input order.  Over Z/m every entry is a
+    symmetric residue in (-m/2, m/2].  The pivot column is the one
     with the fewest live rows (ties: lowest column), taken from a lazy
     heap; the pivot row is the shortest eligible row in it, then the one
     with the smallest entry there, then the first.  Only units of the ring
@@ -812,7 +814,7 @@ def copying_eliminate(rows, ring):
             for c, v in r.items():
                 v %= ring
                 if v:
-                    d[c] = v
+                    d[c] = v - ring if 2 * v > ring else v
         if d:
             live[rid] = d
     col_rows = {}
@@ -830,6 +832,8 @@ def copying_eliminate(rows, ring):
         if m is not None:
             rids = [rid for rid in rids if gcd(live[rid][col], m) == 1]
             if not rids:
+                if skipped is not None:
+                    skipped.append(col)
                 continue
         prid = min(rids, key=lambda rid: (len(live[rid]), abs(live[rid][col]), rid))
         prow = live.pop(prid)
@@ -895,7 +899,8 @@ def _update_q(prow, col, olds):
 
 
 def _update_mod(p, prow, col, olds):
-    """Rows minus multiples of prow clearing col, mod p; prow[col] is a unit."""
+    """Rows minus multiples of prow clearing col, mod p, in symmetric
+    residues; prow[col] is a unit."""
     inv = pow(prow[col], -1, p)
     out = []
     for row in olds:
@@ -904,7 +909,7 @@ def _update_mod(p, prow, col, olds):
         for c, v in prow.items():
             w = (new.get(c, 0) - v * f) % p
             if w:
-                new[c] = w
+                new[c] = w - p if 2 * w > p else w
             elif c in new:
                 del new[c]
         out.append(new)

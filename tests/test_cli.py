@@ -707,6 +707,49 @@ def test_parser_text_is_frozen(capsys, monkeypatch):
             assert got == PARSER_TEXT_BYTES[key], key
 
 
+EMPTY_SHA256 = 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'
+
+# (argv, (exit code, stdout sha256, stderr sha256)) of the usage errors a
+# leading word or its absence decides, as the parser gave them when it held
+# every subcommand; "bogus" and "z" are refused with all 12 names listed
+TOP_LEVEL_ERRORS = [
+    ([], (2, EMPTY_SHA256,
+          '6cefbb89dfe056e7f351da414a9827c17f6f11ec3c4cd7e108e102e425102c42')),
+    (["bogus"], (2, EMPTY_SHA256,
+                 'c9539f5e30bef107275195784567c71940f76c077cc05400eab35383e6929869')),
+    (["--ring", "z", "holonomy", "f.json"], (
+        2, EMPTY_SHA256,
+        '97b5de8af08cb061be7ff5b21c36a6937efc154d85e243d4d8485d814b93931e')),
+    (["holonomy", "f.json", "extra"], (
+        2, EMPTY_SHA256,
+        '59b5b40ea1be15147acdf712c5b7bee61b20f124f3bb7a5f08047ab7c4dc2c64')),
+]
+
+
+def subcommands(parser):
+    """The subcommand names a parser holds."""
+    return set(parser._subparsers._group_actions[0].choices)
+
+
+def test_a_process_builds_the_parser_of_its_subcommand_only(files, capsys,
+                                                             monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._build_parser.cache_clear()
+    code, out, _ = run(capsys, ["holonomy", files["pencil3"]])
+    assert code == 0 and json.loads(out)
+    assert cli._build_parser.cache_info().currsize == 1
+    assert subcommands(cli._build_parser("holonomy")) == {"holonomy"}
+    # twice each: the kept parsers must give the same errors again
+    for _ in range(2):
+        for argv, want in TOP_LEVEL_ERRORS:
+            code = main(argv)
+            cap = capsys.readouterr()
+            assert (code, hashlib.sha256(cap.out.encode()).hexdigest(),
+                    hashlib.sha256(cap.err.encode()).hexdigest()) == want, argv
+    assert subcommands(cli._build_parser()) == set(cli._COMMANDS)
+    assert len(cli._COMMANDS) == 12
+
+
 # ---------------------------------------------------------------------------
 # input errors
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from arrlie import exactla, holonomy
-from arrlie.arrangement import braid
+from arrlie.arrangement import Arrangement, braid, near_pencil
 from lie_reference import copying_eliminate, det_int, is_zero, rank_sparse_pivots
 
 
@@ -286,40 +286,56 @@ def assert_reduced(pivots, residual, m=None):
                 assert -m < 2 * v <= m
 
 
+def relabeled(arr, seed):
+    """arr, given by normals, with its atoms in a seeded order, as the
+    benchmark feeds it."""
+    order = list(range(arr.n_atoms))
+    random.Random(seed).shuffle(order)
+    return Arrangement([arr.atoms[i] for i in order],
+                       normals=[arr.normals[i] for i in order])
+
+
 def test_in_place_kernel_matches_the_copying_kernel(monkeypatch):
-    # Over Z the pivots (column, input row, reduced row with its item
-    # order) and the residual are those of the copying kernel; over a
-    # field the ranks, and over Z/(p1*p2) the ranks mod p1 and p2
+    # On every ring, the modular cross-check's Z/(p1*p2) included, the
+    # pivots (column, input row, reduced row with its item order) and the
+    # residual are those of the copying kernel.  The inputs hold the tower
+    # blocks the benchmark eliminates, and columns that were skipped for
+    # lack of a unit entry and pivoted later.
     primes = exactla._CHECK_PRIMES[:2]
+    m = math.prod(primes)
     inputs = list(seeded_sparse_rows())
     inputs += [rows for rows, _n in composite_modulus_trials()]
-    for arr in (braid(4), braid(5)):
-        inputs += tower_blocks(monkeypatch, arr, 5)
-    saw_residual = 0
+    # over Z column 2 is skipped at count 2; the pivot row of column 0
+    # keeps that count and turns its 2 into -1, so only a re-queue of the
+    # skipped column pivots it next
+    inputs.append([{0: 1, 2: 3}, {1: 1}, {0: 1, 1: 1, 2: 2}, {0: 2, 1: 1}])
+    for arr, top in ((braid(4), 5), (braid(5), 5), (near_pencil(6), 4),
+                     (relabeled(braid(5), 7), 4)):
+        inputs += tower_blocks(monkeypatch, arr, top)
+    saw_residual = skipped_then_pivoted = 0
     for rows in inputs:
         before = [list(row.items()) for row in rows]
-        pivots, residual = exactla._eliminate(rows, "Z")
-        want_pivots, want_residual = copying_eliminate(rows, "Z")
-        assert ([(c, rid, list(row.items())) for c, rid, row in pivots]
-                == [(c, rid, list(row.items())) for c, rid, row in want_pivots])
-        assert ([(rid, list(row.items())) for rid, row in residual]
-                == [(rid, list(row.items())) for rid, row in want_residual])
-        assert_reduced(pivots, residual)
-        saw_residual += bool(residual)
-        for ring in ("Q", 2, 3, 32003):
+        for ring in ("Z", "Q", 2, 3, 32003, m):
+            skipped = []
             pivots, residual = exactla._eliminate(rows, ring)
-            assert len(pivots) == len(copying_eliminate(rows, ring)[0])
-            assert not residual
-            assert_reduced(pivots, residual, None if ring == "Q" else ring)
-        m = math.prod(primes)
-        pivots, residual = exactla._eliminate(rows, m)
-        assert_reduced(pivots, residual, m)
-        want_pivots, want_residual = copying_eliminate(rows, m)
+            want_pivots, want_residual = copying_eliminate(rows, ring, skipped)
+            assert ([(c, rid, list(row.items())) for c, rid, row in pivots]
+                    == [(c, rid, list(row.items())) for c, rid, row in want_pivots])
+            assert ([(rid, list(row.items())) for rid, row in residual]
+                    == [(rid, list(row.items())) for rid, row in want_residual])
+            assert_reduced(pivots, residual, None if ring in ("Z", "Q") else ring)
+            if ring == "Z":
+                saw_residual += bool(residual)
+            if ring in ("Q", 2, 3, 32003):
+                assert not residual
+            skipped_then_pivoted += len(set(skipped) & {c for c, _rid, _row in pivots})
+        # the cross-check ranks the Z/(p1*p2) residual mod each prime
         want = [len(want_pivots) + len(copying_eliminate(
             [row for _rid, row in want_residual], p)[0]) for p in primes]
         assert exactla._ranks_mod(rows, primes) == want
         assert [list(row.items()) for row in rows] == before
-    assert len(inputs) == 40 + 60 + 8 and saw_residual >= 20
+    assert len(inputs) == 40 + 60 + 1 + 14 and saw_residual >= 20
+    assert skipped_then_pivoted >= 5
 
 
 @pytest.mark.parametrize("w, gens, rank, torsion", [
