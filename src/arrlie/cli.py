@@ -126,10 +126,11 @@ def _check_cost(what, cost, guard):
 def _pencil_cost(atoms, dim):
     # every atom pair is checked against the pencil cover, 16 units, and,
     # with normals of dimension dim, its plane is keyed by one primitive
-    # reduction, one unit per coordinate: at the default guard generic
-    # 1118, cover only, takes about 6 s and braid 35, 595 atoms in
-    # dimension 35, about 2.7 s on a 2-CPU x86-64 machine
-    return (atoms * (atoms - 1) // 2) * (16 + dim)
+    # reduction, a third of a unit per coordinate: at the default guard
+    # generic 1118, cover only, takes about 4.7 s, braid 41 (820 atoms in
+    # dimension 41, admitted) about 4.3 s and braid 42 (refused) about
+    # 5.2 s on a 2-CPU x86-64 machine
+    return (atoms * (atoms - 1) // 2) * (48 + dim) // 3
 
 
 def _read_input(path, digests, guard):

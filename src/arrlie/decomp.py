@@ -17,12 +17,14 @@ degree n component of each relator bracket is the obstruction matrix that
 feeds the H2-level commuting diagram; relator_components computes them
 in every degree, globally and locally.  All matrices are exact, over Z, Q,
 or F_p.  Every induced map between holonomy algebras is one renaming of
-generators, built by letter_matrix: embedding a pencil (x_i -> x_members[i]),
-restricting to a flat (x_H -> 0 outside it), and a lattice isomorphism
-(x_H -> x_g(H)).  Renamings and relator components stay in quotient
-coordinates: a class is a sum of brackets of classes of lower degree
-(HolonomyAlgebra.pairs and the lift of its coordinates), and both sides
-are bracketed with the tower's own tables (HolonomyAlgebra.bracket).
+generators, applied to a class by rename: embedding a pencil (x_i ->
+x_members[i]), restricting to a flat (x_H -> 0 outside it), and a lattice
+isomorphism (x_H -> x_g(H)); letter_matrix writes a renaming out as a
+matrix only where one is printed or inverted.  Renamings and relator
+components stay in quotient coordinates: a class is a sum of brackets of
+classes of lower degree (HolonomyAlgebra.pairs and the lift of its
+coordinates), and both sides are bracketed with the tower's own tables
+(HolonomyAlgebra.bracket).
 """
 
 from __future__ import annotations
@@ -99,12 +101,13 @@ def lcs_ranks_decomposable(arr, max_degree, guard=DEFAULT_GUARD):
 # coordinate charts between the global algebra and its localizations
 
 class Charts:
-    """Global truncated algebra plus per-flat local algebras and the
-    embed / restrict coordinate matrices between them, built on demand.
+    """Global truncated algebra plus per-flat local algebras.
 
     The local arrangement of a flat is one pencil on its members, so flats
     with the same multiplicity have the same relation set, and their
-    local algebras are views on one tower (HolonomyAlgebra)."""
+    local algebras are views on one tower (HolonomyAlgebra).  Flat fi
+    embeds by the letters of its members (local x_i -> x_members[i]) and
+    restricts by restriction[fi] (x_H -> its position, or 0 outside)."""
 
     def __init__(self, arr, n, guard=DEFAULT_GUARD):
         self.arr = arr
@@ -113,33 +116,20 @@ class Charts:
         self.local_arr = [localize(arr, f.index) for f in arr.flats]
         self.local_alg = [HolonomyAlgebra(a, max_degree=n, guard=guard)
                           for a in self.local_arr]
-        self._maps = {}
-
-    def embed(self, fi, d):
-        """Matrix of h_d(A_Y) -> h_d(A): local letter i goes to members[i]."""
-        key = ("embed", fi, d)
-        if key not in self._maps:
-            self._maps[key] = letter_matrix(self.local_alg[fi], self.alg,
-                                            self.arr.flats[fi].members, d)
-        return self._maps[key]
-
-    def restrict(self, fi, d):
-        """Matrix of h_d(A) -> h_d(A_Y): delete letters outside the flat."""
-        key = ("restrict", fi, d)
-        if key not in self._maps:
-            pos = {a: i for i, a in enumerate(self.arr.flats[fi].members)}
-            letters = [pos.get(a) for a in range(self.alg.alphabet)]
-            self._maps[key] = letter_matrix(self.alg, self.local_alg[fi],
-                                            letters, d)
-        return self._maps[key]
+        self.restriction = []
+        for f in arr.flats:
+            pos = {a: i for i, a in enumerate(f.members)}
+            self.restriction.append([pos.get(a) for a in range(arr.n_atoms)])
 
 
 def _cols_to_matrix(cols, nrows):
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
-def letter_matrix(src, dst, letters, d):
-    """Matrix on quotient coordinates of the Lie map renaming generators.
+def rename(src, dst, letters, d, x):
+    """Reduced coordinates in dst of the image of the degree-d class x of
+    src (a dense sequence or a sparse dict) under the Lie map renaming
+    generators.
 
     letters[i] is the destination letter of x_i, or None when x_i goes to
     0.  Named letters must be distinct letters of dst.  A renaming is a map
@@ -150,18 +140,23 @@ def letter_matrix(src, dst, letters, d):
     basis classes are kept on the tower of src, keyed by the relation set
     of dst and the letters, so every call, view and degree of one renaming
     in the process shares them; both views check d against their own
-    max_degree before the memo is read.
+    max_degree before the memo is read.  The letters are checked when
+    their memo is made: its key fixes both alphabets and the letters.
     """
-    named = [a for a in letters if a is not None]
-    if (len(letters) != src.alphabet or len(set(named)) != len(named)
-            or any(not 0 <= a < dst.alphabet for a in named)):
-        raise ValueError("letter map must send the %d source letters to "
-                         "distinct letters below %d, or to None"
-                         % (src.alphabet, dst.alphabet))
-    n_src, n_dst = src.dim(d), dst.dim(d)
+    src.quotient(d)  # refuses a degree past the max_degree of src
+    q = dst.quotient(d)
     tower = src._tower
     # keyed by dst's relation set, not its tower, so no evicted tower stays alive
-    images = tower.images.setdefault((dst._tower.key, tuple(letters)), {})
+    key = (dst._tower.key, tuple(letters))
+    images = tower.images.get(key)
+    if images is None:
+        named = [a for a in letters if a is not None]
+        if (len(letters) != src.alphabet or len(set(named)) != len(named)
+                or any(not 0 <= a < dst.alphabet for a in named)):
+            raise ValueError("letter map must send the %d source letters to "
+                             "distinct letters below %d, or to None"
+                             % (src.alphabet, dst.alphabet))
+        images = tower.images[key] = {}
 
     def image(s):
         vec = images.get(s)
@@ -180,8 +175,19 @@ def letter_matrix(src, dst, letters, d):
             images[s] = vec
         return vec
 
-    cols = [image((d, j)) for j in range(n_src)]
-    return [[col.get(i, 0) for col in cols] for i in range(n_dst)]
+    acc = [0] * q.dim
+    for j, c in x.items() if isinstance(x, dict) else enumerate(x):
+        if c:
+            for r, v in image((d, j)).items():
+                acc[r] += c * v
+    return q.reduce(acc)
+
+
+def letter_matrix(src, dst, letters, d):
+    """Matrix on quotient coordinates of a renaming (see rename): column j
+    is the image of the j-th basis class of degree d."""
+    cols = [rename(src, dst, letters, d, {j: 1}) for j in range(src.dim(d))]
+    return _cols_to_matrix(cols, dst.dim(d))
 
 
 def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD):
@@ -195,7 +201,8 @@ def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD):
     rows = []
     dims = []
     for f in arr.flats:
-        block = ch.restrict(f.index, d)
+        block = letter_matrix(ch.alg, ch.local_alg[f.index],
+                              ch.restriction[f.index], d)
         dims.append(len(block))
         rows.extend(block)
     return rows, dims
@@ -347,7 +354,7 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
     for f in arr.flats:
         ll = by_flat[f.index]
         for (atom, deg), vec in sorted(ll.corrections.items()):
-            img = exactla.mat_vec(ch.embed(f.index, deg), list(vec))
+            img = rename(ch.local_alg[f.index], ch.alg, f.members, deg, vec)
             key = (atom, deg)
             cur = glob.get(key)
             glob[key] = img if cur is None else [a + b for a, b in zip(cur, img)]
@@ -381,10 +388,10 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
                 for (a, d), v in by_flat[f.index].corrections.items()}
         local_cols = {f.members[i]: v for (i, _), v in relator_components(
             loc, ch.local_arr[f.index].flats, corr, n).items()}
-        res = ch.restrict(f.index, n)
         for g in arr.flats:
             for h in g.members:
-                got = loc.quotient(n).reduce(exactla.mat_vec(res, delta[(h, g.index)]))
+                got = rename(ch.alg, loc, ch.restriction[f.index], n,
+                             delta[(h, g.index)])
                 want = local_cols[h] if g.index == f.index else [0] * loc.dim(n)
                 if got != want:
                     raise RuntimeError(
@@ -412,7 +419,7 @@ def localize_global_lift(arr, glift, charts=None, guard=DEFAULT_GUARD):
                 vec = glift.corrections.get((h, deg))
                 if vec is None:
                     continue
-                v = loc.quotient(deg).reduce(exactla.mat_vec(ch.restrict(f.index, deg), list(vec)))
+                v = rename(ch.alg, loc, ch.restriction[f.index], deg, vec)
                 if any(v):
                     corr[(h, deg)] = tuple(v)
         out.append(LocalLift(flat=f, n=n, corrections=corr))
@@ -656,8 +663,7 @@ def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n):
     loc_b = ch_b.local_alg[fb.index]
     corr = {}
     for (atom_b, deg), vec in sorted(llift_b.corrections.items()):
-        q = letter_matrix(loc_b, loc_a, back, deg)
-        v = loc_a.quotient(deg).reduce(exactla.mat_vec(q, list(vec)))
+        v = rename(loc_b, loc_a, back, deg, vec)
         if any(v):
             corr[(fa.members[pos_a[atom_b]], deg)] = tuple(v)
     return LocalLift(flat=fa, n=n, corrections=corr)
@@ -703,12 +709,9 @@ def _sigma_from_locals(ch, n, ring, local_lams=None):
                     stacked[offsets[fi] + i][pairs.index(p)] += lam[i][j]
         # rho is invertible over the ring, so over Z its inverse is integral
         p = rings.char(ring)
-        inv = exactla.inverse_field(exactla.mat_mod(rho, p) if p else rho, p)
-        lam_global = exactla.mat_mul(inv, stacked)
-        if p:
-            lam_global = exactla.mat_mod(lam_global, p)
-        elif ring == rings.Z:
-            lam_global = [[int(v) for v in row] for row in lam_global]
+        inv = exactla.inverse_field(rho, p)
+        lam_global = [[v % p if p else int(v) if ring == rings.Z else v
+                       for v in row] for row in exactla.mat_mul(inv, stacked)]
     else:
         lam_global = [[0] * b2 for _ in range(g)]
     sigma = [[1 if i == j else 0 for j in range(g)] +
@@ -790,7 +793,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     pairs_b = relator_basis(arr_b)
     g = ch_b.alg.dim(n)
     delta_a = _cols_to_matrix(
-        [ch_b.alg.quotient(n).reduce(exactla.mat_vec(g_n, glift_a.delta[p]))
+        [rename(ch_a.alg, ch_b.alg, iso.atom_map, n, glift_a.delta[p])
          for p in pairs_a], g)
     g2 = iso_h2_matrix(arr_a, arr_b, iso)
     la = delta_a + g2

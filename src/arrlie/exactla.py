@@ -269,14 +269,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, x):
-    return [sum(ai[j] * x[j] for j in range(len(x)) if x[j]) for ai in a]
-
-
-def mat_mod(a, p):
-    return [[v % p for v in row] for row in a]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -524,7 +516,7 @@ class QuotientLattice:
             res = [y[c] for c in self._res_cols]
         if not self._res_cols:
             return free
-        z = mat_vec(self._u, res)
+        z = [sum(u * r for u, r in zip(row, res) if r) for row in self._u]
         return free + z[self._r:] + [z[i] % d for i, d in self._tors_rows]
 
     def _reduce_sparse(self, x):

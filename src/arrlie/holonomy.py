@@ -325,7 +325,7 @@ class HolonomyAlgebra:
     of their bracket.  Read backwards, the lift of a class of degree n
     over the columns pairs(n) writes it as a sum of brackets [s, t] of
     classes below n, so a Lie map out of the algebra is determined, degree
-    by degree, by the images of the letters (decomp.letter_matrix).
+    by degree, by the images of the letters (decomp.rename).
 
     An instance is a view on the tower of its relation set, which is
     shared by every view on the same alphabet and relations in the
@@ -427,7 +427,7 @@ class _Tower:
     filled on first use and dropped with the tower: the basis brackets
     (product), the basis definitions (definition), and the images of
     basis classes under each renaming out of this tower, which
-    decomp.letter_matrix fills.  No size guard runs here; HolonomyAlgebra
+    decomp.rename fills.  No size guard runs here; HolonomyAlgebra
     runs it before asking for a degree."""
 
     def __init__(self, alphabet, relations):

@@ -17,7 +17,7 @@ source trees (it imports arrlie from the src/ beside this file) and diff
 the outputs to check that a change keeps every byte.  pytest does not
 collect this file: it is a script, not a test module.
 
-The set, 357 commands plus the nq2 words:
+The set, 359 commands plus the nq2 words:
   - h2check over z, q and fp:2 on the 17 catalog arrangements at degree 3
     and the 15 decomposable ones at degree 4, with and without --override;
   - holonomy over z, q and fp:3 on the 17 at --max-degree 3, and at 4
@@ -31,6 +31,8 @@ The set, 357 commands plus the nq2 words:
     corrections on its pencil, on near_pencil(4) under [1, 2, 0, 3] with
     corrections on its big pencil, both at degree 4, and on
     near_pencil(5) under the 4-cycle at degree 5 (27 commands);
+  - verify-iso near_pencil(5) under the 4-cycle at degree 6 with a
+    bundle, plain, over z and fp:2: the largest rho, g_n and delta;
   - nq2 on the 17 with seeded dotted words (some tokens padded with
     spaces), on the presentations with seeded letter and dotted words,
     and three refused words;
@@ -135,6 +137,10 @@ def commands(catalog, pres):
                 cmds.append(["verify-iso", files[name], files[name], "--iso",
                              iso, "--degree", degree, "--ring", ring]
                             + extra + perturb + ["--out", out])
+    for ring in ("z", "fp:2"):
+        out = "bundle%d" % len(cmds)
+        cmds.append(["verify-iso", np5, np5, "--iso", NP5_CYCLE, "--degree",
+                     "6", "--ring", ring, "--out", out])
     rng = random.Random(2024)
     for _name, path, atoms in catalog:
         for pad in (False, False, True):

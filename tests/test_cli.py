@@ -856,24 +856,25 @@ def test_lcs_is_size_guarded(files, capsys):
 
 
 def test_catalog_is_size_guarded(capsys):
-    # refused before any pencil is built: braid(36) has 198135 atom pairs in
-    # dimension 36, generic(1119) 625521 pairs and no normals
-    for argv in (["catalog", "braid", "36"], ["catalog", "generic", "1119"],
+    # refused before any pencil is built: braid(42) has 370230 atom pairs in
+    # dimension 42, generic(1119) 625521 pairs and no normals
+    for argv in (["catalog", "braid", "42"], ["catalog", "generic", "1119"],
                  ["catalog", "generic", "100000"]):
         t0 = time.perf_counter()
         line = assert_exits_2_on_one_line(capsys, argv)
         assert time.perf_counter() - t0 < 1.0 and "guard" in line
     # every size the tests and the benchmark build passes the default guard,
-    # and so does braid(23), whose normals cost one unit per coordinate
+    # and so does braid(23), whose normals cost a third of a unit per coordinate
     for family, top in (("braid", 7), ("pencil", 8), ("generic", 8),
                         ("near_pencil", 8), ("braid", 23)):
         code, out, _ = run(capsys, ["catalog", family, str(top)])
         assert code == 0 and json.loads(out)["atoms"]
-    # braid(5): 45 atom pairs, 16 units each plus one for each of 5 coordinates
+    # braid(5): 45 atom pairs, 16 units each plus a third for each of 5
+    # coordinates, 45 * 53 // 3
     line = assert_exits_2_on_one_line(capsys, ["catalog", "braid", "5",
-                                               "--guard", "944"])
-    assert "costs 945 > guard 944" in line
-    code, out, _ = run(capsys, ["catalog", "braid", "5", "--guard", "945"])
+                                               "--guard", "794"])
+    assert "costs 795 > guard 794" in line
+    code, out, _ = run(capsys, ["catalog", "braid", "5", "--guard", "795"])
     assert code == 0 and len(json.loads(out)["atoms"]) == 10
 
 
@@ -890,19 +891,19 @@ def normals_file(tmp_path, n):
 
 
 def test_arrangement_files_are_size_guarded(tmp_path, capsys):
-    # 630 atoms in dimension 36, refused before any pencil is derived
-    big = normals_file(tmp_path, 36)
+    # 861 atoms in dimension 42, refused before any pencil is derived
+    big = normals_file(tmp_path, 42)
     for argv in (["betti", big], ["holonomy", big], ["kinv", big]):
         t0 = time.perf_counter()
         line = assert_exits_2_on_one_line(capsys, argv)
         assert time.perf_counter() - t0 < 1.0
-        assert "(630 atoms, dimension 36) costs 10303020 > guard" in line
+        assert "(861 atoms, dimension 42) costs 11106900 > guard" in line
     # the catalog cost: braid(5) has 45 atom pairs in dimension 5
     small = normals_file(tmp_path, 5)
     line = assert_exits_2_on_one_line(capsys, ["betti", small,
-                                               "--guard", "944"])
-    assert "costs 945 > guard 944" in line
-    code, out, _ = run(capsys, ["betti", small, "--guard", "945"])
+                                               "--guard", "794"])
+    assert "costs 795 > guard 794" in line
+    code, out, _ = run(capsys, ["betti", small, "--guard", "795"])
     assert code == 0 and json.loads(out)["b1"] == 10
 
 

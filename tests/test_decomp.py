@@ -37,6 +37,7 @@ from arrlie.decomp import (
     lift_h2_matrix,
     relator_basis,
     relator_components,
+    rename,
     restriction_stack,
 )
 from arrlie.holonomy import make_presentation
@@ -207,12 +208,22 @@ def test_lift_h2_matrix_blocks():
 # ---------------------------------------------------------------------------
 # charts: embeddings and restrictions between local and global algebras
 
+def embed_matrix(ch, f, d):
+    return letter_matrix(ch.local_alg[f.index], ch.alg, f.members, d)
+
+
+def restrict_matrix(ch, f, d):
+    return letter_matrix(ch.alg, ch.local_alg[f.index],
+                         ch.restriction[f.index], d)
+
+
 def test_restrict_after_embed_is_the_identity():
     for arr in (braid(4), near_pencil(5)):
         ch = Charts(arr, 4)
         for f in arr.flats:
             for d in (1, 2, 3, 4):
-                prod = exactla.mat_mul(ch.restrict(f.index, d), ch.embed(f.index, d))
+                prod = exactla.mat_mul(restrict_matrix(ch, f, d),
+                                       embed_matrix(ch, f, d))
                 assert prod == exactla.identity(ch.local_alg[f.index].dim(d))
 
 
@@ -225,8 +236,8 @@ def test_foreign_embeddings_restrict_to_zero():
             for g in arr.flats:
                 if g.index != f.index:
                     for d in (2, 3, 4):
-                        prod = exactla.mat_mul(ch.restrict(g.index, d),
-                                               ch.embed(f.index, d))
+                        prod = exactla.mat_mul(restrict_matrix(ch, g, d),
+                                               embed_matrix(ch, f, d))
                         assert is_zero(prod)
 
 
@@ -281,16 +292,18 @@ def _largest_flat_cycle(arr):
 def test_warm_renaming_images_match_a_cold_run(monkeypatch):
     # every renaming the verifier makes on the decomposable catalog at
     # n = 4 and 5; each run is repeated, so the repeat reads a warm memo
-    real, calls = decomp.letter_matrix, []
+    # (letter_matrix writes its columns out through rename, so g_n and rho
+    # are recorded too)
+    real, calls = decomp.rename, []
 
-    def recording(src, dst, letters, d):
-        mat = real(src, dst, letters, d)
-        calls.append((src, dst, tuple(letters), d, mat))
-        return mat
+    def recording(src, dst, letters, d, x):
+        y = real(src, dst, letters, d, x)
+        calls.append((src, dst, tuple(letters), d, x, y))
+        return y
 
     lifts = []
     real_lift = exactla.QuotientLattice.lift
-    monkeypatch.setattr(decomp, "letter_matrix", recording)
+    monkeypatch.setattr(decomp, "rename", recording)
     holonomy._tower.cache_clear()
     try:
         for _name, arr in standard_catalog():
@@ -308,17 +321,22 @@ def test_warm_renaming_images_match_a_cold_run(monkeypatch):
         assert not lifts
         monkeypatch.undo()
         cold = {}
-        for src, dst, letters, d, mat in calls:
+        for src, dst, letters, d, x, y in calls:
+            x = x if isinstance(x, dict) else dict(enumerate(x))
             images = src._tower.images[dst._tower.key, letters]
-            assert all((d, j) in images for j in range(src.dim(d)))
+            assert all((d, j) in images for j, c in x.items() if c)
             key = (src._tower.key, src.max_degree, dst._tower.key,
                    dst.max_degree, letters, d)
             if key not in cold:
                 holonomy._tower.cache_clear()
-                cold[key] = real(HolonomyAlgebra(src.relset, src.max_degree),
-                                 HolonomyAlgebra(dst.relset, dst.max_degree),
-                                 list(letters), d)
-            assert mat == cold[key]
+                mat = letter_matrix(HolonomyAlgebra(src.relset, src.max_degree),
+                                    HolonomyAlgebra(dst.relset, dst.max_degree),
+                                    list(letters), d)
+                cold[key] = [[row[j] for row in mat] for j in range(src.dim(d))]
+            want = [0] * dst.dim(d)
+            for j, c in x.items():
+                want = [w + c * v for w, v in zip(want, cold[key][j])]
+            assert y == dst.quotient(d).reduce(want)
         assert len(calls) > 2 * len(cold) > 200
     finally:
         holonomy._tower.cache_clear()
@@ -685,8 +703,9 @@ def test_tensor_path_matches_the_lyndon_basis_path(name, source):
                                   [rng.randint(-3, 3) for _ in range(alg.dim(d2))])]:
                 assert (bracket_coords(alg, d1, u, d2, v)
                         == old_bracket_coords(alg, d1, u, d2, v))
+    seeded = {}
     for d in range(1, top + 1):
-        c = [rng.randint(-3, 3) for _ in range(alg.dim(d))]
+        c = seeded[d] = [rng.randint(-3, 3) for _ in range(alg.dim(d))]
         assert coords(alg, d, element(alg, d, c)) == alg.quotient(d).reduce(c)
     # renamings: a permutation, then the same with one or two letters deleted
     perm = rng.sample(range(k), k)
@@ -698,10 +717,14 @@ def test_tensor_path_matches_the_lyndon_basis_path(name, source):
         maps += [(ch.local_alg[f.index], [f.members.index(a) if a in f.members
                                           else None for a in range(k)])
                  for f in source.flats if len(f.members) > 2]
+    # each renaming also maps the seeded class of every degree
     for dst, letters in maps:
         for d in range(1, top + 1):
-            assert (letter_matrix(alg, dst, letters, d)
-                    == old_letter_matrix(alg, dst, letters, d))
+            old = old_letter_matrix(alg, dst, letters, d)
+            assert letter_matrix(alg, dst, letters, d) == old
+            c = seeded[d]
+            assert (rename(alg, dst, letters, d, c) == dst.quotient(d).reduce(
+                [sum(a * b for a, b in zip(row, c)) for row in old]))
     # relator components of corrections summing to zero below top - 1
     flats = (source.flats if isinstance(source, Arrangement)
              else [Flat2(0, tuple(range(k)), k - 1)])

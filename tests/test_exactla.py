@@ -99,8 +99,8 @@ def test_inverse_field():
                                        [Fraction(0), Fraction(1)]]
     assert exactla.inverse_field([[1, 2], [2, 4]]) is None
     inv2 = exactla.inverse_field([[1, 1], [0, 1]], p=5)
-    assert exactla.mat_mod(exactla.mat_mul(inv2, [[1, 1], [0, 1]]), 5) == \
-        exactla.identity(2)
+    assert [[v % 5 for v in row] for row in
+            exactla.mat_mul(inv2, [[1, 1], [0, 1]])] == exactla.identity(2)
     assert exactla.inverse_field([[2]], p=2) is None
     with pytest.raises(ValueError, match="square"):
         exactla.inverse_field([[1, 2]])
