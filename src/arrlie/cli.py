@@ -37,20 +37,7 @@ class InputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors become input errors: one stderr line and exit 2.
-
-    A subcommand's parser gets its arguments from add_arguments the first
-    time it parses, so a process pays only for the subcommands it runs."""
-
-    def __init__(self, *args, add_arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_arguments = add_arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            self._add_arguments(self)
-            self._add_arguments = None
-        return super().parse_known_args(args, namespace)
+    """Usage errors become input errors: one stderr line and exit 2."""
 
     def error(self, message):
         raise InputError("%s (see %s -h)" % (" ".join(message.split()), self.prog))
@@ -396,7 +383,7 @@ def _arg(*flags, **keywords):
 
 def _arguments(*own, ring=False, degree=None, maxdeg=None):
     """The adder of a subcommand's arguments: its own, then the common ones."""
-    def add(sp):
+    def add_to(sp):
         for flags, keywords in own:
             sp.add_argument(*flags, **keywords)
         sp.add_argument("--table", action="store_true",
@@ -417,7 +404,7 @@ def _arguments(*own, ring=False, degree=None, maxdeg=None):
         if maxdeg is not None:
             sp.add_argument("--max-degree", type=int, default=maxdeg,
                             dest="max_degree")
-    return add
+    return add_to
 
 
 _FILE = _arg("file")
@@ -472,9 +459,8 @@ def _build_parser(command=None):
     when command is None, built on the first call and then kept for the
     process.  A subcommand's parser has prog "arrlie <name>" either way, and
     the top-level errors a one-subcommand parser can raise (unrecognized
-    arguments) read the same.  Each subcommand's arguments are added the
-    first time it is parsed, and parse_args changes the parser in no other
-    way."""
+    arguments) read the same.  parse_args does not change a parser, so a
+    kept one parses every later call the same way."""
     p = _Parser(
         prog="arrlie",
         description="Exact nilpotent and Lie-algebraic invariants of "
@@ -482,8 +468,9 @@ def _build_parser(command=None):
     sub = p.add_subparsers(dest="command", required=True)
     for name in [command] if command else _COMMANDS:
         help, func, add_arguments = _COMMANDS[name]
-        sub.add_parser(name, help=help, add_arguments=add_arguments) \
-            .set_defaults(func=func)
+        sp = sub.add_parser(name, help=help)
+        add_arguments(sp)
+        sp.set_defaults(func=func)
     return p
 
 

@@ -165,13 +165,13 @@ def rename(src, dst, letters, d, x):
             if e == 1:
                 vec = {} if letters[j] is None else {letters[j]: 1}
             else:
-                acc = [0] * dst.dim(e)
+                acc = {}
                 for (a, b), lam in tower.definition(s):
                     u, v = image(a), image(b)
                     if u and v:
                         for r, c in dst.bracket(a[0], u, b[0], v).items():
-                            acc[r] += lam * c
-                vec = {r: c for r, c in enumerate(dst.quotient(e).reduce(acc)) if c}
+                            acc[r] = acc.get(r, 0) + lam * c
+                vec = dst.quotient(e).reduce(acc)
             images[s] = vec
         return vec
 
@@ -384,6 +384,8 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
                                "not sum to zero" % (n, f.index))
     for f in arr.flats:
         loc = ch.local_alg[f.index]
+        if not loc.dim(n):
+            continue  # every column restricts to 0 = the local one
         corr = {(f.members.index(a), d): v
                 for (a, d), v in by_flat[f.index].corrections.items()}
         local_cols = {f.members[i]: v for (i, _), v in relator_components(
@@ -498,19 +500,23 @@ def _first_bad_column(a, b, p):
 def _invertible(mat, ring):
     """Whether a square matrix is invertible over the ring, by the sparse
     elimination: over Z its rows must span Z^n (exactla.is_unimodular),
-    over Q and F_p they must have rank n."""
+    over Q and F_p they must have rank n.  Over Z and F_p a row that is not
+    all ints is read into the ring first (rings.coeff); over Q such a
+    matrix goes to inverse_field."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         return False
     if n == 0:
         return True
-    p = rings.char(ring)
-    if any(not isinstance(v, int) for r in mat for v in r):
-        return exactla.inverse_field([list(r) for r in mat], p) is not None
-    rows = [{j: v for j, v in enumerate(r) if v} for r in mat]
+    ints = [set(map(type, r)) <= {int} for r in mat]
+    if ring == rings.Q and not all(ints):
+        return exactla.inverse_field(mat) is not None
+    rows = [{j: v for j, v in enumerate(
+        r if ok else [rings.coeff(ring, x) for x in r]) if v}
+        for r, ok in zip(mat, ints)]
     if ring == rings.Z:
         return exactla.is_unimodular(rows, n)
-    return exactla.rank_sparse(rows, p) == n
+    return exactla.rank_sparse(rows, rings.char(ring)) == n
 
 
 def check_diagram(d):

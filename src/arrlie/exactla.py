@@ -21,6 +21,7 @@ kernels (kernel_int) are read off a QuotientLattice too.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf, prod
 
@@ -384,7 +385,7 @@ def kernel_int(mat):
     n = len(mat[0]) if mat else 0
     q = QuotientLattice(n, mat)
     cols = [q.project({c: 1}) for c in range(n)]
-    return [[col[i] for col in cols] for i in range(q.rank)]
+    return [[col.get(i, 0) for col in cols] for i in range(q.rank)]
 
 
 def is_unimodular(rows, n):
@@ -456,6 +457,9 @@ class QuotientLattice:
     elimination order, reads the surviving columns the residual does not
     touch, then applies the residual transform to the rest.  The free part
     has `rank` entries, the torsion part one entry per divisor > 1.
+    `project` and `reduce` return the format they are given: a dense list
+    for a dense sequence, and for a sparse dict the dict {coordinate:
+    value} of the nonzero coordinates, torsion reduced either way.
     """
 
     def __init__(self, w, gens):
@@ -494,16 +498,18 @@ class QuotientLattice:
         return self.rank + len(self.torsion)
 
     def project(self, x):
-        """Quotient coordinates of an ambient vector (dense list or sparse dict).
+        """Quotient coordinates of an ambient vector, dense or sparse.
 
         A sparse dict is reduced sparsely: the pivot columns it touches are
         taken from a heap in elimination order, which is safe because a
         pivot row is zero at every column pivoted before it.
         """
+        free_cols = self._free_cols
         if isinstance(x, dict):
             y = self._reduce_sparse(x)
-            free = [y.get(c, 0) for c in self._free_cols]
-            res = [y.get(c, 0) for c in self._res_cols]
+            res = [y.pop(c, 0) for c in self._res_cols]
+            # what is left is zero at every pivot column: free columns only
+            out = {bisect_left(free_cols, c): v for c, v in y.items()}
         else:
             y = list(x)
             for col, row in self._pivots:
@@ -512,12 +518,16 @@ class QuotientLattice:
                     f *= row[col]
                     for c, v in row.items():
                         y[c] -= f * v
-            free = [y[c] for c in self._free_cols]
+            out = [y[c] for c in free_cols]
             res = [y[c] for c in self._res_cols]
         if not self._res_cols:
-            return free
+            return out
         z = [sum(u * r for u, r in zip(row, res) if r) for row in self._u]
-        return free + z[self._r:] + [z[i] % d for i, d in self._tors_rows]
+        z = z[self._r:] + [z[i] % d for i, d in self._tors_rows]
+        if isinstance(out, list):
+            return out + z
+        out.update((i, v) for i, v in enumerate(z, len(free_cols)) if v)
+        return out
 
     def _reduce_sparse(self, x):
         y = {c: v for c, v in x.items() if v}
@@ -558,16 +568,19 @@ class QuotientLattice:
         return x
 
     def reduce(self, coords):
-        """Normalize torsion coordinates into their canonical range."""
-        free = list(coords[: self.rank])
-        tors = [c % d for c, d in zip(coords[self.rank:], self.torsion)]
+        """Coordinates, dense or sparse, with torsion reduced into range."""
+        rank = self.rank
+        if isinstance(coords, dict):
+            out = {}
+            for i, v in coords.items():
+                if i >= rank:
+                    v %= self.torsion[i - rank]
+                if v:
+                    out[i] = v
+            return out
+        free = list(coords[:rank])
+        tors = [c % d for c, d in zip(coords[rank:], self.torsion)]
         return free + tors
-
-    def add(self, a, b):
-        return self.reduce([x + y for x, y in zip(a, b)])
-
-    def scale(self, c, a):
-        return self.reduce([c * x for x in a])
 
     def zero(self):
         return [0] * self.dim

@@ -397,13 +397,7 @@ class HolonomyAlgebra:
                     s, t, c = t, s, -c
                 for r, x in product(s, t).items():
                     acc[r] = acc.get(r, 0) + c * x
-        out = {}
-        for r, x in acc.items():
-            if r >= q.rank:
-                x %= q.torsion[r - q.rank]
-            if x:
-                out[r] = x
-        return out
+        return q.reduce(acc)
 
 
 # The towers of the last few relation sets used in the process.  Eight
@@ -472,10 +466,8 @@ class _Tower:
         is the memo's own: callers read it and never change it."""
         vec = self._products.get((s, t))
         if vec is None:
-            d = s[0] + t[0]
-            q, _pairs, cols = self.level(d)
-            y = q.project({cols[s, t]: 1})
-            vec = self._products[s, t] = {r: v for r, v in enumerate(y) if v}
+            q, _pairs, cols = self.level(s[0] + t[0])
+            vec = self._products[s, t] = q.project({cols[s, t]: 1})
         return vec
 
     def definition(self, s):

@@ -17,7 +17,7 @@ source trees (it imports arrlie from the src/ beside this file) and diff
 the outputs to check that a change keeps every byte.  pytest does not
 collect this file: it is a script, not a test module.
 
-The set, 359 commands plus the nq2 words:
+The set, 361 commands plus the nq2 words:
   - h2check over z, q and fp:2 on the 17 catalog arrangements at degree 3
     and the 15 decomposable ones at degree 4, with and without --override;
   - holonomy over z, q and fp:3 on the 17 at --max-degree 3, and at 4
@@ -33,6 +33,9 @@ The set, 359 commands plus the nq2 words:
     near_pencil(5) under the 4-cycle at degree 5 (27 commands);
   - verify-iso near_pencil(5) under the 4-cycle at degree 6 with a
     bundle, plain, over z and fp:2: the largest rho, g_n and delta;
+  - verify-iso generic(5) under the transposition of H1 and H2 at degrees
+    4 and 5 with a bundle, over z: every flat is a double point, whose
+    local algebra is 0 in those degrees;
   - nq2 on the 17 with seeded dotted words (some tokens padded with
     spaces), on the presentations with seeded letter and dotted words,
     and three refused words;
@@ -64,6 +67,7 @@ from arrlie.cli import main as arrlie_main  # noqa: E402
 PRESENTATIONS = {"xxyXXY": ["xxyXXY"], "xxxyXXXY": ["xxxyXXXY"]}
 NOT_DECOMPOSABLE = ("braid(4)", "braid(5)")
 NP5_CYCLE = '{"H1":"H2","H2":"H3","H3":"H4","H4":"H1","H5":"H5"}'
+G5_SWAP = "[1,0,2,3,4]"
 # (catalog name, --iso, --corrections or None, degree) of the bundle runs
 BUNDLES = [
     ("pencil(3)", '{"H1":"H2","H2":"H3","H3":"H1"}',
@@ -141,6 +145,11 @@ def commands(catalog, pres):
         out = "bundle%d" % len(cmds)
         cmds.append(["verify-iso", np5, np5, "--iso", NP5_CYCLE, "--degree",
                      "6", "--ring", ring, "--out", out])
+    g5 = files["generic(5)"]
+    for degree in ("4", "5"):
+        out = "bundle%d" % len(cmds)
+        cmds.append(["verify-iso", g5, g5, "--iso", G5_SWAP, "--degree",
+                     degree, "--ring", "z", "--out", out])
     rng = random.Random(2024)
     for _name, path, atoms in catalog:
         for pad in (False, False, True):

@@ -175,12 +175,17 @@ def test_quotient_lattice_with_torsion():
     q = exactla.QuotientLattice(3, [[2, 0, 0]])
     assert (q.rank, q.torsion, q.dim) == (2, (2,), 3)
     v = q.project([1, 0, 0])
-    assert q.add(v, v) == q.zero()
+    assert q.reduce([a + b for a, b in zip(v, v)]) == q.zero()
     for x in ([1, 2, 3], [0, -1, 4]):
         c = q.project(x)
         assert q.project(q.lift(c)) == q.reduce(c)
-    assert q.scale(2, q.project([1, 0, 0])) == q.zero()
+    assert q.reduce([2 * a for a in q.project([1, 0, 0])]) == q.zero()
     assert q.project([0, 1, 0]) != q.zero()
+
+
+def nonzero(v):
+    """The sparse dict of a dense vector's nonzero entries."""
+    return {i: a for i, a in enumerate(v) if a}
 
 
 def test_quotient_lattice_residual_block_matches_dense_smith_form():
@@ -201,13 +206,19 @@ def test_quotient_lattice_residual_block_matches_dense_smith_form():
         saw_mixed += bool(q._res_cols) and bool(q._pivots)
         for g in gens:
             assert q.project(g) == q.zero()
+            assert q.project(nonzero(g)) == {}
         for _ in range(3):
             x = [rng.randint(-5, 5) for _ in range(w)]
             y = [rng.randint(-5, 5) for _ in range(w)]
             s = [a + b for a, b in zip(x, y)]
-            assert q.project(s) == q.add(q.project(x), q.project(y))
+            assert q.project(s) == q.reduce(
+                [a + b for a, b in zip(q.project(x), q.project(y))])
             c = [rng.randint(-7, 7) for _ in range(q.dim)]
             assert q.project(q.lift(c)) == q.reduce(c)
+            # a sparse dict gives the nonzero entries of the dense answer
+            for v in (x, y, s):
+                assert q.project(nonzero(v)) == nonzero(q.project(v))
+            assert q.reduce(nonzero(c)) == nonzero(q.reduce(c))
     assert saw_full_residual and saw_mixed
 
 

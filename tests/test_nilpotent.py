@@ -205,8 +205,8 @@ def old_multiply(grp, g, h):
     for i, a in enumerate(g.exps):
         for j in range(i):
             raw[pidx[(j, i)]] -= a * h.exps[j]
-    tail = grp.gr2.add(list(g.tail),
-                       grp.gr2.add(list(h.tail), grp.gr2.project(raw)))
+    tail = grp.gr2.reduce([a + b + x for a, b, x in zip(
+        g.tail, h.tail, grp.gr2.project(raw))])
     return Class2Element(tuple(a + b for a, b in zip(g.exps, h.exps)),
                          tuple(tail))
 
