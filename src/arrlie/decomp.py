@@ -193,19 +193,16 @@ def letter_matrix(src, dst, letters, d):
 def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD):
     """Stacked restriction matrix h_d(A) -> direct sum of h_d(A_Y).
 
-    Returns (matrix, local_dims) with one row block per flat, in flat
-    order.  Full row rank over Q expresses surjectivity of localization;
-    a square unimodular stack is the degree-d decomposability certificate.
+    One row block per flat, in flat order.  Full row rank over Q expresses
+    surjectivity of localization; a square unimodular stack is the
+    degree-d decomposability certificate.
     """
     ch = charts or Charts(arr, d, guard=guard)
     rows = []
-    dims = []
     for f in arr.flats:
-        block = letter_matrix(ch.alg, ch.local_alg[f.index],
-                              ch.restriction[f.index], d)
-        dims.append(len(block))
-        rows.extend(block)
-    return rows, dims
+        rows.extend(letter_matrix(ch.alg, ch.local_alg[f.index],
+                                  ch.restriction[f.index], d))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -500,20 +497,20 @@ def _first_bad_column(a, b, p):
 def _invertible(mat, ring):
     """Whether a square matrix is invertible over the ring, by the sparse
     elimination: over Z its rows must span Z^n (exactla.is_unimodular),
-    over Q and F_p they must have rank n.  Over Z and F_p a row that is not
-    all ints is read into the ring first (rings.coeff); over Q such a
-    matrix goes to inverse_field."""
+    over Q and F_p they must have rank n.  A row that is not all ints is
+    read into the ring first (rings.coeff); over Q a matrix with such a row
+    goes to inverse_field."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         return False
     if n == 0:
         return True
     ints = [set(map(type, r)) <= {int} for r in mat]
+    mat = [r if ok else [rings.coeff(ring, x) for x in r]
+           for r, ok in zip(mat, ints)]
     if ring == rings.Q and not all(ints):
         return exactla.inverse_field(mat) is not None
-    rows = [{j: v for j, v in enumerate(
-        r if ok else [rings.coeff(ring, x) for x in r]) if v}
-        for r, ok in zip(mat, ints)]
+    rows = [{j: v for j, v in enumerate(r) if v} for r in mat]
     if ring == rings.Z:
         return exactla.is_unimodular(rows, n)
     return exactla.rank_sparse(rows, rings.char(ring)) == n
@@ -529,11 +526,7 @@ def check_diagram(d):
     """
     if not isinstance(d, DiagramInstance):
         raise TypeError("check_diagram expects a DiagramInstance")
-    g2 = [list(r) for r in d.g2]
-    la = [list(r) for r in d.la_star]
-    lb = [list(r) for r in d.lb_star]
-    sa = [list(r) for r in d.sigma_a]
-    sb = [list(r) for r in d.sigma_b]
+    g2, la, lb, sa, sb = d.g2, d.la_star, d.lb_star, d.sigma_a, d.sigma_b
     ca = len(la[0]) if la else (len(g2[0]) if g2 else 0)
     cb = len(g2)
     h2n = len(la)
@@ -675,15 +668,14 @@ def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n):
     return LocalLift(flat=fa, n=n, corrections=corr)
 
 
-def _sigma_from_locals(ch, n, ring, local_lams=None):
-    """Assemble the splitting H2(N) -> gr_n from per-flat splittings.
+def _splitting(ch, n, ring):
+    """The splitting H2(N) -> gr_n, [I | 0] in split coordinates, and the
+    stacked degree-n restriction matrix rho.
 
-    Local splittings are identity-minus-lambda blocks; the stacked degree-n
-    restriction matrix must be invertible over the ring (this is the
-    decomposability certificate in degree n), and the assembled map is
-    [I | -rho^{-1} Lambda] in split coordinates.
+    rho must be square and invertible over the ring: this is the
+    decomposability certificate in degree n.
     """
-    rho, dims = restriction_stack(ch.arr, n, charts=ch)
+    rho = restriction_stack(ch.arr, n, charts=ch)
     g = ch.alg.dim(n)
     if len(rho) != g:
         raise ValueError(
@@ -693,52 +685,29 @@ def _sigma_from_locals(ch, n, ring, local_lams=None):
     if not _invertible(rho, ring):
         raise ValueError("degree-%d localization matrix is not invertible "
                          "over %s" % (n, rings.name(ring)))
-    pairs = relator_basis(ch.arr)
-    b2 = len(pairs)
-    if local_lams:
-        offsets = {}
-        off = 0
-        for f, d in zip(ch.arr.flats, dims):
-            offsets[f.index] = off
-            off += d
-        stacked = [[0] * b2 for _ in range(len(rho))]
-        for fi, lam in sorted(local_lams.items()):
-            f = ch.arr.flats[fi]
-            local_pairs = [(h, fi) for h in f.members if h != max(f.members)]
-            dloc = dims[fi]
-            if len(lam) != dloc or any(len(r) != len(local_pairs) for r in lam):
-                raise ValueError(
-                    "local splitting block on flat %d must be %dx%d"
-                    % (fi, dloc, len(local_pairs)))
-            for i in range(dloc):
-                for j, p in enumerate(local_pairs):
-                    stacked[offsets[fi] + i][pairs.index(p)] += lam[i][j]
-        # rho is invertible over the ring, so over Z its inverse is integral
-        p = rings.char(ring)
-        inv = exactla.inverse_field(rho, p)
-        lam_global = [[v % p if p else int(v) if ring == rings.Z else v
-                       for v in row] for row in exactla.mat_mul(inv, stacked)]
-    else:
-        lam_global = [[0] * b2 for _ in range(g)]
-    sigma = [[1 if i == j else 0 for j in range(g)] +
-             [-lam_global[i][j] for j in range(b2)] for i in range(g)]
+    b2 = len(relator_basis(ch.arr))
+    sigma = [[1 if i == j else 0 for j in range(g)] + [0] * b2
+             for i in range(g)]
     return sigma, rho
 
 
 def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
-                            corrections=None, sigma_lams=None, perturb=None,
+                            corrections=None, perturb=None,
                             guard=DEFAULT_GUARD):
     """End-to-end diagram certificate for a lattice isomorphism at level n.
 
     Builds the degree-n nilpotent comparison on the B side: local lifts
     (zero corrections, or the given B-side corrections keyed by flat),
     their transported copies on the A side, the assembled global lifts,
-    the induced H2 matrices, the relabeling matrix g2, and the assembled
-    splitting sigma.  Runs check_diagram on the result and returns the
-    verdict together with every constructed matrix for audit.
+    the induced H2 matrices, the relabeling matrix g2, and the splitting
+    sigma = [I | 0] on both legs: with one sigma on both legs the second
+    identity follows from the first, whatever sigma is.  Runs
+    check_diagram on the result and returns the verdict together with
+    every constructed matrix for audit.
 
     perturb is a negative-control hook, None, 'sigma' or 'lift': 'sigma'
-    adds lambda = e_00 to the splitting on the A leg only, 'lift' adds the
+    subtracts e_{0,g} from the splitting on the A leg only, which moves
+    the second identity by g2's first row; 'lift' adds the
     first unit vector of degree n-1 to the first atom of the first A-side
     local lift that has such a degree.  Either change must make the
     certificate fail; a passing perturbed run would be a bug.  The report
@@ -806,7 +775,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     lb = lift_h2_matrix(arr_b, glift_b, g)
     delta_b = lb[:g]
 
-    sigma, rho = _sigma_from_locals(ch_b, n, ring, local_lams=sigma_lams)
+    sigma, rho = _splitting(ch_b, n, ring)
     sigma_a = None
     if perturb == "sigma":
         if g == 0 or not pairs_b:

@@ -410,17 +410,13 @@ def is_unimodular(rows, n):
     return inv is not None and all(v.denominator == 1 for r in inv for v in r)
 
 
-def inverse_field(mat, p=None):
-    """Inverse of a square matrix over Q (Fraction entries) or F_p; None if singular."""
+def inverse_field(mat):
+    """Inverse of a square matrix over Q (Fraction entries); None if singular."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("inverse needs a square matrix")
-    if p is None:
-        a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(mat)]
-    else:
-        a = [[x % p for x in row] + [int(i == j) for j in range(n)]
-             for i, row in enumerate(mat)]
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat)]
     for col in range(n):
         piv = None
         for i in range(col, n):
@@ -430,15 +426,12 @@ def inverse_field(mat, p=None):
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
-        inv = (Fraction(1) / a[col][col]) if p is None else pow(a[col][col], p - 2, p)
-        a[col] = [x * inv if p is None else (x * inv) % p for x in a[col]]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [x * inv for x in a[col]]
         for i in range(n):
             if i != col and a[i][col]:
                 f = a[i][col]
-                if p is None:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                else:
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[col])]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return [row[n:] for row in a]
 
 
@@ -553,18 +546,21 @@ class QuotientLattice:
         return y
 
     def lift(self, coords):
-        """An ambient representative of the class with the given coordinates."""
-        x = [0] * self.w
-        for c, v in zip(self._free_cols, coords):
-            x[c] = v
+        """A sparse ambient representative {column: value} of the class with
+        the sparse coordinates {coordinate: value}."""
+        free_cols = self._free_cols
+        nfree = len(free_cols)
+        x = {free_cols[i]: v for i, v in coords.items() if i < nfree and v}
         if self._res_cols:
             cols = (list(range(self._r, len(self._res_cols)))
                     + [i for i, _ in self._tors_rows])
             uinv = self._uinv
-            for k, v in zip(cols, coords[len(self._free_cols):]):
-                if v:
+            for t, v in coords.items():
+                if t >= nfree and v:
+                    k = cols[t - nfree]
                     for i, c in enumerate(self._res_cols):
-                        x[c] += v * uinv[i][k]
+                        x[c] = x.get(c, 0) + v * uinv[i][k]
+            x = {c: v for c, v in x.items() if v}
         return x
 
     def reduce(self, coords):

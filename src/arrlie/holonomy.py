@@ -477,10 +477,8 @@ class _Tower:
         lift = self._definitions.get(s)
         if lift is None:
             q, pairs, _cols = self.level(s[0])
-            unit = [0] * q.dim
-            unit[s[1]] = 1
             lift = self._definitions[s] = tuple(
-                (p, lam) for p, lam in zip(pairs, q.lift(unit)) if lam)
+                (pairs[c], lam) for c, lam in sorted(q.lift({s[1]: 1}).items()))
         return lift
 
 

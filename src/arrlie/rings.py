@@ -71,7 +71,9 @@ def char(ring):
 
 
 def coeff(ring, v):
-    """Normalize a coefficient into the ring."""
+    """Normalize a coefficient, an int or a Fraction, into the ring."""
+    if not isinstance(v, (int, Fraction)):
+        raise ValueError("coefficient %r is not an int or a Fraction" % (v,))
     if ring[0] == "Fp":
         if isinstance(v, Fraction):
             p = ring[1]

@@ -17,7 +17,7 @@ source trees (it imports arrlie from the src/ beside this file) and diff
 the outputs to check that a change keeps every byte.  pytest does not
 collect this file: it is a script, not a test module.
 
-The set, 361 commands plus the nq2 words:
+The set, 363 commands plus the nq2 words:
   - h2check over z, q and fp:2 on the 17 catalog arrangements at degree 3
     and the 15 decomposable ones at degree 4, with and without --override;
   - holonomy over z, q and fp:3 on the 17 at --max-degree 3, and at 4
@@ -36,6 +36,8 @@ The set, 361 commands plus the nq2 words:
   - verify-iso generic(5) under the transposition of H1 and H2 at degrees
     4 and 5 with a bundle, over z: every flat is a double point, whose
     local algebra is 0 in those degrees;
+  - the degree-6 near_pencil(5) runs again with --perturb sigma, over z
+    and fp:2: the splitting at the largest size;
   - nq2 on the 17 with seeded dotted words (some tokens padded with
     spaces), on the presentations with seeded letter and dotted words,
     and three refused words;
@@ -150,6 +152,10 @@ def commands(catalog, pres):
         out = "bundle%d" % len(cmds)
         cmds.append(["verify-iso", g5, g5, "--iso", G5_SWAP, "--degree",
                      degree, "--ring", "z", "--out", out])
+    for ring in ("z", "fp:2"):
+        out = "bundle%d" % len(cmds)
+        cmds.append(["verify-iso", np5, np5, "--iso", NP5_CYCLE, "--degree",
+                     "6", "--ring", ring, "--perturb", "sigma", "--out", out])
     rng = random.Random(2024)
     for _name, path, atoms in catalog:
         for pad in (False, False, True):

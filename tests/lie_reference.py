@@ -262,14 +262,13 @@ def _class_element(alg, s):
         if d == 1:
             poly = {(j,): 1}
         else:
-            unit = [0] * alg.dim(d)
-            unit[j] = 1
+            pairs = alg.pairs(d)
             acc = {}
-            for (a, b), lam in zip(alg.pairs(d), alg.quotient(d).lift(unit)):
-                if lam:
-                    for w, c in commutator(_class_element(alg, a),
-                                           _class_element(alg, b)).items():
-                        acc[w] = acc.get(w, 0) + lam * c
+            for col, lam in sorted(alg.quotient(d).lift({j: 1}).items()):
+                a, b = pairs[col]
+                for w, c in commutator(_class_element(alg, a),
+                                       _class_element(alg, b)).items():
+                    acc[w] = acc.get(w, 0) + lam * c
             poly = {w: c for w, c in acc.items() if c}
         memo[s] = poly
     return poly

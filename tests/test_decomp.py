@@ -254,12 +254,11 @@ def test_charts_share_one_local_algebra_per_pencil():
 
 
 def test_restriction_stack_dimensions():
-    arr = braid(4)
-    rows, dims = restriction_stack(arr, 3)
-    assert dims == [2, 2, 0, 2, 0, 0, 2]
-    assert len(rows) == 8
-    rows_p, dims_p = restriction_stack(pencil(3), 3)
-    assert dims_p == [2] and len(rows_p) == 2
+    # one row block per flat, as high as the flat's local degree-3 piece
+    for arr, dims in ((braid(4), [2, 2, 0, 2, 0, 0, 2]), (pencil(3), [2])):
+        ch = Charts(arr, 3)
+        assert [ch.local_alg[f.index].dim(3) for f in arr.flats] == dims
+        assert len(restriction_stack(arr, 3, charts=ch)) == sum(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +468,44 @@ def test_check_diagram_ring_sensitivity_of_g2():
             assert rep["pass"] and rep["ring"] == rings.name(ring)
     with pytest.raises(ValueError, match="non-integer coefficient"):
         check_diagram(diagram_instance(g2=[[Fraction(1, 2)]], **base))
+    # a float or a string is no matrix entry, in any ring
+    for g2 in ([[1.5]], [["1"]], [[2.0]]):
+        for ring in (rings.Z, rings.Q, rings.fp(3)):
+            with pytest.raises(ValueError, match="not an int or a Fraction"):
+                check_diagram(diagram_instance(g2=g2, ring=ring, **base))
+
+
+def test_check_diagram_identity_two_follows_from_identity_one():
+    # With one splitting on both legs, identity 2 is sigma applied to
+    # identity 1, so every sigma passes once lb g2 = la.  The verifier's
+    # sigma perturbation, sigma_a = sigma - e_{0,g}, changes the A side of
+    # identity 2 by row g of la, which is g2's first row.
+    rng = random.Random(25)
+    for ring in (rings.Z, rings.Q, rings.fp(2), rings.fp(5)):
+        for _ in range(12):
+            b2, g = rng.randint(1, 5), rng.randint(1, 4)
+            perm = rng.sample(range(b2), b2)
+            g2 = [[rng.choice((1, -1)) if j == perm[i] else 0
+                   for j in range(b2)] for i in range(b2)]
+            lb = ([[rng.randint(-3, 3) for _ in range(b2)] for _ in range(g)]
+                  + exactla.identity(b2))
+            la = exactla.mat_mul(lb, g2)
+            if ring == rings.Q:
+                sigma = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                          for _ in range(g + b2)] for _ in range(g)]
+            else:
+                sigma = [[rng.randint(-3, 3) for _ in range(g + b2)]
+                         for _ in range(g)]
+            rep = check_diagram(diagram_instance(g2, la, lb, sigma, ring))
+            assert rep["pass"] and rep["identity2"], (ring, g2, lb, sigma)
+            sigma_a = [list(r) for r in sigma]
+            sigma_a[0][g] -= 1
+            rep = check_diagram(diagram_instance(g2, la, lb, sigma, ring,
+                                                 sigma_a=sigma_a))
+            assert not rep["pass"] and rep["failed"] == 2 and rep["identity1"]
+            w = rep["witness"]
+            assert w["identity"] == 2 and w["column"] == perm[0]
+            assert w["lhs"][0] - w["rhs"][0] == -g2[0][perm[0]]
 
 
 def _unimodular(rng, n):
@@ -519,6 +556,14 @@ def test_sparse_invertibility_matches_the_determinant():
     assert _invertible([[Fraction(1, 2), 0], [0, 1]], rings.fp(3))
     assert not _invertible([[Fraction(3, 2)]], rings.fp(3))
     assert not _invertible([[1, 2]], rings.Z) and _invertible([], rings.Z)
+    # a float or a string is refused, not truncated or parsed
+    for ring in (rings.Z, rings.Q, rings.fp(3)):
+        for v in (1.5, "3", 2.0):
+            with pytest.raises(ValueError, match="not an int or a Fraction"):
+                rings.coeff(ring, v)
+        for m in ([[1.5]], [["1"]], [[1, 0], [0, 1.0]]):
+            with pytest.raises(ValueError, match="not an int or a Fraction"):
+                _invertible(m, ring)
 
 
 def test_check_diagram_mod_p_identities():
@@ -608,15 +653,6 @@ def test_verify_lift_perturbation_fails_identity_one():
     assert not rep["pass"]
     assert rep["check"]["failed"] == 1
     assert rep["check"]["witness"]["identity"] == 1
-
-
-def test_verify_custom_sigma_splitting_still_passes():
-    lams = {0: [[1, 0], [0, 0], [0, 2]]}
-    rep = verify_decomposable_iso(pencil(3), pencil(3), CYCLE3, n=4,
-                                  sigma_lams=lams)
-    assert rep["pass"]
-    assert rep["matrices"]["sigma"] != [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
-                                        [0, 0, 1, 0, 0]]
 
 
 def test_verify_rejects_indecomposable_input():

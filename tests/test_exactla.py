@@ -98,10 +98,6 @@ def test_inverse_field():
     assert exactla.mat_mul(inv, a) == [[Fraction(1), Fraction(0)],
                                        [Fraction(0), Fraction(1)]]
     assert exactla.inverse_field([[1, 2], [2, 4]]) is None
-    inv2 = exactla.inverse_field([[1, 1], [0, 1]], p=5)
-    assert [[v % 5 for v in row] for row in
-            exactla.mat_mul(inv2, [[1, 1], [0, 1]])] == exactla.identity(2)
-    assert exactla.inverse_field([[2]], p=2) is None
     with pytest.raises(ValueError, match="square"):
         exactla.inverse_field([[1, 2]])
 
@@ -176,7 +172,7 @@ def test_quotient_lattice_with_torsion():
     assert (q.rank, q.torsion, q.dim) == (2, (2,), 3)
     v = q.project([1, 0, 0])
     assert q.reduce([a + b for a, b in zip(v, v)]) == q.zero()
-    for x in ([1, 2, 3], [0, -1, 4]):
+    for x in ({0: 1, 1: 2, 2: 3}, {1: -1, 2: 4}):
         c = q.project(x)
         assert q.project(q.lift(c)) == q.reduce(c)
     assert q.reduce([2 * a for a in q.project([1, 0, 0])]) == q.zero()
@@ -214,7 +210,7 @@ def test_quotient_lattice_residual_block_matches_dense_smith_form():
             assert q.project(s) == q.reduce(
                 [a + b for a, b in zip(q.project(x), q.project(y))])
             c = [rng.randint(-7, 7) for _ in range(q.dim)]
-            assert q.project(q.lift(c)) == q.reduce(c)
+            assert q.project(q.lift(nonzero(c))) == nonzero(q.reduce(c))
             # a sparse dict gives the nonzero entries of the dense answer
             for v in (x, y, s):
                 assert q.project(nonzero(v)) == nonzero(q.project(v))
