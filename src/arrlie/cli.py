@@ -9,16 +9,15 @@ internal error (an exception no input check anticipated).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
-import hashlib
 import io
 import json
 import math
 import os
 import sys
 import time
+import types
 from fractions import Fraction
 
 from . import decomp, rings
@@ -34,13 +33,6 @@ _SAFE = 2 ** 53
 
 class InputError(ValueError):
     """Bad file, flag, or JSON payload; maps to exit code 2."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Usage errors become input errors: one stderr line and exit 2."""
-
-    def error(self, message):
-        raise InputError("%s (see %s -h)" % (" ".join(message.split()), self.prog))
 
 
 def _jsonable(x):
@@ -90,7 +82,9 @@ def _print_table(payload, out):
         out.write("%s\n" % (payload,))
 
 
-def _read_json(path):
+def _read_json(path, digests=None):
+    """The JSON of a file; its sha256 is appended to digests when given
+    (only --report prints them, so only then is hashlib loaded)."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -100,7 +94,10 @@ def _read_json(path):
         obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as e:
         raise InputError("%s: invalid JSON (%s)" % (path, e)) from None
-    return obj, hashlib.sha256(raw).hexdigest()
+    if digests is not None:
+        import hashlib
+        digests.append({"path": path, "sha256": hashlib.sha256(raw).hexdigest()})
+    return obj
 
 
 def _check_cost(what, cost, guard):
@@ -121,10 +118,10 @@ def _pencil_cost(atoms, dim):
 
 
 def _read_input(path, digests, guard):
-    """JSON of an input file, with its digest recorded.  An arrangement is
-    refused here, before its pencils are derived, when they cost too much."""
-    obj, digest = _read_json(path)
-    digests.append({"path": path, "sha256": digest})
+    """JSON of an input file, its digest recorded when digests is a list
+    (--report).  An arrangement is refused here, before its pencils are
+    derived, when they cost too much."""
+    obj = _read_json(path, digests)
     if isinstance(obj, dict) and isinstance(obj.get("atoms"), list):
         atoms, normals = len(obj["atoms"]), obj.get("normals")
         dim = (max((len(v) for v in normals if isinstance(v, list)), default=0)
@@ -167,8 +164,7 @@ def _parse_json_arg(flag, text):
     except ValueError:
         pass
     if os.path.exists(text):
-        obj, _ = _read_json(text)
-        return obj
+        return _read_json(text)
     raise InputError("%s %r is neither inline JSON nor a readable file"
                      % (flag, text))
 
@@ -382,34 +378,31 @@ def _arg(*flags, **keywords):
 
 
 def _arguments(*own, ring=False, degree=None, maxdeg=None):
-    """The adder of a subcommand's arguments: its own, then the common ones."""
-    def add_to(sp):
-        for flags, keywords in own:
-            sp.add_argument(*flags, **keywords)
-        sp.add_argument("--table", action="store_true",
-                        help="aligned text output instead of JSON")
-        sp.add_argument("--report", action="store_true",
-                        help="wrap the payload with command echo and "
-                             "input digests")
-        sp.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                        help="refuse, before computing, any step whose "
-                             "cost exceeds this many units")
-        sp.add_argument("--override", action="store_true",
-                        help="accepted for compatibility; has no effect")
-        if ring:
-            sp.add_argument("--ring", default="z",
-                            help="coefficients: z, q, or fp:<p>")
-        if degree is not None:
-            sp.add_argument("--degree", type=int, default=degree)
-        if maxdeg is not None:
-            sp.add_argument("--max-degree", type=int, default=maxdeg,
-                            dest="max_degree")
-    return add_to
+    """A subcommand's argument specs: its own, then the common ones."""
+    specs = list(own) + [
+        _arg("--table", action="store_true", default=False,
+             help="aligned text output instead of JSON"),
+        _arg("--report", action="store_true", default=False,
+             help="wrap the payload with command echo and input digests"),
+        _arg("--guard", type=int, default=DEFAULT_GUARD,
+             help="refuse, before computing, any step whose cost exceeds "
+                  "this many units"),
+        _arg("--override", action="store_true", default=False,
+             help="accepted for compatibility; has no effect")]
+    if ring:
+        specs.append(_arg("--ring", default="z",
+                          help="coefficients: z, q, or fp:<p>"))
+    if degree is not None:
+        specs.append(_arg("--degree", type=int, default=degree))
+    if maxdeg is not None:
+        specs.append(_arg("--max-degree", type=int, default=maxdeg,
+                          dest="max_degree"))
+    return specs
 
 
 _FILE = _arg("file")
 
-# name: (help line, handler, adder of its arguments), in the order -h lists them
+# name: (help line, handler, argument specs), in the order -h lists them
 _COMMANDS = {
     "lattice": ("atoms, pencils, Mobius and Betti data", _cmd_lattice,
                 _arguments(_FILE)),
@@ -453,39 +446,101 @@ _COMMANDS = {
 }
 
 
+def _typed(kw, text):
+    """A value as argparse reads it for spec kw: through type, then checked
+    against choices; ValueError when either refuses it."""
+    value = kw.get("type", str)(text)
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValueError(text)
+    return value
+
+
+def _read_argv(argv):
+    """The namespace argparse would make of argv, read from _COMMANDS, or
+    None unless argv is plainly well formed: a subcommand, then positionals
+    and exact option strings of that subcommand, a valued option's value
+    as the next word (not starting with "-") or after "=", every value
+    passing its type and choices, every required option given and as many
+    positionals as the subcommand takes.  Everything else (-h, usage
+    errors, abbreviations, "--", values starting with "-") goes to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, specs = _COMMANDS[argv[0]]
+    options, positionals, values = {}, [], {"command": argv[0], "func": func}
+    for flags, kw in specs:
+        if flags[0].startswith("-"):
+            dest = kw.get("dest", flags[0][2:].replace("-", "_"))
+            options[flags[0]] = dest, kw
+            values[dest] = kw.get("default")
+        else:
+            positionals.append((flags[0], kw))
+    words, given, seen = iter(argv[1:]), [], set()
+    try:
+        for word in words:
+            if not word.startswith("-"):
+                given.append(word)
+                continue
+            flag, eq, text = word.partition("=")
+            dest, kw = options[flag]
+            if kw.get("action") != "store_true":
+                if not eq:
+                    text = next(words, "-")
+                    if text.startswith("-"):
+                        return None
+                values[dest] = _typed(kw, text)
+            elif eq:
+                return None
+            else:
+                values[dest] = True
+            seen.add(dest)
+        if len(given) != len(positionals):
+            return None
+        for (dest, kw), text in zip(positionals, given):
+            values[dest] = _typed(kw, text)
+    except (KeyError, ValueError):
+        return None
+    if any(kw.get("required") and dest not in seen
+           for dest, kw in options.values()):
+        return None
+    return types.SimpleNamespace(**values)
+
+
 @functools.cache
-def _build_parser(command=None):
-    """The parser of the one subcommand named command, or of all of them
-    when command is None, built on the first call and then kept for the
-    process.  A subcommand's parser has prog "arrlie <name>" either way, and
-    the top-level errors a one-subcommand parser can raise (unrecognized
-    arguments) read the same.  parse_args does not change a parser, so a
-    kept one parses every later call the same way."""
-    p = _Parser(
+def _build_parser():
+    """The argparse parser of every subcommand, built from _COMMANDS on the
+    first call and then kept for the process.  Only -h and the command
+    lines _read_argv leaves need it, so only they import argparse."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Usage errors become input errors: one stderr line and exit 2."""
+
+        def error(self, message):
+            raise InputError("%s (see %s -h)"
+                             % (" ".join(message.split()), self.prog))
+
+    p = Parser(
         prog="arrlie",
         description="Exact nilpotent and Lie-algebraic invariants of "
                     "hyperplane-arrangement groups.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in [command] if command else _COMMANDS:
-        help, func, add_arguments = _COMMANDS[name]
+    for name, (help, func, specs) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help)
-        add_arguments(sp)
+        for flags, keywords in specs:
+            sp.add_argument(*flags, **keywords)
         sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None):
     """Run one subcommand; returns the exit code.  Calls in one process
-    share the parsers and the holonomy towers (holonomy.HolonomyAlgebra),
-    so a repeated query reuses the degrees already built."""
+    share the holonomy towers (holonomy.HolonomyAlgebra), so a repeated
+    query reuses the degrees already built."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    # a process runs one subcommand: -h, no argument, an unknown name or a
-    # leading option need the full parser, for its help and choice errors
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    digests = []
     t0 = time.time()
     try:
-        args = parser.parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
+        digests = [] if args.report else None
         payload, code = args.func(args, digests)
         if args.report:
             payload = {"command": argv, "inputs": digests, "report": payload}

@@ -494,23 +494,29 @@ def _first_bad_column(a, b, p):
     return None
 
 
+def _in_ring(mat, ring):
+    """The rows of mat read into the ring (rings.coeff); a row of plain ints
+    is kept as it is, so integer data pays one type scan per row."""
+    return [r if set(map(type, r)) <= {int}
+            else [rings.coeff(ring, x) for x in r] for r in mat]
+
+
 def _invertible(mat, ring):
     """Whether a square matrix is invertible over the ring, by the sparse
     elimination: over Z its rows must span Z^n (exactla.is_unimodular),
     over Q and F_p they must have rank n.  A row that is not all ints is
-    read into the ring first (rings.coeff); over Q a matrix with such a row
+    read into the ring first (_in_ring); over Q a matrix with such a row
     goes to inverse_field."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         return False
     if n == 0:
         return True
-    ints = [set(map(type, r)) <= {int} for r in mat]
-    mat = [r if ok else [rings.coeff(ring, x) for x in r]
-           for r, ok in zip(mat, ints)]
-    if ring == rings.Q and not all(ints):
-        return exactla.inverse_field(mat) is not None
-    rows = [{j: v for j, v in enumerate(r) if v} for r in mat]
+    read = _in_ring(mat, ring)
+    # a row _in_ring did not keep holds Fractions over Q
+    if ring == rings.Q and any(r is not s for r, s in zip(read, mat)):
+        return exactla.inverse_field(read) is not None
+    rows = [{j: v for j, v in enumerate(r) if v} for r in read]
     if ring == rings.Z:
         return exactla.is_unimodular(rows, n)
     return exactla.rank_sparse(rows, rings.char(ring)) == n
@@ -521,8 +527,9 @@ def check_diagram(d):
 
     Identity 1: lb_star composed with g2 equals la_star.  Identity 2: sigma_a
     after la_star equals sigma_b after lb_star after g2.  Both are exact
-    matrix identities over the instance ring; the report carries the first
-    violated identity and a witness column.
+    matrix identities over the instance ring, every entry read into it
+    first (_in_ring); the report carries the first violated identity and a
+    witness column.
     """
     if not isinstance(d, DiagramInstance):
         raise TypeError("check_diagram expects a DiagramInstance")
@@ -545,6 +552,7 @@ def check_diagram(d):
     if len(sa) != len(sb):
         raise ValueError("shape mismatch: sigma_a has %d rows, sigma_b %d"
                          % (len(sa), len(sb)))
+    g2, la, lb, sa, sb = [_in_ring(m, d.ring) for m in (g2, la, lb, sa, sb)]
     if not _invertible(g2, d.ring):
         raise ValueError("g2 is not invertible over %s" % rings.name(d.ring))
     p = rings.char(d.ring)

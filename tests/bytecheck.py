@@ -17,7 +17,7 @@ source trees (it imports arrlie from the src/ beside this file) and diff
 the outputs to check that a change keeps every byte.  pytest does not
 collect this file: it is a script, not a test module.
 
-The set, 363 commands plus the nq2 words:
+The set, 371 commands plus the nq2 words:
   - h2check over z, q and fp:2 on the 17 catalog arrangements at degree 3
     and the 15 decomposable ones at degree 4, with and without --override;
   - holonomy over z, q and fp:3 on the 17 at --max-degree 3, and at 4
@@ -43,7 +43,11 @@ The set, 363 commands plus the nq2 words:
     and three refused words;
   - SUB -h for each of the 12 subcommands;
   - four usage errors that the leading word decides: no argument, an
-    unknown subcommand, a leading option and an extra argument.
+    unknown subcommand, a leading option and an extra argument;
+  - eight lines in the forms a parser may read apart: options before the
+    file, --max-degree=4 and --ring=fp:3, a repeated option, the
+    abbreviation --max-deg, --max-degree -1 (a usage error of the
+    command), a -- separator, --report and --word=WORD with --table.
 """
 
 from __future__ import annotations
@@ -173,6 +177,15 @@ def commands(catalog, pres):
         cmds.append([sub, "-h"])
     cmds += [[], ["bogus"], ["--ring", "z", "holonomy", files["pencil(3)"]],
              ["holonomy", files["pencil(3)"], "extra"]]
+    b4, p3 = files["braid(4)"], files["pencil(3)"]
+    cmds += [["holonomy", "--ring", "q", "--max-degree", "3", b4],
+             ["holonomy", b4, "--max-degree=4", "--ring=fp:3"],
+             ["holonomy", b4, "--max-degree", "2", "--max-degree", "3"],
+             ["holonomy", b4, "--max-deg", "3"],
+             ["holonomy", b4, "--max-degree", "-1"],
+             ["holonomy", "--max-degree", "3", "--", b4],
+             ["betti", p3, "--report"],
+             ["nq2", p3, "--word=H1.H2.H1^-1", "--table"]]
     return cmds
 
 

@@ -40,6 +40,17 @@ def run(capsys, argv):
     return code, cap.out, cap.err
 
 
+def exit_and_digests(capsys, argv):
+    """(exit code, stdout sha256, stderr sha256) of one call of main."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    cap = capsys.readouterr()
+    return (code, hashlib.sha256(cap.out.encode()).hexdigest(),
+            hashlib.sha256(cap.err.encode()).hexdigest())
+
+
 # ---------------------------------------------------------------------------
 # frozen single-command outputs
 
@@ -687,8 +698,7 @@ PARSER_TEXT_BYTES = {
 
 
 def test_parser_text_is_frozen(capsys, monkeypatch):
-    # each order starts from a parser with no subcommand's arguments added,
-    # so every subcommand is first parsed once for -h and once for an error
+    # each order starts with no parser built, so its first case builds it
     monkeypatch.setenv("COLUMNS", "80")
     cases = [((name, "-h"), ([name] if name else []) + ["-h"])
              for name in USAGE_ERRORS]
@@ -697,14 +707,7 @@ def test_parser_text_is_frozen(capsys, monkeypatch):
     for order in (cases, cases[::-1]):
         cli._build_parser.cache_clear()
         for key, argv in order:
-            try:
-                code = main(argv)
-            except SystemExit as e:
-                code = e.code
-            cap = capsys.readouterr()
-            got = (code, hashlib.sha256(cap.out.encode()).hexdigest(),
-                   hashlib.sha256(cap.err.encode()).hexdigest())
-            assert got == PARSER_TEXT_BYTES[key], key
+            assert exit_and_digests(capsys, argv) == PARSER_TEXT_BYTES[key], key
 
 
 EMPTY_SHA256 = 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'
@@ -731,23 +734,124 @@ def subcommands(parser):
     return set(parser._subparsers._group_actions[0].choices)
 
 
-def test_a_process_builds_the_parser_of_its_subcommand_only(files, capsys,
-                                                             monkeypatch):
+def test_a_well_formed_call_builds_no_parser(files, capsys, monkeypatch):
+    # a well-formed line is read from the subcommand table; -h and usage
+    # errors build the argparse parser, with every subcommand, and read as
+    # pinned above
     monkeypatch.setenv("COLUMNS", "80")
     cli._build_parser.cache_clear()
     code, out, _ = run(capsys, ["holonomy", files["pencil3"]])
     assert code == 0 and json.loads(out)
-    assert cli._build_parser.cache_info().currsize == 1
-    assert subcommands(cli._build_parser("holonomy")) == {"holonomy"}
-    # twice each: the kept parsers must give the same errors again
+    assert cli._build_parser.cache_info().misses == 0
+    cases = TOP_LEVEL_ERRORS + [
+        (["holonomy", "-h"], PARSER_TEXT_BYTES["holonomy", "-h"]),
+        (USAGE_ERRORS["holonomy"], PARSER_TEXT_BYTES["holonomy", "error"])]
+    # twice each: the kept parser must give the same texts again
     for _ in range(2):
-        for argv, want in TOP_LEVEL_ERRORS:
-            code = main(argv)
-            cap = capsys.readouterr()
-            assert (code, hashlib.sha256(cap.out.encode()).hexdigest(),
-                    hashlib.sha256(cap.err.encode()).hexdigest()) == want, argv
+        for argv, want in cases:
+            assert exit_and_digests(capsys, argv) == want, argv
+    assert cli._build_parser.cache_info().misses == 1
     assert subcommands(cli._build_parser()) == set(cli._COMMANDS)
     assert len(cli._COMMANDS) == 12
+
+
+def test_a_well_formed_call_loads_neither_argparse_nor_hashlib(files):
+    # hashlib is loaded for --report alone, argparse for what the table
+    # reader leaves (here an abbreviation)
+    probe = (
+        "import contextlib, io, sys\n"
+        "from arrlie.cli import main\n"
+        "for extra in ([], ['--report'], ['--max-deg', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(['holonomy', sys.argv[1], '--max-degree', '3']"
+        " + extra)\n"
+        "    print(code, sorted({'argparse', 'hashlib'} & set(sys.modules)),"
+        " file=sys.stderr)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    r = subprocess.run([sys.executable, "-c", probe, files["braid4"]],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert [l for l in r.stderr.splitlines() if not TIMING.match(l)] == [
+        "0 []", "0 ['hashlib']", "0 ['argparse', 'hashlib']"]
+
+
+# words the fuzz below puts in: values argparse reads but the table reader
+# leaves to it, and words that make a usage error
+FUZZ_WORDS = ["-1", "", "-", "--", "-h", "--help", "x", "0", "3", " 3", "-0",
+              "z", "q", "fp:3", "sigma", "lift", "1.5", "--nope", "--nope=1",
+              "-x", "--table", "--table=1", "--ring", "--max-degree=",
+              "--guard=-5", "--perturb=both", "holonomy", "f.json"]
+
+
+def _fuzzed(rng, argv, options):
+    """argv with one to three seeded edits."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        opts = [i for i, w in enumerate(argv) if w.startswith("--") and
+                "=" not in w and len(w) > 3 and i > 0]
+        valued = [i for i in opts if i + 1 < len(argv)
+                  and not argv[i + 1].startswith("-")]
+        kind = rng.randrange(10)
+        at = rng.randint(min(1, len(argv)), len(argv))
+        if kind == 0 and opts:                     # abbreviate an option
+            i = rng.choice(opts)
+            argv[i] = argv[i][:rng.randint(3, len(argv[i]) - 1)]
+        elif kind == 1 and valued:                 # --flag=value
+            i = rng.choice(valued)
+            argv[i:i + 2] = ["%s=%s" % (argv[i], argv[i + 1])]
+        elif kind == 2 and len(argv) > 1:          # replace a word
+            argv[rng.randrange(1, len(argv))] = rng.choice(FUZZ_WORDS)
+        elif kind == 3:                            # insert a word
+            argv.insert(at, rng.choice(FUZZ_WORDS))
+        elif kind == 4 and valued:                 # repeat an option
+            i = rng.choice(valued)
+            argv[at:at] = [argv[i], rng.choice([argv[i + 1]] + FUZZ_WORDS)]
+        elif kind == 5:                            # an option of any command
+            argv.insert(at, rng.choice(options))
+        elif kind == 6 and argv:                   # drop a word
+            del argv[rng.randrange(len(argv))]
+        elif kind == 7 and len(argv) > 2:          # options first
+            argv[1:] = argv[2:] + argv[1:2]
+        elif kind == 8 and argv:                   # another subcommand
+            argv[0] = rng.choice(sorted(cli._COMMANDS) + ["hol", "-h", ""])
+        elif kind == 9:                            # an end of options
+            argv.insert(rng.randint(0, len(argv)), "--")
+    return argv
+
+
+def test_the_table_reader_agrees_with_argparse(tmp_path):
+    # every line of the byte check and a seeded fuzz of mutated ones: where
+    # the reader accepts a line, argparse makes the same namespace of it,
+    # and where argparse refuses a line, the reader does too
+    import contextlib
+    import importlib.util
+    import io
+    import random
+    spec = importlib.util.spec_from_file_location(
+        "bytecheck", os.path.join(os.path.dirname(__file__), "bytecheck.py"))
+    bytecheck = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bytecheck)
+    base = bytecheck.commands(*bytecheck.write_inputs(str(tmp_path)))
+    options = sorted({flags[0] for _, _, specs in cli._COMMANDS.values()
+                      for flags, _ in specs if flags[0].startswith("-")})
+    rng = random.Random(26)
+    argvs = base + [_fuzzed(rng, rng.choice(base), options)
+                    for _ in range(6000)]
+    parser = cli._build_parser()
+    counts = {"read": 0, "argparse only": 0, "refused": 0}
+    for argv in argvs:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                want = vars(parser.parse_args(argv))
+        except (cli.InputError, SystemExit):
+            want = None
+        got = cli._read_argv(argv)
+        if got is not None:
+            assert vars(got) == want, argv
+        counts["read" if got else "refused" if want is None
+               else "argparse only"] += 1
+    assert min(counts.values()) > 300, counts
 
 
 # ---------------------------------------------------------------------------

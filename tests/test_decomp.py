@@ -475,6 +475,35 @@ def test_check_diagram_ring_sensitivity_of_g2():
                 check_diagram(diagram_instance(g2=g2, ring=ring, **base))
 
 
+def test_check_diagram_reads_every_matrix_into_its_ring():
+    # la_star, lb_star and both splittings are read like g2 (rings.coeff)
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        check_diagram(diagram_instance(g2=[[1]], la_star=[[0.5], [1]],
+                                       lb_star=[[0.5], [1]], sigma=[[1, 0]]))
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        check_diagram(diagram_instance(g2=[[1]], la_star=[[1.0], [1]],
+                                       lb_star=[[1], [1]], sigma=[[1, 0]],
+                                       ring=rings.fp(2)))
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        check_diagram(diagram_instance(g2=[[1]], la_star=[["1"], [1]],
+                                       lb_star=[[1], [1]], sigma=[[1, 0]]))
+    for key in ("sigma", "sigma_a"):
+        base = dict(g2=[[1]], la_star=[[1], [1]], lb_star=[[1], [1]],
+                    sigma=[[1, 0]])
+        base[key] = [[1.5, 0]]
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            check_diagram(diagram_instance(**base))
+    # a non-integral Fraction is refused over Z, and over F_3 it is read as
+    # its residue: 1/2 = 2 and 3/2 = 0, so lb g2 = la holds there
+    with pytest.raises(ValueError, match="non-integer coefficient"):
+        check_diagram(diagram_instance(g2=[[1]], la_star=[[Fraction(1, 2)]],
+                                       lb_star=[[1]], sigma=[[1]]))
+    rep = check_diagram(diagram_instance(
+        g2=[[1]], la_star=[[Fraction(1, 2)], [Fraction(3, 2)]],
+        lb_star=[[2], [3]], sigma=[[1, 0]], ring=rings.fp(3)))
+    assert rep["pass"] and rep["identity2"]
+
+
 def test_check_diagram_identity_two_follows_from_identity_one():
     # With one splitting on both legs, identity 2 is sigma applied to
     # identity 1, so every sigma passes once lb g2 = la.  The verifier's
