@@ -122,14 +122,9 @@ class Charts:
             self.restriction.append([pos.get(a) for a in range(arr.n_atoms)])
 
 
-def _cols_to_matrix(cols, nrows):
-    return [[col[i] for col in cols] for i in range(nrows)]
-
-
 def rename(src, dst, letters, d, x):
-    """Reduced coordinates in dst of the image of the degree-d class x of
-    src (a dense sequence or a sparse dict) under the Lie map renaming
-    generators.
+    """Sparse reduced coordinates in dst of the image of the degree-d class
+    of src with sparse coordinates x, under the Lie map renaming generators.
 
     letters[i] is the destination letter of x_i, or None when x_i goes to
     0.  Named letters must be distinct letters of dst.  A renaming is a map
@@ -169,25 +164,28 @@ def rename(src, dst, letters, d, x):
                 for (a, b), lam in tower.definition(s):
                     u, v = image(a), image(b)
                     if u and v:
-                        for r, c in dst.bracket(a[0], u, b[0], v).items():
-                            acc[r] = acc.get(r, 0) + lam * c
+                        _add_into(acc, dst.bracket(a[0], u, b[0], v), lam)
                 vec = dst.quotient(e).reduce(acc)
             images[s] = vec
         return vec
 
-    acc = [0] * q.dim
-    for j, c in x.items() if isinstance(x, dict) else enumerate(x):
-        if c:
-            for r, v in image((d, j)).items():
-                acc[r] += c * v
+    acc = {}
+    for j, c in x.items():
+        _add_into(acc, image((d, j)), c)
     return q.reduce(acc)
+
+
+def _add_into(acc, vec, c=1):
+    """acc += c * vec, for sparse acc and vec, in place; zeros may stay."""
+    for r, v in vec.items():
+        acc[r] = acc.get(r, 0) + c * v
 
 
 def letter_matrix(src, dst, letters, d):
     """Matrix on quotient coordinates of a renaming (see rename): column j
     is the image of the j-th basis class of degree d."""
     cols = [rename(src, dst, letters, d, {j: 1}) for j in range(src.dim(d))]
-    return _cols_to_matrix(cols, dst.dim(d))
+    return exactla.columns_to_matrix(cols, dst.dim(d))
 
 
 def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD):
@@ -209,7 +207,8 @@ def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD):
 # lifts in correction form
 
 class LocalLift(Record):
-    """Lift data on one pencil: corrections (atom, degree) -> local coords."""
+    """Lift data on one pencil: corrections (atom, degree) -> sparse local
+    coordinates."""
 
     def __init__(self, flat, n, corrections):
         self._set("flat", flat)
@@ -218,8 +217,9 @@ class LocalLift(Record):
 
 
 class GlobalLift(Record):
-    """Assembled lift candidate: corrections (atom, degree) -> global coords,
-    delta (atom, flat index) -> degree-n relator components (its H2 block)."""
+    """Assembled lift candidate: corrections (atom, degree) -> sparse global
+    coordinates, delta (atom, flat index) -> sparse degree-n relator
+    components (its H2 block)."""
 
     def __init__(self, n, corrections, delta):
         self._set("n", n)
@@ -230,52 +230,73 @@ class GlobalLift(Record):
 def local_lift(arr, flat_index, corrections, n, guard=DEFAULT_GUARD, alg=None):
     """Build and validate a LocalLift on the given rank-2 flat.
 
-    corrections maps (atom, degree) to a coordinate vector in the degree-d
-    piece of the local algebra; atoms may be names or global indices and
-    degrees run in 2..n-1.  Below the top degree the corrections of a flat
-    must sum to zero in each degree, otherwise the local relator brackets
-    pick up nonzero components and the data does not define a lift.
+    corrections maps (atom, degree) to a dense coordinate vector of
+    integers in the degree-d piece of the local algebra; atoms may be
+    names or global indices and degrees run in 2..n-1.  Below the top
+    degree the corrections of a flat must sum to zero in each degree,
+    otherwise the local relator brackets pick up nonzero components and
+    the data does not define a lift.  The LocalLift holds them sparse.
     """
     if not 0 <= flat_index < len(arr.flats):
         raise ValueError("no flat with index %d" % flat_index)
-    flat = arr.flats[flat_index]
     loc = alg if alg is not None else HolonomyAlgebra(
         localize(arr, flat_index), max_degree=n, guard=guard)
-    pos = {a: i for i, a in enumerate(flat.members)}
-    clean = {}
-    for key, vec in corrections.items():
-        atom, deg = key
+    sparse = {}
+    for (atom, deg), vec in corrections.items():
         if isinstance(atom, str):
             atom = arr.atom_index(atom)
-        if atom not in pos:
-            raise ValueError(
-                "correction outside the local Lie piece: atom %r is not in "
-                "flat %d %r" % (arr.atoms[atom] if 0 <= atom < len(arr.atoms)
-                                else atom, flat_index, flat.members))
-        if not 2 <= deg <= n - 1:
-            raise ValueError(
-                "correction outside the local Lie piece: degree %d not in "
-                "2..%d" % (deg, n - 1))
-        vec = [int(v) for v in vec]
+        _check_key(arr, flat_index, atom, deg, n)
         if len(vec) != loc.dim(deg):
             raise ValueError(
                 "correction outside the local Lie piece: degree %d of the "
                 "local algebra has dimension %d, got %d"
                 % (deg, loc.dim(deg), len(vec)))
-        if any(vec):
-            clean[(atom, deg)] = tuple(loc.quotient(deg).reduce(vec))
+        sparse[atom, deg] = {i: c for i, c in enumerate(
+            [rings.coeff(rings.Z, v) for v in vec]) if c}
+    return _checked_local(arr, flat_index, loc, sparse, n, read=True)
+
+
+def _check_key(arr, flat_index, atom, deg, n):
+    """Refuse a correction key outside the local Lie pieces of the flat."""
+    members = arr.flats[flat_index].members
+    if atom not in members:
+        raise ValueError(
+            "correction outside the local Lie piece: atom %r is not in "
+            "flat %d %r" % (arr.atoms[atom] if 0 <= atom < len(arr.atoms)
+                            else atom, flat_index, members))
+    if not 2 <= deg <= n - 1:
+        raise ValueError(
+            "correction outside the local Lie piece: degree %d not in "
+            "2..%d" % (deg, n - 1))
+
+
+def _checked_local(arr, flat_index, loc, corrections, n, read=False):
+    """The LocalLift of sparse corrections keyed by global atom indices,
+    each reduced in the local algebra loc; refused like local_lift.  read
+    says that local_lift has already checked the keys and the entries."""
+    clean, totals = {}, {}
+    for (atom, deg), vec in corrections.items():
+        if not read:
+            _check_key(arr, flat_index, atom, deg, n)
+            dim = loc.dim(deg)
+            if not isinstance(vec, dict) or not all(
+                    type(i) is int and 0 <= i < dim and type(c) is int
+                    for i, c in vec.items()):
+                raise ValueError(
+                    "correction outside the local Lie piece: degree %d of "
+                    "the local algebra takes sparse integer coordinates "
+                    "{i: c} with 0 <= i < %d, got %r" % (deg, dim, vec))
+        vec = loc.quotient(deg).reduce(vec)
+        if vec:
+            clean[atom, deg] = vec
+            _add_into(totals.setdefault(deg, {}), vec)
     for deg in range(2, n - 1):
-        total = [0] * loc.dim(deg)
-        for h in flat.members:
-            v = clean.get((h, deg))
-            if v:
-                total = [a + b for a, b in zip(total, v)]
-        if any(loc.quotient(deg).reduce(total)):
+        if loc.quotient(deg).reduce(totals.get(deg, {})):
             raise ValueError(
                 "corrections on flat %d do not define a lift: the degree %d "
                 "corrections must sum to zero in the local algebra"
                 % (flat_index, deg))
-    return LocalLift(flat=flat, n=n, corrections=clean)
+    return LocalLift(flat=arr.flats[flat_index], n=n, corrections=clean)
 
 
 def zero_local_lifts(arr, n):
@@ -294,23 +315,21 @@ def relator_components(alg, flats, corrections, m):
     coordinates}, in flat and member order.
     """
     def phi(a, i):
-        if i == 1:
-            return {a: 1}
-        return {r: c for r, c in enumerate(corrections.get((a, i), ())) if c}
+        return {a: 1} if i == 1 else corrections.get((a, i), {})
 
     out = {}
     for f in flats:
         z = {1: dict.fromkeys(f.members, 1)}
         for i in range(2, m):
-            vecs = [corrections[k, i] for k in f.members if (k, i) in corrections]
-            z[i] = {r: c for r, c in enumerate(map(sum, zip(*vecs))) if c}
+            z[i] = {}
+            for k in f.members:
+                _add_into(z[i], phi(k, i))
         for h in f.members:
-            total = [0] * alg.dim(m)
+            total = {}
             for i in range(1, m):
                 u, v = phi(h, i), z[m - i]
                 if u and v:
-                    for r, c in alg.bracket(i, u, m - i, v).items():
-                        total[r] += c
+                    _add_into(total, alg.bracket(i, u, m - i, v))
             out[(h, f.index)] = alg.quotient(m).reduce(total)
     return out
 
@@ -344,39 +363,38 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
         if ll.n != n:
             raise ValueError("local lift on flat %d was built for degree %d, "
                              "not %d" % (f.index, ll.n, n))
-        local_lift(arr, f.index, ll.corrections, n, guard=guard,
-                   alg=ch.local_alg[f.index])
+        _checked_local(arr, f.index, ch.local_alg[f.index], ll.corrections, n)
 
     glob = {}
     for f in arr.flats:
         ll = by_flat[f.index]
         for (atom, deg), vec in sorted(ll.corrections.items()):
-            img = rename(ch.local_alg[f.index], ch.alg, f.members, deg, vec)
-            key = (atom, deg)
-            cur = glob.get(key)
-            glob[key] = img if cur is None else [a + b for a, b in zip(cur, img)]
+            _add_into(glob.setdefault((atom, deg), {}),
+                      rename(ch.local_alg[f.index], ch.alg, f.members, deg, vec))
     corrections = {}
     for key in sorted(glob):
-        deg = key[1]
-        vec = ch.alg.quotient(deg).reduce(glob[key])
-        if any(vec):
-            corrections[key] = tuple(vec)
+        vec = ch.alg.quotient(key[1]).reduce(glob[key])
+        if vec:
+            corrections[key] = vec
 
     for m in range(3, n):
         for (h, fi), comp in relator_components(ch.alg, arr.flats,
                                                 corrections, m).items():
-            if any(comp):
+            if comp:
                 raise ValueError(
                     "corrections do not assemble to an endomorphism: the "
                     "relator of atom %r on flat %d %r has a nonzero "
                     "degree %d component %r"
-                    % (arr.atoms[h], fi, arr.flats[fi].members, m, list(comp)))
+                    % (arr.atoms[h], fi, arr.flats[fi].members, m,
+                       [comp.get(i, 0) for i in range(ch.alg.dim(m))]))
 
     delta = relator_components(ch.alg, arr.flats, corrections, n)
     glift = GlobalLift(n=n, corrections=corrections, delta=delta)
     for f in arr.flats:
-        total = [sum(col) for col in zip(*(delta[h, f.index] for h in f.members))]
-        if any(ch.alg.quotient(n).reduce(total)):
+        total = {}
+        for h in f.members:
+            _add_into(total, delta[h, f.index])
+        if ch.alg.quotient(n).reduce(total):
             raise RuntimeError("degree-%d relator components of flat %d do "
                                "not sum to zero" % (n, f.index))
     for f in arr.flats:
@@ -391,7 +409,7 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
             for h in g.members:
                 got = rename(ch.alg, loc, ch.restriction[f.index], n,
                              delta[(h, g.index)])
-                want = local_cols[h] if g.index == f.index else [0] * loc.dim(n)
+                want = local_cols[h] if g.index == f.index else {}
                 if got != want:
                     raise RuntimeError(
                         "localization square fails at flat %d, relator "
@@ -419,8 +437,8 @@ def localize_global_lift(arr, glift, charts=None, guard=DEFAULT_GUARD):
                 if vec is None:
                     continue
                 v = rename(ch.alg, loc, ch.restriction[f.index], deg, vec)
-                if any(v):
-                    corr[(h, deg)] = tuple(v)
+                if v:
+                    corr[(h, deg)] = v
         out.append(LocalLift(flat=f, n=n, corrections=corr))
     return out
 
@@ -448,7 +466,7 @@ def lift_h2_matrix(arr, glift, dim):
     basis; columns: relator basis.
     """
     pairs = relator_basis(arr)
-    top = _cols_to_matrix([glift.delta[p] for p in pairs], dim)
+    top = exactla.columns_to_matrix([glift.delta[p] for p in pairs], dim)
     return top + exactla.identity(len(pairs))
 
 
@@ -642,22 +660,17 @@ def iso_h2_matrix(arr_a, arr_b, iso):
     pairs_a = relator_basis(arr_a)
     pairs_b = relator_basis(arr_b)
     index_b = {p: i for i, p in enumerate(pairs_b)}
-    rows = len(pairs_b)
     cols = []
     for h, fi in pairs_a:
         gj = iso.flat_map[fi]
         gh = iso.atom_map[h]
         members = arr_b.flats[gj].members
         drop = max(members)
-        col = [0] * rows
         if gh != drop:
-            col[index_b[(gh, gj)]] = 1
+            cols.append({index_b[(gh, gj)]: 1})
         else:
-            for k in members:
-                if k != drop:
-                    col[index_b[(k, gj)]] = -1
-        cols.append(col)
-    return _cols_to_matrix(cols, rows)
+            cols.append({index_b[(k, gj)]: -1 for k in members if k != drop})
+    return exactla.columns_to_matrix(cols, len(pairs_b))
 
 
 def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n):
@@ -671,8 +684,8 @@ def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n):
     corr = {}
     for (atom_b, deg), vec in sorted(llift_b.corrections.items()):
         v = rename(loc_b, loc_a, back, deg, vec)
-        if any(v):
-            corr[(fa.members[pos_a[atom_b]], deg)] = tuple(v)
+        if v:
+            corr[(fa.members[pos_a[atom_b]], deg)] = v
     return LocalLift(flat=fa, n=n, corrections=corr)
 
 
@@ -762,20 +775,18 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
         if fi is None:
             raise ValueError("cannot perturb a lift: every local algebra "
                              "vanishes in degree %d" % (n - 1))
-        loc = ch_a.local_alg[fi]
         key = (arr_a.flats[fi].members[0], n - 1)
         corr = dict(locals_a[fi].corrections)
-        vec = list(corr.get(key, [0] * loc.dim(n - 1)))
-        vec[0] += 1
-        corr[key] = tuple(vec)
-        locals_a[fi] = local_lift(arr_a, fi, corr, n, guard=guard, alg=loc)
+        corr[key] = dict(corr.get(key, {}))
+        _add_into(corr[key], {0: 1})
+        locals_a[fi] = _checked_local(arr_a, fi, ch_a.local_alg[fi], corr, n)
     glift_a = assemble_global_lift(locals_a, arr_a, n, guard=guard, charts=ch_a)
 
     g_n = letter_matrix(ch_a.alg, ch_b.alg, list(iso.atom_map), n)
     pairs_a = relator_basis(arr_a)
     pairs_b = relator_basis(arr_b)
     g = ch_b.alg.dim(n)
-    delta_a = _cols_to_matrix(
+    delta_a = exactla.columns_to_matrix(
         [rename(ch_a.alg, ch_b.alg, iso.atom_map, n, glift_a.delta[p])
          for p in pairs_a], g)
     g2 = iso_h2_matrix(arr_a, arr_b, iso)

@@ -16,6 +16,11 @@ The rank cross-check of a QuotientLattice runs the same loop once over
 Z/(p1*p2) = F_p1 x F_p2 (CRT) for two large primes, and ranks the rows
 left without a unit entry mod each prime (_ranks_mod).  Saturated integer
 kernels (kernel_int) are read off a QuotientLattice too.
+Vectors are sparse dicts {index: value} throughout: the rows a lattice is
+built from, the ambient vectors it projects and the coordinates it
+answers in.  Dense matrices appear only in the Smith form, the inverse
+over Q and the helpers (identity, columns_to_matrix, mat_mul) of the
+matrices a report prints.
 """
 
 from __future__ import annotations
@@ -250,6 +255,11 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def columns_to_matrix(cols, nrows):
+    """The dense nrows-row matrix whose columns are the sparse cols."""
+    return [[col.get(i, 0) for col in cols] for i in range(nrows)]
+
+
 def mat_mul(a, b):
     if not a:
         return []
@@ -376,16 +386,15 @@ def smith_normal_form(mat):
     return [d[i][i] for i in range(t) if d[i][i] != 0], u, uinv
 
 
-def kernel_int(mat):
-    """Basis (list of vectors) of the saturated integer kernel of mat.
+def kernel_int(n, rows):
+    """Basis (list of dense vectors) of the saturated integer kernel of the
+    sparse rows over n columns.
 
-    The kernel is Hom(Z^n / rows of mat, Z): the free coordinates of the
+    The kernel is Hom(Z^n / rows, Z): the free coordinates of the
     QuotientLattice by the rows, read as linear forms on Z^n.
     """
-    n = len(mat[0]) if mat else 0
-    q = QuotientLattice(n, mat)
-    cols = [q.project({c: 1}) for c in range(n)]
-    return [[col.get(i, 0) for col in cols] for i in range(q.rank)]
+    q = QuotientLattice(n, rows)
+    return columns_to_matrix([q.project({c: 1}) for c in range(n)], q.rank)
 
 
 def is_unimodular(rows, n):
@@ -436,30 +445,27 @@ def inverse_field(mat):
 
 
 class QuotientLattice:
-    """Z^w modulo the sublattice spanned by the given generator vectors.
+    """Z^w modulo the sublattice spanned by the given sparse {col: int} rows.
 
-    Generators are sparse {col: int} rows or dense lists.  They are first
-    eliminated by the sparse loop, which pivots only on units of Z (+-1);
-    only the residual rows, which have no unit entry, go through a dense
-    Smith normal form on the columns they touch.  The whole input is
-    cross-checked by its ranks over two large primes: over F_p the rank
-    must be the number of pivots plus the divisors prime to p.  Both ranks
-    come from one elimination over Z/(p1*p2) = F_p1 x F_p2 on its units,
-    plus the residual rows ranked mod each prime (_ranks_mod).
+    The rows are first eliminated by the sparse loop, which pivots only on
+    units of Z (+-1); only the residual rows, which have no unit entry, go
+    through a dense Smith normal form on the columns they touch.  The whole
+    input is cross-checked by its ranks over two large primes: over F_p the
+    rank must be the number of pivots plus the divisors prime to p.  Both
+    ranks come from one elimination over Z/(p1*p2) = F_p1 x F_p2 on its
+    units, plus the residual rows ranked mod each prime (_ranks_mod).
     Coordinates are a normal form: `project` reduces by the pivot rows in
     elimination order, reads the surviving columns the residual does not
     touch, then applies the residual transform to the rest.  The free part
-    has `rank` entries, the torsion part one entry per divisor > 1.
-    `project` and `reduce` return the format they are given: a dense list
-    for a dense sequence, and for a sparse dict the dict {coordinate:
-    value} of the nonzero coordinates, torsion reduced either way.
+    has `rank` entries, the torsion part one entry per divisor > 1.  A
+    class is the sparse dict {coordinate: value} of its nonzero
+    coordinates, torsion reduced: `project` and `reduce` answer in it and
+    `lift` reads it.
     """
 
     def __init__(self, w, gens):
         self.w = w
-        # the sparse loop copies its input and drops zeros, so dicts go as they are
-        rows = [g if isinstance(g, dict) else {c: v for c, v in enumerate(g) if v}
-                for g in gens]
+        rows = list(gens)  # read twice: the Z pass and the cross-check
         pivots, residual = _eliminate(rows, "Z")
         self._pivots = [(col, row) for col, _rid, row in pivots]
         self._pivot_order = {col: i for i, (col, _row) in enumerate(self._pivots)}
@@ -491,38 +497,12 @@ class QuotientLattice:
         return self.rank + len(self.torsion)
 
     def project(self, x):
-        """Quotient coordinates of an ambient vector, dense or sparse.
+        """Sparse coordinates of the sparse ambient vector x.
 
-        A sparse dict is reduced sparsely: the pivot columns it touches are
-        taken from a heap in elimination order, which is safe because a
-        pivot row is zero at every column pivoted before it.
+        The pivot columns x touches are taken from a heap in elimination
+        order, which is safe because a pivot row is zero at every column
+        pivoted before it.
         """
-        free_cols = self._free_cols
-        if isinstance(x, dict):
-            y = self._reduce_sparse(x)
-            res = [y.pop(c, 0) for c in self._res_cols]
-            # what is left is zero at every pivot column: free columns only
-            out = {bisect_left(free_cols, c): v for c, v in y.items()}
-        else:
-            y = list(x)
-            for col, row in self._pivots:
-                f = y[col]
-                if f:
-                    f *= row[col]
-                    for c, v in row.items():
-                        y[c] -= f * v
-            out = [y[c] for c in free_cols]
-            res = [y[c] for c in self._res_cols]
-        if not self._res_cols:
-            return out
-        z = [sum(u * r for u, r in zip(row, res) if r) for row in self._u]
-        z = z[self._r:] + [z[i] % d for i, d in self._tors_rows]
-        if isinstance(out, list):
-            return out + z
-        out.update((i, v) for i, v in enumerate(z, len(free_cols)) if v)
-        return out
-
-    def _reduce_sparse(self, x):
         y = {c: v for c, v in x.items() if v}
         order = self._pivot_order
         heap = [order[c] for c in y if c in order]
@@ -543,7 +523,15 @@ class QuotientLattice:
                     y[c] = w
                 else:
                     y.pop(c, None)
-        return y
+        res = [y.pop(c, 0) for c in self._res_cols]
+        # what is left is zero at every pivot column: free columns only
+        free_cols = self._free_cols
+        out = {bisect_left(free_cols, c): v for c, v in y.items()}
+        if self._res_cols:
+            z = [sum(u * r for u, r in zip(row, res) if r) for row in self._u]
+            z = z[self._r:] + [z[i] % d for i, d in self._tors_rows]
+            out.update((i, v) for i, v in enumerate(z, len(free_cols)) if v)
+        return out
 
     def lift(self, coords):
         """A sparse ambient representative {column: value} of the class with
@@ -564,19 +552,13 @@ class QuotientLattice:
         return x
 
     def reduce(self, coords):
-        """Coordinates, dense or sparse, with torsion reduced into range."""
+        """The nonzero entries of sparse coordinates, torsion reduced into
+        range."""
         rank = self.rank
-        if isinstance(coords, dict):
-            out = {}
-            for i, v in coords.items():
-                if i >= rank:
-                    v %= self.torsion[i - rank]
-                if v:
-                    out[i] = v
-            return out
-        free = list(coords[:rank])
-        tors = [c % d for c, d in zip(coords[rank:], self.torsion)]
-        return free + tors
-
-    def zero(self):
-        return [0] * self.dim
+        out = {}
+        for i, v in coords.items():
+            if i >= rank:
+                v %= self.torsion[i - rank]
+            if v:
+                out[i] = v
+        return out

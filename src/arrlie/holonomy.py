@@ -9,11 +9,12 @@ the cost follows the quotient and not the free Lie algebra, and so does
 the size guard, which counts the pair columns and triples of degree n
 from the dimensions below n (wedge_counts, tower_cost).  Each degree
 is one integer QuotientLattice; Q and F_p read their dimensions off it
-by universal coefficients.  A class is a coordinate vector there, and
-brackets of classes come from the tower's own tables.  The process keeps
-the towers of the last few relation sets (TOWER_MEMO_SIZE), so every
-HolonomyAlgebra, ring and caller on one relation set reads and extends
-one tower instead of building its degrees again.
+by universal coefficients.  A class is the sparse dict of its
+coordinates there, and brackets of classes come from the tower's own
+tables.  The process keeps the towers of the last few relation sets
+(TOWER_MEMO_SIZE), so every HolonomyAlgebra, ring and caller on one
+relation set reads and extends one tower instead of building its degrees
+again.
 
 Also here: commutator-relator presentations with their degree-2 Magnus
 coefficients, the degree-2 part of the Orlik-Solomon relation ideal, and
@@ -229,13 +230,8 @@ def _magnus_column(pres, relator, pidx):
 
 def holonomy_map_from_presentation(pres):
     """Columns over the pair basis (i < j): the degree-2 Magnus class per relator."""
-    pidx = pair_index(pres.generators)
-    cols = [_magnus_column(pres, rel, pidx) for rel in pres.relators]
-    mat = [[0] * len(cols) for _ in range(len(pidx))]
-    for t, col in enumerate(cols):
-        for r, c in col.items():
-            mat[r][t] = c
-    return mat
+    return exactla.columns_to_matrix(relation_set_from_presentation(pres).elements,
+                                     comb(pres.generators, 2))
 
 
 def relation_set_from_presentation(pres):
@@ -320,12 +316,12 @@ class HolonomyAlgebra:
 
     The bracket [s, t] of degree n is the projection of the column s ^ t.
     Each is computed on first use and kept, so no bracket landing in a
-    degree exists until a caller needs one.  Classes are coordinate
-    vectors, and bracket takes two sparse ones to the reduced coordinates
-    of their bracket.  Read backwards, the lift of a class of degree n
-    over the columns pairs(n) writes it as a sum of brackets [s, t] of
-    classes below n, so a Lie map out of the algebra is determined, degree
-    by degree, by the images of the letters (decomp.rename).
+    degree exists until a caller needs one.  Classes are sparse dicts of
+    coordinates, and bracket takes two to the reduced coordinates of their
+    bracket.  Read backwards, the lift of a class of degree n over the
+    columns pairs(n) writes it as a sum of brackets [s, t] of classes
+    below n, so a Lie map out of the algebra is determined, degree by
+    degree, by the images of the letters (decomp.rename).
 
     An instance is a view on the tower of its relation set, which is
     shared by every view on the same alphabet and relations in the

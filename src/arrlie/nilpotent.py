@@ -1,13 +1,14 @@
 """Second nilpotent quotient, k-invariant, and CE homology.
 
 The class-2 quotient of a commutator-relators group is handled in normal
-form (v, w): v is the vector of exponent sums, w lives in
-gr2 = Lie_2 / relation span with torsion coordinates reduced.  The
-multiplication cocycle follows Hall collection with larger generator
-indices moved left, so the commutator [x_i, x_j] for i > j is the class
-of e_i wedge e_j.  A word is collected letter by letter into v and a
-tail in the ambient pair coordinates of Lie_2, and the tail is projected
-to gr2 once, at the end of the word.
+form (v, w): v is the vector of exponent sums, w the dense coordinates of
+gr2 = Lie_2 / relation span with torsion coordinates reduced, the form
+nq2 prints.  The multiplication cocycle follows Hall collection with
+larger generator indices moved left, so the commutator [x_i, x_j] for
+i > j is the class of e_i wedge e_j, the bracket [x_i, x_j] of the
+holonomy tower in degree 2.  A word is collected letter by letter into v
+and a tail in gr2 coordinates, added up from those brackets, and the
+tail's torsion is reduced once, at the end of the word.
 
 A truncated graded Lie ring (GradedLie) is its graded pieces and the
 sparse products [s, t] of its basis classes s < t, the form in which the
@@ -35,9 +36,8 @@ from .arrangement import Arrangement, Record
 from .exactla import QuotientLattice
 from .freelie import DEFAULT_GUARD, SizeGuardError
 from .holonomy import (GradedAbelian, HolonomyAlgebra, as_relation_set,
-                       holonomy_graded, i2_basis, letter_word, pair_index,
-                       pair_list, single_letter_names, wedge_block,
-                       wedge_counts)
+                       holonomy_graded, i2_basis, letter_word, pair_list,
+                       single_letter_names, wedge_block, wedge_counts)
 
 # one dotted word token: a generator name with an optional integer exponent
 _WORD_TOKEN = re.compile(r"([^\^\s]+)(?:\^(-?\d+))?")
@@ -63,10 +63,11 @@ class Class2Group:
     """Second nilpotent quotient of a commutator-relators group.
 
     Central extension of the free abelian group on the generators by
-    gr2 = Lie_2 / relation span.  The structure cocycle sends (e_i, e_j)
-    with i > j to the class of e_i wedge e_j, which in the ordered pair
-    basis is minus the pair (j, i).  Words, products and inverses are
-    collected in those ambient pair coordinates and projected to gr2 once.
+    gr2 = Lie_2 / relation span, the degree-2 piece of the holonomy tower.
+    The structure cocycle sends (e_i, e_j) with i > j to the class of
+    e_i wedge e_j, the tower's bracket [x_i, x_j] = -[x_j, x_i].  Words,
+    products and inverses add those brackets up in gr2 coordinates and
+    reduce the torsion once.
     """
 
     def __init__(self, source):
@@ -75,19 +76,21 @@ class Class2Group:
         k = self.relset.alphabet
         self.k = k
         self.names = self.relset.atom_names
-        self.pairs = pair_list(k)
-        pidx = pair_index(k)
-        # the pair (i, j), i < j (j in self._above[i]), is at self._row[i] + j
-        self._row = [pidx.get((i, i + 1), 0) - i - 1 for i in range(k)]
-        self._above = [range(i + 1, k) for i in range(k)]
-        self.gr2 = HolonomyAlgebra(self.relset, 2).quotient(2)  # over self.pairs
+        alg = HolonomyAlgebra(self.relset, 2)
+        self.gr2 = alg.quotient(2)
+        # self._above[j]: (i, items of the cocycle (i, j)) for each i > j
+        # whose cocycle is nonzero
+        self._above = []
+        for j in range(k):
+            cocycles = [(i, alg.bracket(1, {i: 1}, 1, {j: 1})) for i in range(j + 1, k)]
+            self._above.append([(i, tuple(c.items())) for i, c in cocycles if c])
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
         self._letter_words = single_letter_names(self.names)
         self._tokens = {}   # dotted token as written -> (index, exponent)
 
     # -- basic elements ----------------------------------------------------
     def identity(self):
-        return Class2Element((0,) * self.k, tuple(self.gr2.zero()))
+        return Class2Element((0,) * self.k, (0,) * self.gr2.dim)
 
     def generator(self, i):
         return self.evaluate([(i, 1)])
@@ -101,44 +104,49 @@ class Class2Group:
             raise ValueError("dimension mismatch: element does not belong "
                              "to this class-2 group")
 
-    def _collect(self, v, word):
-        """Multiply exponent vector v on the right by word, in place.
+    def _collect(self, v, word, tail):
+        """Multiply exponent vector v on the right by word, in place, and
+        add what the collection adds in gr2 to the dense list tail, in
+        place; returns tail, its torsion not reduced.
 
         word is (generator index, exponent) pairs with every index in
-        range.  Returns the gr2 tail that the collection adds.  Collecting
-        x_idx^e past x_i^v[i] for every i > idx adds e * v[i] times the
-        cocycle (i, idx), which is minus the pair (idx, i).  The sum is kept
-        in ambient pair coordinates and projected once; projecting is
-        Z-linear, so this gives the same canonical torsion residues as
-        reducing after every letter.
+        range.  Collecting x_idx^e past x_i^v[i] for every i > idx adds
+        e * v[i] times the cocycle (i, idx).
         """
-        row, above = self._row, self._above
-        raw = [0] * len(self.pairs)
+        above = self._above
         for idx, e in word:
-            off = row[idx]
-            for i in above[idx]:
+            for i, cocycle in above[idx]:
                 x = v[i]
                 if x:
-                    raw[off + i] -= e * x
+                    x *= e
+                    for r, c in cocycle:
+                        tail[r] += x * c
             v[idx] += e
-        return self.gr2.project(raw)
+        return tail
+
+    def _element(self, v, tail):
+        """The normal form of exponents v and a dense tail: its torsion
+        coordinates reduced."""
+        rank = self.gr2.rank
+        return Class2Element(tuple(v), tuple(tail[:rank]) + tuple(
+            c % d for c, d in zip(tail[rank:], self.gr2.torsion)))
 
     # -- group operations ---------------------------------------------------
     def multiply(self, g, h):
         self._check(g)
         self._check(h)
         v = list(g.exps)
-        c = self._collect(v, [(j, e) for j, e in enumerate(h.exps) if e])
-        tail = self.gr2.reduce([a + b + x for a, b, x in zip(g.tail, h.tail, c)])
-        return Class2Element(tuple(v), tuple(tail))
+        tail = [a + b for a, b in zip(g.tail, h.tail)]
+        self._collect(v, [(j, e) for j, e in enumerate(h.exps) if e], tail)
+        return self._element(v, tail)
 
     def inverse(self, g):
         # g times the word of -exps is (0, tail + c), so the inverse is
         # (-exps, -(tail + c))
         self._check(g)
-        c = self._collect(list(g.exps), [(j, -e) for j, e in enumerate(g.exps) if e])
-        tail = self.gr2.reduce([-(a + x) for a, x in zip(g.tail, c)])
-        return Class2Element(tuple(-a for a in g.exps), tuple(tail))
+        tail = self._collect(list(g.exps), [(j, -e) for j, e in enumerate(g.exps) if e],
+                             list(g.tail))
+        return self._element([-a for a in g.exps], [-a for a in tail])
 
     def power(self, g, e):
         if e < 0:
@@ -189,18 +197,21 @@ class Class2Group:
     def evaluate(self, word):
         """Normal form of a word: a string for parse_word, or a sequence of
         (generator index, exponent) pairs.  The whole word is collected in
-        pair coordinates and projected to gr2 once.  A sequence is range
-        checked once; parse_word builds only indices in range."""
+        gr2 coordinates and its torsion reduced once.  A sequence is checked
+        in one pass, every index in range and every exponent an int;
+        parse_word builds only such pairs."""
         if isinstance(word, str):
             word = self.parse_word(word)
         else:
             word = list(word)
-            bad = next((idx for idx, _e in word if not 0 <= idx < self.k), None)
-            if bad is not None:
-                raise ValueError("generator index %d out of range" % bad)
+            for idx, e in word:
+                if not 0 <= idx < self.k:
+                    raise ValueError("generator index %d out of range" % idx)
+                if type(e) is not int:
+                    raise ValueError("exponent %r of generator %d is not an "
+                                     "integer" % (e, idx))
         v = [0] * self.k
-        tail = self._collect(v, word)
-        return Class2Element(tuple(v), tuple(tail))
+        return self._element(v, self._collect(v, word, [0] * self.gr2.dim))
 
 
 def relation_words(arr):
@@ -236,23 +247,8 @@ def k_invariant_matrix(source):
     relset = as_relation_set(source)
     w = len(pair_list(relset.alphabet))
     if isinstance(source, Arrangement):
-        cols, _labels = i2_basis(source)
-        out = []
-        for col in cols:
-            row = [0] * w
-            for r, val in col.items():
-                row[r] = val
-            out.append(row)
-        return out
-    mat = []
-    for el in relset.elements:
-        row = [0] * w
-        for c, val in el.items():
-            row[c] = val
-        mat.append(row)
-    if not mat:
-        return exactla.identity(w)
-    return exactla.kernel_int(mat)
+        return [[col.get(c, 0) for c in range(w)] for col in i2_basis(source)[0]]
+    return exactla.kernel_int(w, relset.elements)
 
 
 # ---------------------------------------------------------------------------

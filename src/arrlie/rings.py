@@ -71,8 +71,9 @@ def char(ring):
 
 
 def coeff(ring, v):
-    """Normalize a coefficient, an int or a Fraction, into the ring."""
-    if not isinstance(v, (int, Fraction)):
+    """Normalize a coefficient, an int or a Fraction, into the ring; a bool
+    is not read as an int."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
         raise ValueError("coefficient %r is not an int or a Fraction" % (v,))
     if ring[0] == "Fp":
         if isinstance(v, Fraction):

@@ -290,7 +290,27 @@ def coords(alg, d, poly):
         if v:
             for r, c in _tree_coords(alg, tree)[1].items():
                 acc[r] = acc.get(r, 0) + v * c
-    return alg.quotient(d).reduce([acc.get(r, 0) for r in range(alg.dim(d))])
+    return dense(alg.quotient(d), alg.quotient(d).reduce(acc))
+
+
+def sparse(vec):
+    """The sparse dict of a dense vector's nonzero entries."""
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def dense(q, coords):
+    """The dense coordinate list of sparse coordinates of the lattice q."""
+    return [coords.get(i, 0) for i in range(q.dim)]
+
+
+def dense_reduce(q, vec):
+    """q.reduce read through dense vectors: a dense list, torsion reduced."""
+    return dense(q, q.reduce(sparse(vec)))
+
+
+def dense_project(q, x):
+    """q.project of a dense ambient vector, as a dense coordinate list."""
+    return dense(q, q.project(sparse(x)))
 
 
 def _tree_coords(alg, tree):

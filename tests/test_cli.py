@@ -1158,3 +1158,16 @@ def test_entry_point_subprocess_determinism(files):
         outs.append(r.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0].decode())["report"]["pass"] is True
+
+
+# sha256 of the whole output of `python3 tests/bytecheck.py`: the exit code
+# and stdout digest of each of its commands, and the digests of their
+# bundles and error lines.  A change that keeps every CLI byte keeps it.
+BYTECHECK_SHA256 = "5e043bca12ff14dad2645bf2e2365b6df2ebd4e3bc882971857e13ddb3e0c591"
+
+
+def test_the_byte_check_digest_is_pinned():
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bytecheck.py")
+    r = subprocess.run([sys.executable, script], capture_output=True,
+                       timeout=300, check=True)
+    assert hashlib.sha256(r.stdout).hexdigest() == BYTECHECK_SHA256

@@ -42,8 +42,9 @@ from arrlie.decomp import (
 )
 from arrlie.holonomy import make_presentation
 from lie_reference import (LieElement, bracket, bracket_coords, coords,
-                           det_int, element, expand_tree, is_zero,
-                           lyndon_basis, tensor_to_lyndon, word_row_degrees)
+                           dense, dense_reduce, det_int, element, expand_tree,
+                           is_zero, lyndon_basis, sparse, tensor_to_lyndon,
+                           word_row_degrees)
 from test_holonomy import commutator_presentations
 
 
@@ -132,6 +133,19 @@ def test_local_lift_validation():
     assert local_lift(arr, 1, {(0, 2): (1,)}, 3).n == 3
 
 
+def test_local_lift_reads_each_coordinate_as_an_integer():
+    # floats, strings, bools and non-integral Fractions are refused, not
+    # truncated or parsed; an integral Fraction is its integer
+    arr = near_pencil(4)
+    for v in (1.5, 2.0, "2", True):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            local_lift(arr, 0, {(0, 3): [v, 0]}, 4)
+    with pytest.raises(ValueError, match="non-integer coefficient 3/2"):
+        local_lift(arr, 0, {(0, 3): [0, Fraction(3, 2)]}, 4)
+    assert local_lift(arr, 0, {(0, 3): [Fraction(4, 2), 0]}, 4).corrections \
+        == {(0, 3): {0: 2}}
+
+
 def test_zero_local_lifts_cover_all_flats():
     arr = near_pencil(4)
     lifts = zero_local_lifts(arr, 4)
@@ -154,8 +168,12 @@ def test_braid4_valid_locals_can_fail_to_assemble():
     arr = braid(4)
     lifts = zero_local_lifts(arr, 4)
     lifts[1] = local_lift(arr, 1, {(0, 2): (1,), (2, 2): (-1,)}, 4)
-    with pytest.raises(ValueError, match="do not assemble"):
+    with pytest.raises(ValueError) as err:
         assemble_global_lift(lifts, arr, 4)
+    assert str(err.value) == (
+        "corrections do not assemble to an endomorphism: the relator of atom "
+        "'H12' on flat 0 (0, 1, 3) has a nonzero degree 3 component "
+        "[0, 0, 0, 0, 0, 0, 0, -1, 0, 0]")
 
 
 def test_assemble_requires_exactly_one_lift_per_flat():
@@ -165,6 +183,25 @@ def test_assemble_requires_exactly_one_lift_per_flat():
         assemble_global_lift(lifts[:-1], arr, 4)
     with pytest.raises(ValueError, match="two local lifts"):
         assemble_global_lift(lifts + [lifts[0]], arr, 4)
+
+
+def test_assemble_refuses_bad_hand_built_corrections():
+    # a LocalLift built by hand is re-checked entry by entry: a negative
+    # index, an index past the end, a float, a bool and a dense tuple are
+    # refused, not read as another coordinate or value
+    arr = near_pencil(4)
+    flat = arr.flats[0]
+    for vec in ({-1: 1}, {2: 1}, {0: 1.0}, {0: True}, (0, 1)):
+        lifts = zero_local_lifts(arr, 4)
+        lifts[0] = decomp.LocalLift(flat=flat, n=4, corrections={(0, 3): vec})
+        with pytest.raises(ValueError, match=r"sparse integer coordinates "
+                           r"\{i: c\} with 0 <= i < 2, got"):
+            assemble_global_lift(lifts, arr, 4)
+    lifts = zero_local_lifts(arr, 4)
+    lifts[0] = decomp.LocalLift(flat=flat, n=4,
+                                corrections={(0, 3): {1: 1}})
+    assert assemble_global_lift(lifts, arr, 4).corrections \
+        == local_lift(arr, 0, {(0, 3): (0, 1)}, 4).corrections
 
 
 def test_near_pencil_corrections_round_trip():
@@ -202,7 +239,8 @@ def test_lift_h2_matrix_blocks():
     assert len(mat) == top + b2
     assert [row for row in mat[top:]] == exactla.identity(b2)
     for j, key in enumerate(relator_basis(arr)):
-        assert [mat[i][j] for i in range(top)] == list(glift.delta[key])
+        assert [mat[i][j] for i in range(top)] == dense(ch.alg.quotient(4),
+                                                         glift.delta[key])
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +362,6 @@ def test_warm_renaming_images_match_a_cold_run(monkeypatch):
         monkeypatch.undo()
         cold, live, live_keys = {}, 0, set()
         for src, dst, letters, d, x, y in calls:
-            x = x if isinstance(x, dict) else dict(enumerate(x))
             images = src._tower.images[dst._tower.key, letters]
             assert all((d, j) in images for j, c in x.items() if c)
             key = (src._tower.key, src.max_degree, dst._tower.key,
@@ -338,7 +375,7 @@ def test_warm_renaming_images_match_a_cold_run(monkeypatch):
             want = [0] * dst.dim(d)
             for j, c in x.items():
                 want = [w + c * v for w, v in zip(want, cold[key][j])]
-            assert y == dst.quotient(d).reduce(want)
+            assert y == dst.quotient(d).reduce(sparse(want))
             if dst.dim(d):
                 live += 1
                 live_keys.add(key)
@@ -587,7 +624,7 @@ def test_sparse_invertibility_matches_the_determinant():
     assert not _invertible([[1, 2]], rings.Z) and _invertible([], rings.Z)
     # a float or a string is refused, not truncated or parsed
     for ring in (rings.Z, rings.Q, rings.fp(3)):
-        for v in (1.5, "3", 2.0):
+        for v in (1.5, "3", 2.0, True):
             with pytest.raises(ValueError, match="not an int or a Fraction"):
                 rings.coeff(ring, v)
         for m in ([[1.5]], [["1"]], [[1, 0], [0, 1.0]]):
@@ -755,7 +792,7 @@ def old_relator_component(alg, corrections, h, members, m):
         if any(c):
             b = old_bracket_coords(alg, i, u, m - i, c)
             total = [x + y for x, y in zip(total, b)]
-    return alg.quotient(m).reduce(total)
+    return dense_reduce(alg.quotient(m), total)
 
 
 def equivalence_sources():
@@ -785,7 +822,7 @@ def test_tensor_path_matches_the_lyndon_basis_path(name, source):
     seeded = {}
     for d in range(1, top + 1):
         c = seeded[d] = [rng.randint(-3, 3) for _ in range(alg.dim(d))]
-        assert coords(alg, d, element(alg, d, c)) == alg.quotient(d).reduce(c)
+        assert coords(alg, d, element(alg, d, c)) == dense_reduce(alg.quotient(d), c)
     # renamings: a permutation, then the same with one or two letters deleted
     perm = rng.sample(range(k), k)
     maps = [(alg, perm)] + [(alg, [None if a in gone else b for a, b in
@@ -802,8 +839,8 @@ def test_tensor_path_matches_the_lyndon_basis_path(name, source):
             old = old_letter_matrix(alg, dst, letters, d)
             assert letter_matrix(alg, dst, letters, d) == old
             c = seeded[d]
-            assert (rename(alg, dst, letters, d, c) == dst.quotient(d).reduce(
-                [sum(a * b for a, b in zip(row, c)) for row in old]))
+            assert (rename(alg, dst, letters, d, sparse(c)) == dst.quotient(d).reduce(
+                sparse([sum(a * b for a, b in zip(row, c)) for row in old])))
     # relator components of corrections summing to zero below top - 1
     flats = (source.flats if isinstance(source, Arrangement)
              else [Flat2(0, tuple(range(k)), k - 1)])
@@ -818,12 +855,13 @@ def test_tensor_path_matches_the_lyndon_basis_path(name, source):
                     vec = [-t for t in total]
                 total = [a + b for a, b in zip(total, vec)]
                 corr[(h, deg)] = tuple(vec)
+        sparse_corr = {key: sparse(vec) for key, vec in corr.items()}
         for m in range(3, top + 1):
-            comps = relator_components(alg, [flat], corr, m)
+            comps = relator_components(alg, [flat], sparse_corr, m)
             assert list(comps) == [(h, flat.index) for h in members]
             for h in members:
-                assert (list(comps[(h, flat.index)])
-                        == list(old_relator_component(alg, corr, h, members, m)))
+                assert (dense(alg.quotient(m), comps[(h, flat.index)])
+                        == old_relator_component(alg, corr, h, members, m))
 
 
 @pytest.mark.parametrize("arr,corr", [
@@ -837,8 +875,11 @@ def test_the_lift_keeps_its_top_relator_components(arr, corr):
     lifts[0] = local_lift(arr, 0, corr, 4)
     glift = assemble_global_lift(lifts, arr, 4)
     alg = HolonomyAlgebra(arr, max_degree=4)
-    want = {(h, f.index): list(old_relator_component(
-                alg, glift.corrections, h, f.members, 4))
+    corrections = {key: dense(alg.quotient(key[1]), vec)
+                   for key, vec in glift.corrections.items()}
+    want = {(h, f.index): old_relator_component(
+                alg, corrections, h, f.members, 4)
             for f in arr.flats for h in f.members}
-    assert glift.delta == want
+    assert {key: dense(alg.quotient(4), vec)
+            for key, vec in glift.delta.items()} == want
     assert any(any(v) for v in want.values())

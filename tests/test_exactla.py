@@ -82,7 +82,7 @@ def test_kernel_is_saturated_and_annihilates():
     for _ in range(10):
         m, n = rng.randint(1, 4), rng.randint(1, 5)
         a = rand_mat(rng, m, n)
-        kern = exactla.kernel_int(a)
+        kern = exactla.kernel_int(n, sparse_rows(a))
         rank = gauss_rank(sparse_rows(a), n)
         assert len(kern) == n - rank
         for v in kern:
@@ -168,20 +168,15 @@ def test_empty_matrix_conventions():
 
 
 def test_quotient_lattice_with_torsion():
-    q = exactla.QuotientLattice(3, [[2, 0, 0]])
+    q = exactla.QuotientLattice(3, [{0: 2}])
     assert (q.rank, q.torsion, q.dim) == (2, (2,), 3)
-    v = q.project([1, 0, 0])
-    assert q.reduce([a + b for a, b in zip(v, v)]) == q.zero()
+    v = q.project({0: 1})
+    assert v == {2: 1}
+    assert q.reduce({i: a + a for i, a in v.items()}) == {}
     for x in ({0: 1, 1: 2, 2: 3}, {1: -1, 2: 4}):
         c = q.project(x)
         assert q.project(q.lift(c)) == q.reduce(c)
-    assert q.reduce([2 * a for a in q.project([1, 0, 0])]) == q.zero()
-    assert q.project([0, 1, 0]) != q.zero()
-
-
-def nonzero(v):
-    """The sparse dict of a dense vector's nonzero entries."""
-    return {i: a for i, a in enumerate(v) if a}
+    assert q.project({1: 1}) != {}
 
 
 def test_quotient_lattice_residual_block_matches_dense_smith_form():
@@ -194,27 +189,24 @@ def test_quotient_lattice_residual_block_matches_dense_smith_form():
         w, n = rng.randint(1, 6), rng.randint(1, 6)
         entries = (0, 2, -2, 3, -3, 4, 6) if trial % 2 else (0, 0, 1, -1, 2, -3, 4)
         gens = [[rng.choice(entries) for _ in range(w)] for _ in range(n)]
-        q = exactla.QuotientLattice(w, gens)
+        q = exactla.QuotientLattice(w, sparse_rows(gens))
         divisors = det_divisors(gens)
         assert q.rank == w - len(divisors)
         assert q.torsion == tuple(d for d in divisors if d > 1)
         saw_full_residual += bool(q._res_cols) and not q._pivots
         saw_mixed += bool(q._res_cols) and bool(q._pivots)
-        for g in gens:
-            assert q.project(g) == q.zero()
-            assert q.project(nonzero(g)) == {}
+        for g in sparse_rows(gens):
+            assert q.project(g) == {}
         for _ in range(3):
-            x = [rng.randint(-5, 5) for _ in range(w)]
-            y = [rng.randint(-5, 5) for _ in range(w)]
-            s = [a + b for a, b in zip(x, y)]
+            x, y = ({j: rng.randint(-5, 5) for j in range(w)} for _ in range(2))
+            s = {j: x[j] + y[j] for j in range(w)}
+            px, py = q.project(x), q.project(y)
             assert q.project(s) == q.reduce(
-                [a + b for a, b in zip(q.project(x), q.project(y))])
-            c = [rng.randint(-7, 7) for _ in range(q.dim)]
-            assert q.project(q.lift(nonzero(c))) == nonzero(q.reduce(c))
-            # a sparse dict gives the nonzero entries of the dense answer
-            for v in (x, y, s):
-                assert q.project(nonzero(v)) == nonzero(q.project(v))
-            assert q.reduce(nonzero(c)) == nonzero(q.reduce(c))
+                {i: px.get(i, 0) + py.get(i, 0) for i in set(px) | set(py)})
+            c = {i: rng.randint(-7, 7) for i in range(q.dim)}
+            assert q.project(q.lift(c)) == q.reduce(c)
+            assert all(v and (i < q.rank or 0 < v < q.torsion[i - q.rank])
+                       for i, v in q.project(x).items())
     assert saw_full_residual and saw_mixed
 
 
@@ -351,6 +343,7 @@ def test_in_place_kernel_matches_the_copying_kernel(monkeypatch):
 ])
 def test_modular_cross_check_catches_a_corrupted_integer_pass(monkeypatch, w, gens,
                                                               rank, torsion):
+    gens = sparse_rows(gens)
     q = exactla.QuotientLattice(w, gens)
     assert (q.rank, q.torsion) == (rank, torsion)
     update_z = exactla._update_z

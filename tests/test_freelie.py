@@ -17,6 +17,7 @@ from lie_reference import (
     bracket,
     check_guard,
     coords,
+    dense_reduce,
     element,
     expand_tree,
     is_lyndon,
@@ -196,11 +197,11 @@ def test_holonomy_coordinates_go_through_the_table(arr):
         q = alg.quotient(d)
         for j in range(alg.dim(d)):
             e = _unit(alg.dim(d), j)
-            assert coords(alg, d, element(alg, d, e)) == q.reduce(e)
+            assert coords(alg, d, element(alg, d, e)) == dense_reduce(q, e)
     for d, (sub, kept) in enumerate(itertools.islice(word_row_pieces(arr), 3), 2):
         assert (sub.rank, sub.torsion) == (alg.rank(d), alg.torsion(d))
         for poly in kept:
-            assert coords(alg, d, poly) == alg.quotient(d).zero()
+            assert coords(alg, d, poly) == [0] * alg.dim(d)
 
 
 # ---------------------------------------------------------------------------
