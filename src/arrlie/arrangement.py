@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+from . import rings
+
 
 class ArrangementError(ValueError):
     """Invalid arrangement data (bad atoms, normals, or pencil cover)."""
@@ -80,9 +82,18 @@ def _primitive(row):
     return tuple(x // g for x in row)
 
 
+def _rational(x):
+    """x read into Q: an int or a Fraction, never a bool, float or string."""
+    try:
+        return rings.coeff(rings.Q, x)
+    except ValueError:
+        raise ArrangementError("normal entry %r is not an int or a Fraction"
+                               % (x,)) from None
+
+
 def _integer_row(v):
     """The rational vector v times the lcm of its denominators."""
-    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    v = [x if type(x) in (int, Fraction) else _rational(x) for x in v]
     d = lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v]
 
@@ -158,6 +169,10 @@ class Arrangement:
     """Atoms plus rank-2 pencils; normals optional and exact."""
 
     def __init__(self, atoms, normals=None, pencils=None):
+        for pen in pencils or ():
+            if any(isinstance(i, bool) or not isinstance(i, int) for i in pen):
+                raise ArrangementError("pencil %r: atom indices must be integers"
+                                       % (pen,))
         atoms = tuple(str(a) for a in atoms)
         if not atoms:
             raise ArrangementError("arrangement needs at least one atom")
@@ -166,7 +181,7 @@ class Arrangement:
         if normals is None and pencils is None:
             raise ArrangementError("need normals or pencils")
         if normals is not None:
-            normals = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+            normals = tuple(tuple(x if type(x) is Fraction else _rational(x)
                                   for x in v) for v in normals)
             derived = [tuple(p) for p in pencils_from_normals(atoms, normals)]
             if pencils is not None:
@@ -177,7 +192,7 @@ class Arrangement:
                         "%s vs %s" % (given, derived))
             pencils = derived
         else:
-            pencils = sorted(tuple(sorted(int(i) for i in p)) for p in pencils)
+            pencils = sorted(tuple(sorted(p)) for p in pencils)
             _check_pair_cover(atoms, pencils)
         self.atoms = atoms
         self.normals = normals
@@ -201,14 +216,8 @@ class Arrangement:
 
 
 def mobius_l2(arr):
-    """Mobius values of the rank-2 flats, via the lattice recursion.
-
-    mu(top) = 1, mu(atom) = -mu(top), mu(Y) = -(mu(top) + sum of mu over
-    the atoms containing Y); for a pencil of m atoms this is m - 1.
-    """
-    mu_top = 1
-    mu_atom = -mu_top
-    return [-(mu_top + mu_atom * len(f.members)) for f in arr.flats]
+    """Mobius values of the rank-2 flats: mu(Y) = |Y| - 1, kept in Flat2.mu."""
+    return [f.mu for f in arr.flats]
 
 
 def betti(arr):
@@ -359,9 +368,6 @@ def arrangement_from_json(obj):
             raise ArrangementError("'%s' must be a list of lists, got %r" % (key, value))
     if normals is not None:
         normals = [[rat_from_json(x) for x in v] for v in normals]
-    for pen in pencils or ():
-        if any(isinstance(i, bool) or not isinstance(i, int) for i in pen):
-            raise ArrangementError("pencil %r: atom indices must be integers" % (pen,))
     return Arrangement(atoms, normals=normals, pencils=pencils)
 
 

@@ -312,8 +312,8 @@ def _cmd_decomp(args, digests):
 
 def _cmd_lcs(args, digests):
     arr = _load_arrangement(args.file, digests, args.guard)
-    # max_degree coefficients sum mu^m of up to m * log2(mu) bits each,
-    # each inverted over the m candidate divisors
+    # witt(mu, m) for each multiplicity mu and m up to max_degree: powers
+    # of up to m * log2(mu) bits over the m candidate divisors
     mu = max((f.mu for f in arr.flats), default=1)
     _check_cost("lcs to degree %d" % args.max_degree,
                 max(args.max_degree, 0) ** 2 * mu.bit_length(), args.guard)

@@ -29,9 +29,11 @@ coordinates), and both sides are bracketed with the tower's own tables
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import exactla, rings
 from .arrangement import Arrangement, Record, localize
-from .freelie import DEFAULT_GUARD, _moebius, witt_rank
+from .freelie import DEFAULT_GUARD, witt_rank
 from .holonomy import HolonomyAlgebra, holonomy_graded
 
 # ---------------------------------------------------------------------------
@@ -41,17 +43,18 @@ def is_decomposable(arr, guard=DEFAULT_GUARD):
     """Decide decomposability from the degree 3 graded piece.
 
     Returns a report dict with r_global (rank of the degree 3 holonomy
-    piece over Q), r_local (sum of local Witt numbers witt(mu(Y), 3)), the
-    integer torsion of degree 3, and the verdict.  The restriction map is
-    always onto, so equal ranks plus a torsion-free source force an
-    isomorphism over Z.  Equal ranks with torsion present get a qualifier
-    instead: the map is an isomorphism over Q but not over Z.
+    piece over Q), r_local (_local_rank at degree 3, the sum of the local
+    Witt numbers witt(mu(Y), 3)), the integer torsion of degree 3, and the
+    verdict.  The restriction map is always onto, so equal ranks plus a
+    torsion-free source force an isomorphism over Z.  Equal ranks with
+    torsion present get a qualifier instead: the map is an isomorphism
+    over Q but not over Z.
     """
     if not isinstance(arr, Arrangement):
         raise TypeError("is_decomposable expects an Arrangement")
     g3 = holonomy_graded(arr, 3, rings.Z, guard=guard)
     r_global = g3.rank
-    r_local = sum(witt_rank(f.mu, 3) for f in arr.flats if f.mu >= 2)
+    r_local = _local_rank(arr, 3)
     torsion = list(g3.torsion)
     rep = {
         "decomposable": r_global == r_local and not torsion,
@@ -64,13 +67,24 @@ def is_decomposable(arr, guard=DEFAULT_GUARD):
     return rep
 
 
+def _local_rank(arr, k):
+    """Sum of witt(mu(Y), k) over the rank-2 flats Y: for k >= 2 the
+    degree-k rank of the direct sum of the local holonomy algebras, since
+    that of a flat Y agrees with the free Lie algebra on mu(Y) generators
+    from degree 2 on."""
+    return sum(c * witt_rank(mu, k)
+               for mu, c in Counter(f.mu for f in arr.flats).items())
+
+
 def lcs_ranks_decomposable(arr, max_degree, guard=DEFAULT_GUARD):
     """LCS ranks phi_1..phi_N of the arrangement group, decomposable case.
 
-    Expands prod_n (1-t^n)^phi_n = (1-t)^(|A|-sum mu) prod_Y (1-mu(Y) t)
-    by taking logarithms: with c_m = (|A| - sum mu) + sum_Y mu(Y)^m the
-    coefficients satisfy sum_{d|m} d phi_d = c_m, inverted by Moebius.
-    Only valid for decomposable arrangements; anything else is refused.
+    gr_k G is the direct sum over the flats of its local pieces for k >= 2
+    (Papadima-Suciu), so phi_1 = |A| and phi_k = _local_rank(arr, k).  This
+    is the product formula prod_n (1-t^n)^phi_n = (1-t)^(|A|-sum mu)
+    prod_Y (1-mu(Y) t), factor by factor, since 1 - m t = prod_n
+    (1-t^n)^witt(m, n).  Only valid for decomposable arrangements; anything
+    else is refused.
     """
     rep = is_decomposable(arr, guard=guard)
     if not rep["decomposable"]:
@@ -81,20 +95,7 @@ def lcs_ranks_decomposable(arr, max_degree, guard=DEFAULT_GUARD):
             % (rep["r_global"], rep["r_local"], extra))
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
-    mus = [f.mu for f in arr.flats]
-    e = len(arr.atoms) - sum(mus)
-    c = {m: e + sum(mu ** m for mu in mus) for m in range(1, max_degree + 1)}
-    phis = []
-    for m in range(1, max_degree + 1):
-        s = sum(_moebius(m // d) * c[d] for d in range(1, m + 1) if m % d == 0)
-        if s % m:
-            raise ArithmeticError("degree %d coefficient %d not divisible" % (m, s))
-        phis.append(s // m)
-    if phis and phis[0] != len(arr.atoms):
-        raise ArithmeticError("phi_1 = %d but there are %d atoms" % (phis[0], len(arr.atoms)))
-    if any(v < 0 for v in phis):
-        raise ArithmeticError("negative LCS rank in %r" % (phis,))
-    return phis
+    return [arr.n_atoms] + [_local_rank(arr, k) for k in range(2, max_degree + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +588,7 @@ def check_diagram(d):
         rep["identity2"] = None
         return rep
     lhs2 = exactla.mat_mul(sa, la)
-    rhs2 = exactla.mat_mul(exactla.mat_mul(sb, lb), g2)
+    rhs2 = exactla.mat_mul(sb, lhs1)   # sigma_b (lb_star g2)
     bad = _first_bad_column(lhs2, rhs2, p) if lhs2 else None
     if bad is not None:
         rep.update(
@@ -609,6 +610,15 @@ class LatticeIso(Record):
         self._set("flat_map", flat_map)
 
 
+def _atom(arr, x):
+    """The index of an atom named by x: its name, or an int index."""
+    if isinstance(x, str):
+        return arr.atom_index(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError("atom %r is neither a name nor an int index" % (x,))
+    return x
+
+
 def lattice_iso(arr_a, arr_b, mapping):
     """Validate an atom bijection as a rank <= 2 lattice isomorphism.
 
@@ -622,14 +632,12 @@ def lattice_iso(arr_a, arr_b, mapping):
     if isinstance(mapping, dict):
         amap = [None] * ka
         for src, dst in mapping.items():
-            i = arr_a.atom_index(src) if isinstance(src, str) else int(src)
-            j = arr_b.atom_index(dst) if isinstance(dst, str) else int(dst)
+            i, j = _atom(arr_a, src), _atom(arr_b, dst)
             if not 0 <= i < ka:
                 raise ValueError("unknown atom index %d" % i)
             amap[i] = j
     else:
-        amap = [arr_b.atom_index(x) if isinstance(x, str) else int(x)
-                for x in mapping]
+        amap = [_atom(arr_b, x) for x in mapping]
         if len(amap) != ka:
             raise ValueError("mapping lists %d images for %d atoms"
                              % (len(amap), ka))

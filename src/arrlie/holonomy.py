@@ -39,9 +39,12 @@ class GradedAbelian(Record):
     """Finitely generated abelian group: free rank and divisor chain (> 1)."""
 
     def __init__(self, rank, torsion=()):
+        tor = tuple(torsion)
+        for v in (rank,) + tor:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError("rank and torsion must be ints, got %r" % (v,))
         if rank < 0:
             raise ValueError("negative rank")
-        tor = tuple(int(d) for d in torsion)
         for d in tor:
             if d <= 1:
                 raise ValueError("torsion divisors must exceed 1")
@@ -191,41 +194,24 @@ def presentation_from_json(obj):
     return make_presentation(obj["generators"], obj["relators"], names)
 
 
-def magnus_degree2(pres, relator):
-    """Degree <= 2 coefficients of the Magnus expansion of one relator.
-
-    Returns ({i: exponent sum}, {(i, j): coefficient of X_i X_j}).
-    x |-> 1 + X, x^-1 |-> 1 - X + X^2 - ..., truncated at degree 2.
-    """
-    k = pres.generators
-    d1 = [0] * k
-    d2 = {}
-    for g, e in pres.letter_sequence(relator):
-        # (1 + D1 + D2) * (1 + e*X_g + [e<0]*X_g^2)
-        for i in range(k):
-            if d1[i]:
-                key = (i, g)
-                d2[key] = d2.get(key, 0) + d1[i] * e
-        if e < 0:
-            key = (g, g)
-            d2[key] = d2.get(key, 0) + 1
-        d1[g] += e
-    return d1, {key: c for key, c in d2.items() if c}
-
-
 def _magnus_column(pres, relator, pidx):
-    """Degree-2 Magnus class of one relator over the pair basis (i < j)."""
-    d1, d2 = magnus_degree2(pres, relator)
-    assert not any(d1), "exponent sums checked at construction"
+    """Degree-2 Magnus class of one relator over the pair basis (i < j).
+
+    Under x |-> 1 + X the coefficient c_ij of X_i X_j (i < j) is the sum,
+    over each letter x_j^e, of e times the exponent sum of x_i before it.
+    With zero exponent sums (make_presentation) the coefficient of X_j X_i
+    is -c_ij and that of X_i^2 is 0, so the c_ij are the whole class, a
+    Lie element.
+    """
+    sums = [0] * pres.generators
     col = {}
-    for (i, j), c in d2.items():
-        if i == j:
-            raise ValueError("relator %r: degree-2 part is not a Lie element" % relator)
-        if (j, i) in d2 and d2[(j, i)] != -c and i < j:
-            raise ValueError("relator %r: degree-2 part is not a Lie element" % relator)
-        if i < j:
-            col[pidx[(i, j)]] = c
-    return col
+    for g, e in pres.letter_sequence(relator):
+        for i in range(g):
+            if sums[i]:
+                t = pidx[(i, g)]
+                col[t] = col.get(t, 0) + e * sums[i]
+        sums[g] += e
+    return {t: c for t, c in col.items() if c}
 
 
 def holonomy_map_from_presentation(pres):
@@ -591,11 +577,6 @@ def i2_basis(arr):
     return cols, labels
 
 
-def _wedge3_index(k):
-    trips = [(a, b, c) for a in range(k) for b in range(a + 1, k) for c in range(b + 1, k)]
-    return trips, {t: i for i, t in enumerate(trips)}
-
-
 def falk_invariant(arr):
     """Nullity over Q of multiplication E^1 x I^2 -> E^3."""
     k = arr.n_atoms
@@ -603,7 +584,6 @@ def falk_invariant(arr):
     if not cols:
         return 0
     pairs = pair_list(k)
-    _trips, tidx = _wedge3_index(k)
     rows = []
     for h in range(k):
         for col in cols:
@@ -618,7 +598,6 @@ def falk_invariant(arr):
                     key, s = (a, h, b), -1
                 else:
                     key, s = (a, b, h), 1
-                ti = tidx[key]
-                row[ti] = row.get(ti, 0) + s * c
+                row[key] = row.get(key, 0) + s * c
             rows.append({t: v for t, v in row.items() if v})
     return len(rows) - exactla.rank_sparse(rows)

@@ -198,13 +198,16 @@ class Class2Group:
         """Normal form of a word: a string for parse_word, or a sequence of
         (generator index, exponent) pairs.  The whole word is collected in
         gr2 coordinates and its torsion reduced once.  A sequence is checked
-        in one pass, every index in range and every exponent an int;
+        in one pass, every index an int in range and every exponent an int;
         parse_word builds only such pairs."""
         if isinstance(word, str):
             word = self.parse_word(word)
         else:
             word = list(word)
             for idx, e in word:
+                if type(idx) is not int:
+                    raise ValueError("generator index %r is not an integer"
+                                     % (idx,))
                 if not 0 <= idx < self.k:
                     raise ValueError("generator index %d out of range" % idx)
                 if type(e) is not int:

@@ -2,7 +2,7 @@
 
     python3 tests/bytecheck.py [--fresh] > digests.txt
 
-Writes the 17 arrangements of the standard catalog and two presentations
+Writes the 17 arrangements of the standard catalog and three presentations
 into a temporary directory, runs every command there and prints one line
 per command: the exit code, the sha256 of stdout and the command, with
 each input file named by its basename, and after a command that writes
@@ -17,13 +17,16 @@ source trees (it imports arrlie from the src/ beside this file) and diff
 the outputs to check that a change keeps every byte.  pytest does not
 collect this file: it is a script, not a test module.
 
-The set, 371 commands plus the nq2 words:
+The set, 484 commands plus the nq2 words:
   - h2check over z, q and fp:2 on the 17 catalog arrangements at degree 3
     and the 15 decomposable ones at degree 4, with and without --override;
   - holonomy over z, q and fp:3 on the 17 at --max-degree 3, and at 4
     with --override;
   - h2check (at its default degree 3) and holonomy --max-degree 4 on the
-    presentations xxyXXY and xxxyXXXY over z, q, fp:2 and fp:3;
+    presentations xxyXXY and xxxyXXXY and on conj5, five generators with
+    conjugated commutator relators, over z, q, fp:2 and fp:3, and kinv on
+    each presentation;
+  - lattice, betti, falk, kinv, decomp and lcs --max-degree 8 on the 17;
   - verify-iso near_pencil(5) under the 4-cycle of its big pencil at
     degree 4, plain and --perturb lift, over z and q;
   - verify-iso with bundles (--out), plain, --perturb lift and --perturb
@@ -70,7 +73,9 @@ sys.path.insert(0, os.path.abspath(SRC))
 from arrlie import arrangement_to_json, standard_catalog  # noqa: E402
 from arrlie.cli import main as arrlie_main  # noqa: E402
 
-PRESENTATIONS = {"xxyXXY": ["xxyXXY"], "xxxyXXXY": ["xxxyXXXY"]}
+# name: (generators, relators); the third has conjugated commutators g[x, y]g^-1
+PRESENTATIONS = {"xxyXXY": (2, ["xxyXXY"]), "xxxyXXXY": (2, ["xxxyXXXY"]),
+                 "conj5": (5, ["zxyXYZ", "abzyZYBA", "yxbXBYxaXA"])}
 NOT_DECOMPOSABLE = ("braid(4)", "braid(5)")
 NP5_CYCLE = '{"H1":"H2","H2":"H3","H3":"H4","H4":"H1","H5":"H5"}'
 G5_SWAP = "[1,0,2,3,4]"
@@ -93,10 +98,10 @@ def write_inputs(workdir):
             json.dump(arrangement_to_json(arr), f)
         catalog.append((name, path, list(arr.atoms)))
     pres = {}
-    for name, relators in PRESENTATIONS.items():
+    for name, (generators, relators) in PRESENTATIONS.items():
         pres[name] = name + ".json"
         with open(os.path.join(workdir, pres[name]), "w") as f:
-            json.dump({"generators": 2, "relators": relators}, f)
+            json.dump({"generators": generators, "relators": relators}, f)
     return catalog, pres
 
 
@@ -133,6 +138,12 @@ def commands(catalog, pres):
         for ring in ("z", "q", "fp:2", "fp:3"):
             cmds.append(["h2check", path, "--ring", ring])
             cmds.append(["holonomy", path, "--max-degree", "4", "--ring", ring])
+        cmds.append(["kinv", path])
+    for sub in ("lattice", "betti", "falk", "kinv", "decomp"):
+        for _name, path, _atoms in catalog:
+            cmds.append([sub, path])
+    for _name, path, _atoms in catalog:
+        cmds.append(["lcs", path, "--max-degree", "8"])
     files = dict((name, path) for name, path, _atoms in catalog)
     np5 = files["near_pencil(5)"]
     for ring in ("z", "q"):
@@ -164,12 +175,14 @@ def commands(catalog, pres):
     for _name, path, atoms in catalog:
         for pad in (False, False, True):
             cmds.append(["nq2", path, "--word", dotted_word(rng, atoms, pad)])
-    for path in pres.values():
+    for name, path in pres.items():
+        names = "xyzab"[:PRESENTATIONS[name][0]]
+        letters = names + names.upper()
         for _ in range(3):
-            word = "".join(rng.choice("xyXY") for _ in range(rng.randint(1, 12)))
+            word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 12)))
             cmds.append(["nq2", path, "--word", word])
         for _ in range(2):
-            cmds.append(["nq2", path, "--word", dotted_word(rng, ["x", "y"], False)])
+            cmds.append(["nq2", path, "--word", dotted_word(rng, list(names), False)])
     for word in ("H1^", "H1.H9", ""):
         cmds.append(["nq2", files["pencil(3)"], "--word", word])
     for sub in ("lattice", "betti", "witt", "holonomy", "falk", "nq2", "kinv",

@@ -332,6 +332,24 @@ def test_constructor_misc_validation():
         arr.atom_index("zz")
 
 
+def test_library_arrangement_refuses_inexact_numbers():
+    # normals went through Fraction(x) and pencil indices through int(i):
+    # 0.1 became 3602879701896397/36028797018963968, and [0, 1.7, 2] and
+    # [0, True, "2"] both became (0, 1, 2)
+    for entry in (1.5, 0.1, True, "1/3", None):
+        with pytest.raises(ArrangementError, match="normal entry %s is not"
+                           % re.escape(repr(entry))):
+            Arrangement(["a", "b", "c"], normals=[[1, 0], [0, 1], [entry, 1]])
+    for pen in ([0, 1.7, 2], [0, True, "2"], [0, 1, 2.0]):
+        for normals in (None, braid(3).normals):
+            with pytest.raises(ArrangementError,
+                               match="atom indices must be integers"):
+                Arrangement(["a", "b", "c"], normals=normals, pencils=[pen])
+    arr = Arrangement(["a", "b", "c"], normals=[[1, 0], [0, 1], [Fraction(1, 3), 1]])
+    assert arr.normals[2] == (Fraction(1, 3), Fraction(1))
+    assert all(type(x) is Fraction for v in arr.normals for x in v)
+
+
 def test_given_pencils_must_match_derived_ones():
     arr = braid(3)
     Arrangement(arr.atoms, normals=arr.normals, pencils=[(0, 1, 2)])

@@ -1,5 +1,6 @@
 """Decomposability, correction-form lifts, obstructions, and the iso verifier."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -96,6 +97,45 @@ def test_lcs_ranks_near_pencil5_and_witt_cross_check():
     for arr, want in ((near_pencil(5), 18), (pencil(4), 18), (generic(5), 0)):
         assert lcs_ranks_decomposable(arr, 4)[3] == want
         assert holonomy_graded(arr, 4, rings.Z) == GradedAbelian(rank=want)
+
+
+def _poly_mul(a, b, n):
+    """Product of two integer polynomials (coefficient lists) mod t^n."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i]):
+                out[i + j] += x * y
+    return out
+
+
+def test_lcs_ranks_expand_the_product_formula():
+    # prod_n (1-t^n)^phi_n = (1-t)^(|A|-sum mu) prod_Y (1-mu(Y) t) mod t^9,
+    # each side multiplied out as a polynomial, without Witt numbers
+    top = 9
+    checked = 0
+    for name, arr in standard_catalog():
+        if name in ("braid(4)", "braid(5)"):
+            continue
+        phis = lcs_ranks_decomposable(arr, top - 1)
+        lhs = [1] + [0] * (top - 1)
+        for n, phi in enumerate(phis, 1):
+            # (1 - t^n)^phi by the binomial theorem, mod t^top
+            factor = [0] * top
+            for j in range((top - 1) // n + 1):
+                factor[n * j] = (-1) ** j * math.comb(phi, j)
+            lhs = _poly_mul(lhs, factor, top)
+        mus = [f.mu for f in arr.flats]
+        rhs = [1] + [0] * (top - 1)
+        for c in mus:
+            rhs = _poly_mul(rhs, [1, -c], top)
+        # (1-t)^e; for e < 0 (generic arrangements) 1/(1-t) = 1 + t + t^2 + ...
+        e = arr.n_atoms - sum(mus)
+        for _ in range(abs(e)):
+            rhs = _poly_mul(rhs, [1, -1] if e > 0 else [1] * top, top)
+        assert lhs == rhs, name
+        checked += 1
+    assert checked == 15
 
 
 def test_lcs_ranks_refuse_braid4():
@@ -433,6 +473,16 @@ def test_lattice_iso_formats_and_validation():
         lattice_iso(arr, arr, [0, 1, 2])
     with pytest.raises(ValueError, match="pencil not preserved"):
         lattice_iso(near_pencil(4), near_pencil(4), [3, 1, 2, 0])
+
+
+def test_lattice_iso_refuses_images_that_are_not_names_or_ints():
+    # a float was truncated and a bool read as 0 or 1: [1.9, False, 2, 3.2]
+    # gave the atom map (1, 0, 2, 3)
+    arr = near_pencil(4)
+    for mapping in ([1.9, False, 2, 3.2], [True, 2, 0, 3], ["H2", 2.0, 0, 3],
+                    {True: 0, 0: 1, 2: 2, 3: 3}, {0: 1, 1: 0, 2: 2.0, 3: 3}):
+        with pytest.raises(ValueError, match="neither a name nor an int"):
+            lattice_iso(arr, arr, mapping)
 
 
 def test_lattice_iso_rejects_shape_mismatch():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from arrlie import exactla, holonomy
+from arrlie import exactla, holonomy, rings
 from arrlie.arrangement import Arrangement, braid, near_pencil
 from lie_reference import copying_eliminate, det_int, is_zero, rank_sparse_pivots
 
@@ -363,3 +363,32 @@ def test_modular_cross_check_catches_a_corrupted_integer_pass(monkeypatch, w, ge
     with pytest.raises(ArithmeticError, match="modular cross-check"):
         exactla.QuotientLattice(w, gens)
     assert dropped
+
+
+# ---------------------------------------------------------------------------
+# the prime test behind rings.fp
+
+def test_is_prime_matches_trial_division_below_50000():
+    sieve = bytearray([1]) * 50000
+    sieve[0] = sieve[1] = 0
+    for q in range(2, 224):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, 50000, q)))
+    assert [n for n in range(50000) if rings._is_prime(n)] == \
+        [n for n in range(50000) if sieve[n]]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the first bases, each with a factor above 37
+    for n, factors in ((2047, (23, 89)), (1373653, (829, 1657)),
+                       (25326001, (2251, 11251)), (3215031751, (151, 751, 28351))):
+        assert math.prod(factors) == n
+        assert not rings._is_prime(n)
+    for p in (2147483647, 2147483629):
+        assert all(p % q for q in range(2, math.isqrt(p) + 1))
+        assert rings._is_prime(p)
+    assert rings.fp(2147483647) == ("Fp", 2147483647)
+    assert rings.parse("fp:2147483629") == ("Fp", 2147483629)
+    for p in (2 ** 31, 2147483649):
+        with pytest.raises(ValueError, match="too large"):
+            rings.fp(p)

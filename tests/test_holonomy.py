@@ -29,8 +29,8 @@ from arrlie.holonomy import (
     holonomy_degrees,
     holonomy_map_from_presentation,
     i2_basis,
-    magnus_degree2,
     pair_index,
+    relation_set_from_presentation,
 )
 from arrlie.nilpotent import k_invariant_matrix
 from lie_reference import (LieElement, bracket, bracket_coords, coords,
@@ -280,6 +280,15 @@ def test_graded_abelian_validation():
         GradedAbelian(rank=0, torsion=(2, 3))
 
 
+def test_graded_abelian_refuses_values_that_are_not_ints():
+    # GradedAbelian(1.5, (2.7,)) kept rank 1.5 with torsion (2,), and
+    # GradedAbelian(True, ("6",)) kept torsion (6,)
+    for rank, torsion in ((1.5, ()), (1, (2.7,)), (True, ()), (1, ("6",)),
+                          (1, (False,)), (2.0, (2, 4))):
+        with pytest.raises(ValueError, match="must be ints"):
+            GradedAbelian(rank, torsion)
+
+
 # ---------------------------------------------------------------------------
 # presentations and the degree-2 Magnus expansion
 
@@ -307,17 +316,68 @@ def test_presentation_from_json():
 
 
 def test_magnus_degree2_commutator():
-    pres = make_presentation(2, [])
-    d1, d2 = magnus_degree2(pres, "xyXY")
-    assert d1 == [0, 0]
-    assert d2 == {(0, 1): 1, (1, 0): -1}
+    pres = make_presentation(2, ["xyXY"])
+    assert relation_set_from_presentation(pres).elements == ({0: 1},)
 
 
 def test_magnus_degree2_doubled_commutator():
-    pres = make_presentation(2, [])
-    d1, d2 = magnus_degree2(pres, "xxyXXY")
-    assert d1 == [0, 0]
-    assert d2 == {(0, 1): 2, (1, 0): -2}
+    pres = make_presentation(2, ["xxyXXY"])
+    assert relation_set_from_presentation(pres).elements == ({0: 2},)
+
+
+def magnus_series(pres, relator):
+    """The Magnus expansion x -> 1 + X, x^-1 -> 1 - X + X^2 of a relator to
+    degree 2, multiplied out letter by letter as truncated noncommutative
+    polynomials: {monomial: coefficient}, a monomial the tuple of its
+    generator indices."""
+    series = {(): 1}
+    for g, e in pres.letter_sequence(relator):
+        letter = {(): 1, (g,): 1} if e > 0 else {(): 1, (g,): -1, (g, g): 1}
+        product = {}
+        for u, a in series.items():
+            for v, b in letter.items():
+                if len(u) + len(v) <= 2:
+                    product[u + v] = product.get(u + v, 0) + a * b
+        series = product
+    return series
+
+
+def zero_sum_relators(rng):
+    """(generators, relator) pairs: seeded words whose exponent sums are
+    zero, and conjugated commutators g[x, y]g^-1."""
+    def spell(letters):
+        return "".join("xyzab"[g] if e > 0 else "XYZAB"[g] for g, e in letters)
+
+    for _ in range(400):
+        k = rng.randint(1, 5)
+        half = [(rng.randrange(k), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 6))]
+        word = half + [(g, -e) for g, e in half]
+        rng.shuffle(word)
+        yield k, spell(word)
+    for _ in range(100):
+        k = rng.randint(2, 5)
+        g = [(rng.randrange(k), rng.choice((1, -1)))
+             for _ in range(rng.randint(0, 4))]
+        x, y = rng.sample(range(k), 2)
+        commutator = [(x, 1), (y, 1), (x, -1), (y, -1)]
+        yield k, spell(g + commutator + [(h, -e) for h, e in reversed(g)])
+
+
+def test_magnus_column_matches_the_multiplied_out_series():
+    for k, relator in zero_sum_relators(random.Random(28)):
+        pres = make_presentation(k, [relator])
+        col = relation_set_from_presentation(pres).elements[0]
+        series = magnus_series(pres, relator)
+        pidx = pair_index(k)
+        assert all(col.values()), relator
+        for i in range(k):
+            assert series.get((i,), 0) == 0, relator
+            assert series.get((i, i), 0) == 0, relator
+            for j in range(i + 1, k):
+                c = series.get((i, j), 0)
+                assert series.get((j, i), 0) == -c, relator
+                assert col.get(pidx[(i, j)], 0) == c, relator
 
 
 def test_holonomy_map_columns():

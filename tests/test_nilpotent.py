@@ -1,6 +1,7 @@
 """Class-2 quotients, k-invariants, splittings, and CE homology of truncations."""
 
 import random
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -207,6 +208,15 @@ def test_evaluate_refuses_a_non_integer_exponent():
     with pytest.raises(ValueError, match="out of range"):
         grp.evaluate([(1, 1), (3, 1.5)])
     assert grp.evaluate([(0, 10 ** 30)]).exps == (10 ** 30, 0, 0)
+
+
+def test_evaluate_refuses_a_generator_index_that_is_not_an_int():
+    # True was read as generator 1
+    grp = Class2Group(near_pencil(4))
+    for idx in (True, False, 1.0, "1"):
+        with pytest.raises(ValueError, match="index %s is not an integer"
+                           % re.escape(repr(idx))):
+            grp.evaluate([(0, 1), (idx, 1)])
 
 
 def old_multiply(grp, g, h):

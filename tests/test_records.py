@@ -24,7 +24,7 @@ RECORDS = [
     (GradedAbelian(3), "GradedAbelian(rank=3, torsion=())"),
     (GradedAbelian(rank=0, torsion=[2, 4]),
      "GradedAbelian(rank=0, torsion=(2, 4))"),
-    (GradedAbelian(1, ("4",)), "GradedAbelian(rank=1, torsion=(4,))"),
+    (GradedAbelian(1, (4,)), "GradedAbelian(rank=1, torsion=(4,))"),
     (RelationSet(2, ({0: 1},), ((0, 1),), ("a", "b")),
      "RelationSet(alphabet=2, elements=({0: 1},), labels=((0, 1),), "
      "atom_names=('a', 'b'))"),
