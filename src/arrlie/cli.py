@@ -21,14 +21,13 @@ import types
 from fractions import Fraction
 
 from . import decomp, rings
-from .arrangement import ArrangementError, arrangement_from_json, \
-    arrangement_to_json, betti, catalog_arrangement, mobius_l2
+from .arrangement import _SAFE, ArrangementError, _int_to_json, \
+    arrangement_from_json, arrangement_to_json, betti, catalog_arrangement, \
+    mobius_l2
 from .freelie import DEFAULT_GUARD, SizeGuardError, witt_rank
 from .holonomy import (Presentation, falk_invariant, holonomy_degrees,
                        presentation_from_json)
 from .nilpotent import Class2Group, h2_rank_check, k_invariant_matrix
-
-_SAFE = 2 ** 53
 
 
 class InputError(ValueError):
@@ -40,7 +39,7 @@ def _jsonable(x):
     if isinstance(x, bool) or x is None:
         return x
     if isinstance(x, int):
-        return x if abs(x) < _SAFE else str(x)
+        return _int_to_json(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return _jsonable(x.numerator)

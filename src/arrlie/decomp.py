@@ -11,8 +11,9 @@ product formula, and nilpotent quotients of the fundamental group can be
 compared across lattice-isomorphic arrangements.  The comparison works with
 lifts in correction form: an endomorphism candidate of the truncated
 holonomy algebra sends each degree 1 generator x_H to x_H plus correction
-terms in degrees 2..n-1.  Local lifts live on a single pencil, a global
-candidate is assembled by summing embedded local corrections, and the
+terms in degrees 2..n-1.  Local lifts live on a single pencil, in the local
+algebra of its size (Charts), a global candidate is assembled by summing
+embedded local corrections and vetted (assemble_global_lift), and the
 degree n component of each relator bracket is the obstruction matrix that
 feeds the H2-level commuting diagram; relator_components computes them
 in every degree, globally and locally.  All matrices are exact, over Z, Q,
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import exactla, rings
-from .arrangement import Arrangement, Record, localize
+from .arrangement import Arrangement, Flat2, Record, localize
 from .freelie import DEFAULT_GUARD, witt_rank
 from .holonomy import HolonomyAlgebra, holonomy_graded
 
@@ -102,23 +103,23 @@ def lcs_ranks_decomposable(arr, max_degree, guard=DEFAULT_GUARD):
 # coordinate charts between the global algebra and its localizations
 
 class Charts:
-    """Global truncated algebra plus per-flat local algebras.
+    """Global truncated algebra plus one local algebra per pencil size.
 
-    The local arrangement of a flat is one pencil on its members, so flats
-    with the same multiplicity have the same relation set, and their
-    local algebras are views on one tower (HolonomyAlgebra).  Flat fi
-    embeds by the letters of its members (local x_i -> x_members[i]) and
+    A flat's local arrangement is one pencil on its members, so the flats
+    of one size share local_alg[fi], a view (HolonomyAlgebra) localized at
+    the first of them, whose relset.atom_names it keeps.  Flat fi embeds
+    by the letters of its members (local x_i -> x_members[i]) and
     restricts by restriction[fi] (x_H -> its position, or 0 outside)."""
 
     def __init__(self, arr, n, guard=DEFAULT_GUARD):
         self.arr = arr
-        self.n = n
         self.alg = HolonomyAlgebra(arr, max_degree=n, guard=guard)
-        self.local_arr = [localize(arr, f.index) for f in arr.flats]
-        self.local_alg = [HolonomyAlgebra(a, max_degree=n, guard=guard)
-                          for a in self.local_arr]
-        self.restriction = []
+        views, self.local_alg, self.restriction = {}, [], []
         for f in arr.flats:
+            if f.mu not in views:
+                views[f.mu] = HolonomyAlgebra(localize(arr, f.index),
+                                              max_degree=n, guard=guard)
+            self.local_alg.append(views[f.mu])
             pos = {a: i for i, a in enumerate(f.members)}
             self.restriction.append([pos.get(a) for a in range(arr.n_atoms)])
 
@@ -192,16 +193,14 @@ def letter_matrix(src, dst, letters, d):
 def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD):
     """Stacked restriction matrix h_d(A) -> direct sum of h_d(A_Y).
 
-    One row block per flat, in flat order.  Full row rank over Q expresses
-    surjectivity of localization; a square unimodular stack is the
-    degree-d decomposability certificate.
+    One row block per flat with a nonzero local degree-d piece, in flat
+    order.  Full row rank over Q expresses surjectivity of localization; a
+    square unimodular stack is the degree-d decomposability certificate.
     """
     ch = charts or Charts(arr, d, guard=guard)
-    rows = []
-    for f in arr.flats:
-        rows.extend(letter_matrix(ch.alg, ch.local_alg[f.index],
-                                  ch.restriction[f.index], d))
-    return rows
+    return [row for f in arr.flats if ch.local_alg[f.index].dim(d)
+            for row in letter_matrix(ch.alg, ch.local_alg[f.index],
+                                     ch.restriction[f.index], d)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def local_lift(arr, flat_index, corrections, n, guard=DEFAULT_GUARD, alg=None):
                 % (deg, loc.dim(deg), len(vec)))
         sparse[atom, deg] = {i: c for i, c in enumerate(
             [rings.coeff(rings.Z, v) for v in vec]) if c}
-    return _checked_local(arr, flat_index, loc, sparse, n, read=True)
+    return _checked_local(arr, flat_index, loc, sparse, n)
 
 
 def _check_key(arr, flat_index, atom, deg, n):
@@ -271,22 +270,20 @@ def _check_key(arr, flat_index, atom, deg, n):
             "2..%d" % (deg, n - 1))
 
 
-def _checked_local(arr, flat_index, loc, corrections, n, read=False):
+def _checked_local(arr, flat_index, loc, corrections, n):
     """The LocalLift of sparse corrections keyed by global atom indices,
-    each reduced in the local algebra loc; refused like local_lift.  read
-    says that local_lift has already checked the keys and the entries."""
+    each reduced in the local algebra loc; refused like local_lift."""
     clean, totals = {}, {}
     for (atom, deg), vec in corrections.items():
-        if not read:
-            _check_key(arr, flat_index, atom, deg, n)
-            dim = loc.dim(deg)
-            if not isinstance(vec, dict) or not all(
-                    type(i) is int and 0 <= i < dim and type(c) is int
-                    for i, c in vec.items()):
-                raise ValueError(
-                    "correction outside the local Lie piece: degree %d of "
-                    "the local algebra takes sparse integer coordinates "
-                    "{i: c} with 0 <= i < %d, got %r" % (deg, dim, vec))
+        _check_key(arr, flat_index, atom, deg, n)
+        dim = loc.dim(deg)
+        if not isinstance(vec, dict) or not all(
+                type(i) is int and 0 <= i < dim and type(c) is int
+                for i, c in vec.items()):
+            raise ValueError(
+                "correction outside the local Lie piece: degree %d of the "
+                "local algebra takes sparse integer coordinates {i: c} "
+                "with 0 <= i < %d, got %r" % (deg, dim, vec))
         vec = loc.quotient(deg).reduce(vec)
         if vec:
             clean[atom, deg] = vec
@@ -338,13 +335,14 @@ def relator_components(alg, flats, corrections, m):
 def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
     """Assemble local lifts into a global lift candidate and vet it.
 
-    The global correction of an atom in each degree is the sum over flats
-    containing it of the embedded local correction.  For the result to be
-    an endomorphism of the truncated algebra every relator bracket must
+    The one place a lift is vetted.  The global correction of an atom in
+    each degree is the sum over flats containing it of the embedded local
+    correction, checked by _checked_local.  For the result to be an
+    endomorphism of the truncated algebra every relator bracket must
     vanish in degrees up to n-1; a nonzero component is reported with its
-    witness and no GlobalLift is produced.  The degree-n components (delta),
-    which live past the truncation, are checked against the local ones
-    through restriction (the localization square) before returning.
+    witness.  Then, flat by flat, restricting the global corrections must
+    return the checked local ones (the round trip), and the degree-n
+    components (delta) the local ones (the localization square).
     """
     ch = charts or Charts(arr, n, guard=guard)
     by_flat = {}
@@ -359,16 +357,15 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
         if f.index not in by_flat:
             raise ValueError("missing flat: no local lift for flat %d %r"
                              % (f.index, f.members))
+    checked, glob = [], {}
     for f in arr.flats:
         ll = by_flat[f.index]
         if ll.n != n:
             raise ValueError("local lift on flat %d was built for degree %d, "
                              "not %d" % (f.index, ll.n, n))
-        _checked_local(arr, f.index, ch.local_alg[f.index], ll.corrections, n)
-
-    glob = {}
-    for f in arr.flats:
-        ll = by_flat[f.index]
+        ll = _checked_local(arr, f.index, ch.local_alg[f.index],
+                            ll.corrections, n)
+        checked.append(ll)
         for (atom, deg), vec in sorted(ll.corrections.items()):
             _add_into(glob.setdefault((atom, deg), {}),
                       rename(ch.local_alg[f.index], ch.alg, f.members, deg, vec))
@@ -398,14 +395,18 @@ def assemble_global_lift(locals_, arr, n, guard=DEFAULT_GUARD, charts=None):
         if ch.alg.quotient(n).reduce(total):
             raise RuntimeError("degree-%d relator components of flat %d do "
                                "not sum to zero" % (n, f.index))
-    for f in arr.flats:
+    for f, ll, back in zip(arr.flats, checked,
+                           localize_global_lift(arr, glift, charts=ch)):
+        if back.corrections != ll.corrections:
+            raise RuntimeError("localizing the assembled lift did not return "
+                               "the local corrections on flat %d" % f.index)
         loc = ch.local_alg[f.index]
         if not loc.dim(n):
             continue  # every column restricts to 0 = the local one
         corr = {(f.members.index(a), d): v
-                for (a, d), v in by_flat[f.index].corrections.items()}
+                for (a, d), v in ll.corrections.items()}
         local_cols = {f.members[i]: v for (i, _), v in relator_components(
-            loc, ch.local_arr[f.index].flats, corr, n).items()}
+            loc, [Flat2(0, tuple(range(f.mu + 1)), f.mu)], corr, n).items()}
         for g in arr.flats:
             for h in g.members:
                 got = rename(ch.alg, loc, ch.restriction[f.index], n,
@@ -662,8 +663,8 @@ def lattice_iso(arr_a, arr_b, mapping):
 def iso_h2_matrix(arr_a, arr_b, iso):
     """Matrix of the induced map H2(X_A) -> H2(X_B) on relator bases.
 
-    A relator class (H, Y) goes to (g(H), g(Y)); when g(H) is the dropped
-    atom of the image flat it is rewritten as minus the sum of the others.
+    A relator class (H, Y) goes to (g(H), g(Y)), or, when g(H) is the atom
+    relator_basis drops from the image flat, to minus the sum of the others.
     """
     pairs_a = relator_basis(arr_a)
     pairs_b = relator_basis(arr_b)
@@ -672,12 +673,11 @@ def iso_h2_matrix(arr_a, arr_b, iso):
     for h, fi in pairs_a:
         gj = iso.flat_map[fi]
         gh = iso.atom_map[h]
-        members = arr_b.flats[gj].members
-        drop = max(members)
-        if gh != drop:
+        if (gh, gj) in index_b:
             cols.append({index_b[(gh, gj)]: 1})
         else:
-            cols.append({index_b[(k, gj)]: -1 for k in members if k != drop})
+            cols.append({index_b[(k, gj)]: -1
+                         for k in arr_b.flats[gj].members if k != gh})
     return exactla.columns_to_matrix(cols, len(pairs_b))
 
 
@@ -727,12 +727,12 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
 
     Builds the degree-n nilpotent comparison on the B side: local lifts
     (zero corrections, or the given B-side corrections keyed by flat),
-    their transported copies on the A side, the assembled global lifts,
-    the induced H2 matrices, the relabeling matrix g2, and the splitting
-    sigma = [I | 0] on both legs: with one sigma on both legs the second
-    identity follows from the first, whatever sigma is.  Runs
-    check_diagram on the result and returns the verdict together with
-    every constructed matrix for audit.
+    their transported copies on the A side, the assembled and vetted global
+    lifts, the induced H2 matrices, the relabeling matrix g2, and the
+    splitting sigma = [I | 0] on both legs: with one sigma on both legs the
+    second identity follows from the first, whatever sigma is.  Runs
+    check_diagram on the result and returns the verdict together with every
+    constructed matrix for audit.
 
     perturb is a negative-control hook, None, 'sigma' or 'lift': 'sigma'
     subtracts e_{0,g} from the splitting on the A leg only, which moves
@@ -767,12 +767,6 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
         locals_b.append(local_lift(arr_b, f.index, corr, n, guard=guard,
                                    alg=ch_b.local_alg[f.index]))
     glift_b = assemble_global_lift(locals_b, arr_b, n, guard=guard, charts=ch_b)
-    recovered = localize_global_lift(arr_b, glift_b, charts=ch_b)
-    for want, got in zip(locals_b, recovered):
-        if want.corrections != got.corrections:
-            raise RuntimeError("localizing the assembled lift did not return "
-                               "the local corrections on flat %d"
-                               % want.flat.index)
 
     locals_a = [_transport_local(ch_a, ch_b, iso, f.index,
                                  locals_b[iso.flat_map[f.index]], n)
@@ -787,7 +781,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
         corr = dict(locals_a[fi].corrections)
         corr[key] = dict(corr.get(key, {}))
         _add_into(corr[key], {0: 1})
-        locals_a[fi] = _checked_local(arr_a, fi, ch_a.local_alg[fi], corr, n)
+        locals_a[fi] = LocalLift(flat=arr_a.flats[fi], n=n, corrections=corr)
     glift_a = assemble_global_lift(locals_a, arr_a, n, guard=guard, charts=ch_a)
 
     g_n = letter_matrix(ch_a.alg, ch_b.alg, list(iso.atom_map), n)

@@ -169,6 +169,8 @@ def make_presentation(generators, relators, names=None):
             raise ValueError("generator names must be single lowercase letters")
     p = Presentation(generators=generators, relators=tuple(relators), names=names)
     for rel in p.relators:
+        if not isinstance(rel, str):
+            raise ValueError("relator %r is not a string" % (rel,))
         seq = p.letter_sequence(rel)
         sums = [0] * generators
         for g, e in seq:

@@ -39,7 +39,8 @@ def _is_prime(n):
 
 
 def fp(p):
-    p = int(p)
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise ValueError("modulus %r is not an int" % (p,))
     if p >= _MAX_P:
         raise ValueError("modulus %d too large, need p < 2**31" % p)
     if not _is_prime(p):
@@ -54,8 +55,8 @@ def parse(text):
         return Z
     if t == "q":
         return Q
-    if t.startswith("fp:"):
-        return fp(t[3:])
+    if t.startswith("fp:") and t[3:].isascii() and t[3:].isdigit():
+        return fp(int(t[3:]))
     raise ValueError("unknown ring %r (expected z, q, or fp:<p>)" % text)
 
 

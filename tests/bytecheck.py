@@ -2,9 +2,9 @@
 
     python3 tests/bytecheck.py [--fresh] > digests.txt
 
-Writes the 17 arrangements of the standard catalog and three presentations
-into a temporary directory, runs every command there and prints one line
-per command: the exit code, the sha256 of stdout and the command, with
+Writes the 17 arrangements of the standard catalog, two_triples and three
+presentations into a temporary directory, runs every command there and
+prints one line per command: the exit code, the sha256 of stdout and the command, with
 each input file named by its basename, and after a command that writes
 an --out bundle, one indented line per bundle file with its sha256 and
 its path below the temporary directory, and after a command that exits 2,
@@ -17,7 +17,7 @@ source trees (it imports arrlie from the src/ beside this file) and diff
 the outputs to check that a change keeps every byte.  pytest does not
 collect this file: it is a script, not a test module.
 
-The set, 484 commands plus the nq2 words:
+The set, 508 commands plus the nq2 words:
   - h2check over z, q and fp:2 on the 17 catalog arrangements at degree 3
     and the 15 decomposable ones at degree 4, with and without --override;
   - holonomy over z, q and fp:3 on the 17 at --max-degree 3, and at 4
@@ -41,6 +41,11 @@ The set, 484 commands plus the nq2 words:
     local algebra is 0 in those degrees;
   - the degree-6 near_pencil(5) runs again with --perturb sigma, over z
     and fp:2: the splitting at the largest size;
+  - verify-iso with bundles, plain, --perturb lift and --perturb sigma over
+    z and fp:2, at degrees 4 and 5, on two_triples (atoms a..e, triple
+    points abc and ade, the rest double points) under [0,2,1,4,3], which
+    fixes both triple points, and [0,3,4,1,2], which swaps them, with
+    corrections on both triple points (24 commands);
   - nq2 on the 17 with seeded dotted words (some tokens padded with
     spaces), on the presentations with seeded letter and dotted words,
     and three refused words;
@@ -79,6 +84,19 @@ PRESENTATIONS = {"xxyXXY": (2, ["xxyXXY"]), "xxxyXXXY": (2, ["xxxyXXXY"]),
 NOT_DECOMPOSABLE = ("braid(4)", "braid(5)")
 NP5_CYCLE = '{"H1":"H2","H2":"H3","H3":"H4","H4":"H1","H5":"H5"}'
 G5_SWAP = "[1,0,2,3,4]"
+# two multiple points a-b-c and a-d-e: the only decomposable input here with
+# two nonzero local algebras
+TWO_TRIPLES = {"atoms": list("abcde"),
+               "pencils": [[0, 1, 2], [0, 3, 4], [1, 3], [1, 4], [2, 3], [2, 4]]}
+TT_ISOS = ("[0,2,1,4,3]", "[0,3,4,1,2]")
+# --corrections by degree: zero-sum below the top degree n-1, and one
+# top-degree correction per triple point, so the degree-n relator
+# components are not all 0
+TT_CORR = {
+    "4": '{"0":{"a.2":[1],"b.2":[-1],"a.3":[1,0]},'
+         '"1":{"d.2":[1],"e.2":[-1],"e.3":[0,1]}}',
+    "5": '{"0":{"a.2":[1],"b.2":[-1],"a.3":[1,0],"c.3":[-1,0],"b.4":[1,0,0]},'
+         '"1":{"d.2":[1],"e.2":[-1],"e.3":[0,1],"d.3":[0,-1],"e.4":[0,0,1]}}'}
 # (catalog name, --iso, --corrections or None, degree) of the bundle runs
 BUNDLES = [
     ("pencil(3)", '{"H1":"H2","H2":"H3","H3":"H1"}',
@@ -97,6 +115,8 @@ def write_inputs(workdir):
         with open(os.path.join(workdir, path), "w") as f:
             json.dump(arrangement_to_json(arr), f)
         catalog.append((name, path, list(arr.atoms)))
+    with open(os.path.join(workdir, "two_triples.json"), "w") as f:
+        json.dump(TWO_TRIPLES, f)
     pres = {}
     for name, (generators, relators) in PRESENTATIONS.items():
         pres[name] = name + ".json"
@@ -171,6 +191,15 @@ def commands(catalog, pres):
         out = "bundle%d" % len(cmds)
         cmds.append(["verify-iso", np5, np5, "--iso", NP5_CYCLE, "--degree",
                      "6", "--ring", ring, "--perturb", "sigma", "--out", out])
+    for iso in TT_ISOS:
+        for degree in ("4", "5"):
+            for ring in ("z", "fp:2"):
+                for perturb in ([], ["--perturb", "lift"], ["--perturb", "sigma"]):
+                    out = "bundle%d" % len(cmds)
+                    cmds.append(["verify-iso", "two_triples.json",
+                                 "two_triples.json", "--iso", iso, "--degree",
+                                 degree, "--ring", ring, "--corrections",
+                                 TT_CORR[degree]] + perturb + ["--out", out])
     rng = random.Random(2024)
     for _name, path, atoms in catalog:
         for pad in (False, False, True):

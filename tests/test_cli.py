@@ -1122,6 +1122,14 @@ def test_bad_ring_is_an_input_error(files, capsys):
     assert code == 2
 
 
+def test_a_ring_modulus_that_is_not_digits_is_an_unknown_ring(files, capsys):
+    code, out, err = run(capsys, ["holonomy", files["pencil3"],
+                                  "--ring", "fp:abc"])
+    assert (code, out) == (2, "")
+    assert err == ("arrlie: error: unknown ring 'fp:abc' (expected z, q, "
+                   "or fp:<p>)\n")
+
+
 # ---------------------------------------------------------------------------
 # report envelope and determinism
 
@@ -1163,7 +1171,7 @@ def test_entry_point_subprocess_determinism(files):
 # sha256 of the whole output of `python3 tests/bytecheck.py`: the exit code
 # and stdout digest of each of its commands, and the digests of their
 # bundles and error lines.  A change that keeps every CLI byte keeps it.
-BYTECHECK_SHA256 = "28865a085c08e896c35e3228742af2a04c0e1d587ef6306d8603e3cdc43f4adc"
+BYTECHECK_SHA256 = "3cd179b86f2a48d3f4672773140eedaa7baacc3a397e1ac91a26cf4bfdf69a64"
 
 
 def test_the_byte_check_digest_is_pinned():

@@ -319,12 +319,26 @@ def test_foreign_embeddings_restrict_to_zero():
                         assert is_zero(prod)
 
 
-def test_charts_share_one_local_algebra_per_pencil():
+def test_charts_share_one_local_algebra_per_pencil(monkeypatch):
     # a local arrangement is one pencil on its members, so flats of the
-    # same multiplicity share a tower, with the ranks of the word rows
+    # same multiplicity share one view, localized once, with the ranks of
+    # the word rows
+    calls = []
+
+    def counted(arr, flat_index):
+        calls.append(flat_index)
+        return localize(arr, flat_index)
+
+    monkeypatch.setattr(decomp, "localize", counted)
     for arr, distinct in ((near_pencil(5), 2), (braid(4), 2), (pencil(4), 1)):
+        calls.clear()
         ch = Charts(arr, 4)
+        assert len(calls) == distinct
+        assert len({id(a) for a in ch.local_alg}) == distinct
         assert len({id(a._tower) for a in ch.local_alg}) == distinct
+        for f in arr.flats:
+            first = next(g for g in arr.flats if g.mu == f.mu)
+            assert ch.local_alg[f.index] is ch.local_alg[first.index]
         for f, loc in zip(arr.flats, ch.local_alg):
             assert loc.alphabet == len(f.members)
             assert ([(loc.rank(d), loc.torsion(d)) for d in range(1, 5)]
@@ -783,6 +797,92 @@ def test_verify_perturb_is_a_kind_name():
         with pytest.raises(ValueError, match="perturb kind"):
             verify_decomposable_iso(pencil(3), pencil(3), CYCLE3, n=3,
                                     perturb=bad)
+
+
+def two_triples():
+    """Atoms a..e with triple points abc and ade, the other pairs double
+    points: two flats with nonzero local algebras from degree 2 on."""
+    return Arrangement("abcde", pencils=[(0, 1, 2), (0, 3, 4), (1, 3), (1, 4),
+                                         (2, 3), (2, 4)])
+
+
+# corrections on both triple points by level n: zero-sum below the top
+# degree n-1, and one top-degree correction per triple point, so the
+# degree-n relator components are not all 0
+TT_CORR = {
+    4: {0: {("a", 2): (1,), ("b", 2): (-1,), ("a", 3): (1, 0)},
+        1: {("d", 2): (1,), ("e", 2): (-1,), ("e", 3): (0, 1)}},
+    5: {0: {("a", 2): (1,), ("b", 2): (-1,), ("a", 3): (1, 0),
+            ("c", 3): (-1, 0), ("b", 4): (1, 0, 0)},
+        1: {("d", 2): (1,), ("e", 2): (-1,), ("e", 3): (0, 1),
+            ("d", 3): (0, -1), ("e", 4): (0, 0, 1)}}}
+
+
+def tt_lifts(arr, n):
+    return [local_lift(arr, f.index, TT_CORR[n].get(f.index, {}), n)
+            for f in arr.flats]
+
+
+def test_two_triple_points_are_decomposable_and_share_one_local_view():
+    arr = two_triples()
+    rep = is_decomposable(arr)
+    assert rep["decomposable"] and rep["r_global"] == rep["r_local"] == 4
+    for n in (4, 5):
+        ch = Charts(arr, n)
+        assert ch.local_alg[0] is ch.local_alg[1]
+        assert ch.local_alg[2] is ch.local_alg[5] is not ch.local_alg[0]
+        # the square's off-diagonal blocks: every relator column of the
+        # other triple point, nonzero, restricts to 0 on this one
+        lifts = tt_lifts(arr, n)
+        glift = assemble_global_lift(lifts, arr, n, charts=ch)
+        for f, g in ((0, 1), (1, 0)):
+            assert any(glift.delta[h, g] for h in arr.flats[g].members)
+            for h in arr.flats[g].members:
+                assert not rename(ch.alg, ch.local_alg[f], ch.restriction[f],
+                                  n, glift.delta[h, g])
+        assert [l.corrections for l in localize_global_lift(arr, glift, ch)] \
+            == [l.corrections for l in lifts]
+
+
+@pytest.mark.parametrize("iso", [[0, 2, 1, 4, 3], [0, 3, 4, 1, 2]])
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_two_triple_points_with_corrections_on_both(iso, n):
+    # [0, 2, 1, 4, 3] fixes both triple points, [0, 3, 4, 1, 2] swaps them
+    arr = two_triples()
+    for ring in (rings.Z, rings.fp(2)):
+        rep = verify_decomposable_iso(arr, arr, iso, n=n, ring=ring,
+                                      corrections=TT_CORR[n])
+        assert rep["pass"] and rep["candidates"] == "transported"
+        assert any(any(r) for r in rep["matrices"]["delta_b"])
+        for perturb, failed in (("lift", 1), ("sigma", 2)):
+            rep = verify_decomposable_iso(arr, arr, iso, n=n, ring=ring,
+                                          corrections=TT_CORR[n],
+                                          perturb=perturb)
+            assert not rep["pass"] and rep["check"]["failed"] == failed
+
+
+def test_assemble_runs_the_round_trip_on_every_lift(monkeypatch):
+    # a localization that loses a correction is caught by the assembly
+    # itself, on whichever side of the verifier the lift is
+    arr = two_triples()
+    lifts = tt_lifts(arr, 4)
+    real = decomp.localize_global_lift
+
+    def lossy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        corr = dict(out[1].corrections)
+        del corr[min(corr)]
+        out[1] = decomp.LocalLift(flat=out[1].flat, n=out[1].n,
+                                  corrections=corr)
+        return out
+
+    monkeypatch.setattr(decomp, "localize_global_lift", lossy)
+    with pytest.raises(RuntimeError, match=r"^localizing the assembled lift "
+                       r"did not return the local corrections on flat 1$"):
+        assemble_global_lift(lifts, arr, 4)
+    with pytest.raises(RuntimeError, match="on flat 1"):
+        verify_decomposable_iso(arr, arr, [0, 3, 4, 1, 2], n=4,
+                                corrections=TT_CORR[4])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -392,3 +393,17 @@ def test_is_prime_on_strong_pseudoprimes_and_large_primes():
     for p in (2 ** 31, 2147483649):
         with pytest.raises(ValueError, match="too large"):
             rings.fp(p)
+
+
+def test_fp_takes_only_an_int_and_parse_only_digits():
+    # a float, a bool or a digit string is not a modulus, and a spec whose
+    # modulus is not all digits is an unknown ring, not an int() message
+    for p in (2.9, 3.0, True, "3"):
+        with pytest.raises(ValueError, match=r"modulus %s is not an int"
+                           % re.escape(repr(p))):
+            rings.fp(p)
+    for text in ("fp:abc", "fp:", "fp:2.9", "fp:-3", "fp:+3", "fp: 3", "fp:3_0"):
+        with pytest.raises(ValueError, match=r"^unknown ring %s \(expected"
+                           % re.escape(repr(text))):
+            rings.parse(text)
+    assert rings.parse(" FP:007 ") == rings.fp(7) == ("Fp", 7)

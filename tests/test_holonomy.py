@@ -1,6 +1,7 @@
 """Holonomy Lie algebra: relation sets, graded pieces, Falk invariant, Magnus."""
 
 import random
+import re
 
 import pytest
 
@@ -305,6 +306,15 @@ def test_make_presentation_validation():
         make_presentation(2, [], names=["x", "YY"])
     with pytest.raises(ValueError, match="at least one generator"):
         make_presentation(0, [])
+
+
+def test_make_presentation_refuses_relators_that_are_not_strings():
+    # a list of letters is not stored unhashable, and an int or None is a
+    # ValueError naming it, not a TypeError from reading its letters
+    for rel in (["x", "y", "X", "Y"], 3, None, b"xyXY"):
+        with pytest.raises(ValueError, match=r"^relator %s is not a string$"
+                           % re.escape(repr(rel))):
+            make_presentation(2, ["xyXY", rel])
 
 
 def test_presentation_from_json():
