@@ -188,15 +188,20 @@ def _iso_from_json(obj):
     return obj
 
 
-def _corrections_from_json(obj, n_flats):
-    """--corrections {flat: {"atom.degree": [int, ...]}} as local_lift input."""
+def _corrections_from_json(obj, n_flats, n):
+    """--corrections {flat: {"atom.degree": [int, ...]}} as local_lift input,
+    at verify degree n.  A flat index or a degree is converted only when
+    it has no more digits, leading zeros aside, than n_flats or n: a
+    longer one is out of range."""
     if not isinstance(obj, dict):
         raise InputError("--corrections: expected an object keyed by flat "
                          "index, got %s" % json.dumps(obj))
     out = {}
     for fi, table in obj.items():
         path = "--corrections[%s]" % json.dumps(fi)
-        if not (fi.isdecimal() and int(fi) < n_flats):
+        digits = fi.lstrip("0") or "0"
+        if not (fi.isdecimal() and len(digits) <= len(str(n_flats))
+                and int(digits) < n_flats):
             raise InputError("%s: not a flat index of B, which has %d "
                              "flats" % (path, n_flats))
         if not isinstance(table, dict):
@@ -208,6 +213,9 @@ def _corrections_from_json(obj, n_flats):
             atom, _, deg = key.rpartition(".")
             if not atom or not deg.isdecimal():
                 raise InputError('%s: a key must read "atom.degree"' % kpath)
+            deg = deg.lstrip("0") or "0"
+            if len(deg) > len(str(n)):
+                raise InputError("%s: degree not in 2..%d" % (kpath, n - 1))
             if not isinstance(vec, list):
                 raise InputError("%s: expected a list of coordinates, got %s"
                                  % (kpath, json.dumps(vec)))
@@ -216,7 +224,7 @@ def _corrections_from_json(obj, n_flats):
                     raise InputError("%s[%d]: a coordinate must be an integer,"
                                      " got %s" % (kpath, i, json.dumps(v)))
             corr[(atom, int(deg))] = tuple(vec)
-        out[int(fi)] = corr
+        out[int(digits)] = corr
     return out
 
 
@@ -328,7 +336,7 @@ def _cmd_verify_iso(args, digests):
     if args.corrections:
         corrections = _corrections_from_json(
             _parse_json_arg("--corrections", args.corrections),
-            len(arr_b.flats))
+            len(arr_b.flats), args.degree)
     rep = decomp.verify_decomposable_iso(
         arr_a, arr_b, iso, n=args.degree, ring=_ring(args.ring),
         corrections=corrections, perturb=args.perturb,

@@ -34,7 +34,7 @@ from collections import Counter
 
 from . import exactla, rings
 from .arrangement import Arrangement, Flat2, Record, localize
-from .freelie import DEFAULT_GUARD, witt_rank
+from .freelie import DEFAULT_GUARD, require_int, witt_rank
 from .holonomy import HolonomyAlgebra, holonomy_graded
 
 # ---------------------------------------------------------------------------
@@ -87,6 +87,7 @@ def lcs_ranks_decomposable(arr, max_degree, guard=DEFAULT_GUARD):
     (1-t^n)^witt(m, n).  Only valid for decomposable arrangements; anything
     else is refused.
     """
+    require_int("max_degree", max_degree)
     rep = is_decomposable(arr, guard=guard)
     if not rep["decomposable"]:
         extra = "; " + rep["qualifier"] if "qualifier" in rep else ""
@@ -237,6 +238,7 @@ def local_lift(arr, flat_index, corrections, n, guard=DEFAULT_GUARD, alg=None):
     otherwise the local relator brackets pick up nonzero components and
     the data does not define a lift.  The LocalLift holds them sparse.
     """
+    require_int("flat_index", flat_index)
     if not 0 <= flat_index < len(arr.flats):
         raise ValueError("no flat with index %d" % flat_index)
     loc = alg if alg is not None else HolonomyAlgebra(

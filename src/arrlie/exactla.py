@@ -14,8 +14,7 @@ the residual rows without a unit entry go to the dense Smith normal form,
 which keeps just its left transforms.
 The rank cross-check of a QuotientLattice runs the same loop once over
 Z/(p1*p2) = F_p1 x F_p2 (CRT) for two large primes, and ranks the rows
-left without a unit entry mod each prime (_ranks_mod).  Saturated integer
-kernels (kernel_int) are read off a QuotientLattice too.
+left without a unit entry mod each prime (_ranks_mod).
 Vectors are sparse dicts {index: value} throughout: the rows a lattice is
 built from, the ambient vectors it projects and the coordinates it
 answers in.  Dense matrices appear only in the Smith form, the inverse
@@ -384,17 +383,6 @@ def smith_normal_form(mat):
                 row[t] = -row[t]
         t += 1
     return [d[i][i] for i in range(t) if d[i][i] != 0], u, uinv
-
-
-def kernel_int(n, rows):
-    """Basis (list of dense vectors) of the saturated integer kernel of the
-    sparse rows over n columns.
-
-    The kernel is Hom(Z^n / rows, Z): the free coordinates of the
-    QuotientLattice by the rows, read as linear forms on Z^n.
-    """
-    q = QuotientLattice(n, rows)
-    return columns_to_matrix([q.project({c: 1}) for c in range(n)], q.rank)
 
 
 def is_unimodular(rows, n):

@@ -3,9 +3,10 @@
 Every size-driven step refuses, before it computes, a run whose cost
 exceeds its guard (DEFAULT_GUARD units unless given), raising
 SizeGuardError; each step counts its own cost (the holonomy tower in
-holonomy.tower_cost).  Degree-n ranks of the free Lie algebra on k letters
-follow the Witt formula (1/n) * sum_{d|n} mu(d) k^(n/d), the orientation
-consistent with prod_n (1-t^n)^{rank_n} = 1 - k*t.
+holonomy.tower_cost), and refuses a guard, a degree or another count
+that is not an int (require_int).  Degree-n ranks of the free Lie
+algebra on k letters follow the Witt formula (1/n) * sum_{d|n} mu(d)
+k^(n/d), the orientation consistent with prod_n (1-t^n)^{rank_n} = 1 - k*t.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ DEFAULT_GUARD = 10 ** 7
 
 class SizeGuardError(ValueError):
     """Raised when a requested computation exceeds the size guard."""
+
+
+def require_int(name, v):
+    """Refuse v, naming it, unless it is an int that is not a bool."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError("%s %r is not an int" % (name, v))
 
 
 def _moebius(n):
@@ -34,6 +41,8 @@ def _moebius(n):
 
 def witt_rank(k, n):
     """Rank of degree n of the free Lie algebra on k generators."""
+    require_int("k", k)
+    require_int("n", n)
     if n < 1:
         raise ValueError("degree must be positive")
     total = 0

@@ -9,9 +9,9 @@ the cost follows the quotient and not the free Lie algebra, and so does
 the size guard, which counts the pair columns and triples of degree n
 from the dimensions below n (wedge_counts, tower_cost).  Each degree
 is one integer QuotientLattice; Q and F_p read their dimensions off it
-by universal coefficients.  A class is the sparse dict of its
-coordinates there, and brackets of classes come from the tower's own
-tables.  The process keeps the towers of the last few relation sets
+by universal coefficients (over_ring).  A class is the sparse dict of
+its coordinates there, and brackets of classes come from the tower's
+own tables.  The process keeps the towers of the last few relation sets
 (TOWER_MEMO_SIZE), so every HolonomyAlgebra, ring and caller on one
 relation set reads and extends one tower instead of building its degrees
 again.
@@ -30,7 +30,7 @@ from math import comb, gcd, prod
 from . import exactla, rings
 from .arrangement import Arrangement, Record
 from .exactla import QuotientLattice
-from .freelie import DEFAULT_GUARD, SizeGuardError
+from .freelie import DEFAULT_GUARD, SizeGuardError, require_int
 
 _GEN_LETTERS = "xyzabcdefghijklmnopqrstuvw"
 
@@ -245,26 +245,26 @@ def as_relation_set(source):
 def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD):
     """Degrees 1..top of the holonomy Lie algebra, as a list of GradedAbelian.
 
-    Every ring reads the integer tower of HolonomyAlgebra: over Z a degree
-    is its lattice's rank and divisor chain, over Q its rank, and over F_p,
-    by universal coefficients, its rank plus the number of divisors that p
-    divides.  No bracket of degree top is computed.  The tower is the
+    Every ring reads the integer tower of HolonomyAlgebra through
+    over_ring.  No bracket of degree top is computed.  The tower is the
     process's one tower of the relation set, so a second call, over any
     ring, builds only the degrees the earlier ones did not reach.
     """
     if top < 1:
         return []
     alg = HolonomyAlgebra(source, top, guard=guard)
+    return [over_ring(alg.quotient(d), ring) for d in range(1, top + 1)]
+
+
+def over_ring(q, ring):
+    """The quotient of the lattice q over ring, as a GradedAbelian: its rank
+    and divisor chain over Z, its rank over Q, and over F_p, by universal
+    coefficients, its rank plus the number of divisors that p divides."""
+    if ring == rings.Z:
+        return GradedAbelian(rank=q.rank, torsion=q.torsion)
     p = rings.char(ring)
-    out = []
-    for d in range(1, top + 1):
-        q = alg.quotient(d)
-        if ring == rings.Z:
-            out.append(GradedAbelian(rank=q.rank, torsion=q.torsion))
-        else:
-            out.append(GradedAbelian(
-                rank=q.rank + sum(1 for t in q.torsion if p and t % p == 0)))
-    return out
+    return GradedAbelian(
+        rank=q.rank + sum(1 for t in q.torsion if p and t % p == 0))
 
 
 def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD):
@@ -325,6 +325,8 @@ class HolonomyAlgebra:
 
     def __init__(self, source, max_degree, guard=DEFAULT_GUARD):
         self.relset = as_relation_set(source)
+        require_int("max_degree", max_degree)
+        require_int("guard", guard)
         self.alphabet = self.relset.alphabet
         self.max_degree = max_degree
         self._tower = _tower(self.alphabet, tuple(

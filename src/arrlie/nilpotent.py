@@ -36,7 +36,7 @@ from .arrangement import Arrangement, Record
 from .exactla import QuotientLattice
 from .freelie import DEFAULT_GUARD, SizeGuardError
 from .holonomy import (GradedAbelian, HolonomyAlgebra, as_relation_set,
-                       holonomy_graded, i2_basis, letter_word, pair_list,
+                       i2_basis, letter_word, over_ring, pair_list,
                        single_letter_names, wedge_block, wedge_counts)
 
 # one dotted word token: a generator name with an optional integer exponent
@@ -191,7 +191,14 @@ class Class2Group:
         idx = self._name_index.get(m.group(1))
         if idx is None:
             raise ValueError("unknown generator %r in word %r" % (m.group(1), text))
-        item = self._tokens[token] = (idx, int(m.group(2)) if m.group(2) else 1)
+        exp = m.group(2) or "1"
+        try:
+            e = int(exp)
+        except ValueError:  # more digits than the interpreter converts
+            raise ValueError(
+                "the exponent of generator %r has %d digits, too many to read"
+                % (m.group(1), len(exp.lstrip("-")))) from None
+        item = self._tokens[token] = (idx, e)
         return item
 
     def evaluate(self, word):
@@ -242,16 +249,17 @@ def k_invariant_matrix(source):
 
     Rows are indexed by the chosen basis of gr2 (for arrangements, the dual
     basis of the degree-2 relation ideal of the Orlik-Solomon algebra;
-    otherwise the free coordinates of the QuotientLattice of the wedge
-    pairs by the relations, as in HolonomyAlgebra.quotient(2)), columns by
-    the ordered pairs of generators.  chi_2 composed with a suitable
-    integer inclusion is the identity, and its kernel is the relation span.
+    otherwise the free coordinates of the tower's degree-2 lattice,
+    HolonomyAlgebra.quotient(2), the gr2 of Class2Group), columns by the
+    ordered pairs of generators.  chi_2 composed with a suitable integer
+    inclusion is the identity, and its kernel is the relation span.
     """
-    relset = as_relation_set(source)
-    w = len(pair_list(relset.alphabet))
     if isinstance(source, Arrangement):
+        w = len(pair_list(source.n_atoms))
         return [[col.get(c, 0) for c in range(w)] for col in i2_basis(source)[0]]
-    return exactla.kernel_int(w, relset.elements)
+    q = HolonomyAlgebra(source, 2).quotient(2)
+    return exactla.columns_to_matrix([q.project({c: 1}) for c in range(q.w)],
+                                     q.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +445,12 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD):
     same wedge_block, the comparison holds by construction on a correct
     tower: it checks the CE complex against the tower, not the tower
     against an independent computation (the tests compare it with the word
-    rows of the ideal).  Raises SizeGuardError, before any Lambda^3 row of
-    H2 exists, when its triples of weight <= 2(n-1) (holonomy.wedge_counts)
-    cost more than guard, and then when the tower's cost of degree n does
-    (HolonomyAlgebra).
+    rows of the ideal).  h_n and b2, the rank of the relations, are read
+    off the degree-n view of the tower over ring (holonomy.over_ring), so
+    the relation rows are eliminated only in the tower.  Raises
+    SizeGuardError, before any Lambda^3 row of H2 exists, when its triples
+    of weight <= 2(n-1) (holonomy.wedge_counts) cost more than guard, and
+    then when the tower's cost of degree n does (HolonomyAlgebra).
     """
     if n < 3:
         raise ValueError("the H2 comparison starts at degree 3")
@@ -457,7 +467,7 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD):
                 "H2 comparison at degree %d requires a decomposable "
                 "arrangement: r_global=%d, r_local=%d" %
                 (n, decomp_report["r_global"], decomp_report["r_local"]))
-    alg = HolonomyAlgebra(source, n - 1, guard=guard)
+    alg = HolonomyAlgebra(relset, n - 1, guard=guard)
     dims = [0] + [alg.dim(d) for d in range(1, n)] + [0] * (n - 1)
     triples = sum(wedge_counts(w, dims)[1] for w in range(2, 2 * n - 1))
     if _H2_TRIPLE_COST * triples > guard:
@@ -466,13 +476,13 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD):
             "guard %d; raise the guard to proceed"
             % (n - 1, triples, _H2_TRIPLE_COST * triples, guard))
     # the degree-n holonomy guard, before any of H2 is computed
-    HolonomyAlgebra(source, n, guard=guard)
-    L = truncated_lie(source, n - 1, guard=guard)
+    view = HolonomyAlgebra(relset, n, guard=guard)
+    L = truncated_lie(relset, n - 1, guard=guard)
     ce = ce_h2(L, ring)
-    hn = holonomy_graded(source, n, ring, guard=guard)
-    p = rings.char(ring)
-    rows = [dict(el) for el in relset.elements]
-    b2 = exactla.rank_sparse(rows, p=p)
+    hn = over_ring(view.quotient(n), ring)
+    q2 = view.quotient(2)
+    # the rank of the relations: the pair columns less the rank of h_2
+    b2 = q2.w - over_ring(q2, ring).rank
     expected = hn.rank + b2
     report = {
         "degree": n,

@@ -12,6 +12,7 @@ Z = ("Z",)
 Q = ("Q",)
 
 _MAX_P = 2 ** 31
+_TOO_LARGE = "modulus %s too large, need p < 2**31"
 
 
 def _is_prime(n):
@@ -42,7 +43,7 @@ def fp(p):
     if isinstance(p, bool) or not isinstance(p, int):
         raise ValueError("modulus %r is not an int" % (p,))
     if p >= _MAX_P:
-        raise ValueError("modulus %d too large, need p < 2**31" % p)
+        raise ValueError(_TOO_LARGE % p)
     if not _is_prime(p):
         raise ValueError("modulus %d is not prime" % p)
     return ("Fp", p)
@@ -56,7 +57,11 @@ def parse(text):
     if t == "q":
         return Q
     if t.startswith("fp:") and t[3:].isascii() and t[3:].isdigit():
-        return fp(int(t[3:]))
+        digits = t[3:].lstrip("0") or "0"
+        # 2**31 has 10 digits, so a longer modulus is refused unread
+        if len(digits) > 10:
+            raise ValueError(_TOO_LARGE % digits)
+        return fp(int(digits))
     raise ValueError("unknown ring %r (expected z, q, or fp:<p>)" % text)
 
 

@@ -2,7 +2,7 @@
 
     python3 tests/bytecheck.py [--fresh] > digests.txt
 
-Writes the 17 arrangements of the standard catalog, two_triples and three
+Writes the 17 arrangements of the standard catalog, two_triples and five
 presentations into a temporary directory, runs every command there and
 prints one line per command: the exit code, the sha256 of stdout and the command, with
 each input file named by its basename, and after a command that writes
@@ -17,15 +17,16 @@ source trees (it imports arrlie from the src/ beside this file) and diff
 the outputs to check that a change keeps every byte.  pytest does not
 collect this file: it is a script, not a test module.
 
-The set, 508 commands plus the nq2 words:
+The set, 526 commands plus the nq2 words:
   - h2check over z, q and fp:2 on the 17 catalog arrangements at degree 3
     and the 15 decomposable ones at degree 4, with and without --override;
   - holonomy over z, q and fp:3 on the 17 at --max-degree 3, and at 4
     with --override;
   - h2check (at its default degree 3) and holonomy --max-degree 4 on the
-    presentations xxyXXY and xxxyXXXY and on conj5, five generators with
-    conjugated commutator relators, over z, q, fp:2 and fp:3, and kinv on
-    each presentation;
+    presentations xxyXXY and xxxyXXXY, on conj5, five generators with
+    conjugated commutator relators, and on the free groups free1 (no pair
+    column) and free2 (no relation row), over z, q, fp:2 and fp:3, and
+    kinv on each presentation;
   - lattice, betti, falk, kinv, decomp and lcs --max-degree 8 on the 17;
   - verify-iso near_pencil(5) under the 4-cycle of its big pencil at
     degree 4, plain and --perturb lift, over z and q;
@@ -78,9 +79,12 @@ sys.path.insert(0, os.path.abspath(SRC))
 from arrlie import arrangement_to_json, standard_catalog  # noqa: E402
 from arrlie.cli import main as arrlie_main  # noqa: E402
 
-# name: (generators, relators); the third has conjugated commutators g[x, y]g^-1
+# name: (generators, relators); the third has conjugated commutators
+# g[x, y]g^-1; free1 has a tower with no pair column, free2 one with no
+# relation row
 PRESENTATIONS = {"xxyXXY": (2, ["xxyXXY"]), "xxxyXXXY": (2, ["xxxyXXXY"]),
-                 "conj5": (5, ["zxyXYZ", "abzyZYBA", "yxbXBYxaXA"])}
+                 "conj5": (5, ["zxyXYZ", "abzyZYBA", "yxbXBYxaXA"]),
+                 "free1": (1, []), "free2": (2, [])}
 NOT_DECOMPOSABLE = ("braid(4)", "braid(5)")
 NP5_CYCLE = '{"H1":"H2","H2":"H3","H3":"H4","H4":"H1","H5":"H5"}'
 G5_SWAP = "[1,0,2,3,4]"

@@ -919,6 +919,12 @@ def test_malformed_presentation_exits_2_on_one_line(tmp_path, capsys, obj):
     ("--corrections", '{"0":{"H1.2":5}}', '--corrections["0"]["H1.2"]:'),
     ("--corrections", '{"0":{"H12":[1]}}', '--corrections["0"]["H12"]:'),
     ("--corrections", '{"3":{"H1.2":[1]}}', '--corrections["3"]:'),
+    pytest.param("--corrections", '{"%s":{"H1.2":[1]}}' % ("1" * 5000),
+                 '--corrections["%s"]: not a flat index of B' % ("1" * 5000),
+                 id="flat-key-of-5000-digits"),
+    pytest.param("--corrections", '{"0":{"H1.%s":[1]}}' % ("1" * 5000),
+                 '--corrections["0"]["H1.%s"]: degree not in 2..3' % ("1" * 5000),
+                 id="degree-key-of-5000-digits"),
 ])
 def test_malformed_iso_and_corrections_exit_2_naming_the_path(files, capsys,
                                                               flag, value,
@@ -1130,6 +1136,18 @@ def test_a_ring_modulus_that_is_not_digits_is_an_unknown_ring(files, capsys):
                    "or fp:<p>)\n")
 
 
+def test_digit_strings_past_the_int_limit_get_the_readers_refusal(files, capsys):
+    big = "1" * 5000
+    code, out, err = run(capsys, ["holonomy", files["pencil3"],
+                                  "--ring", "fp:" + big])
+    assert (code, out) == (2, "")
+    assert err == "arrlie: error: modulus %s too large, need p < 2**31\n" % big
+    code, out, err = run(capsys, ["nq2", files["pencil3"], "--word", "H1^-" + big])
+    assert (code, out) == (2, "")
+    assert err == ("arrlie: error: bad --word: the exponent of generator 'H1' "
+                   "has 5000 digits, too many to read\n")
+
+
 # ---------------------------------------------------------------------------
 # report envelope and determinism
 
@@ -1171,7 +1189,7 @@ def test_entry_point_subprocess_determinism(files):
 # sha256 of the whole output of `python3 tests/bytecheck.py`: the exit code
 # and stdout digest of each of its commands, and the digests of their
 # bundles and error lines.  A change that keeps every CLI byte keeps it.
-BYTECHECK_SHA256 = "3cd179b86f2a48d3f4672773140eedaa7baacc3a397e1ac91a26cf4bfdf69a64"
+BYTECHECK_SHA256 = "1e293ed30ddcacd0a94f191e93b891ce7859b7e65ef2f313f4e4de6cabf113a7"
 
 
 def test_the_byte_check_digest_is_pinned():

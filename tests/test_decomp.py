@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -1033,3 +1034,22 @@ def test_the_lift_keeps_its_top_relator_components(arr, corr):
     assert {key: dense(alg.quotient(4), vec)
             for key, vec in glift.delta.items()} == want
     assert any(any(v) for v in want.values())
+
+
+def test_library_arguments_refuse_bools_and_floats():
+    np4 = near_pencil(4)
+    calls = [
+        ("k 2.0", lambda: witt_rank(2.0, 3)),
+        ("n True", lambda: witt_rank(2, True)),
+        ("max_degree True", lambda: holonomy_graded(braid(3), True)),
+        ("max_degree 3.0", lambda: holonomy_graded(braid(3), 3.0)),
+        ("guard 1.5", lambda: HolonomyAlgebra(braid(3), 2, guard=1.5)),
+        ("flat_index True", lambda: local_lift(np4, True, {}, 4)),
+        ("max_degree 3.0", lambda: lcs_ranks_decomposable(pencil(3), 3.0)),
+        ("max_degree 4.0",
+         lambda: verify_decomposable_iso(np4, np4, [1, 2, 0, 3], n=4.0)),
+        ("guard 1.5", lambda: is_decomposable(braid(4), guard=1.5)),
+    ]
+    for what, call in calls:
+        with pytest.raises(ValueError, match="^%s is not an int$" % re.escape(what)):
+            call()

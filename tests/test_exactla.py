@@ -79,11 +79,14 @@ def test_smith_normal_form_properties():
 
 
 def test_kernel_is_saturated_and_annihilates():
+    # the saturated kernel of the rows is Hom(Z^n / rows, Z): the free
+    # coordinates of the QuotientLattice by the rows, read as linear forms
     rng = random.Random(8)
     for _ in range(10):
         m, n = rng.randint(1, 4), rng.randint(1, 5)
         a = rand_mat(rng, m, n)
-        kern = exactla.kernel_int(n, sparse_rows(a))
+        q = exactla.QuotientLattice(n, sparse_rows(a))
+        kern = exactla.columns_to_matrix([q.project({c: 1}) for c in range(n)], q.rank)
         rank = gauss_rank(sparse_rows(a), n)
         assert len(kern) == n - rank
         for v in kern:
@@ -407,3 +410,8 @@ def test_fp_takes_only_an_int_and_parse_only_digits():
                            % re.escape(repr(text))):
             rings.parse(text)
     assert rings.parse(" FP:007 ") == rings.fp(7) == ("Fp", 7)
+    # leading zeros are not read as digits of the modulus, and a modulus
+    # longer than 2**31 is refused without being converted
+    assert rings.parse("fp:" + "0" * 5000 + "7") == ("Fp", 7)
+    with pytest.raises(ValueError, match=r"^modulus 1{5000} too large"):
+        rings.parse("fp:" + "1" * 5000)

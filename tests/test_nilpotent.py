@@ -17,6 +17,7 @@ from arrlie import (
     ce_h2,
     generic,
     h2_rank_check,
+    holonomy_graded,
     is_decomposable,
     k_invariant_matrix,
     make_presentation,
@@ -382,8 +383,9 @@ def test_k_invariant_kernel_is_the_relation_span():
     from arrlie import relation_set
     arr = braid(4)
     kinv = k_invariant_matrix(arr)
-    kern = exactla.kernel_int(len(kinv[0]), [sparse(r) for r in kinv])
-    assert len(kern) == betti(arr).b2 == 11
+    # the saturated kernel of kinv: the free part of Z^w / its rows
+    kern = exactla.QuotientLattice(len(kinv[0]), [sparse(r) for r in kinv])
+    assert kern.rank == betti(arr).b2 == 11
     # every relation pairs to zero against the ideal basis
     rs = relation_set(arr)
     w = len(kinv[0])
@@ -397,6 +399,22 @@ def test_k_invariant_kernel_is_the_relation_span():
 def test_k_invariant_for_presentations():
     assert k_invariant_matrix(make_presentation(2, [])) == [[1]]
     assert k_invariant_matrix(make_presentation(2, ["xyXY"])) == []
+
+
+def test_k_invariant_of_a_presentation_builds_no_lattice_past_its_tower(monkeypatch):
+    pres = make_presentation(3, ["xyXYzxZX"])
+    gr2 = HolonomyAlgebra(pres, 2).quotient(2)
+    built = []
+    init = exactla.QuotientLattice.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(exactla.QuotientLattice, "__init__", counting_init)
+    kinv = k_invariant_matrix(pres)
+    assert built == []
+    assert len(kinv) == gr2.rank == 2 and all(len(row) == 3 for row in kinv)
 
 
 def test_k_invariant_of_a_presentation_reads_the_degree_two_quotient():
@@ -713,6 +731,25 @@ def test_h2_rank_check_degree4_needs_decomposability():
         h2_rank_check(pencil(3), 2)
     with pytest.raises(ValueError, match="only available for arrangements"):
         h2_rank_check(make_presentation(2, ["xyXY"]), 4)
+
+
+def test_h2_rank_check_reads_b2_and_h_n_off_the_tower():
+    # b2 is the rank of the relation rows over the ring, and h_n the
+    # degree-n piece that holonomy_graded returns
+    cases = [(arr, 3) for _name, arr in standard_catalog()]
+    cases += [(arr, 4) for _name, arr in standard_catalog()
+              if is_decomposable(arr)["decomposable"]]
+    cases += [(pres, 3) for pres in presentation_sources()
+              + [make_presentation(1, []), make_presentation(2, [])]]
+    assert len(cases) == 17 + 15 + 14
+    for source, n in cases:
+        rows = [dict(el) for el in as_relation_set(source).elements]
+        for ring in (rings.Z, rings.Q, rings.fp(2), rings.fp(3)):
+            rep = h2_rank_check(source, n, ring)
+            assert rep["b2"] == exactla.rank_sparse(rows, p=rings.char(ring))
+            hn = holonomy_graded(source, n, ring)
+            assert rep["h_n_rank"] == hn.rank
+            assert rep.get("h_n_torsion", []) == list(hn.torsion)
 
 
 def test_ce_h2_of_truncations_against_the_word_rows():
