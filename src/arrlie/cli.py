@@ -39,7 +39,11 @@ def _jsonable(x):
     if isinstance(x, bool) or x is None:
         return x
     if isinstance(x, int):
-        return _int_to_json(x)
+        try:
+            return _int_to_json(x)
+        except ValueError:  # more digits than the interpreter converts
+            raise InputError("the result holds an integer of %d digits, too many "
+                             "to print" % _digits(x)) from None
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return _jsonable(x.numerator)
@@ -55,6 +59,14 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     raise TypeError("cannot serialize %r" % (x,))
+
+
+def _digits(v):
+    """Decimal digits of the int v, counted without converting it."""
+    v, d = abs(v), v.bit_length() * 301029 // 10 ** 6  # 0.301029 < log10(2)
+    while 10 ** d <= v:
+        d += 1
+    return d
 
 
 def _dumps(payload):

@@ -7,7 +7,9 @@ every rank-2 flat Y and every atom H in Y.  It is computed as a tower
 h_n is the cokernel of Lambda^3 -> Lambda^2 of the degrees below n, so
 the cost follows the quotient and not the free Lie algebra, and so does
 the size guard, which counts the pair columns and triples of degree n
-from the dimensions below n (wedge_counts, tower_cost).  Each degree
+from the dimensions below n (wedge_counts, tower_cost).  From degree 4
+on, the Jacobi rows that d3 d4 = 0 proves redundant are not built
+(wedge_block).  Each degree
 is one integer QuotientLattice; Q and F_p read their dimensions off it
 by universal coefficients (over_ring).  A class is the sparse dict of
 its coordinates there, and brackets of classes come from the tower's
@@ -250,6 +252,7 @@ def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD):
     process's one tower of the relation set, so a second call, over any
     ring, builds only the degrees the earlier ones did not reach.
     """
+    require_int("max_degree", top)
     if top < 1:
         return []
     alg = HolonomyAlgebra(source, top, guard=guard)
@@ -274,6 +277,7 @@ def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD):
     dimension; over Z the divisor chain comes from a QuotientLattice.
     Degrees 2..n-1 are built on the way (see holonomy_degrees).
     """
+    require_int("max_degree", n)
     if n < 1:
         raise ValueError("degree must be positive")
     return holonomy_degrees(source, n, ring, guard=guard)[-1]
@@ -291,7 +295,10 @@ class HolonomyAlgebra:
       - gcd(d_s, d_t) s ^ t for every pair with a torsion class, d being
         its divisor (0 for a free class);
       - [s,t] ^ u + [t,u] ^ s + [u,s] ^ t for every triple s < t < u with
-        degree sum n, the brackets read off the degrees below n.
+        degree sum n, the brackets read off the degrees below n, except
+        the rows (a, b, e), a < b letters, that the identity d3 d4 = 0
+        shows to lie in the span of the others (wedge_block has the
+        rule and its proof).
     So h_n = coker(Lambda^3(h_{<n})_n -> Lambda^2(h_{<n})_n), the block of
     weight n of the exterior complex (wedge_block).  The cokernel
     C, with [a, b] the class of a ^ b, makes h_{<n} + C a graded Lie ring
@@ -437,11 +444,27 @@ class _Tower:
         # with no pair columns every row is empty and h_n = 0, so none is built
         if wedge_counts(n, dims)[0]:
             cols, torsion_rows, triple_rows = wedge_block(
-                n, dims, self._divisor, self.product)
+                n, dims, self._divisor, self.product, self._redundant(n))
             rows = [dict(e) for e in self._relations] if n == 2 else []
             rows += torsion_rows + triple_rows
         q = QuotientLattice(len(cols), rows)
         self._levels.append((q, tuple(cols), cols))
+
+    def _redundant(self, n):
+        """The rows of degree n that wedge_block may skip, as {e: c}: for
+        each pair column (c, d) of degree n - 2 whose bracket has +-1 at
+        its smallest coordinate e, the largest such c.  Read off the
+        memoized products of degree n - 2; empty below degree 4."""
+        skip = {}
+        if n >= 4:
+            for c, d in self._levels[n - 3][1]:
+                vec = self.product(c, d)
+                if vec:
+                    e = min(vec)
+                    if vec[e] in (1, -1):
+                        # pairs run in lex order, so the last c is the largest
+                        skip[n - 2, e] = c
+        return skip
 
     def _divisor(self, s):
         q = self._levels[s[0] - 1][0]
@@ -468,7 +491,7 @@ class _Tower:
         return lift
 
 
-def wedge_block(w, dims, divisor, product):
+def wedge_block(w, dims, divisor, product, skip=None):
     """The weight-w block of the exterior complex of a graded Lie ring.
 
     A basis class is a pair (degree, index); classes compare as tuples.
@@ -480,9 +503,30 @@ def wedge_block(w, dims, divisor, product):
     column, in lex order; torsion_rows holds gcd(d_s, d_t) s ^ t for each
     pair with a torsion class, in column order; triple_rows holds
     [s,t] ^ u + [t,u] ^ s + [u,s] ^ t for each triple s < t < u of weight
-    w, in lex order, empty rows included.  d2(s ^ t) = -[s, t] takes a
-    triple row to minus its Jacobi sum.  The tower reads h_w off this
-    block, and nilpotent.ce_h2 sums the blocks of a truncation.
+    w, in lex order, empty rows included, except the rows skip names.
+    d2(s ^ t) = -[s, t] takes a triple row to minus its Jacobi sum.
+    nilpotent.ce_h2 sums the whole blocks of a truncation.
+
+    The tower reads h_w off this block, and passes skip = {e: c}
+    (_Tower._redundant): the row (a, b, e) with letters a < b < c is left
+    out.  For weight w >= 4, e is the smallest coordinate of a bracket
+    [c, d] of degree w - 2 with [c, d]_e = +-1, and the row lies in the
+    span of the kept rows, so the lattice, its rank and its torsion do not
+    change:
+      - the classes a < b < c < d, a and b letters, have weight w, and
+        d3 d4 (a^b^c^d) = 0 in Lambda^2(h_{<w}), since h_{<w} is a
+        graded Lie ring: the tower imposed Jacobi in every degree below
+        w, up to the torsion rows, which are kept.  Expanding it gives a
+        Z-relation among the triple rows of weight w;
+      - rank the rows so that a row ranks higher the smaller its smallest
+        class, then its middle class, then its largest class.  The
+        top-ranked row of the relation is (a, b, e): every other row
+        either misses a, or holds a together with a class above b;
+      - the coefficient of (a, b, e) is +-[c, d]_e, as only the pair
+        {c, d} yields rows that hold both a and b;
+      - so when it is +-1 the row is a Z-combination of lower-ranked rows
+        and torsion rows, and by induction up the ranking every skipped
+        row lies in the span of the kept rows.
     """
     cols = {}
     for a in range(1, w // 2 + 1):
@@ -495,7 +539,10 @@ def wedge_block(w, dims, divisor, product):
         if g:
             torsion_rows.append({col: g})
     triple_rows = []
+    skip = skip or {}
     for s, t, u in _triples(w, dims):
+        if t[0] == 1 and t < skip.get(u, t):
+            continue
         row = {}
         _wedge_into(row, cols, s[0] + t[0], product(s, t), u, 1)
         _wedge_into(row, cols, t[0] + u[0], product(t, u), s, 1)
@@ -506,7 +553,8 @@ def wedge_block(w, dims, divisor, product):
 
 def wedge_counts(w, dims):
     """(pairs, triples) of weight w: the lengths of cols and triple_rows of
-    wedge_block(w, dims, ...), counted from dims alone."""
+    wedge_block(w, dims, ...) with nothing skipped, counted from dims
+    alone."""
     pairs = sum(comb(dims[a], 2) if 2 * a == w else dims[a] * dims[w - a]
                 for a in range(1, w // 2 + 1))
     triples = sum(prod(comb(dims[x], m) for x, m in Counter((a, b, w - a - b)).items())
@@ -518,7 +566,9 @@ def wedge_counts(w, dims):
 # exist: pair columns x triples / 8 for the elimination, and 4 per triple
 # for building the rows (2 us and 130 bytes each, measured on the 1.3 M
 # empty rows of generic(200) in degree 3: 2.7 s and 173 MB); a degree with
-# no pair columns builds no rows (_Tower._grow), so it costs 0.  Top-degree
+# no pair columns builds no rows (_Tower._grow), so it costs 0.  The count
+# takes every triple, those whose rows the tower skips (wedge_block)
+# included, so the rule moves no refusal boundary.  Top-degree
 # times in a fresh process, Python 3.11 on a 2-CPU x86-64 machine: admitted,
 # braid(4) d8 6.1 s, braid(5) d6 1.4 s, braid(6) d5 0.58 s (6.2 M units); refused,
 # braid(4) d9 (15 M) over 37 s and 1 GB, braid(5) d7 (41 M) 321 s,

@@ -15,8 +15,9 @@ sparse products [s, t] of its basis classes s < t, the form in which the
 holonomy tower holds its brackets; truncated_lie hands them over as they
 are.  Its H2 is computed from the exterior complex
 Lambda^3 L -> Lambda^2 L -> L with d(a^b) = -[a,b].  The complex is graded
-by weight, each weight w one block of holonomy.wedge_block (the block the
-holonomy tower reads h_w off), and Lambda^2 L vanishes past weight 2 * top.
+by weight, each weight w one whole block of holonomy.wedge_block (the
+block the holonomy tower reads h_w off, less the rows it proves
+redundant), and Lambda^2 L vanishes past weight 2 * top.
 Over Q and F_p, H2 is a sum of differences of sparse ranks on the
 coordinates that survive the field.  Over Z, graded pieces may carry
 torsion: with D the torsion columns d_i e_i of L_w, the cycles of weight w

@@ -43,7 +43,11 @@ def fp(p):
     if isinstance(p, bool) or not isinstance(p, int):
         raise ValueError("modulus %r is not an int" % (p,))
     if p >= _MAX_P:
-        raise ValueError(_TOO_LARGE % p)
+        try:
+            text = str(p)
+        except ValueError:  # more digits than the interpreter converts
+            text = "of %d bits" % p.bit_length()
+        raise ValueError(_TOO_LARGE % text)
     if not _is_prime(p):
         raise ValueError("modulus %d is not prime" % p)
     return ("Fp", p)

@@ -37,6 +37,9 @@
   on dense vectors triple by triple (check_jacobi), each densifying the
   products of the ring itself.  The library builds the same complex
   weight by weight (holonomy.wedge_block).
+* FullRowTower, the holonomy tower built from every triple row of each
+  weight (holonomy.wedge_block with nothing skipped), over its own
+  brackets: the oracle for the rows the library's tower leaves out.
 * The sparse elimination kernel as it was when every row update copied
   the row and a second loop diffed the old and new rows to keep the
   column counts (copying_eliminate): the oracle for exactla._eliminate,
@@ -59,7 +62,7 @@ from math import gcd
 from arrlie import exactla, rings
 from arrlie.exactla import QuotientLattice
 from arrlie.freelie import DEFAULT_GUARD, SizeGuardError, witt_rank
-from arrlie.holonomy import GradedAbelian, as_relation_set, pair_list
+from arrlie.holonomy import GradedAbelian, as_relation_set, pair_list, wedge_block
 from arrlie.nilpotent import GradedLie
 
 _basis_cache = {}
@@ -776,6 +779,48 @@ def flat_ce_h2(L, ring=rings.Z):
     quot = QuotientLattice(np_ + len(tcol), lifted)
     d2rank = exactla.rank_sparse(d2cols + [{i: divs[i]} for i in tcol])
     return GradedAbelian(rank=quot.rank - d2rank, torsion=quot.torsion)
+
+
+# ---------------------------------------------------------------------------
+# the holonomy tower from every triple row
+
+class FullRowTower:
+    """The holonomy tower of a source with every triple row: degree n >= 2
+    is the QuotientLattice of the whole weight-n block of
+    holonomy.wedge_block, called without rows to skip, over the brackets
+    of this tower's own degrees below n.  The oracle for the tower of
+    HolonomyAlgebra, which leaves out the rows that d3 d4 = 0 proves
+    redundant."""
+
+    def __init__(self, source):
+        relset = as_relation_set(source)
+        self.relations = [dict(e) for e in relset.elements]
+        self.lattices = [QuotientLattice(relset.alphabet, [])]
+        self.cols = [{}]
+        self.products = {}
+
+    def lattice(self, d):
+        while len(self.lattices) < d:
+            n = len(self.lattices) + 1
+            dims = [0] + [q.dim for q in self.lattices]
+            cols, torsion_rows, triple_rows = wedge_block(
+                n, dims, self.divisor, self.product)
+            rows = (self.relations if n == 2 else []) + torsion_rows + triple_rows
+            self.lattices.append(QuotientLattice(len(cols), rows))
+            self.cols.append(cols)
+        return self.lattices[d - 1]
+
+    def divisor(self, s):
+        q = self.lattices[s[0] - 1]
+        return 0 if s[1] < q.rank else q.torsion[s[1] - q.rank]
+
+    def product(self, s, t):
+        vec = self.products.get((s, t))
+        if vec is None:
+            d = s[0] + t[0]
+            vec = self.products[s, t] = self.lattice(d).project(
+                {self.cols[d - 1][s, t]: 1})
+        return vec
 
 
 # ---------------------------------------------------------------------------

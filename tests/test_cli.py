@@ -432,31 +432,31 @@ VERIFY_ISO_BYTES = [
      'ca672cbb6f8993d1d9451dc28554f6b35ca9735d00b24e8f5bb21968159f081b'),
     (5, 'z', None, 0,
      '762b3bf05497f3995eb62e7c21028f32601910e1e5ca73f55a521823ada53497',
-     '1d6fbbde4a537f8d6d9d268fb8ff3806c9df5367dbd3b87382b4fd72fc59ea77'),
+     '83a520b8bb28270160c6a30bf4f6f490ebd3a267ff10e7c2fee6325b5b21a864'),
     (5, 'z', 'lift', 1,
-     'fe202483c39ce4b90d6b4aa7ba445ab44202f8f18e4d5f74ec2d956a5a4b6608',
-     '58ee2cb08ebfbd42c118f223e0671075e1e4f29d86e08a3996aff6883333c2db'),
+     '5bee8d1ae7b5271429ab2b1b1223fe5f767004fd7c629627c25c9277414a452d',
+     'c8437e309680c5dfb1c9412629271c7dea8c6026d4d7a57bfbb12e34b410a4eb'),
     (5, 'z', 'sigma', 1,
      '7fc3e6f256ee7ead8b989c10c7c72f0236e526f0e7c192b869c63e29a1eb0a1f',
-     '9fd021b4bb8ddf61aafd136b77efaed5985182ba6fa90baa9f758d95d39367bd'),
+     '09e07569091f8596aff30d03ab144aa97be57ceb3d76c4f9e15482d94008e4cb'),
     (5, 'q', None, 0,
      '7b8f1f79c680f17ba94ace255b9f84fe98b49214ab86397991c4c9e127250828',
-     'a09f54d0360fff5d43d29346e670c5782bb46d2c6a74536edb5519563f6a8737'),
+     'b3624cacfe63a06795678c3481c73b48302289084f4be5913770549e7ddcdf6d'),
     (5, 'q', 'lift', 1,
-     '702bb4cbac61cb1c4c61f5d8c21f17a6baf8f3623e88f7660977719cb6aa2cd6',
-     '0b5fc75307c1ed571392cf8e349995430297ee7939eeb025522fc11702578b39'),
+     'dd3548f66f4836a80374d8705c8cc1fad626ba5ca88c7c12b8668bd67e6ed9cd',
+     '59bf31e566da7c282641a522926246f6a0bae6727732a7d7e63b9317594921c3'),
     (5, 'q', 'sigma', 1,
      '2f6a901c59f52ed14f63b14567bb2c1667ec8276bb65d455e1a0847674f9ccec',
-     '7eec5dfccb042ab4e3ac1fa081428b7ad4d4e263780675e1b2ad412484aa2f91'),
+     'b2b8b85f4a875da5c12f105d07b741bc833063b21263fa6268dd8a4460dbe5aa'),
     (5, 'fp:3', None, 0,
      'f4657a0bcf5790ee4b676b8b0c2aebb3410c11313a7ad20caec9434a8b24ba59',
-     '383909a7843de93d493f8e3a81e97252f9038721cf310a93c50024ef185726ca'),
+     '76f1e9ed779ca411285d3e243847d123a914de842e2632e46ba13ac9b1300ed0'),
     (5, 'fp:3', 'lift', 1,
-     'e3e819ec4a930f50760161dc0880483444f5409c05ac98802769f148d5ef049b',
-     '1bd40cfc2ab7d4bfed7ecd967dc8c378f3be2837b88a6c0ce8d4d2618f9e1d92'),
+     '741f69e96fd1a827cd45082f92d12fa12a716eaba5e781dd470ebf8a47434c19',
+     '41e1e15a6808d8d8357f99a982ebc4d1fe6e8033876511fd6ec4ad0694f4e89e'),
     (5, 'fp:3', 'sigma', 1,
      '834a44ea6d94be20e80694127493443ea2edb4b1167aa980154b246064076e9a',
-     '54ddf8ec078b275534f43b9cd2c0e6867729b97c070d6f58229ff8b28a072b55'),
+     'bfbaad92f715c2d37b1c57697916b2d07f152b1b673eb27c24c369ddc812113e'),
 ]
 
 # nonzero corrections on the big pencil at degree 5: degrees 2 and 3 sum
@@ -467,7 +467,7 @@ NP5_CORRECTIONS = (
     '"H4.4":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,-1]}}')
 NP5_CORRECTIONS_BYTES = (0,
                          '9998549d80d2efea1b2b1372ed09fb61e95bc9d238112a3e8929b7e913ae7388',
-                         'c6eb3c959888cf7e6b478e31d21f0f431bbbea26a63ab36e426ec8b46281a6df')
+                         'daefc85e3d34feee40c34f1a8de7db594c4eeb239d2cd289be1670d1b0eeecfe')
 
 
 def _verify_iso_digests(capsys, tmp_path, extra):
@@ -1148,6 +1148,17 @@ def test_digit_strings_past_the_int_limit_get_the_readers_refusal(files, capsys)
                    "has 5000 digits, too many to read\n")
 
 
+def test_a_result_past_the_int_limit_is_refused_with_its_digit_count(files, capsys):
+    # both exponents are read, but the tail, their product, has 6000 digits
+    sevens = "7" * 3000
+    for table in ([], ["--table"]):
+        code, out, err = run(capsys, ["nq2", files["pencil3"], "--word",
+                                      "H2^%s.H1^%s" % (sevens, sevens)] + table)
+        assert (code, out) == (2, "")
+        assert err == ("arrlie: error: the result holds an integer of 6000 "
+                       "digits, too many to print\n")
+
+
 # ---------------------------------------------------------------------------
 # report envelope and determinism
 
@@ -1189,7 +1200,7 @@ def test_entry_point_subprocess_determinism(files):
 # sha256 of the whole output of `python3 tests/bytecheck.py`: the exit code
 # and stdout digest of each of its commands, and the digests of their
 # bundles and error lines.  A change that keeps every CLI byte keeps it.
-BYTECHECK_SHA256 = "1e293ed30ddcacd0a94f191e93b891ce7859b7e65ef2f313f4e4de6cabf113a7"
+BYTECHECK_SHA256 = "3507094c6355b71e06e3b425c33c356671447bd4fac3a92f8e973954056ffd0d"
 
 
 def test_the_byte_check_digest_is_pinned():

@@ -415,3 +415,7 @@ def test_fp_takes_only_an_int_and_parse_only_digits():
     assert rings.parse("fp:" + "0" * 5000 + "7") == ("Fp", 7)
     with pytest.raises(ValueError, match=r"^modulus 1{5000} too large"):
         rings.parse("fp:" + "1" * 5000)
+    # an int too long to print is named by its bit length
+    with pytest.raises(ValueError, match=r"^modulus of 16610 bits too large, "
+                       r"need p < 2\*\*31$"):
+        rings.fp(10 ** 5000)

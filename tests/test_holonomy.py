@@ -1,5 +1,6 @@
 """Holonomy Lie algebra: relation sets, graded pieces, Falk invariant, Magnus."""
 
+import itertools
 import random
 import re
 
@@ -7,6 +8,7 @@ import pytest
 
 from arrlie import (
     DEFAULT_GUARD,
+    Arrangement,
     GradedAbelian,
     HolonomyAlgebra,
     braid,
@@ -34,8 +36,8 @@ from arrlie.holonomy import (
     relation_set_from_presentation,
 )
 from arrlie.nilpotent import k_invariant_matrix
-from lie_reference import (LieElement, bracket, bracket_coords, coords,
-                           dense_reduce, element, ideal_words, lie_generator,
+from lie_reference import (FullRowTower, LieElement, bracket, bracket_coords,
+                           coords, dense_reduce, element, ideal_words, lie_generator,
                            rank_sparse_pivots, word_row_degrees,
                            word_row_pieces)
 
@@ -140,6 +142,18 @@ def test_holonomy_algebra_agrees_with_holonomy_graded():
         for d in (2, 3, 4):
             g = holonomy_graded(source, d, rings.Z)
             assert (alg.rank(d), alg.torsion(d)) == (g.rank, g.torsion), d
+
+
+def test_holonomy_degrees_refuses_a_top_that_is_not_an_int():
+    # refused before the empty answer of a top below 1, as holonomy_graded
+    # refuses it before its own "degree must be positive"
+    for top in (0.5, False, 2.0):
+        for call in (holonomy_degrees, holonomy_graded):
+            with pytest.raises(ValueError, match="max_degree %r is not an int" % top):
+                call(braid(3), top)
+    assert holonomy_degrees(braid(3), 0) == []
+    with pytest.raises(ValueError, match="degree must be positive"):
+        holonomy_graded(braid(3), 0)
 
 
 def test_presentation_with_doubled_commutator_has_two_torsion():
@@ -529,6 +543,97 @@ def test_wedge_counts_match_the_blocks_they_count(name, arr):
         cols, _torsion_rows, triple_rows = holonomy.wedge_block(
             w, below, lambda s: 0, lambda s, t: {})
         assert holonomy.wedge_counts(w, below) == (len(cols), len(triple_rows)), w
+
+
+# ---------------------------------------------------------------------------
+# the triple rows the tower skips
+
+def pencils_with_doubles(prefix, n, pencils):
+    """An arrangement of n atoms from its multiple points, every pair of
+    atoms in no pencil a double point."""
+    seen = {p for pen in pencils for p in itertools.combinations(sorted(pen), 2)}
+    pens = [sorted(pen) for pen in pencils] + [
+        list(p) for p in itertools.combinations(range(n), 2) if p not in seen]
+    return Arrangement(["%s%d" % (prefix, i + 1) for i in range(n)], pencils=pens)
+
+
+def hesse():
+    # the 12 lines of AG(2, 3), in 4 parallel classes of 3, meeting 4 at a
+    # time in its 9 points
+    return pencils_with_doubles("H", 12, [
+        [y, 3 + x, 6 + (y - x) % 3, 9 + (y - 2 * x) % 3]
+        for x in range(3) for y in range(3)])
+
+
+def pappus():
+    # the 9 triple points are the lines of the Pappus configuration
+    A, B, C, a, b, c, X, Y, Z = range(9)
+    return pencils_with_doubles("P", 9, [
+        [A, B, C], [a, b, c], [X, Y, Z], [A, b, X], [a, B, X], [A, c, Y],
+        [a, C, Y], [B, c, Z], [b, C, Z]])
+
+
+FULL_ROW_SOURCES = (
+    [(name, arr, 5) for name, arr in standard_catalog()]
+    + [("near_pencil(%d)" % k, near_pencil(k), 5) for k in (6, 7, 8)]
+    + [("braid(4)", braid(4), 7), ("braid(5)", braid(5), 5),
+       ("braid(6)", braid(6), 4), ("hesse", hesse(), 4), ("pappus", pappus(), 6)]
+    + [("pres%d" % i, pres, 4)
+       for i, pres in enumerate(commutator_presentations(1, 10))]
+    # [z, a] = 2 [x, y] in degree 2: a bracket whose smallest coordinate
+    # is 2, not a unit, so no row may be skipped for it
+    + [("za=2xy", make_presentation(4, ["zaZAyxYXyxYX"]), 5)])
+
+
+@pytest.mark.parametrize("name,source,top", FULL_ROW_SOURCES,
+                         ids=["%s-d%d" % (name, top) for name, _s, top in FULL_ROW_SOURCES])
+def test_skipped_triple_rows_lie_in_the_lattice_of_every_row(name, source, top):
+    # the tower built from every triple row gives the same ranks and
+    # torsion, and every triple row of the library's own blocks, those it
+    # skipped included, projects to 0 in the library's lattice
+    alg = HolonomyAlgebra(source, top)
+    full = FullRowTower(source)
+    tower = alg._tower
+    dims = [0] + [alg.dim(d) for d in range(1, top)]
+    for n in range(2, top + 1):
+        q = full.lattice(n)
+        assert (alg.rank(n), alg.torsion(n)) == (q.rank, q.torsion), n
+        _cols, _torsion_rows, rows = holonomy.wedge_block(
+            n, dims, tower._divisor, tower.product)
+        lattice = alg.quotient(n)
+        assert not any(lattice.project(row) for row in rows), n
+
+
+def test_hesse_and_pappus_keep_their_torsion():
+    assert holonomy_graded(hesse(), 4) == GradedAbelian(692, (3, 3, 3, 3))
+    assert [(g.rank, g.torsion) for g in holonomy_degrees(pappus(), 6)] == [
+        (9, ()), (9, ()), (20, ()), (30, (2,)), (60, ()), (90, ())]
+
+
+def test_the_tower_builds_fewer_triple_rows(monkeypatch):
+    # the rows each degree's lattice is built from (no relation or torsion
+    # row past degree 2 here), against the triples of that degree: the
+    # rule skips rows from degree 4 on
+    real, sizes = holonomy.QuotientLattice, []
+
+    def recording(w, gens):
+        sizes.append(len(gens))
+        return real(w, gens)
+
+    monkeypatch.setattr(holonomy, "QuotientLattice", recording)
+    holonomy._tower.cache_clear()
+    try:
+        for arr, top, kept, triples in ((braid(5), 4, [120, 371], [120, 450]),
+                                        (braid(4), 5, [20, 52, 133], [20, 60, 186])):
+            sizes.clear()
+            alg = HolonomyAlgebra(arr, top)
+            assert alg.rank(top)
+            dims = [0] + [alg.dim(d) for d in range(1, top)]
+            assert [holonomy.wedge_counts(n, dims)[1]
+                    for n in range(3, top + 1)] == triples
+            assert sizes[2:] == kept
+    finally:
+        holonomy._tower.cache_clear()
 
 
 # ---------------------------------------------------------------------------
