@@ -2,19 +2,20 @@
 
 Everything here works with arbitrary-precision Python ints.  One sparse
 elimination loop serves every ring, and it pivots only on units of the
-ring: +-1 over Z, entries prime to m over Z/m, every nonzero entry over
-F_p and over Q.  Only the row update depends on the ring, and it updates
-each row in place, keeping the rows of each column in the same pass.
-Over Q rows are gcd-reduced (no fractions, no floats), and over Z/m
-entries are symmetric residues in (-m/2, m/2], so +-1 stays +-1.  No row
-ever stores a zero entry.  rank_sparse reads the rank over Q or F_p off
-the loop.  Over Z the one lattice primitive is QuotientLattice, Z^w
-modulo a sublattice: unit pivots keep the loop exact and unimodular, and
-the residual rows without a unit entry go to the dense Smith normal form,
-which keeps just its left transforms.
-The rank cross-check of a QuotientLattice runs the same loop once over
-Z/(p1*p2) = F_p1 x F_p2 (CRT) for two large primes, and ranks the rows
-left without a unit entry mod each prime (_ranks_mod).
+ring: +-1 over Z, every nonzero entry over F_p and over Q.  Only the row
+update depends on the ring, and it updates each row in place, keeping
+the rows of each column in the same pass.  Over Q rows are gcd-reduced
+(no fractions, no floats), and over F_p entries are symmetric residues in
+(-p/2, p/2], so +-1 stays +-1.  No row ever stores a zero entry.
+rank_sparse reads the rank over Q or F_p off the loop.  Over Z the one
+lattice primitive is QuotientLattice, Z^w modulo a sublattice: unit
+pivots keep the loop exact and unimodular, and the residual rows without
+a unit entry go to the dense Smith normal form, which keeps just its left
+transforms.
+The rank cross-check of a QuotientLattice (_ranks_mod) replays the Z
+pass's pivot order, left looking, mod p1*p2 for two large primes, with
+the reduction loop of QuotientLattice.project (_reduce) and no pivot
+search; its ranks depend on the rows and the primes only.
 Vectors are sparse dicts {index: value} throughout: the rows a lattice is
 built from, the ambient vectors it projects and the coordinates it
 answers in.  Dense matrices appear only in the Smith form, the inverse
@@ -44,55 +45,132 @@ def rank_sparse(rows, p=None):
     return len(_eliminate(rows, "Q" if p is None else p)[0])
 
 
-def _ranks_mod(rows, primes):
-    """Ranks of the row span over F_p for each of the distinct primes, from
-    one elimination over Z/m, m the product of the primes.
+def _ranks_mod(rows, primes, schedule):
+    """Ranks of the row span over F_p for each of the distinct primes, by
+    one left-looking pass mod m, m the product of the primes, that replays
+    a pivot schedule of (col, input id) pairs, in order.
 
-    By the CRT Z/m is the product of the fields F_p, so a pivot that is a
-    unit mod m is nonzero mod every p, and each row operation reduces to
-    one over each F_p.  The pivot rows stay independent mod p and the
-    residual rows are zero on their columns, so the rank over F_p is the
-    number of pivots plus the rank of the residual mod p.
+    Each scheduled row is reduced by the pivots found so far and becomes a
+    pivot, scaled to 1 at col, if its entry at col is a unit mod m.  Every
+    other row, a scheduled row that failed included, is then reduced by
+    all the pivots (_reduce), and what is left is ranked mod each prime.
+    A unit mod m is nonzero mod every p, and each pivot is zero at the
+    columns pivoted before it, so the pivots stay independent mod p; the
+    other rows are zero at every pivot column.  So the rank over F_p is
+    the number of pivots plus the rank of the rest mod p, whatever the
+    schedule: it decides how much work the pass does, not its answer.
+    The integer pass's own pivot order makes every scheduled row a pivot.
+    Input rows are not modified.
     """
-    pivots, residual = _eliminate(rows, prod(primes))
-    residual = [row for _rid, row in residual]
+    m = prod(primes)
+    vecs = []
+    for r in rows:
+        x = dict(r)
+        if x and (min(x.values()) <= -m or max(x.values()) >= m):
+            x = {c: v % m for c, v in x.items() if v % m}
+        vecs.append(x)
+    order, pivots = {}, []
+    for col, rid in schedule:
+        x = _reduce(vecs[rid], order, pivots, m)
+        v = x.get(col)
+        if v is None or gcd(v, m) != 1:
+            continue
+        inv = pow(v, -1, m)
+        if 2 * inv > m:
+            inv -= m  # +-1 stays +-1
+        prow = {}
+        for c, u in x.items():
+            u *= inv
+            if not -m < u < m:
+                u %= m
+            if u:
+                prow[c] = u
+        prow[col] = 1
+        order[col] = len(pivots)
+        pivots.append((col, prow))
+        vecs[rid] = {}
+    residual = [x for x in vecs if _reduce(x, order, pivots, m)]
     return [len(pivots) + (rank_sparse(residual, p) if residual else 0)
             for p in primes]
 
 
+def _reduce(x, order, pivots, m=0):
+    """Reduce the sparse vector x in place by the pivot rows, and return it.
+
+    pivots lists (col, row) with row zero at the column of every pivot
+    before it, and order maps each pivot column to its index there.  The
+    pivot columns x touches are taken from a heap in that order, so a step
+    never refills a column already cleared.  Over Z (m=0) each pivot entry
+    is +-1, its own inverse.  Mod m > 1 it is 1, and an entry is any
+    representative, taken mod m only when it leaves (-m, m), so small
+    entries stay small ints.  A fill-in -f * v is stored as it is, even if
+    it is 0 mod m; it is brought into range when it is next updated or
+    read as a multiplier, so a multiplier 0 mod m is read as 0.
+    """
+    heap = [order[c] for c in x if c in order]
+    heapq.heapify(heap)
+    while heap:
+        col, row = pivots[heapq.heappop(heap)]
+        f = x.pop(col, 0)
+        if m and not -m < f < m:
+            f %= m
+        if not f:
+            continue  # a column pushed again after it cleared
+        f *= row[col]
+        for c, v in row.items():
+            if c == col:
+                continue
+            w = x.get(c)
+            if w is None:
+                x[c] = -f * v
+                if c in order:
+                    heapq.heappush(heap, order[c])
+            else:
+                w -= f * v
+                if m and not -m < w < m:
+                    w %= m
+                if w:
+                    x[c] = w
+                else:
+                    del x[c]
+    return x
+
+
 def _eliminate(rows, ring):
-    """Sparse elimination over ring "Q", "Z" or Z/m for an int m > 1.
+    """Sparse elimination over ring "Q", "Z" or F_p for a prime int p.
 
     rows: iterable of {col: int} rows (copied, not modified).  Returns
     (pivots, residual): pivots lists (col, input id, reduced row) in
     elimination order, where the row is nonzero at col and zero at every
     column pivoted before it; residual lists (input id, reduced row) for
     the rows left nonzero, in input order.  No row holds a zero entry, and
-    over Z/m every entry is a symmetric residue in (-m/2, m/2], so +-1
+    over F_p every entry is a symmetric residue in (-p/2, p/2], so +-1
     stays +-1 and products stay small.  The pivot column is the one with
     the fewest live rows (ties: lowest column); the pivot row is the
     shortest eligible row in it, then the one with the smallest entry
     there, then the first, found in one scan of the column.  Only units of
-    the ring are eligible: v with gcd(v, m) = 1 over Z/m, and over Z = Z/0
-    that is +-1.  Over Q and over a prime field every nonzero entry is a
-    unit and the residual is empty.  So every row operation is
+    the ring are eligible: +-1 over Z, and over Q and F_p every nonzero
+    entry, so there the residual is empty.  So every row operation is
     invertible: over Z it is unimodular, and pivot rows plus residual span
     the input lattice.
 
-    The columns wait in a heap of (live rows, column).  A queued column
-    has one entry at its live count, pushed when it is queued and again
-    only when a pivot row changes that count; queued maps each queued
-    column to that count, so an entry for any other count, or for a column
-    no longer queued, is stale and dropped when popped.  A popped column
-    without a unit entry leaves the queue and joins it again when a later
-    pivot row touches it, as only a pivot row's columns change, in count
-    or in entries; so no residual row has a unit entry.  The ring's update
-    (_update_q, _update_z or _update_mod) clears the pivot column from the
-    other rows in place, and in the same pass moves each row in or out of
-    the live-row set of every column where it gains or loses an entry.
-    Each row's update reads only that row and the pivot row, and the sets
-    it touches end the same whatever the order, so the rows of the pivot
-    column go to it in set order, unsorted.
+    The columns wait in a heap of (count, column), and queued maps each
+    queued column to the count of its live entry, at most its live count:
+    a column is pushed when it is queued and again only when a pivot row
+    drops its count below that entry's.  An entry for any other count, or
+    for a column no longer queued, is stale and dropped when popped; a live
+    entry whose column has since gained rows is pushed again at its count.
+    So the first entry popped at its column's count is the least (count,
+    column) of the queue.  A popped column without a unit entry leaves the
+    queue and joins it again when a later pivot row touches it, as only a
+    pivot row's columns change, in count or in entries; so no residual row
+    has a unit entry.  The ring's update (_update_q, _update_z or
+    _update_mod) clears the pivot column from the other rows in place, and
+    in the same pass moves each row in or out of the live-row set of every
+    column where it gains or loses an entry.  Each row's update reads only
+    that row and the pivot row, and the sets it touches end the same
+    whatever the order, so the rows of the pivot column go to it in set
+    order, unsorted.
     """
     if ring == "Q":
         update, m = _update_q, None
@@ -127,12 +205,16 @@ def _eliminate(rows, ring):
         n, col = heapq.heappop(heap)
         if queued.get(col) != n:
             continue
-        del queued[col]
         rids = col_rows[col]
+        if len(rids) != n:
+            n = queued[col] = len(rids)
+            heapq.heappush(heap, (n, col))
+            continue
+        del queued[col]
         if n == 1:
             (prid,) = rids
             v = live[prid][col]
-            if m is not None and v != 1 and v != -1 and gcd(v, m) != 1:
+            if m == 0 and v != 1 and v != -1:
                 continue
         else:
             prid, plen, pabs = -1, inf, inf
@@ -145,7 +227,7 @@ def _eliminate(rows, ring):
                 a = v if v > 0 else -v
                 if k == plen and (a > pabs or a == pabs and rid > prid):
                     continue
-                if m is not None and a != 1 and gcd(v, m) != 1:
+                if m == 0 and a != 1:
                     continue
                 prid, plen, pabs = rid, k, a
             if prid < 0:
@@ -166,7 +248,7 @@ def _eliminate(rows, ring):
             s = col_rows.get(c)
             if s:
                 k = len(s)
-                if queued.get(c) != k:
+                if k < queued.get(c, inf):
                     queued[c] = k
                     heapq.heappush(heap, (k, c))
             elif s is not None:
@@ -219,10 +301,9 @@ def _update_q(prow, col, rows, col_rows, m):
 
 
 def _update_mod(prow, col, rows, col_rows, m):
-    """Each (rid, row) minus multiples of prow clearing col, mod m, in
-    place, with col_rows kept in step; prow[col] is a unit.  Entries are
-    kept in (-m/2, m/2].  A product f * v can vanish mod a composite m
-    with f, v nonzero, so a fill-in is stored only if nonzero."""
+    """Each (rid, row) minus multiples of prow clearing col, mod the prime
+    m, in place, with col_rows kept in step; prow[col] is nonzero.  Entries
+    are kept in (-m/2, m/2]."""
     pv = prow[col]
     inv = pv if pv in (1, -1) else pow(pv, -1, m)
     half = m // 2
@@ -235,9 +316,8 @@ def _update_mod(prow, col, rows, col_rows, m):
             x = row.get(c)
             if x is None:
                 x = -f * v % m
-                if x:
-                    row[c] = x - m if x > half else x
-                    s.add(rid)
+                row[c] = x - m if x > half else x
+                s.add(rid)
             else:
                 x = (x - f * v) % m
                 if x:
@@ -440,8 +520,8 @@ class QuotientLattice:
     through a dense Smith normal form on the columns they touch.  The whole
     input is cross-checked by its ranks over two large primes: over F_p the
     rank must be the number of pivots plus the divisors prime to p.  Both
-    ranks come from one elimination over Z/(p1*p2) = F_p1 x F_p2 on its
-    units, plus the residual rows ranked mod each prime (_ranks_mod).
+    ranks come from one pass mod p1*p2 that replays the pivot order of the
+    Z pass with its own arithmetic (_ranks_mod).
     Coordinates are a normal form: `project` reduces by the pivot rows in
     elimination order, reads the surviving columns the residual does not
     touch, then applies the residual transform to the rest.  The free part
@@ -470,7 +550,8 @@ class QuotientLattice:
             # the whole input, not just the residual block, is cross-checked
             idx = (w * 31 + len(rows) * 7) % (len(_CHECK_PRIMES) - 1)
             primes = _CHECK_PRIMES[idx:idx + 2]
-            for p, rank in zip(primes, _ranks_mod(rows, primes)):
+            schedule = [(col, rid) for col, rid, _row in pivots]
+            for p, rank in zip(primes, _ranks_mod(rows, primes, schedule)):
                 expect = len(pivots) + sum(1 for d in divisors if d % p)
                 if rank != expect:
                     raise ArithmeticError("quotient lattice failed modular cross-check")
@@ -485,32 +566,10 @@ class QuotientLattice:
         return self.rank + len(self.torsion)
 
     def project(self, x):
-        """Sparse coordinates of the sparse ambient vector x.
-
-        The pivot columns x touches are taken from a heap in elimination
-        order, which is safe because a pivot row is zero at every column
-        pivoted before it.
-        """
-        y = {c: v for c, v in x.items() if v}
-        order = self._pivot_order
-        heap = [order[c] for c in y if c in order]
-        heapq.heapify(heap)
-        while heap:
-            col, row = self._pivots[heapq.heappop(heap)]
-            f = y.pop(col, 0)
-            if not f:
-                continue  # a column pushed again after it cleared
-            f *= row[col]
-            for c, v in row.items():
-                if c == col:
-                    continue
-                w = y.get(c, 0) - f * v
-                if w:
-                    if c not in y and c in order:
-                        heapq.heappush(heap, order[c])
-                    y[c] = w
-                else:
-                    y.pop(c, None)
+        """Sparse coordinates of the sparse ambient vector x: x reduced by
+        the pivot rows in elimination order (_reduce), then read off."""
+        y = _reduce({c: v for c, v in x.items() if v}, self._pivot_order,
+                    self._pivots)
         res = [y.pop(c, 0) for c in self._res_cols]
         # what is left is zero at every pivot column: free columns only
         free_cols = self._free_cols

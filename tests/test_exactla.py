@@ -233,17 +233,22 @@ def composite_modulus_trials():
         yield rows, n_cols
 
 
+def z_schedule(rows):
+    """The (col, input id) pivot order of the integer pass on rows."""
+    return [(c, rid) for c, rid, _row in exactla._eliminate(rows, "Z")[0]]
+
+
 def test_one_modular_pass_gives_both_check_ranks():
     # entries that are multiples of p1, of p2 or of p1*p2 are units mod
     # neither one prime nor the product, so rows made of them survive the
-    # unit pivots and the residual is ranked mod each prime on its own
+    # unit pivots and the rest is ranked mod each prime on its own
     p1, p2 = exactla._CHECK_PRIMES[:2]
     saw_residual = saw_rank_split = 0
     for rows, n_cols in composite_modulus_trials():
-        r1, r2 = exactla._ranks_mod(rows, (p1, p2))
+        r1, r2 = exactla._ranks_mod(rows, (p1, p2), z_schedule(rows))
         assert r1 == exactla.rank_sparse(rows, p1) == gauss_rank(rows, n_cols, p1)
         assert r2 == exactla.rank_sparse(rows, p2) == gauss_rank(rows, n_cols, p2)
-        saw_residual += bool(exactla._eliminate(rows, p1 * p2)[1])
+        saw_residual += bool(exactla._eliminate(rows, "Z")[1])
         saw_rank_split += r1 != r2
     assert saw_residual >= 20 and saw_rank_split >= 10
 
@@ -280,8 +285,36 @@ def tower_blocks(monkeypatch, arr, top):
     return blocks[1:]
 
 
+def test_cross_check_ranks_do_not_depend_on_the_schedule(monkeypatch):
+    # The replay reads the schedule's columns and row ids only as hints:
+    # a row becomes a pivot only on a unit entry it really has, and every
+    # other row is reduced by all the pivots.  So the integer pass's
+    # schedule, none, its reverse, it twice over, and seeded garbage with
+    # unknown columns and repeated ids all give the ranks over F_p.
+    primes = exactla._CHECK_PRIMES[:2]
+    rng = random.Random(67)
+    inputs = list(composite_modulus_trials())
+    inputs += [(rows, 1 + max(c for row in rows for c in row))
+               for rows in seeded_sparse_rows()]
+    for arr, top in ((braid(4), 5), (braid(5), 4), (near_pencil(6), 4)):
+        inputs += [(rows, 1 + max(c for row in rows for c in row))
+                   for rows in tower_blocks(monkeypatch, arr, top)]
+    for rows, n_cols in inputs:
+        before = [list(row.items()) for row in rows]
+        want = [gauss_rank(rows, n_cols, p) for p in primes]
+        assert [exactla.rank_sparse(rows, p) for p in primes] == want
+        schedule = z_schedule(rows)
+        garbage = [(rng.randrange(n_cols + 3), rng.randrange(len(rows)))
+                   for _ in range(rng.randint(1, 2 * len(rows)))]
+        for sched in (schedule, [], schedule[::-1], schedule + schedule,
+                      garbage, garbage + schedule):
+            assert exactla._ranks_mod(rows, primes, sched) == want
+        assert [list(row.items()) for row in rows] == before
+    assert len(inputs) == 60 + 40 + 4 + 3 + 3
+
+
 def assert_reduced(pivots, residual, m=None):
-    # no stored zero; over Z/m every entry a symmetric residue
+    # no stored zero; over F_m, m prime, every entry a symmetric residue
     for row in [row for _c, _rid, row in pivots] + [row for _rid, row in residual]:
         for v in row.values():
             assert v != 0
@@ -299,11 +332,10 @@ def relabeled(arr, seed):
 
 
 def test_in_place_kernel_matches_the_copying_kernel(monkeypatch):
-    # On every ring, the modular cross-check's Z/(p1*p2) included, the
-    # pivots (column, input row, reduced row with its item order) and the
-    # residual are those of the copying kernel.  The inputs hold the tower
-    # blocks the benchmark eliminates, and columns that were skipped for
-    # lack of a unit entry and pivoted later.
+    # On every ring the pivots (column, input row, reduced row with its
+    # item order) and the residual are those of the copying kernel.  The
+    # inputs hold the tower blocks the benchmark eliminates, and columns
+    # that were skipped for lack of a unit entry and pivoted later.
     primes = exactla._CHECK_PRIMES[:2]
     m = math.prod(primes)
     inputs = list(seeded_sparse_rows())
@@ -312,13 +344,21 @@ def test_in_place_kernel_matches_the_copying_kernel(monkeypatch):
     # keeps that count and turns its 2 into -1, so only a re-queue of the
     # skipped column pivots it next
     inputs.append([{0: 1, 2: 3}, {1: 1}, {0: 1, 1: 1, 2: 2}, {0: 2, 1: 1}])
+    # entries 2, -2 and 3 leave columns without a +-1 that a later pivot
+    # row gives one
+    rng = random.Random(59)
+    for _ in range(30):
+        n_rows, n_cols = rng.randint(10, 30), rng.randint(6, 20)
+        inputs.append([{c: rng.choice((2, -2, 3, 1))
+                        for c in rng.sample(range(n_cols), rng.randint(2, 4))}
+                       for _ in range(n_rows)])
     for arr, top in ((braid(4), 5), (braid(5), 5), (near_pencil(6), 4),
                      (relabeled(braid(5), 7), 4)):
         inputs += tower_blocks(monkeypatch, arr, top)
     saw_residual = skipped_then_pivoted = 0
     for rows in inputs:
         before = [list(row.items()) for row in rows]
-        for ring in ("Z", "Q", 2, 3, 32003, m):
+        for ring in ("Z", "Q", 2, 3, 32003):
             skipped = []
             pivots, residual = exactla._eliminate(rows, ring)
             want_pivots, want_residual = copying_eliminate(rows, ring, skipped)
@@ -329,15 +369,17 @@ def test_in_place_kernel_matches_the_copying_kernel(monkeypatch):
             assert_reduced(pivots, residual, None if ring in ("Z", "Q") else ring)
             if ring == "Z":
                 saw_residual += bool(residual)
-            if ring in ("Q", 2, 3, 32003):
+            else:
                 assert not residual
             skipped_then_pivoted += len(set(skipped) & {c for c, _rid, _row in pivots})
-        # the cross-check ranks the Z/(p1*p2) residual mod each prime
+        # the cross-check's ranks are those of the copying kernel over
+        # Z/(p1*p2) on its units, plus its residual ranked mod each prime
+        want_pivots, want_residual = copying_eliminate(rows, m)
         want = [len(want_pivots) + len(copying_eliminate(
             [row for _rid, row in want_residual], p)[0]) for p in primes]
-        assert exactla._ranks_mod(rows, primes) == want
+        assert exactla._ranks_mod(rows, primes, z_schedule(rows)) == want
         assert [list(row.items()) for row in rows] == before
-    assert len(inputs) == 40 + 60 + 1 + 14 and saw_residual >= 20
+    assert len(inputs) == 40 + 60 + 1 + 30 + 14 and saw_residual >= 20
     assert skipped_then_pivoted >= 5
 
 
