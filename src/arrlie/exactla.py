@@ -15,7 +15,11 @@ transforms.
 The rank cross-check of a QuotientLattice (_ranks_mod) replays the Z
 pass's pivot order, left looking, mod p1*p2 for two large primes, with
 the reduction loop of QuotientLattice.project (_reduce) and no pivot
-search; its ranks depend on the rows and the primes only.
+search; its ranks depend on the rows and the primes only.  It reads the
+rows in place and reduces a copy only of a row that holds a pivot
+column: the others become pivots, or join the rest, as they are.
+QuotientLattice.project_units reads the coordinates of every unit vector
+off one backward pass over the pivot rows.
 Vectors are sparse dicts {index: value} throughout: the rows a lattice is
 built from, the ambient vectors it projects and the coordinates it
 answers in.  Dense matrices appear only in the Smith form, the inverse
@@ -60,36 +64,49 @@ def _ranks_mod(rows, primes, schedule):
     the number of pivots plus the rank of the rest mod p, whatever the
     schedule: it decides how much work the pass does, not its answer.
     The integer pass's own pivot order makes every scheduled row a pivot.
-    Input rows are not modified.
+
+    Only rows that change cost a copy.  rows is a sequence, read in place:
+    a row that holds no pivot column needs no reduction, so a scheduled
+    one with +-1 at col becomes a pivot as it is (_reduce reads +-1 as its
+    own inverse), and one left after the schedule joins the rest as it
+    is.  Only other units are scaled, and any other row is reduced as a
+    copy, which joins the rest if it is nonzero.  Input rows are not
+    modified.
     """
     m = prod(primes)
-    vecs = []
-    for r in rows:
-        x = dict(r)
-        if x and (min(x.values()) <= -m or max(x.values()) >= m):
-            x = {c: v % m for c, v in x.items() if v % m}
-        vecs.append(x)
-    order, pivots = {}, []
+    order, pivots, used = {}, [], set()
     for col, rid in schedule:
-        x = _reduce(vecs[rid], order, pivots, m)
-        v = x.get(col)
-        if v is None or gcd(v, m) != 1:
+        if rid in used:
             continue
-        inv = pow(v, -1, m)
-        if 2 * inv > m:
-            inv -= m  # +-1 stays +-1
-        prow = {}
-        for c, u in x.items():
-            u *= inv
-            if not -m < u < m:
-                u %= m
-            if u:
-                prow[c] = u
-        prow[col] = 1
+        x = rows[rid]
+        if not order.keys().isdisjoint(x):
+            x = _reduce(dict(x), order, pivots, m)
+        v = x.get(col)
+        if v == 1 or v == -1:
+            prow = x
+        elif v is None or gcd(v, m) != 1:
+            continue
+        else:
+            inv = pow(v, -1, m)
+            prow = {}
+            for c, u in x.items():
+                u *= inv
+                if not -m < u < m:
+                    u %= m
+                if u:
+                    prow[c] = u
+            prow[col] = 1
+        used.add(rid)
         order[col] = len(pivots)
         pivots.append((col, prow))
-        vecs[rid] = {}
-    residual = [x for x in vecs if _reduce(x, order, pivots, m)]
+    residual = []
+    for rid, x in enumerate(rows):
+        if rid in used:
+            continue
+        if not order.keys().isdisjoint(x):
+            x = _reduce(dict(x), order, pivots, m)
+        if x:
+            residual.append(x)
     return [len(pivots) + (rank_sparse(residual, p) if residual else 0)
             for p in primes]
 
@@ -100,12 +117,12 @@ def _reduce(x, order, pivots, m=0):
     pivots lists (col, row) with row zero at the column of every pivot
     before it, and order maps each pivot column to its index there.  The
     pivot columns x touches are taken from a heap in that order, so a step
-    never refills a column already cleared.  Over Z (m=0) each pivot entry
-    is +-1, its own inverse.  Mod m > 1 it is 1, and an entry is any
-    representative, taken mod m only when it leaves (-m, m), so small
-    entries stay small ints.  A fill-in -f * v is stored as it is, even if
-    it is 0 mod m; it is brought into range when it is next updated or
-    read as a multiplier, so a multiplier 0 mod m is read as 0.
+    never refills a column already cleared.  Each pivot entry is +-1, its
+    own inverse.  Mod m > 1 an entry of x or of a pivot row is any
+    representative, taken mod m only when an entry of x leaves (-m, m),
+    so small entries stay small ints.  A fill-in -f * v is stored as it
+    is, even if it is 0 mod m; it is brought into range when it is next
+    updated or read as a multiplier, so a multiplier 0 mod m is read as 0.
     """
     heap = [order[c] for c in x if c in order]
     heapq.heapify(heap)
@@ -524,7 +541,8 @@ class QuotientLattice:
     Z pass with its own arithmetic (_ranks_mod).
     Coordinates are a normal form: `project` reduces by the pivot rows in
     elimination order, reads the surviving columns the residual does not
-    touch, then applies the residual transform to the rest.  The free part
+    touch, then applies the residual transform to the rest (_read_off);
+    `project_units` gives those of every unit vector at once.  The free part
     has `rank` entries, the torsion part one entry per divisor > 1.  A
     class is the sparse dict {coordinate: value} of its nonzero
     coordinates, torsion reduced: `project` and `reduce` answer in it and
@@ -567,11 +585,42 @@ class QuotientLattice:
 
     def project(self, x):
         """Sparse coordinates of the sparse ambient vector x: x reduced by
-        the pivot rows in elimination order (_reduce), then read off."""
-        y = _reduce({c: v for c, v in x.items() if v}, self._pivot_order,
-                    self._pivots)
+        the pivot rows in elimination order (_reduce), then read off.  A
+        column outside 0..w-1 raises ValueError."""
+        _check_keys(x, self.w, "ambient column")
+        return self._read_off(_reduce({c: v for c, v in x.items() if v},
+                                      self._pivot_order, self._pivots))
+
+    def project_units(self):
+        """[project({c: 1}) for c in range(w)], from one backward pass over
+        the pivot rows.  A pivot row is zero at the columns pivoted before
+        it and +-1 at its own, so the reduced form of a pivot column is
+        minus its sign times the other entries of its row, each later
+        pivot column replaced by its own reduced form.  The reduced form
+        of e_c that vanishes on every pivot column is unique, so these are
+        project's coordinates."""
+        reduced = {}
+        for col, row in reversed(self._pivots):
+            s, acc = -row[col], {}
+            for c, v in row.items():
+                if c == col:
+                    continue
+                v *= s
+                sub = reduced.get(c)
+                if sub is None:
+                    acc[c] = acc.get(c, 0) + v
+                else:
+                    for c2, u in sub.items():
+                        acc[c2] = acc.get(c2, 0) + v * u
+            reduced[col] = {c: v for c, v in acc.items() if v}
+        return [self._read_off(reduced[c] if c in reduced else {c: 1})
+                for c in range(self.w)]
+
+    def _read_off(self, y):
+        """Sparse coordinates of an ambient vector y that is zero at every
+        pivot column: its free columns, then the residual transform of its
+        residual columns.  y loses its residual columns."""
         res = [y.pop(c, 0) for c in self._res_cols]
-        # what is left is zero at every pivot column: free columns only
         free_cols = self._free_cols
         out = {bisect_left(free_cols, c): v for c, v in y.items()}
         if self._res_cols:
@@ -582,7 +631,9 @@ class QuotientLattice:
 
     def lift(self, coords):
         """A sparse ambient representative {column: value} of the class with
-        the sparse coordinates {coordinate: value}."""
+        the sparse coordinates {coordinate: value}.  A coordinate outside
+        0..dim-1 raises ValueError."""
+        _check_keys(coords, self.dim, "coordinate")
         free_cols = self._free_cols
         nfree = len(free_cols)
         x = {free_cols[i]: v for i, v in coords.items() if i < nfree and v}
@@ -609,3 +660,11 @@ class QuotientLattice:
             if v:
                 out[i] = v
         return out
+
+
+def _check_keys(d, n, what):
+    """Raise ValueError naming a key of the sparse dict d outside 0..n-1."""
+    if d:
+        lo, hi = min(d), max(d)
+        if lo < 0 or hi >= n:
+            raise ValueError("%s %d outside 0..%d" % (what, lo if lo < 0 else hi, n - 1))

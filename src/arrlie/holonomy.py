@@ -310,10 +310,10 @@ class HolonomyAlgebra:
     read off the Chevalley-Eilenberg complex.
 
     The bracket [s, t] of degree n is the projection of the column s ^ t.
-    Each is computed on first use and kept, so no bracket landing in a
-    degree exists until a caller needs one.  Classes are sparse dicts of
-    coordinates, and bracket takes two to the reduced coordinates of their
-    bracket.  Read backwards, the lift of a class of degree n over the
+    The brackets are kept, and a degree's table is filled by its first
+    bracket, from one backward pass over its lattice (project_units).
+    Classes are sparse dicts of coordinates, and bracket takes two to the
+    reduced coordinates of their bracket.  Read backwards, the lift of a class of degree n over the
     columns pairs(n) writes it as a sum of brackets [s, t] of classes
     below n, so a Lie map out of the algebra is determined, degree by
     degree, by the images of the letters (decomp.rename).
@@ -409,26 +409,25 @@ def _tower(alphabet, relations):
 
 class _Tower:
     """Per-degree state of the holonomy tower of one relation set, grown on
-    demand: for each degree its QuotientLattice, its pair columns and the
-    column index of each pair.  Beside them it keeps three memos, each
-    filled on first use and dropped with the tower: the basis brackets
-    (product), the basis definitions (definition), and the images of
-    basis classes under each renaming out of this tower, which
-    decomp.rename fills.  No size guard runs here; HolonomyAlgebra
-    runs it before asking for a degree."""
+    demand: for each degree its QuotientLattice and its pair columns.
+    Beside them it keeps three memos, each filled on first use and dropped
+    with the tower: the basis brackets (product), a degree at a time, the
+    basis definitions (definition), and the images of basis classes under
+    each renaming out of this tower, which decomp.rename fills.  No size
+    guard runs here; HolonomyAlgebra runs it before asking for a degree."""
 
     def __init__(self, alphabet, relations):
         self.key = (alphabet, relations)
         self._relations = relations
         # degree 1 has no relations, so its coordinates are the letters
-        self._levels = [(QuotientLattice(alphabet, []), (), {})]
+        self._levels = [(QuotientLattice(alphabet, []), ())]
         self._products = {}    # (s, t) with s < t -> sparse coords of [s, t]
         self._definitions = {}  # class of degree >= 2 -> its lift, see definition
         # (key of the destination tower, letters) -> {class: sparse image}
         self.images = {}
 
     def level(self, d):
-        """(lattice, pair columns, pair -> column) of degree d >= 1."""
+        """(lattice, pair columns) of degree d >= 1."""
         while len(self._levels) < d:
             self._grow()
         return self._levels[d - 1]
@@ -439,7 +438,7 @@ class _Tower:
         way (the modular cross-check, an interrupt) leaves the tower as it
         was, and the next request builds the degree again."""
         n = len(self._levels) + 1
-        dims = [0] + [q.dim for q, _pairs, _cols in self._levels]
+        dims = [0] + [q.dim for q, _pairs in self._levels]
         cols, rows = {}, []
         # with no pair columns every row is empty and h_n = 0, so none is built
         if wedge_counts(n, dims)[0]:
@@ -448,7 +447,7 @@ class _Tower:
             rows = [dict(e) for e in self._relations] if n == 2 else []
             rows += torsion_rows + triple_rows
         q = QuotientLattice(len(cols), rows)
-        self._levels.append((q, tuple(cols), cols))
+        self._levels.append((q, tuple(cols)))
 
     def _redundant(self, n):
         """The rows of degree n that wedge_block may skip, as {e: c}: for
@@ -471,12 +470,15 @@ class _Tower:
         return 0 if s[1] < q.rank else q.torsion[s[1] - q.rank]
 
     def product(self, s, t):
-        """Sparse coordinates of [s, t] for basis classes s < t.  The dict
-        is the memo's own: callers read it and never change it."""
+        """Sparse coordinates of [s, t] for basis classes s < t.  The first
+        miss in a degree fills the memo for every pair of that degree from
+        one QuotientLattice.project_units.  The dict is the memo's own:
+        callers read it and never change it."""
         vec = self._products.get((s, t))
         if vec is None:
-            q, _pairs, cols = self.level(s[0] + t[0])
-            vec = self._products[s, t] = q.project({cols[s, t]: 1})
+            q, pairs = self.level(s[0] + t[0])
+            self._products.update(zip(pairs, q.project_units()))
+            vec = self._products[s, t]
         return vec
 
     def definition(self, s):
@@ -485,7 +487,7 @@ class _Tower:
         columns, the inverse of a bracket.  The tuple is the memo's own."""
         lift = self._definitions.get(s)
         if lift is None:
-            q, pairs, _cols = self.level(s[0])
+            q, pairs = self.level(s[0])
             lift = self._definitions[s] = tuple(
                 (pairs[c], lam) for c, lam in sorted(q.lift({s[1]: 1}).items()))
         return lift

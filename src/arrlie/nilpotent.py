@@ -259,8 +259,7 @@ def k_invariant_matrix(source):
         w = len(pair_list(source.n_atoms))
         return [[col.get(c, 0) for c in range(w)] for col in i2_basis(source)[0]]
     q = HolonomyAlgebra(source, 2).quotient(2)
-    return exactla.columns_to_matrix([q.project({c: 1}) for c in range(q.w)],
-                                     q.rank)
+    return exactla.columns_to_matrix(q.project_units(), q.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,23 @@ def test_quotient_lattice_with_torsion():
     assert q.project({1: 1}) != {}
 
 
+@pytest.mark.parametrize("w, gens, call, arg, bad", [
+    (3, [{0: 2}], "project", {3: 1}, 3),
+    (3, [{0: 2}], "project", {-1: 1}, -1),
+    (4, [{0: 1, 1: 1}], "project", {7: 1}, 7),
+    (4, [{0: 1, 1: 1}], "lift", {9: 1}, 9),
+    (4, [{0: 1, 1: 1}], "lift", {0: 1, -2: 1}, -2),
+    (3, [{0: 2}], "lift", {3: 1}, 3),
+])
+def test_project_and_lift_refuse_entries_out_of_range(w, gens, call, arg, bad):
+    # project reads columns 0..w-1 and lift coordinates 0..dim-1; an entry
+    # outside was read as some other column or coordinate, or dropped
+    q = exactla.QuotientLattice(w, gens)
+    with pytest.raises(ValueError, match=r" %d outside 0\.\." % bad):
+        getattr(q, call)(arg)
+    assert q.project({0: 1, w - 1: 1}) is not None and q.lift({q.dim - 1: 1})
+
+
 def test_quotient_lattice_residual_block_matches_dense_smith_form():
     # Unit-free generator sets leave everything to the residual Smith form;
     # mixed sets eliminate some rows on +-1 pivots first.  The expected
@@ -201,6 +218,7 @@ def test_quotient_lattice_residual_block_matches_dense_smith_form():
         saw_mixed += bool(q._res_cols) and bool(q._pivots)
         for g in sparse_rows(gens):
             assert q.project(g) == {}
+        assert q.project_units() == [q.project({c: 1}) for c in range(w)]
         for _ in range(3):
             x, y = ({j: rng.randint(-5, 5) for j in range(w)} for _ in range(2))
             s = {j: x[j] + y[j] for j in range(w)}
@@ -268,6 +286,24 @@ def seeded_sparse_rows():
         yield rows
 
 
+def replay_shortcut_rows():
+    """Rows that reach each shortcut of the replay (_ranks_mod)."""
+    m = math.prod(exactla._CHECK_PRIMES[:2])
+    return [
+        # the integer pass pivots row 1 at column 2, then row 0 at column
+        # 0 on its -1: a clean scheduled row, negated
+        [{0: -1, 1: 1}, {1: 2, 2: 1}, {0: 2, 1: 3}],
+        # rows 1 and 3 hold pivot column 0 only as an explicit 0
+        [{0: 1}, {0: 0, 1: 1}, {1: 2, 2: 3}, {0: 0, 2: 5}],
+        # rows 1 to 3 hold no pivot column and are left after the schedule
+        [{0: 1, 1: 1}, {2: 2, 3: 2}, {3: 4}, {2: 6, 3: 3}],
+        # entries outside (-m, m), in clean pivots, in reduced rows and in
+        # rows left as they are; -m - 1 is a unit mod m but not -1
+        [{0: 1, 1: m + 2}, {1: 1 - m, 2: -m - 1}, {2: 3 * m + 1},
+         {1: 2 * m, 3: 4}, {0: m, 3: -m}, {4: 5 * m - 2, 5: m}],
+    ]
+
+
 def tower_blocks(monkeypatch, arr, top):
     """The generator rows of the holonomy tower's lattices in degrees
     2..top, recorded from a tower built afresh."""
@@ -295,7 +331,7 @@ def test_cross_check_ranks_do_not_depend_on_the_schedule(monkeypatch):
     rng = random.Random(67)
     inputs = list(composite_modulus_trials())
     inputs += [(rows, 1 + max(c for row in rows for c in row))
-               for rows in seeded_sparse_rows()]
+               for rows in list(seeded_sparse_rows()) + replay_shortcut_rows()]
     for arr, top in ((braid(4), 5), (braid(5), 4), (near_pencil(6), 4)):
         inputs += [(rows, 1 + max(c for row in rows for c in row))
                    for rows in tower_blocks(monkeypatch, arr, top)]
@@ -310,7 +346,27 @@ def test_cross_check_ranks_do_not_depend_on_the_schedule(monkeypatch):
                       garbage, garbage + schedule):
             assert exactla._ranks_mod(rows, primes, sched) == want
         assert [list(row.items()) for row in rows] == before
-    assert len(inputs) == 60 + 40 + 4 + 3 + 3
+    assert len(inputs) == 60 + 40 + 4 + 4 + 3 + 3
+
+
+def test_replay_reduces_only_rows_that_hold_a_pivot_column(monkeypatch):
+    # on braid(5)'s degree-4 block the integer pass pivots 264 of 371
+    # rows; 218 of them hold no earlier pivot column and have +-1 there,
+    # so they become pivots as they are, and only the other 46 and the
+    # 107 rows left after the schedule are reduced
+    rows = tower_blocks(monkeypatch, braid(5), 4)[-1]
+    schedule = z_schedule(rows)
+    assert (len(rows), len(schedule)) == (371, 264)
+    reduce, seen = exactla._reduce, []
+
+    def counting(x, order, pivots, m=0):
+        seen.append(len(pivots))
+        return reduce(x, order, pivots, m)
+
+    monkeypatch.setattr(exactla, "_reduce", counting)
+    assert exactla._ranks_mod(rows, exactla._CHECK_PRIMES[:2], schedule) == [264, 264]
+    assert len(seen) == 46 + 107 == 153
+    assert seen.count(264) == 107
 
 
 def assert_reduced(pivots, residual, m=None):

@@ -636,6 +636,52 @@ def test_the_tower_builds_fewer_triple_rows(monkeypatch):
         holonomy._tower.cache_clear()
 
 
+PROJECT_UNITS_SOURCES = (
+    [(name, arr, 4) for name, arr in standard_catalog()]
+    + [("braid(4)", braid(4), 6), ("hesse", hesse(), 4), ("pappus", pappus(), 4)]
+    + [("pres%d" % i, pres, 4)
+       for i, pres in enumerate(commutator_presentations(1, 10))]
+    + [("xxxyXXXY", make_presentation(2, ["xxxyXXXY"]), 4)])
+
+
+@pytest.mark.parametrize("name,source,top", PROJECT_UNITS_SOURCES,
+                         ids=["%s-d%d" % (name, top) for name, _s, top in PROJECT_UNITS_SOURCES])
+def test_project_units_gives_the_coordinates_project_gives(name, source, top):
+    # one backward pass over the pivot rows against one reduction per
+    # column, on every lattice of the tower, those with torsion included
+    alg = HolonomyAlgebra(source, top)
+    for d in range(1, top + 1):
+        q = alg.quotient(d)
+        assert q.project_units() == [q.project({c: 1}) for c in range(q.w)], d
+    if name in ("hesse", "pappus"):
+        assert alg.torsion(4) in ((3, 3, 3, 3), (2,))
+
+
+def test_the_tower_reads_each_degree_of_brackets_in_one_pass(monkeypatch):
+    # building braid(5) to degree 4 reads the brackets of degrees 2 and 3,
+    # each degree's table from one project_units, and projects no pair
+    real, calls = exactla.QuotientLattice.project_units, []
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    def refused(q, x):
+        raise AssertionError("a bracket projected on its own")
+
+    monkeypatch.setattr(exactla.QuotientLattice, "project_units", counting)
+    monkeypatch.setattr(exactla.QuotientLattice, "project", refused)
+    rels = relation_set(braid(5))
+    tower = holonomy._Tower(rels.alphabet, tuple(
+        tuple(sorted(e.items())) for e in rels.elements))
+    assert tower.level(4)[0].rank == 81
+    for d in (2, 3):
+        for s, t in tower.level(d)[1]:
+            tower.product(s, t)
+    assert [q.w for q in calls] == [45, 100]
+    assert calls[0] is tower.level(2)[0] and calls[1] is tower.level(3)[0]
+
+
 # ---------------------------------------------------------------------------
 # one tower per relation set per process
 
