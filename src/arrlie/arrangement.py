@@ -14,6 +14,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from . import rings
+from .freelie import require_int
 
 
 class ArrangementError(ValueError):
@@ -241,6 +242,7 @@ def localize(arr, flat_index):
 
 def braid(n):
     """Braid arrangement A_n: hyperplanes x_i = x_j in C^n, normals e_i - e_j."""
+    require_int("n", n)
     if n < 2:
         raise ArrangementError("braid(n) needs n >= 2")
     atoms, normals = [], []
@@ -256,6 +258,7 @@ def braid(n):
 
 def pencil(k):
     """k lines through one point: a single pencil on all atoms."""
+    require_int("k", k)
     if k < 2:
         raise ArrangementError("pencil(k) needs k >= 2")
     return Arrangement(["H%d" % (i + 1) for i in range(k)],
@@ -264,16 +267,16 @@ def pencil(k):
 
 def generic(k):
     """k hyperplanes in general position: every pencil is a double point."""
+    require_int("k", k)
     if k < 1:
         raise ArrangementError("generic(k) needs k >= 1")
     pens = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    if k == 1:
-        pens = []
     return Arrangement(["H%d" % (i + 1) for i in range(k)], pencils=pens)
 
 
 def near_pencil(k):
     """One pencil of size k-1 plus double points with the last atom."""
+    require_int("k", k)
     if k < 3:
         raise ArrangementError("near_pencil(k) needs k >= 3")
     pens = [tuple(range(k - 1))] + [(i, k - 1) for i in range(k - 1)]

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import exactla, rings
-from .arrangement import Arrangement, Flat2, Record, localize
+from .arrangement import Arrangement, Flat2, Record, _integer_row, localize
 from .freelie import DEFAULT_GUARD, require_int, witt_rank
 from .holonomy import HolonomyAlgebra, holonomy_graded
 
@@ -527,17 +527,16 @@ def _invertible(mat, ring):
     """Whether a square matrix is invertible over the ring, by the sparse
     elimination: over Z its rows must span Z^n (exactla.is_unimodular),
     over Q and F_p they must have rank n.  A row that is not all ints is
-    read into the ring first (_in_ring); over Q a matrix with such a row
-    goes to inverse_field."""
+    read into the ring first (_in_ring); over Q each row is then scaled by
+    the lcm of its denominators (_integer_row), which keeps its rank."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         return False
     if n == 0:
         return True
     read = _in_ring(mat, ring)
-    # a row _in_ring did not keep holds Fractions over Q
-    if ring == rings.Q and any(r is not s for r, s in zip(read, mat)):
-        return exactla.inverse_field(read) is not None
+    if ring == rings.Q:
+        read = [_integer_row(r) for r in read]
     rows = [{j: v for j, v in enumerate(r) if v} for r in read]
     if ring == rings.Z:
         return exactla.is_unimodular(rows, n)

@@ -10,8 +10,8 @@ the rows of each column in the same pass.  Over Q rows are gcd-reduced
 rank_sparse reads the rank over Q or F_p off the loop.  Over Z the one
 lattice primitive is QuotientLattice, Z^w modulo a sublattice: unit
 pivots keep the loop exact and unimodular, and the residual rows without
-a unit entry go to the dense Smith normal form, which keeps just its left
-transforms.
+a unit entry go to the dense Smith normal form, of whose transforms it
+keeps only the sparse rows and columns it reads.
 The rank cross-check of a QuotientLattice (_ranks_mod) replays the Z
 pass's pivot order, left looking, mod p1*p2 for two large primes, with
 the reduction loop of QuotientLattice.project (_reduce) and no pivot
@@ -22,16 +22,15 @@ QuotientLattice.project_units reads the coordinates of every unit vector
 off one backward pass over the pivot rows.
 Vectors are sparse dicts {index: value} throughout: the rows a lattice is
 built from, the ambient vectors it projects and the coordinates it
-answers in.  Dense matrices appear only in the Smith form, the inverse
-over Q and the helpers (identity, columns_to_matrix, mat_mul) of the
-matrices a report prints.
+answers in.  Dense matrices appear only in the Smith form, the
+determinant and the helpers (identity, columns_to_matrix, mat_mul) of the
+matrices a report prints.  Every entry is an int: no Fraction, no float.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd, inf, prod
 
 # Deterministic pool of large primes for the modular rank cross-check.
@@ -490,43 +489,34 @@ def is_unimodular(rows, n):
     residual rows are zero at every pivot column, so the matrix is
     unimodular exactly when the residual is, as a square matrix on the
     other columns.  That block has no unit entry; it is decided by its
-    inverse over Q being integral, with no Smith form, whose entries can
-    grow without bound on dense blocks.
+    determinant (_det), with no Smith form, whose entries can grow without
+    bound on dense blocks.
     """
     pivots, residual = _eliminate(rows, "Z")
     if len(pivots) + len(residual) != n:
         return False
-    if not residual:
-        return True
-    taken = {c for c, _rid, _row in pivots}
-    cols = [c for c in range(n) if c not in taken]
-    inv = inverse_field([[row.get(c, 0) for c in cols] for _rid, row in residual])
-    return inv is not None and all(v.denominator == 1 for r in inv for v in r)
+    cols = sorted(set(range(n)).difference(c for c, _rid, _row in pivots))
+    return _det([[row.get(c, 0) for c in cols] for _rid, row in residual]) in (1, -1)
 
 
-def inverse_field(mat):
-    """Inverse of a square matrix over Q (Fraction entries); None if singular."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("inverse needs a square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+def _det(a):
+    """Determinant of the square integer matrix a, whose rows it overwrites,
+    by fraction-free elimination (Bareiss, Math. Comp. 1968): each step
+    divides exactly by the pivot before it, so every entry is a minor of a."""
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0
+            a[k], a[i], sign = a[i], a[k], -sign
+        ak, p = a[k], a[k][k]
+        for ai in a[k + 1:]:
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * p - f * ak[j]) // prev
+        prev = p
+    return sign * a[-1][-1] if n else 1
 
 
 class QuotientLattice:
@@ -534,14 +524,17 @@ class QuotientLattice:
 
     The rows are first eliminated by the sparse loop, which pivots only on
     units of Z (+-1); only the residual rows, which have no unit entry, go
-    through a dense Smith normal form on the columns they touch.  The whole
+    through a dense Smith normal form on the columns they touch, of whose
+    transforms U, U^-1 it keeps one sparse entry per coordinate, free then
+    torsion: the row of U that reads it, its divisor (0 if free) and the
+    column of U^-1 that lifts it (_res).  The whole
     input is cross-checked by its ranks over two large primes: over F_p the
     rank must be the number of pivots plus the divisors prime to p.  Both
     ranks come from one pass mod p1*p2 that replays the pivot order of the
     Z pass with its own arithmetic (_ranks_mod).
     Coordinates are a normal form: `project` reduces by the pivot rows in
     elimination order, reads the surviving columns the residual does not
-    touch, then applies the residual transform to the rest (_read_off);
+    touch, then the rows of U on the nonzero residual entries (_read_off);
     `project_units` gives those of every unit vector at once.  The free part
     has `rank` entries, the torsion part one entry per divisor > 1.  A
     class is the sparse dict {coordinate: value} of its nonzero
@@ -558,12 +551,18 @@ class QuotientLattice:
         residual = [row for _rid, row in residual]
         res_cols = sorted({c for row in residual for c in row})
         taken = {c for c, _row in self._pivots}.union(res_cols)
-        self._res_cols = res_cols
+        self._res_cols = set(res_cols)
         self._free_cols = [c for c in range(w) if c not in taken]
-        divisors = []
+        divisors, self._res = [], []
         if residual:
             mat = [[row.get(c, 0) for row in residual] for c in res_cols]
-            divisors, self._u, self._uinv = smith_normal_form(mat)
+            divisors, u, uinv = smith_normal_form(mat)
+            r = len(divisors)
+            # the free rows k of U, then its torsion rows
+            for k in [*range(r, len(res_cols)), *(i for i, d in enumerate(divisors) if d > 1)]:
+                self._res.append(({c: v for c, v in zip(res_cols, u[k]) if v},
+                                  divisors[k] if k < r else 0,
+                                  {c: ui[k] for c, ui in zip(res_cols, uinv) if ui[k]}))
         if rows and w:
             # the whole input, not just the residual block, is cross-checked
             idx = (w * 31 + len(rows) * 7) % (len(_CHECK_PRIMES) - 1)
@@ -573,10 +572,8 @@ class QuotientLattice:
                 expect = len(pivots) + sum(1 for d in divisors if d % p)
                 if rank != expect:
                     raise ArithmeticError("quotient lattice failed modular cross-check")
-        self._r = len(divisors)
-        self.rank = len(self._free_cols) + len(res_cols) - self._r
-        self._tors_rows = [(i, d) for i, d in enumerate(divisors) if d > 1]
-        self.torsion = tuple(d for _, d in self._tors_rows)
+        self.rank = len(self._free_cols) + len(res_cols) - len(divisors)
+        self.torsion = tuple(d for d in divisors if d > 1)
 
     @property
     def dim(self):
@@ -618,35 +615,35 @@ class QuotientLattice:
 
     def _read_off(self, y):
         """Sparse coordinates of an ambient vector y that is zero at every
-        pivot column: its free columns, then the residual transform of its
-        residual columns.  y loses its residual columns."""
-        res = [y.pop(c, 0) for c in self._res_cols]
+        pivot column: its free columns, then the rows of U (_res) on its
+        nonzero residual entries.  y loses its residual columns."""
+        res = {c: y.pop(c) for c in y.keys() & self._res_cols} if self._res_cols else {}
         free_cols = self._free_cols
         out = {bisect_left(free_cols, c): v for c, v in y.items()}
-        if self._res_cols:
-            z = [sum(u * r for u, r in zip(row, res) if r) for row in self._u]
-            z = z[self._r:] + [z[i] % d for i, d in self._tors_rows]
-            out.update((i, v) for i, v in enumerate(z, len(free_cols)) if v)
+        if res:
+            for i, (urow, d, _col) in enumerate(self._res, len(free_cols)):
+                z = sum(u * res[c] for c, u in urow.items() if c in res)
+                z = z % d if d else z
+                if z:
+                    out[i] = z
         return out
 
     def lift(self, coords):
         """A sparse ambient representative {column: value} of the class with
-        the sparse coordinates {coordinate: value}.  A coordinate outside
-        0..dim-1 raises ValueError."""
+        the sparse coordinates {coordinate: value}, its residual columns
+        summed from the columns of U^-1 (_res) and put in column order.  A
+        coordinate outside 0..dim-1 raises ValueError."""
         _check_keys(coords, self.dim, "coordinate")
         free_cols = self._free_cols
         nfree = len(free_cols)
         x = {free_cols[i]: v for i, v in coords.items() if i < nfree and v}
-        if self._res_cols:
-            cols = (list(range(self._r, len(self._res_cols)))
-                    + [i for i, _ in self._tors_rows])
-            uinv = self._uinv
-            for t, v in coords.items():
-                if t >= nfree and v:
-                    k = cols[t - nfree]
-                    for i, c in enumerate(self._res_cols):
-                        x[c] = x.get(c, 0) + v * uinv[i][k]
-            x = {c: v for c, v in x.items() if v}
+        if self._res:
+            acc = {}
+            for i, v in coords.items():
+                if i >= nfree and v:
+                    for c, u in self._res[i - nfree][2].items():
+                        acc[c] = acc.get(c, 0) + v * u
+            x.update((c, acc[c]) for c in sorted(acc) if acc[c])
         return x
 
     def reduce(self, coords):

@@ -43,13 +43,10 @@ def witt_rank(k, n):
     """Rank of degree n of the free Lie algebra on k generators."""
     require_int("k", k)
     require_int("n", n)
+    if k < 0:
+        raise ValueError("k %d is negative" % k)
     if n < 1:
         raise ValueError("degree must be positive")
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            mu = _moebius(d)
-            if mu:
-                total += mu * k ** (n // d)
+    total = sum(_moebius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
     assert total % n == 0
     return total // n

@@ -35,7 +35,7 @@ import re
 from . import exactla, rings
 from .arrangement import Arrangement, Record
 from .exactla import QuotientLattice
-from .freelie import DEFAULT_GUARD, SizeGuardError
+from .freelie import DEFAULT_GUARD, SizeGuardError, require_int
 from .holonomy import (GradedAbelian, HolonomyAlgebra, as_relation_set,
                        i2_basis, letter_word, over_ring, pair_list,
                        single_letter_names, wedge_block, wedge_counts)
@@ -150,6 +150,7 @@ class Class2Group:
         return self._element([-a for a in g.exps], [-a for a in tail])
 
     def power(self, g, e):
+        require_int("e", e)
         if e < 0:
             return self.power(self.inverse(g), -e)
         out = self.identity()
@@ -275,9 +276,10 @@ class GradedLie:
     {index: value} of [s, t] in degree s[0] + t[0]; a missing pair, and
     every bracket past the truncation, is 0.  So antisymmetry and
     [e, e] = 0 hold by construction.  Each key and coordinate is checked
-    once, each value reduced by its divisor with its zeros dropped, and
-    the Jacobi identity is checked as d2 . d3 = 0 modulo the divisors on
-    the weight blocks 3..top of the exterior complex.
+    once, each value reduced by its divisor with its zeros dropped.  On the
+    weight blocks 2..top of the exterior complex, d2 must vanish modulo the
+    divisors on the torsion rows, as gcd(d_s, d_t) [s, t] = 0 in a Z-module,
+    and on the triple rows, d2 . d3 = 0 being the Jacobi identity.
     """
 
     def __init__(self, degrees, products, validate=True):
@@ -321,15 +323,15 @@ class GradedLie:
         return [0] * ga.rank + list(ga.torsion)
 
     def _validate(self):
-        for w, _cols, d2, _torsion_rows, triple_rows in _blocks(
-                self, range(3, self.top + 1)):
+        for w, _cols, d2, torsion_rows, triple_rows in _blocks(
+                self, range(2, self.top + 1)):
             divs = self.divisors(w)
-            for row in triple_rows:
-                # d2 . d3 is minus the Jacobi sum of the triple
+            # d2: -gcd(d_s, d_t) [s, t] on a torsion row, minus the Jacobi sum on a triple
+            for rows, what in ((torsion_rows, "torsion"),
+                               (triple_rows, "Jacobi identity")):
                 if any(v % divs[c] if divs[c] else v
-                       for c, v in _image(row, d2).items()):
-                    raise ValueError("structure constants violate the "
-                                     "Jacobi identity")
+                       for row in rows for c, v in _image(row, d2).items()):
+                    raise ValueError("structure constants violate the " + what)
 
 
 def truncated_lie(source, top, guard=DEFAULT_GUARD):
@@ -452,6 +454,7 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD):
     of weight <= 2(n-1) (holonomy.wedge_counts) cost more than guard, and
     then when the tower's cost of degree n does (HolonomyAlgebra).
     """
+    require_int("n", n)
     if n < 3:
         raise ValueError("the H2 comparison starts at degree 3")
     relset = as_relation_set(source)

@@ -630,7 +630,8 @@ def bracket_vec(L, d1, u, d2, v):
 
 def check_jacobi(L):
     """Raise ValueError unless every triple of basis classes of L with
-    degree sum <= top satisfies the Jacobi identity, on dense vectors."""
+    degree sum <= top satisfies the Jacobi identity, and gcd(d_s, d_t)
+    kills [s, t] for every pair, on dense vectors."""
 
     def _jacobi(args):
         a, b, c = args
@@ -643,9 +644,13 @@ def check_jacobi(L):
             acc = [p + q for p, q in zip(acc, term)]
         return not any(v % dv if dv else v for v, dv in zip(acc, L.divisors(d)))
 
+    members, _offsets, divs = _flat_basis(L)
+    for (a, da), (b, db) in itertools.combinations(zip(members, divs), 2):
+        g, vec = gcd(da, db), dense_bracket(L, a, b)
+        if g and vec is not None and any(
+                g * v % dv if dv else v for v, dv in zip(vec, L.divisors(a[0] + b[0]))):
+            raise ValueError("structure constants violate the torsion")
     triples = []
-    members = [(d, i) for d in range(1, L.top + 1)
-               for i in range(L.dim(d))]
     for a, b, c in itertools.combinations(members, 3):
         if a[0] + b[0] + c[0] <= L.top:
             triples.append((a, b, c))

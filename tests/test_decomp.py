@@ -43,10 +43,12 @@ from arrlie.decomp import (
     restriction_stack,
 )
 from arrlie.holonomy import make_presentation
+from arrlie.nilpotent import Class2Group, h2_rank_check
 from lie_reference import (LieElement, bracket, bracket_coords, coords,
                            dense, dense_reduce, det_int, element, expand_tree,
                            is_zero, lyndon_basis, sparse, tensor_to_lyndon,
                            word_row_degrees)
+from test_exactla import known_determinant_matrices
 from test_holonomy import commutator_presentations
 
 
@@ -639,38 +641,12 @@ def test_check_diagram_identity_two_follows_from_identity_one():
             assert w["lhs"][0] - w["rhs"][0] == -g2[0][perm[0]]
 
 
-def _unimodular(rng, n):
-    """A seeded product of elementary row operations, a row swap and a sign."""
-    m = exactla.identity(n)
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-        if i != j:
-            c = rng.randint(-3, 3)
-            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-    if n > 1:
-        i, j = rng.sample(range(n), 2)
-        m[i], m[j] = m[j], m[i]
-    m[0] = [-a for a in m[0]]
-    return m
-
-
 def test_sparse_invertibility_matches_the_determinant():
-    # square integer matrices whose determinant is +-1, +-2, +-3, +-6 or 0,
-    # against det_int: a unit over Z, nonzero over Q, prime to p over F_p
-    rng = random.Random(14)
+    # square integer matrices whose determinant is 1, 2, 3, 6 or 0, against
+    # det_int: a unit over Z, nonzero over Q, prime to p over F_p
     ring_list = (rings.Z, rings.Q, rings.fp(2), rings.fp(3), rings.fp(5))
     seen = {ring: set() for ring in ring_list}
-    for trial in range(120):
-        n = rng.randint(1, 7)
-        scale = exactla.identity(n)
-        kind = trial % 5
-        scale[0][0] = (1, 2, 3, 6, 0)[kind]
-        m = exactla.mat_mul(exactla.mat_mul(_unimodular(rng, n), scale),
-                            _unimodular(rng, n))
-        if kind == 4 and n > 1 and trial % 2:
-            # singular by a row that is a combination of two others
-            i, j, k = (rng.sample(range(n), 3) if n > 2 else (0, 1, 1))
-            m[i] = [2 * a - b for a, b in zip(m[j], m[k])]
+    for m, _built in known_determinant_matrices():
         det = det_int(m)
         for ring in ring_list:
             p = rings.char(ring)
@@ -679,8 +655,8 @@ def test_sparse_invertibility_matches_the_determinant():
             assert _invertible(m, ring) == want, (m, ring)
             seen[ring].add(want)
     assert all(v == {True, False} for v in seen.values())
-    # entries that are not ints are read into the ring, and only over Q
-    # inverted as fractions
+    # entries that are not ints are read into the ring; over Q a row of
+    # fractions is scaled to integers by the lcm of its denominators
     assert _invertible([[Fraction(1, 2), 0], [0, 1]], rings.Q)
     assert not _invertible([[Fraction(1, 2), 1], [1, 2]], rings.Q)
     assert _invertible([[Fraction(-1), 0], [0, 1]], rings.Z)
@@ -1049,7 +1025,20 @@ def test_library_arguments_refuse_bools_and_floats():
         ("max_degree 4.0",
          lambda: verify_decomposable_iso(np4, np4, [1, 2, 0, 3], n=4.0)),
         ("guard 1.5", lambda: is_decomposable(braid(4), guard=1.5)),
+        ("e 2.5", lambda: grp.power(g, 2.5)),
+        ("e True", lambda: grp.power(g, True)),
+        ("k 2.5", lambda: pencil(2.5)),
+        ("n 3.0", lambda: braid(3.0)),
+        ("k 4.0", lambda: near_pencil(4.0)),
+        ("k True", lambda: generic(True)),
+        # the count h2_rank_check was given, not the degree it reads below
+        ("n 3.0", lambda: h2_rank_check(braid(3), 3.0)),
     ]
+    grp = Class2Group(np4)
+    g = grp.generator(0)
     for what, call in calls:
         with pytest.raises(ValueError, match="^%s is not an int$" % re.escape(what)):
             call()
+    with pytest.raises(ValueError, match="^k -2 is negative$"):
+        witt_rank(-2, 2)
+    assert grp.power(g, 2) == grp.multiply(g, g) and witt_rank(0, 1) == 0

@@ -96,14 +96,64 @@ def test_kernel_is_saturated_and_annihilates():
             assert det_divisors(kern) == [1] * len(kern)
 
 
-def test_inverse_field():
-    a = [[1, 2], [3, 4]]
-    inv = exactla.inverse_field(a)
-    assert exactla.mat_mul(inv, a) == [[Fraction(1), Fraction(0)],
-                                       [Fraction(0), Fraction(1)]]
-    assert exactla.inverse_field([[1, 2], [2, 4]]) is None
-    with pytest.raises(ValueError, match="square"):
-        exactla.inverse_field([[1, 2]])
+def unimodular_matrix(rng, n):
+    """A seeded product of elementary row operations, a row swap and a sign:
+    determinant 1, or -1 when n = 1."""
+    m = exactla.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-3, 3)
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        m[i], m[j] = m[j], m[i]
+    m[0] = [-a for a in m[0]]
+    return m
+
+
+def known_determinant_matrices():
+    """120 seeded (m, det): m = U S V for two unimodular_matrix U, V of one
+    size and S the identity with 1, 2, 3, 6 or 0 at its corner, so det(m)
+    is that entry; half of the singular ones have a row that is a
+    combination of two others."""
+    rng = random.Random(14)
+    for trial in range(120):
+        n = rng.randint(1, 7)
+        scale = exactla.identity(n)
+        det = scale[0][0] = (1, 2, 3, 6, 0)[trial % 5]
+        m = exactla.mat_mul(exactla.mat_mul(unimodular_matrix(rng, n), scale),
+                            unimodular_matrix(rng, n))
+        if det == 0 and n > 1 and trial % 2:
+            i, j, k = (rng.sample(range(n), 3) if n > 2 else (0, 1, 1))
+            m[i] = [2 * a - b for a, b in zip(m[j], m[k])]
+        yield m, det
+
+
+def test_det_gives_the_determinant_a_matrix_was_built_with(monkeypatch):
+    # fraction-free elimination against the construction and det_int; and
+    # is_unimodular, which decides its residual block by _det, against it
+    real, blocks = exactla._det, []
+
+    def recording(a):
+        blocks.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(exactla, "_det", recording)
+    reached = 0
+    for m, det in known_determinant_matrices():
+        assert real([row[:] for row in m]) == det == det_int(m)
+        blocks.clear()
+        assert exactla.is_unimodular(sparse_rows(m), len(m)) == (det in (1, -1))
+        reached += bool(blocks and blocks[0])
+    # seeded inputs whose residual block is nonempty: that path runs
+    assert reached == 109
+    # no unit entry, a zero pivot to swap past, a singular block
+    for m in ([[2, 3], [3, 5]], [[2, 3], [4, 5]], [[0, 2, 3], [2, 0, 3], [3, 3, 0]],
+              [[0, 2], [0, 3]], [[5]], []):
+        assert real([row[:] for row in m]) == det_int(m)
+    assert exactla.is_unimodular([{0: 2, 1: 3}, {0: 3, 1: 5}], 2)
+    assert not exactla.is_unimodular([{0: 2, 1: 3}, {0: 4, 1: 5}], 2)
 
 
 def test_ranks_agree_between_backends():

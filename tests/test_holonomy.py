@@ -657,6 +657,19 @@ def test_project_units_gives_the_coordinates_project_gives(name, source, top):
         assert alg.torsion(4) in ((3, 3, 3, 3), (2,))
 
 
+@pytest.mark.parametrize("source", [hesse(), pappus()], ids=["hesse", "pappus"])
+def test_lift_then_project_is_the_identity_on_every_coordinate(source):
+    # the degree-4 lattices carry (Z/3)^4 and Z/2: their residual blocks
+    # are read and lifted through the stored rows of U and columns of U^-1
+    q = HolonomyAlgebra(source, 4).quotient(4)
+    assert q.torsion in ((3, 3, 3, 3), (2,))
+    for k in range(q.dim):
+        for v in (1, -2):
+            assert q.project(q.lift({k: v})) == q.reduce({k: v}), k
+    c = {k: k % 7 - 3 for k in range(q.dim)}
+    assert q.project(q.lift(c)) == q.reduce(c)
+
+
 def test_the_tower_reads_each_degree_of_brackets_in_one_pass(monkeypatch):
     # building braid(5) to degree 4 reads the brackets of degrees 2 and 3,
     # each degree's table from one project_units, and projects no pair
