@@ -301,6 +301,7 @@ def _checked_local(arr, flat_index, loc, corrections, n):
 
 def zero_local_lifts(arr, n):
     """One correction-free LocalLift per flat."""
+    require_int("n", n)
     return [LocalLift(flat=f, n=n, corrections={}) for f in arr.flats]
 
 
@@ -573,6 +574,7 @@ def check_diagram(d):
     if len(sa) != len(sb):
         raise ValueError("shape mismatch: sigma_a has %d rows, sigma_b %d"
                          % (len(sa), len(sb)))
+    rings.check(d.ring)
     g2, la, lb, sa, sb = [_in_ring(m, d.ring) for m in (g2, la, lb, sa, sb)]
     if not _invertible(g2, d.ring):
         raise ValueError("g2 is not invertible over %s" % rings.name(d.ring))
@@ -743,6 +745,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     certificate fail; a passing perturbed run would be a bug.  The report
     echoes it as {"kind": perturb}.
     """
+    rings.check(ring)
     if not isinstance(iso, LatticeIso):
         iso = lattice_iso(arr_a, arr_b, iso)
     rep_a = is_decomposable(arr_a, guard=guard)

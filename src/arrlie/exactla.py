@@ -1,17 +1,18 @@
 """Exact linear algebra over Z, Q, Z/m and F_p.
 
 Everything here works with arbitrary-precision Python ints.  One sparse
-elimination loop serves every ring, and it pivots only on units of the
-ring: +-1 over Z, every nonzero entry over F_p and over Q.  Only the row
-update depends on the ring, and it updates each row in place, keeping
-the rows of each column in the same pass.  Over Q rows are gcd-reduced
-(no fractions, no floats), and over F_p entries are symmetric residues in
-(-p/2, p/2], so +-1 stays +-1.  No row ever stores a zero entry.
-rank_sparse reads the rank over Q or F_p off the loop.  Over Z the one
-lattice primitive is QuotientLattice, Z^w modulo a sublattice: unit
-pivots keep the loop exact and unimodular, and the residual rows without
-a unit entry go to the dense Smith normal form, of whose transforms it
-keeps only the sparse rows and columns it reads.
+elimination loop pivots sparsely over Z, on +-1, and over F_p, on every
+nonzero entry.  Only the row update depends on the ring, and it updates
+each row in place, keeping the rows of each column in the same pass.
+Over F_p entries are symmetric residues in (-p/2, p/2], so +-1 stays
++-1.  No row ever stores a zero entry.  The rows the Z pass leaves
+without a unit entry, its residual, are read densely on the columns they
+touch.  rank_sparse reads a rank over F_p off the loop, and over Q off
+the Z pass plus a fraction-free finish of its residual (_bareiss), which
+also decides is_unimodular.  Over Z the one lattice primitive is
+QuotientLattice, Z^w modulo a sublattice: the residual goes to the Smith
+normal form, of whose transforms it keeps only the sparse rows and
+columns it reads.
 The rank cross-check of a QuotientLattice (_ranks_mod) replays the Z
 pass's pivot order, left looking, mod p1*p2 for two large primes, with
 the reduction loop of QuotientLattice.project (_reduce) and no pivot
@@ -22,9 +23,9 @@ QuotientLattice.project_units reads the coordinates of every unit vector
 off one backward pass over the pivot rows.
 Vectors are sparse dicts {index: value} throughout: the rows a lattice is
 built from, the ambient vectors it projects and the coordinates it
-answers in.  Dense matrices appear only in the Smith form, the
-determinant and the helpers (identity, columns_to_matrix, mat_mul) of the
-matrices a report prints.  Every entry is an int: no Fraction, no float.
+answers in.  Dense matrices appear only in the Smith form, _bareiss and
+the helpers (identity, columns_to_matrix, mat_mul) of the matrices a
+report prints.  Every entry is an int: no Fraction, no float.
 """
 
 from __future__ import annotations
@@ -43,9 +44,13 @@ _CHECK_PRIMES = (
 def rank_sparse(rows, p=None):
     """Rank of the row span, exactly over Q (p=None) or over F_p.
 
+    Over Q, the Z pass's +-1 pivots plus the rank of its residual (_bareiss).
     rows: iterable of {col: int} sparse rows.  Input rows are not modified.
     """
-    return len(_eliminate(rows, "Q" if p is None else p)[0])
+    if p is not None:
+        return len(_eliminate(rows, p)[0])
+    pivots, residual = _eliminate(rows, "Z")
+    return len(pivots) + _bareiss(residual)[0]
 
 
 def _ranks_mod(rows, primes, schedule):
@@ -153,7 +158,7 @@ def _reduce(x, order, pivots, m=0):
 
 
 def _eliminate(rows, ring):
-    """Sparse elimination over ring "Q", "Z" or F_p for a prime int p.
+    """Sparse elimination over ring "Z" or F_p for a prime int p.
 
     rows: iterable of {col: int} rows (copied, not modified).  Returns
     (pivots, residual): pivots lists (col, input id, reduced row) in
@@ -165,10 +170,10 @@ def _eliminate(rows, ring):
     the fewest live rows (ties: lowest column); the pivot row is the
     shortest eligible row in it, then the one with the smallest entry
     there, then the first, found in one scan of the column.  Only units of
-    the ring are eligible: +-1 over Z, and over Q and F_p every nonzero
-    entry, so there the residual is empty.  So every row operation is
-    invertible: over Z it is unimodular, and pivot rows plus residual span
-    the input lattice.
+    the ring are eligible: +-1 over Z, and over F_p every nonzero entry,
+    so there the residual is empty.  So every row operation is invertible:
+    over Z it is unimodular, and pivot rows plus residual span the input
+    lattice.
 
     The columns wait in a heap of (count, column), and queued maps each
     queued column to the count of its live entry, at most its live count:
@@ -180,20 +185,15 @@ def _eliminate(rows, ring):
     column) of the queue.  A popped column without a unit entry leaves the
     queue and joins it again when a later pivot row touches it, as only a
     pivot row's columns change, in count or in entries; so no residual row
-    has a unit entry.  The ring's update (_update_q, _update_z or
-    _update_mod) clears the pivot column from the other rows in place, and
-    in the same pass moves each row in or out of the live-row set of every
-    column where it gains or loses an entry.  Each row's update reads only
-    that row and the pivot row, and the sets it touches end the same
-    whatever the order, so the rows of the pivot column go to it in set
-    order, unsorted.
+    has a unit entry.  The ring's update (_update_z or _update_mod) clears
+    the pivot column from the other rows in place, and in the same pass
+    moves each row in or out of the live-row set of every column where it
+    gains or loses an entry.  Each row's update reads only that row and
+    the pivot row, and the sets it touches end the same whatever the
+    order, so the rows of the pivot column go to it in set order,
+    unsorted.
     """
-    if ring == "Q":
-        update, m = _update_q, None
-    elif ring == "Z":
-        update, m = _update_z, 0
-    else:
-        update, m = _update_mod, ring
+    update, m = (_update_z, 0) if ring == "Z" else (_update_mod, ring)
     half = m // 2 if m else 0
     live, col_rows = {}, {}
     for rid, r in enumerate(rows):
@@ -293,27 +293,6 @@ def _update_z(prow, col, rows, col_rows, m):
                 else:
                     del row[c]
                     s.discard(rid)
-
-
-def _update_q(prow, col, rows, col_rows, m):
-    """_update_z on rows scaled so that prow[col] divides row[col], then
-    each row divided by its content: no fractions."""
-    pv = prow[col]
-    for _rid, row in rows:
-        m1 = pv // gcd(pv, row[col])
-        if m1 != 1:
-            for c in row:
-                row[c] *= m1
-    _update_z(prow, col, rows, col_rows, m)
-    for _rid, row in rows:
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            for c in row:
-                row[c] //= g
 
 
 def _update_mod(prow, col, rows, col_rows, m):
@@ -482,41 +461,41 @@ def smith_normal_form(mat):
 
 
 def is_unimodular(rows, n):
-    """Whether n sparse integer rows span Z^n: a square matrix of
-    determinant +-1.
+    """Whether n sparse integer rows, on the columns 0..n-1, span Z^n: a
+    square matrix of determinant +-1.
 
     The sparse loop pivots on the +-1 entries by unimodular steps, and the
     residual rows are zero at every pivot column, so the matrix is
     unimodular exactly when the residual is, as a square matrix on the
-    other columns.  That block has no unit entry; it is decided by its
-    determinant (_det), with no Smith form, whose entries can grow without
-    bound on dense blocks.
+    other columns: of full rank with a last pivot of +-1 (_bareiss).
     """
     pivots, residual = _eliminate(rows, "Z")
     if len(pivots) + len(residual) != n:
         return False
-    cols = sorted(set(range(n)).difference(c for c, _rid, _row in pivots))
-    return _det([[row.get(c, 0) for c in cols] for _rid, row in residual]) in (1, -1)
+    rank, last = _bareiss(residual)
+    return rank == len(residual) and last in (1, -1)
 
 
-def _det(a):
-    """Determinant of the square integer matrix a, whose rows it overwrites,
-    by fraction-free elimination (Bareiss, Math. Comp. 1968): each step
-    divides exactly by the pivot before it, so every entry is a minor of a."""
-    n, sign, prev = len(a), 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            i = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if i is None:
-                return 0
-            a[k], a[i], sign = a[i], a[k], -sign
-        ak, p = a[k], a[k][k]
-        for ai in a[k + 1:]:
-            f = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * p - f * ak[j]) // prev
-        prev = p
-    return sign * a[-1][-1] if n else 1
+def _bareiss(residual):
+    """(rank, last pivot or 1) of the (input id, row) pairs residual, read
+    densely on the columns they touch, by fraction-free elimination (Bareiss,
+    Math. Comp. 1968) that skips a column with no pivot left.  Each step
+    divides exactly by the pivot before, so entries are minors and a full
+    rank square block's last pivot is its determinant up to sign."""
+    cols = sorted({c for _rid, row in residual for c in row})
+    a = [[row.get(c, 0) for c in cols] for _rid, row in residual]
+    k, prev = 0, 1
+    for j in range(len(cols)):
+        i = next((i for i in range(k, len(a)) if a[i][j]), None)
+        if i is None:
+            continue
+        a[k], a[i] = a[i], a[k]
+        ak, p = a[k], a[k][j]
+        for i in range(k + 1, len(a)):
+            f = a[i][j]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], ak)]
+        prev, k = p, k + 1
+    return k, prev
 
 
 class QuotientLattice:
@@ -648,7 +627,8 @@ class QuotientLattice:
 
     def reduce(self, coords):
         """The nonzero entries of sparse coordinates, torsion reduced into
-        range."""
+        range.  A coordinate outside 0..dim-1 raises ValueError."""
+        _check_keys(coords, self.dim, "coordinate")
         rank = self.rank
         out = {}
         for i, v in coords.items():

@@ -253,6 +253,7 @@ def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD):
     ring, builds only the degrees the earlier ones did not reach.
     """
     require_int("max_degree", top)
+    rings.check(ring)
     if top < 1:
         return []
     alg = HolonomyAlgebra(source, top, guard=guard)

@@ -340,6 +340,7 @@ def truncated_lie(source, top, guard=DEFAULT_GUARD):
     Its products are the brackets [s, t] of the pair columns s < t of the
     HolonomyAlgebra tower in degrees 2..top, Jacobi-checked by GradedLie.
     """
+    require_int("top", top)
     if top < 1:
         raise ValueError("truncation top degree must be at least 1")
     alg = HolonomyAlgebra(source, max_degree=top, guard=guard)
@@ -455,6 +456,7 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD):
     then when the tower's cost of degree n does (HolonomyAlgebra).
     """
     require_int("n", n)
+    rings.check(ring)
     if n < 3:
         raise ValueError("the H2 comparison starts at degree 3")
     relset = as_relation_set(source)

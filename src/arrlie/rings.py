@@ -1,7 +1,8 @@
 """Coefficient ring tags: Z, Q, or F_p for a prime p < 2**31.
 
 Rings are plain tuples so they hash and compare cheaply: ('Z',), ('Q',),
-('Fp', p).  All exact; floats are never accepted.
+('Fp', p).  All exact; floats are never accepted.  name and char refuse
+any other tag (check); coeff, which runs per coefficient, does not.
 """
 
 from __future__ import annotations
@@ -69,15 +70,26 @@ def parse(text):
     raise ValueError("unknown ring %r (expected z, q, or fp:<p>)" % text)
 
 
+def check(ring):
+    """ring itself if it is Z, Q or a tag that fp returns; anything else
+    raises ValueError naming it."""
+    try:
+        if ring in (Z, Q) or ring == fp(ring[1]):
+            return ring
+    except (LookupError, TypeError, ValueError):
+        pass
+    raise ValueError("unknown ring %r (expected Z, Q or fp(p))" % (ring,))
+
+
 def name(ring):
-    if ring[0] == "Fp":
+    if check(ring)[0] == "Fp":
         return "fp:%d" % ring[1]
     return ring[0].lower()
 
 
 def char(ring):
-    """Characteristic p for F_p, else None."""
-    return ring[1] if ring[0] == "Fp" else None
+    """Characteristic p for F_p, else None (check)."""
+    return ring[1] if check(ring)[0] == "Fp" else None
 
 
 def coeff(ring, v):

@@ -43,8 +43,9 @@
 * The sparse elimination kernel as it was when every row update copied
   the row and a second loop diffed the old and new rows to keep the
   column counts (copying_eliminate): the oracle for exactla._eliminate,
-  which updates rows in place.  rank_sparse_pivots reads a basis of the
-  row span over a field off exactla._eliminate.
+  which updates rows in place, and over Q, which the library reads off
+  its integer pass instead.  rank_sparse_pivots reads a basis of the row
+  span over a field off copying_eliminate.
 * det_int, the Bareiss determinant of a dense integer matrix, the oracle
   for the sparse invertibility test of the verifier and for unimodularity,
   and the dense matrix helpers mat_sub and is_zero.
@@ -838,7 +839,7 @@ def rank_sparse_pivots(rows, p=None):
     Those input rows are a basis of the span: each reduced pivot row is a
     nonzero multiple of its input row plus earlier pivot rows.
     """
-    pivots, _ = exactla._eliminate(rows, "Q" if p is None else p)
+    pivots, _ = copying_eliminate(rows, "Q" if p is None else p)
     return len(pivots), [rid for _c, rid, _row in pivots]
 
 

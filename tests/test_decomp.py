@@ -43,7 +43,7 @@ from arrlie.decomp import (
     restriction_stack,
 )
 from arrlie.holonomy import make_presentation
-from arrlie.nilpotent import Class2Group, h2_rank_check
+from arrlie.nilpotent import Class2Group, h2_rank_check, truncated_lie
 from lie_reference import (LieElement, bracket, bracket_coords, coords,
                            dense, dense_reduce, det_int, element, expand_tree,
                            is_zero, lyndon_basis, sparse, tensor_to_lyndon,
@@ -579,6 +579,18 @@ def test_check_diagram_ring_sensitivity_of_g2():
                 check_diagram(diagram_instance(g2=g2, ring=ring, **base))
 
 
+def test_the_verifier_refuses_a_malformed_ring():
+    # 'q' was read as Z by rings.coeff and then ranked as Q
+    base = dict(la_star=[[4], [2]], lb_star=[[2], [1]], sigma=[[1, 0]])
+    np4 = near_pencil(4)
+    for bad in ("q", "fp:3", ("Fp", 9)):
+        match = "^unknown ring %s " % re.escape(repr(bad))
+        with pytest.raises(ValueError, match=match):
+            check_diagram(diagram_instance(g2=[[Fraction(2)]], ring=bad, **base))
+        with pytest.raises(ValueError, match=match):
+            verify_decomposable_iso(np4, np4, [1, 2, 0, 3], n=4, ring=bad)
+
+
 def test_check_diagram_reads_every_matrix_into_its_ring():
     # la_star, lb_star and both splittings are read like g2 (rings.coeff)
     with pytest.raises(ValueError, match="not an int or a Fraction"):
@@ -1033,6 +1045,9 @@ def test_library_arguments_refuse_bools_and_floats():
         ("k True", lambda: generic(True)),
         # the count h2_rank_check was given, not the degree it reads below
         ("n 3.0", lambda: h2_rank_check(braid(3), 3.0)),
+        # truncated_lie's own count, not the tower's it is handed to
+        ("top 2.0", lambda: truncated_lie(braid(3), 2.0)),
+        ("n 4.0", lambda: zero_local_lifts(np4, 4.0)),
     ]
     grp = Class2Group(np4)
     g = grp.generator(0)

@@ -130,19 +130,33 @@ def known_determinant_matrices():
         yield m, det
 
 
+def bareiss(m):
+    """(rank, last pivot) of the dense matrix m by exactla._bareiss, which
+    reads the columns the rows touch."""
+    return exactla._bareiss(list(enumerate(sparse_rows(m))))
+
+
+def bareiss_det(m):
+    """The determinant of the square matrix m up to sign, read off the
+    fraction-free elimination: its last pivot at full rank, else 0."""
+    rank, last = bareiss(m)
+    return abs(last) if rank == len(m) else 0
+
+
 def test_det_gives_the_determinant_a_matrix_was_built_with(monkeypatch):
     # fraction-free elimination against the construction and det_int; and
-    # is_unimodular, which decides its residual block by _det, against it
-    real, blocks = exactla._det, []
+    # is_unimodular, which decides its residual block by _bareiss, against it
+    real, blocks = exactla._bareiss, []
 
     def recording(a):
         blocks.append(len(a))
         return real(a)
 
-    monkeypatch.setattr(exactla, "_det", recording)
+    monkeypatch.setattr(exactla, "_bareiss", recording)
     reached = 0
     for m, det in known_determinant_matrices():
-        assert real([row[:] for row in m]) == det == det_int(m)
+        assert bareiss_det(m) == abs(det) == abs(det_int(m))
+        assert bareiss(m)[0] == gauss_rank(sparse_rows(m), len(m))
         blocks.clear()
         assert exactla.is_unimodular(sparse_rows(m), len(m)) == (det in (1, -1))
         reached += bool(blocks and blocks[0])
@@ -151,9 +165,16 @@ def test_det_gives_the_determinant_a_matrix_was_built_with(monkeypatch):
     # no unit entry, a zero pivot to swap past, a singular block
     for m in ([[2, 3], [3, 5]], [[2, 3], [4, 5]], [[0, 2, 3], [2, 0, 3], [3, 3, 0]],
               [[0, 2], [0, 3]], [[5]], []):
-        assert real([row[:] for row in m]) == det_int(m)
+        assert bareiss_det(m) == abs(det_int(m))
+    # rank-deficient blocks: a dependent row, a column with no pivot to
+    # skip, and a wide block whose pivots skip a column
+    for m, rank in (([[2, 4], [3, 6]], 1), ([[0, 2], [0, 3]], 1),
+                    ([[2, 4, 3], [3, 6, 2]], 2), ([[0, 0], [0, 0]], 0), ([], 0)):
+        assert bareiss(m)[0] == rank
+    assert bareiss([[2, 4, 3], [3, 6, 2]]) == (2, -5)
     assert exactla.is_unimodular([{0: 2, 1: 3}, {0: 3, 1: 5}], 2)
     assert not exactla.is_unimodular([{0: 2, 1: 3}, {0: 4, 1: 5}], 2)
+    assert not exactla.is_unimodular([{0: 2, 1: 4}, {0: 3, 1: 6}], 2)
 
 
 def test_ranks_agree_between_backends():
@@ -214,6 +235,36 @@ def test_sparse_rank_and_basis_match_dense_elimination():
     assert deficient >= 8
 
 
+def test_q_rank_of_unit_free_rows_is_finished_by_fraction_free_elimination():
+    # Q ranks are the integer pass's +-1 pivots plus the rank of its
+    # residual.  Unit-free rows leave every row to that finish; mixed ones
+    # pivot some first.  Dependent rows make the finish skip columns.
+    rng = random.Random(61)
+    reached = skipped = 0
+    for trial in range(60):
+        n_rows, n_cols = rng.randint(3, 25), rng.randint(2, 20)
+        entries = (2, -2, 3, -3) if trial % 3 else (1, -1, 2, -2, 3, -3)
+        rows = [{c: rng.choice(entries)
+                 for c in rng.sample(range(n_cols), rng.randint(1, min(3, n_cols)))}
+                for _ in range(n_rows)]
+        for _ in range(trial % 4):
+            i, j = rng.sample(range(n_rows), 2)
+            rows.append({c: 2 * rows[i].get(c, 0) - 3 * rows[j].get(c, 0)
+                         for c in set(rows[i]) | set(rows[j])})
+        rank = gauss_rank(rows, n_cols)
+        assert exactla.rank_sparse(rows) == rank
+        pivots, residual = exactla._eliminate(rows, "Z")
+        res_rank = exactla._bareiss(residual)[0]
+        assert len(pivots) + res_rank == rank
+        reached += bool(residual)
+        # with fewer pivots than rows and columns, a column had none
+        n_res_cols = len({c for _rid, row in residual for c in row})
+        skipped += bool(residual) and res_rank < min(len(residual), n_res_cols)
+    # seeded inputs that reach the finish (one mixed set pivots entirely),
+    # and those where it skips a column
+    assert reached == 59 and skipped == 14
+
+
 def test_empty_matrix_conventions():
     assert exactla.mat_mul([], []) == []
     assert exactla.mat_mul([[], []], []) == [[], []]
@@ -248,6 +299,17 @@ def test_project_and_lift_refuse_entries_out_of_range(w, gens, call, arg, bad):
     with pytest.raises(ValueError, match=r" %d outside 0\.\." % bad):
         getattr(q, call)(arg)
     assert q.project({0: 1, w - 1: 1}) is not None and q.lift({q.dim - 1: 1})
+
+
+def test_reduce_refuses_coordinates_out_of_range():
+    # reduce read a negative coordinate as a free one, and one past dim
+    # as an index into the torsion
+    q = exactla.QuotientLattice(3, [{0: 2}])
+    assert (q.rank, q.torsion) == (2, (2,))
+    for bad in (-1, 5, 3):
+        with pytest.raises(ValueError, match=r"^coordinate %d outside 0\.\.2$" % bad):
+            q.reduce({bad: 5, 0: 1})
+    assert q.reduce({0: 3, 2: 5, 1: 0}) == {0: 3, 2: 1}
 
 
 def test_quotient_lattice_residual_block_matches_dense_smith_form():
@@ -464,7 +526,7 @@ def test_in_place_kernel_matches_the_copying_kernel(monkeypatch):
     saw_residual = skipped_then_pivoted = 0
     for rows in inputs:
         before = [list(row.items()) for row in rows]
-        for ring in ("Z", "Q", 2, 3, 32003):
+        for ring in ("Z", 2, 3, 32003):
             skipped = []
             pivots, residual = exactla._eliminate(rows, ring)
             want_pivots, want_residual = copying_eliminate(rows, ring, skipped)
@@ -472,7 +534,7 @@ def test_in_place_kernel_matches_the_copying_kernel(monkeypatch):
                     == [(c, rid, list(row.items())) for c, rid, row in want_pivots])
             assert ([(rid, list(row.items())) for rid, row in residual]
                     == [(rid, list(row.items())) for rid, row in want_residual])
-            assert_reduced(pivots, residual, None if ring in ("Z", "Q") else ring)
+            assert_reduced(pivots, residual, None if ring == "Z" else ring)
             if ring == "Z":
                 saw_residual += bool(residual)
             else:

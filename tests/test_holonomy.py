@@ -610,6 +610,27 @@ def test_hesse_and_pappus_keep_their_torsion():
         (9, ()), (9, ()), (20, ()), (30, (2,)), (60, ()), (90, ())]
 
 
+def test_a_malformed_ring_tag_is_refused_not_read_as_q():
+    # 'z', 'fp:2' and ('Fp', 4) were answered as Q: Pappus's Z/2 in
+    # degree 4 was dropped, where over F_2 it adds to the rank
+    from arrlie.nilpotent import ce_h2, h2_rank_check, truncated_lie
+    P = pappus()
+    assert holonomy_graded(P, 4, rings.Z) == GradedAbelian(30, (2,))
+    assert holonomy_graded(P, 4, rings.fp(2)) == GradedAbelian(31)
+    assert holonomy_graded(P, 4, rings.Q) == GradedAbelian(30)
+    L = truncated_lie(braid(3), 2)
+    bad_rings = ["z", "fp:2", ("Fp", 4), ("Fp", True), ("Fp", 2.0), ("Q", 0), ["Z"], None]
+    for bad in bad_rings:
+        for call in (lambda: holonomy_graded(P, 4, bad), lambda: ce_h2(L, bad),
+                     lambda: holonomy_degrees(P, 0, bad),
+                     lambda: h2_rank_check(braid(3), 3, bad),
+                     lambda: rings.name(bad), lambda: rings.char(bad)):
+            with pytest.raises(ValueError, match="^unknown ring %s " % re.escape(repr(bad))):
+                call()
+    # a tag built by hand reads as the one fp returns
+    assert rings.check(("Fp", 3)) == rings.fp(3) and rings.char(("Fp", 3)) == 3
+
+
 def test_the_tower_builds_fewer_triple_rows(monkeypatch):
     # the rows each degree's lattice is built from (no relation or torsion
     # row past degree 2 here), against the triples of that degree: the
