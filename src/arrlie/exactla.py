@@ -1,8 +1,8 @@
 """Exact linear algebra over Z, Q, Z/m and F_p.
 
 Everything here works with arbitrary-precision Python ints.  One sparse
-elimination loop pivots sparsely over Z, on +-1, and over F_p, on every
-nonzero entry.  Only the row update depends on the ring, and it updates
+elimination loop serves two rings, pivoting on their units: +-1 over Z
+and every nonzero entry over F_p.  Only the row update depends on the ring, and it updates
 each row in place, keeping the rows of each column in the same pass.
 Over F_p entries are symmetric residues in (-p/2, p/2], so +-1 stays
 +-1.  No row ever stores a zero entry.  The rows the Z pass leaves

@@ -43,9 +43,9 @@
 * The sparse elimination kernel as it was when every row update copied
   the row and a second loop diffed the old and new rows to keep the
   column counts (copying_eliminate): the oracle for exactla._eliminate,
-  which updates rows in place, and over Q, which the library reads off
-  its integer pass instead.  rank_sparse_pivots reads a basis of the row
-  span over a field off copying_eliminate.
+  which updates rows in place.  It keeps the ring Q, which the library
+  reads off its integer pass; rank_sparse_pivots reads a basis of the
+  row span over a field off it.
 * det_int, the Bareiss determinant of a dense integer matrix, the oracle
   for the sparse invertibility test of the verifier and for unimodularity,
   and the dense matrix helpers mat_sub and is_zero.
