@@ -529,7 +529,8 @@ def _invertible(mat, ring):
     elimination: over Z its rows must span Z^n (exactla.is_unimodular),
     over Q and F_p they must have rank n.  A row that is not all ints is
     read into the ring first (_in_ring); over Q each row is then scaled by
-    the lcm of its denominators (_integer_row), which keeps its rank."""
+    the lcm of its denominators (_integer_row), which keeps its rank.  The
+    caller has checked the ring (rings.check)."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         return False
@@ -541,7 +542,7 @@ def _invertible(mat, ring):
     rows = [{j: v for j, v in enumerate(r) if v} for r in read]
     if ring == rings.Z:
         return exactla.is_unimodular(rows, n)
-    return exactla.rank_sparse(rows, rings.char(ring)) == n
+    return exactla.rank_sparse(rows, None if ring == rings.Q else ring[1]) == n
 
 
 def check_diagram(d):
@@ -574,12 +575,12 @@ def check_diagram(d):
     if len(sa) != len(sb):
         raise ValueError("shape mismatch: sigma_a has %d rows, sigma_b %d"
                          % (len(sa), len(sb)))
-    rings.check(d.ring)
+    where = rings.name(d.ring)  # the one check of the ring (rings.check)
     g2, la, lb, sa, sb = [_in_ring(m, d.ring) for m in (g2, la, lb, sa, sb)]
     if not _invertible(g2, d.ring):
-        raise ValueError("g2 is not invertible over %s" % rings.name(d.ring))
-    p = rings.char(d.ring)
-    rep = {"pass": True, "ring": rings.name(d.ring), "failed": None,
+        raise ValueError("g2 is not invertible over %s" % where)
+    p = d.ring[1] if d.ring[0] == "Fp" else None
+    rep = {"pass": True, "ring": where, "failed": None,
            "witness": None, "identity1": True, "identity2": True}
     lhs1 = exactla.mat_mul(lb, g2)
     bad = _first_bad_column(lhs1, la, p) if la else None
@@ -745,7 +746,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     certificate fail; a passing perturbed run would be a bug.  The report
     echoes it as {"kind": perturb}.
     """
-    rings.check(ring)
+    where = rings.name(ring)
     if not isinstance(iso, LatticeIso):
         iso = lattice_iso(arr_a, arr_b, iso)
     rep_a = is_decomposable(arr_a, guard=guard)
@@ -813,7 +814,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
 
     report = {
         "pass": bool(check["pass"]),
-        "ring": rings.name(ring),
+        "ring": where,
         "degree": n,
         "check": check,
         "perturb": {"kind": perturb} if perturb else None,

@@ -261,14 +261,13 @@ def holonomy_degrees(source, top, ring=rings.Z, guard=DEFAULT_GUARD):
 
 
 def over_ring(q, ring):
-    """The quotient of the lattice q over ring, as a GradedAbelian: its rank
-    and divisor chain over Z, its rank over Q, and over F_p, by universal
-    coefficients, its rank plus the number of divisors that p divides."""
+    """The quotient of the lattice q over ring (checked by the caller) as a
+    GradedAbelian: over Z its rank and divisor chain, over Q its rank, over
+    F_p, by universal coefficients, its rank plus the divisors p divides."""
     if ring == rings.Z:
         return GradedAbelian(rank=q.rank, torsion=q.torsion)
-    p = rings.char(ring)
-    return GradedAbelian(
-        rank=q.rank + sum(1 for t in q.torsion if p and t % p == 0))
+    return GradedAbelian(rank=q.rank + sum(
+        1 for t in q.torsion if ring != rings.Q and t % ring[1] == 0))
 
 
 def holonomy_graded(source, n, ring=rings.Z, guard=DEFAULT_GUARD):

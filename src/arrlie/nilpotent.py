@@ -456,7 +456,7 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD):
     then when the tower's cost of degree n does (HolonomyAlgebra).
     """
     require_int("n", n)
-    rings.check(ring)
+    where = rings.name(ring)
     if n < 3:
         raise ValueError("the H2 comparison starts at degree 3")
     relset = as_relation_set(source)
@@ -491,7 +491,7 @@ def h2_rank_check(source, n=3, ring=rings.Q, guard=DEFAULT_GUARD):
     expected = hn.rank + b2
     report = {
         "degree": n,
-        "ring": rings.name(ring),
+        "ring": where,
         "b2": b2,
         "h_n_rank": hn.rank,
         "ce_h2_rank": ce.rank,

@@ -45,7 +45,7 @@
   column counts (copying_eliminate): the oracle for exactla._eliminate,
   which updates rows in place.  It keeps the ring Q, which the library
   reads off its integer pass; rank_sparse_pivots reads a basis of the
-  row span over a field off it.
+  row span over Q off it, and over F_p off exactla._eliminate.
 * det_int, the Bareiss determinant of a dense integer matrix, the oracle
   for the sparse invertibility test of the verifier and for unimodularity,
   and the dense matrix helpers mat_sub and is_zero.
@@ -839,7 +839,8 @@ def rank_sparse_pivots(rows, p=None):
     Those input rows are a basis of the span: each reduced pivot row is a
     nonzero multiple of its input row plus earlier pivot rows.
     """
-    pivots, _ = copying_eliminate(rows, "Q" if p is None else p)
+    pivots, _ = (copying_eliminate(rows, "Q") if p is None
+                 else exactla._eliminate(rows, p))
     return len(pivots), [rid for _c, rid, _row in pivots]
 
 

@@ -229,6 +229,7 @@ def test_sparse_rank_and_basis_match_dense_elimination():
         for p in (None, 2, 3):
             rank, basis = rank_sparse_pivots(rows, p=p)
             assert rank == gauss_rank(rows, n_cols, p), p
+            assert exactla.rank_sparse(rows, p) == rank, p
             assert len(basis) == len(set(basis)) == rank
             assert gauss_rank([rows[i] for i in basis], n_cols, p) == rank
             deficient += rank < min(n_rows, n_cols)

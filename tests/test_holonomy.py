@@ -631,6 +631,25 @@ def test_a_malformed_ring_tag_is_refused_not_read_as_q():
     assert rings.check(("Fp", 3)) == rings.fp(3) and rings.char(("Fp", 3)) == 3
 
 
+def test_a_ring_is_checked_once_per_public_call(monkeypatch):
+    # the check runs a primality test, so it is not repeated per degree
+    from arrlie.decomp import check_diagram, diagram_instance
+    from arrlie.nilpotent import ce_h2, truncated_lie
+    calls, real = [], rings.check
+    monkeypatch.setattr(rings, "check", lambda r: calls.append(r) or real(r))
+    g2, lb = [[1, 1], [0, -1]], [[1, 2], [0, 1]]
+    la = [[1, -1], [0, -1]]  # lb g2
+    L = truncated_lie(braid(3), 2)
+    for ring in (rings.Z, rings.Q, rings.fp(32003)):
+        for call in (lambda: holonomy_degrees(pappus(), 4, ring),
+                     lambda: holonomy_graded(pappus(), 4, ring),
+                     lambda: ce_h2(L, ring),
+                     lambda: check_diagram(diagram_instance(g2, la, lb, [[1, 0]], ring))):
+            calls.clear()
+            assert call()
+            assert calls == [ring]
+
+
 def test_the_tower_builds_fewer_triple_rows(monkeypatch):
     # the rows each degree's lattice is built from (no relation or torsion
     # row past degree 2 here), against the triples of that degree: the
