@@ -354,6 +354,13 @@ def _cmd_verify_iso(args, digests):
         corrections=corrections, perturb=args.perturb,
         guard=args.guard)
     if args.out:
+        # the sparse rows written densely, as wide as the basis of their columns
+        g, b2 = rep["basis"]["grn_dim"], len(rep["basis"]["relators_b"])
+        width = dict(g2=b2, la_star=b2, lb_star=b2, delta_a=b2, delta_b=b2,
+                     sigma=g + b2, rho=g, g_n=g)
+        rep = dict(rep, matrices={k: [[r.get(j, 0) for j in range(width[k])]
+                                      for r in rows]
+                                  for k, rows in rep["matrices"].items()})
         os.makedirs(args.out, exist_ok=True)
         bundle = {
             "verdict.json": {k: rep[k] for k in

@@ -17,15 +17,15 @@ embedded local corrections and vetted (assemble_global_lift), and the
 degree n component of each relator bracket is the obstruction matrix that
 feeds the H2-level commuting diagram; relator_components computes them
 in every degree, globally and locally.  All matrices are exact, over Z, Q,
-or F_p.  Every induced map between holonomy algebras is one renaming of
-generators, applied to a class by rename: embedding a pencil (x_i ->
-x_members[i]), restricting to a flat (x_H -> 0 outside it), and a lattice
-isomorphism (x_H -> x_g(H)); letter_matrix writes a renaming out as a
-matrix only where one is printed or inverted.  Renamings and relator
-components stay in quotient coordinates: a class is a sum of brackets of
-classes of lower degree (HolonomyAlgebra.pairs and the lift of its
-coordinates), and both sides are bracketed with the tower's own tables
-(HolonomyAlgebra.bracket).
+or F_p, and each is a list of sparse rows {column: entry}.  Every induced
+map between holonomy algebras is one renaming of generators, applied to a
+class by rename: embedding a pencil (x_i -> x_members[i]), restricting to
+a flat (x_H -> 0 outside it), and a lattice isomorphism (x_H -> x_g(H));
+letter_matrix gathers a renaming into rows only where one is inverted or
+reported.  Renamings and relator components stay in quotient coordinates:
+a class is a sum of brackets of classes of lower degree
+(HolonomyAlgebra.pairs and the lift of its coordinates), and both sides
+are bracketed with the tower's own tables (HolonomyAlgebra.bracket).
 """
 
 from __future__ import annotations
@@ -184,11 +184,20 @@ def _add_into(acc, vec, c=1):
         acc[r] = acc.get(r, 0) + c * v
 
 
+def _rows(cols, nrows):
+    """The sparse rows of the nrows-row matrix with the sparse columns cols."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
+
+
 def letter_matrix(src, dst, letters, d):
-    """Matrix on quotient coordinates of a renaming (see rename): column j
-    is the image of the j-th basis class of degree d."""
-    cols = [rename(src, dst, letters, d, {j: 1}) for j in range(src.dim(d))]
-    return exactla.columns_to_matrix(cols, dst.dim(d))
+    """Sparse rows of the matrix on quotient coordinates of a renaming (see
+    rename): column j is the image of the j-th basis class of degree d."""
+    return _rows([rename(src, dst, letters, d, {j: 1})
+                  for j in range(src.dim(d))], dst.dim(d))
 
 
 def restriction_stack(arr, d, charts=None, guard=DEFAULT_GUARD):
@@ -467,12 +476,12 @@ def lift_h2_matrix(arr, glift, dim):
     H2 of the degree-n quotient group splits as the degree-n graded piece,
     of dimension dim, plus H2 of the complement; the lift acts as the
     identity on the second block and by the relator components
-    (glift.delta) on the first.  Rows: degree-n coordinates then relator
-    basis; columns: relator basis.
+    (glift.delta) on the first.  Sparse rows: degree-n coordinates then
+    relator basis; columns: relator basis.
     """
     pairs = relator_basis(arr)
-    top = exactla.columns_to_matrix([glift.delta[p] for p in pairs], dim)
-    return top + exactla.identity(len(pairs))
+    return (_rows([glift.delta[p] for p in pairs], dim)
+            + [{j: 1} for j in range(len(pairs))])
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +493,8 @@ class DiagramInstance(Record):
     g2: H2(X_a) -> H2(X_b) on relator bases; la_star, lb_star: induced maps
     of the two lifts into the split H2 of the common nilpotent quotient;
     sigma_a, sigma_b: the splittings H2(N) -> degree-n piece applied after
-    the A leg and after the B leg.  Each matrix is a tuple of row tuples.
+    the A leg and after the B leg.  Each matrix is a tuple of sparse rows
+    {column: entry}; check_diagram reads every width off the square g2.
     """
 
     def __init__(self, g2, la_star, lb_star, sigma_a, sigma_b, ring=rings.Z):
@@ -496,53 +506,56 @@ class DiagramInstance(Record):
         self._set("ring", ring)
 
 
-def _freeze(mat):
-    return tuple(tuple(r) for r in mat)
-
-
 def diagram_instance(g2, la_star, lb_star, sigma, ring=rings.Z, sigma_a=None):
     """DiagramInstance with splitting sigma on the B leg, and on the A leg
     too unless sigma_a is given."""
-    return DiagramInstance(_freeze(g2), _freeze(la_star), _freeze(lb_star),
-                           _freeze(sigma if sigma_a is None else sigma_a),
-                           _freeze(sigma), ring)
+    return DiagramInstance(tuple(g2), tuple(la_star), tuple(lb_star),
+                           tuple(sigma if sigma_a is None else sigma_a),
+                           tuple(sigma), ring)
+
+
+def _in_ring(rows, ring):
+    """The sparse rows read into the ring (rings.coeff); a row of plain
+    ints is kept as it is, so integer data pays one type scan per row."""
+    return [r if set(map(type, r.values())) <= {int}
+            else {c: rings.coeff(ring, x) for c, x in r.items()} for r in rows]
+
+
+def _invertible(rows, ring):
+    """Whether the square matrix of n sparse rows on the columns 0..n-1 is
+    invertible over the ring, by the sparse elimination: over Z its rows
+    must span Z^n (exactla.is_unimodular), over Q and F_p they must have
+    rank n.  A row that is not all ints is read into the ring first
+    (_in_ring); over Q each row is then scaled by the lcm of its
+    denominators (_integer_row), which keeps its rank.  The caller has
+    checked the ring (rings.check)."""
+    n = len(rows)
+    read = _in_ring(rows, ring)
+    if ring == rings.Q:
+        read = [dict(zip(r, _integer_row(r.values()))) for r in read]
+    if ring == rings.Z:
+        return exactla.is_unimodular(read, n)
+    return exactla.rank_sparse(read, None if ring == rings.Q else ring[1]) == n
+
+
+def _mul(a, b):
+    """The sparse rows of a b: row i is the sum of a_i[k] b_k; zeros may stay."""
+    out = [{} for _ in a]
+    for acc, r in zip(out, a):
+        for k, v in r.items():
+            _add_into(acc, b[k], v)
+    return out
 
 
 def _first_bad_column(a, b, p):
-    for j in range(len(a[0]) if a else 0):
-        for i in range(len(a)):
-            d = a[i][j] - b[i][j]
-            if (d % p if p else d) != 0:
-                return j
-    return None
-
-
-def _in_ring(mat, ring):
-    """The rows of mat read into the ring (rings.coeff); a row of plain ints
-    is kept as it is, so integer data pays one type scan per row."""
-    return [r if set(map(type, r)) <= {int}
-            else [rings.coeff(ring, x) for x in r] for r in mat]
-
-
-def _invertible(mat, ring):
-    """Whether a square matrix is invertible over the ring, by the sparse
-    elimination: over Z its rows must span Z^n (exactla.is_unimodular),
-    over Q and F_p they must have rank n.  A row that is not all ints is
-    read into the ring first (_in_ring); over Q each row is then scaled by
-    the lcm of its denominators (_integer_row), which keeps its rank.  The
-    caller has checked the ring (rings.check)."""
-    n = len(mat)
-    if any(len(r) != n for r in mat):
-        return False
-    if n == 0:
-        return True
-    read = _in_ring(mat, ring)
-    if ring == rings.Q:
-        read = [_integer_row(r) for r in read]
-    rows = [{j: v for j, v in enumerate(r) if v} for r in read]
-    if ring == rings.Z:
-        return exactla.is_unimodular(rows, n)
-    return exactla.rank_sparse(rows, None if ring == rings.Q else ring[1]) == n
+    """The least column where any row of a and b differs (mod p), or None."""
+    bad = None
+    for x, y in zip(a, b):
+        for c in x.keys() | y.keys():
+            diff = x.get(c, 0) - y.get(c, 0)
+            if (diff % p if p else diff) and (bad is None or c < bad):
+                bad = c
+    return bad
 
 
 def check_diagram(d):
@@ -551,30 +564,25 @@ def check_diagram(d):
     Identity 1: lb_star composed with g2 equals la_star.  Identity 2: sigma_a
     after la_star equals sigma_b after lb_star after g2.  Both are exact
     matrix identities over the instance ring, every entry read into it
-    first (_in_ring); the report carries the first violated identity and a
-    witness column.
+    first (_in_ring), checked row by row (_mul); the report carries the
+    first violated identity and a witness column, written out densely.
+    The columns of the square g2, la_star and lb_star lie below len(g2),
+    those of the splittings below len(la_star).
     """
     if not isinstance(d, DiagramInstance):
         raise TypeError("check_diagram expects a DiagramInstance")
     g2, la, lb, sa, sb = d.g2, d.la_star, d.lb_star, d.sigma_a, d.sigma_b
-    ca = len(la[0]) if la else (len(g2[0]) if g2 else 0)
-    cb = len(g2)
-    h2n = len(la)
-    if len(lb) != h2n:
+    if len(lb) != len(la):
         raise ValueError("shape mismatch: la_star has %d rows, lb_star %d"
-                         % (h2n, len(lb)))
-    if any(len(r) != ca for r in la):
-        raise ValueError("shape mismatch: ragged la_star")
-    if any(len(r) != cb for r in lb):
-        raise ValueError("shape mismatch: lb_star is %d columns wide but g2 "
-                         "has %d rows" % (len(lb[0]) if lb else 0, cb))
-    if any(len(r) != ca for r in g2):
-        raise ValueError("shape mismatch: g2 must be %dx%d" % (cb, ca))
-    if any(len(r) != h2n for r in sa + sb):
-        raise ValueError("shape mismatch: sigma must have %d columns" % h2n)
+                         % (len(la), len(lb)))
     if len(sa) != len(sb):
         raise ValueError("shape mismatch: sigma_a has %d rows, sigma_b %d"
                          % (len(sa), len(sb)))
+    for name, rows, width in (("g2", g2, len(g2)), ("la_star", la, len(g2)),
+                              ("lb_star", lb, len(g2)), ("sigma_a", sa, len(la)),
+                              ("sigma_b", sb, len(la))):
+        for r in rows:
+            exactla._check_keys(r, width, name + " column")
     where = rings.name(d.ring)  # the one check of the ring (rings.check)
     g2, la, lb, sa, sb = [_in_ring(m, d.ring) for m in (g2, la, lb, sa, sb)]
     if not _invertible(g2, d.ring):
@@ -582,25 +590,20 @@ def check_diagram(d):
     p = d.ring[1] if d.ring[0] == "Fp" else None
     rep = {"pass": True, "ring": where, "failed": None,
            "witness": None, "identity1": True, "identity2": True}
-    lhs1 = exactla.mat_mul(lb, g2)
-    bad = _first_bad_column(lhs1, la, p) if la else None
-    if bad is not None:
-        rep.update(
-            {"pass": False, "failed": 1, "identity1": False,
-             "witness": {"identity": 1, "column": bad,
-                         "lhs": [r[bad] for r in lhs1],
-                         "rhs": [r[bad] for r in la]}})
-        rep["identity2"] = None
-        return rep
-    lhs2 = exactla.mat_mul(sa, la)
-    rhs2 = exactla.mat_mul(sb, lhs1)   # sigma_b (lb_star g2)
-    bad = _first_bad_column(lhs2, rhs2, p) if lhs2 else None
-    if bad is not None:
-        rep.update(
-            {"pass": False, "failed": 2, "identity2": False,
-             "witness": {"identity": 2, "column": bad,
-                         "lhs": [r[bad] for r in lhs2],
-                         "rhs": [r[bad] for r in rhs2]}})
+    lhs1 = _mul(lb, g2)
+    for ident in (1, 2):
+        # identity 2 compares sigma_a la with sigma_b (lb_star g2)
+        lhs, rhs = (lhs1, la) if ident == 1 else (_mul(sa, la), _mul(sb, lhs1))
+        bad = _first_bad_column(lhs, rhs, p)
+        if bad is not None:
+            rep.update(
+                {"pass": False, "failed": ident, "identity%d" % ident: False,
+                 "witness": {"identity": ident, "column": bad,
+                             "lhs": [r.get(bad, 0) for r in lhs],
+                             "rhs": [r.get(bad, 0) for r in rhs]}})
+            if ident == 1:
+                rep["identity2"] = None
+            break
     return rep
 
 
@@ -665,7 +668,7 @@ def lattice_iso(arr_a, arr_b, mapping):
 
 
 def iso_h2_matrix(arr_a, arr_b, iso):
-    """Matrix of the induced map H2(X_A) -> H2(X_B) on relator bases.
+    """Sparse rows of the induced map H2(X_A) -> H2(X_B) on relator bases.
 
     A relator class (H, Y) goes to (g(H), g(Y)), or, when g(H) is the atom
     relator_basis drops from the image flat, to minus the sum of the others.
@@ -682,7 +685,7 @@ def iso_h2_matrix(arr_a, arr_b, iso):
         else:
             cols.append({index_b[(k, gj)]: -1
                          for k in arr_b.flats[gj].members if k != gh})
-    return exactla.columns_to_matrix(cols, len(pairs_b))
+    return _rows(cols, len(pairs_b))
 
 
 def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n):
@@ -702,8 +705,8 @@ def _transport_local(ch_a, ch_b, iso, fi_a, llift_b, n):
 
 
 def _splitting(ch, n, ring):
-    """The splitting H2(N) -> gr_n, [I | 0] in split coordinates, and the
-    stacked degree-n restriction matrix rho.
+    """The splitting H2(N) -> gr_n, [I | 0] in split coordinates (the rows
+    {i: 1}), and the stacked degree-n restriction matrix rho.
 
     rho must be square and invertible over the ring: this is the
     decomposability certificate in degree n.
@@ -718,10 +721,7 @@ def _splitting(ch, n, ring):
     if not _invertible(rho, ring):
         raise ValueError("degree-%d localization matrix is not invertible "
                          "over %s" % (n, rings.name(ring)))
-    b2 = len(relator_basis(ch.arr))
-    sigma = [[1 if i == j else 0 for j in range(g)] + [0] * b2
-             for i in range(g)]
-    return sigma, rho
+    return [{i: 1} for i in range(g)], rho
 
 
 def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
@@ -736,7 +736,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     splitting sigma = [I | 0] on both legs: with one sigma on both legs the
     second identity follows from the first, whatever sigma is.  Runs
     check_diagram on the result and returns the verdict together with every
-    constructed matrix for audit.
+    constructed matrix, in sparse rows, for audit; n and perturb first.
 
     perturb is a negative-control hook, None, 'sigma' or 'lift': 'sigma'
     subtracts e_{0,g} from the splitting on the A leg only, which moves
@@ -746,6 +746,11 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     certificate fail; a passing perturbed run would be a bug.  The report
     echoes it as {"kind": perturb}.
     """
+    require_int("n", n)
+    if n < 3:
+        raise ValueError("the comparison starts at degree 3")
+    if perturb not in (None, "sigma", "lift"):
+        raise ValueError("perturb kind must be 'sigma' or 'lift'")
     where = rings.name(ring)
     if not isinstance(iso, LatticeIso):
         iso = lattice_iso(arr_a, arr_b, iso)
@@ -757,10 +762,6 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
                 "arrangement %s is not decomposable (r_global=%d, r_local=%d"
                 ", torsion=%r); the comparison needs decomposable inputs"
                 % (side, rep["r_global"], rep["r_local"], rep["torsion"]))
-    if n < 3:
-        raise ValueError("the comparison starts at degree 3")
-    if perturb not in (None, "sigma", "lift"):
-        raise ValueError("perturb kind must be 'sigma' or 'lift'")
 
     ch_a = Charts(arr_a, n, guard=guard)
     ch_b = Charts(arr_b, n, guard=guard)
@@ -793,9 +794,8 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
     pairs_a = relator_basis(arr_a)
     pairs_b = relator_basis(arr_b)
     g = ch_b.alg.dim(n)
-    delta_a = exactla.columns_to_matrix(
-        [rename(ch_a.alg, ch_b.alg, iso.atom_map, n, glift_a.delta[p])
-         for p in pairs_a], g)
+    delta_a = _rows([rename(ch_a.alg, ch_b.alg, iso.atom_map, n,
+                            glift_a.delta[p]) for p in pairs_a], g)
     g2 = iso_h2_matrix(arr_a, arr_b, iso)
     la = delta_a + g2
     lb = lift_h2_matrix(arr_b, glift_b, g)
@@ -807,8 +807,7 @@ def verify_decomposable_iso(arr_a, arr_b, iso, n=4, ring=rings.Z,
         if g == 0 or not pairs_b:
             raise ValueError("cannot perturb sigma: the degree-%d piece or "
                              "H2 of the complement is zero" % n)
-        sigma_a = [list(row) for row in sigma]
-        sigma_a[0][g] -= 1
+        sigma_a = [{0: 1, g: -1}] + sigma[1:]
     check = check_diagram(diagram_instance(g2, la, lb, sigma, ring,
                                            sigma_a=sigma_a))
 

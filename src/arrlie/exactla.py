@@ -23,9 +23,11 @@ QuotientLattice.project_units reads the coordinates of every unit vector
 off one backward pass over the pivot rows.
 Vectors are sparse dicts {index: value} throughout: the rows a lattice is
 built from, the ambient vectors it projects and the coordinates it
-answers in.  Dense matrices appear only in the Smith form, _bareiss and
-the helpers (identity, columns_to_matrix, mat_mul) of the matrices a
-report prints.  Every entry is an int: no Fraction, no float.
+answers in.  A lattice and is_unimodular refuse a row entry outside
+their columns, read off the columns the Z pass collects.  Dense matrices
+appear only in the Smith form, _bareiss and the two helpers (identity,
+columns_to_matrix) of the Smith form and of the matrices a report
+prints.  Every entry is an int: no Fraction, no float.
 """
 
 from __future__ import annotations
@@ -157,10 +159,13 @@ def _reduce(x, order, pivots, m=0):
     return x
 
 
-def _eliminate(rows, ring):
+def _eliminate(rows, ring, width=None):
     """Sparse elimination over ring "Z" or F_p for a prime int p.
 
-    rows: iterable of {col: int} rows (copied, not modified).  Returns
+    rows: iterable of {col: int} rows (copied, not modified); given a
+    width, a nonzero entry outside the columns 0..width-1 raises
+    ValueError (_check_keys), read off the columns the pass collects
+    before it pivots, so the check costs one min and max.  Returns
     (pivots, residual): pivots lists (col, input id, reduced row) in
     elimination order, where the row is nonzero at col and zero at every
     column pivoted before it; residual lists (input id, reduced row) for
@@ -213,6 +218,8 @@ def _eliminate(rows, ring):
                     col_rows[c] = {rid}
                 else:
                     s.add(rid)
+    if width is not None:
+        _check_keys(col_rows, width, "column")
     queued = {c: len(s) for c, s in col_rows.items()}
     heap = [(n, c) for c, n in queued.items()]
     heapq.heapify(heap)
@@ -334,26 +341,6 @@ def columns_to_matrix(cols, nrows):
     return [[col.get(i, 0) for col in cols] for i in range(nrows)]
 
 
-def mat_mul(a, b):
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
-    n, m, q = len(a), len(b), len(b[0])
-    out = [[0] * q for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(q):
-                    if bk[j]:
-                        oi[j] += v * bk[j]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -462,14 +449,15 @@ def smith_normal_form(mat):
 
 def is_unimodular(rows, n):
     """Whether n sparse integer rows, on the columns 0..n-1, span Z^n: a
-    square matrix of determinant +-1.
+    square matrix of determinant +-1.  An entry outside those columns
+    raises ValueError.
 
     The sparse loop pivots on the +-1 entries by unimodular steps, and the
     residual rows are zero at every pivot column, so the matrix is
     unimodular exactly when the residual is, as a square matrix on the
     other columns: of full rank with a last pivot of +-1 (_bareiss).
     """
-    pivots, residual = _eliminate(rows, "Z")
+    pivots, residual = _eliminate(rows, "Z", n)
     if len(pivots) + len(residual) != n:
         return False
     rank, last = _bareiss(residual)
@@ -499,7 +487,8 @@ def _bareiss(residual):
 
 
 class QuotientLattice:
-    """Z^w modulo the sublattice spanned by the given sparse {col: int} rows.
+    """Z^w modulo the sublattice spanned by the given sparse {col: int} rows;
+    a row entry outside the columns 0..w-1 raises ValueError.
 
     The rows are first eliminated by the sparse loop, which pivots only on
     units of Z (+-1); only the residual rows, which have no unit entry, go
@@ -524,7 +513,7 @@ class QuotientLattice:
     def __init__(self, w, gens):
         self.w = w
         rows = list(gens)  # read twice: the Z pass and the cross-check
-        pivots, residual = _eliminate(rows, "Z")
+        pivots, residual = _eliminate(rows, "Z", w)
         self._pivots = [(col, row) for col, _rid, row in pivots]
         self._pivot_order = {col: i for i, (col, _row) in enumerate(self._pivots)}
         residual = [row for _rid, row in residual]

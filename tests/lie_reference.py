@@ -48,7 +48,12 @@
   row span over Q off it, and over F_p off exactla._eliminate.
 * det_int, the Bareiss determinant of a dense integer matrix, the oracle
   for the sparse invertibility test of the verifier and for unimodularity,
-  and the dense matrix helpers mat_sub and is_zero.
+  and the dense matrix helpers mat_mul, mat_sub and is_zero, with
+  sparse_rows and dense_rows between dense matrices and the sparse rows
+  {column: entry} the verifier reads.
+* dense_check_diagram, the diagram check as the verifier made it on dense
+  matrices: the products by mat_mul, then the first column where any row
+  differs: the oracle for decomp.check_diagram, which reads sparse rows.
 """
 
 from __future__ import annotations
@@ -1038,3 +1043,77 @@ def mat_sub(a, b):
 
 def is_zero(mat):
     return all(v == 0 for row in mat for v in row)
+
+
+def mat_mul(a, b):
+    """The product of two dense matrices; a row of a with no columns, or an
+    empty b, gives empty rows."""
+    if not a:
+        return []
+    if not b:
+        return [[] for _ in a]
+    out = [[0] * len(b[0]) for _ in a]
+    for ai, oi in zip(a, out):
+        for v, bk in zip(ai, b):
+            if v:
+                for j, w in enumerate(bk):
+                    if w:
+                        oi[j] += v * w
+    return out
+
+
+def sparse_rows(mat):
+    """The sparse rows {column: entry} of a dense matrix, zeros dropped."""
+    return [{j: v for j, v in enumerate(row) if v} for row in mat]
+
+
+def dense_rows(rows, width):
+    """The dense matrix of sparse rows, each written out to width columns."""
+    return [[r.get(j, 0) for j in range(width)] for r in rows]
+
+
+# ---------------------------------------------------------------------------
+# the diagram check on dense matrices
+
+def _first_bad_column(a, b, p):
+    for j in range(len(a[0]) if a else 0):
+        for i in range(len(a)):
+            d = a[i][j] - b[i][j]
+            if (d % p if p else d) != 0:
+                return j
+    return None
+
+
+def dense_check_diagram(g2, la, lb, sa, sb, ring):
+    """The report of decomp.check_diagram for dense matrices that it
+    accepts, g2 invertible: every entry read into the ring (a row of plain
+    ints kept as it is), lb g2 against la, then sa la against sb (lb g2),
+    each compared column by column, mod p over F_p."""
+    def read(mat):
+        return [r if all(type(x) is int for x in r)
+                else [rings.coeff(ring, x) for x in r] for r in mat]
+
+    g2, la, lb, sa, sb = map(read, (g2, la, lb, sa, sb))
+    p = rings.char(ring)
+    rep = {"pass": True, "ring": rings.name(ring), "failed": None,
+           "witness": None, "identity1": True, "identity2": True}
+    lhs1 = mat_mul(lb, g2)
+    bad = _first_bad_column(lhs1, la, p) if la else None
+    if bad is not None:
+        rep.update(
+            {"pass": False, "failed": 1, "identity1": False,
+             "identity2": None,
+             "witness": {"identity": 1, "column": bad,
+                         "lhs": [r[bad] for r in lhs1],
+                         "rhs": [r[bad] for r in la]}})
+        return rep
+    lhs2 = mat_mul(sa, la)
+    rhs2 = mat_mul(sb, lhs1)
+    bad = _first_bad_column(lhs2, rhs2, p) if lhs2 else None
+    if bad is not None:
+        rep.update(
+            {"pass": False, "failed": 2, "identity2": False,
+             "witness": {"identity": 2, "column": bad,
+                         "lhs": [r[bad] for r in lhs2],
+                         "rhs": [r[bad] for r in rhs2]}})
+    return rep

@@ -45,11 +45,12 @@ from arrlie.decomp import (
 from arrlie.holonomy import make_presentation
 from arrlie.nilpotent import Class2Group, h2_rank_check, truncated_lie
 from lie_reference import (LieElement, bracket, bracket_coords, coords,
-                           dense, dense_reduce, det_int, element, expand_tree,
-                           is_zero, lyndon_basis, sparse, tensor_to_lyndon,
+                           dense, dense_check_diagram, dense_reduce, dense_rows,
+                           det_int, element, expand_tree, is_zero, lyndon_basis,
+                           mat_mul, sparse, sparse_rows, tensor_to_lyndon,
                            word_row_degrees)
 from test_exactla import known_determinant_matrices
-from test_holonomy import commutator_presentations
+from test_holonomy import commutator_presentations, dense_letter_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +278,8 @@ def test_lift_h2_matrix_blocks():
     glift = assemble_global_lift(lifts, arr, 4)
     ch = Charts(arr, 4)
     top = ch.alg.dim(4)
-    mat = lift_h2_matrix(arr, glift, top)
     b2 = len(relator_basis(arr))
+    mat = dense_rows(lift_h2_matrix(arr, glift, top), b2)
     assert len(mat) == top + b2
     assert [row for row in mat[top:]] == exactla.identity(b2)
     for j, key in enumerate(relator_basis(arr)):
@@ -290,12 +291,12 @@ def test_lift_h2_matrix_blocks():
 # charts: embeddings and restrictions between local and global algebras
 
 def embed_matrix(ch, f, d):
-    return letter_matrix(ch.local_alg[f.index], ch.alg, f.members, d)
+    return dense_letter_matrix(ch.local_alg[f.index], ch.alg, f.members, d)
 
 
 def restrict_matrix(ch, f, d):
-    return letter_matrix(ch.alg, ch.local_alg[f.index],
-                         ch.restriction[f.index], d)
+    return dense_letter_matrix(ch.alg, ch.local_alg[f.index],
+                               ch.restriction[f.index], d)
 
 
 def test_restrict_after_embed_is_the_identity():
@@ -303,8 +304,8 @@ def test_restrict_after_embed_is_the_identity():
         ch = Charts(arr, 4)
         for f in arr.flats:
             for d in (1, 2, 3, 4):
-                prod = exactla.mat_mul(restrict_matrix(ch, f, d),
-                                       embed_matrix(ch, f, d))
+                prod = mat_mul(restrict_matrix(ch, f, d),
+                               embed_matrix(ch, f, d))
                 assert prod == exactla.identity(ch.local_alg[f.index].dim(d))
 
 
@@ -317,8 +318,8 @@ def test_foreign_embeddings_restrict_to_zero():
             for g in arr.flats:
                 if g.index != f.index:
                     for d in (2, 3, 4):
-                        prod = exactla.mat_mul(restrict_matrix(ch, g, d),
-                                               embed_matrix(ch, f, d))
+                        prod = mat_mul(restrict_matrix(ch, g, d),
+                                       embed_matrix(ch, f, d))
                         assert is_zero(prod)
 
 
@@ -363,15 +364,16 @@ def test_letter_matrix_permutation_order_three():
     ch = Charts(pencil(3), 4)
     perm = [1, 2, 0]
     for d in (1, 2, 3, 4):
-        m = letter_matrix(ch.alg, ch.alg, perm, d)
-        cube = exactla.mat_mul(m, exactla.mat_mul(m, m))
+        m = dense_letter_matrix(ch.alg, ch.alg, perm, d)
+        cube = mat_mul(m, mat_mul(m, m))
         assert cube == exactla.identity(len(m))
     for bad in ([0, 0, 1], [0, None, 0], [0, 1, 3], [0, 1, -1], [0, 1]):
         with pytest.raises(ValueError, match="letter map"):
             letter_matrix(ch.alg, ch.alg, bad, 2)
     # a deleted letter is allowed: x_2 -> 0 drops the third coordinate
     sub = HolonomyAlgebra(generic(2), max_degree=2)
-    assert letter_matrix(ch.alg, sub, [0, 1, None], 1) == [[1, 0, 0], [0, 1, 0]]
+    assert letter_matrix(ch.alg, sub, [0, 1, None], 1) == sparse_rows(
+        [[1, 0, 0], [0, 1, 0]])
 
 
 def _largest_flat_cycle(arr):
@@ -425,9 +427,9 @@ def test_warm_renaming_images_match_a_cold_run(monkeypatch):
                    dst.max_degree, letters, d)
             if key not in cold:
                 holonomy._tower.cache_clear()
-                mat = letter_matrix(HolonomyAlgebra(src.relset, src.max_degree),
-                                    HolonomyAlgebra(dst.relset, dst.max_degree),
-                                    list(letters), d)
+                mat = dense_letter_matrix(
+                    HolonomyAlgebra(src.relset, src.max_degree),
+                    HolonomyAlgebra(dst.relset, dst.max_degree), list(letters), d)
                 cold[key] = [[row[j] for row in mat] for j in range(src.dim(d))]
             want = [0] * dst.dim(d)
             for j, c in x.items():
@@ -466,9 +468,9 @@ def test_a_renaming_memo_keeps_each_views_degree_bound():
 def test_iso_h2_matrix_is_invertible():
     arr = pencil(3)
     iso = lattice_iso(arr, arr, {"H1": "H2", "H2": "H3", "H3": "H1"})
-    g2 = iso_h2_matrix(arr, arr, iso)
+    g2 = dense_rows(iso_h2_matrix(arr, arr, iso), 2)
     assert len(g2) == 2 and abs(det_int(g2)) == 1
-    cube = exactla.mat_mul(g2, exactla.mat_mul(g2, g2))
+    cube = mat_mul(g2, mat_mul(g2, g2))
     assert cube == exactla.identity(2)
 
 
@@ -510,19 +512,26 @@ def test_lattice_iso_rejects_shape_mismatch():
 # ---------------------------------------------------------------------------
 # the diagram checker on hand-built instances
 
+def dense_instance(g2, la_star, lb_star, sigma, ring=rings.Z, sigma_a=None):
+    """diagram_instance of dense matrices, each read as its sparse rows."""
+    return diagram_instance(sparse_rows(g2), sparse_rows(la_star),
+                            sparse_rows(lb_star), sparse_rows(sigma), ring,
+                            sigma_a=None if sigma_a is None else sparse_rows(sigma_a))
+
+
 def test_check_diagram_passes_on_consistent_data():
-    inst = diagram_instance(g2=[[1, 0], [0, 1]],
-                            la_star=[[1, 2], [0, 1]],
-                            lb_star=[[1, 2], [0, 1]],
-                            sigma=[[1, 0]])
+    inst = dense_instance(g2=[[1, 0], [0, 1]],
+                          la_star=[[1, 2], [0, 1]],
+                          lb_star=[[1, 2], [0, 1]],
+                          sigma=[[1, 0]])
     rep = check_diagram(inst)
     assert rep == {"pass": True, "ring": "z", "failed": None, "witness": None,
                    "identity1": True, "identity2": True}
 
 
 def test_check_diagram_reports_identity1_failure():
-    inst = diagram_instance(g2=[[1]], la_star=[[1], [0]], lb_star=[[1], [1]],
-                            sigma=[[1, 0]])
+    inst = dense_instance(g2=[[1]], la_star=[[1], [0]], lb_star=[[1], [1]],
+                          sigma=[[1, 0]])
     rep = check_diagram(inst)
     assert not rep["pass"] and rep["failed"] == 1
     assert rep["identity2"] is None
@@ -533,30 +542,29 @@ def test_check_diagram_reports_identity1_failure():
 def test_identity_one_implies_identity_two_with_a_single_sigma():
     # with one splitting on both legs, sigma.la = sigma.lb.g2 follows from
     # lb.g2 = la; the second identity can only fail for a perturbed sigma
-    import random
     rng = random.Random(17)
     for _ in range(10):
         g2 = [[1, rng.randint(-2, 2)], [0, -1]]
         lb = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(3)]
-        la = exactla.mat_mul(lb, g2)
+        la = mat_mul(lb, g2)
         sigma = [[rng.randint(-2, 2) for _ in range(3)]]
-        rep = check_diagram(diagram_instance(g2, la, lb, sigma))
+        rep = check_diagram(dense_instance(g2, la, lb, sigma))
         assert rep["pass"] and rep["identity1"] and rep["identity2"]
 
 
 def test_check_diagram_applies_each_legs_own_sigma():
     g2, la, lb = [[1]], [[1], [2]], [[1], [2]]
-    inst = diagram_instance(g2, la, lb, sigma=[[1, 0]], sigma_a=[[1, 1]])
-    assert (inst.sigma_a, inst.sigma_b) == (((1, 1),), ((1, 0),))
+    inst = dense_instance(g2, la, lb, sigma=[[1, 0]], sigma_a=[[1, 1]])
+    assert (inst.sigma_a, inst.sigma_b) == (({0: 1, 1: 1},), ({0: 1},))
     rep = check_diagram(inst)
     assert rep["failed"] == 2 and rep["identity1"] and not rep["identity2"]
     assert rep["witness"] == {"identity": 2, "column": 0,
                               "lhs": [3], "rhs": [1]}
-    assert check_diagram(diagram_instance(g2, la, lb, [[1, 0]],
-                                          sigma_a=[[1, 0]]))["pass"]
+    assert check_diagram(dense_instance(g2, la, lb, [[1, 0]],
+                                        sigma_a=[[1, 0]]))["pass"]
     with pytest.raises(ValueError, match="sigma_a has 2 rows, sigma_b 1"):
-        check_diagram(diagram_instance(g2, la, lb, [[1, 0]],
-                                       sigma_a=[[1, 0], [0, 1]]))
+        check_diagram(dense_instance(g2, la, lb, [[1, 0]],
+                                     sigma_a=[[1, 0], [0, 1]]))
 
 
 def test_check_diagram_ring_sensitivity_of_g2():
@@ -564,19 +572,19 @@ def test_check_diagram_ring_sensitivity_of_g2():
     base = dict(la_star=[[4], [2]], lb_star=[[2], [1]], sigma=[[1, 0]])
     for g2 in ([[2]], [[Fraction(2)]]):
         for ring in (rings.Z, rings.fp(2)):
-            inst = diagram_instance(g2=g2, ring=ring, **base)
+            inst = dense_instance(g2=g2, ring=ring, **base)
             with pytest.raises(ValueError, match="not invertible"):
                 check_diagram(inst)
         for ring in (rings.Q, rings.fp(3)):
-            rep = check_diagram(diagram_instance(g2=g2, ring=ring, **base))
+            rep = check_diagram(dense_instance(g2=g2, ring=ring, **base))
             assert rep["pass"] and rep["ring"] == rings.name(ring)
     with pytest.raises(ValueError, match="non-integer coefficient"):
-        check_diagram(diagram_instance(g2=[[Fraction(1, 2)]], **base))
+        check_diagram(dense_instance(g2=[[Fraction(1, 2)]], **base))
     # a float or a string is no matrix entry, in any ring
     for g2 in ([[1.5]], [["1"]], [[2.0]]):
         for ring in (rings.Z, rings.Q, rings.fp(3)):
             with pytest.raises(ValueError, match="not an int or a Fraction"):
-                check_diagram(diagram_instance(g2=g2, ring=ring, **base))
+                check_diagram(dense_instance(g2=g2, ring=ring, **base))
 
 
 def test_the_verifier_refuses_a_malformed_ring():
@@ -586,7 +594,7 @@ def test_the_verifier_refuses_a_malformed_ring():
     for bad in ("q", "fp:3", ("Fp", 9)):
         match = "^unknown ring %s " % re.escape(repr(bad))
         with pytest.raises(ValueError, match=match):
-            check_diagram(diagram_instance(g2=[[Fraction(2)]], ring=bad, **base))
+            check_diagram(dense_instance(g2=[[Fraction(2)]], ring=bad, **base))
         with pytest.raises(ValueError, match=match):
             verify_decomposable_iso(np4, np4, [1, 2, 0, 3], n=4, ring=bad)
 
@@ -594,27 +602,27 @@ def test_the_verifier_refuses_a_malformed_ring():
 def test_check_diagram_reads_every_matrix_into_its_ring():
     # la_star, lb_star and both splittings are read like g2 (rings.coeff)
     with pytest.raises(ValueError, match="not an int or a Fraction"):
-        check_diagram(diagram_instance(g2=[[1]], la_star=[[0.5], [1]],
-                                       lb_star=[[0.5], [1]], sigma=[[1, 0]]))
+        check_diagram(dense_instance(g2=[[1]], la_star=[[0.5], [1]],
+                                     lb_star=[[0.5], [1]], sigma=[[1, 0]]))
     with pytest.raises(ValueError, match="not an int or a Fraction"):
-        check_diagram(diagram_instance(g2=[[1]], la_star=[[1.0], [1]],
-                                       lb_star=[[1], [1]], sigma=[[1, 0]],
-                                       ring=rings.fp(2)))
+        check_diagram(dense_instance(g2=[[1]], la_star=[[1.0], [1]],
+                                     lb_star=[[1], [1]], sigma=[[1, 0]],
+                                     ring=rings.fp(2)))
     with pytest.raises(ValueError, match="not an int or a Fraction"):
-        check_diagram(diagram_instance(g2=[[1]], la_star=[["1"], [1]],
-                                       lb_star=[[1], [1]], sigma=[[1, 0]]))
+        check_diagram(dense_instance(g2=[[1]], la_star=[["1"], [1]],
+                                     lb_star=[[1], [1]], sigma=[[1, 0]]))
     for key in ("sigma", "sigma_a"):
         base = dict(g2=[[1]], la_star=[[1], [1]], lb_star=[[1], [1]],
                     sigma=[[1, 0]])
         base[key] = [[1.5, 0]]
         with pytest.raises(ValueError, match="not an int or a Fraction"):
-            check_diagram(diagram_instance(**base))
+            check_diagram(dense_instance(**base))
     # a non-integral Fraction is refused over Z, and over F_3 it is read as
     # its residue: 1/2 = 2 and 3/2 = 0, so lb g2 = la holds there
     with pytest.raises(ValueError, match="non-integer coefficient"):
-        check_diagram(diagram_instance(g2=[[1]], la_star=[[Fraction(1, 2)]],
-                                       lb_star=[[1]], sigma=[[1]]))
-    rep = check_diagram(diagram_instance(
+        check_diagram(dense_instance(g2=[[1]], la_star=[[Fraction(1, 2)]],
+                                     lb_star=[[1]], sigma=[[1]]))
+    rep = check_diagram(dense_instance(
         g2=[[1]], la_star=[[Fraction(1, 2)], [Fraction(3, 2)]],
         lb_star=[[2], [3]], sigma=[[1, 0]], ring=rings.fp(3)))
     assert rep["pass"] and rep["identity2"]
@@ -634,23 +642,74 @@ def test_check_diagram_identity_two_follows_from_identity_one():
                    for j in range(b2)] for i in range(b2)]
             lb = ([[rng.randint(-3, 3) for _ in range(b2)] for _ in range(g)]
                   + exactla.identity(b2))
-            la = exactla.mat_mul(lb, g2)
+            la = mat_mul(lb, g2)
             if ring == rings.Q:
                 sigma = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                           for _ in range(g + b2)] for _ in range(g)]
             else:
                 sigma = [[rng.randint(-3, 3) for _ in range(g + b2)]
                          for _ in range(g)]
-            rep = check_diagram(diagram_instance(g2, la, lb, sigma, ring))
+            rep = check_diagram(dense_instance(g2, la, lb, sigma, ring))
             assert rep["pass"] and rep["identity2"], (ring, g2, lb, sigma)
             sigma_a = [list(r) for r in sigma]
             sigma_a[0][g] -= 1
-            rep = check_diagram(diagram_instance(g2, la, lb, sigma, ring,
-                                                 sigma_a=sigma_a))
+            rep = check_diagram(dense_instance(g2, la, lb, sigma, ring,
+                                               sigma_a=sigma_a))
             assert not rep["pass"] and rep["failed"] == 2 and rep["identity1"]
             w = rep["witness"]
             assert w["identity"] == 2 and w["column"] == perm[0]
             assert w["lhs"][0] - w["rhs"][0] == -g2[0][perm[0]]
+
+
+def random_instance(rng, ring, fail):
+    """Dense (g2, la, lb, sigma_a, sigma_b) with lb g2 = la and one sigma,
+    then broken as fail says: None, 1 (up to three entries of la move) or
+    2 (up to three entries of sigma_a move), so rows can differ at different
+    columns.  g2 is a signed permutation times a
+    unitriangular matrix, invertible over every ring; over Q the entries
+    are Fractions, over F_p ints that are often multiples of p, so a move
+    by a multiple of p must pass."""
+    p = rings.char(ring)
+    b2, g, r = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
+
+    def entry():
+        if ring == rings.Q:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return rng.choice((0, 0, 1, -1, 2, -3)) * rng.choice((1, 1, p or 1))
+
+    perm = rng.sample(range(b2), b2)
+    tri = [[1 if i == j else entry() if j > i else 0 for j in range(b2)]
+           for i in range(b2)]
+    g2 = mat_mul([[rng.choice((1, -1)) if j == perm[i] else 0
+                   for j in range(b2)] for i in range(b2)], tri)
+    lb = [[entry() for _ in range(b2)] for _ in range(g + b2)]
+    la = mat_mul(lb, g2)
+    sigma = [[entry() for _ in range(g + b2)] for _ in range(r)]
+    sigma_a = [list(row) for row in sigma]
+    if fail:
+        target = la if fail == 1 else sigma_a
+        for _ in range(rng.randint(1, 3) if target else 0):
+            row = rng.choice(target)
+            row[rng.randrange(len(row))] += rng.choice((1, -2, p or 5))
+    return g2, la, lb, sigma_a, sigma
+
+
+def test_check_diagram_agrees_with_the_dense_oracle():
+    # the verdict, the failed identity and the witness column with both of
+    # its sides, against the dense check the verifier made before it read
+    # sparse rows (lie_reference.dense_check_diagram)
+    rng = random.Random(36)
+    for ring in (rings.Z, rings.Q, rings.fp(2), rings.fp(3)):
+        seen = set()
+        for trial in range(150):
+            mats = random_instance(rng, ring, (None, 1, 2)[trial % 3])
+            want = dense_check_diagram(*mats, ring)
+            g2, la, lb, sigma_a, sigma = mats
+            got = check_diagram(dense_instance(g2, la, lb, sigma, ring,
+                                               sigma_a=sigma_a))
+            assert got == want, (ring, mats)
+            seen.add(want["failed"])
+        assert seen == {None, 1, 2}, ring
 
 
 def test_sparse_invertibility_matches_the_determinant():
@@ -664,17 +723,18 @@ def test_sparse_invertibility_matches_the_determinant():
             p = rings.char(ring)
             want = (det in (1, -1) if ring == rings.Z
                     else det % p != 0 if p else det != 0)
-            assert _invertible(m, ring) == want, (m, ring)
+            assert _invertible(sparse_rows(m), ring) == want, (m, ring)
             seen[ring].add(want)
     assert all(v == {True, False} for v in seen.values())
     # entries that are not ints are read into the ring; over Q a row of
     # fractions is scaled to integers by the lcm of its denominators
-    assert _invertible([[Fraction(1, 2), 0], [0, 1]], rings.Q)
-    assert not _invertible([[Fraction(1, 2), 1], [1, 2]], rings.Q)
-    assert _invertible([[Fraction(-1), 0], [0, 1]], rings.Z)
-    assert _invertible([[Fraction(1, 2), 0], [0, 1]], rings.fp(3))
-    assert not _invertible([[Fraction(3, 2)]], rings.fp(3))
-    assert not _invertible([[1, 2]], rings.Z) and _invertible([], rings.Z)
+    for m, ring, want in (([[Fraction(1, 2), 0], [0, 1]], rings.Q, True),
+                          ([[Fraction(1, 2), 1], [1, 2]], rings.Q, False),
+                          ([[Fraction(-1), 0], [0, 1]], rings.Z, True),
+                          ([[Fraction(1, 2), 0], [0, 1]], rings.fp(3), True),
+                          ([[Fraction(3, 2)]], rings.fp(3), False),
+                          ([], rings.Z, True)):
+        assert _invertible(sparse_rows(m), ring) == want
     # a float or a string is refused, not truncated or parsed
     for ring in (rings.Z, rings.Q, rings.fp(3)):
         for v in (1.5, "3", 2.0, True):
@@ -682,29 +742,36 @@ def test_sparse_invertibility_matches_the_determinant():
                 rings.coeff(ring, v)
         for m in ([[1.5]], [["1"]], [[1, 0], [0, 1.0]]):
             with pytest.raises(ValueError, match="not an int or a Fraction"):
-                _invertible(m, ring)
+                _invertible(sparse_rows(m), ring)
 
 
 def test_check_diagram_mod_p_identities():
     # columns agree mod 2 but not over Z
-    inst = diagram_instance(g2=[[1]], la_star=[[3], [0]], lb_star=[[1], [0]],
-                            sigma=[[1, 0]], ring=rings.fp(2))
+    inst = dense_instance(g2=[[1]], la_star=[[3], [0]], lb_star=[[1], [0]],
+                          sigma=[[1, 0]], ring=rings.fp(2))
     assert check_diagram(inst)["pass"]
-    inst = diagram_instance(g2=[[1]], la_star=[[3], [0]], lb_star=[[1], [0]],
-                            sigma=[[1, 0]], ring=rings.Z)
+    inst = dense_instance(g2=[[1]], la_star=[[3], [0]], lb_star=[[1], [0]],
+                          sigma=[[1, 0]], ring=rings.Z)
     assert check_diagram(inst)["failed"] == 1
 
 
 def test_check_diagram_shape_errors():
+    # the square g2 fixes every width: the columns of g2, la_star and
+    # lb_star lie below len(g2), those of the splittings below len(la_star)
     with pytest.raises(TypeError):
-        check_diagram({"g2": [[1]]})
-    with pytest.raises(ValueError, match="la_star has 2 rows, lb_star 1"):
-        check_diagram(diagram_instance([[1]], [[1], [0]], [[1]], [[1, 0]]))
-    with pytest.raises(ValueError, match="sigma must have 2 columns"):
-        check_diagram(diagram_instance([[1]], [[1], [0]], [[1], [0]], [[1]]))
-    with pytest.raises(ValueError, match="g2 must be"):
-        check_diagram(diagram_instance([[1, 0]], [[1], [0]], [[1], [0]],
-                                       [[1, 0]]))
+        check_diagram({"g2": [{0: 1}]})
+    base = dict(g2=[{0: 1}], la_star=[{0: 1}, {}], lb_star=[{0: 1}, {}],
+                sigma=[{0: 1}])
+    assert check_diagram(diagram_instance(**base))["pass"]
+    for key, bad, match in (
+            ("lb_star", [{0: 1}], "^shape mismatch: la_star has 2 rows, lb_star 1$"),
+            ("g2", [{0: 1, 1: 1}], r"^g2 column 1 outside 0\.\.0$"),
+            ("la_star", [{0: 1}, {1: 2}], r"^la_star column 1 outside 0\.\.0$"),
+            ("lb_star", [{-1: 1}, {}], r"^lb_star column -1 outside 0\.\.0$"),
+            ("sigma", [{2: 1}], r"^sigma_a column 2 outside 0\.\.1$"),
+            ("sigma_a", [{0: 1, 5: -1}], r"^sigma_a column 5 outside 0\.\.1$")):
+        with pytest.raises(ValueError, match=match):
+            check_diagram(diagram_instance(**dict(base, **{key: bad})))
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +786,11 @@ def test_verify_pencil3_cycle_zero_candidates():
     assert rep["pass"] and rep["candidates"] == "zero"
     assert rep["check"]["failed"] is None
     assert rep["basis"]["grn_dim"] == 3 and rep["basis"]["grn_torsion"] == []
-    assert rep["matrices"]["sigma"] == [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
-                                        [0, 0, 1, 0, 0]]
+    assert rep["matrices"]["sigma"] == sparse_rows([[1, 0, 0, 0, 0],
+                                                    [0, 1, 0, 0, 0],
+                                                    [0, 0, 1, 0, 0]])
     assert rep["iso"]["atoms"] == CYCLE3
-    assert all(not any(r) for r in rep["matrices"]["delta_b"])
+    assert not any(rep["matrices"]["delta_b"])
 
 
 @pytest.mark.parametrize("ring", [rings.Z, rings.Q, rings.fp(2)])
@@ -731,7 +799,7 @@ def test_verify_pencil3_with_transported_corrections(ring):
                                   ring=ring, corrections=P3_CORR)
     assert rep["pass"] and rep["candidates"] == "transported"
     assert rep["ring"] == rings.name(ring)
-    assert any(any(r) for r in rep["matrices"]["delta_b"])
+    assert any(rep["matrices"]["delta_b"])
 
 
 def test_verify_generic4_any_permutation():
@@ -788,6 +856,41 @@ def test_verify_perturb_is_a_kind_name():
                                     perturb=bad)
 
 
+def test_verify_checks_its_arguments_before_any_tower(monkeypatch):
+    # braid(4) at n = 2 was refused as not decomposable, and near_pencil(30)
+    # spent both decomposability tests before the degree was read
+    calls = []
+    real = decomp.is_decomposable
+    monkeypatch.setattr(decomp, "is_decomposable",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    b4, np30 = braid(4), near_pencil(30)
+    for arr, n, perturb, match in (
+            (b4, 2, None, "^the comparison starts at degree 3$"),
+            (np30, 2, None, "^the comparison starts at degree 3$"),
+            (np30, 4.0, None, r"^n 4\.0 is not an int$"),
+            (b4, True, None, "^n True is not an int$"),
+            (np30, 3, "flat", "^perturb kind must be")):
+        with pytest.raises(ValueError, match=match):
+            verify_decomposable_iso(arr, arr, list(range(arr.n_atoms)), n=n,
+                                    perturb=perturb)
+    assert calls == []
+    with pytest.raises(ValueError, match="not decomposable"):
+        verify_decomposable_iso(b4, b4, list(range(6)), n=3)
+    assert len(calls) == 2
+
+
+def test_verify_at_a_degree_piece_in_the_thousands():
+    # near_pencil(6) at n = 7: h_7 has rank 2,340, so rho and g_n are
+    # 2,340 rows each; the report keeps them as sparse rows
+    arr = near_pencil(6)
+    rep = verify_decomposable_iso(arr, arr, [1, 2, 3, 0, 4, 5], n=7)
+    assert rep["pass"] and rep["basis"]["grn_dim"] == 2340
+    mats = rep["matrices"]
+    assert len(mats["rho"]) == len(mats["g_n"]) == len(mats["sigma"]) == 2340
+    assert all(type(r) is dict for r in mats["rho"] + mats["g_n"])
+    assert mats["sigma"][:2] == [{0: 1}, {1: 1}]
+
+
 def two_triples():
     """Atoms a..e with triple points abc and ade, the other pairs double
     points: two flats with nonzero local algebras from degree 2 on."""
@@ -842,7 +945,7 @@ def test_verify_two_triple_points_with_corrections_on_both(iso, n):
         rep = verify_decomposable_iso(arr, arr, iso, n=n, ring=ring,
                                       corrections=TT_CORR[n])
         assert rep["pass"] and rep["candidates"] == "transported"
-        assert any(any(r) for r in rep["matrices"]["delta_b"])
+        assert any(rep["matrices"]["delta_b"])
         for perturb, failed in (("lift", 1), ("sigma", 2)):
             rep = verify_decomposable_iso(arr, arr, iso, n=n, ring=ring,
                                           corrections=TT_CORR[n],
@@ -976,7 +1079,7 @@ def test_tensor_path_matches_the_lyndon_basis_path(name, source):
     for dst, letters in maps:
         for d in range(1, top + 1):
             old = old_letter_matrix(alg, dst, letters, d)
-            assert letter_matrix(alg, dst, letters, d) == old
+            assert dense_letter_matrix(alg, dst, letters, d) == old
             c = seeded[d]
             assert (rename(alg, dst, letters, d, sparse(c)) == dst.quotient(d).reduce(
                 sparse([sum(a * b for a, b in zip(row, c)) for row in old])))
@@ -1034,8 +1137,7 @@ def test_library_arguments_refuse_bools_and_floats():
         ("guard 1.5", lambda: HolonomyAlgebra(braid(3), 2, guard=1.5)),
         ("flat_index True", lambda: local_lift(np4, True, {}, 4)),
         ("max_degree 3.0", lambda: lcs_ranks_decomposable(pencil(3), 3.0)),
-        ("max_degree 4.0",
-         lambda: verify_decomposable_iso(np4, np4, [1, 2, 0, 3], n=4.0)),
+        ("n 4.0", lambda: verify_decomposable_iso(np4, np4, [1, 2, 0, 3], n=4.0)),
         ("guard 1.5", lambda: is_decomposable(braid(4), guard=1.5)),
         ("e 2.5", lambda: grp.power(g, 2.5)),
         ("e True", lambda: grp.power(g, True)),

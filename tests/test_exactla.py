@@ -10,15 +10,12 @@ import pytest
 
 from arrlie import exactla, holonomy, rings
 from arrlie.arrangement import Arrangement, braid, near_pencil
-from lie_reference import copying_eliminate, det_int, is_zero, rank_sparse_pivots
+from lie_reference import (copying_eliminate, det_int, is_zero, mat_mul,
+                           rank_sparse_pivots, sparse_rows)
 
 
 def rand_mat(rng, m, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
-
-
-def sparse_rows(mat):
-    return [{j: v for j, v in enumerate(row) if v} for row in mat]
 
 
 def det_brute(mat):
@@ -72,9 +69,9 @@ def test_smith_normal_form_properties():
         a = rand_mat(rng, m, n)
         divisors, u, uinv = exactla.smith_normal_form(a)
         assert abs(det_int(u)) == 1
-        assert exactla.mat_mul(u, uinv) == exactla.identity(m)
+        assert mat_mul(u, uinv) == exactla.identity(m)
         # U*A = D*V^-1: its rows past the divisors vanish
-        assert is_zero(exactla.mat_mul(u, a)[len(divisors):])
+        assert is_zero(mat_mul(u, a)[len(divisors):])
         assert divisors == det_divisors(a)
 
 
@@ -122,8 +119,8 @@ def known_determinant_matrices():
         n = rng.randint(1, 7)
         scale = exactla.identity(n)
         det = scale[0][0] = (1, 2, 3, 6, 0)[trial % 5]
-        m = exactla.mat_mul(exactla.mat_mul(unimodular_matrix(rng, n), scale),
-                            unimodular_matrix(rng, n))
+        m = mat_mul(mat_mul(unimodular_matrix(rng, n), scale),
+                    unimodular_matrix(rng, n))
         if det == 0 and n > 1 and trial % 2:
             i, j, k = (rng.sample(range(n), 3) if n > 2 else (0, 1, 1))
             m[i] = [2 * a - b for a, b in zip(m[j], m[k])]
@@ -267,8 +264,8 @@ def test_q_rank_of_unit_free_rows_is_finished_by_fraction_free_elimination():
 
 
 def test_empty_matrix_conventions():
-    assert exactla.mat_mul([], []) == []
-    assert exactla.mat_mul([[], []], []) == [[], []]
+    assert mat_mul([], []) == []
+    assert mat_mul([[], []], []) == [[], []]
     assert exactla.identity(0) == []
     assert is_zero([[0, 0]]) and not is_zero([[0, 1]])
 
@@ -311,6 +308,29 @@ def test_reduce_refuses_coordinates_out_of_range():
         with pytest.raises(ValueError, match=r"^coordinate %d outside 0\.\.2$" % bad):
             q.reduce({bad: 5, 0: 1})
     assert q.reduce({0: 3, 2: 5, 1: 0}) == {0: 3, 2: 1}
+
+
+@pytest.mark.parametrize("w, gens, bad", [
+    (2, [{5: 2}], 5),                      # a residual column
+    (1, [{5: 1}], 5),                      # a pivot column
+    (2, [{0: 1}, {7: 1}], 7),
+    (2, [{0: 1, 7: 1}, {1: 1}], 7),        # neither pivot nor residual
+    (3, [{0: 1}, {1: 2, -1: 3}], -1),
+    (0, [{0: 1}], 0),
+])
+def test_a_lattice_refuses_generator_columns_out_of_range(w, gens, bad):
+    # QuotientLattice(2, [{5: 2}]) answered rank 2, torsion (2,) and dim 3,
+    # and is_unimodular counted rows, so [{5: 1}] was unimodular in Z^1
+    for build in (exactla.QuotientLattice, lambda w, gens: exactla.is_unimodular(gens, w)):
+        with pytest.raises(ValueError, match=r"^column %d outside 0\.\.%d$" % (bad, w - 1)):
+            build(w, gens)
+
+
+def test_a_zero_generator_entry_is_no_column():
+    q = exactla.QuotientLattice(2, [{0: 2, 5: 0}])
+    assert (q.rank, q.torsion) == (1, (2,))
+    assert exactla.is_unimodular([{0: 1, 3: 0}], 1)
+    assert exactla.rank_sparse([{5: 2}]) == 1   # a rank takes no width
 
 
 def test_quotient_lattice_residual_block_matches_dense_smith_form():

@@ -37,9 +37,9 @@ from arrlie.holonomy import (
 )
 from arrlie.nilpotent import k_invariant_matrix
 from lie_reference import (FullRowTower, LieElement, bracket, bracket_coords,
-                           coords, dense_reduce, element, ideal_words, lie_generator,
-                           rank_sparse_pivots, word_row_degrees,
-                           word_row_pieces)
+                           coords, dense_reduce, dense_rows, element, ideal_words,
+                           lie_generator, mat_mul, rank_sparse_pivots,
+                           sparse_rows, word_row_degrees, word_row_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +454,11 @@ def test_falk_equals_degree3_rank_over_q():
 # ---------------------------------------------------------------------------
 # letter matrices between a free Lie algebra and a sub-alphabet
 
+def dense_letter_matrix(src, dst, letters, d):
+    """letter_matrix written out densely, src.dim(d) columns wide."""
+    return dense_rows(letter_matrix(src, dst, letters, d), src.dim(d))
+
+
 def _free_pair(members, n=6, max_degree=3):
     big = HolonomyAlgebra(empty_relation_set(n), max_degree=max_degree)
     small = HolonomyAlgebra(empty_relation_set(len(members)), max_degree=max_degree)
@@ -465,9 +470,9 @@ def _free_pair(members, n=6, max_degree=3):
 def test_restrict_after_embed_is_identity(d):
     members = (0, 2, 4)
     big, small, letters = _free_pair(members)
-    emb = letter_matrix(small, big, list(members), d)
-    res = letter_matrix(big, small, letters, d)
-    assert exactla.mat_mul(res, emb) == exactla.identity(small.dim(d))
+    emb = dense_letter_matrix(small, big, list(members), d)
+    res = dense_letter_matrix(big, small, letters, d)
+    assert mat_mul(res, emb) == exactla.identity(small.dim(d))
     # restriction only keeps basis classes whose words use the members alone
     for j, e in enumerate(exactla.identity(big.dim(d))):
         if any(row[j] for row in res):
@@ -478,7 +483,7 @@ def test_restricted_images_cover_the_local_basis():
     members = (1, 3, 5)
     big, small, letters = _free_pair(members)
     for d in (2, 3):
-        res = letter_matrix(big, small, letters, d)
+        res = dense_letter_matrix(big, small, letters, d)
         hit = []
         for j in range(big.dim(d)):
             col = [row[j] for row in res]
@@ -637,14 +642,15 @@ def test_a_ring_is_checked_once_per_public_call(monkeypatch):
     from arrlie.nilpotent import ce_h2, truncated_lie
     calls, real = [], rings.check
     monkeypatch.setattr(rings, "check", lambda r: calls.append(r) or real(r))
-    g2, lb = [[1, 1], [0, -1]], [[1, 2], [0, 1]]
-    la = [[1, -1], [0, -1]]  # lb g2
+    g2, lb = sparse_rows([[1, 1], [0, -1]]), sparse_rows([[1, 2], [0, 1]])
+    la = sparse_rows([[1, -1], [0, -1]])  # lb g2
+    sigma = sparse_rows([[1, 0]])
     L = truncated_lie(braid(3), 2)
     for ring in (rings.Z, rings.Q, rings.fp(32003)):
         for call in (lambda: holonomy_degrees(pappus(), 4, ring),
                      lambda: holonomy_graded(pappus(), 4, ring),
                      lambda: ce_h2(L, ring),
-                     lambda: check_diagram(diagram_instance(g2, la, lb, [[1, 0]], ring))):
+                     lambda: check_diagram(diagram_instance(g2, la, lb, sigma, ring))):
             calls.clear()
             assert call()
             assert calls == [ring]

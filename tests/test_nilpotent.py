@@ -31,8 +31,8 @@ from arrlie import exactla, rings
 from arrlie.holonomy import HolonomyAlgebra, as_relation_set, pair_index, pair_list
 from lie_reference import (bracket_coords, bracket_vec, check_jacobi,
                            dense_project, dense_reduce, det_int, flat_ce_h2,
-                           graded_lie_from_tables, is_zero, mat_sub, sparse,
-                           word_row_degrees)
+                           graded_lie_from_tables, is_zero, mat_mul, mat_sub,
+                           sparse, word_row_degrees)
 from test_holonomy import commutator_presentations, hesse, pappus, presentation_sources
 
 
@@ -497,11 +497,11 @@ def splitting_from_hom(lam, gr_dim=None, h2x_dim=None):
     inc = [[int(i == j) for j in range(a)] for i in range(a)] + \
           [[0] * a for _ in range(c)]
     proj = [[0] * a + [int(i == j) for j in range(c)] for i in range(c)]
-    if not is_zero(mat_sub(exactla.mat_mul(sigma, inc), exactla.identity(a))):
+    if not is_zero(mat_sub(mat_mul(sigma, inc), exactla.identity(a))):
         raise AssertionError("splitting identity sigma.i = id failed")
-    if not is_zero(mat_sub(exactla.mat_mul(proj, section), exactla.identity(c))):
+    if not is_zero(mat_sub(mat_mul(proj, section), exactla.identity(c))):
         raise AssertionError("splitting identity pi.h = id failed")
-    if not is_zero(exactla.mat_mul(sigma, section)):
+    if not is_zero(mat_mul(sigma, section)):
         raise AssertionError("splitting identity sigma.h = 0 failed")
     # ker sigma = im h: [i | h] is block upper triangular with unit diagonal
     square = [inc[i] + section[i] for i in range(a + c)]

@@ -14,6 +14,7 @@ import arrlie
 from arrlie import (BettiData, Class2Element, DiagramInstance, Flat2,
                     GlobalLift, GradedAbelian, LatticeIso, LocalLift,
                     Presentation, RelationSet, rings)
+from lie_reference import sparse_rows
 
 RECORDS = [
     (Flat2(0, (0, 1, 2), 2),
@@ -36,9 +37,10 @@ RECORDS = [
      "corrections={('H1', 2): (1,)})"),
     (GlobalLift(3, {}, {("H1", 0): (1, 0)}),
      "GlobalLift(n=3, corrections={}, delta={('H1', 0): (1, 0)})"),
-    (DiagramInstance(((1,),), ((2,),), (), ((0, 1),), ((1, 0),)),
-     "DiagramInstance(g2=((1,),), la_star=((2,),), lb_star=(), "
-     "sigma_a=((0, 1),), sigma_b=((1, 0),), ring=('Z',))"),
+    (DiagramInstance(*(tuple(sparse_rows(m)) for m in
+                       ([[1]], [[2]], [], [[0, 1]], [[1, 0]]))),
+     "DiagramInstance(g2=({0: 1},), la_star=({0: 2},), lb_star=(), "
+     "sigma_a=({1: 1},), sigma_b=({0: 1},), ring=('Z',))"),
     (DiagramInstance(g2=(), la_star=(), lb_star=(), sigma_a=(), sigma_b=(),
                      ring=rings.Q),
      "DiagramInstance(g2=(), la_star=(), lb_star=(), sigma_a=(), "
